@@ -1,9 +1,9 @@
 //! Ablation 3 — sensitivity of the headline result to the simulated disk
 //! model.
 //!
-//! The reproduction's central substitution is the simulated disk
-//! (`DESIGN.md`). This ablation re-runs Query 1 (PII vs UPI) under
-//! different seek-floor assumptions — from an SSD-like device (no
+//! The reproduction's central substitution is the simulated disk (see
+//! the `upi_storage` crate docs). This ablation re-runs Query 1 (PII vs
+//! UPI) under different seek-floor assumptions — from an SSD-like device (no
 //! rotational penalty) to a pessimistic spindle — showing that the paper's
 //! conclusion (the clustered UPI beats the secondary PII) holds across the
 //! model space, while the *magnitude* scales with how expensive random

@@ -4,8 +4,8 @@
 //! `harness = false` binary that prints the corresponding figure's series
 //! (parameter column + one column per curve) in TSV form, plus a shape
 //! summary. Reported runtimes are **simulated disk milliseconds** (see
-//! `DESIGN.md`): deterministic, host-independent, and faithful to the
-//! paper's disk-bound setting.
+//! the `upi_storage` crate docs): deterministic, host-independent, and
+//! faithful to the paper's disk-bound setting.
 //!
 //! Scale: the environment variable `UPI_BENCH_SCALE` (float, default 1.0)
 //! multiplies dataset sizes, e.g. `UPI_BENCH_SCALE=0.25 cargo bench` for a
@@ -93,7 +93,7 @@ pub fn banner(id: &str, title: &str, paper_shape: &str) {
     println!();
     println!("# {id} — {title}");
     println!("# paper shape: {paper_shape}");
-    println!("# runtimes are simulated disk milliseconds (see DESIGN.md)");
+    println!("# runtimes are simulated disk milliseconds (see the upi-storage crate docs)");
 }
 
 /// Print a TSV header row.
@@ -112,7 +112,7 @@ pub fn ms(v: f64) -> String {
     }
 }
 
-/// Print a `key: value` shape-summary line (picked up by EXPERIMENTS.md).
+/// Print a `key: value` shape-summary line.
 pub fn summary(key: &str, value: impl std::fmt::Display) {
     println!("## {key}: {value}");
 }

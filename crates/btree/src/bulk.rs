@@ -152,7 +152,7 @@ mod tests {
         let n = t.bulk_load(items.clone()).unwrap();
         assert_eq!(n, 5000);
         assert_eq!(t.len(), 5000);
-        let got: Vec<_> = t.iter().unwrap().collect();
+        let got: Vec<_> = t.iter().unwrap().map(Result::unwrap).collect();
         assert_eq!(got, items);
         assert_eq!(t.get(b"00002500").unwrap().unwrap(), b"value-2500");
     }
@@ -253,7 +253,7 @@ mod tests {
         assert_eq!(t.get(b"00000500x").unwrap().unwrap(), b"inserted");
         assert!(t.get(b"00000100").unwrap().is_none());
         // Order still intact.
-        let keys: Vec<_> = t.iter().unwrap().map(|(k, _)| k).collect();
+        let keys: Vec<_> = t.iter().unwrap().map(|e| e.unwrap().0).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);

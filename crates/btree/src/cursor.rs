@@ -3,14 +3,19 @@
 use upi_storage::error::Result;
 use upi_storage::PageId;
 
-use crate::node::{Node, NodeKind};
+use crate::node::{NodeKind, NodeView};
 use crate::tree::BTree;
 
 /// A forward-only cursor over a [`BTree`]'s leaf chain.
 ///
-/// Cursors hold a decoded copy of the current leaf, so they never observe a
-/// torn page; they become stale if the tree is mutated (Rust's borrow rules
-/// enforce this: a cursor borrows the tree immutably).
+/// A cursor holds one reference to the current leaf's page, exactly as the
+/// buffer pool cached it, and [`key`](Self::key) / [`value`](Self::value)
+/// are slices of that page: stepping within a leaf copies and allocates
+/// nothing. Pages are immutable once handed out (a write installs a new
+/// buffer), so the cursor never observes a torn page and keeps its leaf
+/// alive even if the pool evicts it; it would go stale if the tree were
+/// mutated, which Rust's borrow rules rule out (a cursor borrows the tree
+/// immutably).
 ///
 /// Advancing across a leaf boundary reads the next leaf through the buffer
 /// pool — physically adjacent leaves (bulk-loaded trees) cost sequential
@@ -20,18 +25,18 @@ use crate::tree::BTree;
 pub struct Cursor<'a> {
     tree: &'a BTree,
     page: PageId,
-    node: Node,
+    leaf: NodeView,
     slot: usize,
     exhausted: bool,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(tree: &'a BTree, page: PageId, node: Node, slot: usize) -> Cursor<'a> {
-        debug_assert_eq!(node.kind, NodeKind::Leaf);
+    pub(crate) fn new(tree: &'a BTree, page: PageId, leaf: NodeView, slot: usize) -> Cursor<'a> {
+        debug_assert_eq!(leaf.kind(), NodeKind::Leaf);
         Cursor {
             tree,
             page,
-            node,
+            leaf,
             slot,
             exhausted: false,
         }
@@ -39,17 +44,17 @@ impl<'a> Cursor<'a> {
 
     /// True while the cursor points at an entry.
     pub fn valid(&self) -> bool {
-        !self.exhausted && self.slot < self.node.entries.len()
+        !self.exhausted && self.slot < self.leaf.len()
     }
 
     /// Key at the cursor (panics if `!valid()`).
     pub fn key(&self) -> &[u8] {
-        &self.node.entries[self.slot].0
+        self.leaf.key(self.slot)
     }
 
     /// Value at the cursor (panics if `!valid()`).
     pub fn value(&self) -> &[u8] {
-        &self.node.entries[self.slot].1
+        self.leaf.value(self.slot)
     }
 
     /// Page currently under the cursor (diagnostics).
@@ -71,13 +76,14 @@ impl<'a> Cursor<'a> {
     /// transiently for the rightmost node, so this usually hops at most
     /// once.)
     pub(crate) fn skip_exhausted(&mut self) -> Result<()> {
-        while self.slot >= self.node.entries.len() {
-            if !self.node.link.is_valid() {
+        while self.slot >= self.leaf.len() {
+            let next = self.leaf.link();
+            if !next.is_valid() {
                 self.exhausted = true;
                 return Ok(());
             }
-            self.page = self.node.link;
-            self.node = self.tree.read_node(self.page)?;
+            self.leaf = self.tree.view_kind(next, NodeKind::Leaf)?;
+            self.page = next;
             self.slot = 0;
         }
         Ok(())

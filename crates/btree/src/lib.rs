@@ -17,6 +17,12 @@
 //!   simulated disk. Random [`BTree::insert`]s split nodes onto freshly
 //!   allocated (physically distant) pages, so a churned tree pays seeks on
 //!   range scans — the fragmentation that motivates Fractured UPIs (§4.1).
+//! * **Pages are read in place.** A descent, point lookup or cursor step
+//!   searches the encoded page the buffer pool cached — keys and values
+//!   are slices of it — so the host cost of a lookup is a few binary
+//!   searches, not a per-entry decode. Only a page that is being rewritten
+//!   is turned into an owned node. Malformed page bytes surface as
+//!   [`upi_storage::StorageError::Corrupted`], never a panic.
 //! * **Leaves form a singly linked chain** used by [`Cursor`] for ordered
 //!   scans; structural deletes merge an underflowing node with its *right*
 //!   sibling so the chain can always be repaired locally.
@@ -31,7 +37,7 @@
 //! t.insert(b"bob", b"mit").unwrap();
 //! t.insert(b"alice", b"brown").unwrap();
 //! assert_eq!(t.get(b"alice").unwrap().as_deref(), Some(&b"brown"[..]));
-//! let keys: Vec<_> = t.iter().unwrap().map(|(k, _)| k).collect();
+//! let keys: Vec<_> = t.iter().unwrap().map(|e| e.unwrap().0).collect();
 //! assert_eq!(keys, vec![b"alice".to_vec(), b"bob".to_vec()]);
 //! ```
 

@@ -4,7 +4,9 @@ use upi_storage::error::{Result, StorageError};
 use upi_storage::{FileId, PageId, Store};
 
 use crate::cursor::Cursor;
-use crate::node::{child_id, child_val, Node, NodeKind, ENTRY_OVERHEAD, HEADER_LEN};
+use crate::node::{
+    child_id, child_val, Node, NodeKind, NodeView, CHILD_LEN, ENTRY_OVERHEAD, HEADER_LEN,
+};
 
 /// Summary statistics of a tree (sizes feed the cost models of §6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +109,39 @@ impl BTree {
         (self.page_size - HEADER_LEN) / 2 - ENTRY_OVERHEAD
     }
 
-    pub(crate) fn read_node(&self, pid: PageId) -> Result<Node> {
-        Ok(Node::decode(&self.store.pool.get(pid)?))
+    /// Read page `pid` through the pool as a validated in-place view.
+    pub(crate) fn view_node(&self, pid: PageId) -> Result<NodeView> {
+        NodeView::new(pid, self.store.pool.get(pid)?)
+    }
+
+    /// [`view_node`](Self::view_node) for a page whose kind the tree's
+    /// shape dictates; the other kind there means the page is not the
+    /// one that was written (and following it could loop forever).
+    pub(crate) fn view_kind(&self, pid: PageId, want: NodeKind) -> Result<NodeView> {
+        let view = self.view_node(pid)?;
+        if view.kind() != want {
+            return Err(StorageError::Corrupted(format!(
+                "b+tree page {pid:?}: expected a {want:?} node, found {:?}",
+                view.kind()
+            )));
+        }
+        Ok(view)
+    }
+
+    /// [`view_kind`](Self::view_kind) for a page on `level`, counted up
+    /// from 1 at the leaves (`height` = the root).
+    fn view_level(&self, pid: PageId, level: usize) -> Result<NodeView> {
+        let want = match level {
+            1 => NodeKind::Leaf,
+            _ => NodeKind::Internal,
+        };
+        self.view_kind(pid, want)
+    }
+
+    /// Descend from the root to the leaf covering `key`.
+    fn descend(&self, key: &[u8]) -> Result<(PageId, NodeView)> {
+        let pid = self.leaf_page_for(key)?;
+        Ok((pid, self.view_kind(pid, NodeKind::Leaf)?))
     }
 
     pub(crate) fn write_node(&self, pid: PageId, node: &Node) {
@@ -130,22 +163,17 @@ impl BTree {
         self.internal_pages = internal_pages;
     }
 
-    /// Point lookup.
+    /// Point lookup (an owned copy of the value).
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut pid = self.root;
-        loop {
-            let node = self.read_node(pid)?;
-            match node.kind {
-                NodeKind::Internal => pid = node.route(key),
-                NodeKind::Leaf => {
-                    let idx = node.lower_bound(key);
-                    if idx < node.entries.len() && &*node.entries[idx].0 == key {
-                        return Ok(Some(node.entries[idx].1.to_vec()));
-                    }
-                    return Ok(None);
-                }
-            }
-        }
+        self.get_with(key, <[u8]>::to_vec)
+    }
+
+    /// Point lookup that hands the value to `f` as a slice of the cached
+    /// page, for callers that decode it and keep nothing.
+    pub fn get_with<R>(&self, key: &[u8], f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
+        let (_, leaf) = self.descend(key)?;
+        let idx = leaf.lower_bound(key);
+        Ok((idx < leaf.len() && leaf.key(idx) == key).then(|| f(leaf.value(idx))))
     }
 
     /// Insert or replace. Returns `true` if the key was new.
@@ -157,7 +185,7 @@ impl BTree {
                 max: self.max_record(),
             });
         }
-        let (outcome, split) = self.insert_rec(self.root, key, value)?;
+        let (outcome, split) = self.insert_rec(self.root, self.height, key, value)?;
         if let Some((sep, right)) = split {
             // Grow a new root.
             let old_root = self.root;
@@ -176,39 +204,44 @@ impl BTree {
         Ok(outcome)
     }
 
-    /// Recursive insert; returns (inserted-new-key, optional split
-    /// (separator, new right sibling page)).
-    fn insert_rec(&mut self, pid: PageId, key: &[u8], value: &[u8]) -> Result<(bool, SplitResult)> {
-        let mut node = self.read_node(pid)?;
-        match node.kind {
+    /// Recursive insert into the subtree rooted at `pid` on `level`
+    /// (1 = leaf); returns (inserted-new-key, optional split (separator,
+    /// new right sibling page)).
+    fn insert_rec(
+        &mut self,
+        pid: PageId,
+        level: usize,
+        key: &[u8],
+        value: &[u8],
+    ) -> Result<(bool, SplitResult)> {
+        let view = self.view_level(pid, level)?;
+        match view.kind() {
             NodeKind::Leaf => {
-                let idx = node.lower_bound(key);
-                let mut new_key = true;
-                if idx < node.entries.len() && &*node.entries[idx].0 == key {
-                    node.entries[idx].1 = value.to_vec().into_boxed_slice();
-                    new_key = false;
+                let idx = view.lower_bound(key);
+                let new_key = idx == view.len() || view.key(idx) != key;
+                let mut node = view.to_node();
+                if new_key {
+                    node.entries.insert(idx, (key.into(), value.into()));
                 } else {
-                    node.entries.insert(
-                        idx,
-                        (
-                            key.to_vec().into_boxed_slice(),
-                            value.to_vec().into_boxed_slice(),
-                        ),
-                    );
+                    node.entries[idx].1 = value.into();
                 }
                 let split = self.maybe_split(pid, &mut node)?;
                 Ok((new_key, split))
             }
             NodeKind::Internal => {
-                let child = node.route(key);
-                let (new_key, child_split) = self.insert_rec(child, key, value)?;
-                let split = if let Some((sep, right)) = child_split {
-                    let idx = node.lower_bound(&sep);
-                    node.entries
-                        .insert(idx, (sep.into_boxed_slice(), child_val(right)));
-                    self.maybe_split(pid, &mut node)?
-                } else {
-                    None
+                let (new_key, child_split) =
+                    self.insert_rec(view.route(key), level - 1, key, value)?;
+                // Only an ancestor that absorbs a split is rewritten; the
+                // rest of the path is passed through as views.
+                let split = match child_split {
+                    Some((sep, right)) => {
+                        let idx = view.lower_bound(&sep);
+                        let mut node = view.to_node();
+                        node.entries
+                            .insert(idx, (sep.into_boxed_slice(), child_val(right)));
+                        self.maybe_split(pid, &mut node)?
+                    }
+                    None => None,
                 };
                 Ok((new_key, split))
             }
@@ -222,14 +255,22 @@ impl BTree {
             self.write_node(pid, node);
             return Ok(None);
         }
-        // Find the split point by accumulated bytes so both halves fit.
+        // Find the split point by accumulated bytes so both halves fit:
+        // the entry that crosses the half-way mark goes left, unless it
+        // would overflow the left page (records near `max_record`). Then
+        // it opens the right page instead, which it cannot overflow —
+        // the node fit before this one record was added.
         let total: usize = node.used_bytes() - HEADER_LEN;
         let mut acc = 0usize;
         let mut mid = node.entries.len() / 2;
         for (i, (k, v)) in node.entries.iter().enumerate() {
             acc += ENTRY_OVERHEAD + k.len() + v.len();
             if acc >= total / 2 {
-                mid = (i + 1).min(node.entries.len() - 1);
+                mid = if acc > self.page_size - HEADER_LEN {
+                    i.max(1)
+                } else {
+                    (i + 1).min(node.entries.len() - 1)
+                };
                 break;
             }
         }
@@ -264,16 +305,16 @@ impl BTree {
 
     /// Delete a key. Returns `true` if it existed.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        let removed = self.delete_rec(self.root, key)?;
+        let removed = self.delete_rec(self.root, self.height, key)?;
         if removed {
             self.entries -= 1;
             // Shrink the root while it is an internal node with no
             // separators left.
             loop {
-                let node = self.read_node(self.root)?;
-                if node.kind == NodeKind::Internal && node.entries.is_empty() {
+                let root = self.view_node(self.root)?;
+                if root.kind() == NodeKind::Internal && root.len() == 0 {
                     let old = self.root;
-                    self.root = node.link;
+                    self.root = root.link();
                     self.height -= 1;
                     self.internal_pages -= 1;
                     self.store.pool.discard(old);
@@ -286,12 +327,13 @@ impl BTree {
         Ok(removed)
     }
 
-    fn delete_rec(&mut self, pid: PageId, key: &[u8]) -> Result<bool> {
-        let mut node = self.read_node(pid)?;
-        match node.kind {
+    fn delete_rec(&mut self, pid: PageId, level: usize, key: &[u8]) -> Result<bool> {
+        let view = self.view_level(pid, level)?;
+        match view.kind() {
             NodeKind::Leaf => {
-                let idx = node.lower_bound(key);
-                if idx < node.entries.len() && &*node.entries[idx].0 == key {
+                let idx = view.lower_bound(key);
+                if idx < view.len() && view.key(idx) == key {
+                    let mut node = view.to_node();
                     node.entries.remove(idx);
                     self.write_node(pid, &node);
                     Ok(true)
@@ -300,15 +342,11 @@ impl BTree {
                 }
             }
             NodeKind::Internal => {
-                let child_slot = node.entries.partition_point(|(k, _)| k.as_ref() <= key);
-                let child = if child_slot == 0 {
-                    node.link
-                } else {
-                    child_id(&node.entries[child_slot - 1].1)
-                };
-                let removed = self.delete_rec(child, key)?;
+                let child_slot = view.child_slot(key);
+                let child = view.child(child_slot);
+                let removed = self.delete_rec(child, level - 1, key)?;
                 if removed {
-                    self.maybe_merge_child(pid, &mut node, child_slot, child)?;
+                    self.maybe_merge_child(pid, &view, child_slot, child)?;
                 }
                 Ok(removed)
             }
@@ -321,53 +359,51 @@ impl BTree {
     /// Merging rightwards keeps the leaf chain repairable: the absorbed
     /// node's predecessor is the absorbing node itself, so `next` pointers
     /// are fixed locally (§ lib docs).
+    ///
+    /// The three pages are inspected as views; owned nodes are built only
+    /// once the merge is certain to happen.
     fn maybe_merge_child(
         &mut self,
         parent_pid: PageId,
-        parent: &mut Node,
+        parent: &NodeView,
         child_slot: usize,
         child_pid: PageId,
     ) -> Result<()> {
-        let child = self.read_node(child_pid)?;
+        let child = self.view_node(child_pid)?;
         let threshold = (self.page_size as f64 * UNDERFLOW_FRACTION) as usize;
         if child.used_bytes() >= threshold {
             return Ok(());
         }
         // The right sibling is the child at `child_slot + 1`, i.e. the
         // entry at index `child_slot` in the parent's separator list.
-        if child_slot >= parent.entries.len() {
+        if child_slot >= parent.len() {
             return Ok(()); // rightmost child: leave it underfull
         }
-        let right_pid = child_id(&parent.entries[child_slot].1);
-        let right = self.read_node(right_pid)?;
+        let right_pid = parent.child(child_slot + 1);
+        let right = self.view_kind(right_pid, child.kind())?;
         let limit = (self.page_size as f64 * MERGE_TARGET_FRACTION) as usize;
-        let combined = child.used_bytes() + right.used_bytes() - HEADER_LEN;
-        let sep_key_len = parent.entries[child_slot].0.len();
-        let mut child = child;
-        match child.kind {
-            NodeKind::Leaf => {
-                if combined > limit {
-                    return Ok(());
-                }
-                child.entries.extend(right.entries);
-                child.link = right.link;
-            }
-            NodeKind::Internal => {
-                // Pulling down the separator adds one entry.
-                if combined + ENTRY_OVERHEAD + sep_key_len + 8 > limit {
-                    return Ok(());
-                }
-                let sep = parent.entries[child_slot].0.clone();
-                child.entries.push((sep, child_val(right.link)));
-                child.entries.extend(right.entries);
-            }
+        let mut combined = child.used_bytes() + right.used_bytes() - HEADER_LEN;
+        let sep = parent.key(child_slot);
+        if child.kind() == NodeKind::Internal {
+            // Pulling down the separator adds one entry.
+            combined += ENTRY_OVERHEAD + sep.len() + CHILD_LEN;
         }
+        if combined > limit {
+            return Ok(());
+        }
+        let mut merged = child.to_node();
+        match merged.kind {
+            NodeKind::Leaf => merged.link = right.link(),
+            NodeKind::Internal => merged.entries.push((sep.into(), child_val(right.link()))),
+        }
+        merged.entries.extend(right.entries());
+        let mut parent = parent.to_node();
         parent.entries.remove(child_slot);
-        self.write_node(child_pid, &child);
-        self.write_node(parent_pid, parent);
+        self.write_node(child_pid, &merged);
+        self.write_node(parent_pid, &parent);
         self.store.pool.discard(right_pid);
         self.store.free_page(right_pid)?;
-        match child.kind {
+        match merged.kind {
             NodeKind::Leaf => self.leaf_pages -= 1,
             NodeKind::Internal => self.internal_pages -= 1,
         }
@@ -383,28 +419,18 @@ impl BTree {
     pub fn leaf_page_for(&self, key: &[u8]) -> Result<PageId> {
         let mut pid = self.root;
         for _ in 1..self.height {
-            let node = self.read_node(pid)?;
-            debug_assert_eq!(node.kind, NodeKind::Internal);
-            pid = node.route(key);
+            pid = self.view_kind(pid, NodeKind::Internal)?.route(key);
         }
         Ok(pid)
     }
 
     /// Cursor positioned at the first entry with key `>= key`.
     pub fn seek(&self, key: &[u8]) -> Result<Cursor<'_>> {
-        let mut pid = self.root;
-        loop {
-            let node = self.read_node(pid)?;
-            match node.kind {
-                NodeKind::Internal => pid = node.route(key),
-                NodeKind::Leaf => {
-                    let slot = node.lower_bound(key);
-                    let mut cur = Cursor::new(self, pid, node, slot);
-                    cur.skip_exhausted()?;
-                    return Ok(cur);
-                }
-            }
-        }
+        let (pid, leaf) = self.descend(key)?;
+        let slot = leaf.lower_bound(key);
+        let mut cur = Cursor::new(self, pid, leaf, slot);
+        cur.skip_exhausted()?;
+        Ok(cur)
     }
 
     /// Cursor at the smallest key.
@@ -412,7 +438,9 @@ impl BTree {
         self.seek(&[])
     }
 
-    /// Iterate every entry in key order (allocates owned pairs).
+    /// Iterate every entry in key order (allocates owned pairs). A device
+    /// fault while crossing to the next leaf is yielded as an `Err` item,
+    /// after which the iterator ends.
     pub fn iter(&self) -> Result<TreeIter<'_>> {
         Ok(TreeIter {
             cursor: self.first()?,
@@ -426,15 +454,16 @@ pub struct TreeIter<'a> {
 }
 
 impl Iterator for TreeIter<'_> {
-    type Item = (Vec<u8>, Vec<u8>);
+    type Item = Result<(Vec<u8>, Vec<u8>)>;
 
     fn next(&mut self) -> Option<Self::Item> {
         if !self.cursor.valid() {
             return None;
         }
         let item = (self.cursor.key().to_vec(), self.cursor.value().to_vec());
-        self.cursor.advance().expect("iteration I/O failed");
-        Some(item)
+        // A failed advance leaves the cursor invalid, so the next call
+        // returns `None`.
+        Some(self.cursor.advance().map(|()| item))
     }
 }
 
@@ -478,7 +507,7 @@ mod tests {
         }
         assert_eq!(t.len() as usize, model.len());
         assert!(t.height() > 1, "512-byte pages must have split");
-        let got: Vec<_> = t.iter().unwrap().collect();
+        let got: Vec<_> = t.iter().unwrap().map(Result::unwrap).collect();
         let want: Vec<_> = model.into_iter().collect();
         assert_eq!(got, want);
     }
@@ -501,7 +530,7 @@ mod tests {
             }
         }
         assert_eq!(t.len() as usize, model.len());
-        let got: Vec<_> = t.iter().unwrap().map(|(k, _)| k).collect();
+        let got: Vec<_> = t.iter().unwrap().map(|e| e.unwrap().0).collect();
         let want: Vec<_> = model.keys().cloned().collect();
         assert_eq!(got, want);
     }
@@ -578,6 +607,78 @@ mod tests {
         assert!(s.leaf_pages > 1);
         assert_eq!(s.height, t.height());
         assert_eq!(s.bytes, (s.pages * 512) as u64);
+    }
+
+    #[test]
+    fn corrupt_pages_surface_as_typed_errors() {
+        let mut t = tree(512);
+        for i in 0u32..600 {
+            t.insert(format!("{:06}", i).as_bytes(), b"v").unwrap();
+        }
+        assert!(t.height() > 1);
+        let key = b"000300";
+        let leaf = t.leaf_page_for(key).unwrap();
+        let good = t.store.pool.get(leaf).unwrap();
+        let is_corrupt = |r: Result<()>| match r {
+            Err(StorageError::Corrupted(what)) => {
+                assert!(
+                    what.contains(&format!("{leaf:?}")),
+                    "names the page: {what}"
+                );
+            }
+            other => panic!("expected Corrupted, got {other:?}"),
+        };
+
+        // Bad tag; a first entry whose key length overruns the page; and a
+        // well-formed node of the wrong kind for its level.
+        let mut bad_tag = good.to_vec();
+        bad_tag[0] = 0;
+        let mut overrun = good.to_vec();
+        overrun[HEADER_LEN..HEADER_LEN + 2].copy_from_slice(&u16::MAX.to_le_bytes());
+        let wrong_kind = Node::new_internal(leaf).encode(512).to_vec();
+        for bad in [bad_tag, overrun, wrong_kind] {
+            t.store.pool.put(leaf, bad.into());
+            is_corrupt(t.get(key).map(drop));
+            is_corrupt(t.seek(key).map(drop));
+            is_corrupt(t.insert(key, b"w").map(drop));
+            is_corrupt(t.delete(key).map(drop));
+        }
+        // A scan that walks into the page reports it and then ends.
+        let mut it = t.iter().unwrap();
+        let first_err = it.find_map(|e| e.err());
+        is_corrupt(Err(first_err.expect("the scan must reach the bad leaf")));
+        assert!(it.next().is_none());
+
+        t.store.pool.put(leaf, good);
+        assert_eq!(t.get(key).unwrap().unwrap(), b"v");
+    }
+
+    #[test]
+    fn iter_yields_device_faults_instead_of_panicking() {
+        let st = store();
+        let mut t = BTree::create(st.clone(), "t", 512).unwrap();
+        for i in 0u32..600 {
+            t.insert(format!("{:06}", i).as_bytes(), b"v").unwrap();
+        }
+        st.go_cold();
+        // The machine dies a few page reads into the scan.
+        st.disk
+            .set_fault_plan(upi_storage::FaultPlan::kill_at(t.height() as u64 + 3));
+        let items: Vec<_> = t.iter().unwrap().collect();
+        assert!(items.len() < 600);
+        let (last, before) = items.split_last().unwrap();
+        assert_eq!(*last, Err(StorageError::Crashed));
+        assert!(before.iter().all(|e| e.is_ok()));
+        st.disk.clear_fault_plan();
+        assert_eq!(t.iter().unwrap().filter(|e| e.is_ok()).count(), 600);
+    }
+
+    #[test]
+    fn get_with_borrows_the_value() {
+        let mut t = tree(512);
+        t.insert(b"k", b"value").unwrap();
+        assert_eq!(t.get_with(b"k", |v| v.len()).unwrap(), Some(5));
+        assert_eq!(t.get_with(b"absent", |v| v.len()).unwrap(), None);
     }
 
     #[test]

@@ -54,7 +54,7 @@ fn shared_prefix_keys() {
         t.insert(k.as_bytes(), b"v").unwrap();
     }
     keys.sort();
-    let got: Vec<Vec<u8>> = t.iter().unwrap().map(|(k, _)| k).collect();
+    let got: Vec<Vec<u8>> = t.iter().unwrap().map(|e| e.unwrap().0).collect();
     let want: Vec<Vec<u8>> = keys.iter().map(|k| k.as_bytes().to_vec()).collect();
     assert_eq!(got, want);
 }
@@ -79,7 +79,7 @@ fn descending_insertion_order() {
         t.insert(&i.to_be_bytes(), b"v").unwrap();
     }
     assert_eq!(t.len(), 2000);
-    let keys: Vec<Vec<u8>> = t.iter().unwrap().map(|(k, _)| k).collect();
+    let keys: Vec<Vec<u8>> = t.iter().unwrap().map(|e| e.unwrap().0).collect();
     assert!(keys.windows(2).all(|w| w[0] < w[1]));
 }
 

@@ -65,6 +65,18 @@ struct Fracture {
     ids: HashSet<u64>,
 }
 
+impl Fracture {
+    /// Sequentially read the persisted delete set (the RAM copy already
+    /// holds its content): a merge pays for reading every file it folds.
+    fn read_delete_set(&self) -> Result<()> {
+        let mut cur = self.delete_tree.first()?;
+        while cur.valid() {
+            cur.advance()?;
+        }
+        Ok(())
+    }
+}
+
 /// A UPI stored as a main index plus a chain of immutable fractures and an
 /// in-memory insert buffer (Figure 1).
 pub struct FracturedUpi {
@@ -523,7 +535,7 @@ impl FracturedUpi {
         }
         // Also sequentially read each fracture's persisted delete set.
         for f in &self.fractures {
-            let _ = f.delete_tree.iter()?.count();
+            f.read_delete_set()?;
         }
 
         let seq = self.seq;
@@ -633,7 +645,7 @@ impl FracturedUpi {
             }
         }
         for f in &self.fractures[..k] {
-            let _ = f.delete_tree.iter()?.count();
+            f.read_delete_set()?;
         }
 
         let seq = self.seq;
@@ -680,7 +692,7 @@ impl FracturedUpi {
         }
         let mut deleted: HashSet<u64> = HashSet::new();
         for f in &self.fractures[first..=last] {
-            let _ = f.delete_tree.iter()?.count();
+            f.read_delete_set()?;
             deleted.extend(f.deleted.iter().copied());
         }
 

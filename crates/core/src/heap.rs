@@ -53,15 +53,12 @@ impl UnclusteredHeap {
 
     /// Point fetch by id.
     pub fn get(&self, id: TupleId) -> Result<Option<Tuple>> {
-        Ok(self
-            .tree
-            .get(&id.0.to_be_bytes())?
-            .map(|bytes| decode_tuple(&bytes)))
+        self.tree.get_with(&id.0.to_be_bytes(), decode_tuple)
     }
 
     /// Sequentially scan every tuple in id order.
     pub fn scan(&self) -> Result<Vec<Tuple>> {
-        Ok(self.tree.iter()?.map(|(_, v)| decode_tuple(&v)).collect())
+        self.scan_run()?.collect()
     }
 
     /// Streaming sequential scan in id order (the full-table-scan access

@@ -40,7 +40,8 @@
 //!
 //! Every structure performs I/O through a [`upi_storage::Store`]; query
 //! "runtime" is the simulated clock advance, reproducing the paper's
-//! sequential-vs-random I/O trade-offs exactly (see `DESIGN.md`).
+//! sequential-vs-random I/O trade-offs exactly (the device model is
+//! described in the [`upi_storage`] crate docs).
 
 pub mod continuous;
 pub mod cost;

@@ -432,8 +432,10 @@ impl SecondaryIndex {
         let pointers = match t.discrete(self.attr).alternatives().first() {
             Some(&(v, p)) => self
                 .tree
-                .get(&keys::entry_key(v, p * t.exist, t.id.0))?
-                .map(|payload| Self::decode_payload(&payload))
+                .get_with(
+                    &keys::entry_key(v, p * t.exist, t.id.0),
+                    Self::decode_payload,
+                )?
                 .unwrap_or_default(),
             None => Vec::new(),
         };

@@ -291,10 +291,8 @@ impl DiscreteUpi {
 
     /// Fetch the heap copy stored under primary key `(value, prob, tid)`.
     pub fn fetch_by_pointer(&self, value: u64, prob: f64, tid: u64) -> Result<Option<Tuple>> {
-        Ok(self
-            .heap
-            .get(&keys::entry_key(value, prob, tid))?
-            .map(|b| decode_tuple(&b)))
+        self.heap
+            .get_with(&keys::entry_key(value, prob, tid), decode_tuple)
     }
 
     /// Confidence-ordered streaming cursor for a point PTQ `(value, qt)`:
