@@ -25,12 +25,12 @@ use std::collections::HashMap;
 use bytes::Bytes;
 use upi_btree::BTree;
 use upi_rtree::{LeafEntry, Point, RTree, RTreeStats, SplitEvent};
-use upi_storage::error::Result;
+use upi_storage::error::{Result, StorageError};
 use upi_storage::{FileId, PageId, Store};
-use upi_uncertain::tuple::{decode_tuple, encode_tuple};
+use upi_uncertain::tuple::{decode_tuple, encode_tuple, peek_header, TUPLE_HEADER_LEN};
 use upi_uncertain::{AttrStats, ConstrainedGaussian, Tuple, TupleId};
 
-use crate::exec::PtqResult;
+use crate::exec::{sort_results, PtqResult};
 use crate::heap::UnclusteredHeap;
 use crate::keys;
 
@@ -64,22 +64,65 @@ fn leaf_entry(t: &Tuple, loc_attr: usize) -> LeafEntry {
     }
 }
 
-fn gaussian_of(e: &LeafEntry) -> ConstrainedGaussian {
-    ConstrainedGaussian::new(e.aux[0], e.aux[1], e.aux[2], e.aux[3])
+/// Steps 1–2 of a circle PTQ, shared by the primary and the secondary
+/// index: descend the R-Tree, and price every candidate from the
+/// distribution parameters its leaf entry carries — no heap access.
+///
+/// Returns `(tid, p)` with `p = prob_in_circle` for the candidates with
+/// `p ≥ qt`. Dropping the rest is sound because a tuple's confidence is
+/// `exist × p` and `exist ≤ 1`; `p` has the bits the heap tuple's own
+/// Gaussian would give, since `aux` stores that Gaussian's four fields.
+fn circle_candidates(
+    rtree: &RTree,
+    qx: f64,
+    qy: f64,
+    radius: f64,
+    qt: f64,
+) -> Result<Vec<(u64, f64)>> {
+    let mut out = Vec::new();
+    rtree.for_each_in_circle(Point::new(qx, qy), radius, |_, e| {
+        let [cx, cy, sigma, bound] = e.aux;
+        let g = ConstrainedGaussian {
+            cx,
+            cy,
+            sigma,
+            bound,
+        };
+        // The quantile-circle bound first: two `exp`s against the kernel's
+        // few hundred.
+        if g.can_reach(qx, qy, radius, qt) {
+            let p = g.prob_in_circle(qx, qy, radius);
+            if p >= qt {
+                out.push((e.tid, p));
+            }
+        }
+    })?;
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
 // Heap page codec: [count u16][(len u32, tuple bytes)*]
 // ---------------------------------------------------------------------------
 
+const HEAP_HEADER_LEN: usize = 2;
+const RECORD_PREFIX_LEN: usize = 4;
+
+fn heap_page_bytes_needed(tuples: &[&Tuple]) -> usize {
+    HEAP_HEADER_LEN
+        + tuples
+            .iter()
+            .map(|t| RECORD_PREFIX_LEN + t.encoded_len())
+            .sum::<usize>()
+}
+
 fn encode_heap_page(tuples: &[&Tuple], page_size: usize) -> Bytes {
     let mut buf = vec![0u8; page_size];
     buf[0..2].copy_from_slice(&(tuples.len() as u16).to_le_bytes());
-    let mut at = 2;
+    let mut at = HEAP_HEADER_LEN;
     for t in tuples {
         let enc = encode_tuple(t);
         buf[at..at + 4].copy_from_slice(&(enc.len() as u32).to_le_bytes());
-        at += 4;
+        at += RECORD_PREFIX_LEN;
         buf[at..at + enc.len()].copy_from_slice(&enc);
         at += enc.len();
     }
@@ -87,21 +130,109 @@ fn encode_heap_page(tuples: &[&Tuple], page_size: usize) -> Bytes {
     Bytes::from(buf)
 }
 
-fn decode_heap_page(data: &[u8]) -> Vec<Tuple> {
-    let count = u16::from_le_bytes(data[0..2].try_into().unwrap()) as usize;
-    let mut at = 2;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        let len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
-        at += 4;
-        out.push(decode_tuple(&data[at..at + len]));
-        at += len;
+/// `(tid, p)` pairs a scan looks for on one heap page; `p` is what the
+/// caller priced the tuple at before fetching it.
+type Wanted = Vec<(u64, f64)>;
+
+/// Wanted tuples left over after their mapped pages were scanned: the
+/// in-RAM tid→page map sent a lookup to a page that does not hold the
+/// tuple, so the index and its heap disagree.
+fn none_missing(missing: &[(u64, f64)]) -> Result<()> {
+    match missing.first() {
+        None => Ok(()),
+        Some((tid, _)) => Err(StorageError::Corrupted(format!(
+            "continuous UPI: tuple {tid} is not on the heap page it is mapped to"
+        ))),
     }
-    out
 }
 
-fn heap_page_bytes_needed(tuples: &[&Tuple]) -> usize {
-    2 + tuples.iter().map(|t| 4 + t.encoded_len()).sum::<usize>()
+/// One `[len][tuple]` record of a heap page, read in place: `tid` and
+/// `exist` come from the tuple's fixed header, `tuple` is the still-encoded
+/// tuple for [`decode_tuple`].
+struct HeapRecord<'a> {
+    tid: u64,
+    exist: f64,
+    tuple: &'a [u8],
+}
+
+/// In-place scanner over the records of one heap page — the only parser of
+/// heap pages. A malformed page ends the scan with
+/// [`StorageError::Corrupted`] naming the page.
+struct HeapRecords<'a> {
+    pid: PageId,
+    data: &'a [u8],
+    at: usize,
+    left: usize,
+}
+
+fn corrupt_heap_page(pid: PageId, what: String) -> StorageError {
+    StorageError::Corrupted(format!("heap page {pid:?}: {what}"))
+}
+
+fn heap_records(pid: PageId, data: &[u8]) -> Result<HeapRecords<'_>> {
+    let count = data.get(..HEAP_HEADER_LEN).ok_or_else(|| {
+        corrupt_heap_page(
+            pid,
+            format!("{} bytes, shorter than the header", data.len()),
+        )
+    })?;
+    Ok(HeapRecords {
+        pid,
+        data,
+        at: HEAP_HEADER_LEN,
+        left: u16::from_le_bytes([count[0], count[1]]) as usize,
+    })
+}
+
+impl<'a> HeapRecords<'a> {
+    fn read_record(&mut self) -> Result<HeapRecord<'a>> {
+        let at = self.at;
+        let rest = &self.data[at..];
+        let tuple = rest
+            .get(..RECORD_PREFIX_LEN)
+            .map(|len| u32::from_le_bytes(len.try_into().expect("4-byte slice")) as usize)
+            .and_then(|len| rest[RECORD_PREFIX_LEN..].get(..len))
+            .ok_or_else(|| {
+                corrupt_heap_page(self.pid, format!("record at offset {at} overruns the page"))
+            })?;
+        let (tid, exist) = peek_header(tuple).ok_or_else(|| {
+            corrupt_heap_page(
+                self.pid,
+                format!(
+                    "record of {} bytes at offset {at} is shorter than its \
+                     {TUPLE_HEADER_LEN}-byte header",
+                    tuple.len()
+                ),
+            )
+        })?;
+        self.at = at + RECORD_PREFIX_LEN + tuple.len();
+        Ok(HeapRecord {
+            tid: tid.0,
+            exist,
+            tuple,
+        })
+    }
+}
+
+impl<'a> Iterator for HeapRecords<'a> {
+    type Item = Result<HeapRecord<'a>>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let rec = self.read_record();
+        self.left = if rec.is_ok() { self.left - 1 } else { 0 };
+        Some(rec)
+    }
+}
+
+/// Every tuple of a heap page, decoded — for a page about to be rewritten
+/// (append, leaf split); queries scan [`heap_records`] instead.
+fn decode_heap_page(pid: PageId, data: &[u8]) -> Result<Vec<Tuple>> {
+    heap_records(pid, data)?
+        .map(|rec| Ok(decode_tuple(rec?.tuple)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -179,35 +310,37 @@ impl ContinuousUpi {
     fn write_chain(&mut self, tuples: &[&Tuple]) -> Result<Vec<PageId>> {
         let page_size = self.cfg.heap_page as usize;
         let mut chain = Vec::new();
-        let mut current: Vec<&Tuple> = Vec::new();
-        for &t in tuples {
-            let mut candidate = current.clone();
-            candidate.push(t);
-            if heap_page_bytes_needed(&candidate) > page_size && !current.is_empty() {
-                let pid = self.store.disk.alloc_page(self.heap_file)?;
-                self.store
-                    .pool
-                    .put(pid, encode_heap_page(&current, page_size));
-                chain.push(pid);
-                current = vec![t];
-            } else {
-                current = candidate;
+        // The page being filled holds `tuples[start..i]` in `used` bytes.
+        let mut start = 0;
+        let mut used = HEAP_HEADER_LEN;
+        for (i, t) in tuples.iter().enumerate() {
+            let need = RECORD_PREFIX_LEN + t.encoded_len();
+            if used + need > page_size && i > start {
+                chain.push(self.write_heap_page(&tuples[start..i])?);
+                start = i;
+                used = HEAP_HEADER_LEN;
             }
+            used += need;
         }
+        chain.push(self.write_heap_page(&tuples[start..])?);
+        Ok(chain)
+    }
+
+    fn write_heap_page(&mut self, tuples: &[&Tuple]) -> Result<PageId> {
         let pid = self.store.disk.alloc_page(self.heap_file)?;
         self.store
             .pool
-            .put(pid, encode_heap_page(&current, page_size));
-        chain.push(pid);
-        Ok(chain)
+            .put(pid, encode_heap_page(tuples, self.cfg.heap_page as usize));
+        Ok(pid)
     }
 
     /// Record tid→page for every tuple in a chain (reads through the pool,
     /// which still holds the just-written frames).
     fn index_chain(&mut self, chain: &[PageId]) -> Result<()> {
         for &pid in chain {
-            for t in decode_heap_page(&self.store.pool.get(pid)?) {
-                self.tid_page.insert(t.id.0, pid);
+            let page = self.store.pool.get(pid)?;
+            for rec in heap_records(pid, &page)? {
+                self.tid_page.insert(rec?.tid, pid);
             }
         }
         Ok(())
@@ -231,7 +364,7 @@ impl ContinuousUpi {
         let chain = self.leaf_chain.entry(dest_leaf).or_default();
         let mut placed = false;
         if let Some(&last) = chain.last() {
-            let mut tuples = decode_heap_page(&self.store.pool.get(last)?);
+            let mut tuples = decode_heap_page(last, &self.store.pool.get(last)?)?;
             tuples.push(t.clone());
             let refs: Vec<&Tuple> = tuples.iter().collect();
             if heap_page_bytes_needed(&refs) <= page_size {
@@ -243,8 +376,7 @@ impl ContinuousUpi {
             }
         }
         if !placed {
-            let pid = self.store.disk.alloc_page(self.heap_file)?;
-            self.store.pool.put(pid, encode_heap_page(&[t], page_size));
+            let pid = self.write_heap_page(&[t])?;
             self.leaf_chain
                 .get_mut(&dest_leaf)
                 .expect("chain just ensured")
@@ -261,7 +393,7 @@ impl ContinuousUpi {
         let old_chain = self.leaf_chain.remove(&ev.old_leaf).unwrap_or_default();
         let mut all: Vec<Tuple> = Vec::new();
         for pid in &old_chain {
-            all.extend(decode_heap_page(&self.store.pool.get(*pid)?));
+            all.extend(decode_heap_page(*pid, &self.store.pool.get(*pid)?)?);
             self.store.pool.discard(*pid);
             self.store.free_page(*pid)?;
         }
@@ -282,56 +414,77 @@ impl ContinuousUpi {
     /// Query 4: `SELECT * WHERE Distance(location, q) ≤ radius` with
     /// confidence threshold `qt`.
     ///
-    /// Descends the R-Tree (4 KB node reads), prunes candidates with the
-    /// quantile-circle bound, then reads the candidate leaves' heap pages —
-    /// which are contiguous thanks to the hierarchical clustering — and
-    /// evaluates the exact circle probability on each candidate.
+    /// 1. **Descend** the R-Tree (4 KB node pages, read in place).
+    /// 2. **Prune and price from the leaf `aux`**: every candidate's circle
+    ///    probability `p` is computed from the distribution parameters in
+    ///    its leaf entry, and only candidates with `p ≥ qt` go on
+    ///    (`circle_candidates`) — a border tuple that cannot qualify never
+    ///    pulls its heap page in.
+    /// 3. **Fetch the surviving pages** in physical order — contiguous
+    ///    thanks to the hierarchical clustering — scanning their records in
+    ///    place for the wanted tuple ids.
+    /// 4. **Decode qualifying rows**: `exist` is read from the record
+    ///    header, and a tuple is decoded only when `exist × p ≥ qt`.
     pub fn query_circle(&self, qx: f64, qy: f64, radius: f64, qt: f64) -> Result<Vec<PtqResult>> {
-        let groups = self
-            .rtree
-            .query_circle_grouped(Point::new(qx, qy), radius)?;
-        // Collect candidate tids per heap page, pruning with the aux
-        // distribution parameters (sound: existence ≤ 1).
-        let mut page_tids: HashMap<PageId, Vec<u64>> = HashMap::new();
-        for (_leaf, entries) in &groups {
-            for e in entries {
-                if gaussian_of(e).can_reach(qx, qy, radius, qt) {
-                    let page = self.tid_page[&e.tid];
-                    page_tids.entry(page).or_default().push(e.tid);
-                }
-            }
+        let mut wanted: HashMap<PageId, Wanted> = HashMap::new();
+        for (tid, p) in circle_candidates(&self.rtree, qx, qy, radius, qt)? {
+            let page = self.tid_page.get(&tid).ok_or_else(|| {
+                StorageError::Corrupted(format!(
+                    "continuous UPI: r-tree entry for tuple {tid} has no heap page"
+                ))
+            })?;
+            wanted.entry(*page).or_default().push((tid, p));
         }
-        // Read pages in physical order.
-        let mut pages: Vec<PageId> = page_tids.keys().copied().collect();
-        pages.sort_unstable_by_key(|&p| self.store.disk.page_offset(p).unwrap_or(u64::MAX));
         let mut out = Vec::new();
-        for pid in pages {
-            let want = &page_tids[&pid];
-            for t in decode_heap_page(&self.store.pool.get(pid)?) {
-                if want.contains(&t.id.0) {
-                    let g = t.point(self.loc_attr);
-                    let conf = t.exist * g.prob_in_circle(qx, qy, radius);
-                    if conf >= qt {
-                        out.push(PtqResult {
-                            tuple: t,
-                            confidence: conf,
-                        });
-                    }
-                }
+        let missing = self.scan_wanted(wanted, |rec, p| {
+            let confidence = rec.exist * p;
+            if confidence >= qt {
+                out.push(PtqResult {
+                    tuple: decode_tuple(rec.tuple),
+                    confidence,
+                });
             }
-        }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        })?;
+        none_missing(&missing)?;
+        sort_results(&mut out);
         Ok(out)
     }
 
-    /// Read every tuple stored in one heap page.
-    pub fn read_page_tuples(&self, pid: PageId) -> Result<Vec<Tuple>> {
-        Ok(decode_heap_page(&self.store.pool.get(pid)?))
+    /// Visit the pages of `wanted` in physical order and call `hit(record,
+    /// p)` for each wanted `(tid, p)` found on its page, scanning the page's
+    /// records in place. Returns the wanted entries that were **not** on
+    /// their page.
+    fn scan_wanted(
+        &self,
+        wanted: HashMap<PageId, Wanted>,
+        mut hit: impl FnMut(&HeapRecord<'_>, f64),
+    ) -> Result<Wanted> {
+        // One offset lookup per distinct page, before the sort: the disk's
+        // page table sits behind a lock, which a sort comparator would
+        // take O(n log n) times.
+        let mut pages: Vec<(u64, PageId, Wanted)> = wanted
+            .into_iter()
+            .map(|(pid, want)| {
+                let offset = self.store.disk.page_offset(pid).unwrap_or(u64::MAX);
+                (offset, pid, want)
+            })
+            .collect();
+        pages.sort_unstable_by_key(|&(offset, pid, _)| (offset, pid));
+        let mut missing = Vec::new();
+        for (_, pid, mut want) in pages {
+            let page = self.store.pool.get(pid)?;
+            for rec in heap_records(pid, &page)? {
+                let rec = rec?;
+                if let Some(i) = want.iter().position(|&(tid, _)| tid == rec.tid) {
+                    hit(&rec, want.swap_remove(i).1);
+                    if want.is_empty() {
+                        break;
+                    }
+                }
+            }
+            missing.append(&mut want);
+        }
+        Ok(missing)
     }
 
     /// The heap page currently holding tuple `tid`.
@@ -414,8 +567,9 @@ impl SecondaryUTree {
     }
 
     /// Query 4 through the secondary index: candidates from the R-Tree,
-    /// then one unclustered-heap fetch per candidate (sorted by tid — the
-    /// bitmap-scan discipline — but still one random hop each).
+    /// pruned and priced from their leaf entries exactly as the primary
+    /// index does, then one unclustered-heap fetch per survivor (sorted by
+    /// tid — the bitmap-scan discipline — but still one random hop each).
     pub fn query_circle(
         &self,
         heap: &UnclusteredHeap,
@@ -424,33 +578,21 @@ impl SecondaryUTree {
         radius: f64,
         qt: f64,
     ) -> Result<Vec<PtqResult>> {
-        let mut candidates: Vec<u64> = self
-            .rtree
-            .query_circle(Point::new(qx, qy), radius)?
-            .into_iter()
-            .filter(|e| gaussian_of(e).can_reach(qx, qy, radius, qt))
-            .map(|e| e.tid)
-            .collect();
-        candidates.sort_unstable();
+        let mut candidates = circle_candidates(&self.rtree, qx, qy, radius, qt)?;
+        candidates.sort_unstable_by_key(|&(tid, _)| tid);
         let mut out = Vec::new();
-        for tid in candidates {
+        for (tid, p) in candidates {
             if let Some(t) = heap.get(TupleId(tid))? {
-                let g = t.point(self.loc_attr);
-                let conf = t.exist * g.prob_in_circle(qx, qy, radius);
-                if conf >= qt {
+                let confidence = t.exist * p;
+                if confidence >= qt {
                     out.push(PtqResult {
                         tuple: t,
-                        confidence: conf,
+                        confidence,
                     });
                 }
             }
         }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        sort_results(&mut out);
         Ok(out)
     }
 
@@ -522,8 +664,8 @@ impl ContinuousSecondary {
     /// Query 5: `SELECT * WHERE segment = value, confidence ≥ qt` through
     /// the continuous UPI's heap.
     pub fn ptq(&self, upi: &ContinuousUpi, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        // Index scan.
-        let mut matches: Vec<(u64, f64, PageId)> = Vec::new();
+        // Index scan, grouping the pointers by heap page.
+        let mut wanted: HashMap<PageId, Wanted> = HashMap::new();
         let mut cur = self.tree.seek(&keys::value_prefix(value))?;
         while cur.valid() {
             let (v, prob, tid) = keys::decode_entry_key(cur.key());
@@ -531,50 +673,32 @@ impl ContinuousSecondary {
                 break;
             }
             let page = PageId(u64::from_le_bytes(cur.value().try_into().unwrap()));
-            matches.push((tid, prob, page));
+            wanted.entry(page).or_default().push((tid, prob));
             cur.advance()?;
         }
-        // Group by page, visit pages in physical order.
-        let mut page_tids: HashMap<PageId, Vec<(u64, f64)>> = HashMap::new();
-        for (tid, prob, page) in matches {
-            page_tids.entry(page).or_default().push((tid, prob));
-        }
-        let mut pages: Vec<PageId> = page_tids.keys().copied().collect();
-        pages.sort_unstable_by_key(|&p| upi.store.disk.page_offset(p).unwrap_or(u64::MAX));
         let mut out = Vec::new();
-        for pid in pages {
-            let want = &page_tids[&pid];
-            let tuples = upi.read_page_tuples(pid)?;
-            for (tid, prob) in want {
-                match tuples.iter().find(|t| t.id.0 == *tid) {
-                    Some(t) => out.push(PtqResult {
-                        tuple: t.clone(),
-                        confidence: *prob,
-                    }),
-                    None => {
-                        // The tuple migrated during a later leaf split;
-                        // resolve through the synchronization map.
-                        if let Some(actual) = upi.page_of(TupleId(*tid)) {
-                            let t = upi
-                                .read_page_tuples(actual)?
-                                .into_iter()
-                                .find(|t| t.id.0 == *tid)
-                                .expect("tid_page map must be current");
-                            out.push(PtqResult {
-                                tuple: t,
-                                confidence: *prob,
-                            });
-                        }
-                    }
-                }
-            }
+        let mut emit = |rec: &HeapRecord<'_>, confidence: f64| {
+            out.push(PtqResult {
+                tuple: decode_tuple(rec.tuple),
+                confidence,
+            })
+        };
+        let stale = upi.scan_wanted(wanted, &mut emit)?;
+        // Tuples that migrated during a later leaf split: the
+        // synchronization map knows where they live now. Regrouped by that
+        // page, each page is read and scanned once however many moved there.
+        let mut moved: HashMap<PageId, Wanted> = HashMap::new();
+        for (tid, prob) in stale {
+            let page = upi.page_of(TupleId(tid)).ok_or_else(|| {
+                StorageError::Corrupted(format!(
+                    "continuous secondary: tuple {tid} is not in the continuous UPI"
+                ))
+            })?;
+            moved.entry(page).or_default().push((tid, prob));
         }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        let lost = upi.scan_wanted(moved, &mut emit)?;
+        none_missing(&lost)?;
+        sort_results(&mut out);
         Ok(out)
     }
 
@@ -831,7 +955,372 @@ mod tests {
         let tuples = cloud(10);
         let refs: Vec<&Tuple> = tuples.iter().collect();
         let page = encode_heap_page(&refs, 65536);
-        let back = decode_heap_page(&page);
+        let back = decode_heap_page(PageId(0), &page).unwrap();
         assert_eq!(back, tuples);
+    }
+
+    /// Buffer-pool `get` calls (hits + misses) made while `f` runs.
+    fn pool_gets(st: &Store, f: &dyn Fn()) -> u64 {
+        let before = st.pool.counters();
+        f();
+        let d = st.pool.counters().since(&before);
+        d.hits + d.misses
+    }
+
+    fn expect_corrupted<T: std::fmt::Debug>(r: Result<T>, names: &str) {
+        match r {
+            Err(StorageError::Corrupted(what)) => {
+                assert!(what.contains(names), "{what:?} must name {names}")
+            }
+            other => panic!("expected Corrupted, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn heap_record_scanner_reads_headers_in_place_and_reports_corruption() {
+        let tuples = uncertain_cloud(10);
+        let refs: Vec<&Tuple> = tuples.iter().collect();
+        let page = encode_heap_page(&refs, 8192);
+        let pid = PageId(31);
+        let headers: Vec<(u64, f64)> = heap_records(pid, &page)
+            .unwrap()
+            .map(|r| r.map(|r| (r.tid, r.exist)))
+            .collect::<Result<_>>()
+            .unwrap();
+        let want: Vec<(u64, f64)> = tuples.iter().map(|t| (t.id.0, t.exist)).collect();
+        assert_eq!(headers, want);
+
+        let scan = |page: &[u8]| -> Result<usize> {
+            let mut n = 0;
+            for rec in heap_records(pid, page)? {
+                rec?;
+                n += 1;
+            }
+            Ok(n)
+        };
+        // Shorter than the count header.
+        expect_corrupted(scan(&page[..1]), "31");
+        // First record's length runs past the end of the page.
+        let mut bad = page.to_vec();
+        bad[2..6].copy_from_slice(&(8192u32).to_le_bytes());
+        expect_corrupted(scan(&bad), "overruns");
+        bad[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        expect_corrupted(scan(&bad), "31");
+        // A record too short to hold a tuple header.
+        let mut bad = page.to_vec();
+        bad[2..6].copy_from_slice(&17u32.to_le_bytes());
+        expect_corrupted(scan(&bad), "header");
+        // More records declared than the page holds: the scan runs into the
+        // zero fill (length-0 records) or off the end — never a panic.
+        let mut bad = page.to_vec();
+        bad[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
+        expect_corrupted(scan(&bad), "31");
+        let tight = &page[..heap_page_bytes_needed(&refs)];
+        assert_eq!(scan(tight).unwrap(), 10);
+        let mut bad = tight.to_vec();
+        bad[0..2].copy_from_slice(&11u16.to_le_bytes());
+        expect_corrupted(scan(&bad), "overruns");
+        // The scan stops at the first error.
+        let mut records = heap_records(pid, &bad).unwrap();
+        assert_eq!(records.by_ref().filter(|r| r.is_ok()).count(), 10);
+        assert!(records.next().is_none());
+    }
+
+    #[test]
+    fn corrupt_pages_surface_as_errors_from_query_circle() {
+        let tuples = cloud(3000);
+        let (qx, qy, r, qt) = (2500.0, 2500.0, 400.0, 0.3);
+        let build = || {
+            let mut upi =
+                ContinuousUpi::create(store(), "c", 0, ContinuousConfig::default()).unwrap();
+            upi.bulk_load(&tuples).unwrap();
+            assert!(!upi.query_circle(qx, qy, r, qt).unwrap().is_empty());
+            upi
+        };
+        // A leaf the query descends into: bad tag, then truncated.
+        let upi = build();
+        let mut leaf = None;
+        upi.rtree
+            .for_each_in_circle(Point::new(qx, qy), r, |pid, _| leaf = Some(pid))
+            .unwrap();
+        let leaf = leaf.unwrap();
+        let good = upi.store.pool.get(leaf).unwrap();
+        let mut bad = good.to_vec();
+        bad[0] = 9;
+        upi.store.pool.put(leaf, Bytes::from(bad));
+        expect_corrupted(upi.query_circle(qx, qy, r, qt), &format!("{leaf:?}"));
+        upi.store.pool.put(leaf, good.slice(0..100));
+        expect_corrupted(upi.query_circle(qx, qy, r, qt), &format!("{leaf:?}"));
+
+        // A heap page the query fetches: first record overruns the page.
+        let upi = build();
+        let hit = upi.query_circle(qx, qy, r, qt).unwrap()[0].tuple.id;
+        let pid = upi.page_of(hit).unwrap();
+        let mut bad = upi.store.pool.get(pid).unwrap().to_vec();
+        bad[2..6].copy_from_slice(&u32::MAX.to_le_bytes());
+        upi.store.pool.put(pid, Bytes::from(bad));
+        expect_corrupted(upi.query_circle(qx, qy, r, qt), &format!("{pid:?}"));
+
+        // An R-Tree entry whose tuple the synchronization map lost.
+        let mut upi = build();
+        upi.tid_page.remove(&hit.0);
+        expect_corrupted(upi.query_circle(qx, qy, r, qt), &hit.0.to_string());
+    }
+
+    /// `cloud(n)` with existence probabilities spread over (0, 1).
+    fn uncertain_cloud(n: u64) -> Vec<Tuple> {
+        let mut tuples = cloud(n);
+        for t in &mut tuples {
+            t.exist = 0.02 + 0.97 * ((t.id.0 * 2654435761 % 1000) as f64 / 1000.0);
+        }
+        tuples
+    }
+
+    /// `(id, confidence bits)` of a result list, in its order.
+    fn id_bits(rows: &[PtqResult]) -> Vec<(u64, u64)> {
+        rows.iter()
+            .map(|r| (r.tuple.id.0, r.confidence.to_bits()))
+            .collect()
+    }
+
+    /// What a circle PTQ must return, by definition: every tuple's
+    /// `exist × prob_in_circle` against the threshold, in result order.
+    fn linear_circle(tuples: &[Tuple], qx: f64, qy: f64, r: f64, qt: f64) -> Vec<(u64, u64)> {
+        let mut rows: Vec<PtqResult> = tuples
+            .iter()
+            .map(|t| PtqResult {
+                tuple: t.clone(),
+                confidence: t.exist * t.point(0).prob_in_circle(qx, qy, r),
+            })
+            .filter(|r| r.confidence >= qt)
+            .collect();
+        sort_results(&mut rows);
+        id_bits(&rows)
+    }
+
+    #[test]
+    fn existence_below_one_matches_linear_scan_bit_for_bit() {
+        let st = store();
+        let tuples = uncertain_cloud(2500);
+        let cfg = ContinuousConfig {
+            node_page: 4096,
+            heap_page: 8192,
+        };
+        let mut upi = ContinuousUpi::create(st.clone(), "c", 0, cfg).unwrap();
+        let mut heap = UnclusteredHeap::create(st.clone(), "uheap", 8192).unwrap();
+        let mut ut = SecondaryUTree::create(st.clone(), "ut", 0, 4096).unwrap();
+        let queries = [
+            (2500.0, 2500.0, 400.0, 0.4),
+            (2500.0, 2500.0, 400.0, 0.05),
+            (500.0, 4500.0, 700.0, 0.2),
+            (4000.0, 1000.0, 60.0, 0.01),
+            (1234.0, 3210.0, 250.0, 0.001),
+        ];
+        let check = |upi: &ContinuousUpi, ut: &SecondaryUTree, heap: &UnclusteredHeap, n| {
+            let mut dropped_by_existence = 0;
+            for (qx, qy, r, qt) in queries {
+                let want = linear_circle(&tuples[..n], qx, qy, r, qt);
+                assert!(!want.is_empty(), "q=({qx},{qy},{r},{qt}) matches nothing");
+                let got = upi.query_circle(qx, qy, r, qt).unwrap();
+                assert_eq!(id_bits(&got), want, "primary q=({qx},{qy},{r},{qt})");
+                let got = ut.query_circle(heap, qx, qy, r, qt).unwrap();
+                assert_eq!(id_bits(&got), want, "u-tree q=({qx},{qy},{r},{qt})");
+                dropped_by_existence += tuples[..n]
+                    .iter()
+                    .filter(|t| {
+                        let p = t.point(0).prob_in_circle(qx, qy, r);
+                        p >= qt && t.exist * p < qt
+                    })
+                    .count();
+            }
+            assert!(
+                dropped_by_existence >= 10,
+                "existence decided only {dropped_by_existence} rows the leaf metadata could not"
+            );
+        };
+        upi.bulk_load(&tuples[..1000]).unwrap();
+        heap.bulk_load(&tuples[..1000]).unwrap();
+        ut.bulk_load(&tuples[..1000]).unwrap();
+        check(&upi, &ut, &heap, 1000);
+        let leaves = upi.rtree_stats().leaf_pages;
+        for t in &tuples[1000..] {
+            upi.insert(t).unwrap();
+            heap.insert(t).unwrap();
+            ut.insert(t).unwrap();
+        }
+        assert!(upi.rtree_stats().leaf_pages > leaves, "inserts must split");
+        check(&upi, &ut, &heap, tuples.len());
+    }
+
+    /// Cold device page reads of `circle_query_fetches_only_pages_with_a_survivor`'s
+    /// store and query list, recorded on the commit before
+    /// prune-before-fetch, when every `can_reach` survivor's page was
+    /// fetched (this code reads 171).
+    const PARENT_PAGE_READS: u64 = 181;
+
+    #[test]
+    fn circle_query_fetches_only_pages_with_a_survivor() {
+        let st = store();
+        let tuples = uncertain_cloud(6000);
+        let mut upi = ContinuousUpi::create(
+            st.clone(),
+            "c",
+            0,
+            ContinuousConfig {
+                node_page: 4096,
+                heap_page: 16384,
+            },
+        )
+        .unwrap();
+        upi.bulk_load(&tuples[..4000]).unwrap();
+        for t in &tuples[4000..] {
+            upi.insert(t).unwrap();
+        }
+        let gets = |f: &dyn Fn()| pool_gets(&st, f);
+        let queries = [
+            (2500.0, 2500.0, 300.0, 0.5),
+            (1000.0, 4000.0, 150.0, 0.1),
+            (3300.0, 700.0, 800.0, 0.9),
+            (4800.0, 4800.0, 500.0, 0.3),
+            (2000.0, 3000.0, 90.0, 0.7),
+        ];
+        let mut page_reads = 0;
+        let mut pruned_border_pages = 0;
+        for (qx, qy, r, qt) in queries {
+            // Heap pages holding a tuple whose circle probability alone
+            // reaches the threshold, and those a `can_reach`-only prune
+            // would have fetched as well.
+            let mut survivor_pages = std::collections::HashSet::new();
+            let mut reachable_pages = std::collections::HashSet::new();
+            for t in &tuples {
+                let g = t.point(0);
+                let page = upi.page_of(t.id).unwrap();
+                if g.prob_in_circle(qx, qy, r) >= qt {
+                    survivor_pages.insert(page);
+                }
+                if g.can_reach(qx, qy, r, qt) && g.prob_in_circle(qx, qy, r) > 0.0 {
+                    reachable_pages.insert(page);
+                }
+            }
+            pruned_border_pages += reachable_pages.difference(&survivor_pages).count();
+            let node_gets = gets(&|| {
+                upi.rtree.query_circle(Point::new(qx, qy), r).unwrap();
+            });
+            let all_gets = gets(&|| {
+                upi.query_circle(qx, qy, r, qt).unwrap();
+            });
+            assert_eq!(
+                all_gets - node_gets,
+                survivor_pages.len() as u64,
+                "q=({qx},{qy},{r},{qt}): one heap-page get per page with a survivor"
+            );
+            st.go_cold();
+            let before = st.disk.stats();
+            upi.query_circle(qx, qy, r, qt).unwrap();
+            page_reads += st.disk.stats().since(&before).page_reads;
+        }
+        assert!(
+            pruned_border_pages > 0,
+            "the queries must have border pages to prune"
+        );
+        assert!(
+            page_reads <= PARENT_PAGE_READS,
+            "{page_reads} page reads, parent read {PARENT_PAGE_READS}"
+        );
+    }
+
+    #[test]
+    fn stale_segment_pointers_resolve_after_splits() {
+        let st = store();
+        let tuples = cloud(4000);
+        let (loaded, later) = tuples.split_at(1500);
+        let mut upi = ContinuousUpi::create(
+            st.clone(),
+            "c",
+            0,
+            ContinuousConfig {
+                node_page: 4096,
+                heap_page: 8192,
+            },
+        )
+        .unwrap();
+        upi.bulk_load(loaded).unwrap();
+        let mut sec = ContinuousSecondary::create(st.clone(), "seg", 1, 8192).unwrap();
+        sec.bulk_load(&upi, loaded).unwrap();
+        let pointer: HashMap<u64, PageId> = loaded
+            .iter()
+            .map(|t| (t.id.0, upi.page_of(t.id).unwrap()))
+            .collect();
+        for t in later {
+            upi.insert(t).unwrap();
+        }
+        let mut stale_rows = 0;
+        for seg in [0u64, 12, 33, 55, 78, 99, 1044] {
+            for qt in [0.1, 0.5] {
+                let got = sec.ptq(&upi, seg, qt).unwrap();
+                let mut want: Vec<PtqResult> = loaded
+                    .iter()
+                    .map(|t| PtqResult {
+                        tuple: t.clone(),
+                        confidence: t.confidence_eq(1, seg),
+                    })
+                    .filter(|r| r.confidence >= qt)
+                    .collect();
+                sort_results(&mut want);
+                // Index keys store the confidence at key precision.
+                assert_eq!(got.len(), want.len(), "segment {seg} qt {qt}");
+                for (row, w) in got.iter().zip(&want) {
+                    assert_eq!(row.tuple, w.tuple, "segment {seg} qt {qt}");
+                    assert!((row.confidence - w.confidence).abs() < 1e-6);
+                }
+                stale_rows += got
+                    .iter()
+                    .filter(|r| upi.page_of(r.tuple.id) != Some(pointer[&r.tuple.id.0]))
+                    .count();
+            }
+        }
+        assert!(
+            stale_rows > 20,
+            "only {stale_rows} rows came through a stale pointer"
+        );
+
+        // One get per page a stale pointer resolves to, not one per tuple.
+        let (seg, qt) = (55, 0.1);
+        let matches: Vec<&Tuple> = loaded
+            .iter()
+            .filter(|t| t.confidence_eq(1, seg) >= qt)
+            .collect();
+        let pointer_pages: std::collections::HashSet<PageId> =
+            matches.iter().map(|t| pointer[&t.id.0]).collect();
+        let migrants: Vec<PageId> = matches
+            .iter()
+            .map(|t| upi.page_of(t.id).unwrap())
+            .zip(matches.iter().map(|t| pointer[&t.id.0]))
+            .filter(|(now, then)| now != then)
+            .map(|(now, _)| now)
+            .collect();
+        let migrant_pages: std::collections::HashSet<PageId> = migrants.iter().copied().collect();
+        assert!(
+            migrants.len() > migrant_pages.len(),
+            "segment {seg}: no page took two migrants"
+        );
+        let gets = |f: &dyn Fn()| pool_gets(&st, f);
+        let index_gets = gets(&|| {
+            let mut cur = sec.tree.seek(&keys::value_prefix(seg)).unwrap();
+            while cur.valid() {
+                let (v, prob, _) = keys::decode_entry_key(cur.key());
+                if v != seg || prob < qt {
+                    break;
+                }
+                cur.advance().unwrap();
+            }
+        });
+        let all_gets = gets(&|| {
+            sec.ptq(&upi, seg, qt).unwrap();
+        });
+        assert_eq!(
+            all_gets - index_gets,
+            (pointer_pages.len() + migrant_pages.len()) as u64
+        );
     }
 }

@@ -112,8 +112,7 @@ impl std::error::Error for ExecError {}
 pub fn sort_results(rows: &mut [PtqResult]) {
     rows.sort_by(|a, b| {
         b.confidence
-            .partial_cmp(&a.confidence)
-            .unwrap()
+            .total_cmp(&a.confidence)
             .then_with(|| a.tuple.id.cmp(&b.tuple.id))
     });
 }

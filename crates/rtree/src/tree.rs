@@ -1,10 +1,10 @@
 //! R-Tree insert / bulk-load / query.
 
-use upi_storage::error::Result;
+use upi_storage::error::{Result, StorageError};
 use upi_storage::{FileId, PageId, Store};
 
 use crate::geom::{Point, Rect};
-use crate::node::{internal_capacity, leaf_capacity, LeafEntry, RNode};
+use crate::node::{internal_capacity, leaf_capacity, LeafEntry, PageView, RNode};
 
 /// A completed node split: MBR and page of the new right sibling.
 type NodeSplit = Option<(Rect, PageId)>;
@@ -107,11 +107,15 @@ impl RTree {
         if self.is_empty() {
             return Ok(None);
         }
-        Ok(Some(self.read(self.root)?.mbr()))
+        let page = self.store.pool.get(self.root)?;
+        Ok(Some(PageView::parse(self.root, &page)?.mbr()))
     }
 
+    /// Copy page `pid` into an owned node — for a page about to be
+    /// rewritten; read-only walks use [`PageView`] on the pooled bytes.
     fn read(&self, pid: PageId) -> Result<RNode> {
-        Ok(RNode::decode(&self.store.pool.get(pid)?))
+        let page = self.store.pool.get(pid)?;
+        Ok(PageView::parse(pid, &page)?.to_node())
     }
 
     fn write(&self, pid: PageId, node: &RNode) {
@@ -287,49 +291,55 @@ impl RTree {
         Ok(())
     }
 
-    /// Candidate entries whose MBR intersects the query circle; grouped by
-    /// the leaf page that held them (the continuous UPI maps leaf pages to
-    /// heap pages).
-    pub fn query_circle_grouped(
+    /// Call `visit(leaf page, entry)` for every entry whose MBR intersects
+    /// the query circle, leaf by leaf in depth-first order. Pages are read
+    /// in place; an entry is materialised only when it is a hit.
+    pub fn for_each_in_circle(
         &self,
         center: Point,
         radius: f64,
-    ) -> Result<Vec<(PageId, Vec<LeafEntry>)>> {
-        let mut out = Vec::new();
-        self.query_rec(self.root, &center, radius, &mut out)?;
-        Ok(out)
+        mut visit: impl FnMut(PageId, LeafEntry),
+    ) -> Result<()> {
+        self.query_rec(self.root, self.height, &center, radius, &mut visit)
     }
 
     /// Flat candidate list for a circle query.
     pub fn query_circle(&self, center: Point, radius: f64) -> Result<Vec<LeafEntry>> {
-        Ok(self
-            .query_circle_grouped(center, radius)?
-            .into_iter()
-            .flat_map(|(_, v)| v)
-            .collect())
+        let mut out = Vec::new();
+        self.for_each_in_circle(center, radius, |_, e| out.push(e))?;
+        Ok(out)
     }
 
-    fn query_rec(
+    /// An internal page where the tree's height says a leaf must be: a
+    /// child pointer led somewhere it cannot (following it further could
+    /// loop forever).
+    fn too_deep(pid: PageId) -> StorageError {
+        StorageError::Corrupted(format!(
+            "r-tree page {pid:?}: internal node at the leaf level"
+        ))
+    }
+
+    /// `levels` is the height of the subtree rooted at `pid`.
+    fn query_rec<F: FnMut(PageId, LeafEntry)>(
         &self,
         pid: PageId,
+        levels: usize,
         center: &Point,
         radius: f64,
-        out: &mut Vec<(PageId, Vec<LeafEntry>)>,
+        visit: &mut F,
     ) -> Result<()> {
-        match self.read(pid)? {
-            RNode::Leaf(entries) => {
-                let hits: Vec<LeafEntry> = entries
-                    .into_iter()
-                    .filter(|e| e.rect.intersects_circle(center, radius))
-                    .collect();
-                if !hits.is_empty() {
-                    out.push((pid, hits));
+        let page = self.store.pool.get(pid)?;
+        match PageView::parse(pid, &page)? {
+            PageView::Leaf(leaf) => {
+                for e in leaf.entries_where(|r| r.intersects_circle(center, radius)) {
+                    visit(pid, e);
                 }
             }
-            RNode::Internal(children) => {
-                for (r, child) in children {
+            PageView::Internal(_) if levels <= 1 => return Err(Self::too_deep(pid)),
+            PageView::Internal(node) => {
+                for (r, child) in node.children() {
                     if r.intersects_circle(center, radius) {
-                        self.query_rec(child, center, radius, out)?;
+                        self.query_rec(child, levels - 1, center, radius, visit)?;
                     }
                 }
             }
@@ -341,16 +351,18 @@ impl RTree {
     /// in which the continuous UPI lays out its heap pages.
     pub fn leaf_order(&self) -> Result<Vec<PageId>> {
         let mut out = Vec::with_capacity(self.leaf_pages);
-        self.leaf_order_rec(self.root, &mut out)?;
+        self.leaf_order_rec(self.root, self.height, &mut out)?;
         Ok(out)
     }
 
-    fn leaf_order_rec(&self, pid: PageId, out: &mut Vec<PageId>) -> Result<()> {
-        match self.read(pid)? {
-            RNode::Leaf(_) => out.push(pid),
-            RNode::Internal(children) => {
-                for (_, child) in children {
-                    self.leaf_order_rec(child, out)?;
+    fn leaf_order_rec(&self, pid: PageId, levels: usize, out: &mut Vec<PageId>) -> Result<()> {
+        let page = self.store.pool.get(pid)?;
+        match PageView::parse(pid, &page)? {
+            PageView::Leaf(_) => out.push(pid),
+            PageView::Internal(_) if levels <= 1 => return Err(Self::too_deep(pid)),
+            PageView::Internal(node) => {
+                for (_, child) in node.children() {
+                    self.leaf_order_rec(child, levels - 1, out)?;
                 }
             }
         }
@@ -359,9 +371,12 @@ impl RTree {
 
     /// All entries of one leaf page.
     pub fn leaf_entries(&self, pid: PageId) -> Result<Vec<LeafEntry>> {
-        match self.read(pid)? {
-            RNode::Leaf(entries) => Ok(entries),
-            RNode::Internal(_) => panic!("{pid:?} is not a leaf"),
+        let page = self.store.pool.get(pid)?;
+        match PageView::parse(pid, &page)? {
+            PageView::Leaf(leaf) => Ok(leaf.entries_where(|_| true).collect()),
+            PageView::Internal(_) => Err(StorageError::Corrupted(format!(
+                "r-tree page {pid:?}: expected a leaf, found an internal node"
+            ))),
         }
     }
 
@@ -578,13 +593,17 @@ mod tests {
         let mut t = RTree::create(store(), "rt", 4096).unwrap();
         t.bulk_load(cloud(5000, 2000.0)).unwrap();
         // A small circle query should touch only a few leaves.
-        let groups = t
-            .query_circle_grouped(Point::new(1000.0, 1000.0), 40.0)
-            .unwrap();
+        let mut leaves = Vec::new();
+        t.for_each_in_circle(Point::new(1000.0, 1000.0), 40.0, |leaf, _| {
+            if leaves.last() != Some(&leaf) {
+                leaves.push(leaf);
+            }
+        })
+        .unwrap();
         assert!(
-            groups.len() <= 6,
+            (1..=6).contains(&leaves.len()),
             "small query touched {} leaves",
-            groups.len()
+            leaves.len()
         );
     }
 
@@ -625,6 +644,64 @@ mod tests {
             .query_circle(Point::new(0.0, 0.0), 100.0)
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn corrupt_pages_are_errors_not_panics() {
+        use bytes::Bytes;
+        let st = store();
+        let mut t = RTree::create(st.clone(), "rt", 4096).unwrap();
+        t.bulk_load(cloud(3000, 1000.0)).unwrap();
+        assert!(t.height() >= 2);
+        let (c, r) = (Point::new(500.0, 500.0), 100.0);
+        let leaf = t.leaf_order().unwrap()[0];
+        let walks = |t: &RTree| {
+            [
+                t.query_circle(Point::new(0.0, 0.0), 2000.0).map(|_| ()),
+                t.leaf_order().map(|_| ()),
+            ]
+        };
+        let corrupted = |r: Result<()>, page: PageId| match r {
+            Err(StorageError::Corrupted(what)) => {
+                assert!(what.contains(&format!("{page:?}")), "{what}")
+            }
+            other => panic!("expected Corrupted, got {other:?}"),
+        };
+        assert!(!t.query_circle(c, r).unwrap().is_empty());
+
+        let good = st.pool.get(leaf).unwrap();
+        // Zero-filled (tag 0), truncated, and over-count leaf pages.
+        let mut over = good.to_vec();
+        over[2..4].copy_from_slice(&1000u16.to_le_bytes());
+        for bad in [
+            Bytes::from(vec![0u8; 4096]),
+            good.slice(0..40),
+            Bytes::from(over),
+        ] {
+            st.pool.put(leaf, bad);
+            for walk in walks(&t) {
+                corrupted(walk, leaf);
+            }
+            corrupted(t.leaf_entries(leaf).map(|_| ()), leaf);
+        }
+        st.pool.put(leaf, good);
+
+        // A child pointer that leads back to the root: the walk is cut off
+        // at the leaf level instead of recursing forever.
+        let root = t.root;
+        let RNode::Internal(mut children) = t.read(root).unwrap() else {
+            panic!("root of a height-{} tree is a leaf", t.height());
+        };
+        for child in &mut children {
+            child.1 = root;
+        }
+        t.write(root, &RNode::Internal(children));
+        for walk in walks(&t) {
+            corrupted(walk, root);
+        }
+        // The root page itself unreadable: `bounds` reports it too.
+        st.pool.put(root, Bytes::from(vec![7u8; 4096]));
+        corrupted(t.bounds().map(|_| ()), root);
     }
 
     #[test]

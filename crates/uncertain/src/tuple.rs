@@ -127,10 +127,37 @@ impl Tuple {
         self.exist * self.discrete(idx).prob_of(value)
     }
 
-    /// Serialized size in bytes.
+    /// Serialized size in bytes: what [`encode_tuple`] would produce,
+    /// computed from the fields without encoding.
     pub fn encoded_len(&self) -> usize {
-        encode_tuple(self).len()
+        let fields: usize = self
+            .fields
+            .iter()
+            .map(|f| {
+                1 + match f {
+                    Field::Certain(Datum::U64(_)) | Field::Certain(Datum::F64(_)) => 8,
+                    Field::Certain(Datum::Str(s)) => 4 + s.len(),
+                    Field::Discrete(pmf) => 2 + 16 * pmf.support_len(),
+                    Field::Point(_) => 32,
+                }
+            })
+            .sum();
+        TUPLE_HEADER_LEN + fields
     }
+}
+
+/// Length of the fixed header every encoded tuple starts with:
+/// `id u64 | exist f64 | field count u16`.
+pub const TUPLE_HEADER_LEN: usize = 18;
+
+/// Id and existence probability of an encoded tuple, read from its header
+/// without decoding the fields; `None` when `data` is shorter than the
+/// header.
+pub fn peek_header(data: &[u8]) -> Option<(TupleId, f64)> {
+    let header = data.get(..TUPLE_HEADER_LEN)?;
+    let id = u64::from_le_bytes(header[0..8].try_into().expect("8-byte slice"));
+    let exist = f64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
+    Some((TupleId(id), exist))
 }
 
 /// Serialize a tuple to bytes (little-endian, length-prefixed strings).
@@ -321,6 +348,8 @@ mod tests {
         let enc = encode_tuple(&t);
         assert_eq!(decode_tuple(&enc), t);
         assert_eq!(t.encoded_len(), enc.len());
+        assert_eq!(peek_header(&enc), Some((TupleId(42), 0.8)));
+        assert_eq!(peek_header(&enc[..TUPLE_HEADER_LEN - 1]), None);
     }
 
     #[test]
@@ -375,21 +404,25 @@ mod tests {
             exist in 0.01f64..=1.0,
             v: u64,
             f in -1e6f64..1e6,
-            s in "[a-z]{0,16}",
+            s in "[a-zé]{0,16}",
             p1 in 0.01f64..0.5,
             p2 in 0.01f64..0.5,
+            point: bool,
         ) {
-            let t = Tuple::new(
-                TupleId(id),
-                exist,
-                vec![
-                    Field::Certain(Datum::U64(v)),
-                    Field::Certain(Datum::F64(f)),
-                    Field::Certain(Datum::Str(s)),
-                    Field::Discrete(DiscretePmf::new(vec![(10, p1), (20, p2)])),
-                ],
-            );
-            prop_assert_eq!(decode_tuple(&encode_tuple(&t)), t);
+            let mut fields = vec![
+                Field::Certain(Datum::U64(v)),
+                Field::Certain(Datum::F64(f)),
+                Field::Certain(Datum::Str(s)),
+                Field::Discrete(DiscretePmf::new(vec![(10, p1), (20, p2)])),
+            ];
+            if point {
+                fields.push(Field::Point(ConstrainedGaussian::new(f, -f, p1, p2)));
+            }
+            let t = Tuple::new(TupleId(id), exist, fields);
+            let enc = encode_tuple(&t);
+            prop_assert_eq!(t.encoded_len(), enc.len());
+            prop_assert_eq!(peek_header(&enc), Some((t.id, t.exist)));
+            prop_assert_eq!(decode_tuple(&enc), t);
         }
     }
 }
