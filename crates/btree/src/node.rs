@@ -9,11 +9,14 @@
 //! surfaces there as [`StorageError::Corrupted`].
 //!
 //! The owned [`Node`] is the **builder** for a page that is about to be
-//! rewritten, and nothing else: the leaf an insert or delete lands in, an
-//! ancestor that absorbs a split or loses a merged child, and the nodes
-//! `bulk_load` fills. It is made from a view ([`NodeView::to_node`]) or
-//! empty, edited, and encoded back. A page that is merely passed through
-//! must not be turned into one.
+//! rewritten, and nothing else: the leaf an insert or delete lands in and
+//! an ancestor that absorbs a split or loses a merged child. It is made
+//! from a view ([`NodeView::to_node`]) or empty, edited, and encoded back.
+//! A page that is merely passed through must not be turned into one.
+//!
+//! A page that is only ever **appended to** — every page `bulk_load`
+//! fills — goes through a [`PageWriter`] instead: entries are copied once,
+//! from the caller's slices into the page image.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -123,6 +126,87 @@ impl Node {
             at += v.len();
         }
         Bytes::from(buf)
+    }
+}
+
+/// Append-only writer of one page image: the write-side twin of
+/// [`NodeView`]. `bulk_load` pushes each (already ordered) entry straight
+/// into the page buffer — no owned entry, no second copy at encode time —
+/// and [`finish`](Self::finish) seals header and link. The image is byte
+/// for byte what [`Node::encode`] produces for the same entries.
+pub(crate) struct PageWriter {
+    buf: Vec<u8>,
+    /// Bytes used so far (header included) — where the next entry goes.
+    at: usize,
+    count: usize,
+    /// Where the last pushed entry's key starts, and its length.
+    last_key: (usize, usize),
+}
+
+impl PageWriter {
+    pub fn new(kind: NodeKind, page_size: usize) -> PageWriter {
+        let mut buf = vec![0u8; page_size];
+        buf[0] = match kind {
+            NodeKind::Leaf => TAG_LEAF,
+            NodeKind::Internal => TAG_INTERNAL,
+        };
+        PageWriter {
+            buf,
+            at: HEADER_LEN,
+            count: 0,
+            last_key: (0, 0),
+        }
+    }
+
+    /// Bytes the node occupies so far; [`Node::used_bytes`] of the same
+    /// entries.
+    pub fn used_bytes(&self) -> usize {
+        self.at
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.count == 0
+    }
+
+    /// Key of the first entry (empty on an empty page).
+    pub fn first_key(&self) -> &[u8] {
+        let klen = read_u16(&self.buf, HEADER_LEN);
+        let start = HEADER_LEN + ENTRY_OVERHEAD;
+        &self.buf[start..start + klen]
+    }
+
+    /// Key of the entry pushed last, if any.
+    pub fn last_key(&self) -> Option<&[u8]> {
+        let (start, len) = self.last_key;
+        (self.count > 0).then(|| &self.buf[start..start + len])
+    }
+
+    /// Append one entry. Panics if it does not fit the page; callers seal
+    /// the page first (enforced through [`used_bytes`](Self::used_bytes)).
+    pub fn push(&mut self, k: &[u8], v: &[u8]) {
+        let end = self.at + ENTRY_OVERHEAD + k.len() + v.len();
+        assert!(
+            end <= self.buf.len(),
+            "node of {end} bytes exceeds page size {}",
+            self.buf.len()
+        );
+        let at = self.at;
+        self.buf[at..at + 2].copy_from_slice(&(k.len() as u16).to_le_bytes());
+        self.buf[at + 2..at + 4].copy_from_slice(&(v.len() as u16).to_le_bytes());
+        let key_at = at + ENTRY_OVERHEAD;
+        self.buf[key_at..key_at + k.len()].copy_from_slice(k);
+        self.buf[key_at + k.len()..end].copy_from_slice(v);
+        self.last_key = (key_at, k.len());
+        self.at = end;
+        self.count += 1;
+    }
+
+    /// Seal the page with its link field (leaf: next leaf; internal:
+    /// leftmost child).
+    pub fn finish(mut self, link: PageId) -> Bytes {
+        self.buf[2..4].copy_from_slice(&(self.count as u16).to_le_bytes());
+        self.buf[4..12].copy_from_slice(&link.0.to_le_bytes());
+        Bytes::from(self.buf)
     }
 }
 

@@ -67,8 +67,14 @@ impl CutoffIndex {
         self.tree.delete(&keys::entry_key(value, prob, tid))
     }
 
-    /// Bulk-load prepared `(key, pointer)` entries (must be sorted by key).
-    pub fn bulk_load(&mut self, entries: Vec<(Vec<u8>, Vec<u8>)>) -> Result<u64> {
+    /// Bulk-load prepared `(key, pointer)` entries (must be sorted by key;
+    /// borrowed, like [`BTree::bulk_load`]'s).
+    pub fn bulk_load<I, K, V>(&mut self, entries: I) -> Result<u64>
+    where
+        I: IntoIterator<Item = (K, V)>,
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
+    {
         self.tree.bulk_load(entries)
     }
 

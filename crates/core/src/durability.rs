@@ -26,7 +26,7 @@
 //!
 //! | tag | record | payload |
 //! |-----|--------|---------|
-//! | 1 | `Insert(t)` | length-prefixed [`encode_tuple`] |
+//! | 1 | `Insert(t)` | length-prefixed [`encode_tuple`](upi_uncertain::encode_tuple) |
 //! | 2 | `Delete(t)` | length-prefixed tuple (full image: UPI delete needs the alternatives) |
 //! | 3 | `Update{old,new}` | two length-prefixed tuples |
 //! | 4 | `AddSecondary(attr)` | `u32` column index |
@@ -42,7 +42,8 @@
 
 use upi_storage::error::{Result, StorageError};
 use upi_storage::{wal, FileId, Lsn, Store};
-use upi_uncertain::{decode_tuple, encode_tuple, FieldKind, Schema, Tuple};
+use upi_uncertain::tuple::encode_tuple_into;
+use upi_uncertain::{try_decode_tuple, FieldKind, Schema, Tuple};
 
 use crate::fractured::FracturedConfig;
 use crate::table::TableLayout;
@@ -410,9 +411,11 @@ fn corrupt(msg: String) -> StorageError {
 }
 
 fn push_tuple(out: &mut Vec<u8>, t: &Tuple) {
-    let bytes = encode_tuple(t);
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&bytes);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode_tuple_into(t, out);
+    let len = (out.len() - len_at - 4) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 fn push_upi_cfg(out: &mut Vec<u8>, cfg: &UpiConfig) {
@@ -463,7 +466,7 @@ impl<'a> Cursor<'a> {
 
     fn tuple(&mut self) -> Result<Tuple> {
         let n = self.u32()? as usize;
-        Ok(decode_tuple(self.bytes(n)?))
+        try_decode_tuple(self.bytes(n)?).map_err(|why| corrupt(why.to_string()))
     }
 
     fn upi_cfg(&mut self) -> Result<UpiConfig> {

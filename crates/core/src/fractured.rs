@@ -178,34 +178,11 @@ impl FracturedUpi {
         if self.buf_inserts.is_empty() && self.buf_deletes.is_empty() {
             return Ok(());
         }
-        let seq = self.seq;
-        self.seq += 1;
-        let mut upi = DiscreteUpi::create(
-            self.store.clone(),
-            &format!("{}.f{}", self.name, seq),
-            self.attr,
-            upi_cfg,
-        )?;
-        for &a in &self.sec_attrs {
-            upi.add_secondary(a)?;
-        }
-        let inserts: Vec<&Tuple> = self.buf_inserts.values().collect();
-        upi.bulk_load(inserts)?;
-
-        let mut delete_tree = BTree::create(
-            self.store.clone(),
-            &format!("{}.f{}.del", self.name, seq),
-            upi_cfg.page_size,
-        )?;
+        let name = self.next_name('f');
+        let upi = self.build_upi(&name, upi_cfg, self.buf_inserts.values())?;
         let mut deleted: Vec<u64> = self.buf_deletes.iter().copied().collect();
         deleted.sort_unstable();
-        delete_tree.bulk_load(
-            deleted
-                .iter()
-                .map(|tid| (tid.to_be_bytes().to_vec(), Vec::new()))
-                .collect::<Vec<_>>(),
-        )?;
-
+        let delete_tree = self.build_delete_tree(&name, upi_cfg.page_size, &deleted)?;
         self.fractures.push(Fracture {
             upi,
             delete_tree,
@@ -214,6 +191,58 @@ impl FracturedUpi {
         });
         self.buf_inserts.clear();
         Ok(())
+    }
+
+    /// The file-name stem of the next component: `{table}.{kind}{seq}`
+    /// (`f` a fracture, `m` a main UPI).
+    fn next_name(&mut self, kind: char) -> String {
+        let seq = self.seq;
+        self.seq += 1;
+        format!("{}.{kind}{seq}", self.name)
+    }
+
+    /// Build one sealed component — a UPI on `attr` with every secondary
+    /// attached — from `tuples` (in any order), as sequential writes.
+    fn build_upi<'a>(
+        &self,
+        name: &str,
+        cfg: UpiConfig,
+        tuples: impl IntoIterator<Item = &'a Tuple>,
+    ) -> Result<DiscreteUpi> {
+        let mut upi = DiscreteUpi::create(self.store.clone(), name, self.attr, cfg)?;
+        for &a in &self.sec_attrs {
+            upi.add_secondary(a)?;
+        }
+        upi.bulk_load(tuples)?;
+        Ok(upi)
+    }
+
+    /// Persist a fracture's delete set (ascending ids; key = id, no
+    /// payload) next to the component `name`.
+    fn build_delete_tree(&self, name: &str, page_size: u32, sorted_ids: &[u64]) -> Result<BTree> {
+        let mut tree = BTree::create(self.store.clone(), &format!("{name}.del"), page_size)?;
+        let none: &[u8] = &[];
+        tree.bulk_load(sorted_ids.iter().map(|tid| (tid.to_be_bytes(), none)))?;
+        Ok(tree)
+    }
+
+    /// Sequentially read components `levels` (0 = main, `i + 1` =
+    /// fracture `i`) and keep what no newer component, nor the insert
+    /// buffer, suppresses — each surviving tuple once (a suppressed id's
+    /// older versions are exactly what is dropped), in scan order. The
+    /// read half of `Cost_merge`.
+    fn collect_live(&self, levels: std::ops::Range<usize>) -> Result<Vec<Tuple>> {
+        let mut live = Vec::new();
+        let slice = self.components().enumerate().take(levels.end);
+        for (level, upi) in slice.skip(levels.start) {
+            for t in upi.distinct_scan()? {
+                let t = t?;
+                if !self.suppressed(t.id.0, level) {
+                    live.push(t);
+                }
+            }
+        }
+        Ok(live)
     }
 
     /// True if `tid` found at component `level` is suppressed by a newer
@@ -517,50 +546,10 @@ impl FracturedUpi {
 
     /// Merge every fracture into a fresh main UPI (§4.3): sequentially read
     /// all components, drop deleted tuples, bulk-write the result, free the
-    /// old files. The insert buffer is left untouched.
+    /// old files — the fold of the whole chain. The insert buffer is left
+    /// untouched.
     pub fn merge(&mut self) -> Result<()> {
-        // Sequential read of every component (the read half of Cost_merge).
-        let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
-        for t in self.main.scan_tuples()? {
-            if !self.suppressed(t.id.0, 0) {
-                live.insert(t.id.0, t);
-            }
-        }
-        for i in 0..self.fractures.len() {
-            for t in self.fractures[i].upi.scan_tuples()? {
-                if !self.suppressed(t.id.0, i + 1) {
-                    live.insert(t.id.0, t);
-                }
-            }
-        }
-        // Also sequentially read each fracture's persisted delete set.
-        for f in &self.fractures {
-            f.read_delete_set()?;
-        }
-
-        let seq = self.seq;
-        self.seq += 1;
-        let mut new_main = DiscreteUpi::create(
-            self.store.clone(),
-            &format!("{}.m{}", self.name, seq),
-            self.attr,
-            self.cfg.upi,
-        )?;
-        for &a in &self.sec_attrs {
-            new_main.add_secondary(a)?;
-        }
-        new_main.bulk_load(live.values())?;
-
-        // Free the replaced files.
-        self.main_ids = live.keys().copied().collect();
-        let old_main = std::mem::replace(&mut self.main, new_main);
-        old_main.destroy()?;
-        for f in self.fractures.drain(..) {
-            let file = f.delete_tree.file();
-            f.upi.destroy()?;
-            self.store.free_file_pages(file)?;
-        }
-        Ok(())
+        self.fold_prefix(self.fractures.len())
     }
 
     /// Per-component on-disk sizes: main first, then fractures
@@ -628,40 +617,20 @@ impl FracturedUpi {
     /// applies. Remaining fractures shift down one level; their delete
     /// sets still suppress the new main (level 0), unchanged.
     fn fold_prefix(&mut self, k: usize) -> Result<()> {
-        debug_assert!(k >= 1 && k <= self.fractures.len());
+        debug_assert!(k <= self.fractures.len());
         // Sequential read of the folded components, full suppression
-        // applied (a row any newer component suppresses is dead now).
-        let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
-        for t in self.main.scan_tuples()? {
-            if !self.suppressed(t.id.0, 0) {
-                live.insert(t.id.0, t);
-            }
-        }
-        for i in 0..k {
-            for t in self.fractures[i].upi.scan_tuples()? {
-                if !self.suppressed(t.id.0, i + 1) {
-                    live.insert(t.id.0, t);
-                }
-            }
-        }
+        // applied (a row any newer component suppresses is dead now),
+        // then of each folded fracture's persisted delete set.
+        let live = self.collect_live(0..k + 1)?;
         for f in &self.fractures[..k] {
             f.read_delete_set()?;
         }
 
-        let seq = self.seq;
-        self.seq += 1;
-        let mut new_main = DiscreteUpi::create(
-            self.store.clone(),
-            &format!("{}.m{}", self.name, seq),
-            self.attr,
-            self.cfg.upi,
-        )?;
-        for &a in &self.sec_attrs {
-            new_main.add_secondary(a)?;
-        }
-        new_main.bulk_load(live.values())?;
+        let name = self.next_name('m');
+        let new_main = self.build_upi(&name, self.cfg.upi, &live)?;
 
-        self.main_ids = live.keys().copied().collect();
+        // Free the replaced files.
+        self.main_ids = live.iter().map(|t| t.id.0).collect();
         let old_main = std::mem::replace(&mut self.main, new_main);
         old_main.destroy()?;
         for f in self.fractures.drain(..k) {
@@ -682,52 +651,24 @@ impl FracturedUpi {
     /// level comparison).
     fn compact_run(&mut self, first: usize, last: usize) -> Result<()> {
         debug_assert!(first < last && last < self.fractures.len());
-        let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
-        for i in first..=last {
-            for t in self.fractures[i].upi.scan_tuples()? {
-                if !self.suppressed(t.id.0, i + 1) {
-                    live.insert(t.id.0, t);
-                }
-            }
-        }
+        let live = self.collect_live(first + 1..last + 2)?;
         let mut deleted: HashSet<u64> = HashSet::new();
         for f in &self.fractures[first..=last] {
             f.read_delete_set()?;
             deleted.extend(f.deleted.iter().copied());
         }
 
-        let seq = self.seq;
-        self.seq += 1;
-        let mut upi = DiscreteUpi::create(
-            self.store.clone(),
-            &format!("{}.f{}", self.name, seq),
-            self.attr,
-            self.cfg.upi,
-        )?;
-        for &a in &self.sec_attrs {
-            upi.add_secondary(a)?;
-        }
-        upi.bulk_load(live.values())?;
-
-        let mut delete_tree = BTree::create(
-            self.store.clone(),
-            &format!("{}.f{}.del", self.name, seq),
-            self.cfg.upi.page_size,
-        )?;
+        let name = self.next_name('f');
+        let upi = self.build_upi(&name, self.cfg.upi, &live)?;
         let mut sorted: Vec<u64> = deleted.iter().copied().collect();
         sorted.sort_unstable();
-        delete_tree.bulk_load(
-            sorted
-                .iter()
-                .map(|tid| (tid.to_be_bytes().to_vec(), Vec::new()))
-                .collect::<Vec<_>>(),
-        )?;
+        let delete_tree = self.build_delete_tree(&name, self.cfg.upi.page_size, &sorted)?;
 
         let merged = Fracture {
             upi,
             delete_tree,
             deleted,
-            ids: live.keys().copied().collect(),
+            ids: live.iter().map(|t| t.id.0).collect(),
         };
         let old: Vec<Fracture> = self
             .fractures
@@ -741,29 +682,17 @@ impl FracturedUpi {
         Ok(())
     }
 
-    /// The live possible-worlds content: every tuple a query can see,
-    /// across main, fractures and the insert buffer, minus everything a
-    /// newer delete set suppresses. Non-mutating (unlike
-    /// [`merge`](Self::merge), which uses the same enumeration to rebuild
-    /// the main component) — this is what a checkpoint snapshots.
+    /// The live possible-worlds content, in id order: every tuple a query
+    /// can see, across main, fractures and the insert buffer, minus
+    /// everything a newer delete set suppresses. Non-mutating (unlike
+    /// [`merge`](Self::merge), which rebuilds the main component from the
+    /// same enumeration) — this is what a checkpoint snapshots, and the
+    /// blob's bytes follow this order.
     pub fn live_tuples(&self) -> Result<Vec<Tuple>> {
-        let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
-        for t in self.main.scan_tuples()? {
-            if !self.suppressed(t.id.0, 0) {
-                live.insert(t.id.0, t);
-            }
-        }
-        for i in 0..self.fractures.len() {
-            for t in self.fractures[i].upi.scan_tuples()? {
-                if !self.suppressed(t.id.0, i + 1) {
-                    live.insert(t.id.0, t);
-                }
-            }
-        }
-        for (id, t) in &self.buf_inserts {
-            live.insert(*id, t.clone());
-        }
-        Ok(live.into_values().collect())
+        let mut live = self.collect_live(0..self.fractures.len() + 1)?;
+        live.extend(self.buf_inserts.values().cloned());
+        live.sort_unstable_by_key(|t| t.id);
+        Ok(live)
     }
 
     /// Number of on-disk fractures (`N_frac` of the cost model).

@@ -5,13 +5,25 @@
 //! always *folded* confidences (`existence × alternative probability`,
 //! e.g. Alice@Brown = 80% × 90% = 72%).
 
-use upi_storage::codec::{KeyBuf, KeyReader};
+use upi_storage::codec::{quantize_prob, KeyBuf, KeyReader};
+
+/// Byte length of a full `(value, prob, tid)` key.
+pub const ENTRY_KEY_LEN: usize = 20;
+
+/// A full UPI/PII/secondary key as a fixed-width array: what bulk builds
+/// sort (no allocation per key). Same bytes as the [`KeyBuf`] composition
+/// `u64(value).prob_desc(prob).u64(tid)`.
+pub fn entry_key_array(value: u64, prob: f64, tid: u64) -> [u8; ENTRY_KEY_LEN] {
+    let mut k = [0u8; ENTRY_KEY_LEN];
+    k[..8].copy_from_slice(&value.to_be_bytes());
+    k[8..12].copy_from_slice(&(u32::MAX - quantize_prob(prob)).to_be_bytes());
+    k[12..].copy_from_slice(&tid.to_be_bytes());
+    k
+}
 
 /// Encode a full UPI/PII/secondary key.
 pub fn entry_key(value: u64, prob: f64, tid: u64) -> Vec<u8> {
-    let mut k = KeyBuf::new();
-    k.u64(value).prob_desc(prob).u64(tid);
-    k.into_bytes()
+    entry_key_array(value, prob, tid).to_vec()
 }
 
 /// Encode the prefix that positions a scan at the *highest-probability*
@@ -34,10 +46,11 @@ pub fn decode_entry_key(key: &[u8]) -> (u64, f64, u64) {
 /// Encode a pointer to a heap entry (used by cutoff and secondary indexes):
 /// the `(value, prob)` half of the target's primary key. Together with the
 /// tuple id (stored in the referring key) it identifies the heap entry.
-pub fn pointer_bytes(value: u64, prob: f64) -> Vec<u8> {
-    let mut k = KeyBuf::new();
-    k.u64(value).prob_desc(prob);
-    k.into_bytes()
+pub fn pointer_bytes(value: u64, prob: f64) -> [u8; POINTER_LEN] {
+    let mut k = [0u8; POINTER_LEN];
+    k[..8].copy_from_slice(&value.to_be_bytes());
+    k[8..].copy_from_slice(&(u32::MAX - quantize_prob(prob)).to_be_bytes());
+    k
 }
 
 /// Decode a pointer produced by [`pointer_bytes`].
@@ -60,6 +73,18 @@ mod tests {
         assert_eq!(v, 42);
         assert!((p - 0.72).abs() < 1e-6);
         assert_eq!(t, 7);
+    }
+
+    #[test]
+    fn arrays_match_the_key_codec() {
+        for (v, p, t) in [(0, 0.0, 0), (42, 0.72, 7), (u64::MAX, 1.0, u64::MAX)] {
+            let mut k = KeyBuf::new();
+            k.u64(v).prob_desc(p).u64(t);
+            assert_eq!(entry_key_array(v, p, t)[..], *k.as_bytes());
+            let mut k = KeyBuf::new();
+            k.u64(v).prob_desc(p);
+            assert_eq!(pointer_bytes(v, p)[..], *k.as_bytes());
+        }
     }
 
     #[test]

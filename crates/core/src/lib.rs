@@ -73,7 +73,7 @@ pub use maintenance::{
     select_compaction, CompactionPlan, CompactionStep, MaintenanceDecision, MaintenancePolicy,
 };
 pub use pii::{Pii, PiiRun};
-pub use secondary::{PointerHistogram, SecEntry, SecScanRun, SecondaryIndex};
+pub use secondary::{PointerHistogram, SecBuild, SecEntry, SecScanRun, SecondaryIndex};
 pub use shard::{ShardLayout, ShardStats, ShardedTable};
 pub use table::{TableLayout, UncertainTable};
 pub use tuning::{CutoffChoice, TuningAdvisor, WorkloadProfile};

@@ -14,6 +14,7 @@
 //! Algorithm 3 — lives in [`crate::upi::DiscreteUpi::ptq_secondary`]
 //! because it needs the UPI heap.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use upi_btree::BTree;
@@ -46,6 +47,107 @@ const REGION_BUCKETS: usize = 256;
 /// population (bounds the histogram's memory on adversarial key sets).
 const MAX_TRACKED_VALUES: usize = 4096;
 
+/// Pointer mass per region over one contiguous run of region ids: dense
+/// counts indexed from the lowest occupied region. Both ends are occupied
+/// whenever the run is non-empty, so the occupied span is its length.
+#[derive(Debug, Clone, Default)]
+struct Regions {
+    /// Region id of `counts[0]`.
+    lo: u64,
+    counts: Vec<u64>,
+}
+
+impl Regions {
+    /// Regions from the first to the last occupied one, inclusive.
+    fn span(&self) -> usize {
+        self.counts.len()
+    }
+
+    /// What [`span`](Self::span) would be, minus one, with region `b`
+    /// occupied too (no overflow at the ends of the id space).
+    fn extent_with(&self, b: u64) -> u64 {
+        match self.counts.len() {
+            0 => 0,
+            n => (self.lo + n as u64 - 1).max(b) - self.lo.min(b),
+        }
+    }
+
+    /// Add `w` to region `b`. The caller bounds `extent_with(b)` first:
+    /// the run grows to cover `b`.
+    fn add(&mut self, b: u64, w: u64) {
+        if self.counts.is_empty() {
+            self.lo = b;
+        } else if b < self.lo {
+            let grow = (self.lo - b) as usize;
+            self.counts.splice(0..0, std::iter::repeat_n(0, grow));
+            self.lo = b;
+        }
+        let i = (b - self.lo) as usize;
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
+        }
+        self.counts[i] += w;
+    }
+
+    /// Take up to `w` from region `b`; returns what was there to take.
+    fn remove(&mut self, b: u64, w: u64) -> u64 {
+        let Some(c) = b
+            .checked_sub(self.lo)
+            .and_then(|i| self.counts.get_mut(i as usize))
+        else {
+            return 0;
+        };
+        let taken = w.min(*c);
+        *c -= taken;
+        // Keep both ends occupied.
+        while self.counts.last() == Some(&0) {
+            self.counts.pop();
+        }
+        let lead = self.counts.iter().take_while(|&&c| c == 0).count();
+        self.counts.drain(..lead);
+        self.lo += lead as u64;
+        taken
+    }
+
+    /// Halve every region id, folding neighbours.
+    fn fold(&mut self) {
+        let lo = self.lo >> 1;
+        for i in 0..self.counts.len() {
+            let c = std::mem::take(&mut self.counts[i]);
+            self.counts[(((self.lo + i as u64) >> 1) - lo) as usize] += c;
+        }
+        if let Some(last) = self.counts.len().checked_sub(1) {
+            self.counts
+                .truncate((((self.lo + last as u64) >> 1) - lo) as usize + 1);
+        }
+        self.lo = lo;
+    }
+
+    /// `(region id, mass)` of the occupied regions, ascending.
+    fn occupied(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        (self.lo..)
+            .zip(&self.counts)
+            .filter_map(|(b, &c)| (c > 0).then_some((b, c)))
+    }
+
+    /// The run holding exactly `pairs` (`(region id, mass)`, any order).
+    fn from_pairs(pairs: &[(u64, u64)]) -> Regions {
+        let mut r = Regions::default();
+        let occupied = || pairs.iter().filter(|&&(_, c)| c > 0);
+        if let (Some(lo), Some(hi)) = (
+            occupied().map(|&(b, _)| b).min(),
+            occupied().map(|&(b, _)| b).max(),
+        ) {
+            r.lo = lo;
+            r.counts = vec![0; (hi - lo) as usize + 1];
+            for &(b, c) in occupied() {
+                r.counts[(b - lo) as usize] += c;
+            }
+        }
+        r
+    }
+}
+
 /// A coarse histogram of where a secondary index's heap pointers land in
 /// **primary-value space** — and, because the UPI heap is clustered by
 /// primary value, approximately where they land *physically*.
@@ -60,6 +162,12 @@ const MAX_TRACKED_VALUES: usize = 4096;
 /// institutions), so one value's pointers typically occupy a small slice
 /// of the heap that a population-wide histogram would smear away.
 ///
+/// Because the span is bounded, each distribution is a dense array from
+/// its lowest occupied region: [`add`](Self::add) is one array update and
+/// [`span`](Self::span) a length — a bulk load records one pointer per
+/// heap copy per secondary alternative, so this runs tens of thousands of
+/// times per component build.
+///
 /// The planner's coverage term reads it through
 /// [`covered_fraction`](Self::covered_fraction): the expected number of
 /// distinct heap regions `n` dereferences of `value`'s entries touch,
@@ -70,11 +178,11 @@ const MAX_TRACKED_VALUES: usize = 4096;
 pub struct PointerHistogram {
     /// Region width is `1 << shift` primary-value units.
     shift: u32,
-    /// Pointer counts per absolute region id (`primary value >> shift`),
+    /// Pointer mass per absolute region id (`primary value >> shift`),
     /// whole population.
-    buckets: HashMap<u64, u64>,
-    /// Pointer counts per region, keyed by **secondary value**.
-    per_value: HashMap<u64, HashMap<u64, u64>>,
+    buckets: Regions,
+    /// Pointer mass per region, keyed by **secondary value**.
+    per_value: HashMap<u64, Regions>,
     /// Total pointers recorded (= Σ buckets, kept for O(1) reads).
     total: u64,
 }
@@ -93,20 +201,35 @@ impl PointerHistogram {
     /// Record one pointer to primary value `pv` carried by an entry of
     /// secondary value `value`, weighted by
     /// `entry confidence × pointer probability` (see [`Self::mass`]).
+    ///
+    /// `span() <= REGION_BUCKETS` holds on return: regions are coarsened
+    /// *until* the new pointer's region fits, however far outside the
+    /// current range it lands — and before anything is allocated for it.
     pub fn add(&mut self, value: u64, pv: u64, weight: f64) {
         let w = Self::mass(weight);
-        self.total += w;
-        let b = pv >> self.shift;
-        *self.buckets.entry(b).or_insert(0) += w;
-        if self.per_value.contains_key(&value) || self.per_value.len() < MAX_TRACKED_VALUES {
-            *self
-                .per_value
-                .entry(value)
-                .or_default()
-                .entry(b)
-                .or_insert(0) += w;
-        }
-        if self.span() > REGION_BUCKETS {
+        let limit = REGION_BUCKETS as u64;
+        loop {
+            let b = pv >> self.shift;
+            let room = self.per_value.len() < MAX_TRACKED_VALUES;
+            let own = match self.per_value.entry(value) {
+                Entry::Occupied(e) => Some(e.into_mut()),
+                Entry::Vacant(e) if room => Some(e.insert(Regions::default())),
+                Entry::Vacant(_) => None,
+            };
+            // A value's own run lies inside the population's unless
+            // removals of pointers that were never added emptied the
+            // latter under it; bounding both keeps every array within
+            // REGION_BUCKETS regardless.
+            if self.buckets.extent_with(b) < limit
+                && own.as_ref().is_none_or(|m| m.extent_with(b) < limit)
+            {
+                self.total += w;
+                self.buckets.add(b, w);
+                if let Some(m) = own {
+                    m.add(b, w);
+                }
+                return;
+            }
             self.coarsen();
         }
     }
@@ -116,22 +239,10 @@ impl PointerHistogram {
     pub fn remove(&mut self, value: u64, pv: u64, weight: f64) {
         let w = Self::mass(weight);
         let b = pv >> self.shift;
-        if let Some(c) = self.buckets.get_mut(&b) {
-            let taken = w.min(*c);
-            *c -= taken;
-            self.total -= taken;
-            if *c == 0 {
-                self.buckets.remove(&b);
-            }
-        }
+        self.total -= self.buckets.remove(b, w);
         if let Some(m) = self.per_value.get_mut(&value) {
-            if let Some(c) = m.get_mut(&b) {
-                *c = c.saturating_sub(w);
-                if *c == 0 {
-                    m.remove(&b);
-                }
-            }
-            if m.is_empty() {
+            m.remove(b, w);
+            if m.span() == 0 {
                 self.per_value.remove(&value);
             }
         }
@@ -141,15 +252,10 @@ impl PointerHistogram {
     /// halve).
     fn coarsen(&mut self) {
         self.shift += 1;
-        let fold = |m: &HashMap<u64, u64>| {
-            let mut out: HashMap<u64, u64> = HashMap::new();
-            for (&b, &c) in m {
-                *out.entry(b >> 1).or_insert(0) += c;
-            }
-            out
-        };
-        self.buckets = fold(&self.buckets);
-        self.per_value = self.per_value.iter().map(|(&v, m)| (v, fold(m))).collect();
+        self.buckets.fold();
+        for m in self.per_value.values_mut() {
+            m.fold();
+        }
     }
 
     /// Total pointer mass recorded (probability-weighted units).
@@ -159,13 +265,15 @@ impl PointerHistogram {
 
     /// Regions spanned from the first to the last occupied one
     /// (inclusive) — the heap slice the whole pointer population covers.
+    /// At most `REGION_BUCKETS`.
     pub fn span(&self) -> usize {
-        let lo = self.buckets.keys().min();
-        let hi = self.buckets.keys().max();
-        match (lo, hi) {
-            (Some(&lo), Some(&hi)) => (hi - lo + 1) as usize,
-            _ => 0,
-        }
+        self.buckets.span()
+    }
+
+    /// `value`'s own region distribution, or the whole population's when
+    /// `value` is untracked.
+    fn dist(&self, value: u64) -> &Regions {
+        self.per_value.get(&value).unwrap_or(&self.buckets)
     }
 
     /// Expected number of **distinct** regions hit by `n` dereferences of
@@ -178,13 +286,13 @@ impl PointerHistogram {
         if n < 1.0 {
             return 0.0;
         }
-        let dist = self.per_value.get(&value).unwrap_or(&self.buckets);
-        let total: u64 = dist.values().sum();
+        let dist = self.dist(value);
+        let total: u64 = dist.counts.iter().sum();
         if total == 0 {
             return 0.0;
         }
-        dist.values()
-            .map(|&c| 1.0 - (1.0 - c as f64 / total as f64).powf(n))
+        dist.occupied()
+            .map(|(_, c)| 1.0 - (1.0 - c as f64 / total as f64).powf(n))
             .sum()
     }
 
@@ -196,14 +304,14 @@ impl PointerHistogram {
     /// discounts the rare-tail regions the steering avoids (a tuple's
     /// low-probability spill alternatives).
     pub fn effective_regions(&self, value: u64) -> f64 {
-        let dist = self.per_value.get(&value).unwrap_or(&self.buckets);
-        let total: u64 = dist.values().sum();
+        let dist = self.dist(value);
+        let total: u64 = dist.counts.iter().sum();
         if total == 0 {
             return 0.0;
         }
         let entropy: f64 = dist
-            .values()
-            .map(|&c| {
+            .occupied()
+            .map(|(_, c)| {
                 let p = c as f64 / total as f64;
                 -p * p.ln()
             })
@@ -251,17 +359,16 @@ impl PointerHistogram {
             .clamp(1.0, n)
     }
 
-    /// Serialize deterministically (maps written in sorted key order) for
-    /// the checkpoint's statistics payload. `total` is redundant (the
-    /// bucket sum) and not stored.
+    /// Serialize deterministically (regions and values in ascending
+    /// order; only occupied regions are written) for the checkpoint's
+    /// statistics payload. `total` is redundant (the bucket sum) and not
+    /// stored.
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn write_counts(out: &mut Vec<u8>, m: &HashMap<u64, u64>) {
-            out.extend_from_slice(&(m.len() as u32).to_le_bytes());
-            let mut keys: Vec<u64> = m.keys().copied().collect();
-            keys.sort_unstable();
-            for k in keys {
-                out.extend_from_slice(&k.to_le_bytes());
-                out.extend_from_slice(&m[&k].to_le_bytes());
+        fn write_counts(out: &mut Vec<u8>, m: &Regions) {
+            out.extend_from_slice(&(m.occupied().count() as u32).to_le_bytes());
+            for (b, c) in m.occupied() {
+                out.extend_from_slice(&b.to_le_bytes());
+                out.extend_from_slice(&c.to_le_bytes());
             }
         }
         let mut out = Vec::new();
@@ -278,7 +385,10 @@ impl PointerHistogram {
     }
 
     /// Inverse of [`to_bytes`](Self::to_bytes); `None` on malformed or
-    /// trailing bytes.
+    /// trailing bytes. A payload whose regions span more than
+    /// `REGION_BUCKETS` (one written while
+    /// [`add`](Self::add) still coarsened a single step per call) is
+    /// coarsened until it fits, as `add` would have.
     pub fn from_bytes(data: &[u8]) -> Option<PointerHistogram> {
         fn u32_at(data: &[u8], pos: &mut usize) -> Option<u32> {
             let v = u32::from_le_bytes(data.get(*pos..*pos + 4)?.try_into().unwrap());
@@ -290,36 +400,67 @@ impl PointerHistogram {
             *pos += 8;
             Some(v)
         }
-        fn read_counts(data: &[u8], pos: &mut usize) -> Option<HashMap<u64, u64>> {
+        /// `(region id, mass)` pairs as stored.
+        fn read_counts(data: &[u8], pos: &mut usize) -> Option<Vec<(u64, u64)>> {
             let n = u32_at(data, pos)? as usize;
-            let mut m = HashMap::with_capacity(n.min(1 << 16));
-            for _ in 0..n {
-                let k = u64_at(data, pos)?;
-                let c = u64_at(data, pos)?;
-                m.insert(k, c);
+            // Each pair takes 16 bytes: bounds `n` before reserving.
+            if n > (data.len() - *pos) / 16 {
+                return None;
             }
-            Some(m)
+            (0..n)
+                .map(|_| Some((u64_at(data, pos)?, u64_at(data, pos)?)))
+                .collect()
         }
         let mut pos = 0;
-        let shift = u32_at(data, &mut pos)?;
-        let buckets = read_counts(data, &mut pos)?;
+        let mut shift = u32_at(data, &mut pos)?;
+        let mut buckets = read_counts(data, &mut pos)?;
         let n_values = u32_at(data, &mut pos)? as usize;
-        let mut per_value = HashMap::with_capacity(n_values.min(1 << 16));
+        let mut per_value = Vec::with_capacity(n_values.min(1 << 16));
         for _ in 0..n_values {
             let v = u64_at(data, &mut pos)?;
-            per_value.insert(v, read_counts(data, &mut pos)?);
+            per_value.push((v, read_counts(data, &mut pos)?));
         }
         if pos != data.len() {
             return None;
         }
-        let total = buckets.values().sum();
+        // Bound every distribution's span before allocating its array.
+        let fits = |m: &[(u64, u64)], s: u32| {
+            let ids = || m.iter().filter(|p| p.1 > 0).map(|p| p.0 >> s);
+            ids().max().unwrap_or(0) - ids().min().unwrap_or(0) < REGION_BUCKETS as u64
+        };
+        let mut extra = 0;
+        while !(fits(&buckets, extra) && per_value.iter().all(|(_, m)| fits(m, extra))) {
+            extra += 1;
+        }
+        shift = shift.checked_add(extra)?;
+        for m in std::iter::once(&mut buckets).chain(per_value.iter_mut().map(|(_, m)| m)) {
+            for p in m.iter_mut() {
+                p.0 >>= extra;
+            }
+        }
+        let buckets = Regions::from_pairs(&buckets);
+        let total = buckets.counts.iter().sum();
         Some(PointerHistogram {
             shift,
             buckets,
-            per_value,
+            per_value: per_value
+                .iter()
+                .map(|(v, m)| (*v, Regions::from_pairs(m)))
+                .collect(),
             total,
         })
     }
+}
+
+/// The entries of one secondary index being bulk-built (see
+/// [`SecondaryIndex::prepare_entries`]): fixed-width sort records over one
+/// payload arena, so a build allocates nothing per entry.
+#[derive(Debug, Default)]
+pub struct SecBuild {
+    /// `(entry key, where its payload starts in `payloads`)`.
+    entries: Vec<([u8; keys::ENTRY_KEY_LEN], u32)>,
+    /// Entry payloads back to back; each is `[n u16][n pointers]`.
+    payloads: Vec<u8>,
 }
 
 /// A secondary index on one discrete uncertain attribute of a UPI table.
@@ -361,56 +502,70 @@ impl SecondaryIndex {
         self.max_pointers
     }
 
-    fn payload(&self, heap_ptrs: &[(u64, f64)]) -> Vec<u8> {
+    /// Append the entry payload for `heap_ptrs` — `[n u16][n pointers]`,
+    /// capped at `max_pointers` — to `out`.
+    fn write_payload(&self, heap_ptrs: &[(u64, f64)], out: &mut Vec<u8>) {
         let n = heap_ptrs.len().min(self.max_pointers);
-        let mut out = Vec::with_capacity(2 + n * keys::POINTER_LEN);
         out.extend_from_slice(&(n as u16).to_le_bytes());
         for &(v, p) in &heap_ptrs[..n] {
             out.extend_from_slice(&keys::pointer_bytes(v, p));
         }
-        out
+    }
+
+    /// The entry payload — `[n u16][n pointers]` — at the front of `data`.
+    fn payload_at(data: &[u8]) -> &[u8] {
+        let n = u16::from_le_bytes(data[..2].try_into().unwrap()) as usize;
+        &data[..2 + n * keys::POINTER_LEN]
+    }
+
+    /// The pointers of an entry payload, in stored (descending
+    /// probability) order.
+    fn pointers(payload: &[u8]) -> impl Iterator<Item = (u64, f64)> + '_ {
+        Self::payload_at(payload)[2..]
+            .chunks_exact(keys::POINTER_LEN)
+            .map(keys::decode_pointer)
     }
 
     fn decode_payload(data: &[u8]) -> Vec<(u64, f64)> {
-        let n = u16::from_le_bytes(data[..2].try_into().unwrap()) as usize;
-        (0..n)
-            .map(|i| {
-                let at = 2 + i * keys::POINTER_LEN;
-                keys::decode_pointer(&data[at..at + keys::POINTER_LEN])
-            })
-            .collect()
+        Self::pointers(data).collect()
     }
 
     /// Append this tuple's index entries (one per secondary alternative) to
     /// `out`, for bulk loading. `heap_ptrs` are the primary-key pointers of
-    /// the tuple's heap (non-cutoff) copies.
-    pub fn prepare_entries(
-        &self,
-        t: &Tuple,
-        heap_ptrs: &[(u64, f64)],
-        out: &mut Vec<(Vec<u8>, Vec<u8>)>,
-    ) {
-        let payload = self.payload(heap_ptrs);
+    /// the tuple's heap (non-cutoff) copies; the alternatives share the one
+    /// payload written for them.
+    pub fn prepare_entries(&self, t: &Tuple, heap_ptrs: &[(u64, f64)], out: &mut SecBuild) {
+        let at = u32::try_from(out.payloads.len()).expect("payload arena stays under 4 GiB");
+        self.write_payload(heap_ptrs, &mut out.payloads);
         for &(v, p) in t.discrete(self.attr).alternatives() {
-            out.push((keys::entry_key(v, p * t.exist, t.id.0), payload.clone()));
+            out.entries
+                .push((keys::entry_key_array(v, p * t.exist, t.id.0), at));
         }
     }
 
-    /// Bulk-load prepared entries (must be sorted by key).
-    pub fn bulk_load(&mut self, entries: Vec<(Vec<u8>, Vec<u8>)>) -> Result<u64> {
-        for (key, payload) in &entries {
-            let (v, p, _tid) = keys::decode_entry_key(key);
+    /// Bulk-load prepared entries, in any order: they are sorted here,
+    /// the statistics are fed from the sorted run — the quantized
+    /// `(value, confidence)` of each key, the `(value, probability)` of
+    /// each pointer in its payload — and the tree is loaded straight from
+    /// the sort records and the payload arena.
+    pub fn bulk_load(&mut self, mut build: SecBuild) -> Result<u64> {
+        build.entries.sort_unstable();
+        let payload_of = |at: u32| Self::payload_at(&build.payloads[at as usize..]);
+        for &(key, at) in &build.entries {
+            let (v, p, _tid) = keys::decode_entry_key(&key);
             self.stats.add(v, p, false);
-            for (pv, pp) in Self::decode_payload(payload) {
+            for (pv, pp) in Self::pointers(payload_of(at)) {
                 self.regions.add(v, pv, p * pp);
             }
         }
-        self.tree.bulk_load(entries)
+        self.tree
+            .bulk_load(build.entries.iter().map(|(key, at)| (key, payload_of(*at))))
     }
 
     /// Index one tuple.
     pub fn insert_for(&mut self, t: &Tuple, heap_ptrs: &[(u64, f64)]) -> Result<()> {
-        let payload = self.payload(heap_ptrs);
+        let mut payload = Vec::with_capacity(2 + heap_ptrs.len() * keys::POINTER_LEN);
+        self.write_payload(heap_ptrs, &mut payload);
         let kept = &heap_ptrs[..heap_ptrs.len().min(self.max_pointers)];
         for &(v, p) in t.discrete(self.attr).alternatives() {
             self.tree
@@ -684,5 +839,243 @@ mod tests {
         s.delete_for(&c).unwrap();
         assert_eq!(s.len(), 0);
         assert!(s.scan(US, 0.0).unwrap().is_empty());
+    }
+
+    /// The sparse `HashMap` histogram the dense [`PointerHistogram`]
+    /// replaced — `span()` walks every key twice — kept as the reference
+    /// the dense one is compared against. Its `add` coarsens in a loop
+    /// too, so the two agree when a pointer lands far outside the range.
+    #[derive(Default)]
+    struct ReferenceHistogram {
+        shift: u32,
+        buckets: HashMap<u64, u64>,
+        per_value: HashMap<u64, HashMap<u64, u64>>,
+        total: u64,
+    }
+
+    impl ReferenceHistogram {
+        fn add(&mut self, value: u64, pv: u64, weight: f64) {
+            let w = PointerHistogram::mass(weight);
+            self.total += w;
+            let b = pv >> self.shift;
+            *self.buckets.entry(b).or_insert(0) += w;
+            if self.per_value.contains_key(&value) || self.per_value.len() < MAX_TRACKED_VALUES {
+                *self
+                    .per_value
+                    .entry(value)
+                    .or_default()
+                    .entry(b)
+                    .or_insert(0) += w;
+            }
+            while self.span() > REGION_BUCKETS {
+                self.coarsen();
+            }
+        }
+
+        fn remove(&mut self, value: u64, pv: u64, weight: f64) {
+            let w = PointerHistogram::mass(weight);
+            let b = pv >> self.shift;
+            if let Some(c) = self.buckets.get_mut(&b) {
+                let taken = w.min(*c);
+                *c -= taken;
+                self.total -= taken;
+                if *c == 0 {
+                    self.buckets.remove(&b);
+                }
+            }
+            if let Some(m) = self.per_value.get_mut(&value) {
+                if let Some(c) = m.get_mut(&b) {
+                    *c = c.saturating_sub(w);
+                    if *c == 0 {
+                        m.remove(&b);
+                    }
+                }
+                if m.is_empty() {
+                    self.per_value.remove(&value);
+                }
+            }
+        }
+
+        fn coarsen(&mut self) {
+            self.shift += 1;
+            let fold = |m: &HashMap<u64, u64>| {
+                let mut out: HashMap<u64, u64> = HashMap::new();
+                for (&b, &c) in m {
+                    *out.entry(b >> 1).or_insert(0) += c;
+                }
+                out
+            };
+            self.buckets = fold(&self.buckets);
+            self.per_value = self.per_value.iter().map(|(&v, m)| (v, fold(m))).collect();
+        }
+
+        fn span(&self) -> usize {
+            match (self.buckets.keys().min(), self.buckets.keys().max()) {
+                (Some(&lo), Some(&hi)) => (hi - lo + 1) as usize,
+                _ => 0,
+            }
+        }
+
+        fn covered_fraction(&self, value: u64, n: f64) -> f64 {
+            let span = self.span();
+            if span == 0 || self.total == 0 || n < 1.0 {
+                return 1.0;
+            }
+            let dist = self.per_value.get(&value).unwrap_or(&self.buckets);
+            let total = dist.values().sum::<u64>() as f64;
+            let expected: f64 = dist
+                .values()
+                .map(|&c| 1.0 - (1.0 - c as f64 / total).powf(n))
+                .sum();
+            let entropy: f64 = dist
+                .values()
+                .map(|&c| -(c as f64 / total) * (c as f64 / total).ln())
+                .sum();
+            (expected.min(entropy.exp()) / span as f64).clamp(f64::MIN_POSITIVE, 1.0)
+        }
+
+        fn to_bytes(&self) -> Vec<u8> {
+            fn write_counts(out: &mut Vec<u8>, m: &HashMap<u64, u64>) {
+                out.extend_from_slice(&(m.len() as u32).to_le_bytes());
+                let mut keys: Vec<u64> = m.keys().copied().collect();
+                keys.sort_unstable();
+                for k in keys {
+                    out.extend_from_slice(&k.to_le_bytes());
+                    out.extend_from_slice(&m[&k].to_le_bytes());
+                }
+            }
+            let mut out = Vec::new();
+            out.extend_from_slice(&self.shift.to_le_bytes());
+            write_counts(&mut out, &self.buckets);
+            out.extend_from_slice(&(self.per_value.len() as u32).to_le_bytes());
+            let mut values: Vec<u64> = self.per_value.keys().copied().collect();
+            values.sort_unstable();
+            for v in values {
+                out.extend_from_slice(&v.to_le_bytes());
+                write_counts(&mut out, &self.per_value[&v]);
+            }
+            out
+        }
+    }
+
+    fn assert_agree(dense: &PointerHistogram, sparse: &ReferenceHistogram, values: u64) {
+        assert_eq!(dense.to_bytes(), sparse.to_bytes());
+        assert_eq!(dense.span(), sparse.span());
+        assert_eq!(dense.total(), sparse.total);
+        assert!(dense.span() <= REGION_BUCKETS);
+        for v in 0..values {
+            for n in [1.0, 7.0, 500.0] {
+                // The sparse sums run in hash order: equal up to rounding.
+                let (a, b) = (dense.covered_fraction(v, n), sparse.covered_fraction(v, n));
+                assert!((a - b).abs() <= 1e-12 * b, "value {v} n {n}: {a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_far_pointer_coarsens_until_the_span_fits() {
+        // One coarsening step per `add` used to leave the span at 50 001
+        // here, with `covered_fraction` dividing by it.
+        let mut h = PointerHistogram::default();
+        let mut r = ReferenceHistogram::default();
+        for (v, pv) in [(1, 0), (1, 100_000), (2, u64::MAX), (2, 3)] {
+            h.add(v, pv, 0.5);
+            r.add(v, pv, 0.5);
+            assert!(h.span() <= REGION_BUCKETS, "span {} after {pv}", h.span());
+            assert_agree(&h, &r, 3);
+        }
+        assert_eq!(h.span(), REGION_BUCKETS, "the two ends of the u64 range");
+        // Removing an end shrinks the occupied span with it.
+        h.remove(2, u64::MAX, 0.5);
+        r.remove(2, u64::MAX, 0.5);
+        assert_eq!(h.span(), 1);
+        assert_agree(&h, &r, 3);
+    }
+
+    #[test]
+    fn dense_histogram_matches_the_sparse_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(0x9157 + seed);
+            let mut h = PointerHistogram::default();
+            let mut r = ReferenceHistogram::default();
+            // A DBLP-shaped population (each secondary value owns a band
+            // of a few-thousand-wide primary range, so the histogram
+            // coarsens a few times early on) plus, on odd seeds, jumps.
+            let values = rng.gen_range(1..40u64);
+            let range = rng.gen_range(300..5000u64);
+            let mut added: Vec<(u64, u64, f64)> = Vec::new();
+            for step in 0..3000 {
+                if !added.is_empty() && rng.gen_range(0..4) == 0 {
+                    let (v, pv, w) = added.swap_remove(rng.gen_range(0..added.len()));
+                    h.remove(v, pv, w);
+                    r.remove(v, pv, w);
+                } else {
+                    let v = rng.gen_range(0..values);
+                    let band = range / values;
+                    let mut pv = v * band + rng.gen_range(0..band.max(1) * 2);
+                    if seed % 2 == 1 && rng.gen_range(0..500) == 0 {
+                        pv <<= rng.gen_range(1..40);
+                    }
+                    let w = rng.gen_range(0.0..1.0);
+                    h.add(v, pv, w);
+                    r.add(v, pv, w);
+                    added.push((v, pv, w));
+                }
+                if step % 97 == 0 {
+                    assert_agree(&h, &r, values);
+                }
+            }
+            assert_agree(&h, &r, values);
+            let back = PointerHistogram::from_bytes(&h.to_bytes()).expect("round trip");
+            assert_agree(&back, &r, values);
+            // Empty again after removing everything that was added.
+            for (v, pv, w) in added {
+                h.remove(v, pv, w);
+                r.remove(v, pv, w);
+            }
+            assert_agree(&h, &r, values);
+            assert_eq!((h.span(), h.total()), (0, 0));
+        }
+    }
+
+    #[test]
+    fn more_distinct_values_than_tracked_fall_back_to_the_population() {
+        let mut h = PointerHistogram::default();
+        let mut r = ReferenceHistogram::default();
+        for v in 0..MAX_TRACKED_VALUES as u64 + 50 {
+            h.add(v, v % 200, 0.3);
+            r.add(v, v % 200, 0.3);
+        }
+        assert_eq!(h.per_value.len(), MAX_TRACKED_VALUES);
+        assert_agree(&h, &r, 10);
+        let untracked = MAX_TRACKED_VALUES as u64 + 7;
+        assert_eq!(
+            h.covered_fraction(untracked, 50.0),
+            h.covered_fraction(u64::MAX, 50.0),
+            "both read the population's distribution"
+        );
+    }
+
+    #[test]
+    fn over_wide_payloads_are_coarsened_on_load() {
+        // What the single-step `add` could leave in a checkpoint: two
+        // regions 50 000 apart at shift 0.
+        let mut wide = Vec::new();
+        wide.extend_from_slice(&0u32.to_le_bytes()); // shift
+        wide.extend_from_slice(&2u32.to_le_bytes());
+        for (b, c) in [(0u64, 5u64), (50_000, 7)] {
+            wide.extend_from_slice(&b.to_le_bytes());
+            wide.extend_from_slice(&c.to_le_bytes());
+        }
+        wide.extend_from_slice(&0u32.to_le_bytes()); // no per-value maps
+        let h = PointerHistogram::from_bytes(&wide).expect("well-formed");
+        assert!(h.span() <= REGION_BUCKETS, "span {}", h.span());
+        assert_eq!(h.total(), 12);
+        // A count the payload cannot hold is rejected before reserving.
+        let mut lying = wide.clone();
+        lying[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(PointerHistogram::from_bytes(&lying).is_none());
     }
 }

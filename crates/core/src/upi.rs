@@ -5,15 +5,17 @@ use std::collections::{HashMap, HashSet};
 
 use upi_btree::{BTree, Cursor, TreeStats};
 use upi_storage::codec::{dequantize_prob, quantize_prob};
-use upi_storage::error::Result;
+use upi_storage::error::{Result, StorageError};
 use upi_storage::Store;
-use upi_uncertain::tuple::{decode_tuple, encode_tuple, peek_first_alt};
+use upi_uncertain::tuple::{
+    encode_tuple, encode_tuple_into, peek_first_alt, try_decode_tuple, MalformedTuple,
+};
 use upi_uncertain::{AttrStats, Tuple};
 
 use crate::cutoff::{CutoffIndex, CutoffPointer};
 use crate::exec::{CursorStats, PtqResult};
 use crate::keys;
-use crate::secondary::SecondaryIndex;
+use crate::secondary::{SecBuild, SecondaryIndex};
 
 /// Tuning parameters of a UPI (per-fracture tunable, §4.2).
 #[derive(Debug, Clone, Copy)]
@@ -39,6 +41,9 @@ impl Default for UpiConfig {
 
 /// Folded `(value, confidence)` alternatives of one tuple.
 type Alts = Vec<(u64, f64)>;
+
+/// A `(value, prob DESC, tid)` key as a bulk build sorts it.
+type EntryKey = [u8; keys::ENTRY_KEY_LEN];
 
 /// A primary (clustered) index on a discrete uncertain attribute.
 ///
@@ -95,15 +100,14 @@ impl DiscreteUpi {
             self.cfg.max_secondary_pointers,
         )?;
         if self.n_tuples > 0 {
-            let mut entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+            let mut build = SecBuild::default();
             for t in self.distinct_scan()? {
                 let t = t?;
                 let alts = self.folded_alts(&t);
                 let (heap_alts, _) = self.partition(&alts);
-                sec.prepare_entries(&t, &heap_alts, &mut entries);
+                sec.prepare_entries(&t, &heap_alts, &mut build);
             }
-            entries.sort();
-            sec.bulk_load(entries)?;
+            sec.bulk_load(build)?;
         }
         self.secondaries.push(sec);
         Ok(idx)
@@ -120,21 +124,29 @@ impl DiscreteUpi {
     }
 
     /// Folded `(value, confidence)` alternatives of a tuple, descending.
-    fn folded_alts(&self, t: &Tuple) -> Alts {
-        t.discrete(self.attr)
-            .alternatives()
-            .iter()
-            .map(|&(v, p)| (v, p * t.exist))
-            .collect()
+    fn folded(attr: usize, t: &Tuple) -> impl Iterator<Item = (u64, f64)> + '_ {
+        let alts = t.discrete(attr).alternatives();
+        alts.iter().map(|&(v, p)| (v, p * t.exist))
     }
 
-    /// Algorithm 1's partition: the first alternative always stays in the
-    /// heap; others go to the heap iff their folded probability `≥ C`.
+    /// [`folded`](Self::folded), collected.
+    fn folded_alts(&self, t: &Tuple) -> Alts {
+        Self::folded(self.attr, t).collect()
+    }
+
+    /// Algorithm 1's rule: the `i`-th folded alternative stays in the heap
+    /// iff it is the first one or its probability is `≥ C`.
+    fn stays_in_heap(&self, i: usize, p: f64) -> bool {
+        i == 0 || p >= self.cfg.cutoff
+    }
+
+    /// Algorithm 1's partition of the folded alternatives into the heap's
+    /// and the cutoff index's.
     fn partition(&self, alts: &[(u64, f64)]) -> (Alts, Alts) {
         let mut heap = Vec::with_capacity(alts.len());
         let mut cut = Vec::new();
         for (i, &(v, p)) in alts.iter().enumerate() {
-            if i == 0 || p >= self.cfg.cutoff {
+            if self.stays_in_heap(i, p) {
                 heap.push((v, p));
             } else {
                 cut.push((v, p));
@@ -189,41 +201,66 @@ impl DiscreteUpi {
 
     /// Bulk-load tuples into an empty UPI (sequential writes for every
     /// component file — the fracture-flush path of §4.2).
+    ///
+    /// **Input order is irrelevant**: every file is built from its own
+    /// sorted entry run (keys end in the tuple id, so the order is total),
+    /// and the statistics are counts. Shuffling `tuples` changes no page
+    /// and no statistic — which is what lets a fold hand over its live
+    /// set in whatever order the component scans produced it.
+    ///
+    /// Each tuple is encoded once, into one arena; the heap file's
+    /// duplicated copies, the cutoff pointers and the secondary entries
+    /// are fixed-width sort records referring into it, and the B+Trees
+    /// copy from there straight into their page images.
     pub fn bulk_load<'a, I>(&mut self, tuples: I) -> Result<()>
     where
         I: IntoIterator<Item = &'a Tuple>,
     {
         assert!(self.n_tuples == 0, "bulk_load requires an empty UPI");
-        let mut heap_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut cut_entries: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut sec_entries: Vec<Vec<(Vec<u8>, Vec<u8>)>> =
-            self.secondaries.iter().map(|_| Vec::new()).collect();
+        // Encoded tuples back to back; heap records are `(key, where)`.
+        let mut arena: Vec<u8> = Vec::new();
+        let mut heap_entries: Vec<(EntryKey, std::ops::Range<usize>)> = Vec::new();
+        let mut cut_entries: Vec<(EntryKey, [u8; keys::POINTER_LEN])> = Vec::new();
+        let mut sec_builds: Vec<SecBuild> = self
+            .secondaries
+            .iter()
+            .map(|_| SecBuild::default())
+            .collect();
+        let mut heap_alts: Alts = Vec::new();
         for t in tuples {
-            let alts = self.folded_alts(t);
-            let (heap_alts, cut_alts) = self.partition(&alts);
-            let bytes = encode_tuple(t);
-            for &(v, p) in &heap_alts {
-                heap_entries.push((keys::entry_key(v, p, t.id.0), bytes.clone()));
-            }
-            let (fv, fp) = heap_alts[0];
-            for &(v, p) in &cut_alts {
-                cut_entries.push((keys::entry_key(v, p, t.id.0), keys::pointer_bytes(fv, fp)));
-            }
-            for (i, sec) in self.secondaries.iter().enumerate() {
-                sec.prepare_entries(t, &heap_alts, &mut sec_entries[i]);
-            }
-            for (i, &(v, p)) in alts.iter().enumerate() {
+            let at = arena.len();
+            encode_tuple_into(t, &mut arena);
+            let bytes = at..arena.len();
+            // `partition`, entry by entry: the first alternative always
+            // stays in the heap, so it is every cutoff entry's target.
+            heap_alts.clear();
+            for (i, (v, p)) in Self::folded(self.attr, t).enumerate() {
+                let key = keys::entry_key_array(v, p, t.id.0);
+                if self.stays_in_heap(i, p) {
+                    heap_alts.push((v, p));
+                    heap_entries.push((key, bytes.clone()));
+                } else {
+                    let (fv, fp) = heap_alts[0];
+                    cut_entries.push((key, keys::pointer_bytes(fv, fp)));
+                }
                 self.stats.add(v, p, i == 0);
+            }
+            for (sec, build) in self.secondaries.iter().zip(&mut sec_builds) {
+                sec.prepare_entries(t, &heap_alts, build);
             }
             self.n_tuples += 1;
         }
-        heap_entries.sort();
-        cut_entries.sort();
-        self.heap.bulk_load(heap_entries)?;
-        self.cutoff.bulk_load(cut_entries)?;
-        for (i, mut entries) in sec_entries.into_iter().enumerate() {
-            entries.sort();
-            self.secondaries[i].bulk_load(entries)?;
+        heap_entries.sort_unstable_by_key(|e| e.0);
+        cut_entries.sort_unstable_by_key(|e| e.0);
+        self.heap.bulk_load(
+            heap_entries
+                .iter()
+                .map(|(key, bytes)| (key, &arena[bytes.clone()])),
+        )?;
+        self.cutoff
+            .bulk_load(cut_entries.iter().map(|(k, ptr)| (k, ptr)))?;
+        for (sec, build) in self.secondaries.iter_mut().zip(sec_builds) {
+            sec.bulk_load(build)?;
         }
         Ok(())
     }
@@ -291,8 +328,14 @@ impl DiscreteUpi {
 
     /// Fetch the heap copy stored under primary key `(value, prob, tid)`.
     pub fn fetch_by_pointer(&self, value: u64, prob: f64, tid: u64) -> Result<Option<Tuple>> {
-        self.heap
-            .get_with(&keys::entry_key(value, prob, tid), decode_tuple)
+        let key = keys::entry_key_array(value, prob, tid);
+        match self.heap.get_with(&key, try_decode_tuple)? {
+            None => Ok(None),
+            Some(Ok(t)) => Ok(Some(t)),
+            // The descent is repeated (internal pages only) just to name
+            // the leaf in the error.
+            Some(Err(why)) => Err(corrupt_heap(self.heap.leaf_page_for(&key)?, why)),
+        }
     }
 
     /// Confidence-ordered streaming cursor for a point PTQ `(value, qt)`:
@@ -627,6 +670,17 @@ impl DiscreteUpi {
     }
 }
 
+/// A heap leaf held bytes that are not an encoded tuple.
+fn corrupt_heap(page: upi_storage::PageId, why: MalformedTuple) -> StorageError {
+    StorageError::Corrupted(format!("upi heap page {page:?}: {why}"))
+}
+
+/// Decode the heap entry under `cur`; damaged bytes are a
+/// [`StorageError::Corrupted`] naming the leaf, not a panic.
+fn decode_entry(cur: &Cursor<'_>) -> Result<Tuple> {
+    try_decode_tuple(cur.value()).map_err(|why| corrupt_heap(cur.page(), why))
+}
+
 /// Streaming iterator over one value's heap run (see
 /// [`DiscreteUpi::heap_run`]). Yields entries in `{prob DESC, tid}` order
 /// and stops at the first entry of a different value or below the
@@ -674,15 +728,17 @@ impl HeapRun<'_> {
                 }
                 continue;
             }
-            let tuple = decode_tuple(self.cur.value());
+            let tuple = decode_entry(&self.cur);
             self.stats.decodes += 1;
             if let Err(e) = self.cur.advance() {
                 return Some(Err(e));
             }
-            self.stats.rows += 1;
-            return Some(Ok(PtqResult {
-                tuple,
-                confidence: prob,
+            return Some(tuple.map(|tuple| {
+                self.stats.rows += 1;
+                PtqResult {
+                    tuple,
+                    confidence: prob,
+                }
             }));
         }
     }
@@ -726,19 +782,24 @@ impl Iterator for DistinctScan<'_> {
                 Some((exist, (fv, fp))) => {
                     fv == v && quantize_prob(fp * exist) == quantize_prob(prob)
                 }
-                None => true, // malformed entry: decode and let it panic
+                None => true, // malformed entry: the decode below reports it
             };
-            let t = keep.then(|| decode_tuple(self.cur.value()));
+            let t = keep.then(|| decode_entry(&self.cur));
             if t.is_some() {
                 self.stats.decodes += 1;
             }
+            // Step past the entry first, so a damaged one is reported once.
             if let Err(e) = self.cur.advance() {
                 return Some(Err(e));
             }
-            if let Some(t) = t {
-                debug_assert_eq!(t.discrete(self.attr).first().0, v);
-                self.stats.rows += 1;
-                return Some(Ok(t));
+            match t {
+                Some(Ok(t)) => {
+                    debug_assert_eq!(t.discrete(self.attr).first().0, v);
+                    self.stats.rows += 1;
+                    return Some(Ok(t));
+                }
+                Some(Err(e)) => return Some(Err(e)),
+                None => {}
             }
         }
         None
@@ -1028,19 +1089,23 @@ impl Iterator for RangeRun<'_> {
                 break;
             }
             let fresh = self.seen.insert(tid);
-            let tuple = fresh.then(|| decode_tuple(cur.value()));
+            let tuple = fresh.then(|| decode_entry(cur));
             if tuple.is_some() {
                 self.stats.decodes += 1;
             }
             if let Err(e) = cur.advance() {
                 return Some(Err(e));
             }
-            if let Some(tuple) = tuple {
-                let confidence = self.range_confidence(&tuple);
-                if confidence >= self.qt {
-                    self.stats.rows += 1;
-                    return Some(Ok(PtqResult { tuple, confidence }));
+            match tuple {
+                Some(Ok(tuple)) => {
+                    let confidence = self.range_confidence(&tuple);
+                    if confidence >= self.qt {
+                        self.stats.rows += 1;
+                        return Some(Ok(PtqResult { tuple, confidence }));
+                    }
                 }
+                Some(Err(e)) => return Some(Err(e)),
+                None => {}
             }
         }
         // Phase 2: tuples visible only through the cutoff index.
@@ -1253,6 +1318,130 @@ mod tests {
         }
         assert_eq!(bulk.heap_stats().entries, incr.heap_stats().entries);
         assert_eq!(bulk.cutoff_index().len(), incr.cutoff_index().len());
+        // The primary statistics are the same counts whichever way they
+        // were fed. A secondary's are counted per value either way, but
+        // a bulk load reads each confidence back off the key's quantized
+        // grid, so one sitting on a histogram bin edge (Carol's 0.32) may
+        // land one bin lower than on insert.
+        assert_eq!(bulk.attr_stats().to_bytes(), incr.attr_stats().to_bytes());
+        let (bs, is) = (bulk.secondaries()[0].stats(), incr.secondaries()[0].stats());
+        assert_eq!(bs.total(), is.total());
+        for country in [US, JAPAN] {
+            assert_eq!(bs.value_count(country), is.value_count(country));
+        }
+    }
+
+    /// Seeded tuples with 1–4 primary alternatives over 600 values (the
+    /// pointer histogram coarsens), a correlated secondary, and a payload.
+    fn synthetic(n: u64, seed: u64) -> Vec<Tuple> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|id| {
+                let k = rng.gen_range(1..=4usize);
+                let base = rng.gen_range(0..600u64);
+                let prim: Vec<(u64, f64)> = (0..k)
+                    .map(|i| ((base + 37 * i as u64) % 600, 0.9 / (1 << (i + 1)) as f64))
+                    .collect();
+                Tuple::new(
+                    TupleId(id),
+                    rng.gen_range(0.3..=1.0),
+                    vec![
+                        Field::Certain(Datum::Str(format!(
+                            "row-{id}-{}",
+                            "p".repeat(id as usize % 90)
+                        ))),
+                        Field::Discrete(DiscretePmf::new(prim)),
+                        Field::Discrete(DiscretePmf::new(vec![
+                            (base / 50, 0.7),
+                            (12 + base % 3, 0.2),
+                        ])),
+                    ],
+                )
+            })
+            .collect()
+    }
+
+    /// Every live page of every file of `st`, by file name.
+    fn file_images(st: &Store) -> Vec<(String, Vec<Vec<u8>>)> {
+        st.disk
+            .file_inventory()
+            .into_iter()
+            .map(|(fid, name, _)| {
+                let pages = st.disk.file_pages(fid).unwrap();
+                let images = pages
+                    .into_iter()
+                    .filter_map(|pid| st.disk.read_page(pid).ok())
+                    .map(|page| page.to_vec())
+                    .collect();
+                (name, images)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bulk_load_ignores_input_order() {
+        use rand::{Rng, SeedableRng};
+        let sorted = synthetic(4000, 0x0DE5);
+        let mut shuffled = sorted.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        assert_ne!(sorted, shuffled);
+        let load = |tuples: &[Tuple]| {
+            let st = store();
+            let mut u = DiscreteUpi::create(st.clone(), "u", 1, UpiConfig::default()).unwrap();
+            u.add_secondary(2).unwrap();
+            u.bulk_load(tuples).unwrap();
+            (st, u)
+        };
+        let (sa, a) = load(&sorted);
+        let (sb, b) = load(&shuffled);
+        assert!(!a.cutoff_index().is_empty() && a.heap_stats().leaf_pages > 10);
+        assert_eq!(a.stats_payload(), b.stats_payload());
+        assert_eq!(sa.disk.stats(), sb.disk.stats());
+        assert_eq!(sa.pool.counters(), sb.pool.counters());
+        assert_eq!(file_images(&sa), file_images(&sb));
+    }
+
+    #[test]
+    fn damaged_heap_records_surface_as_corruption_naming_the_leaf() {
+        let st = store();
+        let mut u = DiscreteUpi::create(st.clone(), "u", 1, UpiConfig::default()).unwrap();
+        u.bulk_load(&synthetic(300, 1)).unwrap();
+        let leaf = u.first_leaf_page().unwrap();
+        let good = st.pool.get(leaf).unwrap();
+        // The first entry sits right after the 16-byte node header:
+        // `klen u16 | vlen u16 | 20-byte key | tuple`. Its first field is
+        // the string; claim more bytes for it than the record has.
+        let (v, prob, tid) = keys::decode_entry_key(&good[20..40]);
+        let tuple_at = 40;
+        let mut bad = good.to_vec();
+        assert_eq!(bad[tuple_at + 18], 2, "field 0 is a string");
+        bad[tuple_at + 19..tuple_at + 23].copy_from_slice(&60_000u32.to_le_bytes());
+        st.pool.put(leaf, bad.into());
+
+        let is_corrupt = |r: Result<()>| match r {
+            Err(StorageError::Corrupted(what)) => {
+                assert!(
+                    what.contains(&format!("{leaf:?}")),
+                    "names the page: {what}"
+                );
+                assert!(what.contains("string needs 60000 bytes"), "{what}");
+            }
+            other => panic!("expected Corrupted, got {other:?}"),
+        };
+        is_corrupt(u.scan_tuples().map(drop));
+        is_corrupt(u.ptq(v, 0.0).map(drop));
+        is_corrupt(u.fetch_by_pointer(v, prob, tid).map(drop));
+        is_corrupt(u.ptq_range(0, 599, 0.0).map(drop));
+        // The scan steps past the damaged entry: it is reported once.
+        let mut scan = u.distinct_scan().unwrap();
+        assert_eq!(scan.by_ref().filter(|t| t.is_err()).count(), 1);
+
+        st.pool.put(leaf, good);
+        assert_eq!(u.scan_tuples().unwrap().len(), 300);
     }
 
     #[test]

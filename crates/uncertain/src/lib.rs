@@ -33,5 +33,8 @@ pub mod zipf;
 pub use gaussian::ConstrainedGaussian;
 pub use histogram::{AttrStats, ProbHistogram};
 pub use pmf::DiscretePmf;
-pub use tuple::{decode_tuple, encode_tuple, Datum, Field, FieldKind, Schema, Tuple, TupleId};
+pub use tuple::{
+    decode_tuple, encode_tuple, try_decode_tuple, Datum, Field, FieldKind, MalformedTuple, Schema,
+    Tuple, TupleId,
+};
 pub use zipf::Zipf;

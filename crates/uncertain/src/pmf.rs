@@ -19,25 +19,37 @@ impl DiscretePmf {
     /// # Panics
     /// If any probability is outside `(0, 1]`, the sum exceeds `1 + 1e-9`,
     /// a value id repeats, or no alternatives are given.
-    pub fn new(mut alts: Vec<(u64, f64)>) -> DiscretePmf {
-        assert!(!alts.is_empty(), "a PMF needs at least one alternative");
+    pub fn new(alts: Vec<(u64, f64)>) -> DiscretePmf {
+        DiscretePmf::try_new(alts).unwrap_or_else(|why| panic!("{why}"))
+    }
+
+    /// [`new`](Self::new) for pairs that come from outside the program
+    /// (stored bytes): the violated condition instead of a panic.
+    pub fn try_new(mut alts: Vec<(u64, f64)>) -> Result<DiscretePmf, String> {
+        if alts.is_empty() {
+            return Err("a PMF needs at least one alternative".into());
+        }
         let mut sum = 0.0;
         for &(_, p) in &alts {
-            assert!(p > 0.0 && p <= 1.0, "probability {p} out of (0,1]");
+            // Written so that a NaN fails the test.
+            if !(p > 0.0 && p <= 1.0) {
+                return Err(format!("probability {p} out of (0,1]"));
+            }
             sum += p;
         }
-        assert!(sum <= 1.0 + 1e-9, "probabilities sum to {sum} > 1");
-        alts.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
-        for w in alts.windows(2) {
-            assert_ne!(w[0].0, w[1].0, "duplicate value id {}", w[0].0);
+        if sum > 1.0 + 1e-9 {
+            return Err(format!("probabilities sum to {sum} > 1"));
         }
-        // A full duplicate check (sorting above is by probability).
+        // No NaN reaches the comparison: the range check above rejected it.
+        alts.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
+        // Value ids must be distinct (the sort above is by probability).
         let mut ids: Vec<u64> = alts.iter().map(|a| a.0).collect();
         ids.sort_unstable();
-        for w in ids.windows(2) {
-            assert_ne!(w[0], w[1], "duplicate value id {}", w[0]);
+        let duplicate = ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]);
+        if let Some(id) = duplicate {
+            return Err(format!("duplicate value id {id}"));
         }
-        DiscretePmf { alts }
+        Ok(DiscretePmf { alts })
     }
 
     /// Single certain value (probability 1).
@@ -147,6 +159,15 @@ mod tests {
     #[should_panic(expected = "duplicate")]
     fn rejects_duplicates() {
         DiscretePmf::new(vec![(1, 0.4), (1, 0.4)]);
+    }
+
+    #[test]
+    fn try_new_names_the_violated_condition() {
+        assert!(DiscretePmf::try_new(vec![(3, 0.5), (9, 0.5)]).is_ok());
+        let why = DiscretePmf::try_new(vec![(3, 0.2), (9, 0.5), (3, 0.1)]).unwrap_err();
+        assert_eq!(why, "duplicate value id 3");
+        assert!(DiscretePmf::try_new(vec![(1, f64::NAN)]).is_err());
+        assert!(DiscretePmf::try_new(Vec::new()).is_err());
     }
 
     #[test]

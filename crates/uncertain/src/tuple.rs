@@ -162,7 +162,14 @@ pub fn peek_header(data: &[u8]) -> Option<(TupleId, f64)> {
 
 /// Serialize a tuple to bytes (little-endian, length-prefixed strings).
 pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut out = Vec::with_capacity(t.encoded_len());
+    encode_tuple_into(t, &mut out);
+    out
+}
+
+/// [`encode_tuple`] appended to `out` — for builders that lay many
+/// tuples out back to back in one buffer.
+pub fn encode_tuple_into(t: &Tuple, out: &mut Vec<u8>) {
     out.extend_from_slice(&t.id.0.to_le_bytes());
     out.extend_from_slice(&t.exist.to_le_bytes());
     out.extend_from_slice(&(t.fields.len() as u16).to_le_bytes());
@@ -198,7 +205,78 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
             }
         }
     }
-    out
+}
+
+/// Why stored bytes are not an encoded tuple: what was being read, and
+/// where. Storage layers wrap it with the page the bytes came from.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MalformedTuple(String);
+
+impl std::fmt::Display for MalformedTuple {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "malformed tuple record: {}", self.0)
+    }
+}
+
+impl std::error::Error for MalformedTuple {}
+
+/// The record ends before the `n` bytes of `what` that start at `at`.
+/// (Takes values, not the reader: the reader then stays in registers.)
+#[cold]
+#[inline(never)]
+fn truncated(what: &str, n: usize, at: usize, len: usize) -> MalformedTuple {
+    MalformedTuple(format!(
+        "{what} needs {n} bytes at offset {at} of a {len}-byte record"
+    ))
+}
+
+/// Length-checked little-endian walk over an encoded tuple.
+struct Reader<'a> {
+    data: &'a [u8],
+    at: usize,
+}
+
+impl<'a> Reader<'a> {
+    #[inline(always)]
+    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], MalformedTuple> {
+        match self.data.get(self.at..).and_then(|rest| rest.get(..n)) {
+            Some(s) => {
+                self.at += n;
+                Ok(s)
+            }
+            None => Err(truncated(what, n, self.at, self.data.len())),
+        }
+    }
+
+    #[inline(always)]
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], MalformedTuple> {
+        Ok(self
+            .take(N, what)?
+            .try_into()
+            .expect("take returned N bytes"))
+    }
+
+    #[inline(always)]
+    fn u16(&mut self, what: &str) -> Result<usize, MalformedTuple> {
+        Ok(u16::from_le_bytes(self.array(what)?) as usize)
+    }
+
+    #[inline(always)]
+    fn u64(&mut self, what: &str) -> Result<u64, MalformedTuple> {
+        Ok(u64::from_le_bytes(self.array(what)?))
+    }
+
+    #[inline(always)]
+    fn f64(&mut self, what: &str) -> Result<f64, MalformedTuple> {
+        Ok(f64::from_le_bytes(self.array(what)?))
+    }
+
+    /// A string field's bytes (after its tag).
+    #[inline(always)]
+    fn str_bytes(&mut self) -> Result<&'a [u8], MalformedTuple> {
+        let len = u32::from_le_bytes(self.array("string length")?) as usize;
+        self.take(len, "string")
+    }
 }
 
 /// Borrowed peek into an encoded tuple: existence probability plus the
@@ -209,101 +287,108 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
 /// so hot run scans that only need to compare key fields (e.g. the
 /// distinct-scan duplicate filter) stop paying one `String` allocation
 /// per field per entry. Returns `None` when `attr` is out of bounds or
-/// not a discrete field.
+/// not a discrete field, and when the record is malformed up to there
+/// ([`try_decode_tuple`] says how).
 pub fn peek_first_alt(data: &[u8], attr: usize) -> Option<(f64, (u64, f64))> {
-    let exist = f64::from_le_bytes(data[8..16].try_into().unwrap());
-    let nfields = u16::from_le_bytes(data[16..18].try_into().unwrap()) as usize;
+    let mut r = Reader { data, at: 8 };
+    let exist = r.f64("existence").ok()?;
+    let nfields = r.u16("field count").ok()?;
     if attr >= nfields {
         return None;
     }
-    let mut at = 18usize;
     for field in 0..=attr {
-        let tag = data[at];
-        at += 1;
-        match tag {
-            0 | 1 => {
-                if field == attr {
-                    return None;
-                }
-                at += 8;
-            }
-            2 => {
-                if field == attr {
-                    return None;
-                }
-                let len = u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
-                at += 4 + len;
-            }
+        let skip = match r.take(1, "field tag").ok()?[0] {
+            0 | 1 => 8,
+            2 => r.str_bytes().ok().map(|_| 0)?,
             3 => {
-                let n = u16::from_le_bytes(data[at..at + 2].try_into().unwrap()) as usize;
-                at += 2;
-                if field == attr {
+                let n = r.u16("alternative count").ok()?;
+                if field == attr && n > 0 {
                     // Alternatives are stored in descending-probability
                     // order, so the first encoded pair is `first()`.
-                    debug_assert!(n >= 1, "a PMF needs at least one alternative");
-                    let v = u64::from_le_bytes(data[at..at + 8].try_into().unwrap());
-                    let p = f64::from_le_bytes(data[at + 8..at + 16].try_into().unwrap());
+                    let v = r.u64("alternative").ok()?;
+                    let p = r.f64("alternative").ok()?;
                     return Some((exist, (v, p)));
                 }
-                at += 16 * n;
+                16 * n
             }
-            4 => {
-                if field == attr {
-                    return None;
-                }
-                at += 32;
-            }
-            t => panic!("corrupt field tag {t}"),
-        }
+            4 => 32,
+            _ => return None,
+        };
+        r.take(skip, "field").ok()?;
     }
     None
 }
 
-/// Deserialize a tuple produced by [`encode_tuple`].
+/// Deserialize a tuple produced by [`encode_tuple`], for callers that own
+/// their bytes (they just encoded them, or a checksum vouches for them).
+///
+/// # Panics
+/// If `data` is not a well-formed record; bytes read back from a data
+/// page go through [`try_decode_tuple`].
+#[inline]
 pub fn decode_tuple(data: &[u8]) -> Tuple {
-    let mut at = 0usize;
-    let mut take = |n: usize| {
-        let s = &data[at..at + n];
-        at += n;
-        s
-    };
-    let id = TupleId(u64::from_le_bytes(take(8).try_into().unwrap()));
-    let exist = f64::from_le_bytes(take(8).try_into().unwrap());
-    let nfields = u16::from_le_bytes(take(2).try_into().unwrap()) as usize;
-    let mut fields = Vec::with_capacity(nfields);
-    for _ in 0..nfields {
-        let tag = take(1)[0];
-        let field = match tag {
-            0 => Field::Certain(Datum::U64(u64::from_le_bytes(take(8).try_into().unwrap()))),
-            1 => Field::Certain(Datum::F64(f64::from_le_bytes(take(8).try_into().unwrap()))),
+    #[cold]
+    #[inline(never)]
+    fn foreign(why: MalformedTuple) -> ! {
+        panic!("decode_tuple on bytes encode_tuple did not produce: {why}")
+    }
+    match try_decode_tuple(data) {
+        Ok(t) => t,
+        Err(why) => foreign(why),
+    }
+}
+
+/// Deserialize a stored tuple, checking every length against the record
+/// and every decoded value against its type's conditions (field tag,
+/// UTF-8, PMF probabilities, Gaussian parameters): damaged bytes come
+/// back as [`MalformedTuple`], never as a panic or a wrong tuple shape.
+pub fn try_decode_tuple(data: &[u8]) -> Result<Tuple, MalformedTuple> {
+    let mut r = Reader { data, at: 0 };
+    let id = TupleId(r.u64("tuple id")?);
+    let exist = r.f64("existence")?;
+    let nfields = r.u16("field count")?;
+    // Every field takes at least two bytes: a bound on what to reserve.
+    let mut fields = Vec::with_capacity(nfields.min(data.len() / 2));
+    for i in 0..nfields {
+        let field = match r.take(1, "field tag")?[0] {
+            0 => Field::Certain(Datum::U64(r.u64("u64 field")?)),
+            1 => Field::Certain(Datum::F64(r.f64("f64 field")?)),
             2 => {
-                let len = u32::from_le_bytes(take(4).try_into().unwrap()) as usize;
-                Field::Certain(Datum::Str(
-                    String::from_utf8(take(len).to_vec()).expect("valid utf-8"),
-                ))
+                let s = String::from_utf8(r.str_bytes()?.to_vec())
+                    .map_err(|e| MalformedTuple(format!("field {i}: {e}")))?;
+                Field::Certain(Datum::Str(s))
             }
             3 => {
-                let n = u16::from_le_bytes(take(2).try_into().unwrap()) as usize;
+                let n = r.u16("alternative count")?;
+                let pairs = r.take(16 * n, "alternatives")?;
                 let mut alts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let v = u64::from_le_bytes(take(8).try_into().unwrap());
-                    let p = f64::from_le_bytes(take(8).try_into().unwrap());
-                    alts.push((v, p));
+                for pair in pairs.chunks_exact(16) {
+                    let (v, p) = pair.split_at(8);
+                    alts.push((
+                        u64::from_le_bytes(v.try_into().expect("8 bytes")),
+                        f64::from_le_bytes(p.try_into().expect("8 bytes")),
+                    ));
                 }
-                Field::Discrete(DiscretePmf::new(alts))
+                Field::Discrete(
+                    DiscretePmf::try_new(alts)
+                        .map_err(|why| MalformedTuple(format!("field {i}: {why}")))?,
+                )
             }
             4 => {
-                let cx = f64::from_le_bytes(take(8).try_into().unwrap());
-                let cy = f64::from_le_bytes(take(8).try_into().unwrap());
-                let sigma = f64::from_le_bytes(take(8).try_into().unwrap());
-                let bound = f64::from_le_bytes(take(8).try_into().unwrap());
+                let (cx, cy) = (r.f64("point")?, r.f64("point")?);
+                let (sigma, bound) = (r.f64("point")?, r.f64("point")?);
+                if !(sigma > 0.0 && bound > 0.0) {
+                    return Err(MalformedTuple(format!(
+                        "field {i}: gaussian sigma {sigma} / bound {bound} not positive"
+                    )));
+                }
                 Field::Point(ConstrainedGaussian::new(cx, cy, sigma, bound))
             }
-            t => panic!("corrupt field tag {t}"),
+            t => return Err(MalformedTuple(format!("field {i}: unknown field tag {t}"))),
         };
         fields.push(field);
     }
-    Tuple { id, exist, fields }
+    Ok(Tuple { id, exist, fields })
 }
 
 #[cfg(test)]
@@ -376,6 +461,55 @@ mod tests {
         assert_eq!(peek_first_alt(&enc, 1), None);
         assert_eq!(peek_first_alt(&enc, 3), None);
         assert_eq!(peek_first_alt(&enc, 9), None);
+    }
+
+    #[test]
+    fn damaged_records_are_errors_not_panics() {
+        let t = Tuple::new(
+            TupleId(42),
+            0.8,
+            vec![
+                Field::Certain(Datum::U64(7)),
+                Field::Certain(Datum::Str("héllo".into())),
+                Field::Discrete(DiscretePmf::new(vec![(1, 0.5), (2, 0.25)])),
+                Field::Point(ConstrainedGaussian::new(1.0, 2.0, 3.0, 4.0)),
+            ],
+        );
+        let enc = encode_tuple(&t);
+        assert_eq!(try_decode_tuple(&enc), Ok(t));
+        // Every truncation is caught by a length check, in both walkers.
+        for cut in 0..enc.len() {
+            let err = try_decode_tuple(&enc[..cut]).expect_err("truncated");
+            assert!(err.to_string().contains("malformed tuple record"), "{err}");
+            let _ = peek_first_alt(&enc[..cut], 2);
+        }
+        assert_eq!(
+            peek_first_alt(&enc[..45], 2),
+            None,
+            "cut inside the first pair"
+        );
+        let damaged = |at: usize, with: &[u8]| {
+            let mut bad = enc.clone();
+            bad[at..at + with.len()].copy_from_slice(with);
+            try_decode_tuple(&bad).expect_err("damaged").to_string()
+        };
+        // Field 0's tag; the string's length and then its bytes; the
+        // PMF's count, a probability (NaN, then a sum above one); sigma.
+        assert!(damaged(18, &[9]).contains("unknown field tag 9"));
+        assert!(damaged(28, &u32::MAX.to_le_bytes()).contains("string needs"));
+        assert!(damaged(32, &[0xFF]).contains("utf-8"));
+        assert!(damaged(39, &u16::MAX.to_le_bytes()).contains("alternatives needs"));
+        assert!(damaged(49, &f64::NAN.to_le_bytes()).contains("out of (0,1]"));
+        assert!(damaged(65, &0.75f64.to_le_bytes()).contains("sum"));
+        assert!(damaged(90, &(-1.0f64).to_le_bytes()).contains("not positive"));
+        // A field count the record cannot hold does not reserve for it.
+        assert!(damaged(16, &u16::MAX.to_le_bytes()).contains("field tag needs"));
+    }
+
+    #[test]
+    #[should_panic(expected = "decode_tuple on bytes encode_tuple did not produce")]
+    fn decode_tuple_panics_on_foreign_bytes() {
+        decode_tuple(&[1, 2, 3]);
     }
 
     #[test]

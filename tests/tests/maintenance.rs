@@ -329,3 +329,60 @@ fn kill_during_merge_step_recovers_the_possible_worlds_state() {
         assert!(deaths > 0, "no seed died mid-step — the kill arm never bit");
     }
 }
+
+/// A heap leaf whose first tuple record claims more bytes than it has
+/// must fail the fold and the checkpoint scan with a typed error naming
+/// the page — the session can report it — and never abort the process.
+#[test]
+fn damaged_heap_leaf_fails_the_step_and_the_checkpoint_with_a_typed_error() {
+    let mut rng = StdRng::seed_from_u64(0xBAD_1EAF);
+    let st = store();
+    let layout = TableLayout::FracturedUpi(FracturedConfig {
+        upi: UpiConfig::default(),
+        buffer_ops: 0,
+    });
+    let mut db = UncertainDb::create(st.clone(), "t", schema(), 1, layout).unwrap();
+    db.add_secondary(2).unwrap();
+    let base: Vec<Tuple> = (0..300).map(|id| gen_tuple(&mut rng, id)).collect();
+    db.load(&base).unwrap();
+    db.enable_durability().unwrap();
+    db.set_maintenance_policy(eager_policy());
+    for id in 300..340 {
+        db.insert_tuple(&gen_tuple(&mut rng, id)).unwrap();
+    }
+    // One fracture: the only step there is folds it into main.
+    db.flush().unwrap();
+    for _ in 0..4 {
+        let _ = db.ptq(rng.gen_range(0..8), 0.1);
+    }
+
+    let leaf = {
+        let f = db.table().as_fractured().unwrap();
+        f.main().first_leaf_page().unwrap()
+    };
+    let good = st.pool.get(leaf).unwrap();
+    // First entry: 16-byte node header, `klen u16 | vlen u16`, the
+    // 20-byte key, then the tuple — 18-byte header, the u64 field, and
+    // the primary PMF's tag and alternative count.
+    let count_at = 16 + 4 + 20 + 18 + 9 + 1;
+    let mut bad = good.to_vec();
+    assert_eq!(bad[count_at - 1], 3, "field 1 is the discrete primary");
+    bad[count_at..count_at + 2].copy_from_slice(&60_000u16.to_le_bytes());
+    st.pool.put(leaf, bad.into());
+
+    let names_the_leaf = |what: &str, err: upi_storage::StorageError| match err {
+        upi_storage::StorageError::Corrupted(msg) => {
+            assert!(msg.contains(&format!("{leaf:?}")), "{what}: {msg}");
+            assert!(msg.contains("alternatives needs"), "{what}: {msg}");
+        }
+        other => panic!("{what}: expected Corrupted, got {other:?}"),
+    };
+    names_the_leaf("tick", db.maintenance_tick().unwrap_err());
+    names_the_leaf("checkpoint", db.checkpoint().unwrap_err());
+
+    // With the page repaired the same calls go through.
+    st.pool.put(leaf, good);
+    assert!(db.maintenance_tick().unwrap().is_some());
+    db.checkpoint().unwrap();
+    assert_eq!(db.table().live_tuples().unwrap().len(), 340);
+}
