@@ -11,12 +11,23 @@
 //! names the first stage that moved. A deliberate format change re-records
 //! them: the test prints the per-file hashes and the table it measured
 //! (libtest shows them on a failure; `-- --nocapture` shows them on a pass).
+//!
+//! A second test pins the read side the same way: the §6 estimates to the
+//! bit, and the cold device ledger plus the `(tuple id, confidence)` row
+//! list of every batch query body (see [`QUERIES`] and [`PRICING`]).
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use upi::{CompactionStep, FracturedConfig, TableLayout, UncertainTable, UpiConfig};
+use upi::cost::{
+    cutoff_query_cost_parts, estimate_query_cutoff_ms, estimate_query_fractured_ms,
+    fractured_cost_parts, model_for_upi,
+};
+use upi::{
+    CompactionStep, DeviceCoeffs, DiscreteUpi, FracturedConfig, FracturedUpi, Pii, PtqResult,
+    TableLayout, TuningAdvisor, UncertainTable, UnclusteredHeap, UpiConfig, WorkloadProfile,
+};
 use upi_storage::{wal, DiskConfig, FaultPlan, SimDisk, StorageError, Store};
 use upi_uncertain::Tuple;
 use upi_workloads::dblp::{self, author_fields as f, DblpConfig};
@@ -378,4 +389,273 @@ fn fractured_lifecycle_is_bit_identical() {
         );
     }
     assert_eq!(got.len(), EXPECTED.len());
+}
+
+/// One batch query body, run cold: its device ledger and its answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct QueryPin {
+    name: &'static str,
+    page_reads: u64,
+    seeks: u64,
+    /// `IoStats::total_ms().to_bits()`.
+    total_ms_bits: u64,
+    n_rows: usize,
+    /// Hash over the `(tuple id, confidence bits)` list, in result order.
+    rows: u64,
+}
+
+const QUERIES: &[QueryPin] = &[
+    QueryPin {
+        name: "upi ptq qt>=C",
+        page_reads: 12,
+        seeks: 3,
+        total_ms_bits: 4637726028192735019,
+        n_rows: 115,
+        rows: 7441116365099431984,
+    },
+    QueryPin {
+        name: "upi ptq qt<C",
+        page_reads: 186,
+        seeks: 32,
+        total_ms_bits: 4643481502339981282,
+        n_rows: 341,
+        rows: 11646692244343983410,
+    },
+    QueryPin {
+        name: "fractured ptq qt>=C",
+        page_reads: 18,
+        seeks: 9,
+        total_ms_bits: 4646436128316738678,
+        n_rows: 131,
+        rows: 15894560499263940204,
+    },
+    QueryPin {
+        name: "fractured ptq qt<C",
+        page_reads: 262,
+        seeks: 49,
+        total_ms_bits: 4651500270941362682,
+        n_rows: 430,
+        rows: 13701988654977328979,
+    },
+    QueryPin {
+        name: "fractured ptq_range",
+        page_reads: 163,
+        seeks: 39,
+        total_ms_bits: 4651383236716107107,
+        n_rows: 765,
+        rows: 629409799898654559,
+    },
+    QueryPin {
+        name: "fractured ptq_secondary tailored",
+        page_reads: 352,
+        seeks: 24,
+        total_ms_bits: 4651409362745185786,
+        n_rows: 1568,
+        rows: 3030339916633810010,
+    },
+    QueryPin {
+        name: "fractured ptq_secondary plain",
+        page_reads: 357,
+        seeks: 23,
+        total_ms_bits: 4651405222960378208,
+        n_rows: 1568,
+        rows: 3030339916633810010,
+    },
+    QueryPin {
+        name: "pii ptq",
+        page_reads: 143,
+        seeks: 5,
+        total_ms_bits: 4642603516983203062,
+        n_rows: 341,
+        rows: 11646692244343983410,
+    },
+    QueryPin {
+        name: "pii ptq_range",
+        page_reads: 144,
+        seeks: 4,
+        total_ms_bits: 4642603536991333774,
+        n_rows: 641,
+        rows: 13688775575216269210,
+    },
+];
+
+/// Hash over the `to_bits()` of every estimate of one kind, in grid order.
+const PRICING: &[(&str, u64)] = &[
+    ("cutoff_query_cost_parts", 12341702505225726745),
+    ("estimate_query_cutoff_ms", 5824952907843715192),
+    ("fractured_cost_parts", 3438059829387801794),
+    ("estimate_query_fractured_ms", 2143662956826246794),
+    ("evaluate_cutoffs est_query_ms", 12326835356052059105),
+    ("should_merge", 13999406128983612220),
+    ("pointer_fetch_ms", 13537034267140423896),
+];
+
+fn cold_query(
+    store: &Store,
+    name: &'static str,
+    run: impl FnOnce() -> upi_storage::error::Result<Vec<PtqResult>>,
+) -> QueryPin {
+    store.go_cold();
+    let before = store.disk.stats();
+    let rows = run().unwrap();
+    let io = store.disk.stats().since(&before);
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    for r in &rows {
+        println!("{name}: {} {:#018x}", r.tuple.id.0, r.confidence.to_bits());
+        fnv(&mut hash, &r.tuple.id.0.to_le_bytes());
+        fnv(&mut hash, &r.confidence.to_bits().to_le_bytes());
+    }
+    QueryPin {
+        name,
+        page_reads: io.page_reads,
+        seeks: io.seeks,
+        total_ms_bits: io.total_ms().to_bits(),
+        n_rows: rows.len(),
+        rows: hash,
+    }
+}
+
+fn price_pin(name: &'static str, estimates: &[f64]) -> (&'static str, u64) {
+    let mut hash = 0xCBF2_9CE4_8422_2325;
+    for e in estimates {
+        println!("{name}: {e} {:#018x}", e.to_bits());
+        fnv(&mut hash, &e.to_bits().to_le_bytes());
+    }
+    (name, hash)
+}
+
+#[test]
+fn batch_queries_and_estimates_are_bit_identical() {
+    let data = dblp::generate(&DblpConfig {
+        n_authors: 3_000,
+        n_institutions: 300,
+        n_countries: 12,
+        n_publications: 0,
+        payload_bytes: 160,
+        seed: 0x1DE7,
+        ..DblpConfig::default()
+    });
+    let store = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 4 << 20);
+    let (attr, sec_attr) = (f::INSTITUTION, f::COUNTRY);
+
+    let mut upi = DiscreteUpi::create(store.clone(), "upi", attr, UpiConfig::default()).unwrap();
+    upi.add_secondary(sec_attr).unwrap();
+    upi.bulk_load(&data.authors).unwrap();
+
+    let mut heap = UnclusteredHeap::create(store.clone(), "heap", 8192).unwrap();
+    heap.bulk_load(&data.authors).unwrap();
+    let mut pii = Pii::create(store.clone(), "pii", attr, 8192).unwrap();
+    pii.bulk_load(&data.authors).unwrap();
+
+    // Main + three fractures (each deleting from older components) + a
+    // buffered tail of inserts and deletes.
+    let cfg = FracturedConfig {
+        upi: UpiConfig::default(),
+        buffer_ops: 0,
+    };
+    let mut fr = FracturedUpi::create(store.clone(), "fupi", attr, &[sec_attr], cfg).unwrap();
+    fr.load_initial(&data.authors).unwrap();
+    let mut next_id = data.authors.len() as u64;
+    for round in 0..4u64 {
+        for t in data.more_authors(300, next_id, round) {
+            fr.insert(t).unwrap();
+        }
+        for victim in (round * 7..next_id).step_by(23) {
+            fr.delete(upi_uncertain::TupleId(victim)).unwrap();
+        }
+        next_id += 300;
+        if round < 3 {
+            fr.flush().unwrap();
+        }
+    }
+    assert_eq!(fr.n_fractures(), 3);
+
+    let hot = data.popular_institution();
+    let country = data.query_country();
+    let got = vec![
+        cold_query(&store, "upi ptq qt>=C", || upi.ptq(hot, 0.3)),
+        cold_query(&store, "upi ptq qt<C", || upi.ptq(hot, 0.02)),
+        cold_query(&store, "fractured ptq qt>=C", || fr.ptq(hot, 0.3)),
+        cold_query(&store, "fractured ptq qt<C", || fr.ptq(hot, 0.02)),
+        cold_query(&store, "fractured ptq_range", || fr.ptq_range(2, 9, 0.1)),
+        cold_query(&store, "fractured ptq_secondary tailored", || {
+            fr.ptq_secondary(0, country, 0.05, true)
+        }),
+        cold_query(&store, "fractured ptq_secondary plain", || {
+            fr.ptq_secondary(0, country, 0.05, false)
+        }),
+        cold_query(&store, "pii ptq", || pii.ptq(&heap, hot, 0.02)),
+        cold_query(&store, "pii ptq_range", || pii.ptq_range(&heap, 2, 9, 0.1)),
+    ];
+
+    let disk = store.disk.config();
+    let coeffs = DeviceCoeffs::from_disk(disk);
+    // Thresholds on both sides of C = 0.1, and C itself.
+    let grid: Vec<(u64, f64)> = [hot, data.selective_institution()]
+        .into_iter()
+        .flat_map(|v| [0.01, 0.05, 0.1, 0.3, 0.8].map(|qt| (v, qt)))
+        .collect();
+    let cutoff_parts: Vec<f64> = grid
+        .iter()
+        .flat_map(|&(v, qt)| {
+            let (fixed, dominant) = cutoff_query_cost_parts(&coeffs, &upi, v, qt);
+            [fixed, dominant]
+        })
+        .collect();
+    let cutoff_est: Vec<f64> = grid
+        .iter()
+        .map(|&(v, qt)| estimate_query_cutoff_ms(disk, &upi, v, qt))
+        .collect();
+    let fractured_parts: Vec<f64> = [0.0, 0.001, 0.05, 1.0]
+        .into_iter()
+        .flat_map(|sel| {
+            let (fixed, dominant) = fractured_cost_parts(&coeffs, &fr, sel);
+            [fixed, dominant]
+        })
+        .collect();
+    let fractured_est: Vec<f64> = grid
+        .iter()
+        .map(|&(v, qt)| estimate_query_fractured_ms(disk, &fr, v, qt))
+        .collect();
+    let mut workload = WorkloadProfile::new();
+    for &(_, qt) in &grid {
+        workload.record(qt);
+    }
+    let (choices, _) = TuningAdvisor.evaluate_cutoffs(
+        disk,
+        &upi,
+        hot,
+        &workload,
+        u64::MAX,
+        &[0.0, 0.05, 0.1, 0.3, 0.6],
+    );
+    let tuning: Vec<f64> = choices.iter().map(|c| c.est_query_ms).collect();
+    let (_, merge_est, merge_cost) = TuningAdvisor.should_merge(disk, &fr, hot, 0.3, 0.0);
+    let n_leaf = upi.heap_stats().leaf_pages as f64;
+    let model = model_for_upi(disk, &upi);
+    let sigmoid: Vec<f64> = [0.0, 1.0, 0.05 * n_leaf, 10.0 * n_leaf]
+        .into_iter()
+        .map(|x| model.pointer_fetch_ms(x))
+        .collect();
+    let priced = vec![
+        price_pin("cutoff_query_cost_parts", &cutoff_parts),
+        price_pin("estimate_query_cutoff_ms", &cutoff_est),
+        price_pin("fractured_cost_parts", &fractured_parts),
+        price_pin("estimate_query_fractured_ms", &fractured_est),
+        price_pin("evaluate_cutoffs est_query_ms", &tuning),
+        price_pin("should_merge", &[merge_est, merge_cost]),
+        price_pin("pointer_fetch_ms", &sigmoid),
+    ];
+
+    for q in &got {
+        println!("    {q:#?},");
+    }
+    for p in &priced {
+        println!("    {p:?},");
+    }
+    for (i, q) in got.iter().enumerate() {
+        assert_eq!(Some(q), QUERIES.get(i), "query {i} ({}) moved", q.name);
+    }
+    assert_eq!(got.len(), QUERIES.len());
+    assert_eq!(priced, PRICING, "an estimate moved");
 }
