@@ -5,7 +5,8 @@
 //! pointer-saturation term) match the measured Figure 3 curves for both the
 //! selective and the non-selective query.
 
-use upi::cost::{estimate_cutoff_pointers, estimate_query_cutoff_ms, model_for_upi};
+use upi::cost::{estimate_cutoff_pointers, estimate_query_cutoff_ms, sigmoid_k};
+use upi::DeviceCoeffs;
 use upi_bench::setups::{author_setup, author_setup_with};
 use upi_bench::{banner, header, measure_cold, ms, summary};
 
@@ -56,17 +57,21 @@ fn main() {
 
     // Table 6 companion: print the model parameters in force.
     let s = author_setup(0.1);
-    let model = model_for_upi(s.store.disk.config(), &s.upi);
+    let coeffs = DeviceCoeffs::from_disk(s.store.disk.config());
+    let heap = s.upi.heap_stats();
     println!("\n# Table 6 — parameters (as instantiated at this scale)");
     header(&["parameter", "value"]);
-    println!("T_seek\t{} ms", model.params.t_seek_ms);
-    println!("T_read\t{} ms/MB", model.params.t_read_ms_per_mb);
-    println!("T_write\t{} ms/MB", model.params.t_write_ms_per_mb);
-    println!("Cost_init\t{} ms", model.params.cost_init_ms);
-    println!("H\t{}", model.params.height);
-    println!("S_table\t{} bytes", model.params.table_bytes);
-    println!("N_leaf\t{}", model.params.n_leaf);
-    println!("Cost_scan\t{} ms", ms(model.params.cost_scan_ms()));
-    println!("sigmoid_k\t{:.6}", model.sigmoid_k());
+    println!("T_seek\t{} ms", coeffs.t_seek_ms);
+    println!("T_read\t{} ms/MB", coeffs.t_read_ms_per_mb);
+    println!("T_write\t{} ms/MB", coeffs.t_write_ms_per_mb);
+    println!("Cost_init\t{} ms", coeffs.cost_init_ms);
+    println!("H\t{}", heap.height);
+    println!("S_table\t{} bytes", heap.bytes);
+    println!("N_leaf\t{}", heap.leaf_pages);
+    println!(
+        "Cost_scan\t{} ms",
+        ms(coeffs.read_cost_ms(heap.bytes as f64))
+    );
+    println!("sigmoid_k\t{:.6}", sigmoid_k(heap.leaf_pages as u64));
     let _ = estimate_cutoff_pointers(&s.upi, s.data.popular_institution(), 0.05);
 }

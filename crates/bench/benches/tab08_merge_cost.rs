@@ -5,7 +5,8 @@
 //! to the cost of sequentially reading + writing the whole database
 //! (`Cost_merge = S_table (T_read + T_write)`, §6.2).
 
-use upi::cost::{model_for_fractured, CostModel};
+use upi::maintenance::merge_slice_cost_ms;
+use upi::DeviceCoeffs;
 use upi_bench::setups::fractured_author_setup;
 use upi_bench::{banner, header, measure_cold, ms, summary};
 
@@ -30,8 +31,8 @@ fn main() {
             s.fractured.flush().unwrap();
         }
         let db_bytes = s.fractured.total_bytes();
-        let model: CostModel = model_for_fractured(s.store.disk.config(), &s.fractured);
-        let model_ms = model.merge_cost_ms(db_bytes);
+        let coeffs = DeviceCoeffs::from_disk(s.store.disk.config());
+        let model_ms = merge_slice_cost_ms(&coeffs, db_bytes);
         let m = measure_cold(&s.store, || {
             s.fractured.merge().unwrap();
             s.store.pool.flush_all();

@@ -1,6 +1,6 @@
 //! Cost models (§6).
 //!
-//! Two models, verbatim from the paper:
+//! Two formulas, verbatim from the paper:
 //!
 //! * **Fractured UPI** (§6.2):
 //!   `Cost_frac = Cost_scan · Selectivity + N_frac (Cost_init + H·T_descend)`
@@ -19,9 +19,14 @@
 //!   pattern degenerates into a full scan. `k` is fixed by the paper's
 //!   heuristic `f(0.05 · N_leaf) = 0.99 · Cost_scan`.
 //!
+//! Every formula is a free function over [`DeviceCoeffs`] plus a live
+//! index: [`cutoff_query_cost_parts`] and [`fractured_cost_parts`] are the
+//! two models split into the `(fixed, dominant)` halves the calibrating
+//! planner (`upi_query`'s `CostModel`, the only type of that name) prices
+//! through, and `Cost_merge` is
+//! [`merge_slice_cost_ms`](crate::maintenance::merge_slice_cost_ms).
 //! Selectivity and pointer counts come from the §6.1 probability
-//! histograms ([`upi_uncertain::AttrStats`]); the bridge functions at the
-//! bottom assemble everything from a live index.
+//! histograms ([`upi_uncertain::AttrStats`]).
 
 use upi_storage::DiskConfig;
 
@@ -104,158 +109,30 @@ impl DeviceCoeffs {
     }
 }
 
-/// Inputs of the cost formulas (Table 6).
-#[derive(Debug, Clone, Copy)]
-pub struct CostParams {
-    /// Random seek cost, ms (`T_seek`).
-    pub t_seek_ms: f64,
-    /// Per-level tree descent cost, ms (see
-    /// [`DeviceCoeffs::t_descend_ms`]).
-    pub t_descend_ms: f64,
-    /// Sequential read rate, ms/MiB (`T_read`).
-    pub t_read_ms_per_mb: f64,
-    /// Sequential write rate, ms/MiB (`T_write`).
-    pub t_write_ms_per_mb: f64,
-    /// File open cost, ms (`Cost_init`).
-    pub cost_init_ms: f64,
-    /// B+Tree height (`H`).
-    pub height: usize,
-    /// Heap-file size in bytes (`S_table`).
-    pub table_bytes: u64,
-    /// Heap leaf pages (`N_leaf`).
-    pub n_leaf: u64,
+/// The saturation constant `k` of the pointer-fetch sigmoid, from the
+/// paper's heuristic `f(0.05 · N_leaf) = 0.99 · Cost_scan`.
+///
+/// Solving `(1 − e^{−kx})/(1 + e^{−kx}) = 0.99` gives
+/// `e^{−kx} = 0.01/1.99`, i.e. `k = ln(199) / x` at `x = 0.05·N_leaf`.
+pub fn sigmoid_k(n_leaf: u64) -> f64 {
+    (199.0f64).ln() / (0.05 * n_leaf.max(1) as f64)
 }
 
-impl CostParams {
-    /// Assemble from the disk configuration plus heap-tree statistics.
-    pub fn new(disk: &DiskConfig, height: usize, table_bytes: u64, n_leaf: u64) -> CostParams {
-        CostParams::with_coeffs(&DeviceCoeffs::from_disk(disk), height, table_bytes, n_leaf)
+/// `f(x)` (§6.3): the cost of dereferencing `n_pointers` cutoff pointers
+/// into a heap of `table_bytes` over `n_leaf` leaf pages, saturating at a
+/// full scan (`Cost_scan = T_read · S_table`).
+pub fn pointer_fetch_ms(
+    coeffs: &DeviceCoeffs,
+    table_bytes: u64,
+    n_leaf: u64,
+    n_pointers: f64,
+) -> f64 {
+    if n_pointers <= 0.0 {
+        return 0.0;
     }
-
-    /// Assemble from explicit device coefficients — the
-    /// coefficient-parameterized entry point the calibrating planner uses
-    /// (the formulas below never read a [`DiskConfig`] directly).
-    pub fn with_coeffs(
-        coeffs: &DeviceCoeffs,
-        height: usize,
-        table_bytes: u64,
-        n_leaf: u64,
-    ) -> CostParams {
-        CostParams {
-            t_seek_ms: coeffs.t_seek_ms,
-            t_descend_ms: coeffs.t_descend_ms,
-            t_read_ms_per_mb: coeffs.t_read_ms_per_mb,
-            t_write_ms_per_mb: coeffs.t_write_ms_per_mb,
-            cost_init_ms: coeffs.cost_init_ms,
-            height,
-            table_bytes,
-            n_leaf: n_leaf.max(1),
-        }
-    }
-
-    /// `Cost_scan = T_read · S_table` (Table 6).
-    pub fn cost_scan_ms(&self) -> f64 {
-        self.table_bytes as f64 * self.t_read_ms_per_mb / (1024.0 * 1024.0)
-    }
-}
-
-/// The §6 cost models over a fixed set of parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct CostModel {
-    /// Model parameters.
-    pub params: CostParams,
-}
-
-impl CostModel {
-    /// Build from parameters.
-    pub fn new(params: CostParams) -> CostModel {
-        CostModel { params }
-    }
-
-    /// The saturation constant `k`, from the paper's heuristic
-    /// `f(0.05 · N_leaf) = 0.99 · Cost_scan`.
-    ///
-    /// Solving `(1 − e^{−kx})/(1 + e^{−kx}) = 0.99` gives
-    /// `e^{−kx} = 0.01/1.99`, i.e. `k = ln(199) / x` at `x = 0.05·N_leaf`.
-    pub fn sigmoid_k(&self) -> f64 {
-        (199.0f64).ln() / (0.05 * self.params.n_leaf as f64)
-    }
-
-    /// `f(x)`: the cost of dereferencing `x` cutoff pointers, saturating at
-    /// a full scan.
-    pub fn pointer_fetch_ms(&self, n_pointers: f64) -> f64 {
-        if n_pointers <= 0.0 {
-            return 0.0;
-        }
-        let k = self.sigmoid_k();
-        let e = (-k * n_pointers).exp();
-        self.params.cost_scan_ms() * (1.0 - e) / (1.0 + e)
-    }
-
-    /// `Cost_frac` (§6.2). `n_components` counts every independently opened
-    /// index (the paper's `N_frac`; we pass fractures + 1 so the main UPI's
-    /// open is included, which the measured runtime also pays).
-    pub fn cost_fractured_ms(&self, selectivity: f64, n_components: usize) -> f64 {
-        self.params.cost_scan_ms() * selectivity + n_components as f64 * self.open_descend_ms()
-    }
-
-    /// `Cost_cut` (§6.3): heap scan + two file opens (heap + cutoff index)
-    /// + saturating pointer dereferences.
-    pub fn cost_cutoff_ms(&self, selectivity: f64, n_pointers: f64) -> f64 {
-        self.params.cost_scan_ms() * selectivity
-            + 2.0 * self.open_descend_ms()
-            + self.pointer_fetch_ms(n_pointers)
-    }
-
-    /// `Cost_merge = S_table (T_read + T_write)` (§6.2), for `db_bytes` of
-    /// data.
-    pub fn merge_cost_ms(&self, db_bytes: u64) -> f64 {
-        db_bytes as f64 * (self.params.t_read_ms_per_mb + self.params.t_write_ms_per_mb)
-            / (1024.0 * 1024.0)
-    }
-
-    /// `Cost_init + H · T_descend`: the per-component fixed term both §6
-    /// formulas share.
-    fn open_descend_ms(&self) -> f64 {
-        self.params.cost_init_ms + self.params.height as f64 * self.params.t_descend_ms
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Bridges from live structures
-// ---------------------------------------------------------------------------
-
-/// Cost model for a standalone (non-fractured) UPI, using its heap size.
-pub fn model_for_upi(disk: &DiskConfig, upi: &DiscreteUpi) -> CostModel {
-    model_for_upi_coeffs(&DeviceCoeffs::from_disk(disk), upi)
-}
-
-/// [`model_for_upi`] over explicit device coefficients (the calibrating
-/// planner's entry point).
-pub fn model_for_upi_coeffs(coeffs: &DeviceCoeffs, upi: &DiscreteUpi) -> CostModel {
-    let heap = upi.heap_stats();
-    CostModel::new(CostParams::with_coeffs(
-        coeffs,
-        heap.height,
-        heap.bytes,
-        heap.leaf_pages as u64,
-    ))
-}
-
-/// Cost model for a fractured UPI, sized over all components' heaps.
-pub fn model_for_fractured(disk: &DiskConfig, f: &FracturedUpi) -> CostModel {
-    model_for_fractured_coeffs(&DeviceCoeffs::from_disk(disk), f)
-}
-
-/// [`model_for_fractured`] over explicit device coefficients.
-pub fn model_for_fractured_coeffs(coeffs: &DeviceCoeffs, f: &FracturedUpi) -> CostModel {
-    let heap = f.main().heap_stats();
-    CostModel::new(CostParams::with_coeffs(
-        coeffs,
-        heap.height,
-        f.total_bytes(),
-        heap.leaf_pages as u64,
-    ))
+    let k = sigmoid_k(n_leaf);
+    let e = (-k * n_pointers).exp();
+    coeffs.read_cost_ms(table_bytes as f64) * (1.0 - e) / (1.0 + e)
 }
 
 /// Estimated number of cutoff pointers a PTQ `(value, qt)` reads — the
@@ -322,18 +199,18 @@ pub fn cutoff_query_cost_parts(
     value: u64,
     qt: f64,
 ) -> (f64, f64) {
-    let model = model_for_upi_coeffs(coeffs, upi);
-    let sel = estimate_heap_selectivity(upi, value, qt);
-    let opens = coeffs.open_descend_ms(upi.heap_stats().height);
+    let heap = upi.heap_stats();
+    let scan = coeffs.read_cost_ms(heap.bytes as f64) * estimate_heap_selectivity(upi, value, qt);
+    let opens = coeffs.open_descend_ms(heap.height);
     if qt >= upi.config().cutoff {
         // Heap-only path: one file open + descent + sequential run.
-        (opens, model.params.cost_scan_ms() * sel)
+        (opens, scan)
     } else {
         // `Cost_cut`: two opens (heap + cutoff index) + scan + f(x).
+        let pointers = estimate_cutoff_pointers(upi, value, qt);
         (
             2.0 * opens,
-            model.params.cost_scan_ms() * sel
-                + model.pointer_fetch_ms(estimate_cutoff_pointers(upi, value, qt)),
+            scan + pointer_fetch_ms(coeffs, heap.bytes, heap.leaf_pages as u64, pointers),
         )
     }
 }
@@ -356,11 +233,10 @@ pub fn fractured_cost_parts(
     f: &FracturedUpi,
     selectivity: f64,
 ) -> (f64, f64) {
-    let model = model_for_fractured_coeffs(coeffs, f);
     let components = (f.n_fractures() + 1) as f64;
     (
         components * coeffs.open_descend_ms(f.main().heap_stats().height),
-        model.params.cost_scan_ms() * selectivity,
+        coeffs.read_cost_ms(f.total_bytes() as f64) * selectivity,
     )
 }
 
@@ -373,13 +249,7 @@ pub fn estimate_query_fractured_ms(
     value: u64,
     qt: f64,
 ) -> f64 {
-    let main = f.main();
-    let heap_entries = main.heap_stats().entries.max(1) as f64;
-    let sel = (main
-        .attr_stats()
-        .est_heap_count_ge(value, qt, main.config().cutoff)
-        / heap_entries)
-        .min(1.0);
+    let sel = estimate_heap_selectivity(f.main(), value, qt);
     let (fixed, dominant) = fractured_cost_parts(&DeviceCoeffs::from_disk(disk), f, sel);
     fixed + dominant
 }
@@ -387,57 +257,87 @@ pub fn estimate_query_fractured_ms(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fractured::FracturedConfig;
+    use crate::maintenance::merge_slice_cost_ms;
+    use crate::upi::UpiConfig;
+    use std::sync::Arc;
+    use upi_storage::{SimDisk, Store};
+    use upi_uncertain::{Datum, DiscretePmf, Field, Tuple, TupleId};
 
-    fn params() -> CostParams {
-        // Table 6's running configuration, scaled to a 100 MiB table.
-        CostParams {
+    /// Table 6's running configuration.
+    fn coeffs() -> DeviceCoeffs {
+        DeviceCoeffs {
             t_seek_ms: 10.0,
+            seek_floor_ms: 4.0,
             t_descend_ms: 4.0,
             t_read_ms_per_mb: 20.0,
             t_write_ms_per_mb: 50.0,
             cost_init_ms: 100.0,
-            height: 4,
-            table_bytes: 100 << 20,
-            n_leaf: (100 << 20) / 8192,
+            stroke_bytes: (1u64 << 30) as f64,
         }
+    }
+
+    /// A 100 MiB table of 8 KiB leaves.
+    const TABLE_BYTES: u64 = 100 << 20;
+    const N_LEAF: u64 = TABLE_BYTES / 8192;
+
+    fn fetch(x: f64) -> f64 {
+        pointer_fetch_ms(&coeffs(), TABLE_BYTES, N_LEAF, x)
+    }
+
+    /// 500 authors in the main UPI plus `fractures` flushed batches of 50;
+    /// every author has one alternative at 0.665 (value `id % 10`) and one
+    /// below `C` (value `id % 10 + 50`).
+    fn fractured(fractures: u64) -> FracturedUpi {
+        let authors = |ids: std::ops::Range<u64>| -> Vec<Tuple> {
+            ids.map(|i| {
+                let pmf = DiscretePmf::new(vec![(i % 10, 0.7), (i % 10 + 50, 0.05)]);
+                let name = Field::Certain(Datum::Str(format!("a{i}")));
+                Tuple::new(TupleId(i), 0.95, vec![name, Field::Discrete(pmf)])
+            })
+            .collect()
+        };
+        let store = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 4 << 20);
+        let cfg = FracturedConfig {
+            upi: UpiConfig::default(),
+            buffer_ops: 0,
+        };
+        let mut f = FracturedUpi::create(store, "f", 1, &[], cfg).unwrap();
+        f.load_initial(&authors(0..500)).unwrap();
+        for round in 1..=fractures {
+            for t in authors(round * 500..round * 500 + 50) {
+                f.insert(t).unwrap();
+            }
+            f.flush().unwrap();
+        }
+        f
     }
 
     #[test]
     fn cost_scan_matches_table6_definition() {
-        let p = params();
-        assert!(
-            (p.cost_scan_ms() - 2000.0).abs() < 1e-9,
-            "100MiB * 20ms/MiB"
-        );
+        let scan = coeffs().read_cost_ms(TABLE_BYTES as f64);
+        assert!((scan - 2000.0).abs() < 1e-9, "100MiB * 20ms/MiB");
     }
 
     #[test]
     fn sigmoid_k_satisfies_heuristic() {
-        let m = CostModel::new(params());
-        let x = 0.05 * m.params.n_leaf as f64;
-        let f = m.pointer_fetch_ms(x);
-        assert!(
-            (f - 0.99 * m.params.cost_scan_ms()).abs() < 1e-6,
-            "f(0.05*Nleaf) = {f}, want {}",
-            0.99 * m.params.cost_scan_ms()
-        );
+        let f = fetch(0.05 * N_LEAF as f64);
+        assert!((f - 0.99 * 2000.0).abs() < 1e-6, "f(0.05*Nleaf) = {f}");
     }
 
     #[test]
     fn pointer_fetch_saturates_at_cost_scan() {
-        let m = CostModel::new(params());
-        assert_eq!(m.pointer_fetch_ms(0.0), 0.0);
-        let huge = m.pointer_fetch_ms(1e12);
-        assert!(huge <= m.params.cost_scan_ms() + 1e-9);
-        assert!(huge > 0.999 * m.params.cost_scan_ms());
+        assert_eq!(fetch(0.0), 0.0);
+        let huge = fetch(1e12);
+        assert!(huge <= 2000.0 + 1e-9);
+        assert!(huge > 0.999 * 2000.0);
     }
 
     #[test]
     fn pointer_fetch_is_monotone_nondecreasing() {
-        let m = CostModel::new(params());
         let mut prev = 0.0;
         for x in (0..10_000).step_by(100) {
-            let f = m.pointer_fetch_ms(x as f64);
+            let f = fetch(x as f64);
             assert!(f + 1e-12 >= prev);
             prev = f;
         }
@@ -447,27 +347,39 @@ mod tests {
     fn pointer_fetch_is_initially_steep_then_flat() {
         // Near zero, each pointer costs roughly k/2 * Cost_scan (expensive
         // seeks); near saturation, marginal cost approaches zero.
-        let m = CostModel::new(params());
-        let early = m.pointer_fetch_ms(200.0) - m.pointer_fetch_ms(100.0);
-        let late = m.pointer_fetch_ms(5000.0) - m.pointer_fetch_ms(4900.0);
+        let early = fetch(200.0) - fetch(100.0);
+        let late = fetch(5000.0) - fetch(4900.0);
         assert!(early > late * 2.0, "early {early} vs late {late}");
     }
 
     #[test]
     fn fractured_cost_is_linear_in_components() {
-        let m = CostModel::new(params());
-        let c1 = m.cost_fractured_ms(0.01, 1);
-        let c5 = m.cost_fractured_ms(0.01, 5);
-        let per = m.params.cost_init_ms + m.params.height as f64 * m.params.t_descend_ms;
-        assert!(((c5 - c1) - 4.0 * per).abs() < 1e-9);
+        let c = coeffs();
+        let (one, five) = (fractured(0), fractured(4));
+        let (fixed1, _) = fractured_cost_parts(&c, &one, 0.01);
+        let (fixed5, dominant) = fractured_cost_parts(&c, &five, 0.01);
+        let per = c.open_descend_ms(five.main().heap_stats().height);
+        assert!(((fixed5 - fixed1) - 4.0 * per).abs() < 1e-9);
+        let scan = c.read_cost_ms(five.total_bytes() as f64);
+        assert!((dominant - scan * 0.01).abs() < 1e-9);
     }
 
     #[test]
     fn cutoff_cost_includes_two_opens() {
-        let m = CostModel::new(params());
-        let base = m.cost_cutoff_ms(0.0, 0.0);
-        let per = m.params.cost_init_ms + m.params.height as f64 * m.params.t_descend_ms;
-        assert!((base - 2.0 * per).abs() < 1e-9);
+        let (c, f) = (coeffs(), fractured(0));
+        let upi = f.main();
+        let per = c.open_descend_ms(upi.heap_stats().height);
+        // Value 999 matches nothing: the scan and pointer terms vanish.
+        assert_eq!(
+            cutoff_query_cost_parts(&c, upi, 999, 0.01),
+            (2.0 * per, 0.0)
+        );
+        assert_eq!(cutoff_query_cost_parts(&c, upi, 999, 0.5), (per, 0.0));
+        // Value 53 only occurs as a below-C second alternative: under C
+        // the dominant half is its pointer dereferences.
+        let (_, below) = cutoff_query_cost_parts(&c, upi, 53, 0.01);
+        let (_, above) = cutoff_query_cost_parts(&c, upi, 53, 0.1);
+        assert!(below > above, "{below} vs {above}");
     }
 
     #[test]
@@ -481,15 +393,11 @@ mod tests {
         let walk = coeffs.open_descend_ms(h);
         let paper = coeffs.cost_init_ms + h as f64 * coeffs.t_seek_ms;
         assert!(walk < paper, "{walk} must undercut {paper}");
-        let m = CostModel::new(params());
-        let per = m.params.cost_init_ms + m.params.height as f64 * m.params.t_descend_ms;
-        assert!((m.cost_fractured_ms(0.0, 1) - per).abs() < 1e-9);
     }
 
     #[test]
     fn merge_cost_matches_formula() {
-        let m = CostModel::new(params());
-        // 1 GiB: 1024 * (20 + 50) ms.
-        assert!((m.merge_cost_ms(1 << 30) - 1024.0 * 70.0).abs() < 1e-6);
+        // `Cost_merge = S_table (T_read + T_write)`; 1 GiB: 1024 * (20 + 50) ms.
+        assert!((merge_slice_cost_ms(&coeffs(), 1 << 30) - 1024.0 * 70.0).abs() < 1e-6);
     }
 }

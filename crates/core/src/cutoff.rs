@@ -81,19 +81,6 @@ impl CutoffIndex {
     /// All pointers for `value` with probability `≥ qt`, in descending
     /// probability order (the cutoff half of Algorithm 2).
     pub fn scan(&self, value: u64, qt: f64) -> Result<Vec<CutoffPointer>> {
-        self.scan_limit(value, qt, None)
-    }
-
-    /// Like [`scan`](Self::scan) but stopping after `limit` pointers —
-    /// top-k queries terminate the scan early (§3.1: "a top-k query can
-    /// terminate scanning the index when the top-k results are
-    /// identified").
-    pub fn scan_limit(
-        &self,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> Result<Vec<CutoffPointer>> {
         let mut out = Vec::new();
         let mut cur = self.tree.seek(&keys::value_prefix(value))?;
         while cur.valid() {
@@ -108,9 +95,6 @@ impl CutoffIndex {
                 first_value,
                 first_prob,
             });
-            if limit.is_some_and(|k| out.len() >= k) {
-                break;
-            }
             cur.advance()?;
         }
         Ok(out)
@@ -129,13 +113,6 @@ impl CutoffIndex {
             value,
             qt,
         })
-    }
-
-    /// All pointers with value in `[lo, hi]` (any probability), as
-    /// `(value, pointer)` pairs in key order — the cutoff half of a range
-    /// PTQ.
-    pub fn scan_range(&self, lo: u64, hi: u64) -> Result<Vec<(u64, CutoffPointer)>> {
-        self.scan_range_run(lo, hi)?.collect()
     }
 
     /// Streaming cursor over the pointers with value in `[lo, hi]`, in

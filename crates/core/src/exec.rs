@@ -1,14 +1,9 @@
-//! Query results and executor helpers (aggregates, top-k).
-//!
-//! These are the original ad-hoc helpers of the repository; the cost-based
-//! planner and streaming operator tree live in the `upi-query` crate, which
-//! re-exports these names for compatibility. New code should prefer
-//! `upi_query::PtqQuery`.
+//! Query results and the helpers every access path shares: the result
+//! row, the canonical result order, cursor counters and `GROUP BY` counts.
+//! The cost-based planner and streaming operator tree live in the
+//! `upi-query` crate.
 
-use upi_storage::error::Result;
 use upi_uncertain::{Datum, Field, Tuple};
-
-use crate::upi::DiscreteUpi;
 
 /// One row of a probabilistic threshold query answer: the tuple plus the
 /// confidence that it satisfies the predicate (`existence × P(value)`,
@@ -147,37 +142,6 @@ pub fn group_count(
     let mut out: Vec<(u64, u64)> = counts.into_iter().collect();
     out.sort_unstable();
     Ok(out)
-}
-
-/// Top-k query through the UPI, used as the paper's §9 future-work
-/// *Tuple Access Layer*: because the UPI heap is ordered by
-/// `{value, probability DESC}`, the k most confident tuples for a value are
-/// the first `k` heap entries. When the heap run is exhausted — or its
-/// k-th entry falls below the cutoff threshold `C` — candidates from the
-/// cutoff index (also probability-ordered, so at most `k` of them matter)
-/// are merged in.
-pub fn top_k(upi: &DiscreteUpi, value: u64, k: usize) -> Result<Vec<PtqResult>> {
-    let mut results = upi.scan_value_limit(value, 0.0, Some(k))?;
-    let kth = results.last().map(|r| r.confidence).unwrap_or(0.0);
-    if results.len() < k || kth < upi.config().cutoff {
-        for cp in upi.cutoff_index().scan_limit(value, 0.0, Some(k))? {
-            let tuple = upi
-                .fetch_by_pointer(cp.first_value, cp.first_prob, cp.tid)?
-                .expect("cutoff pointer must dereference");
-            results.push(PtqResult {
-                tuple,
-                confidence: cp.prob,
-            });
-        }
-        results.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        results.truncate(k);
-    }
-    Ok(results)
 }
 
 #[cfg(test)]

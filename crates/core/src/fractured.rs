@@ -258,79 +258,77 @@ impl FracturedUpi {
         self.buf_deletes.contains(&tid) || self.buf_inserts.contains_key(&tid)
     }
 
-    /// PTQ across main + fractures + insert buffer (Figure 1's SELECT
-    /// path), minus deleted tuples.
-    pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
+    /// Insert-buffer rows a query matches, in canonical result order —
+    /// buffered tuples are matched in RAM by every query path. `conf` is a
+    /// tuple's confidence under the query's predicate.
+    fn buffered_matches(&self, qt: f64, conf: impl Fn(&Tuple) -> f64) -> Vec<PtqResult> {
+        let mut rows: Vec<PtqResult> = self
+            .buf_inserts
+            .values()
+            .filter_map(|t| {
+                let confidence = conf(t);
+                (confidence >= qt && confidence > 0.0).then(|| PtqResult {
+                    tuple: t.clone(),
+                    confidence,
+                })
+            })
+            .collect();
+        sort_results(&mut rows);
+        rows
+    }
+
+    /// Confidence of `t` for `attr BETWEEN lo AND hi` (alternatives sum).
+    fn range_confidence(&self, t: &Tuple, lo: u64, hi: u64) -> f64 {
+        t.discrete(self.attr)
+            .alternatives()
+            .iter()
+            .filter(|&&(v, _)| (lo..=hi).contains(&v))
+            .map(|&(_, p)| p * t.exist)
+            .sum()
+    }
+
+    /// Figure 1's SELECT path, shared by the batch bodies below: run
+    /// `body` on the main UPI, then on each fracture oldest first — one
+    /// component after the other — drop what a newer component
+    /// suppresses, add the insert buffer's matches (`conf` as for
+    /// [`buffered_matches`](Self::buffered_matches)), sort canonically.
+    fn gather(
+        &self,
+        qt: f64,
+        conf: impl Fn(&Tuple) -> f64,
+        body: impl Fn(&DiscreteUpi) -> Result<Vec<PtqResult>>,
+    ) -> Result<Vec<PtqResult>> {
         let mut out = Vec::new();
-        for r in self.main.ptq(value, qt)? {
-            if !self.suppressed(r.tuple.id.0, 0) {
-                out.push(r);
-            }
-        }
-        for (i, f) in self.fractures.iter().enumerate() {
-            for r in f.upi.ptq(value, qt)? {
-                if !self.suppressed(r.tuple.id.0, i + 1) {
+        for (level, upi) in self.components().enumerate() {
+            for r in body(upi)? {
+                if !self.suppressed(r.tuple.id.0, level) {
                     out.push(r);
                 }
             }
         }
-        for t in self.buf_inserts.values() {
-            let conf = t.confidence_eq(self.attr, value);
-            if conf >= qt && conf > 0.0 {
-                out.push(PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                });
-            }
-        }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        out.extend(self.buffered_matches(qt, conf));
+        sort_results(&mut out);
         Ok(out)
+    }
+
+    /// PTQ across main + fractures + insert buffer (Figure 1's SELECT
+    /// path), minus deleted tuples.
+    ///
+    /// This batch body exists beside [`ptq_run`](Self::ptq_run) because it
+    /// visits the components serially, as Figure 1 draws it, where the
+    /// cursor interleaves them: the figure benches measure this access
+    /// pattern and the cursor tests use it as their reference.
+    pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
+        let conf = |t: &Tuple| t.confidence_eq(self.attr, value);
+        self.gather(qt, conf, |upi| upi.ptq(value, qt))
     }
 
     /// Range PTQ across every component (a tuple's alternatives all live
     /// in the component holding the tuple, so per-component confidences
     /// are complete and the union rule is the same as for point PTQs).
     pub fn ptq_range(&self, lo: u64, hi: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::new();
-        for r in self.main.ptq_range(lo, hi, qt)? {
-            if !self.suppressed(r.tuple.id.0, 0) {
-                out.push(r);
-            }
-        }
-        for (i, f) in self.fractures.iter().enumerate() {
-            for r in f.upi.ptq_range(lo, hi, qt)? {
-                if !self.suppressed(r.tuple.id.0, i + 1) {
-                    out.push(r);
-                }
-            }
-        }
-        for t in self.buf_inserts.values() {
-            let conf: f64 = t
-                .discrete(self.attr)
-                .alternatives()
-                .iter()
-                .filter(|&&(v, _)| (lo..=hi).contains(&v))
-                .map(|&(_, p)| p * t.exist)
-                .sum();
-            if conf >= qt && conf > 0.0 {
-                out.push(PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                });
-            }
-        }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        Ok(out)
+        let conf = |t: &Tuple| self.range_confidence(t, lo, hi);
+        self.gather(qt, conf, |upi| upi.ptq_range(lo, hi, qt))
     }
 
     /// Secondary-index PTQ across every component. `sec_idx` indexes
@@ -342,36 +340,11 @@ impl FracturedUpi {
         qt: f64,
         tailored: bool,
     ) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::new();
-        for r in self.main.ptq_secondary(sec_idx, value, qt, tailored)? {
-            if !self.suppressed(r.tuple.id.0, 0) {
-                out.push(r);
-            }
-        }
-        for (i, f) in self.fractures.iter().enumerate() {
-            for r in f.upi.ptq_secondary(sec_idx, value, qt, tailored)? {
-                if !self.suppressed(r.tuple.id.0, i + 1) {
-                    out.push(r);
-                }
-            }
-        }
         let sec_attr = self.sec_attrs[sec_idx];
-        for t in self.buf_inserts.values() {
-            let conf = t.confidence_eq(sec_attr, value);
-            if conf >= qt && conf > 0.0 {
-                out.push(PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                });
-            }
-        }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        Ok(out)
+        let conf = |t: &Tuple| t.confidence_eq(sec_attr, value);
+        self.gather(qt, conf, |upi| {
+            upi.ptq_secondary(sec_idx, value, qt, tailored)
+        })
     }
 
     /// Fracture-parallel streaming point PTQ: a k-way merge cursor over
@@ -407,18 +380,7 @@ impl FracturedUpi {
             streams.push(fr.upi.point_run(value, qt, None)?);
         }
         let heads = streams.iter().map(|_| None).collect();
-        let mut buffered: Vec<PtqResult> = self
-            .buf_inserts
-            .values()
-            .filter_map(|t| {
-                let conf = t.confidence_eq(self.attr, value);
-                (conf >= qt && conf > 0.0).then(|| PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                })
-            })
-            .collect();
-        sort_results(&mut buffered);
+        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(self.attr, value));
         let mut seen_topk = Vec::new();
         if let Some(k) = limit {
             // Buffered rows are all part of the merged output: they seed
@@ -452,24 +414,7 @@ impl FracturedUpi {
         for fr in &self.fractures {
             streams.push(fr.upi.range_run(lo, hi, qt)?);
         }
-        let mut buffered: Vec<PtqResult> = self
-            .buf_inserts
-            .values()
-            .filter_map(|t| {
-                let conf: f64 = t
-                    .discrete(self.attr)
-                    .alternatives()
-                    .iter()
-                    .filter(|&&(v, _)| (lo..=hi).contains(&v))
-                    .map(|&(_, p)| p * t.exist)
-                    .sum();
-                (conf >= qt && conf > 0.0).then(|| PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                })
-            })
-            .collect();
-        sort_results(&mut buffered);
+        let buffered = self.buffered_matches(qt, |t| self.range_confidence(t, lo, hi));
         let suppressed = vec![0; streams.len()];
         let rr = RoundRobin::new(streams.len());
         Ok(FracturedRangeRun {
@@ -502,18 +447,7 @@ impl FracturedUpi {
             streams.push(upi.secondary_run_where(sec_idx, value, qt, tailored, limit, &keep)?);
         }
         let sec_attr = self.sec_attrs[sec_idx];
-        let mut buffered: Vec<PtqResult> = self
-            .buf_inserts
-            .values()
-            .filter_map(|t| {
-                let conf = t.confidence_eq(sec_attr, value);
-                (conf >= qt && conf > 0.0).then(|| PtqResult {
-                    tuple: t.clone(),
-                    confidence: conf,
-                })
-            })
-            .collect();
-        sort_results(&mut buffered);
+        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(sec_attr, value));
         let rr = RoundRobin::new(streams.len());
         Ok(FracturedSecondaryRun {
             streams,
@@ -708,6 +642,12 @@ impl FracturedUpi {
     /// The main UPI (for stats and cost-model inputs).
     pub fn main(&self) -> &DiscreteUpi {
         &self.main
+    }
+
+    /// The main UPI, mutably, so a test can damage a component in place.
+    #[cfg(test)]
+    pub(crate) fn main_mut(&mut self) -> &mut DiscreteUpi {
+        &mut self.main
     }
 
     /// Serialize the main component's statistics (the ones the cost

@@ -30,8 +30,9 @@
 //!   with 4 KB nodes whose leaves map to 64 KB heap pages clustered in
 //!   hierarchical (depth-first) node order, plus the **secondary U-Tree**
 //!   baseline.
-//! * [`cost`] — the §6 cost models: fracture overhead and cutoff-pointer
-//!   cost with *saturation* modelled by a generalized logistic function.
+//! * [`cost`] — the §6 cost formulas, as free functions over
+//!   [`DeviceCoeffs`]: fracture overhead and cutoff-pointer cost with
+//!   *saturation* modelled by a generalized logistic function.
 //! * [`Pii`] — the Probabilistic Inverted Index baseline (Singh et al.,
 //!   ICDE'07) over an [`UnclusteredHeap`], the comparison system of the
 //!   paper's evaluation.
@@ -60,10 +61,10 @@ pub mod tuning;
 pub mod upi;
 
 pub use continuous::{ContinuousConfig, ContinuousSecondary, ContinuousUpi, SecondaryUTree};
-pub use cost::{CostModel, CostParams, DeviceCoeffs};
+pub use cost::DeviceCoeffs;
 pub use cutoff::{CutoffIndex, CutoffRangeRun};
 pub use durability::{CheckpointImage, RecoveryInfo, WalRecord};
-pub use exec::{group_count, sort_results, top_k, CursorStats, ExecError, PtqResult};
+pub use exec::{group_count, sort_results, CursorStats, ExecError, PtqResult};
 pub use fractured::{
     FracturedConfig, FracturedPointRun, FracturedRangeRun, FracturedSecondaryRun, FracturedUpi,
     TopKWatermark,
@@ -74,7 +75,7 @@ pub use maintenance::{
 };
 pub use pii::{Pii, PiiRun};
 pub use secondary::{PointerHistogram, SecBuild, SecEntry, SecScanRun, SecondaryIndex};
-pub use shard::{ShardLayout, ShardStats, ShardedTable};
+pub use shard::{ShardLayout, ShardStats};
 pub use table::{TableLayout, UncertainTable};
 pub use tuning::{CutoffChoice, TuningAdvisor, WorkloadProfile};
 pub use upi::{DiscreteUpi, DistinctScan, HeapRun, PointRun, RangeRun, SecondaryRun, UpiConfig};

@@ -16,7 +16,7 @@ use upi_storage::error::Result;
 use upi_storage::Store;
 use upi_uncertain::{AttrStats, Tuple, TupleId};
 
-use crate::exec::PtqResult;
+use crate::exec::{sort_results, PtqResult};
 use crate::heap::UnclusteredHeap;
 use crate::keys;
 
@@ -113,7 +113,7 @@ impl Pii {
             }
         }
         // Present results in descending confidence like the UPI does.
-        out.sort_by(|a, b| b.confidence.partial_cmp(&a.confidence).unwrap());
+        sort_results(&mut out);
         Ok(out)
     }
 
@@ -150,33 +150,7 @@ impl Pii {
                 out.push(PtqResult { tuple, confidence });
             }
         }
-        out.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
-        Ok(out)
-    }
-
-    /// Top-k most confident tuples for `value`: scan the inverted list in
-    /// probability order, fetching as we go (§9's alternative TAL).
-    pub fn top_k(&self, heap: &UnclusteredHeap, value: u64, k: usize) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::with_capacity(k);
-        let mut cur = self.tree.seek(&keys::value_prefix(value))?;
-        while cur.valid() && out.len() < k {
-            let (v, prob, tid) = keys::decode_entry_key(cur.key());
-            if v != value {
-                break;
-            }
-            if let Some(tuple) = heap.get(TupleId(tid))? {
-                out.push(PtqResult {
-                    tuple,
-                    confidence: prob,
-                });
-            }
-            cur.advance()?;
-        }
+        sort_results(&mut out);
         Ok(out)
     }
 
@@ -310,16 +284,5 @@ mod tests {
         pii.delete(&newt).unwrap();
         heap.delete(newt.id).unwrap();
         assert_eq!(pii.ptq(&heap, MIT, 0.4).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn top_k_returns_most_confident_first() {
-        let (heap, pii) = setup();
-        let top = pii.top_k(&heap, BROWN, 1).unwrap();
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].tuple.id, TupleId(1)); // Alice 72% > Carol 48%
-        let top2 = pii.top_k(&heap, BROWN, 5).unwrap();
-        assert_eq!(top2.len(), 2);
-        assert!(top2[0].confidence >= top2[1].confidence);
     }
 }

@@ -1,26 +1,19 @@
 //! Horizontal partitioning: one logical table over N independent stores.
 //!
-//! A [`ShardedTable`] splits one logical [`UncertainTable`] across N
-//! shards, each a full table over its **own** [`Store`] — its own
-//! simulated disk, buffer pool, WAL, statistics, and (one level up, in
-//! `upi_query`) its own calibrated cost model. The split is by **tuple
-//! id**, never by attribute value: a tuple's alternatives must stay
-//! together (possible-world semantics are per tuple), and id routing
-//! keeps every layout — unclustered, UPI, fractured — valid per shard
-//! with zero cross-shard coordination on DML.
-//!
-//! Queries do not run through this type either (see [`crate::table`]
-//! for the rationale): `upi_query`'s sharded session plans per shard
-//! and scatter-gathers, sharing one global top-k watermark
-//! ([`crate::fractured::TopKWatermark`]) so cold shards stop their
-//! source I/O early.
+//! `upi_query::ShardedDb` splits one logical
+//! [`UncertainTable`](crate::table::UncertainTable) across N shards, each
+//! a full table over its **own** store — its own simulated disk, buffer
+//! pool, WAL, statistics and calibrated cost model. This module holds the
+//! two pieces of that design that are pure functions of the data: how
+//! tuple ids map to shards ([`ShardLayout`]) and the per-shard
+//! max-confidence bounds a scatter prunes by ([`ShardStats`]). The split
+//! is by **tuple id**, never by attribute value: a tuple's alternatives
+//! must stay together (possible-world semantics are per tuple), and id
+//! routing keeps every layout — unclustered, UPI, fractured — valid per
+//! shard with zero cross-shard coordination on DML.
 
 use upi_storage::codec::{dequantize_prob, quantize_prob};
-use upi_storage::error::Result;
-use upi_storage::{Lsn, Store};
-use upi_uncertain::{Field, Schema, Tuple, TupleId};
-
-use crate::table::{TableLayout, UncertainTable};
+use upi_uncertain::{Field, Tuple};
 
 /// How tuple ids map to shards. Both variants are pure functions of the
 /// id, so routing is deterministic across sessions and recovery.
@@ -146,260 +139,10 @@ impl ShardStats {
     }
 }
 
-/// One logical uncertain table partitioned across N shard tables (see
-/// the module docs). Construction-and-maintenance facade: DML routes by
-/// tuple id, structural operations fan out to every shard.
-pub struct ShardedTable {
-    shards: Vec<UncertainTable>,
-    layout: ShardLayout,
-    next_id: u64,
-    stats: Vec<ShardStats>,
-}
-
-impl ShardedTable {
-    /// Create `layout.n_shards()` empty shard tables named `{name}.s{i}`,
-    /// one per store (`stores.len()` must match), every shard with the
-    /// same schema and physical [`TableLayout`].
-    pub fn create(
-        stores: Vec<Store>,
-        name: &str,
-        schema: Schema,
-        primary_attr: usize,
-        table_layout: TableLayout,
-        layout: ShardLayout,
-    ) -> Result<ShardedTable> {
-        assert_eq!(
-            stores.len(),
-            layout.n_shards(),
-            "one store per shard: {} stores for {} shards",
-            stores.len(),
-            layout.n_shards()
-        );
-        assert!(layout.n_shards() > 0, "a sharded table needs >= 1 shard");
-        let shards = stores
-            .into_iter()
-            .enumerate()
-            .map(|(i, store)| {
-                UncertainTable::create(
-                    store,
-                    &format!("{name}.s{i}"),
-                    schema.clone(),
-                    primary_attr,
-                    table_layout.clone(),
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let stats = vec![ShardStats::new(); layout.n_shards()];
-        Ok(ShardedTable {
-            shards,
-            layout,
-            next_id: 0,
-            stats,
-        })
-    }
-
-    /// The routing layout.
-    pub fn layout(&self) -> &ShardLayout {
-        &self.layout
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard tables, in shard order.
-    pub fn shards(&self) -> &[UncertainTable] {
-        &self.shards
-    }
-
-    /// One shard, mutable (per-shard maintenance).
-    pub fn shard_mut(&mut self, i: usize) -> &mut UncertainTable {
-        &mut self.shards[i]
-    }
-
-    fn primary_attr(&self) -> usize {
-        self.shards[0].primary_attr()
-    }
-
-    /// Per-shard pruning statistics, in shard order.
-    pub fn stats(&self) -> &[ShardStats] {
-        &self.stats
-    }
-
-    /// Release the shard tables (the query layer adopts each into its
-    /// own session), plus the routing layout, the id horizon, and the
-    /// per-shard pruning statistics.
-    pub fn into_parts(self) -> (Vec<UncertainTable>, ShardLayout, u64, Vec<ShardStats>) {
-        (self.shards, self.layout, self.next_id, self.stats)
-    }
-
-    /// Attach a secondary index on `attr` to every shard. The returned
-    /// position is identical across shards (each shard table assigns
-    /// positions densely in call order).
-    pub fn add_secondary(&mut self, attr: usize) -> Result<usize> {
-        let mut pos = 0;
-        for s in &mut self.shards {
-            pos = s.add_secondary(attr)?;
-        }
-        Ok(pos)
-    }
-
-    /// Bulk-load tuples: partition by routed shard, one bulk load per
-    /// shard (ids must be ascending, as for [`UncertainTable::load`]).
-    pub fn load(&mut self, tuples: &[Tuple]) -> Result<()> {
-        let attr = self.primary_attr();
-        let mut per_shard: Vec<Vec<Tuple>> = vec![Vec::new(); self.shards.len()];
-        for t in tuples {
-            self.next_id = self.next_id.max(t.id.0 + 1);
-            let shard = self.layout.route(t.id.0);
-            self.stats[shard].note_tuple(attr, t);
-            per_shard[shard].push(t.clone());
-        }
-        for (s, batch) in self.shards.iter_mut().zip(&per_shard) {
-            if !batch.is_empty() {
-                s.load(batch)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Insert a row, assigning the next **global** tuple id (the sharded
-    /// table owns the id sequence; per-shard counters would collide).
-    pub fn insert(&mut self, exist: f64, fields: Vec<Field>) -> Result<TupleId> {
-        let id = TupleId(self.next_id);
-        let t = Tuple::new(id, exist, fields);
-        self.insert_tuple(&t)?;
-        Ok(id)
-    }
-
-    /// Insert a fully-formed tuple (caller manages ids), routed to its
-    /// shard.
-    pub fn insert_tuple(&mut self, t: &Tuple) -> Result<()> {
-        self.next_id = self.next_id.max(t.id.0 + 1);
-        let attr = self.primary_attr();
-        let shard = self.layout.route(t.id.0);
-        self.stats[shard].note_tuple(attr, t);
-        self.shards[shard].insert_tuple(t)
-    }
-
-    /// Delete a tuple from its shard.
-    pub fn delete(&mut self, t: &Tuple) -> Result<()> {
-        self.shards[self.layout.route(t.id.0)].delete(t)
-    }
-
-    /// Replace `old` with `new` as one logical operation. Updates keep
-    /// the tuple id, so old and new land on the same shard (asserted:
-    /// a cross-shard move would need a distributed transaction this
-    /// layer deliberately does not have).
-    pub fn update(&mut self, old: &Tuple, new: &Tuple) -> Result<()> {
-        assert_eq!(
-            self.layout.route(old.id.0),
-            self.layout.route(new.id.0),
-            "an update must stay on its shard (same tuple id)"
-        );
-        self.next_id = self.next_id.max(new.id.0 + 1);
-        let attr = self.primary_attr();
-        let shard = self.layout.route(old.id.0);
-        // Bounds are raise-only: the replaced row's alternatives stay in
-        // the sketch as slack, never as unsoundness.
-        self.stats[shard].note_tuple(attr, new);
-        self.shards[shard].update(old, new)
-    }
-
-    /// Flush buffered changes on every shard (fractured layout only).
-    pub fn flush(&mut self) -> Result<()> {
-        for s in &mut self.shards {
-            s.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Merge fractures on every shard (fractured layout only), then
-    /// re-derive the pruning statistics: a merge visits every live tuple
-    /// anyway, so it is the natural point to shed the slack that
-    /// raise-only DML maintenance accumulates from deletes and
-    /// down-updates.
-    pub fn merge(&mut self) -> Result<()> {
-        for s in &mut self.shards {
-            s.merge()?;
-        }
-        self.rebuild_stats()
-    }
-
-    /// Rebuild every shard's pruning statistics from its live tuples —
-    /// the only *tightening* operation (DML keeps bounds sound by only
-    /// raising them, so a shard whose hot rows were deleted stays
-    /// unprunable until rebuilt).
-    pub fn rebuild_stats(&mut self) -> Result<()> {
-        let attr = self.primary_attr();
-        let mut stats = vec![ShardStats::new(); self.shards.len()];
-        for (st, s) in stats.iter_mut().zip(&self.shards) {
-            for t in s.live_tuples()? {
-                st.note_tuple(attr, &t);
-            }
-        }
-        self.stats = stats;
-        Ok(())
-    }
-
-    /// Attach a WAL to every shard (each logs to its own store) and
-    /// write each shard's initial checkpoint. Returns the per-shard
-    /// sealing LSNs — the shards' logs are independent sequences.
-    pub fn enable_durability(&mut self, extra: &[u8]) -> Result<Vec<Lsn>> {
-        self.shards
-            .iter_mut()
-            .map(|s| s.enable_durability(extra))
-            .collect()
-    }
-
-    /// Checkpoint every shard.
-    pub fn checkpoint(&mut self, extra: &[u8]) -> Result<Vec<Lsn>> {
-        self.shards
-            .iter_mut()
-            .map(|s| s.checkpoint(extra))
-            .collect()
-    }
-
-    /// Force every shard's WAL group-commit buffer durable.
-    pub fn sync_wal(&mut self) -> Result<Vec<Lsn>> {
-        self.shards.iter_mut().map(|s| s.sync_wal()).collect()
-    }
-
-    /// The live possible-worlds tuple set across all shards, in tuple-id
-    /// order (each shard holds a disjoint id subset).
-    pub fn live_tuples(&self) -> Result<Vec<Tuple>> {
-        let mut all = Vec::new();
-        for s in &self.shards {
-            all.extend(s.live_tuples()?);
-        }
-        all.sort_by_key(|t| t.id.0);
-        Ok(all)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fractured::FracturedConfig;
-    use crate::upi::UpiConfig;
-    use std::sync::Arc;
-    use upi_storage::{DiskConfig, SimDisk};
-    use upi_uncertain::{Datum, DiscretePmf, FieldKind};
-
-    fn stores(n: usize) -> Vec<Store> {
-        (0..n)
-            .map(|_| Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 8 << 20))
-            .collect()
-    }
-
-    fn schema() -> Schema {
-        Schema::new(vec![
-            ("name", FieldKind::Str),
-            ("institution", FieldKind::Discrete),
-            ("country", FieldKind::Discrete),
-        ])
-    }
+    use upi_uncertain::{Datum, DiscretePmf, TupleId};
 
     fn row(inst: u64, p: f64, country: u64) -> Vec<Field> {
         vec![
@@ -446,54 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn dml_routes_by_id_and_shards_partition_the_table() {
-        for table_layout in [
-            TableLayout::Upi(UpiConfig::default()),
-            TableLayout::FracturedUpi(FracturedConfig {
-                upi: UpiConfig::default(),
-                buffer_ops: 0,
-            }),
-            TableLayout::Unclustered,
-        ] {
-            let mut t = ShardedTable::create(
-                stores(3),
-                "s",
-                schema(),
-                1,
-                table_layout,
-                ShardLayout::HashTid(3),
-            )
-            .unwrap();
-            t.add_secondary(2).unwrap();
-            let preload: Vec<Tuple> = (0..40u64)
-                .map(|i| Tuple::new(TupleId(i), 0.9, row(i % 5, 0.7, i % 3)))
-                .collect();
-            t.load(&preload).unwrap();
-            for i in 0..20u64 {
-                let id = t.insert(0.9, row(i % 5, 0.7, i % 3)).unwrap();
-                assert_eq!(id.0, 40 + i, "global id sequence continues past load");
-            }
-            let victim = Tuple::new(TupleId(7), 0.9, row(7 % 5, 0.7, 7 % 3));
-            t.delete(&victim).unwrap();
-            t.flush().unwrap();
-            t.merge().unwrap();
-
-            let live = t.live_tuples().unwrap();
-            assert_eq!(live.len(), 59, "60 inserted - 1 deleted");
-            // Each live tuple sits on exactly the shard the layout names.
-            let mut shard_counts = vec![0usize; 3];
-            for (i, s) in t.shards().iter().enumerate() {
-                for tuple in s.live_tuples().unwrap() {
-                    assert_eq!(t.layout().route(tuple.id.0), i, "misrouted {:?}", tuple.id);
-                    shard_counts[i] += 1;
-                }
-            }
-            assert_eq!(shard_counts.iter().sum::<usize>(), 59);
-            assert!(shard_counts.iter().all(|&n| n > 0), "{shard_counts:?}");
-        }
-    }
-
-    #[test]
     fn shard_stats_bound_rows_and_round_up_to_the_quantization_grid() {
         let mut st = ShardStats::new();
         assert_eq!(st.bound(7), 0.0);
@@ -516,103 +211,5 @@ mod tests {
         s2.note_tuple(0, &t);
         assert_eq!(s2.bound(12345), 1.0);
         assert_eq!(s2.max_conf(), 1.0);
-    }
-
-    #[test]
-    fn sharded_table_maintains_per_shard_stats() {
-        let mut t = ShardedTable::create(
-            stores(2),
-            "st",
-            schema(),
-            1,
-            TableLayout::Upi(UpiConfig::default()),
-            ShardLayout::RangeTid(vec![10]),
-        )
-        .unwrap();
-        t.load(&[Tuple::new(TupleId(1), 1.0, row(3, 0.8, 0))])
-            .unwrap();
-        t.insert_tuple(&Tuple::new(TupleId(20), 1.0, row(4, 0.9, 0)))
-            .unwrap();
-        // Shard 0 saw only value 3; shard 1 only value 4.
-        assert!(t.stats()[0].bound(3) >= 0.8);
-        assert!(t.stats()[0].bound(4) < 0.5);
-        assert!(t.stats()[1].bound(4) >= 0.9);
-        assert!(t.stats()[1].bound(3) < 0.5);
-        let (_, _, next_id, stats) = t.into_parts();
-        assert_eq!(next_id, 21);
-        assert_eq!(stats.len(), 2);
-    }
-
-    #[test]
-    fn merge_tightens_stats_so_a_cooled_shard_prunes_again() {
-        let mut t = ShardedTable::create(
-            stores(2),
-            "cool",
-            schema(),
-            1,
-            TableLayout::FracturedUpi(FracturedConfig {
-                upi: UpiConfig::default(),
-                buffer_ops: 0,
-            }),
-            ShardLayout::RangeTid(vec![100]),
-        )
-        .unwrap();
-        // Shard 1 holds the only hot rows for value 7; shard 0 only cold.
-        t.load(&[Tuple::new(TupleId(1), 1.0, row(7, 0.2, 0))])
-            .unwrap();
-        let hot = Tuple::new(TupleId(200), 1.0, row(7, 0.95, 0));
-        t.insert_tuple(&hot).unwrap();
-        assert!(t.stats()[1].bound(7) >= 0.95);
-
-        // Delete the hot row: the raise-only sketch keeps the stale bound
-        // (sound but slack), so the shard still looks hot.
-        t.delete(&hot).unwrap();
-        assert!(
-            t.stats()[1].bound(7) >= 0.95,
-            "DML maintenance is raise-only"
-        );
-
-        // The merge visits every live tuple and rebuilds the sketch: the
-        // cooled-down shard's bound drops below any qt > 0.2 cutoff, so
-        // scatter-gather can prune it again.
-        t.merge().unwrap();
-        assert!(
-            t.stats()[1].bound(7) < 0.5,
-            "bound stayed {} after merge",
-            t.stats()[1].bound(7)
-        );
-        // The shard with a live hot row keeps its bound.
-        assert!(t.stats()[0].bound(7) >= 0.2);
-    }
-
-    #[test]
-    fn per_shard_durability_recovers_the_partition() {
-        let sts = stores(2);
-        let mut t = ShardedTable::create(
-            sts.clone(),
-            "d",
-            schema(),
-            1,
-            TableLayout::Upi(UpiConfig::default()),
-            ShardLayout::HashTid(2),
-        )
-        .unwrap();
-        t.enable_durability(b"cal").unwrap();
-        for i in 0..30u64 {
-            t.insert(0.9, row(i % 5, 0.7, i % 3)).unwrap();
-        }
-        t.sync_wal().unwrap();
-        let expect = t.live_tuples().unwrap();
-
-        let mut recovered = Vec::new();
-        for (i, st) in sts.into_iter().enumerate() {
-            let (shard, _) = UncertainTable::recover(st, &format!("d.s{i}")).unwrap();
-            recovered.extend(shard.live_tuples().unwrap());
-        }
-        recovered.sort_by_key(|t| t.id.0);
-        assert_eq!(recovered.len(), expect.len());
-        for (a, b) in recovered.iter().zip(&expect) {
-            assert_eq!(a.id, b.id);
-        }
     }
 }

@@ -19,7 +19,6 @@ use upi_storage::error::{Result, StorageError};
 use upi_storage::{wal, Lsn, Store, Wal, WalCounters};
 use upi_uncertain::{Field, FieldKind, Schema, Tuple, TupleId};
 
-use crate::cost::DeviceCoeffs;
 use crate::durability::{
     find_checkpoint, read_wal_generations, CheckpointImage, RecoveryInfo, TableWal, WalRecord,
 };
@@ -345,30 +344,14 @@ impl UncertainTable {
         Ok(())
     }
 
-    /// One incremental maintenance step (fractured layout only; returns
-    /// 0 otherwise): select the best compaction affordable within
-    /// `budget_ms` of device time and execute it. The step is logged as
-    /// a `MergeStep` WAL record *after* the read-only selection and
-    /// *before* execution, so a crash mid-step replays an equivalent
-    /// (clamped) compaction on the rebuilt layout — compaction never
-    /// changes the possible-worlds state, so any replayed shape is
-    /// correct. Returns the number of components eliminated.
-    pub fn merge_step(&mut self, budget_ms: f64) -> Result<usize> {
-        let Inner::Fractured(f) = &self.inner else {
-            return Ok(0);
-        };
-        let coeffs = DeviceCoeffs::from_disk(self.store.disk.config());
-        let Some(plan) = f.plan_compaction(&coeffs, budget_ms) else {
-            return Ok(0);
-        };
-        self.apply_merge_step(plan.step)
-    }
-
-    /// Execute exactly `step` (fractured layout only; returns 0
-    /// otherwise), with the same WAL protocol as
-    /// [`merge_step`](Self::merge_step). This is how a scheduling
-    /// policy commits the candidate it priced, rather than re-selecting
-    /// under a budget and hoping the choice is stable.
+    /// Execute one incremental maintenance step (fractured layout only;
+    /// returns 0 otherwise) — how a scheduling policy commits the
+    /// candidate it priced. The step is logged as a `MergeStep` WAL
+    /// record *before* execution, so a crash mid-step replays an
+    /// equivalent (clamped) compaction on the rebuilt layout —
+    /// compaction never changes the possible-worlds state, so any
+    /// replayed shape is correct. Returns the number of components
+    /// eliminated.
     pub fn apply_merge_step(&mut self, step: CompactionStep) -> Result<usize> {
         let Inner::Fractured(f) = &mut self.inner else {
             return Ok(0);

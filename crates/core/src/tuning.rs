@@ -14,7 +14,7 @@
 
 use upi_storage::DiskConfig;
 
-use crate::cost::{model_for_fractured, model_for_upi};
+use crate::cost::{pointer_fetch_ms, DeviceCoeffs};
 use crate::fractured::FracturedUpi;
 use crate::upi::DiscreteUpi;
 
@@ -98,6 +98,7 @@ impl TuningAdvisor {
         candidates: &[f64],
     ) -> (Vec<CutoffChoice>, usize) {
         assert!(!candidates.is_empty());
+        let coeffs = DeviceCoeffs::from_disk(disk);
         let stats = upi.attr_stats();
         let heap = upi.heap_stats();
         let avg_tuple_bytes = if heap.entries > 0 {
@@ -117,12 +118,16 @@ impl TuningAdvisor {
             let est_cut_bytes = (total_alts - copies).max(0.0) * 40.0;
             let est_bytes = (est_heap_bytes + est_cut_bytes) as u64;
 
-            // Expected query time: reuse the per-query §6.3 estimator with
-            // the candidate cutoff substituted via the pointer histogram.
+            // Expected query time: the §6.3 per-query estimate of
+            // `cost::cutoff_query_cost_parts` with the candidate cutoff
+            // substituted via the pointer histogram. The terms are added
+            // in the paper's order (scan, opens, pointers) — float
+            // addition does not re-associate, and `build_identity.rs` pins
+            // these estimates to the bit.
             let est_query_ms = if workload.is_empty() {
                 0.0
             } else {
-                let model = model_for_upi(disk, upi);
+                let cost_scan = coeffs.read_cost_ms(heap.bytes as f64);
                 workload
                     .thresholds()
                     .iter()
@@ -130,12 +135,19 @@ impl TuningAdvisor {
                         let heap_sel =
                             stats.est_heap_count_ge(hot_key, qt, c) / heap.entries.max(1) as f64;
                         if qt >= c {
-                            model.params.cost_scan_ms() * heap_sel
-                                + model.params.cost_init_ms
-                                + model.params.height as f64 * model.params.t_descend_ms
+                            cost_scan * heap_sel
+                                + coeffs.cost_init_ms
+                                + heap.height as f64 * coeffs.t_descend_ms
                         } else {
                             let pointers = stats.est_cutoff_pointers(hot_key, qt, c);
-                            model.cost_cutoff_ms(heap_sel, pointers)
+                            cost_scan * heap_sel
+                                + 2.0 * coeffs.open_descend_ms(heap.height)
+                                + pointer_fetch_ms(
+                                    &coeffs,
+                                    heap.bytes,
+                                    heap.leaf_pages as u64,
+                                    pointers,
+                                )
                         }
                     })
                     .sum::<f64>()
@@ -176,8 +188,10 @@ impl TuningAdvisor {
         slo_ms: f64,
     ) -> (bool, f64, f64) {
         let est = crate::cost::estimate_query_fractured_ms(disk, fractured, hot_key, qt);
-        let model = model_for_fractured(disk, fractured);
-        let merge_cost = model.merge_cost_ms(fractured.total_bytes());
+        let merge_cost = crate::maintenance::merge_slice_cost_ms(
+            &DeviceCoeffs::from_disk(disk),
+            fractured.total_bytes(),
+        );
         (est > slo_ms, est, merge_cost)
     }
 }

@@ -265,25 +265,6 @@ impl DiscreteUpi {
         Ok(())
     }
 
-    /// Scan heap entries of `value` with confidence `≥ qt`, optionally
-    /// stopping after `limit` results (the top-k path). One index seek, then
-    /// sequential.
-    pub(crate) fn scan_value_limit(
-        &self,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> Result<Vec<PtqResult>> {
-        let mut out = Vec::new();
-        for r in self.heap_run(value, qt)? {
-            out.push(r?);
-            if limit.is_some_and(|k| out.len() >= k) {
-                break;
-            }
-        }
-        Ok(out)
-    }
-
     /// Streaming cursor over the heap run of `value` with confidence
     /// `≥ qt`: one index seek, then sequential leaf-chain reads, yielding
     /// results in descending-confidence order without materializing the
@@ -480,8 +461,15 @@ impl DiscreteUpi {
     /// Reads the heap run for `value` (sequential); when `qt < C` it
     /// additionally scans the cutoff index and dereferences each pointer,
     /// visiting targets in heap order.
+    ///
+    /// This batch body exists beside [`point_run`](Self::point_run) because
+    /// it is Algorithm 2 as the paper states it: the cursor dereferences
+    /// in confidence order, this sorts the pointers into heap order first
+    /// (which is what makes §6.3's sigmoid saturate at `Cost_scan`), so the
+    /// figure benches measure it and the cursor tests use it as their
+    /// reference.
     pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut results = self.scan_value_limit(value, qt, None)?;
+        let mut results: Vec<PtqResult> = self.heap_run(value, qt)?.collect::<Result<_>>()?;
         if qt < self.cfg.cutoff {
             let mut pointers = self.cutoff.scan(value, qt)?;
             // Visit heap targets in physical (key) order.
@@ -495,19 +483,14 @@ impl DiscreteUpi {
             for cp in pointers {
                 let tuple = self
                     .fetch_by_pointer(cp.first_value, cp.first_prob, cp.tid)?
-                    .expect("cutoff pointer must dereference");
+                    .ok_or_else(|| dangling_pointer(value, &cp))?;
                 results.push(PtqResult {
                     tuple,
                     confidence: cp.prob,
                 });
             }
         }
-        results.sort_by(|a, b| {
-            b.confidence
-                .partial_cmp(&a.confidence)
-                .unwrap()
-                .then_with(|| a.tuple.id.cmp(&b.tuple.id))
-        });
+        crate::exec::sort_results(&mut results);
         Ok(results)
     }
 
@@ -673,6 +656,15 @@ impl DiscreteUpi {
 /// A heap leaf held bytes that are not an encoded tuple.
 fn corrupt_heap(page: upi_storage::PageId, why: MalformedTuple) -> StorageError {
     StorageError::Corrupted(format!("upi heap page {page:?}: {why}"))
+}
+
+/// A cutoff entry of `value` whose heap copy is gone: the cutoff index and
+/// the heap disagree.
+fn dangling_pointer(value: u64, cp: &CutoffPointer) -> StorageError {
+    StorageError::Corrupted(format!(
+        "upi cutoff entry of value {value}, tuple {}: no heap copy under ({}, {})",
+        cp.tid, cp.first_value, cp.first_prob
+    ))
 }
 
 /// Decode the heap entry under `cur`; damaged bytes are a
@@ -997,7 +989,7 @@ impl PointRun<'_> {
                     confidence: cp.prob,
                 }))
             }
-            Ok(None) => panic!("cutoff pointer must dereference"),
+            Ok(None) => Some(Err(dangling_pointer(self.value, &cp))),
             Err(e) => Some(Err(e)),
         }
     }
@@ -1403,6 +1395,32 @@ mod tests {
         assert_eq!(sa.disk.stats(), sb.disk.stats());
         assert_eq!(sa.pool.counters(), sb.pool.counters());
         assert_eq!(file_images(&sa), file_images(&sb));
+    }
+
+    #[test]
+    fn a_dangling_cutoff_pointer_is_corruption_not_a_panic() {
+        use crate::fractured::{FracturedConfig, FracturedUpi};
+        let cfg = FracturedConfig {
+            upi: UpiConfig::default(),
+            buffer_ops: 0,
+        };
+        let mut f = FracturedUpi::create(store(), "f", 1, &[], cfg).unwrap();
+        f.load_initial(&table4()).unwrap();
+        // Bob's UCB alternative (5%) sits in the cutoff index, pointing at
+        // his MIT heap copy: delete that copy from under it.
+        let cp = f.main().cutoff_index().scan(UCB, 0.0).unwrap()[0];
+        let copy = keys::entry_key(cp.first_value, cp.first_prob, cp.tid);
+        assert!(f.main_mut().heap.delete(&copy).unwrap());
+
+        let is_corrupt = |r: Result<Vec<PtqResult>>| match r {
+            Err(StorageError::Corrupted(what)) => {
+                assert!(what.contains(&format!("value {UCB}, tuple 2")), "{what}");
+            }
+            other => panic!("expected Corrupted, got {other:?}"),
+        };
+        is_corrupt(f.main().ptq(UCB, 0.0));
+        is_corrupt(f.main().point_run(UCB, 0.0, None).unwrap().collect());
+        is_corrupt(f.ptq_run(UCB, 0.0, None).unwrap().collect());
     }
 
     #[test]

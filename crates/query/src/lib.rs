@@ -111,4 +111,4 @@ pub use session::{MaintenanceReport, MaintenanceSummary, UncertainDb};
 pub use sharded::ShardedDb;
 
 // Re-exported for compatibility with pre-planner code paths.
-pub use upi::exec::{group_count, top_k, PtqResult};
+pub use upi::exec::{group_count, PtqResult};

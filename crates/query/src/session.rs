@@ -248,16 +248,6 @@ impl UncertainDb {
         &self.table
     }
 
-    /// Mutable access for maintenance beyond the passthroughs below.
-    pub fn table_mut(&mut self) -> &mut UncertainTable {
-        &mut self.table
-    }
-
-    /// Release the table from the session.
-    pub fn into_table(self) -> UncertainTable {
-        self.table
-    }
-
     // --- DML / maintenance passthrough ------------------------------------
 
     /// Attach a secondary index (before loading data); returns the `idx`
@@ -317,7 +307,7 @@ impl UncertainDb {
     /// One cost-driven maintenance tick: observe the session's query
     /// rate, ask the [`MaintenancePolicy`] whether an incremental
     /// compaction step pays for itself within the horizon, and commit at
-    /// most one [`UncertainTable::merge_step`]. Returns `None` when the
+    /// most one [`UncertainTable::apply_merge_step`]. Returns `None` when the
     /// layout is not fractured or no step is profitable right now.
     ///
     /// Every policy input comes from session state: component sizes from

@@ -303,21 +303,6 @@ impl ShardedDb {
         })
     }
 
-    /// Adopt the shards of a core [`upi::ShardedTable`] into a sharded
-    /// session (each shard gets its own fresh calibration and metrics;
-    /// the table's pruning statistics carry over).
-    pub fn from_sharded_table(table: upi::ShardedTable) -> ShardedDb {
-        let (shards, layout, next_id, stats) = table.into_parts();
-        ShardedDb {
-            shards: shards.into_iter().map(UncertainDb::from_table).collect(),
-            layout,
-            next_id,
-            stats,
-            prune: AtomicBool::new(true),
-            skipped: AtomicU64::new(0),
-        }
-    }
-
     /// Assemble a facade over existing shard sessions — the shards may
     /// have **heterogeneous physical layouts** (one clustered, one
     /// fractured, one unclustered …); the fast path falls back per shard
@@ -366,11 +351,6 @@ impl ShardedDb {
     /// The shard sessions (per-shard metrics, cost models, tables).
     pub fn shards(&self) -> &[UncertainDb] {
         &self.shards
-    }
-
-    /// One shard session, mutably (per-shard maintenance).
-    pub fn shard_mut(&mut self, i: usize) -> &mut UncertainDb {
-        &mut self.shards[i]
     }
 
     /// Per-shard pruning statistics, in shard order.
@@ -1170,8 +1150,13 @@ mod tests {
             ShardLayout::RangeTid(vec![50]),
         )
         .unwrap();
-        for i in 0..80u64 {
-            sharded.insert(0.9, row(i % 5, 0.6, i % 2)).unwrap();
+        let preload: Vec<Tuple> = (0..40u64)
+            .map(|i| Tuple::new(TupleId(i), 0.9, row(i % 5, 0.6, i % 2)))
+            .collect();
+        sharded.load(&preload).unwrap();
+        for i in 40..80u64 {
+            let id = sharded.insert(0.9, row(i % 5, 0.6, i % 2)).unwrap();
+            assert_eq!(id.0, i, "the global id sequence continues past load");
         }
         let all = sharded.live_tuples().unwrap();
         assert_eq!(all.len(), 80);
@@ -1364,6 +1349,51 @@ mod tests {
         sharded.set_pruning(false);
         let whole_off = sharded.query(&PtqQuery::eq(1, 3).with_qt(0.5)).unwrap();
         assert_eq!(fingerprint(&whole.rows), fingerprint(&whole_off.rows));
+    }
+
+    /// DML keeps the pruning bounds sound by only raising them; `merge`
+    /// is where they tighten again (it rebuilds the sketch from the live
+    /// tuples it just visited).
+    #[test]
+    fn merge_tightens_stats_so_a_cooled_shard_prunes_again() {
+        let mut sharded = ShardedDb::create(
+            stores(2),
+            "cool",
+            schema(),
+            1,
+            TableLayout::FracturedUpi(FracturedConfig {
+                upi: UpiConfig::default(),
+                buffer_ops: 0,
+            }),
+            ShardLayout::RangeTid(vec![100]),
+        )
+        .unwrap();
+        // Shard 1 holds the only hot row for value 7; shard 0 only a cold one.
+        sharded
+            .load(&[Tuple::new(TupleId(1), 1.0, row(7, 0.2, 0))])
+            .unwrap();
+        let hot = Tuple::new(TupleId(200), 1.0, row(7, 0.95, 0));
+        sharded.insert_tuple(&hot).unwrap();
+        assert!(sharded.stats()[1].bound(7) >= 0.95);
+
+        sharded.delete(&hot).unwrap();
+        assert!(
+            sharded.stats()[1].bound(7) >= 0.95,
+            "DML maintenance is raise-only"
+        );
+
+        sharded.merge().unwrap();
+        assert!(
+            sharded.stats()[1].bound(7) < 0.5,
+            "bound stayed {} after merge",
+            sharded.stats()[1].bound(7)
+        );
+        // The shard with a live row keeps its bound, and a scatter above
+        // it now skips the cooled shard too.
+        assert!(sharded.stats()[0].bound(7) >= 0.2);
+        let before = sharded.shards_skipped();
+        assert!(sharded.ptq(7, 0.5).unwrap().is_empty());
+        assert_eq!(sharded.shards_skipped(), before + 2);
     }
 
     /// A recovered facade must not hand out tuple ids it already used:

@@ -15,7 +15,6 @@
 
 use std::sync::Arc;
 
-use upi::cost::model_for_fractured;
 use upi::{DiscreteUpi, FracturedConfig, FracturedUpi, TuningAdvisor, UpiConfig, WorkloadProfile};
 use upi_storage::{DiskConfig, SimDisk, Store};
 use upi_workloads::dblp::{self, author_fields, DblpConfig};
@@ -129,7 +128,6 @@ fn main() {
             );
         }
     }
-    let _ = model_for_fractured(store.disk.config(), &f);
     println!(
         "\nfinal state: {} fractures, {} live tuples, {} bytes",
         f.n_fractures(),

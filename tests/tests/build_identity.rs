@@ -22,14 +22,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use upi::cost::{
     cutoff_query_cost_parts, estimate_query_cutoff_ms, estimate_query_fractured_ms,
-    fractured_cost_parts, model_for_upi,
+    fractured_cost_parts, pointer_fetch_ms,
 };
 use upi::{
     CompactionStep, DeviceCoeffs, DiscreteUpi, FracturedConfig, FracturedUpi, Pii, PtqResult,
     TableLayout, TuningAdvisor, UncertainTable, UnclusteredHeap, UpiConfig, WorkloadProfile,
 };
 use upi_storage::{wal, DiskConfig, FaultPlan, SimDisk, StorageError, Store};
-use upi_uncertain::Tuple;
+use upi_uncertain::{Tuple, TupleId};
 use upi_workloads::dblp::{self, author_fields as f, DblpConfig};
 use upi_workloads::DblpData;
 
@@ -561,7 +561,7 @@ fn batch_queries_and_estimates_are_bit_identical() {
             fr.insert(t).unwrap();
         }
         for victim in (round * 7..next_id).step_by(23) {
-            fr.delete(upi_uncertain::TupleId(victim)).unwrap();
+            fr.delete(TupleId(victim)).unwrap();
         }
         next_id += 300;
         if round < 3 {
@@ -631,11 +631,11 @@ fn batch_queries_and_estimates_are_bit_identical() {
     );
     let tuning: Vec<f64> = choices.iter().map(|c| c.est_query_ms).collect();
     let (_, merge_est, merge_cost) = TuningAdvisor.should_merge(disk, &fr, hot, 0.3, 0.0);
-    let n_leaf = upi.heap_stats().leaf_pages as f64;
-    let model = model_for_upi(disk, &upi);
+    let heap = upi.heap_stats();
+    let n_leaf = heap.leaf_pages as f64;
     let sigmoid: Vec<f64> = [0.0, 1.0, 0.05 * n_leaf, 10.0 * n_leaf]
         .into_iter()
-        .map(|x| model.pointer_fetch_ms(x))
+        .map(|x| pointer_fetch_ms(&coeffs, heap.bytes, heap.leaf_pages as u64, x))
         .collect();
     let priced = vec![
         price_pin("cutoff_query_cost_parts", &cutoff_parts),

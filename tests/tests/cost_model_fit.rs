@@ -3,11 +3,9 @@
 
 use std::sync::Arc;
 
-use upi::cost::{
-    estimate_cutoff_pointers, estimate_query_cutoff_ms, estimate_query_fractured_ms,
-    model_for_fractured,
-};
-use upi::{DiscreteUpi, FracturedConfig, FracturedUpi, UpiConfig};
+use upi::cost::{estimate_cutoff_pointers, estimate_query_cutoff_ms, estimate_query_fractured_ms};
+use upi::maintenance::merge_slice_cost_ms;
+use upi::{DeviceCoeffs, DiscreteUpi, FracturedConfig, FracturedUpi, UpiConfig};
 use upi_storage::{DiskConfig, SimDisk, Store};
 use upi_workloads::dblp::{self, author_fields, DblpConfig};
 
@@ -130,8 +128,8 @@ fn fractured_estimate_tracks_fracture_count() {
         prev_real = real;
     }
     // Merging restores performance and the model agrees.
-    let model = model_for_fractured(st.disk.config(), &f);
-    let predicted_merge = model.merge_cost_ms(f.total_bytes());
+    let predicted_merge =
+        merge_slice_cost_ms(&DeviceCoeffs::from_disk(st.disk.config()), f.total_bytes());
     let real_merge = measure(&st, || {
         f.merge().unwrap();
         st.pool.flush_all();

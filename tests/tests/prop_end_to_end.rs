@@ -154,7 +154,12 @@ proptest! {
             UpiConfig { page_size: 1024, ..UpiConfig::default() },
         ).unwrap();
         upi.bulk_load(&tuples).unwrap();
-        let top = upi::exec::top_k(&upi, value, k).unwrap();
+        let top: Vec<_> = upi
+            .point_run(value, 0.0, Some(k))
+            .unwrap()
+            .take(k)
+            .collect::<Result<_, _>>()
+            .unwrap();
         let all = upi.ptq(value, 0.0).unwrap();
         prop_assert_eq!(top.len(), all.len().min(k));
         for (a, b) in top.iter().zip(all.iter()) {
