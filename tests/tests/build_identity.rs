@@ -14,7 +14,9 @@
 //!
 //! A second test pins the read side the same way: the §6 estimates to the
 //! bit, and the cold device ledger plus the `(tuple id, confidence)` row
-//! list of every batch query body (see [`QUERIES`] and [`PRICING`]).
+//! list of every batch query body (see [`QUERIES`] and [`PRICING`]). A
+//! third pins the executor's access paths, forced one by one through a
+//! planner `Catalog` (see [`EXEC_QUERIES`]).
 
 use std::sync::Arc;
 
@@ -28,6 +30,7 @@ use upi::{
     CompactionStep, DeviceCoeffs, DiscreteUpi, FracturedConfig, FracturedUpi, Pii, PtqResult,
     TableLayout, TuningAdvisor, UncertainTable, UnclusteredHeap, UpiConfig, WorkloadProfile,
 };
+use upi_query::{AccessPath, Catalog, PhysicalPlan, PtqQuery};
 use upi_storage::{wal, DiskConfig, FaultPlan, SimDisk, StorageError, Store};
 use upi_uncertain::{Tuple, TupleId};
 use upi_workloads::dblp::{self, author_fields as f, DblpConfig};
@@ -524,8 +527,20 @@ fn price_pin(name: &'static str, estimates: &[f64]) -> (&'static str, u64) {
     (name, hash)
 }
 
-#[test]
-fn batch_queries_and_estimates_are_bit_identical() {
+/// The read-side fixture both query pins share, built on one store in
+/// this order: a UPI with a secondary, an unclustered heap + PII, and a
+/// fractured UPI of main + three fractures (each deleting from older
+/// components) + a buffered tail of inserts and deletes.
+struct ReadSide {
+    data: DblpData,
+    store: Store,
+    upi: DiscreteUpi,
+    heap: UnclusteredHeap,
+    pii: Pii,
+    fr: FracturedUpi,
+}
+
+fn read_side() -> ReadSide {
     let data = dblp::generate(&DblpConfig {
         n_authors: 3_000,
         n_institutions: 300,
@@ -547,8 +562,6 @@ fn batch_queries_and_estimates_are_bit_identical() {
     let mut pii = Pii::create(store.clone(), "pii", attr, 8192).unwrap();
     pii.bulk_load(&data.authors).unwrap();
 
-    // Main + three fractures (each deleting from older components) + a
-    // buffered tail of inserts and deletes.
     let cfg = FracturedConfig {
         upi: UpiConfig::default(),
         buffer_ops: 0,
@@ -569,7 +582,26 @@ fn batch_queries_and_estimates_are_bit_identical() {
         }
     }
     assert_eq!(fr.n_fractures(), 3);
+    ReadSide {
+        data,
+        store,
+        upi,
+        heap,
+        pii,
+        fr,
+    }
+}
 
+#[test]
+fn batch_queries_and_estimates_are_bit_identical() {
+    let ReadSide {
+        data,
+        store,
+        upi,
+        heap,
+        pii,
+        fr,
+    } = read_side();
     let hot = data.popular_institution();
     let country = data.query_country();
     let got = vec![
@@ -658,4 +690,313 @@ fn batch_queries_and_estimates_are_bit_identical() {
     }
     assert_eq!(got.len(), QUERIES.len());
     assert_eq!(priced, PRICING, "an estimate moved");
+}
+
+/// One executor path per cell of (point, top-k, range, secondary tailored,
+/// secondary plain, full scan) × (qt ≥ C, qt < C), on the UPI and on the
+/// fractured UPI of [`read_side`] (a fractured table has no full-scan
+/// path), each forced through a pool-registered [`Catalog`] and run cold,
+/// planning included — the executor's counterpart of [`QUERIES`].
+const EXEC_QUERIES: &[QueryPin] = &[
+    QueryPin {
+        name: "upi top-k qt>=C",
+        page_reads: 3,
+        seeks: 3,
+        total_ms_bits: 4637627072146235179,
+        n_rows: 10,
+        rows: 7878649078322884333,
+    },
+    QueryPin {
+        name: "upi range qt>=C",
+        page_reads: 44,
+        seeks: 5,
+        total_ms_bits: 4642196310422842055,
+        n_rows: 372,
+        rows: 4052846389389727857,
+    },
+    QueryPin {
+        name: "upi secondary tailored qt>=C",
+        page_reads: 86,
+        seeks: 43,
+        total_ms_bits: 4643381745752103912,
+        n_rows: 658,
+        rows: 745271050039840225,
+    },
+    QueryPin {
+        name: "upi secondary plain qt>=C",
+        page_reads: 94,
+        seeks: 49,
+        total_ms_bits: 4643412001222341406,
+        n_rows: 658,
+        rows: 745271050039840225,
+    },
+    QueryPin {
+        name: "upi full scan qt>=C",
+        page_reads: 252,
+        seeks: 3,
+        total_ms_bits: 4639536236145504149,
+        n_rows: 115,
+        rows: 7441116365099431984,
+    },
+    QueryPin {
+        name: "upi point qt>=C",
+        page_reads: 8,
+        seeks: 3,
+        total_ms_bits: 4637682047727623978,
+        n_rows: 115,
+        rows: 7441116365099431984,
+    },
+    QueryPin {
+        name: "upi top-k qt<C",
+        page_reads: 93,
+        seeks: 74,
+        total_ms_bits: 4647571472875279083,
+        n_rows: 300,
+        rows: 6770880013419813594,
+    },
+    QueryPin {
+        name: "upi range qt<C",
+        page_reads: 257,
+        seeks: 15,
+        total_ms_bits: 4643577017283725535,
+        n_rows: 938,
+        rows: 7173174628390586573,
+    },
+    QueryPin {
+        name: "upi secondary tailored qt<C",
+        page_reads: 232,
+        seeks: 33,
+        total_ms_bits: 4643431268880687776,
+        n_rows: 1455,
+        rows: 2877745361092139727,
+    },
+    QueryPin {
+        name: "upi secondary plain qt<C",
+        page_reads: 241,
+        seeks: 24,
+        total_ms_bits: 4643434027602271804,
+        n_rows: 1455,
+        rows: 2877745361092139727,
+    },
+    QueryPin {
+        name: "upi full scan qt<C",
+        page_reads: 252,
+        seeks: 3,
+        total_ms_bits: 4639536236145504152,
+        n_rows: 341,
+        rows: 11646692244343983410,
+    },
+    QueryPin {
+        name: "upi point qt<C",
+        page_reads: 186,
+        seeks: 32,
+        total_ms_bits: 4643481502339981284,
+        n_rows: 341,
+        rows: 11646692244343983410,
+    },
+    QueryPin {
+        name: "fractured top-k qt>=C",
+        page_reads: 9,
+        seeks: 9,
+        total_ms_bits: 4646412260449364106,
+        n_rows: 10,
+        rows: 16948694209799168570,
+    },
+    QueryPin {
+        name: "fractured range qt>=C",
+        page_reads: 81,
+        seeks: 19,
+        total_ms_bits: 4651035593573251734,
+        n_rows: 416,
+        rows: 2614472281079485913,
+    },
+    QueryPin {
+        name: "fractured secondary tailored qt>=C",
+        page_reads: 233,
+        seeks: 45,
+        total_ms_bits: 4651673775323496565,
+        n_rows: 775,
+        rows: 18148512475988205299,
+    },
+    QueryPin {
+        name: "fractured secondary plain qt>=C",
+        page_reads: 249,
+        seeks: 51,
+        total_ms_bits: 4651800570172269161,
+        n_rows: 775,
+        rows: 18148512475988205299,
+    },
+    QueryPin {
+        name: "fractured point qt>=C",
+        page_reads: 14,
+        seeks: 9,
+        total_ms_bits: 4646425991742084484,
+        n_rows: 131,
+        rows: 15894560499263940204,
+    },
+    QueryPin {
+        name: "fractured top-k qt<C",
+        page_reads: 66,
+        seeks: 47,
+        total_ms_bits: 4651993405840943769,
+        n_rows: 300,
+        rows: 5779256493307558144,
+    },
+    QueryPin {
+        name: "fractured range qt<C",
+        page_reads: 339,
+        seeks: 36,
+        total_ms_bits: 4651734703018426660,
+        n_rows: 1140,
+        rows: 11378752514311389297,
+    },
+    QueryPin {
+        name: "fractured secondary tailored qt<C",
+        page_reads: 350,
+        seeks: 32,
+        total_ms_bits: 4651818650749044616,
+        n_rows: 1731,
+        rows: 17826687679275568772,
+    },
+    QueryPin {
+        name: "fractured secondary plain qt<C",
+        page_reads: 349,
+        seeks: 33,
+        total_ms_bits: 4651825466831627358,
+        n_rows: 1731,
+        rows: 17826687679275568772,
+    },
+    QueryPin {
+        name: "fractured point qt<C",
+        page_reads: 155,
+        seeks: 126,
+        total_ms_bits: 4653541968024135533,
+        n_rows: 430,
+        rows: 13701988654977328979,
+    },
+];
+
+/// Plan `q` inside the cold window, take the candidate whose path is
+/// `like` (its hints and pricing), force `path` onto it and execute.
+fn cold_forced(
+    store: &Store,
+    catalog: &Catalog<'_>,
+    name: &'static str,
+    q: PtqQuery,
+    like: AccessPath,
+    path: AccessPath,
+) -> QueryPin {
+    cold_query(store, name, || {
+        let plan = q.plan(catalog).unwrap();
+        let mut cand = plan
+            .candidates
+            .into_iter()
+            .find(|c| c.path == like)
+            .unwrap_or_else(|| panic!("{name}: no {} candidate", like.label()));
+        cand.path = path;
+        let forced = PhysicalPlan {
+            query: q,
+            candidates: vec![cand],
+        };
+        Ok(forced.execute(catalog).unwrap().rows)
+    })
+}
+
+#[test]
+fn executor_paths_are_bit_identical() {
+    let ReadSide {
+        data,
+        store,
+        upi,
+        fr,
+        ..
+    } = read_side();
+    let (attr, sec_attr) = (f::INSTITUTION, f::COUNTRY);
+    let (hot, country) = (data.popular_institution(), data.query_country());
+    let upi_catalog = Catalog::new(store.disk.config())
+        .with_upi(&upi)
+        .with_pool(&store.pool);
+    let fractured_catalog = Catalog::new(store.disk.config())
+        .with_fractured(&fr)
+        .with_pool(&store.pool);
+
+    let mut got = Vec::new();
+    for (layout, catalog) in [("upi", &upi_catalog), ("fractured", &fractured_catalog)] {
+        let fractured = layout == "fractured";
+        // `C` is `UpiConfig::default().cutoff`, 0.1; the top-k below `C`
+        // asks for more rows than the heap run holds above it.
+        for (qt, side, k) in [(0.3, "qt>=C", 10), (0.02, "qt<C", 300)] {
+            let point = if fractured {
+                AccessPath::FracturedProbe
+            } else {
+                AccessPath::UpiHeap {
+                    use_cutoff: qt < 0.1,
+                }
+            };
+            let range = if fractured {
+                AccessPath::FracturedRange
+            } else {
+                AccessPath::UpiRange
+            };
+            let secondary = |tailored| {
+                if fractured {
+                    AccessPath::FracturedSecondary { index: 0, tailored }
+                } else {
+                    AccessPath::UpiSecondary { index: 0, tailored }
+                }
+            };
+            let eq = PtqQuery::eq(attr, hot).with_qt(qt);
+            let sec = PtqQuery::eq(sec_attr, country).with_qt(qt);
+            let mut cells = vec![
+                (
+                    "top-k",
+                    eq.clone().with_top_k(k),
+                    point.clone(),
+                    point.clone(),
+                ),
+                (
+                    "range",
+                    PtqQuery::range(attr, 2, 9).with_qt(qt),
+                    range.clone(),
+                    range,
+                ),
+                (
+                    "secondary tailored",
+                    sec.clone(),
+                    secondary(true),
+                    secondary(true),
+                ),
+                ("secondary plain", sec, secondary(true), secondary(false)),
+            ];
+            if !fractured {
+                cells.push((
+                    "full scan",
+                    eq.clone(),
+                    AccessPath::UpiFullScan,
+                    AccessPath::UpiFullScan,
+                ));
+            }
+            // The plain point probe runs last on each side: `cold_query`
+            // subtracts cumulative device clocks, so a cell whose ledger
+            // moves shifts the low bits of every later cell's `total_ms`.
+            cells.push(("point", eq, point.clone(), point));
+            for (shape, q, like, path) in cells {
+                let name: &'static str = Box::leak(format!("{layout} {shape} {side}").into());
+                got.push(cold_forced(&store, catalog, name, q, like, path));
+            }
+        }
+    }
+
+    for q in &got {
+        println!("    {q:#?},");
+    }
+    for (i, q) in got.iter().enumerate() {
+        assert_eq!(
+            Some(q),
+            EXEC_QUERIES.get(i),
+            "executor path {i} ({}) moved",
+            q.name
+        );
+    }
+    assert_eq!(got.len(), EXEC_QUERIES.len());
 }
