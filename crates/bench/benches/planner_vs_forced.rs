@@ -549,7 +549,7 @@ fn main() {
         hint_record = run_hint_experiment(
             &q,
             "range[0,40]@0.2",
-            &AccessPath::UpiRange,
+            &AccessPath::UpiRange { fractured: false },
             &catalog,
             &s.store,
         );
@@ -590,7 +590,7 @@ fn main() {
         fractured_hint_record = run_hint_experiment(
             &q,
             "fractured-range[0,40]@0.2",
-            &AccessPath::FracturedRange,
+            &AccessPath::UpiRange { fractured: true },
             &frac_catalog,
             &s.store,
         );

@@ -5,12 +5,12 @@
 //! cursor-driven operators touch strictly less of the disk than
 //! materialize-then-truncate batch evaluation:
 //!
-//! * **Point top-k (fig05-style, Query 2 shape)** — `UpiPointMerge`
-//!   streams the heap run in confidence order and stops after k rows;
+//! * **Point top-k (fig05-style, Query 2 shape)** — the chain's point
+//!   merge streams the heap run in confidence order and stops after k rows;
 //!   the batch path materializes the whole run (plus the cutoff merge)
 //!   and truncates.
-//! * **Secondary top-k (fig06-style, Query 3 shape)** — `SecondaryProbe`
-//!   reads only the k most-confident entries of the compact entry run
+//! * **Secondary top-k (fig06-style, Query 3 shape)** — the secondary
+//!   probe reads only the k most-confident entries of the compact entry run
 //!   and dereferences k heap pointers; the batch path fetches every
 //!   qualifying tuple.
 //! * **Range (fig05-style)** — both read the same sequential run (no
@@ -151,14 +151,17 @@ fn main() {
         "rows",
     ]);
 
-    // --- Point top-k (fig05-style): UpiPointMerge vs full run + truncate.
+    // --- Point top-k (fig05-style): the point merge vs full run + truncate.
     {
         let q = PtqQuery::eq(publication_fields::INSTITUTION, mit)
             .with_qt(0.1)
             .with_top_k(k);
         let plan = forced(
             &q.plan(&catalog).unwrap(),
-            &AccessPath::UpiHeap { use_cutoff: false },
+            &AccessPath::UpiHeap {
+                use_cutoff: false,
+                fractured: false,
+            },
         );
         let streaming = measure_pool(&s.store, || plan.execute(&catalog).unwrap().rows);
         let batch = measure_pool(&s.store, || {
@@ -183,7 +186,7 @@ fn main() {
         kept_rows.push(streaming.rows);
     }
 
-    // --- Secondary top-k (fig06-style): SecondaryProbe with limit
+    // --- Secondary top-k (fig06-style): the secondary probe with limit
     //     pushdown vs full tailored access + truncate.
     {
         let q = PtqQuery::eq(publication_fields::COUNTRY, japan)
@@ -194,6 +197,7 @@ fn main() {
             &AccessPath::UpiSecondary {
                 index: 0,
                 tailored: true,
+                fractured: false,
             },
         );
         let streaming = measure_pool(&s.store, || plan.execute(&catalog).unwrap().rows);
@@ -224,7 +228,10 @@ fn main() {
     {
         let hi = mit + 3;
         let q = PtqQuery::range(publication_fields::INSTITUTION, mit, hi).with_qt(0.2);
-        let plan = forced(&q.plan(&catalog).unwrap(), &AccessPath::UpiRange);
+        let plan = forced(
+            &q.plan(&catalog).unwrap(),
+            &AccessPath::UpiRange { fractured: false },
+        );
         let streaming = measure_pool(&s.store, || plan.execute(&catalog).unwrap().rows);
         let batch = measure_pool(&s.store, || s.upi.ptq_range(mit, hi, 0.2).unwrap());
         assert_same_rows("range", &streaming.rows, &batch.rows);
@@ -273,7 +280,10 @@ fn main() {
                 PtqQuery::eq(publication_fields::INSTITUTION, mit)
                     .with_qt(0.1)
                     .with_top_k(k),
-                AccessPath::UpiHeap { use_cutoff: false },
+                AccessPath::UpiHeap {
+                    use_cutoff: false,
+                    fractured: false,
+                },
             ),
             (
                 PtqQuery::eq(publication_fields::COUNTRY, japan)
@@ -282,11 +292,12 @@ fn main() {
                 AccessPath::UpiSecondary {
                     index: 0,
                     tailored: true,
+                    fractured: false,
                 },
             ),
             (
                 PtqQuery::range(publication_fields::INSTITUTION, mit, mit + 3).with_qt(0.2),
-                AccessPath::UpiRange,
+                AccessPath::UpiRange { fractured: false },
             ),
         ];
         for (i, (q, path)) in shapes.into_iter().enumerate() {

@@ -81,32 +81,15 @@ impl CutoffIndex {
     /// All pointers for `value` with probability `≥ qt`, in descending
     /// probability order (the cutoff half of Algorithm 2).
     pub fn scan(&self, value: u64, qt: f64) -> Result<Vec<CutoffPointer>> {
-        let mut out = Vec::new();
-        let mut cur = self.tree.seek(&keys::value_prefix(value))?;
-        while cur.valid() {
-            let (v, prob, tid) = keys::decode_entry_key(cur.key());
-            if v != value || prob < qt {
-                break;
-            }
-            let (first_value, first_prob) = keys::decode_pointer(cur.value());
-            out.push(CutoffPointer {
-                tid,
-                prob,
-                first_value,
-                first_prob,
-            });
-            cur.advance()?;
-        }
-        Ok(out)
+        self.scan_value_run(value, qt)?.collect()
     }
 
     /// Streaming cursor over the pointers for `value` with probability
     /// `≥ qt`, in descending-probability order: one index seek, then
     /// sequential leaf-chain reads that stop at the first entry of
-    /// another value or below the threshold. Unlike
-    /// [`scan`](Self::scan), entries are read one at a time as the
-    /// consumer pulls, so a bounded consumer (top-k with a confidence
-    /// watermark) never pages in the tail of a long cutoff list.
+    /// another value or below the threshold. Entries are read one at a
+    /// time as the consumer pulls, so a bounded consumer (top-k with a
+    /// confidence watermark) never pages in the tail of a long cutoff list.
     pub fn scan_value_run(&self, value: u64, qt: f64) -> Result<CutoffValueRun<'_>> {
         Ok(CutoffValueRun {
             cur: self.tree.seek(&keys::value_prefix(value))?,

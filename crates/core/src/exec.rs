@@ -67,7 +67,7 @@ pub enum ExecError {
         got: String,
     },
     /// A plan named an access path the table's physical layout cannot
-    /// serve (e.g. `UpiHeap` on a fractured or unclustered shard).
+    /// serve (a clustered path on an unclustered shard).
     /// Recoverable: callers fall back to a layout-agnostic execution
     /// instead of panicking.
     LayoutMismatch {

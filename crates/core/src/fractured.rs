@@ -233,7 +233,7 @@ impl FracturedUpi {
     /// read half of `Cost_merge`.
     fn collect_live(&self, levels: std::ops::Range<usize>) -> Result<Vec<Tuple>> {
         let mut live = Vec::new();
-        let slice = self.components().enumerate().take(levels.end);
+        let slice = self.chain().components().enumerate().take(levels.end);
         for (level, upi) in slice.skip(levels.start) {
             for t in upi.distinct_scan()? {
                 let t = t?;
@@ -277,16 +277,6 @@ impl FracturedUpi {
         rows
     }
 
-    /// Confidence of `t` for `attr BETWEEN lo AND hi` (alternatives sum).
-    fn range_confidence(&self, t: &Tuple, lo: u64, hi: u64) -> f64 {
-        t.discrete(self.attr)
-            .alternatives()
-            .iter()
-            .filter(|&&(v, _)| (lo..=hi).contains(&v))
-            .map(|&(_, p)| p * t.exist)
-            .sum()
-    }
-
     /// Figure 1's SELECT path, shared by the batch bodies below: run
     /// `body` on the main UPI, then on each fracture oldest first — one
     /// component after the other — drop what a newer component
@@ -299,7 +289,7 @@ impl FracturedUpi {
         body: impl Fn(&DiscreteUpi) -> Result<Vec<PtqResult>>,
     ) -> Result<Vec<PtqResult>> {
         let mut out = Vec::new();
-        for (level, upi) in self.components().enumerate() {
+        for (level, upi) in self.chain().components().enumerate() {
             for r in body(upi)? {
                 if !self.suppressed(r.tuple.id.0, level) {
                     out.push(r);
@@ -314,7 +304,7 @@ impl FracturedUpi {
     /// PTQ across main + fractures + insert buffer (Figure 1's SELECT
     /// path), minus deleted tuples.
     ///
-    /// This batch body exists beside [`ptq_run`](Self::ptq_run) because it
+    /// This batch body exists beside [`Chain::point_run`] because it
     /// visits the components serially, as Figure 1 draws it, where the
     /// cursor interleaves them: the figure benches measure this access
     /// pattern and the cursor tests use it as their reference.
@@ -327,7 +317,7 @@ impl FracturedUpi {
     /// in the component holding the tuple, so per-component confidences
     /// are complete and the union rule is the same as for point PTQs).
     pub fn ptq_range(&self, lo: u64, hi: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let conf = |t: &Tuple| self.range_confidence(t, lo, hi);
+        let conf = |t: &Tuple| range_confidence(t, self.attr, lo, hi);
         self.gather(qt, conf, |upi| upi.ptq_range(lo, hi, qt))
     }
 
@@ -347,113 +337,13 @@ impl FracturedUpi {
         })
     }
 
-    /// Fracture-parallel streaming point PTQ: a k-way merge cursor over
-    /// one confidence-ordered [`PointRun`] per on-disk component plus the
-    /// insert buffer, with delete-set suppression applied *before* any
-    /// heap fetch (suppressed cutoff pointers are never dereferenced).
-    /// The merged stream is `{confidence DESC, tid ASC}`-ordered, so a
-    /// top-k consumer stops pulling — and each component stops *reading*
-    /// — after k surviving rows.
-    ///
-    /// `limit = Some(k)` additionally maintains a running k-th-confidence
-    /// **watermark** over the surviving rows seen so far (heads, emitted
-    /// rows, and the insert buffer — each a distinct row of the merged
-    /// output): once a component's next cutoff candidate — or next
-    /// **keyed heap entry** — falls below the watermark, that component's
-    /// scan stops outright; suppressed rows and below-watermark tails are
-    /// skipped *before their tuples are decoded* (the heap key carries
-    /// the confidence), so a long suppressed heap stretch costs no
-    /// decodes and no extra leaf reads. This is sound because suppression
-    /// only *removes* rows — it can never raise another row's confidence
-    /// — so k rows at/above the watermark already prove the tail of every
-    /// probability-descending component list irrelevant. Per-component
-    /// limits, by contrast, remain unsound (a component's k-th row may be
-    /// suppressed by a newer delete).
-    pub fn ptq_run(
-        &self,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> Result<FracturedPointRun<'_>> {
-        let mut streams = vec![self.main.point_run(value, qt, None)?];
-        for fr in &self.fractures {
-            streams.push(fr.upi.point_run(value, qt, None)?);
+    /// The read side every clustered query path streams over: main +
+    /// fractures, with the delete sets and the insert buffer.
+    pub fn chain(&self) -> Chain<'_> {
+        Chain {
+            main: &self.main,
+            fractured: Some(self),
         }
-        let heads = streams.iter().map(|_| None).collect();
-        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(self.attr, value));
-        let mut seen_topk = Vec::new();
-        if let Some(k) = limit {
-            // Buffered rows are all part of the merged output: they seed
-            // the watermark before any on-disk component is read.
-            for r in &buffered {
-                note_seen(&mut seen_topk, k, r.confidence);
-            }
-        }
-        Ok(FracturedPointRun {
-            f: self,
-            streams,
-            heads,
-            buffered: buffered.into_iter(),
-            buf_head: None,
-            limit,
-            seen_topk,
-            ext_floor: f64::NEG_INFINITY,
-        })
-    }
-
-    /// Fracture-parallel streaming range PTQ: per-component
-    /// [`RangeRun`]s pulled **round-robin** (each is one seek + one
-    /// sequential run; the buffer pool tracks every hinted run
-    /// concurrently, so interleaving keeps each component's prefetched
-    /// window hot instead of letting it age out while an earlier
-    /// component drains), suppression applied as rows surface,
-    /// insert-buffer matches last. Rows are unordered across components;
-    /// sinks sort.
-    pub fn range_run(&self, lo: u64, hi: u64, qt: f64) -> Result<FracturedRangeRun<'_>> {
-        let mut streams = vec![self.main.range_run(lo, hi, qt)?];
-        for fr in &self.fractures {
-            streams.push(fr.upi.range_run(lo, hi, qt)?);
-        }
-        let buffered = self.buffered_matches(qt, |t| self.range_confidence(t, lo, hi));
-        let suppressed = vec![0; streams.len()];
-        let rr = RoundRobin::new(streams.len());
-        Ok(FracturedRangeRun {
-            f: self,
-            streams,
-            rr,
-            buffered: buffered.into_iter(),
-            suppressed,
-        })
-    }
-
-    /// Fracture-parallel streaming secondary PTQ: per-component
-    /// [`SecondaryRun`]s with suppression applied *before* pointer choice
-    /// (suppressed tuples never reach the heap), pulled round-robin so
-    /// every component's heap-order fetch stream advances together,
-    /// insert-buffer matches last. `limit` bounds each component's
-    /// post-suppression entry count — sound for top-k because the global
-    /// top-k is a subset of the per-component top-k unions.
-    pub fn secondary_run(
-        &self,
-        sec_idx: usize,
-        value: u64,
-        qt: f64,
-        tailored: bool,
-        limit: Option<usize>,
-    ) -> Result<FracturedSecondaryRun<'_>> {
-        let mut streams = Vec::with_capacity(self.fractures.len() + 1);
-        for (level, upi) in self.components().enumerate() {
-            let keep = |tid: u64| !self.suppressed(tid, level);
-            streams.push(upi.secondary_run_where(sec_idx, value, qt, tailored, limit, &keep)?);
-        }
-        let sec_attr = self.sec_attrs[sec_idx];
-        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(sec_attr, value));
-        let rr = RoundRobin::new(streams.len());
-        Ok(FracturedSecondaryRun {
-            streams,
-            rr,
-            buffered: buffered.into_iter(),
-        })
     }
 
     /// Attach a secondary index on discrete field `attr` to **every**
@@ -662,13 +552,6 @@ impl FracturedUpi {
         self.main.restore_stats_payload(data)
     }
 
-    /// Every on-disk component in age order (main first, then fractures
-    /// oldest-to-newest) — the planner prices one open + descent per
-    /// component (`N_frac + 1` of the §6.2 model).
-    pub fn components(&self) -> impl Iterator<Item = &DiscreteUpi> {
-        std::iter::once(&self.main).chain(self.fractures.iter().map(|f| &f.upi))
-    }
-
     /// Live bytes across every on-disk component.
     pub fn total_bytes(&self) -> u64 {
         self.main.total_bytes()
@@ -696,6 +579,190 @@ impl FracturedUpi {
                 .count() as u64;
         }
         n
+    }
+}
+
+/// Confidence of `t` for `attr BETWEEN lo AND hi` (alternatives sum).
+fn range_confidence(t: &Tuple, attr: usize, lo: u64, hi: u64) -> f64 {
+    t.discrete(attr)
+        .alternatives()
+        .iter()
+        .filter(|&&(v, _)| (lo..=hi).contains(&v))
+        .map(|&(_, p)| p * t.exist)
+        .sum()
+}
+
+/// The read side of a clustered table (Figure 1): its on-disk components
+/// `[main] ++ fractures` — a component's position is its suppression
+/// level — plus, for a fractured UPI, the write side: the delete sets and
+/// the insert buffer. A plain [`DiscreteUpi`] is a chain of one component
+/// with no write side ([`DiscreteUpi::chain`]). Every clustered query path
+/// streams through this one shape.
+#[derive(Clone, Copy)]
+pub struct Chain<'a> {
+    main: &'a DiscreteUpi,
+    /// The fractured UPI owning the chain; `None` for a plain UPI.
+    fractured: Option<&'a FracturedUpi>,
+}
+
+impl<'a> Chain<'a> {
+    /// A plain UPI: one component, no write side.
+    pub(crate) fn plain(upi: &'a DiscreteUpi) -> Chain<'a> {
+        Chain {
+            main: upi,
+            fractured: None,
+        }
+    }
+
+    /// The main component (statistics and cost-model inputs).
+    pub fn main(self) -> &'a DiscreteUpi {
+        self.main
+    }
+
+    /// The fractured UPI the chain belongs to — `None` for a plain UPI.
+    pub fn fractured(self) -> Option<&'a FracturedUpi> {
+        self.fractured
+    }
+
+    /// Every on-disk component in age order: main first, then fractures
+    /// oldest-to-newest — the planner prices one open + descent per
+    /// component (`N_frac + 1` of the §6.2 model).
+    pub fn components(self) -> impl Iterator<Item = &'a DiscreteUpi> {
+        let fractures = self.fractured.into_iter().flat_map(|f| &f.fractures);
+        std::iter::once(self.main).chain(fractures.map(|f| &f.upi))
+    }
+
+    /// Number of on-disk components (`N_frac + 1`).
+    pub fn n_components(self) -> usize {
+        self.fractured.map_or(1, |f| f.n_fractures() + 1)
+    }
+
+    /// True if `tid` found at component `level` is suppressed by the
+    /// write side (never, for a plain UPI).
+    fn suppressed(self, tid: u64, level: usize) -> bool {
+        self.fractured.is_some_and(|f| f.suppressed(tid, level))
+    }
+
+    /// The insert buffer's matches (none, for a plain UPI).
+    fn buffered_matches(self, qt: f64, conf: impl Fn(&Tuple) -> f64) -> Vec<PtqResult> {
+        self.fractured
+            .map_or_else(Vec::new, |f| f.buffered_matches(qt, conf))
+    }
+
+    /// Streaming point PTQ: a k-way merge cursor over one [`PointRun`]
+    /// per component plus the insert buffer, with suppression applied
+    /// *before* any heap fetch (suppressed cutoff pointers are never
+    /// dereferenced).
+    ///
+    /// With `limit = Some(k)` each component streams confidence-ordered,
+    /// so the merge is `{confidence DESC, tid ASC}`-ordered and a top-k
+    /// consumer stops pulling — and each component stops *reading* —
+    /// after k surviving rows. The merge also keeps a running
+    /// k-th-confidence **watermark** over the surviving rows seen so far
+    /// (heads, emitted rows, and the insert buffer — each a distinct row
+    /// of the merged output): once a component's next cutoff candidate —
+    /// or next **keyed heap entry** — falls below the watermark, that
+    /// component's scan stops outright; suppressed rows and
+    /// below-watermark tails are skipped *before their tuples are
+    /// decoded* (the heap key carries the confidence), so a long
+    /// suppressed heap stretch costs no decodes and no extra leaf reads.
+    /// This is sound because suppression only *removes* rows — it can
+    /// never raise another row's confidence — so k rows at/above the
+    /// watermark already prove the tail of every probability-descending
+    /// component list irrelevant. Per-component limits, by contrast,
+    /// remain unsound (a component's k-th row may be suppressed by a newer
+    /// delete).
+    ///
+    /// Without a limit each component runs Algorithm 2 — its heap run,
+    /// then its cutoff pointers in heap order — and the merged rows are
+    /// not confidence-ordered.
+    pub fn point_run(self, value: u64, qt: f64, limit: Option<usize>) -> Result<ChainPointRun<'a>> {
+        let mut streams = Vec::with_capacity(self.n_components());
+        for upi in self.components() {
+            streams.push(upi.point_run(value, qt, limit.is_some())?);
+        }
+        let attr = self.main.attr();
+        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(attr, value));
+        // A lone component with nothing buffered has nothing to merge: no
+        // heads, and its first k rows are the answer without a watermark.
+        let heads = if streams.len() == 1 && buffered.is_empty() {
+            Vec::new()
+        } else {
+            streams.iter().map(|_| None).collect()
+        };
+        let mut seen_topk = Vec::new();
+        if let Some(k) = limit {
+            // Buffered rows are all part of the merged output: they seed
+            // the watermark before any on-disk component is read.
+            for r in &buffered {
+                note_seen(&mut seen_topk, k, r.confidence);
+            }
+        }
+        Ok(ChainPointRun {
+            chain: self,
+            streams,
+            heads,
+            buffered: buffered.into_iter(),
+            buf_head: None,
+            limit,
+            seen_topk,
+            ext_floor: f64::NEG_INFINITY,
+        })
+    }
+
+    /// Streaming range PTQ: per-component [`RangeRun`]s pulled
+    /// **round-robin** (each is one seek + one sequential run; the buffer
+    /// pool tracks every hinted run concurrently, so interleaving keeps
+    /// each component's prefetched window hot instead of letting it age
+    /// out while an earlier component drains), suppression applied as
+    /// rows surface, insert-buffer matches last. Rows are unordered
+    /// across components; sinks sort.
+    pub fn range_run(self, lo: u64, hi: u64, qt: f64) -> Result<ChainRangeRun<'a>> {
+        let streams = self
+            .components()
+            .map(|u| u.range_run(lo, hi, qt))
+            .collect::<Result<Vec<_>>>()?;
+        let attr = self.main.attr();
+        let buffered = self.buffered_matches(qt, |t| range_confidence(t, attr, lo, hi));
+        let suppressed = vec![0; streams.len()];
+        let rr = RoundRobin::new(streams.len());
+        Ok(ChainRangeRun {
+            chain: self,
+            streams,
+            rr,
+            buffered: buffered.into_iter(),
+            suppressed,
+        })
+    }
+
+    /// Streaming secondary PTQ: per-component [`SecondaryRun`]s with
+    /// suppression applied *before* pointer choice (suppressed tuples
+    /// never reach the heap), pulled round-robin so every component's
+    /// heap-order fetch stream advances together, insert-buffer matches
+    /// last. `limit` bounds each component's post-suppression entry count
+    /// — sound for top-k because the global top-k is a subset of the
+    /// per-component top-k unions.
+    pub fn secondary_run(
+        self,
+        sec_idx: usize,
+        value: u64,
+        qt: f64,
+        tailored: bool,
+        limit: Option<usize>,
+    ) -> Result<ChainSecondaryRun<'a>> {
+        let mut streams = Vec::with_capacity(self.n_components());
+        for (level, upi) in self.components().enumerate() {
+            let keep = |tid: u64| !self.suppressed(tid, level);
+            streams.push(upi.secondary_run(sec_idx, value, qt, tailored, limit, &keep)?);
+        }
+        let sec_attr = self.main.secondaries()[sec_idx].attr();
+        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(sec_attr, value));
+        let rr = RoundRobin::new(streams.len());
+        Ok(ChainSecondaryRun {
+            streams,
+            rr,
+            buffered: buffered.into_iter(),
+        })
     }
 }
 
@@ -744,7 +811,7 @@ impl RoundRobin {
 }
 
 /// Record a surviving row's confidence in the ascending running-top-k
-/// set (the watermark feeder of [`FracturedUpi::ptq_run`] and of the
+/// set (the watermark feeder of [`Chain::point_run`] and of the
 /// shard-level scatter-gather merge).
 pub(crate) fn note_seen(topk: &mut Vec<f64>, k: usize, conf: f64) {
     let at = topk.partition_point(|&c| c < conf);
@@ -765,7 +832,7 @@ pub(crate) fn watermark(topk: &[f64], k: usize) -> f64 {
 }
 
 /// A running top-k confidence watermark — the early-exit kernel of the
-/// fractured point merge ([`FracturedUpi::ptq_run`]), packaged so a
+/// chain's point merge ([`Chain::point_run`]), packaged so a
 /// scatter-gather merge one level up (`upi_query`'s shard merge) can
 /// share **one** global watermark across many independent cursors:
 /// every surviving row's confidence is [`note`](Self::note)d, and any
@@ -799,12 +866,13 @@ impl TopKWatermark {
     }
 }
 
-/// Confidence-ordered k-way merge cursor over a fractured UPI's
-/// components (see [`FracturedUpi::ptq_run`]).
-pub struct FracturedPointRun<'a> {
-    f: &'a FracturedUpi,
+/// K-way merge cursor over a chain's components (see
+/// [`Chain::point_run`]).
+pub struct ChainPointRun<'a> {
+    chain: Chain<'a>,
     /// One stream per on-disk component; index == suppression level.
     streams: Vec<PointRun<'a>>,
+    /// One merge head per stream; empty when there is nothing to merge.
     heads: Vec<Option<PtqResult>>,
     buffered: std::vec::IntoIter<PtqResult>,
     buf_head: Option<PtqResult>,
@@ -819,7 +887,7 @@ pub struct FracturedPointRun<'a> {
     ext_floor: f64,
 }
 
-impl FracturedPointRun<'_> {
+impl ChainPointRun<'_> {
     /// Per-component instrumentation counters (index 0 = the main UPI,
     /// then one entry per fracture; suppression and decode work are
     /// pushed into each component cursor, so they land here).
@@ -831,34 +899,40 @@ impl FracturedPointRun<'_> {
     /// are dropped and component cursors stop their source I/O once
     /// nothing at/above it can remain. Used by a sharded scatter-gather
     /// merge to propagate the *global* top-k watermark into this shard's
-    /// merge; only ever raises (a watermark cannot recede).
+    /// merge; only ever raises (a watermark cannot recede), and only a
+    /// bounded (top-k) merge takes one.
     pub fn raise_conf_floor(&mut self, floor: f64) {
+        debug_assert!(self.limit.is_some(), "a floor needs confidence order");
         if floor > self.ext_floor {
             self.ext_floor = floor;
         }
     }
 
-    /// Refill every empty head with the next *surviving* (non-suppressed)
-    /// row of its component. Suppression and the top-k watermark are
-    /// pushed into each component's [`PointRun`], so suppressed cutoff
-    /// pointers are skipped without a heap fetch and a component whose
-    /// next candidate cannot reach the watermark stops scanning its
-    /// cutoff list entirely.
+    /// The next *surviving* (non-suppressed) row of component `level`.
+    /// Suppression and the top-k watermark are pushed into the
+    /// component's [`PointRun`], so suppressed cutoff pointers are skipped
+    /// without a heap fetch and a component whose next candidate cannot
+    /// reach the watermark stops scanning its cutoff list entirely.
+    fn pull(&mut self, level: usize) -> Option<Result<PtqResult>> {
+        let wm = match self.limit {
+            Some(k) => watermark(&self.seen_topk, k),
+            None => f64::NEG_INFINITY,
+        }
+        .max(self.ext_floor);
+        let chain = self.chain;
+        let r = self.streams[level].next_where(wm, &|tid| !chain.suppressed(tid, level))?;
+        if let (Ok(r), Some(k)) = (&r, self.limit) {
+            note_seen(&mut self.seen_topk, k, r.confidence);
+        }
+        Some(r)
+    }
+
+    /// Refill every empty head, then the insert buffer's.
     fn fill_heads(&mut self) -> Result<()> {
-        let f = self.f;
-        for (level, stream) in self.streams.iter_mut().enumerate() {
+        for level in 0..self.streams.len() {
             if self.heads[level].is_none() {
-                let wm = match self.limit {
-                    Some(k) => watermark(&self.seen_topk, k),
-                    None => f64::NEG_INFINITY,
-                }
-                .max(self.ext_floor);
-                if let Some(r) = stream.next_where(wm, &|tid| !f.suppressed(tid, level)) {
-                    let r = r?;
-                    if let Some(k) = self.limit {
-                        note_seen(&mut self.seen_topk, k, r.confidence);
-                    }
-                    self.heads[level] = Some(r);
+                if let Some(r) = self.pull(level) {
+                    self.heads[level] = Some(r?);
                 }
             }
         }
@@ -869,10 +943,17 @@ impl FracturedPointRun<'_> {
     }
 }
 
-impl Iterator for FracturedPointRun<'_> {
+impl Iterator for ChainPointRun<'_> {
     type Item = Result<PtqResult>;
 
     fn next(&mut self) -> Option<Self::Item> {
+        if self.heads.is_empty() {
+            // A lone stream: its rows are the merge's, and only an
+            // external floor can bound it.
+            let chain = self.chain;
+            let keep = |tid| !chain.suppressed(tid, 0);
+            return self.streams[0].next_where(self.ext_floor, &keep);
+        }
         if let Err(e) = self.fill_heads() {
             return Some(Err(e));
         }
@@ -899,9 +980,9 @@ impl Iterator for FracturedPointRun<'_> {
 }
 
 /// Round-robin-interleaved per-component range streams with suppression
-/// (see [`FracturedUpi::range_run`]).
-pub struct FracturedRangeRun<'a> {
-    f: &'a FracturedUpi,
+/// (see [`Chain::range_run`]).
+pub struct ChainRangeRun<'a> {
+    chain: Chain<'a>,
     streams: Vec<RangeRun<'a>>,
     rr: RoundRobin,
     buffered: std::vec::IntoIter<PtqResult>,
@@ -910,7 +991,7 @@ pub struct FracturedRangeRun<'a> {
     suppressed: Vec<u64>,
 }
 
-impl FracturedRangeRun<'_> {
+impl ChainRangeRun<'_> {
     /// Per-component instrumentation counters (index 0 = the main UPI,
     /// then one entry per fracture), including post-pull suppressions.
     pub fn component_stats(&self) -> Vec<CursorStats> {
@@ -927,7 +1008,7 @@ impl FracturedRangeRun<'_> {
     }
 }
 
-impl Iterator for FracturedRangeRun<'_> {
+impl Iterator for ChainRangeRun<'_> {
     type Item = Result<PtqResult>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -936,7 +1017,7 @@ impl Iterator for FracturedRangeRun<'_> {
                 Some(Err(e)) => return Some(Err(e)),
                 Some(Ok(r)) => {
                     self.rr.advance();
-                    if !self.f.suppressed(r.tuple.id.0, i) {
+                    if !self.chain.suppressed(r.tuple.id.0, i) {
                         return Some(Ok(r));
                     }
                     self.suppressed[i] += 1;
@@ -949,15 +1030,14 @@ impl Iterator for FracturedRangeRun<'_> {
 }
 
 /// Round-robin-interleaved per-component secondary probes (suppression
-/// already applied at entry-choice time; see
-/// [`FracturedUpi::secondary_run`]).
-pub struct FracturedSecondaryRun<'a> {
+/// already applied at entry-choice time; see [`Chain::secondary_run`]).
+pub struct ChainSecondaryRun<'a> {
     streams: Vec<SecondaryRun<'a>>,
     rr: RoundRobin,
     buffered: std::vec::IntoIter<PtqResult>,
 }
 
-impl FracturedSecondaryRun<'_> {
+impl ChainSecondaryRun<'_> {
     /// Per-component instrumentation counters (index 0 = the main UPI,
     /// then one entry per fracture; suppression was applied at
     /// entry-choice time, so it is already counted inside each stream).
@@ -966,7 +1046,7 @@ impl FracturedSecondaryRun<'_> {
     }
 }
 
-impl Iterator for FracturedSecondaryRun<'_> {
+impl Iterator for ChainSecondaryRun<'_> {
     type Item = Result<PtqResult>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -1179,10 +1259,11 @@ mod tests {
 
         let key = |r: &PtqResult| (r.tuple.id.0, (r.confidence * 1e9).round() as u64);
         for qt in [0.0, 0.1, 0.5] {
-            // Point: the merge is confidence-ordered and equal to batch.
+            // Point: a bounded merge is confidence-ordered and equal to batch.
             let batch = f.ptq(3, qt).unwrap();
             let streamed: Vec<PtqResult> = f
-                .ptq_run(3, qt, None)
+                .chain()
+                .point_run(3, qt, Some(usize::MAX))
                 .unwrap()
                 .collect::<Result<_>>()
                 .unwrap();
@@ -1197,6 +1278,7 @@ mod tests {
             // Range.
             let mut batch = f.ptq_range(1, 4, qt).unwrap();
             let mut streamed: Vec<PtqResult> = f
+                .chain()
                 .range_run(1, 4, qt)
                 .unwrap()
                 .collect::<Result<_>>()
@@ -1212,6 +1294,7 @@ mod tests {
             for tailored in [true, false] {
                 let mut batch = f.ptq_secondary(0, 2, qt, tailored).unwrap();
                 let mut streamed: Vec<PtqResult> = f
+                    .chain()
                     .secondary_run(0, 2, qt, tailored, None)
                     .unwrap()
                     .collect::<Result<_>>()

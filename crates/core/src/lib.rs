@@ -66,7 +66,7 @@ pub use cutoff::{CutoffIndex, CutoffRangeRun};
 pub use durability::{CheckpointImage, RecoveryInfo, WalRecord};
 pub use exec::{group_count, sort_results, CursorStats, ExecError, PtqResult};
 pub use fractured::{
-    FracturedConfig, FracturedPointRun, FracturedRangeRun, FracturedSecondaryRun, FracturedUpi,
+    Chain, ChainPointRun, ChainRangeRun, ChainSecondaryRun, FracturedConfig, FracturedUpi,
     TopKWatermark,
 };
 pub use heap::{HeapScanRun, UnclusteredHeap};

@@ -22,7 +22,7 @@ use upi_uncertain::{Field, FieldKind, Schema, Tuple, TupleId};
 use crate::durability::{
     find_checkpoint, read_wal_generations, CheckpointImage, RecoveryInfo, TableWal, WalRecord,
 };
-use crate::fractured::{FracturedConfig, FracturedUpi};
+use crate::fractured::{Chain, FracturedConfig, FracturedUpi};
 use crate::heap::UnclusteredHeap;
 use crate::maintenance::CompactionStep;
 use crate::pii::Pii;
@@ -683,6 +683,16 @@ impl UncertainTable {
         match &self.inner {
             Inner::Fractured(f) => Some(f),
             _ => None,
+        }
+    }
+
+    /// The clustered read side — the whole chain for a fractured UPI, a
+    /// chain of one for a plain UPI — or `None` for the unclustered layout.
+    pub fn chain(&self) -> Option<Chain<'_>> {
+        match &self.inner {
+            Inner::Upi(upi) => Some(upi.chain()),
+            Inner::Fractured(f) => Some(f.chain()),
+            Inner::Unclustered { .. } => None,
         }
     }
 

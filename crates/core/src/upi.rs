@@ -14,6 +14,7 @@ use upi_uncertain::{AttrStats, Tuple};
 
 use crate::cutoff::{CutoffIndex, CutoffPointer};
 use crate::exec::{CursorStats, PtqResult};
+use crate::fractured::Chain;
 use crate::keys;
 use crate::secondary::{SecBuild, SecondaryIndex};
 
@@ -268,8 +269,7 @@ impl DiscreteUpi {
     /// Streaming cursor over the heap run of `value` with confidence
     /// `≥ qt`: one index seek, then sequential leaf-chain reads, yielding
     /// results in descending-confidence order without materializing the
-    /// run. This is the accessor the `upi-query` streaming executor builds
-    /// its `IndexRun` operator on.
+    /// run — the first half of every point cursor ([`PointRun`]).
     pub fn heap_run(&self, value: u64, qt: f64) -> Result<HeapRun<'_>> {
         let cur = self.heap.seek(&keys::value_prefix(value))?;
         Ok(HeapRun {
@@ -319,35 +319,48 @@ impl DiscreteUpi {
         }
     }
 
-    /// Confidence-ordered streaming cursor for a point PTQ `(value, qt)`:
-    /// merges the heap run with the (lazily consulted) cutoff list so
-    /// results come out in `{confidence DESC, tid ASC}` order and a top-k
-    /// consumer can stop pulling — and therefore stop *reading* — after k
-    /// rows. The cutoff list is only opened once the run's head falls
-    /// below the cutoff threshold `C` (every cutoff entry is below `C`,
-    /// so until then the heap run wins outright, §3.1).
+    /// Dereference an `index` entry of `value` for `tid` that points at
+    /// the heap copy under `(v, p, tid)`. A missing copy means the index
+    /// and the heap disagree: [`StorageError::Corrupted`], not a miss.
+    fn deref(&self, index: &str, value: u64, tid: u64, (v, p): (u64, f64)) -> Result<Tuple> {
+        self.fetch_by_pointer(v, p, tid)?.ok_or_else(|| {
+            StorageError::Corrupted(format!(
+                "upi {index} entry of value {value}, tuple {tid}: no heap copy under ({v}, {p})"
+            ))
+        })
+    }
+
+    /// This UPI as a clustered chain of one component with no write side
+    /// — what every clustered query path reads.
+    pub fn chain(&self) -> Chain<'_> {
+        Chain::plain(self)
+    }
+
+    /// Streaming cursor for a point PTQ `(value, qt)`: the heap run, then
+    /// the qualifying cutoff pointers, in one of two orders.
     ///
-    /// `cutoff_limit` bounds how many cutoff pointers are scanned — pass
-    /// `Some(k)` for a top-k query over a standalone UPI (at most k
-    /// pointers can matter), `None` when results may be filtered
-    /// downstream (e.g. fracture suppression).
-    pub fn point_run(
-        &self,
-        value: u64,
-        qt: f64,
-        cutoff_limit: Option<usize>,
-    ) -> Result<PointRun<'_>> {
+    /// * `ordered`: a lazy merge of the heap run with the cutoff list, so
+    ///   results come out in `{confidence DESC, tid ASC}` order and a
+    ///   top-k consumer can stop pulling — and therefore stop *reading* —
+    ///   after k rows. The cutoff list is only opened once the run's head
+    ///   falls below the cutoff threshold `C` (every cutoff entry is below
+    ///   `C`, so until then the heap run wins outright, §3.1).
+    /// * otherwise Algorithm 2: drain the heap run, then read the cutoff
+    ///   pointers (only when `qt < C`) and dereference them in heap
+    ///   (physical) order — which is what makes §6.3's sigmoid saturate at
+    ///   `Cost_scan`. Rows are not confidence-ordered.
+    pub fn point_run(&self, value: u64, qt: f64, ordered: bool) -> Result<PointRun<'_>> {
         Ok(PointRun {
             upi: self,
             run: Some(self.heap_run(value, qt)?),
             run_head: None,
             value,
             qt,
-            cutoff_limit,
+            ordered,
             consulted: false,
             pointers: None,
             ptr_head: None,
-            ptr_taken: 0,
+            pending: Vec::new().into_iter(),
             stats: CursorStats::default(),
         })
     }
@@ -381,22 +394,11 @@ impl DiscreteUpi {
     /// `limit = Some(k)` only the k most-confident entries are read and
     /// fetched — the secondary entry run is `{confidence DESC}`-ordered,
     /// so a top-k query's result set is decided by its first k entries.
+    ///
+    /// `keep` is a tuple-id filter applied *before* pointer choice and
+    /// heap fetches — a fractured chain drops suppressed tuples this way
+    /// without paying their heap I/O. `limit` counts entries that pass it.
     pub fn secondary_run(
-        &self,
-        sec_idx: usize,
-        value: u64,
-        qt: f64,
-        tailored: bool,
-        limit: Option<usize>,
-    ) -> Result<SecondaryRun<'_>> {
-        self.secondary_run_where(sec_idx, value, qt, tailored, limit, &|_| true)
-    }
-
-    /// [`secondary_run`](Self::secondary_run) with a tuple-id filter
-    /// applied *before* pointer choice and heap fetches — the fractured
-    /// executor uses this to drop suppressed tuples without paying their
-    /// heap I/O. `limit` counts entries that pass the filter.
-    pub(crate) fn secondary_run_where(
         &self,
         sec_idx: usize,
         value: u64,
@@ -444,9 +446,10 @@ impl DiscreteUpi {
             }
         }
         // Bitmap-scan style: dereference in heap key order.
-        chosen.sort_unstable_by_key(|&(v, p, tid, _)| (v, u32::MAX - quantize_prob(p), tid));
+        chosen.sort_unstable_by_key(|&(v, p, tid, _)| heap_key(v, p, tid));
         Ok(SecondaryRun {
             upi: self,
+            value,
             chosen: chosen.into_iter(),
             stats: CursorStats {
                 suppressed,
@@ -460,36 +463,12 @@ impl DiscreteUpi {
     ///
     /// Reads the heap run for `value` (sequential); when `qt < C` it
     /// additionally scans the cutoff index and dereferences each pointer,
-    /// visiting targets in heap order.
-    ///
-    /// This batch body exists beside [`point_run`](Self::point_run) because
-    /// it is Algorithm 2 as the paper states it: the cursor dereferences
-    /// in confidence order, this sorts the pointers into heap order first
-    /// (which is what makes §6.3's sigmoid saturate at `Cost_scan`), so the
-    /// figure benches measure it and the cursor tests use it as their
-    /// reference.
+    /// visiting targets in heap order — the heap-order
+    /// [`point_run`](Self::point_run), collected in canonical order. The
+    /// figure benches measure this body.
     pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut results: Vec<PtqResult> = self.heap_run(value, qt)?.collect::<Result<_>>()?;
-        if qt < self.cfg.cutoff {
-            let mut pointers = self.cutoff.scan(value, qt)?;
-            // Visit heap targets in physical (key) order.
-            pointers.sort_unstable_by_key(|cp| {
-                (
-                    cp.first_value,
-                    u32::MAX - quantize_prob(cp.first_prob),
-                    cp.tid,
-                )
-            });
-            for cp in pointers {
-                let tuple = self
-                    .fetch_by_pointer(cp.first_value, cp.first_prob, cp.tid)?
-                    .ok_or_else(|| dangling_pointer(value, &cp))?;
-                results.push(PtqResult {
-                    tuple,
-                    confidence: cp.prob,
-                });
-            }
-        }
+        let mut results: Vec<PtqResult> =
+            self.point_run(value, qt, false)?.collect::<Result<_>>()?;
         crate::exec::sort_results(&mut results);
         Ok(results)
     }
@@ -527,7 +506,7 @@ impl DiscreteUpi {
         tailored: bool,
     ) -> Result<Vec<PtqResult>> {
         let mut out: Vec<PtqResult> = self
-            .secondary_run(sec_idx, value, qt, tailored, None)?
+            .secondary_run(sec_idx, value, qt, tailored, None, &|_| true)?
             .collect::<Result<_>>()?;
         crate::exec::sort_results(&mut out);
         Ok(out)
@@ -658,13 +637,10 @@ fn corrupt_heap(page: upi_storage::PageId, why: MalformedTuple) -> StorageError 
     StorageError::Corrupted(format!("upi heap page {page:?}: {why}"))
 }
 
-/// A cutoff entry of `value` whose heap copy is gone: the cutoff index and
-/// the heap disagree.
-fn dangling_pointer(value: u64, cp: &CutoffPointer) -> StorageError {
-    StorageError::Corrupted(format!(
-        "upi cutoff entry of value {value}, tuple {}: no heap copy under ({}, {})",
-        cp.tid, cp.first_value, cp.first_prob
-    ))
+/// The heap file's key order for the copy under `(v, p, tid)` — pointer
+/// fetches visit their targets in this physical order.
+fn heap_key(v: u64, p: f64, tid: u64) -> (u64, u32, u64) {
+    (v, u32::MAX - quantize_prob(p), tid)
 }
 
 /// Decode the heap entry under `cur`; damaged bytes are a
@@ -798,29 +774,32 @@ impl Iterator for DistinctScan<'_> {
     }
 }
 
-/// Confidence-ordered point-PTQ cursor (see [`DiscreteUpi::point_run`]):
-/// a lazy merge of the heap run with the cutoff list. The cutoff list is
-/// a streaming cursor consulted one entry at a time, and cutoff targets
-/// are dereferenced only as the merge emits them, so an early-terminated
+/// Point-PTQ cursor (see [`DiscreteUpi::point_run`]) over the heap run
+/// and the cutoff list. Ordered, it is a lazy merge: the cutoff list is a
+/// streaming cursor consulted one entry at a time, and cutoff targets are
+/// dereferenced only as the merge emits them, so an early-terminated
 /// consumer never pays for the tail — and a *bounded* consumer
 /// ([`next_where`](PointRun::next_where)) can stop the cutoff scan as
-/// soon as its next candidate falls below a confidence watermark.
+/// soon as its next candidate falls below a confidence watermark. In heap
+/// order it is Algorithm 2: the run is drained first, then the surviving
+/// cutoff pointers are sorted into heap key order and fetched lazily.
 pub struct PointRun<'a> {
     upi: &'a DiscreteUpi,
     run: Option<HeapRun<'a>>,
     run_head: Option<PtqResult>,
     value: u64,
     qt: f64,
-    cutoff_limit: Option<usize>,
+    /// Confidence-ordered merge, or Algorithm 2's heap-order pass.
+    ordered: bool,
     /// Whether the cutoff list has been consulted yet (it is only opened
     /// once the run's head falls below `C` or the run is exhausted).
     consulted: bool,
-    /// The streaming cutoff cursor; dropped once exhausted, past the
-    /// limit, or below a caller-supplied watermark.
+    /// Ordered: the streaming cutoff cursor; dropped once exhausted or
+    /// below a caller-supplied watermark.
     pointers: Option<crate::cutoff::CutoffValueRun<'a>>,
     ptr_head: Option<CutoffPointer>,
-    /// Cutoff entries consumed so far (bounded by `cutoff_limit`).
-    ptr_taken: usize,
+    /// Heap order: the surviving cutoff pointers, in heap key order.
+    pending: std::vec::IntoIter<CutoffPointer>,
     /// Merge-level counters; the live heap run keeps its own, folded in
     /// by [`stats`](Self::stats) (and harvested when the run ends).
     stats: CursorStats,
@@ -867,33 +846,48 @@ impl PointRun<'_> {
         Ok(())
     }
 
-    /// Open the cutoff cursor if it has not been consulted yet.
-    fn ensure_consulted(&mut self) -> Result<()> {
-        if !self.consulted {
-            self.consulted = true;
-            if self.qt < self.upi.cfg.cutoff {
-                // Every cutoff entry is below C; when qt ≥ C none qualify
-                // and the cursor is never opened.
-                self.pointers = Some(self.upi.cutoff.scan_value_run(self.value, self.qt)?);
+    /// Consult the cutoff list once. Every cutoff entry is below `C`, so
+    /// when `qt ≥ C` none qualify and the index is never opened. Ordered,
+    /// this opens the streaming cursor; in heap order it reads the whole
+    /// list, drops what `keep` rejects before any fetch, and sorts the
+    /// rest into heap (physical) key order.
+    fn ensure_consulted(&mut self, keep: &dyn Fn(u64) -> bool) -> Result<()> {
+        if self.consulted {
+            return Ok(());
+        }
+        self.consulted = true;
+        if self.qt >= self.upi.cfg.cutoff {
+            return Ok(());
+        }
+        let pointers = self.upi.cutoff.scan_value_run(self.value, self.qt)?;
+        if self.ordered {
+            self.pointers = Some(pointers);
+            return Ok(());
+        }
+        let mut pending = Vec::new();
+        for cp in pointers {
+            let cp = cp?;
+            if keep(cp.tid) {
+                pending.push(cp);
+            } else {
+                self.stats.suppressed += 1;
             }
         }
+        pending.sort_unstable_by_key(|cp| heap_key(cp.first_value, cp.first_prob, cp.tid));
+        self.pending = pending.into_iter();
         Ok(())
     }
 
     /// Pull the next cutoff pointer passing `keep` into `ptr_head`,
-    /// without dereferencing it. Stops — permanently — at the limit or at
-    /// the first entry below `min_conf` (the list is probability-
-    /// descending, so nothing further can qualify; `min_conf` callers
-    /// guarantee the watermark never decreases).
+    /// without dereferencing it. Stops — permanently — at the first entry
+    /// below `min_conf` (the list is probability-descending, so nothing
+    /// further can qualify; `min_conf` callers guarantee the watermark
+    /// never decreases).
     fn fill_ptr_head(&mut self, min_conf: f64, keep: &dyn Fn(u64) -> bool) -> Result<()> {
         while self.ptr_head.is_none() {
             let Some(ptrs) = &mut self.pointers else {
                 break;
             };
-            if self.cutoff_limit.is_some_and(|k| self.ptr_taken >= k) {
-                self.pointers = None;
-                break;
-            }
             match ptrs.next() {
                 None => self.pointers = None,
                 Some(cp) => {
@@ -902,7 +896,6 @@ impl PointRun<'_> {
                         self.pointers = None; // watermark bound: stop the scan
                         break;
                     }
-                    self.ptr_taken += 1;
                     if keep(cp.tid) {
                         self.ptr_head = Some(cp);
                     } else {
@@ -914,19 +907,36 @@ impl PointRun<'_> {
         Ok(())
     }
 
+    /// Dereference a cutoff pointer into its result row.
+    fn fetch(&mut self, cp: CutoffPointer) -> Result<PtqResult> {
+        self.stats.pointer_fetches += 1;
+        let at = (cp.first_value, cp.first_prob);
+        let tuple = self.upi.deref("cutoff", self.value, cp.tid, at)?;
+        self.stats.rows += 1;
+        Ok(PtqResult {
+            tuple,
+            confidence: cp.prob,
+        })
+    }
+
     /// [`Iterator::next`] with a confidence watermark and a tuple-id
     /// filter: rows whose id fails `keep` are skipped *before* any heap
-    /// fetch (the fractured merge drops suppressed tuples this way
-    /// without paying their I/O), and `None` is returned as soon as no
-    /// remaining row can reach `min_conf` — both the heap run and the
-    /// cutoff list stream in descending confidence, so the first
-    /// below-watermark candidate proves the tail is out too. Callers must
-    /// only ever *raise* `min_conf` across calls (a top-k watermark).
+    /// fetch (a fractured chain drops suppressed tuples this way without
+    /// paying their I/O), and `None` is returned as soon as no remaining
+    /// row can reach `min_conf` — both the heap run and the cutoff list
+    /// stream in descending confidence, so the first below-watermark
+    /// candidate proves the tail is out too. Callers must only ever
+    /// *raise* `min_conf` across calls (a top-k watermark), and only an
+    /// ordered cursor takes one.
     pub fn next_where(
         &mut self,
         min_conf: f64,
         keep: &dyn Fn(u64) -> bool,
     ) -> Option<Result<PtqResult>> {
+        if !self.ordered {
+            debug_assert_eq!(min_conf, f64::NEG_INFINITY, "heap order takes no watermark");
+            return self.next_in_heap_order(keep);
+        }
         if let Err(e) = self.fill_run_head(min_conf, keep) {
             return Some(Err(e));
         }
@@ -941,7 +951,7 @@ impl PointRun<'_> {
                 return Some(Ok(self.run_head.take().unwrap()));
             }
         }
-        if let Err(e) = self.ensure_consulted() {
+        if let Err(e) = self.ensure_consulted(keep) {
             return Some(Err(e));
         }
         if let Err(e) = self.fill_ptr_head(min_conf, keep) {
@@ -977,21 +987,30 @@ impl PointRun<'_> {
         // The stale-head check above guarantees the pointer is at/above
         // `min_conf`.
         let cp = self.ptr_head.take().unwrap();
-        self.stats.pointer_fetches += 1;
-        match self
-            .upi
-            .fetch_by_pointer(cp.first_value, cp.first_prob, cp.tid)
-        {
-            Ok(Some(tuple)) => {
-                self.stats.rows += 1;
-                Some(Ok(PtqResult {
-                    tuple,
-                    confidence: cp.prob,
-                }))
+        Some(self.fetch(cp))
+    }
+
+    /// Algorithm 2, one row per call: the heap run until it is drained,
+    /// then the cutoff pointers in heap order.
+    fn next_in_heap_order(&mut self, keep: &dyn Fn(u64) -> bool) -> Option<Result<PtqResult>> {
+        if let Some(run) = &mut self.run {
+            match run.next_where(f64::NEG_INFINITY, keep) {
+                Some(r) => {
+                    self.stats.rows += r.is_ok() as u64;
+                    return Some(r);
+                }
+                None => {
+                    // Harvest the exhausted run's counters before dropping it.
+                    self.stats = self.stats.merged(Self::child_contrib(run));
+                    self.run = None;
+                }
             }
-            Ok(None) => Some(Err(dangling_pointer(self.value, &cp))),
-            Err(e) => Some(Err(e)),
         }
+        if let Err(e) = self.ensure_consulted(keep) {
+            return Some(Err(e));
+        }
+        let cp = self.pending.next()?;
+        Some(self.fetch(cp))
     }
 }
 
@@ -1016,9 +1035,10 @@ pub struct RangeRun<'a> {
     hi: u64,
     qt: f64,
     seen: HashSet<u64>,
-    /// Phase-2 fetch list `(ptr value, ptr prob, tid, confidence)`, heap
-    /// order; built when the heap run is exhausted.
-    pending: Option<std::vec::IntoIter<(u64, f64, u64, f64)>>,
+    /// Phase-2 fetch list, heap order; built when the heap run is
+    /// exhausted. Each pointer carries the tuple's summed below-cutoff
+    /// in-range confidence and the first in-range value it was found under.
+    pending: Option<std::vec::IntoIter<(u64, CutoffPointer)>>,
     stats: CursorStats,
 }
 
@@ -1043,23 +1063,22 @@ impl RangeRun<'_> {
     /// Build the phase-2 fetch list: accumulate cutoff mass per unseen
     /// tuple, keep qualifiers, order by heap key.
     fn build_pending(&mut self) -> Result<()> {
-        let mut acc: HashMap<u64, (u64, f64, f64)> = HashMap::new(); // tid -> (ptr v, ptr p, conf)
+        let mut acc: HashMap<u64, (u64, CutoffPointer)> = HashMap::new();
         for r in self.upi.cutoff.scan_range_run(self.lo, self.hi)? {
-            let (_, cp) = r?;
+            let (v, cp) = r?;
             if self.seen.contains(&cp.tid) {
                 continue; // full PMF mass already counted in phase 1
             }
             let e = acc
                 .entry(cp.tid)
-                .or_insert((cp.first_value, cp.first_prob, 0.0));
-            e.2 += cp.prob;
+                .or_insert((v, CutoffPointer { prob: 0.0, ..cp }));
+            e.1.prob += cp.prob;
         }
-        let mut pending: Vec<(u64, f64, u64, f64)> = acc
-            .into_iter()
-            .filter(|&(_, (_, _, conf))| conf >= self.qt)
-            .map(|(tid, (v, p, conf))| (v, p, tid, conf))
+        let mut pending: Vec<(u64, CutoffPointer)> = acc
+            .into_values()
+            .filter(|(_, cp)| cp.prob >= self.qt)
             .collect();
-        pending.sort_unstable_by_key(|&(v, p, tid, _)| (v, u32::MAX - quantize_prob(p), tid));
+        pending.sort_unstable_by_key(|(_, cp)| heap_key(cp.first_value, cp.first_prob, cp.tid));
         self.pending = Some(pending.into_iter());
         Ok(())
     }
@@ -1106,16 +1125,16 @@ impl Iterator for RangeRun<'_> {
                 return Some(Err(e));
             }
         }
-        let (v, p, tid, confidence) = self.pending.as_mut().unwrap().next()?;
+        let (value, cp) = self.pending.as_mut().unwrap().next()?;
         self.stats.pointer_fetches += 1;
-        match self.upi.fetch_by_pointer(v, p, tid) {
-            Ok(Some(tuple)) => {
-                self.stats.rows += 1;
-                Some(Ok(PtqResult { tuple, confidence }))
+        let at = (cp.first_value, cp.first_prob);
+        Some(self.upi.deref("cutoff", value, cp.tid, at).map(|tuple| {
+            self.stats.rows += 1;
+            PtqResult {
+                tuple,
+                confidence: cp.prob,
             }
-            Ok(None) => panic!("cutoff pointer must dereference"),
-            Err(e) => Some(Err(e)),
-        }
+        }))
     }
 }
 
@@ -1124,6 +1143,8 @@ impl Iterator for RangeRun<'_> {
 /// tuples are fetched lazily, one per pull, in heap (bitmap) order.
 pub struct SecondaryRun<'a> {
     upi: &'a DiscreteUpi,
+    /// The secondary value probed.
+    value: u64,
     /// `(pointer value, pointer prob, tid, confidence)`, heap key order.
     chosen: std::vec::IntoIter<(u64, f64, u64, f64)>,
     stats: CursorStats,
@@ -1142,14 +1163,14 @@ impl Iterator for SecondaryRun<'_> {
     fn next(&mut self) -> Option<Self::Item> {
         let (v, p, tid, confidence) = self.chosen.next()?;
         self.stats.pointer_fetches += 1;
-        match self.upi.fetch_by_pointer(v, p, tid) {
-            Ok(Some(tuple)) => {
-                self.stats.rows += 1;
-                Some(Ok(PtqResult { tuple, confidence }))
-            }
-            Ok(None) => panic!("secondary pointer must dereference"),
-            Err(e) => Some(Err(e)),
-        }
+        Some(
+            self.upi
+                .deref("secondary", self.value, tid, (v, p))
+                .map(|tuple| {
+                    self.stats.rows += 1;
+                    PtqResult { tuple, confidence }
+                }),
+        )
     }
 }
 
@@ -1404,23 +1425,33 @@ mod tests {
             upi: UpiConfig::default(),
             buffer_ops: 0,
         };
-        let mut f = FracturedUpi::create(store(), "f", 1, &[], cfg).unwrap();
+        let mut f = FracturedUpi::create(store(), "f", 1, &[2], cfg).unwrap();
         f.load_initial(&table4()).unwrap();
-        // Bob's UCB alternative (5%) sits in the cutoff index, pointing at
-        // his MIT heap copy: delete that copy from under it.
+        // Bob's UCB alternative (5%) sits in the cutoff index, and his US
+        // entry in the secondary, both pointing at his MIT heap copy:
+        // delete that copy from under them.
         let cp = f.main().cutoff_index().scan(UCB, 0.0).unwrap()[0];
         let copy = keys::entry_key(cp.first_value, cp.first_prob, cp.tid);
         assert!(f.main_mut().heap.delete(&copy).unwrap());
 
-        let is_corrupt = |r: Result<Vec<PtqResult>>| match r {
+        let is_corrupt = |value: u64, r: Result<Vec<PtqResult>>| match r {
             Err(StorageError::Corrupted(what)) => {
-                assert!(what.contains(&format!("value {UCB}, tuple 2")), "{what}");
+                assert!(what.contains(&format!("value {value}, tuple 2")), "{what}");
             }
             other => panic!("expected Corrupted, got {other:?}"),
         };
-        is_corrupt(f.main().ptq(UCB, 0.0));
-        is_corrupt(f.main().point_run(UCB, 0.0, None).unwrap().collect());
-        is_corrupt(f.ptq_run(UCB, 0.0, None).unwrap().collect());
+        is_corrupt(UCB, f.main().ptq(UCB, 0.0));
+        // Every cursor, on a one-component chain and on the fractured one.
+        for chain in [f.main().chain(), f.chain()] {
+            for limit in [None, Some(3)] {
+                is_corrupt(UCB, chain.point_run(UCB, 0.0, limit).unwrap().collect());
+            }
+            is_corrupt(UCB, chain.range_run(UCB, UCB, 0.0).unwrap().collect());
+            for tailored in [true, false] {
+                let run = chain.secondary_run(0, US, 0.0, tailored, None).unwrap();
+                is_corrupt(US, run.collect());
+            }
+        }
     }
 
     #[test]
@@ -1490,7 +1521,7 @@ mod tests {
                 for qt in [0.0, 0.01, 0.1, 0.5] {
                     let batch = u.ptq(value, qt).unwrap();
                     let streamed: Vec<PtqResult> = u
-                        .point_run(value, qt, None)
+                        .point_run(value, qt, true)
                         .unwrap()
                         .collect::<Result<_>>()
                         .unwrap();
@@ -1541,7 +1572,7 @@ mod tests {
         let full = u.ptq_secondary(0, US, 0.0, true).unwrap();
         assert!(full.len() >= 2);
         let mut limited: Vec<PtqResult> = u
-            .secondary_run(0, US, 0.0, true, Some(2))
+            .secondary_run(0, US, 0.0, true, Some(2), &|_| true)
             .unwrap()
             .collect::<Result<_>>()
             .unwrap();

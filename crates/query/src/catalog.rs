@@ -1,7 +1,7 @@
 //! The catalog: which access structures exist for planning.
 
 use upi::{
-    ContinuousSecondary, ContinuousUpi, DiscreteUpi, FracturedUpi, Pii, SecondaryUTree,
+    Chain, ContinuousSecondary, ContinuousUpi, DiscreteUpi, FracturedUpi, Pii, SecondaryUTree,
     UnclusteredHeap,
 };
 use upi_storage::{BufferPool, DiskConfig};
@@ -168,5 +168,21 @@ impl<'a> Catalog<'a> {
     pub fn with_query_id(mut self, qid: upi_storage::QueryId) -> Catalog<'a> {
         self.query_id = Some(qid);
         self
+    }
+
+    /// The clustered chain a path with this `fractured` flag reads: the
+    /// fractured UPI's, or the discrete UPI's chain of one.
+    pub fn chain(&self, fractured: bool) -> Option<Chain<'a>> {
+        if fractured {
+            self.fractured.map(FracturedUpi::chain)
+        } else {
+            self.upi.map(DiscreteUpi::chain)
+        }
+    }
+
+    /// Every registered clustered chain: the discrete UPI's, then the
+    /// fractured UPI's.
+    pub fn chains(&self) -> impl Iterator<Item = Chain<'a>> {
+        self.chain(false).into_iter().chain(self.chain(true))
     }
 }

@@ -56,15 +56,16 @@ use upi_storage::DiskConfig;
 /// the right granularity for feedback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathKind {
-    /// Clustered UPI point access: heap run + cutoff merge (`UpiHeap`).
+    /// Plain UPI point access: heap run + cutoff merge (`UpiHeap`).
     PointMerge,
-    /// Clustered range run (`UpiRange`).
+    /// Plain UPI range run (`UpiRange`).
     RangeRun,
-    /// (Tailored) secondary-index probes over a clustered heap
+    /// (Tailored) secondary-index probes over a plain UPI's heap
     /// (`UpiSecondary`).
     SecondaryProbe,
-    /// Fracture-parallel merges, point / range / secondary
-    /// (`FracturedProbe`, `FracturedRange`, `FracturedSecondary`).
+    /// Every clustered path over a fractured UPI's chain, point / range /
+    /// secondary (labelled `FracturedProbe`, `FracturedRange`,
+    /// `FracturedSecondary`).
     FracturedMerge,
     /// Pointer-chasing probes over an unclustered or page-collapsed heap
     /// (`PiiProbe`, `PiiRange`, `UTreeCircle`, `ContinuousSecondaryProbe`).

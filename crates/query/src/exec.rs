@@ -4,14 +4,13 @@
 //! source operator into the sink pipeline (`Filter` is fused into every
 //! source; `TopK`, `GroupCount`, `Project` run at the sink). Every
 //! discrete access path is a true streaming cursor over the B+Tree leaf
-//! chains: `IndexRun`/`CutoffMerge`/`UpiPointMerge` for point probes,
-//! `UpiRange` for clustered range runs, `SecondaryProbe` for (tailored)
-//! secondary access, `FracturedMerge` for fracture-parallel merges, plus
-//! `PiiProbe` and the two full scans. Sources whose output is
-//! **confidence-ordered** (`UpiPointMerge`, the fractured point merge)
-//! let a top-k sink stop pulling — and therefore stop *reading* — after
-//! k rows. Only the R-Tree circle paths remain batch, delegating to the
-//! owning index structure and feeding rows through the same sinks.
+//! chains: one clustered family over a chain of components
+//! (`upi::Chain` — a plain UPI is a chain of one), plus `PiiProbe` and
+//! the two full scans. A clustered top-k point probe streams
+//! **confidence-ordered**, so the top-k sink stops pulling — and
+//! therefore stops *reading* — after k rows. Only the R-Tree circle
+//! paths remain batch, delegating to the owning index structure and
+//! feeding rows through the same sinks.
 //!
 //! Every execution is observed: the concrete [`SourceOp`] wrapper keeps
 //! per-operator [`CursorStats`], device time is attributed to a
@@ -21,7 +20,8 @@
 
 use upi::exec::group_count;
 use upi::{
-    CursorStats, DiscreteUpi, FracturedUpi, HeapRun, HeapScanRun, Pii, PtqResult, UnclusteredHeap,
+    Chain, ChainPointRun, ChainRangeRun, ChainSecondaryRun, CursorStats, DiscreteUpi, HeapScanRun,
+    Pii, PtqResult, UnclusteredHeap,
 };
 use upi_storage::codec::{dequantize_prob, quantize_prob};
 use upi_storage::error::Result as StorageResult;
@@ -125,109 +125,6 @@ impl QueryOutput {
 // ---------------------------------------------------------------------------
 // Streaming source operators
 // ---------------------------------------------------------------------------
-
-/// `IndexRun` — streams one value's UPI heap run (seek + sequential).
-pub struct IndexRun<'a> {
-    inner: HeapRun<'a>,
-}
-
-impl<'a> IndexRun<'a> {
-    /// Open the run for `value` at threshold `qt`.
-    pub fn open(upi: &'a DiscreteUpi, value: u64, qt: f64) -> StorageResult<IndexRun<'a>> {
-        Ok(IndexRun {
-            inner: upi.heap_run(value, qt)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far.
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for IndexRun<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
-/// `CutoffMerge` — drains the heap run, then dereferences the qualifying
-/// cutoff pointers in heap (physical) order, lazily: Algorithm 2 as a
-/// streaming operator.
-pub struct CutoffMerge<'a> {
-    run: Option<IndexRun<'a>>,
-    upi: &'a DiscreteUpi,
-    /// `(first_value, first_prob, tid, confidence)` in heap key order.
-    pending: std::vec::IntoIter<(u64, f64, u64, f64)>,
-    /// Heap-run counters, harvested when the run phase ends.
-    run_stats: CursorStats,
-    /// Pointer-phase counters (fetches + rows emitted from pointers).
-    ptr_stats: CursorStats,
-}
-
-impl<'a> CutoffMerge<'a> {
-    /// Open over `upi` for a point PTQ `(value, qt)`; reads the cutoff
-    /// index eagerly (it is a compact pointer list) but fetches heap
-    /// targets lazily.
-    pub fn open(
-        upi: &'a DiscreteUpi,
-        value: u64,
-        qt: f64,
-        use_cutoff: bool,
-    ) -> StorageResult<CutoffMerge<'a>> {
-        let run = IndexRun::open(upi, value, qt)?;
-        let mut pointers = Vec::new();
-        if use_cutoff {
-            for cp in upi.cutoff_index().scan(value, qt)? {
-                pointers.push((cp.first_value, cp.first_prob, cp.tid, cp.prob));
-            }
-            // Visit heap targets in physical (key) order.
-            pointers.sort_unstable_by_key(|&(v, p, tid, _)| (v, u32::MAX - quantize_prob(p), tid));
-        }
-        Ok(CutoffMerge {
-            run: Some(run),
-            upi,
-            pending: pointers.into_iter(),
-            run_stats: CursorStats::default(),
-            ptr_stats: CursorStats::default(),
-        })
-    }
-
-    fn heap_run_stats(&self) -> CursorStats {
-        match &self.run {
-            Some(run) => run.stats(),
-            None => self.run_stats,
-        }
-    }
-}
-
-impl Iterator for CutoffMerge<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        if let Some(run) = &mut self.run {
-            match run.next() {
-                Some(item) => return Some(item),
-                None => {
-                    self.run_stats = run.stats();
-                    self.run = None;
-                }
-            }
-        }
-        let (v, p, tid, confidence) = self.pending.next()?;
-        self.ptr_stats.pointer_fetches += 1;
-        match self.upi.fetch_by_pointer(v, p, tid) {
-            Ok(Some(tuple)) => {
-                self.ptr_stats.rows += 1;
-                Some(Ok(PtqResult { tuple, confidence }))
-            }
-            Ok(None) => Some(Err(QueryError::CatalogMismatch {
-                missing: format!("heap copy for cutoff pointer ({v}, {p}, {tid})"),
-            })),
-            Err(e) => Some(Err(e.into())),
-        }
-    }
-}
 
 /// `PiiProbe` — streams the inverted list, then fetches qualifying tuples
 /// from the unclustered heap in tid (bitmap) order, lazily.
@@ -400,203 +297,17 @@ impl Iterator for UpiFullScan<'_> {
     }
 }
 
-/// `UpiPointMerge` — confidence-ordered merge of the UPI heap run with
-/// the (lazily consulted) cutoff list. The stream is
-/// `{confidence DESC, tid ASC}`-ordered, so the top-k sink terminates it
-/// early without reading the tail of the run or dereferencing unneeded
-/// cutoff pointers.
-pub struct UpiPointMerge<'a> {
-    inner: upi::PointRun<'a>,
-}
-
-impl<'a> UpiPointMerge<'a> {
-    /// Open for a point PTQ `(value, qt)`; `limit` bounds the cutoff-list
-    /// read for top-k queries.
-    pub fn open(
-        upi: &'a DiscreteUpi,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> StorageResult<UpiPointMerge<'a>> {
-        Ok(UpiPointMerge {
-            inner: upi.point_run(value, qt, limit)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far (merge + live heap run).
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for UpiPointMerge<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
-/// `UpiRange` — streams the clustered range run: one seek, one
-/// sequential pass over the heap emitting each qualifying tuple at its
-/// first in-range copy, then the cutoff index for tuples whose in-range
-/// mass is entirely below-cutoff. Pages stream through the buffer pool
-/// (and its read-ahead) instead of being materialized as a batch.
-pub struct UpiRange<'a> {
-    inner: upi::RangeRun<'a>,
-}
-
-impl<'a> UpiRange<'a> {
-    /// Open for a range PTQ `[lo, hi]` at threshold `qt`.
-    pub fn open(upi: &'a DiscreteUpi, lo: u64, hi: u64, qt: f64) -> StorageResult<UpiRange<'a>> {
-        Ok(UpiRange {
-            inner: upi.range_run(lo, hi, qt)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far.
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for UpiRange<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
-/// `SecondaryProbe` — streaming (tailored) secondary-index access: the
-/// compact entry run fixes the pointer choices (at most `limit` entries
-/// are read for a top-k query, since the entry run is confidence-
-/// ordered), then heap tuples are fetched lazily in heap (bitmap) order.
-pub struct SecondaryProbe<'a> {
-    inner: upi::SecondaryRun<'a>,
-}
-
-impl<'a> SecondaryProbe<'a> {
-    /// Open probe #`index` of `upi` for `(value, qt)`.
-    pub fn open(
-        upi: &'a DiscreteUpi,
-        index: usize,
-        value: u64,
-        qt: f64,
-        tailored: bool,
-        limit: Option<usize>,
-    ) -> StorageResult<SecondaryProbe<'a>> {
-        Ok(SecondaryProbe {
-            inner: upi.secondary_run(index, value, qt, tailored, limit)?,
-        })
-    }
-
-    /// Cursor counters accumulated so far.
-    pub fn stats(&self) -> CursorStats {
-        self.inner.stats()
-    }
-}
-
-impl Iterator for SecondaryProbe<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        Some(self.inner.next()?.map_err(QueryError::from))
-    }
-}
-
-/// Which fractured merge is running (streams are per-component).
-enum FracturedKind<'a> {
-    /// Confidence-ordered k-way point merge.
-    Point(upi::FracturedPointRun<'a>),
-    /// Chained per-component range runs.
-    Range(upi::FracturedRangeRun<'a>),
-    /// Chained per-component secondary probes.
-    Secondary(upi::FracturedSecondaryRun<'a>),
-}
-
-/// `FracturedMerge` — the fracture-parallel merge cursor: one streaming
-/// run per on-disk component plus the insert buffer, with delete-set
-/// suppression applied *before* pointer dereferences. Point probes merge
-/// confidence-ordered (k-way, early-terminating, and — given a top-k
-/// `limit` — watermark-bounded: each component's cutoff scan stops once
-/// its next candidate falls below the running k-th confidence); range
-/// and secondary probes chain per-component runs and let the sink sort.
-pub struct FracturedMerge<'a> {
-    kind: FracturedKind<'a>,
-    /// Rows this merge handed to its consumer (component streams count
-    /// their own pulls separately — under early termination the merge may
-    /// have pulled rows it never emitted).
-    emitted: u64,
-}
-
-impl<'a> FracturedMerge<'a> {
-    /// Open a point merge for `(value, qt)`; `limit = Some(k)` bounds
-    /// each component's cutoff scan with the merge-wide k-th-confidence
-    /// watermark (only the first k rows of the stream are then
-    /// guaranteed — exactly what the top-k sink consumes).
-    pub fn point(
-        f: &'a FracturedUpi,
-        value: u64,
-        qt: f64,
-        limit: Option<usize>,
-    ) -> StorageResult<FracturedMerge<'a>> {
-        Ok(FracturedMerge {
-            kind: FracturedKind::Point(f.ptq_run(value, qt, limit)?),
-            emitted: 0,
-        })
-    }
-
-    /// Open a range merge for `[lo, hi]` at `qt`.
-    pub fn range(
-        f: &'a FracturedUpi,
-        lo: u64,
-        hi: u64,
-        qt: f64,
-    ) -> StorageResult<FracturedMerge<'a>> {
-        Ok(FracturedMerge {
-            kind: FracturedKind::Range(f.range_run(lo, hi, qt)?),
-            emitted: 0,
-        })
-    }
-
-    /// Open a secondary merge on probe #`index` for `(value, qt)`.
-    pub fn secondary(
-        f: &'a FracturedUpi,
-        index: usize,
-        value: u64,
-        qt: f64,
-        tailored: bool,
-        limit: Option<usize>,
-    ) -> StorageResult<FracturedMerge<'a>> {
-        Ok(FracturedMerge {
-            kind: FracturedKind::Secondary(f.secondary_run(index, value, qt, tailored, limit)?),
-            emitted: 0,
-        })
-    }
-
-    /// Per-component cursor counters (index 0 is the main component,
-    /// the rest are fractures; buffered in-RAM rows do no I/O and carry
-    /// no counters).
-    pub fn component_stats(&self) -> Vec<CursorStats> {
-        match &self.kind {
-            FracturedKind::Point(run) => run.component_stats(),
-            FracturedKind::Range(run) => run.component_stats(),
-            FracturedKind::Secondary(run) => run.component_stats(),
-        }
-    }
-}
-
-impl Iterator for FracturedMerge<'_> {
-    type Item = Result<PtqResult, QueryError>;
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = match &mut self.kind {
-            FracturedKind::Point(run) => run.next()?,
-            FracturedKind::Range(run) => run.next()?,
-            FracturedKind::Secondary(run) => run.next()?,
-        };
-        if item.is_ok() {
-            self.emitted += 1;
-        }
-        Some(item.map_err(QueryError::from))
-    }
+/// A clustered chain's merge cursor: one stream per component, with the
+/// write side's suppression and insert buffer applied inside (see
+/// `upi::Chain`).
+pub enum ClusteredRun<'a> {
+    /// Point probe: Algorithm 2 per component, or the confidence-ordered
+    /// k-way merge for top-k.
+    Point(ChainPointRun<'a>),
+    /// Round-robin per-component range runs.
+    Range(ChainRangeRun<'a>),
+    /// Round-robin per-component secondary probes.
+    Secondary(ChainSecondaryRun<'a>),
 }
 
 // ---------------------------------------------------------------------------
@@ -625,18 +336,15 @@ impl Iterator for BatchRows {
 /// [`CursorStats`] **after** the row loop finishes — the trace needs the
 /// cursors alive once iteration is done.
 pub enum SourceOp<'a> {
-    /// Plain UPI heap run.
-    IndexRun(IndexRun<'a>),
-    /// Heap run + lazy cutoff-pointer dereference (Algorithm 2).
-    CutoffMerge(CutoffMerge<'a>),
-    /// Confidence-ordered point merge (early-terminating).
-    UpiPointMerge(UpiPointMerge<'a>),
-    /// Streaming clustered range run.
-    UpiRange(UpiRange<'a>),
-    /// (Tailored) secondary probe.
-    SecondaryProbe(SecondaryProbe<'a>),
-    /// Fracture-parallel merge.
-    Fractured(FracturedMerge<'a>),
+    /// A clustered chain's merge.
+    Clustered {
+        /// The chain cursor.
+        run: ClusteredRun<'a>,
+        /// Rows handed to the consumer (component streams count their own
+        /// pulls — under early termination the merge may have pulled rows
+        /// it never emitted).
+        emitted: u64,
+    },
     /// Inverted-list probe + bitmap heap fetch.
     PiiProbe(PiiProbe<'a>),
     /// Sequential unclustered scan + fused filter.
@@ -651,12 +359,17 @@ impl Iterator for SourceOp<'_> {
     type Item = Result<PtqResult, QueryError>;
     fn next(&mut self) -> Option<Self::Item> {
         match self {
-            SourceOp::IndexRun(op) => op.next(),
-            SourceOp::CutoffMerge(op) => op.next(),
-            SourceOp::UpiPointMerge(op) => op.next(),
-            SourceOp::UpiRange(op) => op.next(),
-            SourceOp::SecondaryProbe(op) => op.next(),
-            SourceOp::Fractured(op) => op.next(),
+            SourceOp::Clustered { run, emitted } => {
+                let item = match run {
+                    ClusteredRun::Point(run) => run.next()?,
+                    ClusteredRun::Range(run) => run.next()?,
+                    ClusteredRun::Secondary(run) => run.next()?,
+                };
+                if item.is_ok() {
+                    *emitted += 1;
+                }
+                Some(item.map_err(QueryError::from))
+            }
             SourceOp::PiiProbe(op) => op.next(),
             SourceOp::HeapScan(op) => op.next(),
             SourceOp::UpiFullScan(op) => op.next(),
@@ -670,54 +383,18 @@ impl SourceOp<'_> {
     /// depth, counters)`, pre-order, depth 0 = the source root.
     pub fn spans(&self) -> Vec<(String, usize, CursorStats)> {
         match self {
-            SourceOp::IndexRun(op) => {
-                vec![("IndexRun(upi.heap)".into(), 0, op.stats())]
-            }
-            SourceOp::CutoffMerge(op) => {
-                let run = op.heap_run_stats();
-                let ptr = op.ptr_stats;
-                vec![
-                    ("CutoffMerge".into(), 0, run.merged(ptr)),
-                    ("IndexRun(upi.heap)".into(), 1, run),
-                    ("PointerFetch(upi.cutoff, heap-order)".into(), 1, ptr),
-                ]
-            }
-            SourceOp::UpiPointMerge(op) => {
-                vec![(
-                    "UpiPointMerge(confidence-ordered, early-terminating)".into(),
-                    0,
-                    op.stats(),
-                )]
-            }
-            SourceOp::UpiRange(op) => {
-                vec![(
-                    "UpiRange(streaming, emit at first in-range copy)".into(),
-                    0,
-                    op.stats(),
-                )]
-            }
-            SourceOp::SecondaryProbe(op) => {
-                vec![(
-                    "SecondaryProbe(lazy heap-order fetch)".into(),
-                    0,
-                    op.stats(),
-                )]
-            }
-            SourceOp::Fractured(op) => {
-                let comps = op.component_stats();
+            SourceOp::Clustered { run, emitted } => {
+                let (label, comps) = match run {
+                    ClusteredRun::Point(run) => ("ChainMerge(point)", run.component_stats()),
+                    ClusteredRun::Range(run) => ("ChainMerge(range)", run.component_stats()),
+                    ClusteredRun::Secondary(run) => {
+                        ("ChainMerge(secondary)", run.component_stats())
+                    }
+                };
                 let mut parent = comps
                     .iter()
                     .fold(CursorStats::default(), |acc, &s| acc.merged(s));
-                // The merge's own emit count, not the sum of component
-                // pulls (early termination pulls more than it emits).
-                parent.rows = op.emitted;
-                let label = match op.kind {
-                    FracturedKind::Point(_) => "FracturedMerge(point, k-way confidence-ordered)",
-                    FracturedKind::Range(_) => "FracturedMerge(range, streaming per component)",
-                    FracturedKind::Secondary(_) => {
-                        "FracturedMerge(secondary, suppress-before-fetch)"
-                    }
-                };
+                parent.rows = *emitted;
                 let mut spans = vec![(label.to_string(), 0, parent)];
                 for (i, s) in comps.into_iter().enumerate() {
                     let name = if i == 0 {
@@ -827,6 +504,16 @@ fn need<T: Copy>(entry: Option<T>, what: &str) -> Result<T, QueryError> {
     })
 }
 
+/// The chain a clustered path reads.
+fn need_chain<'a>(catalog: &Catalog<'a>, fractured: bool) -> Result<Chain<'a>, QueryError> {
+    let what = if fractured {
+        "the fractured UPI"
+    } else {
+        "the discrete UPI"
+    };
+    need(catalog.chain(fractured), what)
+}
+
 fn range_params(q: &PtqQuery, what: &str) -> Result<(u64, u64), QueryError> {
     match q.predicate {
         Predicate::Range { lo, hi, .. } => Ok((lo, hi)),
@@ -856,77 +543,36 @@ fn open_source<'a>(
         )
     };
     Ok(match path {
-        AccessPath::UpiHeap { use_cutoff } => {
-            let upi = need(catalog.upi, "the discrete UPI")?;
+        AccessPath::UpiHeap { fractured, .. } => {
+            let chain = need_chain(catalog, *fractured)?;
             let (_, value) = eq_params(q)?;
-            if let Some(k) = q.top_k {
-                // Early-terminating top-k (§3.1): the merge streams in
-                // confidence order, so the sink stops the run (and the
-                // cutoff fetches) after k rows.
-                (
-                    SourceOp::UpiPointMerge(UpiPointMerge::open(upi, value, q.qt, Some(k))?),
-                    true,
-                )
-            } else {
-                (
-                    SourceOp::CutoffMerge(CutoffMerge::open(upi, value, q.qt, *use_cutoff)?),
-                    false,
-                )
-            }
+            // A top-k streams confidence-ordered (§3.1): the sink stops the
+            // component runs — and their cutoff fetches — after k rows.
+            // Otherwise every component runs Algorithm 2.
+            let run = ClusteredRun::Point(chain.point_run(value, q.qt, q.top_k)?);
+            (SourceOp::Clustered { run, emitted: 0 }, q.top_k.is_some())
         }
-        AccessPath::UpiRange => {
-            let upi = need(catalog.upi, "the discrete UPI")?;
-            let (lo, hi) = range_params(q, "UpiRange")?;
-            (
-                SourceOp::UpiRange(UpiRange::open(upi, lo, hi, q.qt)?),
-                false,
-            )
+        AccessPath::UpiRange { fractured } => {
+            let chain = need_chain(catalog, *fractured)?;
+            let (lo, hi) = range_params(q, "a clustered range path")?;
+            let run = ClusteredRun::Range(chain.range_run(lo, hi, q.qt)?);
+            (SourceOp::Clustered { run, emitted: 0 }, false)
         }
-        AccessPath::UpiSecondary { index, tailored } => {
-            let upi = need(catalog.upi, "the discrete UPI")?;
-            if *index >= upi.secondaries().len() {
+        AccessPath::UpiSecondary {
+            index,
+            tailored,
+            fractured,
+        } => {
+            let chain = need_chain(catalog, *fractured)?;
+            if *index >= chain.main().secondaries().len() {
                 return Err(QueryError::CatalogMismatch {
-                    missing: format!("upi secondary #{index}"),
+                    missing: format!("clustered secondary #{index}"),
                 });
             }
             let (_, value) = eq_params(q)?;
-            (
-                SourceOp::SecondaryProbe(SecondaryProbe::open(
-                    upi, *index, value, q.qt, *tailored, q.top_k,
-                )?),
-                false,
-            )
-        }
-        AccessPath::FracturedProbe => {
-            let f = need(catalog.fractured, "the fractured UPI")?;
-            let (_, value) = eq_params(q)?;
-            (
-                SourceOp::Fractured(FracturedMerge::point(f, value, q.qt, q.top_k)?),
-                true,
-            )
-        }
-        AccessPath::FracturedRange => {
-            let f = need(catalog.fractured, "the fractured UPI")?;
-            let (lo, hi) = range_params(q, "FracturedRange")?;
-            (
-                SourceOp::Fractured(FracturedMerge::range(f, lo, hi, q.qt)?),
-                false,
-            )
-        }
-        AccessPath::FracturedSecondary { index, tailored } => {
-            let f = need(catalog.fractured, "the fractured UPI")?;
-            if *index >= f.main().secondaries().len() {
-                return Err(QueryError::CatalogMismatch {
-                    missing: format!("fractured secondary #{index}"),
-                });
-            }
-            let (_, value) = eq_params(q)?;
-            (
-                SourceOp::Fractured(FracturedMerge::secondary(
-                    f, *index, value, q.qt, *tailored, q.top_k,
-                )?),
-                false,
-            )
+            let run = chain.secondary_run(*index, value, q.qt, *tailored, q.top_k)?;
+            let run = ClusteredRun::Secondary(run);
+            (SourceOp::Clustered { run, emitted: 0 }, false)
         }
         AccessPath::PiiProbe { index } => {
             let heap = need(catalog.heap, "the unclustered heap")?;

@@ -36,26 +36,26 @@
 //!    executed query records an `(estimated, observed)` sample and
 //!    [`UncertainDb::recalibrate`] refits.
 //! 3. **The executor** ([`PhysicalPlan::execute`]) — iterator-based
-//!    streaming operators (`IndexRun`, `CutoffMerge`, `UpiPointMerge`,
-//!    `UpiRange`, `SecondaryProbe`, `FracturedMerge`, `PiiProbe`,
-//!    `HeapScan`, `Filter`, `TopK`, `GroupCount`, `Project`) over the
-//!    streaming cursors the index crates expose
-//!    (`DiscreteUpi::{heap_run, point_run, range_run, secondary_run}`,
-//!    `FracturedUpi::{ptq_run, range_run, secondary_run}`,
-//!    `Pii::matching_run`, `UnclusteredHeap::scan_run`). Point probes
-//!    stream **confidence-ordered**, so top-k queries terminate the
-//!    source — and its I/O — after k rows (the fractured point merge
-//!    additionally maintains a running k-th-confidence *watermark* that
-//!    stops each component's cutoff scan once its next candidate cannot
-//!    qualify); range and secondary probes stream page-at-a-time through
-//!    the buffer pool (whose sequential read-ahead keeps clustered runs
-//!    sequential even under interleaved access). Run-shaped candidates
-//!    carry prefetch hints — one `AccessHint` per expected run, so
-//!    fracture-parallel plans hint every component — which the executor
-//!    arms before opening the source; the pool then starts read-ahead on
-//!    each run's *first* cold miss with a run-length-sized window. Only
-//!    the R-Tree circle paths delegate to batch index calls, feeding
-//!    their rows through the same sink operators.
+//!    streaming operators (`ChainMerge` over a clustered chain's
+//!    components, `PiiProbe`, `HeapScan`, `Filter`, `TopK`,
+//!    `GroupCount`, `Project`) over the streaming cursors the index
+//!    crates expose (`upi::Chain::{point_run, range_run, secondary_run}`
+//!    — a plain UPI is a chain of one component, a fractured UPI its
+//!    main component plus fractures, delete sets and insert buffer —
+//!    `Pii::matching_run`, `UnclusteredHeap::scan_run`). A top-k point
+//!    probe streams **confidence-ordered**, so it terminates the source
+//!    — and its I/O — after k rows (the merge also maintains a running
+//!    k-th-confidence *watermark* that stops each component's cutoff
+//!    scan once its next candidate cannot qualify); any other point
+//!    probe runs Algorithm 2 per component. Range and secondary probes
+//!    stream page-at-a-time through the buffer pool (whose sequential
+//!    read-ahead keeps clustered runs sequential even under interleaved
+//!    access). Run-shaped candidates carry prefetch hints — one
+//!    `AccessHint` per component run — which the executor arms before
+//!    opening the source; the pool then starts read-ahead on each run's
+//!    *first* cold miss with a run-length-sized window. Only the R-Tree
+//!    circle paths delegate to batch index calls, feeding their rows
+//!    through the same sink operators.
 //!
 //! ## Plan enumeration
 //!
@@ -65,15 +65,15 @@
 //! | path | requires | cost model |
 //! |---|---|---|
 //! | `UpiHeap` | UPI clustered on `a` | §6.3 `Cost_cut` (heap run + cutoff merge when `QT < C`) |
-//! | `FracturedProbe` | fractured UPI on `a` | §6.2 `Cost_frac` over `N_frac + 1` components |
-//! | `UpiSecondary` (tailored / plain) | UPI secondary index on `a` | opens + saturating pointer fetch `f(x)`; tailored divides fetches by the replication factor |
-//! | `FracturedSecondary` | fractured UPI secondary on `a` | same, per component |
+//! | `UpiHeap`, labelled `FracturedProbe` | fractured UPI on `a` | §6.2 `Cost_frac` over `N_frac + 1` components |
+//! | `UpiSecondary` (tailored / plain), labelled `FracturedSecondary` on a fractured UPI | secondary index on `a` | opens per component + pointer fetch over the heap span the index's region histogram measures (tailored) or the full heap (plain) |
 //! | `PiiProbe` | PII on `a` + unclustered heap | opens + `f(x)` over the heap (the bitmap-scan saturation of §6.3) |
 //! | `ContinuousSecondaryProbe` | segment index over a continuous UPI | `f(x)` with fetches collapsed by spatial correlation |
-//! | `HeapScan` / `UpiFullScan` | a heap to scan | `Cost_init + T_read · S_table` |
+//! | `HeapScan` / `UpiFullScan` | an unclustered heap / a plain UPI to scan | `Cost_init + T_read · S_table` |
 //!
-//! Range predicates swap the probe paths for `UpiRange` / `PiiRange` /
-//! `FracturedRange` (selectivity from the value histograms); circle
+//! Range predicates swap the probe paths for `UpiRange` (labelled
+//! `FracturedRange` on a fractured UPI) / `PiiRange` (selectivity from
+//! the value histograms); circle
 //! predicates compare the continuous UPI's clustered read against the
 //! secondary U-Tree's per-candidate fetch, with selectivity from the
 //! R-Tree bounding box.

@@ -169,7 +169,7 @@ mod tests {
             spans: vec![
                 TraceSpan::label_only("TopK(3)", 0),
                 TraceSpan {
-                    label: "UpiPointMerge".into(),
+                    label: "ChainMerge(point)".into(),
                     depth: 1,
                     stats: Some(CursorStats {
                         rows: 3,

@@ -8,33 +8,38 @@ use crate::query::{Predicate, PtqQuery};
 
 /// One physical access path for a PTQ. Variants carry whatever identifies
 /// the concrete structure inside the [`Catalog`].
+///
+/// The three clustered paths read a chain of components (`upi::Chain`):
+/// a plain UPI is a chain of one, a fractured UPI its main component plus
+/// fractures, delete sets and insert buffer. `fractured` names which of
+/// the catalog's chains a path reads; it also picks the write policy's
+/// pricing (§6.2 instead of §6.3), its calibration kind
+/// ([`PathKind::FracturedMerge`]) and its `Fractured*` label.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AccessPath {
-    /// Clustered UPI heap run; merges the cutoff index when
-    /// `use_cutoff` (i.e. `QT < C`).
+    /// Clustered point probe: per component, the heap run and — when
+    /// `use_cutoff` (i.e. `QT < C`) — the cutoff pointers (Algorithm 2);
+    /// a confidence-ordered k-way merge for top-k.
     UpiHeap {
-        /// Whether the cutoff-index merge half of Algorithm 2 runs.
+        /// Whether the cutoff-index half of Algorithm 2 runs.
         use_cutoff: bool,
+        /// Reads the fractured UPI's chain.
+        fractured: bool,
     },
-    /// UPI clustered range scan (+ cutoff range merge).
-    UpiRange,
-    /// Secondary-index access on the UPI (Algorithm 3 when `tailored`).
+    /// Clustered range scan (+ cutoff range merge), per component.
+    UpiRange {
+        /// Reads the fractured UPI's chain.
+        fractured: bool,
+    },
+    /// Secondary-index access, per component (Algorithm 3 when
+    /// `tailored`).
     UpiSecondary {
-        /// Position in `DiscreteUpi::secondaries()`.
+        /// Position in the main component's `secondaries()`.
         index: usize,
         /// Tailored (pointer-overlap-aware) vs. first-pointer access.
         tailored: bool,
-    },
-    /// Point probe across a fractured UPI's components.
-    FracturedProbe,
-    /// Range scan across a fractured UPI's components.
-    FracturedRange,
-    /// Secondary access across a fractured UPI's components.
-    FracturedSecondary {
-        /// Position in the fractured UPI's secondary list.
-        index: usize,
-        /// Tailored vs. first-pointer access.
-        tailored: bool,
+        /// Reads the fractured UPI's chain.
+        fractured: bool,
     },
     /// PII probe (inverted-list scan + bitmap-order heap fetch).
     PiiProbe {
@@ -67,12 +72,16 @@ impl AccessPath {
     /// The calibration family this path is priced (and refit) under.
     pub fn kind(&self) -> PathKind {
         match self {
+            AccessPath::UpiHeap {
+                fractured: true, ..
+            }
+            | AccessPath::UpiRange { fractured: true }
+            | AccessPath::UpiSecondary {
+                fractured: true, ..
+            } => PathKind::FracturedMerge,
             AccessPath::UpiHeap { .. } => PathKind::PointMerge,
-            AccessPath::UpiRange => PathKind::RangeRun,
+            AccessPath::UpiRange { .. } => PathKind::RangeRun,
             AccessPath::UpiSecondary { .. } => PathKind::SecondaryProbe,
-            AccessPath::FracturedProbe
-            | AccessPath::FracturedRange
-            | AccessPath::FracturedSecondary { .. } => PathKind::FracturedMerge,
             AccessPath::PiiProbe { .. }
             | AccessPath::PiiRange { .. }
             | AccessPath::UTreeCircle
@@ -86,35 +95,24 @@ impl AccessPath {
     /// Short display name for candidate tables.
     pub fn label(&self) -> String {
         match self {
-            AccessPath::UpiHeap { use_cutoff: true } => "UpiHeap+CutoffMerge".into(),
-            AccessPath::UpiHeap { use_cutoff: false } => "UpiHeap".into(),
-            AccessPath::UpiRange => "UpiRange".into(),
+            AccessPath::UpiHeap {
+                fractured: true, ..
+            } => "FracturedProbe".into(),
+            AccessPath::UpiHeap {
+                use_cutoff: true, ..
+            } => "UpiHeap+CutoffMerge".into(),
+            AccessPath::UpiHeap { .. } => "UpiHeap".into(),
+            AccessPath::UpiRange { fractured: true } => "FracturedRange".into(),
+            AccessPath::UpiRange { .. } => "UpiRange".into(),
             AccessPath::UpiSecondary {
                 index,
-                tailored: true,
-            } => {
-                format!("UpiSecondary#{index}(tailored)")
-            }
-            AccessPath::UpiSecondary {
-                index,
-                tailored: false,
-            } => {
-                format!("UpiSecondary#{index}(plain)")
-            }
-            AccessPath::FracturedProbe => "FracturedProbe".into(),
-            AccessPath::FracturedRange => "FracturedRange".into(),
-            AccessPath::FracturedSecondary {
-                index,
-                tailored: true,
-            } => {
-                format!("FracturedSecondary#{index}(tailored)")
-            }
-            AccessPath::FracturedSecondary {
-                index,
-                tailored: false,
-            } => {
-                format!("FracturedSecondary#{index}(plain)")
-            }
+                tailored,
+                fractured,
+            } => format!(
+                "{}Secondary#{index}({})",
+                if *fractured { "Fractured" } else { "Upi" },
+                if *tailored { "tailored" } else { "plain" }
+            ),
             AccessPath::PiiProbe { index } => format!("PiiProbe#{index}"),
             AccessPath::PiiRange { index } => format!("PiiRange#{index}"),
             AccessPath::HeapScan => "HeapScan".into(),
@@ -334,6 +332,15 @@ fn describe_query(q: &PtqQuery) -> String {
     s
 }
 
+/// The component set a clustered path reads.
+fn components(fractured: bool) -> &'static str {
+    if fractured {
+        "main + fractures + insert buffer"
+    } else {
+        "one component"
+    }
+}
+
 /// Render the operator tree for a chosen path, innermost source last.
 fn operator_tree(q: &PtqQuery, path: &AccessPath) -> Vec<String> {
     let mut ops: Vec<String> = Vec::new();
@@ -348,51 +355,37 @@ fn operator_tree(q: &PtqQuery, path: &AccessPath) -> Vec<String> {
     }
     ops.push(format!("Filter(confidence >= {:.2})", q.qt));
     let source = match path {
-        AccessPath::UpiHeap { use_cutoff } if q.top_k.is_some() => vec![
-            "UpiPointMerge(confidence-ordered, early-terminating)".to_string(),
-            "  IndexRun(upi.heap)".to_string(),
-            if *use_cutoff {
-                "  PointerFetch(upi.cutoff, lazy, confidence-order)".to_string()
-            } else {
-                "  PointerFetch(upi.cutoff, consulted only below C)".to_string()
-            },
-        ],
-        AccessPath::UpiHeap { use_cutoff: false } => vec!["IndexRun(upi.heap)".to_string()],
-        AccessPath::UpiHeap { use_cutoff: true } => vec![
-            "CutoffMerge".to_string(),
-            "  IndexRun(upi.heap)".to_string(),
-            "  PointerFetch(upi.cutoff, heap-order)".to_string(),
-        ],
-        AccessPath::UpiRange => vec![
-            "UpiRange(streaming, emit at first in-range copy)".to_string(),
-            "  IndexRun(upi.heap, range)".to_string(),
-            "  PointerFetch(upi.cutoff, range, qualifiers only)".to_string(),
-        ],
-        AccessPath::UpiSecondary { index, tailored } => vec![format!(
-            "SecondaryProbe(upi.sec#{index}, {}, lazy heap-order fetch)",
-            if *tailored {
-                "tailored"
-            } else {
-                "first-pointer"
+        AccessPath::UpiHeap {
+            use_cutoff,
+            fractured,
+        } => vec![
+            format!("ChainMerge(point, {})", components(*fractured)),
+            match (q.top_k, use_cutoff) {
+                (Some(_), _) => "  confidence-ordered, early-terminating, lazy cutoff fetch",
+                (None, true) => "  heap run, then cutoff pointers in heap order",
+                (None, false) => "  heap run",
             }
-        )],
-        AccessPath::FracturedProbe => {
-            vec![
-                "FracturedMerge(point, k-way confidence-ordered, main + fractures + buffer)"
-                    .to_string(),
-            ]
-        }
-        AccessPath::FracturedRange => {
-            vec!["FracturedMerge(range, streaming per component + buffer)".to_string()]
-        }
-        AccessPath::FracturedSecondary { index, tailored } => vec![format!(
-            "FracturedMerge(sec#{index}, {}, suppress-before-fetch)",
-            if *tailored {
-                "tailored"
-            } else {
-                "first-pointer"
-            }
-        )],
+            .to_string(),
+        ],
+        AccessPath::UpiRange { fractured } => vec![
+            format!("ChainMerge(range, {})", components(*fractured)),
+            "  heap run, emit at first in-range copy, then cutoff qualifiers".to_string(),
+        ],
+        AccessPath::UpiSecondary {
+            index,
+            tailored,
+            fractured,
+        } => vec![
+            format!("ChainMerge(sec#{index}, {})", components(*fractured)),
+            format!(
+                "  {} entry run, suppress-before-fetch, heap-order fetch",
+                if *tailored {
+                    "tailored"
+                } else {
+                    "first-pointer"
+                }
+            ),
+        ],
         AccessPath::PiiProbe { index } => vec![
             "BitmapHeapFetch(unclustered heap, tid-order)".to_string(),
             format!("  PiiProbe(pii#{index} inverted list)"),

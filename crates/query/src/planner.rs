@@ -50,7 +50,7 @@
 //!   next to calibrated cost with the sample count behind the scale.
 
 use upi::cost::{self};
-use upi::{DiscreteUpi, SecondaryIndex, UnclusteredHeap};
+use upi::{Chain, DiscreteUpi, SecondaryIndex, UnclusteredHeap};
 use upi_storage::AccessHint;
 
 use crate::catalog::Catalog;
@@ -123,16 +123,17 @@ fn hint_pages(hints: &[AccessHint]) -> f64 {
 // detector. Resolving the start page descends *internal* B+Tree pages
 // only (a handful of reads the executor's own seek repeats warm); hint
 // resolution is best-effort — an I/O error yields no hint, never a plan
-// failure. Fracture-parallel paths carry one hint **per component**: the
-// pool tracks concurrent hinted runs, so the k-way merge's interleaved
+// failure. Clustered paths carry one hint **per component**: the pool
+// tracks concurrent hinted runs, so the k-way merge's interleaved
 // component reads each stream independently. Pointer-chasing paths
 // (plain/tailored secondary heap fetches, PII probes, cutoff-heavy
-// merges) scatter by construction and get no hint; the fractured
+// merges) scatter by construction and get no hint; a fractured chain's
 // *secondary* path hints only each component's compact entry run, not
 // the scattered heap fetches behind it.
 
-/// Hint for the clustered point run (`UpiHeap`): §2's one-seek-then-
-/// sequential access, bounded by k leaves for an early-terminating top-k.
+/// Hint for one component's clustered point run (`UpiHeap`): §2's
+/// one-seek-then-sequential access, bounded by k leaves for an
+/// early-terminating top-k.
 fn upi_point_hint(
     upi: &DiscreteUpi,
     value: u64,
@@ -150,7 +151,7 @@ fn upi_point_hint(
     })
 }
 
-/// Hint for the clustered range run (`UpiRange`).
+/// Hint for one component's clustered range run (`UpiRange`).
 fn upi_range_hint(upi: &DiscreteUpi, lo: u64, hi: u64) -> Option<AccessHint> {
     Some(AccessHint {
         start_page: upi.run_start_page(lo).ok()?,
@@ -174,38 +175,13 @@ fn heap_scan_hint(heap: &UnclusteredHeap) -> Option<AccessHint> {
     })
 }
 
-/// Per-component hints for the fracture-parallel point merge
-/// (`FracturedProbe`): each component's clustered run is an independent
-/// seek-then-sequential read, so each gets its own first-miss hint.
-fn fractured_point_hints(
-    f: &upi::FracturedUpi,
-    value: u64,
-    qt: f64,
-    top_k: Option<usize>,
-) -> Vec<AccessHint> {
-    f.components()
-        .filter_map(|u| upi_point_hint(u, value, qt, top_k))
-        .collect()
-}
-
-/// Per-component hints for the fractured range merge (`FracturedRange`).
-fn fractured_range_hints(f: &upi::FracturedUpi, lo: u64, hi: u64) -> Vec<AccessHint> {
-    f.components()
-        .filter_map(|u| upi_range_hint(u, lo, hi))
-        .collect()
-}
-
-/// Per-component hints for the fractured secondary path
-/// (`FracturedSecondary`): only each component's compact **entry run** is
-/// run-shaped (the heap fetches behind it scatter), so each hint covers
-/// the secondary tree's leaf run for the queried value.
-fn fractured_secondary_hints(
-    f: &upi::FracturedUpi,
-    sec_idx: usize,
-    value: u64,
-    qt: f64,
-) -> Vec<AccessHint> {
-    f.components()
+/// Per-component hints for a fractured chain's secondary path: only each
+/// component's compact **entry run** is run-shaped (the heap fetches
+/// behind it scatter), so each hint covers the secondary tree's leaf run
+/// for the queried value.
+fn secondary_entry_hints(chain: Chain<'_>, sec_idx: usize, value: u64, qt: f64) -> Vec<AccessHint> {
+    chain
+        .components()
         .filter_map(|u| {
             let sec = u.secondaries().get(sec_idx)?;
             let leaf_pages = sec.leaf_pages().max(1);
@@ -217,6 +193,63 @@ fn fractured_secondary_hints(
             })
         })
         .collect()
+}
+
+/// §6.3 pricing of a plain UPI's point probe, with its `explain()` note.
+fn upi_point_price(
+    model: &CostModel,
+    upi: &DiscreteUpi,
+    value: u64,
+    qt: f64,
+    top_k: Option<usize>,
+) -> (f64, f64, String) {
+    let Some(k) = top_k else {
+        // `Cost_cut` (or the heap-only run when QT ≥ C), split by the
+        // shared `cutoff_query_cost_parts` so the planner and
+        // `estimate_query_cutoff_ms` can never drift.
+        let sel = cost::estimate_heap_selectivity(upi, value, qt);
+        let pointers = cost::estimate_cutoff_pointers(upi, value, qt);
+        let (fixed, dom) = cost::cutoff_query_cost_parts(&model.coeffs, upi, value, qt);
+        return (
+            fixed,
+            dom,
+            format!("sel {:.4}, est {:.0} cutoff ptrs", sel, pointers),
+        );
+    };
+    // §3.1 early termination: the heap run and cutoff list are
+    // probability-ordered, so at most k entries of each are read
+    // regardless of QT. The merge consults the cutoff list *lazily* —
+    // only once the run's head falls below the cutoff threshold C — so
+    // the cutoff open + pointer fetches are charged only for the expected
+    // shortfall of above-C run entries.
+    let hs = upi.heap_stats();
+    let avg = hs.bytes as f64 / hs.entries.max(1) as f64;
+    let mut fixed = model.open_descend(hs.height);
+    let mut dom = model.read_ms(k as f64 * avg);
+    let above_c = upi
+        .attr_stats()
+        .est_count_ge(value, upi.config().cutoff.max(qt));
+    if !upi.cutoff_index().is_empty() && above_c < k as f64 {
+        let deficit = (k as f64 - above_c).max(1.0);
+        fixed += model.open_descend(upi.cutoff_index().height());
+        dom += model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), deficit);
+    }
+    (fixed, dom, format!("top-{k} early termination"))
+}
+
+/// Last-resort full scan of a plain UPI's clustered heap (any discrete
+/// attribute). A fractured chain gets none: a one-component scan cannot
+/// see suppression.
+fn upi_full_scan(model: &CostModel, upi: &DiscreteUpi) -> CandidatePlan {
+    candidate(
+        model,
+        AccessPath::UpiFullScan,
+        model.coeffs.cost_init_ms,
+        model.read_ms(upi.heap_stats().bytes as f64),
+        format!("{} heap bytes sequential", upi.heap_stats().bytes),
+        upi_scan_hint(upi).into_iter().collect(),
+    )
+    .with_est_pages(upi.heap_stats().leaf_pages.max(1) as f64)
 }
 
 /// Entry point: enumerate, price, rank.
@@ -252,56 +285,47 @@ fn enumerate_eq(
     let qt = q.qt;
     let mut out = Vec::new();
 
-    if let Some(upi) = catalog.upi {
-        if upi.attr() == attr {
-            let hs = upi.heap_stats();
-            let (fixed, dominant, note) = if let Some(k) = q.top_k {
-                // §3.1 early termination: the heap run and cutoff list are
-                // probability-ordered, so at most k entries of each are
-                // read regardless of QT. The executor's merge consults
-                // the cutoff list *lazily* — only once the run's head
-                // falls below the cutoff threshold C — so the cutoff
-                // open + pointer fetches are charged only for the
-                // expected shortfall of above-C run entries.
-                let avg = hs.bytes as f64 / hs.entries.max(1) as f64;
-                let mut fixed = model.open_descend(hs.height);
-                let mut dom = model.read_ms(k as f64 * avg);
-                let above_c = upi
-                    .attr_stats()
-                    .est_count_ge(value, upi.config().cutoff.max(qt));
-                if !upi.cutoff_index().is_empty() && above_c < k as f64 {
-                    let deficit = (k as f64 - above_c).max(1.0);
-                    fixed += model.open_descend(upi.cutoff_index().height());
-                    dom += model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), deficit);
+    for chain in catalog.chains() {
+        let main = chain.main();
+        let fractured = chain.fractured().is_some();
+        if main.attr() == attr {
+            let (fixed, dominant, note, qualifying) = match chain.fractured() {
+                // §6.2 `Cost_frac`, split by the shared
+                // `fractured_cost_parts`: per-component opens are fixed,
+                // the selectivity-scaled scan over all components is
+                // dominant.
+                Some(f) => {
+                    let heap_entries = main.heap_stats().entries.max(1) as f64;
+                    let sel =
+                        (main
+                            .attr_stats()
+                            .est_heap_count_ge(value, qt, main.config().cutoff)
+                            / heap_entries)
+                            .min(1.0);
+                    let (fixed, dom) = cost::fractured_cost_parts(&model.coeffs, f, sel);
+                    let note = format!("{} components", f.n_fractures() + 1);
+                    (fixed, dom, note, sel * heap_entries)
                 }
-                (fixed, dom, format!("top-{k} early termination"))
-            } else {
-                // §6.3 `Cost_cut` (or the heap-only run when QT ≥ C),
-                // split by the shared `cutoff_query_cost_parts` so the
-                // planner and `estimate_query_cutoff_ms` can never drift.
-                let sel = cost::estimate_heap_selectivity(upi, value, qt);
-                let pointers = cost::estimate_cutoff_pointers(upi, value, qt);
-                let (fixed, dom) = cost::cutoff_query_cost_parts(&model.coeffs, upi, value, qt);
-                (
-                    fixed,
-                    dom,
-                    format!("sel {:.4}, est {:.0} cutoff ptrs", sel, pointers),
-                )
+                None => {
+                    let (fixed, dom, note) = upi_point_price(model, main, value, qt, q.top_k);
+                    (fixed, dom, note, main.attr_stats().est_count_ge(value, qt))
+                }
             };
-            let qualifying = upi.attr_stats().est_count_ge(value, qt);
             let est_rows = match q.top_k {
                 Some(k) => qualifying.min(k as f64),
                 None => qualifying,
             };
-            let hints: Vec<AccessHint> = upi_point_hint(upi, value, qt, q.top_k)
-                .into_iter()
+            let hints: Vec<AccessHint> = chain
+                .components()
+                .filter_map(|u| upi_point_hint(u, value, qt, q.top_k))
                 .collect();
             let est_pages = hint_pages(&hints);
             out.push(
                 candidate(
                     model,
                     AccessPath::UpiHeap {
-                        use_cutoff: qt < upi.config().cutoff,
+                        use_cutoff: qt < main.config().cutoff,
+                        fractured,
                     },
                     fixed,
                     dominant,
@@ -311,13 +335,14 @@ fn enumerate_eq(
                 .with_est(est_rows, est_pages),
             );
         }
-        for (i, sec) in upi.secondaries().iter().enumerate() {
+        for (i, sec) in main.secondaries().iter().enumerate() {
             if sec.attr() != attr {
                 continue;
             }
             let n = sec.stats().est_count_ge(value, qt);
-            let hs = upi.heap_stats();
-            let opens = model.open_descend(sec.height()) + model.open_descend(hs.height);
+            let hs = main.heap_stats();
+            let opens = chain.n_components() as f64
+                * (model.open_descend(sec.height()) + model.open_descend(hs.height));
             // Tailored access (Algorithm 3) steers pointers onto shared
             // regions; the span it can touch is measured by the index's
             // pointer-region histogram instead of guessed from the
@@ -328,12 +353,25 @@ fn enumerate_eq(
                 Some(k) => n.min(k as f64),
                 None => n,
             };
+            // A fractured chain hints each component's entry run; a plain
+            // UPI's probe is pointer-chasing throughout.
+            let (hints, entry_pages) = if fractured {
+                let hints = secondary_entry_hints(chain, i, value, qt);
+                let pages = hint_pages(&hints);
+                (hints, pages)
+            } else {
+                (Vec::new(), 0.0)
+            };
+            // Entry-run pages plus one scattered heap page per fetched
+            // entry, worst case.
+            let est_pages = (entry_pages + fetch_rows).max(1.0);
             out.push(
                 candidate(
                     model,
                     AccessPath::UpiSecondary {
                         index: i,
                         tailored: true,
+                        fractured,
                     },
                     opens,
                     model.clustered_fetch_ms(
@@ -345,10 +383,9 @@ fn enumerate_eq(
                     format!(
                         "{n:.0} fetches over {coverage:.3} of the heap ({visits:.0} region visits)"
                     ),
-                    Vec::new(),
+                    hints.clone(),
                 )
-                // One scattered heap page per fetched entry, worst case.
-                .with_est(fetch_rows, fetch_rows.max(1.0)),
+                .with_est(fetch_rows, est_pages),
             );
             out.push(
                 candidate(
@@ -356,99 +393,18 @@ fn enumerate_eq(
                     AccessPath::UpiSecondary {
                         index: i,
                         tailored: false,
+                        fractured,
                     },
                     opens,
                     model.bitmap_fetch_ms(hs.bytes as f64, page_bytes(&hs), n),
                     format!("{n:.0} first-pointer fetches over the full heap"),
-                    Vec::new(),
-                )
-                .with_est(fetch_rows, fetch_rows.max(1.0)),
-            );
-        }
-        // Last-resort full scan of the clustered heap (any discrete attr).
-        out.push(
-            candidate(
-                model,
-                AccessPath::UpiFullScan,
-                model.coeffs.cost_init_ms,
-                model.read_ms(upi.heap_stats().bytes as f64),
-                format!("{} heap bytes sequential", upi.heap_stats().bytes),
-                upi_scan_hint(upi).into_iter().collect(),
-            )
-            .with_est_pages(upi.heap_stats().leaf_pages.max(1) as f64),
-        );
-    }
-
-    if let Some(f) = catalog.fractured {
-        if f.main().attr() == attr {
-            // §6.2 `Cost_frac`, split by the shared
-            // `fractured_cost_parts`: per-component opens are fixed, the
-            // selectivity-scaled scan over all components is dominant.
-            let main = f.main();
-            let heap_entries = main.heap_stats().entries.max(1) as f64;
-            let sel = (main
-                .attr_stats()
-                .est_heap_count_ge(value, qt, main.config().cutoff)
-                / heap_entries)
-                .min(1.0);
-            let (fixed, dom) = cost::fractured_cost_parts(&model.coeffs, f, sel);
-            let qualifying = sel * heap_entries;
-            let est_rows = match q.top_k {
-                Some(k) => qualifying.min(k as f64),
-                None => qualifying,
-            };
-            let hints = fractured_point_hints(f, value, qt, q.top_k);
-            let est_pages = hint_pages(&hints);
-            out.push(
-                candidate(
-                    model,
-                    AccessPath::FracturedProbe,
-                    fixed,
-                    dom,
-                    format!("{} components", f.n_fractures() + 1),
-                    hints,
-                )
-                .with_est(est_rows, est_pages),
-            );
-        }
-        for (i, sec) in f.main().secondaries().iter().enumerate() {
-            if sec.attr() != attr {
-                continue;
-            }
-            let n = sec.stats().est_count_ge(value, qt);
-            let components = (f.n_fractures() + 1) as f64;
-            let hs = f.main().heap_stats();
-            let opens =
-                components * (model.open_descend(sec.height()) + model.open_descend(hs.height));
-            let coverage = tailored_coverage(sec, value, n);
-            let visits = tailored_visits(sec, value, n);
-            let fetch_rows = match q.top_k {
-                Some(k) => n.min(k as f64),
-                None => n,
-            };
-            let hints = fractured_secondary_hints(f, i, value, qt);
-            // Entry-run pages (hinted) plus one scattered heap page per
-            // fetched entry.
-            let est_pages = hint_pages(&hints) + fetch_rows;
-            out.push(
-                candidate(
-                    model,
-                    AccessPath::FracturedSecondary {
-                        index: i,
-                        tailored: true,
-                    },
-                    opens,
-                    model.clustered_fetch_ms(
-                        hs.bytes as f64 * coverage,
-                        page_bytes(&hs),
-                        n,
-                        visits,
-                    ),
-                    format!("{n:.0} entries over {components:.0} components"),
                     hints,
                 )
                 .with_est(fetch_rows, est_pages),
             );
+        }
+        if !fractured {
+            out.push(upi_full_scan(model, main));
         }
     }
 
@@ -524,63 +480,54 @@ fn enumerate_range(
     let model = &catalog.cost;
     let mut out = Vec::new();
 
-    if let Some(upi) = catalog.upi {
-        if upi.attr() == attr {
-            let stats = upi.attr_stats();
+    for chain in catalog.chains() {
+        let main = chain.main();
+        if main.attr() == attr {
+            let stats = main.attr_stats();
             let frac = (stats.est_count_value_range(lo, hi) / stats.total().max(1) as f64).min(1.0);
-            let hs = upi.heap_stats();
-            let mut fixed = model.open_descend(hs.height);
-            let mut dom = model.read_ms(hs.bytes as f64) * frac;
-            let cut = upi.cutoff_index();
-            if !cut.is_empty() {
-                fixed += model.open_descend(cut.height());
-                dom += model.read_ms(cut.bytes() as f64) * frac;
-            }
-            let hints: Vec<AccessHint> = upi_range_hint(upi, lo, hi).into_iter().collect();
+            let (fixed, dom, note) = match chain.fractured() {
+                Some(f) => {
+                    let (fixed, dom) = cost::fractured_cost_parts(&model.coeffs, f, frac);
+                    let note = format!("range frac {frac:.4}, {} components", f.n_fractures() + 1);
+                    (fixed, dom, note)
+                }
+                None => {
+                    let hs = main.heap_stats();
+                    let mut fixed = model.open_descend(hs.height);
+                    let mut dom = model.read_ms(hs.bytes as f64) * frac;
+                    let cut = main.cutoff_index();
+                    if !cut.is_empty() {
+                        fixed += model.open_descend(cut.height());
+                        dom += model.read_ms(cut.bytes() as f64) * frac;
+                    }
+                    (
+                        fixed,
+                        dom,
+                        format!("range frac {frac:.4} of clustered heap"),
+                    )
+                }
+            };
+            let hints: Vec<AccessHint> = chain
+                .components()
+                .filter_map(|u| upi_range_hint(u, lo, hi))
+                .collect();
             let est_pages = hint_pages(&hints);
             out.push(
                 candidate(
                     model,
-                    AccessPath::UpiRange,
+                    AccessPath::UpiRange {
+                        fractured: chain.fractured().is_some(),
+                    },
                     fixed,
                     dom,
-                    format!("range frac {frac:.4} of clustered heap"),
+                    note,
                     hints,
                 )
                 .with_est(stats.est_count_value_range(lo, hi), est_pages),
             );
         }
-        out.push(
-            candidate(
-                model,
-                AccessPath::UpiFullScan,
-                model.coeffs.cost_init_ms,
-                model.read_ms(upi.heap_stats().bytes as f64),
-                format!("{} heap bytes sequential", upi.heap_stats().bytes),
-                upi_scan_hint(upi).into_iter().collect(),
-            )
-            .with_est_pages(upi.heap_stats().leaf_pages.max(1) as f64),
-        );
-    }
-
-    if let Some(f) = catalog.fractured {
-        if f.main().attr() == attr {
-            let stats = f.main().attr_stats();
-            let frac = (stats.est_count_value_range(lo, hi) / stats.total().max(1) as f64).min(1.0);
-            let (fixed, dom) = cost::fractured_cost_parts(&model.coeffs, f, frac);
-            let hints = fractured_range_hints(f, lo, hi);
-            let est_pages = hint_pages(&hints);
-            out.push(
-                candidate(
-                    model,
-                    AccessPath::FracturedRange,
-                    fixed,
-                    dom,
-                    format!("range frac {frac:.4}, {} components", f.n_fractures() + 1),
-                    hints,
-                )
-                .with_est(stats.est_count_value_range(lo, hi), est_pages),
-            );
+        if chain.fractured().is_none() {
+            out.push(upi_full_scan(model, main));
         }
     }
 
@@ -770,7 +717,7 @@ mod tests {
         assert!(plan
             .candidates
             .iter()
-            .any(|c| c.path == AccessPath::UpiRange));
+            .any(|c| c.path == AccessPath::UpiRange { fractured: false }));
         assert!(plan
             .candidates
             .iter()

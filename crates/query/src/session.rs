@@ -950,6 +950,45 @@ mod tests {
     }
 
     #[test]
+    fn a_dangling_cutoff_pointer_is_a_typed_corruption_error() {
+        // A slow-transfer disk and small pages, so the planner prefers the
+        // cutoff merge to a full scan of a modest table.
+        let disk = DiskConfig {
+            read_ms_per_mb: 2000.0,
+            ..DiskConfig::default()
+        };
+        let store = Store::new(Arc::new(SimDisk::new(disk)), 8 << 20);
+        let cfg = UpiConfig {
+            page_size: 1024,
+            ..UpiConfig::default()
+        };
+        let mut d = UncertainDb::create(store, "t", schema(), 1, TableLayout::Upi(cfg)).unwrap();
+        let tuples: Vec<Tuple> = (0..3000u64)
+            .map(|i| Tuple::new(TupleId(i), 0.9, row(i % 5, 0.9, i % 3)))
+            .collect();
+        d.load(&tuples).unwrap();
+        // Tuple 3000's second alternative (value 777, 4.5%) is its only
+        // cutoff entry. A caller describing it without that alternative
+        // deletes the heap copy but leaves the cutoff pointer dangling.
+        let pmf = |alts| Field::Discrete(DiscretePmf::new(alts));
+        let mut fields = row(3, 0.9, 0);
+        fields[1] = pmf(vec![(3, 0.9), (777, 0.05)]);
+        let victim = Tuple::new(TupleId(3000), 0.9, fields.clone());
+        d.insert_tuple(&victim).unwrap();
+        fields[1] = pmf(vec![(3, 0.9)]);
+        d.delete(&Tuple::new(TupleId(3000), 0.9, fields)).unwrap();
+
+        let q = PtqQuery::eq(1, 777).with_qt(0.01);
+        assert_eq!(d.plan(&q).unwrap().path().label(), "UpiHeap+CutoffMerge");
+        match d.query(&q) {
+            Err(QueryError::Storage(upi_storage::StorageError::Corrupted(what))) => {
+                assert!(what.contains("value 777, tuple 3000"), "{what}");
+            }
+            other => panic!("expected a wrapped Corrupted, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn maintenance_is_a_noop_on_unfractured_layouts() {
         let mut d = db(TableLayout::Upi(UpiConfig::default()));
         assert!(d.maintenance_tick().unwrap().is_none());

@@ -11,19 +11,21 @@
 //! Execution is scatter-gather and **genuinely parallel**: every shard
 //! runs its plan-and-drain on its own worker thread
 //! (`std::thread::scope`), against its own simulated device. Top-k
-//! point queries take the fast path: every shard whose chosen plan
-//! streams in confidence order (`UpiHeap`, `FracturedProbe`) is opened
-//! as a raw cursor, and all workers share one
+//! point queries take the fast path: every shard whose chosen plan is a
+//! clustered point probe (`UpiHeap`, `FracturedProbe`) opens its chain's
+//! confidence-ordered point merge (`upi::Chain::point_run`) as a raw
+//! cursor, and all workers share one
 //! [`TopKWatermark`](upi::TopKWatermark) behind a lock. The k-th best
 //! confidence seen *anywhere* becomes every cursor's pull watermark, so
 //! a shard whose best remaining confidence falls below the global k-th
 //! stops its source I/O early — even when the floor was raised by a
 //! faster shard mid-drain. Shards whose chosen plan is not
-//! confidence-ordered (or names a path this shard's layout cannot
-//! serve — see [`ShardedDb::from_shards`]) fall back to a full
-//! per-shard execution and join the merge as a pre-sorted batch; every
-//! other query shape scatters whole queries in parallel and gathers
-//! (re-sorts, re-aggregates, truncates) at the facade.
+//! confidence-ordered (or, behind a heterogeneous
+//! [`ShardedDb::from_shards`] facade, an unclustered shard handed a
+//! clustered path) fall back to a full per-shard execution and join the
+//! merge as a pre-sorted batch; every other query shape scatters whole
+//! queries in parallel and gathers (re-sorts, re-aggregates, truncates)
+//! at the facade.
 //!
 //! **Pruning.** The facade maintains one [`upi::ShardStats`] per shard —
 //! a raise-only max-confidence sketch per primary value — so an
@@ -49,7 +51,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use upi::{PtqResult, RecoveryInfo, ShardLayout, ShardStats, TableLayout, TopKWatermark};
+use upi::{
+    ChainPointRun, PtqResult, RecoveryInfo, ShardLayout, ShardStats, TableLayout, TopKWatermark,
+};
 use upi_storage::error::Result as StorageResult;
 use upi_storage::{BufferPool, IoStats, Lsn, PoolCounters, QueryId, Store};
 use upi_uncertain::{Field, Schema, Tuple, TupleId};
@@ -104,60 +108,17 @@ fn merge_cmp(a: &(usize, PtqResult), b: &(usize, PtqResult)) -> std::cmp::Orderi
         .then_with(|| a.0.cmp(&b.0))
 }
 
-/// A confidence-ordered per-shard cursor on the top-k fast path.
-enum ShardCursor<'a> {
-    /// Clustered UPI point merge (heap run + lazy cutoff).
-    Upi(upi::PointRun<'a>),
-    /// Fractured point merge; the global watermark is pushed in through
-    /// [`raise_conf_floor`](upi::FracturedPointRun::raise_conf_floor).
-    Frac(upi::FracturedPointRun<'a>),
-}
-
-impl ShardCursor<'_> {
-    /// Next row at/above `floor` (confidence ties survive; the watermark
-    /// only ever rises, which is what the underlying cursors require).
-    fn next_above(&mut self, floor: f64) -> Result<Option<PtqResult>, QueryError> {
-        match self {
-            ShardCursor::Upi(run) => match run.next_where(floor, &|_| true) {
-                Some(Ok(r)) => Ok(Some(r)),
-                Some(Err(e)) => Err(e.into()),
-                None => Ok(None),
-            },
-            ShardCursor::Frac(run) => {
-                run.raise_conf_floor(floor);
-                match run.next() {
-                    Some(Ok(r)) => Ok(Some(r)),
-                    Some(Err(e)) => Err(e.into()),
-                    None => Ok(None),
-                }
-            }
-        }
-    }
-}
-
-/// The layout a shard actually has, for [`upi::ExecError::LayoutMismatch`].
-fn layout_label(t: &upi::UncertainTable) -> &'static str {
-    if t.as_fractured().is_some() {
-        "fractured UPI"
-    } else if t.unclustered_parts().is_some() {
-        "unclustered heap"
-    } else {
-        "clustered UPI"
-    }
-}
-
 /// Open the confidence-ordered cursor the fast path needs for `path` on
 /// shard `s` — or a **typed** refusal.
 ///
 /// `Ok(None)` means the chosen path is simply not confidence-ordered
 /// (secondary, scan, PII …): the caller executes the whole shard query
-/// instead. `Err(LayoutMismatch)` means the plan named a streaming path
-/// this shard's physical layout cannot serve — possible once shards
-/// have heterogeneous layouts ([`ShardedDb::from_shards`]) or a plan
-/// was built against a foreign catalog — and the caller falls back the
-/// same way rather than panicking. Note `UpiHeap` must also *reject* a
-/// fractured shard: `as_upi()` would happily return the main component,
-/// silently dropping buffered and fractured rows from the answer.
+/// instead. A clustered point probe opens the shard table's own chain,
+/// whatever its layout; `Err(LayoutMismatch)` means the plan named one
+/// but the shard is unclustered — possible once shards have
+/// heterogeneous layouts ([`ShardedDb::from_shards`]) or a plan was
+/// built against a foreign catalog — and the caller falls back the same
+/// way rather than panicking.
 fn open_fast_cursor<'a>(
     s: &'a UncertainDb,
     path: &AccessPath,
@@ -166,52 +127,27 @@ fn open_fast_cursor<'a>(
     value: u64,
     qt: f64,
     k: usize,
-) -> Result<Option<ShardCursor<'a>>, QueryError> {
-    let mismatch = |path: &AccessPath| {
-        QueryError::Exec(upi::ExecError::LayoutMismatch {
+) -> Result<Option<ChainPointRun<'a>>, QueryError> {
+    if !matches!(path, AccessPath::UpiHeap { .. }) {
+        return Ok(None);
+    }
+    let Some(chain) = s.table().chain() else {
+        return Err(QueryError::Exec(upi::ExecError::LayoutMismatch {
             path: path.label(),
-            layout: layout_label(s.table()).to_string(),
-        })
+            layout: "unclustered heap".to_string(),
+        }));
     };
-    match path {
-        AccessPath::UpiHeap { .. } => {
-            if s.table().as_fractured().is_some() {
-                return Err(mismatch(path));
+    for &hint in hints {
+        pool.hint_run(hint);
+    }
+    match chain.point_run(value, qt, Some(k)) {
+        Ok(run) => Ok(Some(run)),
+        Err(e) => {
+            for hint in hints {
+                pool.clear_hint(hint.start_page);
             }
-            let Some(upi) = s.table().as_upi() else {
-                return Err(mismatch(path));
-            };
-            for &hint in hints {
-                pool.hint_run(hint);
-            }
-            match upi.point_run(value, qt, Some(k)) {
-                Ok(run) => Ok(Some(ShardCursor::Upi(run))),
-                Err(e) => {
-                    for hint in hints {
-                        pool.clear_hint(hint.start_page);
-                    }
-                    Err(e.into())
-                }
-            }
+            Err(e.into())
         }
-        AccessPath::FracturedProbe => {
-            let Some(f) = s.table().as_fractured() else {
-                return Err(mismatch(path));
-            };
-            for &hint in hints {
-                pool.hint_run(hint);
-            }
-            match f.ptq_run(value, qt, Some(k)) {
-                Ok(run) => Ok(Some(ShardCursor::Frac(run))),
-                Err(e) => {
-                    for hint in hints {
-                        pool.clear_hint(hint.start_page);
-                    }
-                    Err(e.into())
-                }
-            }
-        }
-        _ => Ok(None),
     }
 }
 
@@ -697,9 +633,9 @@ impl ShardedDb {
             let cursor =
                 match open_fast_cursor(s, &chosen.path, &chosen.hints, pool, value, q.qt, k) {
                     Ok(c) => c,
-                    // The plan named a streaming path this shard's layout
-                    // cannot serve: typed and recoverable — run the whole
-                    // shard query instead of panicking.
+                    // A clustered path on an unclustered shard: typed and
+                    // recoverable — run the whole shard query instead of
+                    // panicking.
                     Err(QueryError::Exec(e @ upi::ExecError::LayoutMismatch { .. })) => {
                         label = format!("{label} [fallback: {e}]");
                         None
@@ -710,16 +646,14 @@ impl ShardedDb {
                 Some(mut cur) => {
                     let mut rows = Vec::with_capacity(k);
                     loop {
-                        let floor = wm.lock().floor();
-                        match cur.next_above(floor)? {
-                            Some(r) => {
-                                wm.lock().note(r.confidence);
-                                rows.push(r);
-                                if rows.len() >= k {
-                                    break;
-                                }
-                            }
-                            None => break,
+                        // Confidence ties survive; the floor only rises.
+                        cur.raise_conf_floor(wm.lock().floor());
+                        let Some(r) = cur.next() else { break };
+                        let r = r?;
+                        wm.lock().note(r.confidence);
+                        rows.push(r);
+                        if rows.len() >= k {
+                            break;
                         }
                     }
                     Ok(ShardOutcome {
@@ -731,7 +665,7 @@ impl ShardedDb {
                     })
                 }
                 // Not confidence-ordered (e.g. a full scan won on a tiny
-                // shard), or a layout mismatch: execute the whole shard
+                // shard), or an unclustered shard: execute the whole shard
                 // query — it pushes its own inner attribution window and
                 // records its own calibration sample — and merge its
                 // exact rows (noting them so other shards' floors rise).
@@ -1166,11 +1100,11 @@ mod tests {
         assert_eq!(sharded.shards()[0].table().live_tuples().unwrap().len(), 49);
     }
 
-    /// The old fast path `expect()`ed its way onto shards whose layout
-    /// differed from the plan's path. With heterogeneous shards (now
-    /// constructible via [`ShardedDb::from_shards`]) the facade must
-    /// stream where it can, fall back where it cannot, and stay
-    /// byte-equal to the unsharded answer — never panic.
+    /// With heterogeneous shards (constructible via
+    /// [`ShardedDb::from_shards`]) the facade must stream where it can —
+    /// every clustered shard, plain or fractured, opens its chain's point
+    /// merge — fall back where it cannot, and stay byte-equal to the
+    /// unsharded answer, never panic.
     #[test]
     fn mixed_layout_shards_answer_top_k_without_panicking() {
         let layouts = [
@@ -1198,12 +1132,12 @@ mod tests {
             .collect();
         let mut single =
             UncertainDb::create(stores(1).remove(0), "m", schema(), 1, layouts[0].clone()).unwrap();
-        for i in 0..200u64 {
-            let t = Tuple::new(
-                TupleId(i),
-                0.9,
-                row(i % 7, 0.35 + (i % 6) as f64 * 0.1, i % 3),
-            );
+        // Enough padded rows that a clustered probe beats a full scan on
+        // every clustered shard.
+        for i in 0..3000u64 {
+            let mut fields = row(i % 7, 0.35 + (i % 6) as f64 * 0.1, i % 3);
+            fields[0] = Field::Certain(Datum::Str("x".repeat(300)));
+            let t = Tuple::new(TupleId(i), 0.9, fields);
             shard_dbs[routing.route(i)].insert_tuple(&t).unwrap();
             single.insert_tuple(&t).unwrap();
         }
@@ -1212,6 +1146,25 @@ mod tests {
         }
         single.flush().unwrap();
         let sharded = ShardedDb::from_shards(shard_dbs, routing).unwrap();
+        // Pruning off: every shard is opened, so each span names its path.
+        sharded.set_pruning(false);
+        let out = sharded.query(&PtqQuery::eq(1, 3).with_top_k(5)).unwrap();
+        let labels: Vec<&str> = out.trace.as_ref().unwrap().spans[1..]
+            .iter()
+            .map(|s| s.label.as_str())
+            .collect();
+        assert!(labels[0].starts_with("shard0: UpiHeap"), "{labels:?}");
+        assert!(
+            labels[1].starts_with("shard1: FracturedProbe"),
+            "{labels:?}"
+        );
+        // Only the unclustered shard executes its whole query: its PII or
+        // scan plan is not confidence-ordered.
+        assert!(!labels[2].contains("UpiHeap") && !labels[2].contains("Fractured"));
+        assert!(
+            labels.iter().all(|l| !l.contains("[fallback")),
+            "{labels:?}"
+        );
         for k in [1, 5, 40] {
             assert_eq!(
                 fingerprint(&sharded.top_k(3, k).unwrap()),
@@ -1227,64 +1180,40 @@ mod tests {
         }
     }
 
-    /// Pin the typed refusal directly: a `UpiHeap` plan cannot open a
-    /// streaming cursor on a fractured or unclustered shard, and a
-    /// `FracturedProbe` cannot open one on a plain-UPI shard.
+    /// Pin the one typed refusal left: a clustered point probe cannot
+    /// open a streaming cursor on an unclustered shard.
     #[test]
     fn fast_cursor_open_reports_layout_mismatch_as_typed_error() {
-        let frac = UncertainDb::create(
+        let unclustered = UncertainDb::create(
             stores(1).remove(0),
-            "f",
+            "u",
             schema(),
             1,
-            TableLayout::FracturedUpi(FracturedConfig {
-                upi: UpiConfig::default(),
-                buffer_ops: 0,
-            }),
+            TableLayout::Unclustered,
         )
         .unwrap();
-        let plain = UncertainDb::create(
-            stores(1).remove(0),
-            "p",
-            schema(),
-            1,
-            TableLayout::Upi(UpiConfig::default()),
-        )
-        .unwrap();
-        let heap_path = AccessPath::UpiHeap { use_cutoff: false };
+        let heap_path = AccessPath::UpiHeap {
+            use_cutoff: false,
+            fractured: false,
+        };
         let err = open_fast_cursor(
-            &frac,
+            &unclustered,
             &heap_path,
             &[],
-            frac.table().store().pool.as_ref(),
+            unclustered.table().store().pool.as_ref(),
             3,
             0.0,
             5,
         )
         .err()
-        .expect("UpiHeap on a fractured shard must be rejected");
+        .expect("UpiHeap on an unclustered shard must be rejected");
         match err {
             QueryError::Exec(upi::ExecError::LayoutMismatch { path, layout }) => {
                 assert!(path.starts_with("UpiHeap"), "{path}");
-                assert_eq!(layout, "fractured UPI");
+                assert_eq!(layout, "unclustered heap");
             }
             other => panic!("expected LayoutMismatch, got {other:?}"),
         }
-        let err = open_fast_cursor(
-            &plain,
-            &AccessPath::FracturedProbe,
-            &[],
-            plain.table().store().pool.as_ref(),
-            3,
-            0.0,
-            5,
-        )
-        .err()
-        .expect("FracturedProbe on a plain UPI shard must be rejected");
-        assert!(matches!(
-            err,
-            QueryError::Exec(upi::ExecError::LayoutMismatch { .. })
-        ));
     }
 
     /// Pruning skips shards whose bound cannot reach qt, opens zero

@@ -866,11 +866,14 @@ const EXEC_QUERIES: &[QueryPin] = &[
         n_rows: 1731,
         rows: 17826687679275568772,
     },
+    // Re-recorded when each component began running Algorithm 2 — heap
+    // run drained, then its cutoff pointers in heap order — instead of a
+    // confidence-ordered merge: 155 pages, 126 seeks, 1324.94 ms before.
     QueryPin {
         name: "fractured point qt<C",
-        page_reads: 155,
-        seeks: 126,
-        total_ms_bits: 4653541968024135533,
+        page_reads: 235,
+        seeks: 65,
+        total_ms_bits: 4651750130686922042,
         n_rows: 430,
         rows: 13701988654977328979,
     },
@@ -926,24 +929,15 @@ fn executor_paths_are_bit_identical() {
         // `C` is `UpiConfig::default().cutoff`, 0.1; the top-k below `C`
         // asks for more rows than the heap run holds above it.
         for (qt, side, k) in [(0.3, "qt>=C", 10), (0.02, "qt<C", 300)] {
-            let point = if fractured {
-                AccessPath::FracturedProbe
-            } else {
-                AccessPath::UpiHeap {
-                    use_cutoff: qt < 0.1,
-                }
+            let point = AccessPath::UpiHeap {
+                use_cutoff: qt < 0.1,
+                fractured,
             };
-            let range = if fractured {
-                AccessPath::FracturedRange
-            } else {
-                AccessPath::UpiRange
-            };
-            let secondary = |tailored| {
-                if fractured {
-                    AccessPath::FracturedSecondary { index: 0, tailored }
-                } else {
-                    AccessPath::UpiSecondary { index: 0, tailored }
-                }
+            let range = AccessPath::UpiRange { fractured };
+            let secondary = |tailored| AccessPath::UpiSecondary {
+                index: 0,
+                tailored,
+                fractured,
             };
             let eq = PtqQuery::eq(attr, hot).with_qt(qt);
             let sec = PtqQuery::eq(sec_attr, country).with_qt(qt);

@@ -215,7 +215,13 @@ fn fractured_plans_carry_one_hint_per_component_and_arm_them_all() {
     // The point merge gets per-component hints too, and its k-way open
     // consumes all of them.
     let point = db.plan(&PtqQuery::eq(ATTR, 3).with_qt(0.1)).unwrap();
-    assert_eq!(point.path(), &AccessPath::FracturedProbe);
+    assert_eq!(
+        point.path(),
+        &AccessPath::UpiHeap {
+            use_cutoff: false,
+            fractured: true
+        }
+    );
     assert_eq!(point.candidates[0].hints.len(), components);
     st.go_cold();
     let out = point.execute(&catalog).unwrap();

@@ -3,7 +3,7 @@
 //! A fractured point merge cannot bound any single component's cutoff
 //! scan by k: a newer fracture's delete set may suppress arbitrarily
 //! many of that component's most-confident candidates (which is why
-//! `FracturedUpi::ptq_run` historically scanned each cutoff list
+//! the fractured point merge historically scanned each cutoff list
 //! unbounded). The sound bound is *global*: the running k-th-highest
 //! confidence over surviving rows already seen — suppression only ever
 //! removes rows, so once k survivors sit at/above the watermark, every
@@ -13,7 +13,7 @@
 //! These tests pin both halves of the claim:
 //! * for random k, fracture counts, delete patterns, and insert-buffer
 //!   shapes, the bounded merge's first k rows are **byte-identical**
-//!   (tid and confidence bits) to the unbounded merge's and to the
+//!   (tid and confidence bits) to the unbounded merge's top k and to the
 //!   batch `ptq` prefix;
 //! * on a suppression-heavy table — thousands of cutoff entries whose
 //!   tuples a newer fracture deleted — `PoolCounters` shows strictly
@@ -71,14 +71,17 @@ fn key(r: &PtqResult) -> (u64, u64) {
     (r.tuple.id.0, r.confidence.to_bits())
 }
 
-/// First `k` rows of the merge, bounded or unbounded.
+/// The top `k` rows of the point merge: bounded (the first k rows of the
+/// confidence-ordered top-k merge) or unbounded (every row, each
+/// component running Algorithm 2, sorted afterwards).
 fn first_k(f: &FracturedUpi, qt: f64, k: usize, bounded: bool) -> Vec<(u64, u64)> {
-    let limit = if bounded { Some(k) } else { None };
-    f.ptq_run(QV, qt, limit)
-        .unwrap()
-        .take(k)
-        .map(|r| key(&r.unwrap()))
-        .collect()
+    let run = f.chain().point_run(QV, qt, bounded.then_some(k)).unwrap();
+    if bounded {
+        return run.take(k).map(|r| key(&r.unwrap())).collect();
+    }
+    let mut rows: Vec<PtqResult> = run.collect::<Result<_, _>>().unwrap();
+    upi::sort_results(&mut rows);
+    rows.iter().take(k).map(key).collect()
 }
 
 #[test]

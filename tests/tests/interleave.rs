@@ -69,7 +69,8 @@ fn build() -> (Store, FracturedUpi) {
 
 /// The per-component run hints the planner arms for `FracturedRange`.
 fn range_hints(f: &FracturedUpi) -> Vec<AccessHint> {
-    f.components()
+    f.chain()
+        .components()
         .map(|u| AccessHint {
             start_page: u.run_start_page(LO).unwrap(),
             est_run_pages: estimate_range_run_pages(u, LO, HI),
@@ -78,7 +79,7 @@ fn range_hints(f: &FracturedUpi) -> Vec<AccessHint> {
 }
 
 /// Old behavior, reproduced by hand: construct every component's range
-/// run (as `FracturedUpi::range_run` does), then drain them one by one.
+/// run (as `Chain::range_run` does), then drain them one by one.
 fn drain_sequentially(store: &Store, f: &FracturedUpi) -> (usize, PoolCounters) {
     store.go_cold();
     let before = store.pool.counters();
@@ -86,6 +87,7 @@ fn drain_sequentially(store: &Store, f: &FracturedUpi) -> (usize, PoolCounters) 
         store.pool.hint_run(hint);
     }
     let mut runs: Vec<_> = f
+        .chain()
         .components()
         .map(|u| u.range_run(LO, HI, QT).unwrap())
         .collect();
@@ -107,6 +109,7 @@ fn drain_interleaved(store: &Store, f: &FracturedUpi) -> (usize, PoolCounters) {
         store.pool.hint_run(hint);
     }
     let rows = f
+        .chain()
         .range_run(LO, HI, QT)
         .unwrap()
         .map(|r| r.map(|_| 1usize))

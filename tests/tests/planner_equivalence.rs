@@ -177,8 +177,8 @@ proptest! {
             PtqQuery::eq(1, value).with_qt(qt),
             PtqQuery::eq(2, sec_value).with_qt(qt),
             // Top-k on the clustered attribute: exercises the
-            // confidence-ordered UpiPointMerge / FracturedMerge early
-            // termination against every batch-ish alternative.
+            // confidence-ordered chain point merge's early termination
+            // against every batch-ish alternative.
             PtqQuery::eq(1, value).with_qt(qt).with_top_k(3),
             PtqQuery::eq(1, value).with_top_k(1),
             // Top-k through the secondary probes: exercises the entry-run
@@ -187,7 +187,7 @@ proptest! {
             PtqQuery::eq(2, sec_value).with_qt(qt).with_top_k(2),
             PtqQuery::range(1, lo, (lo + width).min(7)).with_qt(qt),
             // Top-k over a range: no sound early exit (alternatives sum),
-            // but the streaming UpiRange/FracturedMerge sources must agree
+            // but the streaming clustered range merges must agree
             // with every other path after the sink sorts.
             PtqQuery::range(1, lo, (lo + width).min(7))
                 .with_qt(qt)

@@ -155,6 +155,7 @@ proptest! {
         ).unwrap();
         upi.bulk_load(&tuples).unwrap();
         let top: Vec<_> = upi
+            .chain()
             .point_run(value, 0.0, Some(k))
             .unwrap()
             .take(k)
