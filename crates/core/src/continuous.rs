@@ -27,12 +27,13 @@ use upi_btree::BTree;
 use upi_rtree::{LeafEntry, Point, RTree, RTreeStats, SplitEvent};
 use upi_storage::error::{Result, StorageError};
 use upi_storage::{FileId, PageId, Store};
-use upi_uncertain::tuple::{decode_tuple, encode_tuple, peek_header, TUPLE_HEADER_LEN};
-use upi_uncertain::{AttrStats, ConstrainedGaussian, Tuple, TupleId};
+use upi_uncertain::tuple::{encode_tuple, TUPLE_HEADER_LEN};
+use upi_uncertain::{AttrStats, ConstrainedGaussian, Tuple, TupleId, TupleView};
 
 use crate::exec::{sort_results, PtqResult};
 use crate::heap::UnclusteredHeap;
 use crate::keys;
+use crate::records::corrupt_record;
 
 /// Page-size configuration for the continuous UPI (paper: 4 KB R-Tree
 /// nodes, 64 KB heap pages).
@@ -107,24 +108,16 @@ fn circle_candidates(
 const HEAP_HEADER_LEN: usize = 2;
 const RECORD_PREFIX_LEN: usize = 4;
 
-fn heap_page_bytes_needed(tuples: &[&Tuple]) -> usize {
-    HEAP_HEADER_LEN
-        + tuples
-            .iter()
-            .map(|t| RECORD_PREFIX_LEN + t.encoded_len())
-            .sum::<usize>()
-}
-
-fn encode_heap_page(tuples: &[&Tuple], page_size: usize) -> Bytes {
+/// A heap page holding encoded tuples `records`, in order.
+fn encode_heap_page(records: &[&[u8]], page_size: usize) -> Bytes {
     let mut buf = vec![0u8; page_size];
-    buf[0..2].copy_from_slice(&(tuples.len() as u16).to_le_bytes());
+    buf[0..2].copy_from_slice(&(records.len() as u16).to_le_bytes());
     let mut at = HEAP_HEADER_LEN;
-    for t in tuples {
-        let enc = encode_tuple(t);
-        buf[at..at + 4].copy_from_slice(&(enc.len() as u32).to_le_bytes());
+    for r in records {
+        buf[at..at + 4].copy_from_slice(&(r.len() as u32).to_le_bytes());
         at += RECORD_PREFIX_LEN;
-        buf[at..at + enc.len()].copy_from_slice(&enc);
-        at += enc.len();
+        buf[at..at + r.len()].copy_from_slice(r);
+        at += r.len();
     }
     assert!(at <= page_size, "heap page overflow");
     Bytes::from(buf)
@@ -146,13 +139,20 @@ fn none_missing(missing: &[(u64, f64)]) -> Result<()> {
     }
 }
 
-/// One `[len][tuple]` record of a heap page, read in place: `tid` and
-/// `exist` come from the tuple's fixed header, `tuple` is the still-encoded
-/// tuple for [`decode_tuple`].
+/// One `[len][tuple]` record of a heap page, read in place: `tid` is the
+/// id leading the tuple's fixed header, `tuple` the still-encoded tuple —
+/// checked by [`view`](Self::view) only once a scan wants it.
 struct HeapRecord<'a> {
+    pid: PageId,
     tid: u64,
-    exist: f64,
     tuple: &'a [u8],
+}
+
+impl<'a> HeapRecord<'a> {
+    /// The tuple, checked; damage is `Corrupted` naming the page.
+    fn view(&self) -> Result<TupleView<'a>> {
+        TupleView::parse(self.tuple).map_err(|why| corrupt_record("heap", self.pid, why))
+    }
 }
 
 /// In-place scanner over the records of one heap page — the only parser of
@@ -195,7 +195,7 @@ impl<'a> HeapRecords<'a> {
             .ok_or_else(|| {
                 corrupt_heap_page(self.pid, format!("record at offset {at} overruns the page"))
             })?;
-        let (tid, exist) = peek_header(tuple).ok_or_else(|| {
+        let header = tuple.get(..TUPLE_HEADER_LEN).ok_or_else(|| {
             corrupt_heap_page(
                 self.pid,
                 format!(
@@ -207,8 +207,8 @@ impl<'a> HeapRecords<'a> {
         })?;
         self.at = at + RECORD_PREFIX_LEN + tuple.len();
         Ok(HeapRecord {
-            tid: tid.0,
-            exist,
+            pid: self.pid,
+            tid: u64::from_le_bytes(header[..8].try_into().expect("8 bytes")),
             tuple,
         })
     }
@@ -227,12 +227,11 @@ impl<'a> Iterator for HeapRecords<'a> {
     }
 }
 
-/// Every tuple of a heap page, decoded — for a page about to be rewritten
-/// (append, leaf split); queries scan [`heap_records`] instead.
-fn decode_heap_page(pid: PageId, data: &[u8]) -> Result<Vec<Tuple>> {
-    heap_records(pid, data)?
-        .map(|rec| Ok(decode_tuple(rec?.tuple)))
-        .collect()
+/// Every tuple of a heap page, checked — for a page about to be rewritten
+/// (append, leaf split), which copies the records; queries scan
+/// [`heap_records`] instead.
+fn page_records(pid: PageId, data: &[u8]) -> Result<Vec<TupleView<'_>>> {
+    heap_records(pid, data)?.map(|rec| rec?.view()).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -291,13 +290,14 @@ impl ContinuousUpi {
         self.rtree.bulk_load(entries)?;
 
         for leaf in self.rtree.leaf_order()? {
-            let leaf_tuples: Vec<&Tuple> = self
+            let leaf_tuples: Vec<Vec<u8>> = self
                 .rtree
                 .leaf_entries(leaf)?
                 .iter()
-                .map(|e| by_tid[&e.tid])
+                .map(|e| encode_tuple(by_tid[&e.tid]))
                 .collect();
-            let chain = self.write_chain(&leaf_tuples)?;
+            let records: Vec<&[u8]> = leaf_tuples.iter().map(Vec::as_slice).collect();
+            let chain = self.write_chain(&records)?;
             self.index_chain(&chain)?;
             self.leaf_chain.insert(leaf, chain);
         }
@@ -306,31 +306,32 @@ impl ContinuousUpi {
         Ok(())
     }
 
-    /// Write tuples into a fresh chain of heap pages (greedy packing).
-    fn write_chain(&mut self, tuples: &[&Tuple]) -> Result<Vec<PageId>> {
+    /// Write encoded tuples into a fresh chain of heap pages (greedy
+    /// packing).
+    fn write_chain(&mut self, records: &[&[u8]]) -> Result<Vec<PageId>> {
         let page_size = self.cfg.heap_page as usize;
         let mut chain = Vec::new();
-        // The page being filled holds `tuples[start..i]` in `used` bytes.
+        // The page being filled holds `records[start..i]` in `used` bytes.
         let mut start = 0;
         let mut used = HEAP_HEADER_LEN;
-        for (i, t) in tuples.iter().enumerate() {
-            let need = RECORD_PREFIX_LEN + t.encoded_len();
+        for (i, r) in records.iter().enumerate() {
+            let need = RECORD_PREFIX_LEN + r.len();
             if used + need > page_size && i > start {
-                chain.push(self.write_heap_page(&tuples[start..i])?);
+                chain.push(self.write_heap_page(&records[start..i])?);
                 start = i;
                 used = HEAP_HEADER_LEN;
             }
             used += need;
         }
-        chain.push(self.write_heap_page(&tuples[start..])?);
+        chain.push(self.write_heap_page(&records[start..])?);
         Ok(chain)
     }
 
-    fn write_heap_page(&mut self, tuples: &[&Tuple]) -> Result<PageId> {
+    fn write_heap_page(&mut self, records: &[&[u8]]) -> Result<PageId> {
         let pid = self.store.disk.alloc_page(self.heap_file)?;
         self.store
             .pool
-            .put(pid, encode_heap_page(tuples, self.cfg.heap_page as usize));
+            .put(pid, encode_heap_page(records, self.cfg.heap_page as usize));
         Ok(pid)
     }
 
@@ -361,22 +362,27 @@ impl ContinuousUpi {
         // Append the tuple to its leaf's chain (allocating an overflow page
         // when full — Figure 2's "overflow page").
         let page_size = self.cfg.heap_page as usize;
+        let enc = encode_tuple(t);
         let chain = self.leaf_chain.entry(dest_leaf).or_default();
         let mut placed = false;
         if let Some(&last) = chain.last() {
-            let mut tuples = decode_heap_page(last, &self.store.pool.get(last)?)?;
-            tuples.push(t.clone());
-            let refs: Vec<&Tuple> = tuples.iter().collect();
-            if heap_page_bytes_needed(&refs) <= page_size {
+            let page = self.store.pool.get(last)?;
+            let mut records: Vec<&[u8]> = page_records(last, &page)?
+                .iter()
+                .map(|r| r.bytes())
+                .collect();
+            records.push(&enc);
+            let used: usize = records.iter().map(|r| RECORD_PREFIX_LEN + r.len()).sum();
+            if HEAP_HEADER_LEN + used <= page_size {
                 self.store
                     .pool
-                    .put(last, encode_heap_page(&refs, page_size));
+                    .put(last, encode_heap_page(&records, page_size));
                 self.tid_page.insert(t.id.0, last);
                 placed = true;
             }
         }
         if !placed {
-            let pid = self.write_heap_page(&[t])?;
+            let pid = self.write_heap_page(&[&enc])?;
             self.leaf_chain
                 .get_mut(&dest_leaf)
                 .expect("chain just ensured")
@@ -391,19 +397,25 @@ impl ContinuousUpi {
     /// entries migrate to a fresh chain for the new leaf.
     fn split_chain(&mut self, ev: &SplitEvent) -> Result<()> {
         let old_chain = self.leaf_chain.remove(&ev.old_leaf).unwrap_or_default();
-        let mut all: Vec<Tuple> = Vec::new();
-        for pid in &old_chain {
-            all.extend(decode_heap_page(*pid, &self.store.pool.get(*pid)?)?);
-            self.store.pool.discard(*pid);
-            self.store.free_page(*pid)?;
+        let mut pages = Vec::with_capacity(old_chain.len());
+        for &pid in &old_chain {
+            pages.push((pid, self.store.pool.get(pid)?));
+            self.store.pool.discard(pid);
+            self.store.free_page(pid)?;
         }
         let moved: std::collections::HashSet<u64> = ev.moved.iter().copied().collect();
-        let (stay, go): (Vec<Tuple>, Vec<Tuple>) =
-            all.into_iter().partition(|t| !moved.contains(&t.id.0));
-        let stay_refs: Vec<&Tuple> = stay.iter().collect();
-        let go_refs: Vec<&Tuple> = go.iter().collect();
-        let stay_chain = self.write_chain(&stay_refs)?;
-        let go_chain = self.write_chain(&go_refs)?;
+        let (mut stay, mut go): (Vec<&[u8]>, Vec<&[u8]>) = Default::default();
+        for (pid, page) in &pages {
+            for r in page_records(*pid, page)? {
+                if moved.contains(&r.id().0) {
+                    go.push(r.bytes());
+                } else {
+                    stay.push(r.bytes());
+                }
+            }
+        }
+        let stay_chain = self.write_chain(&stay)?;
+        let go_chain = self.write_chain(&go)?;
         self.index_chain(&stay_chain)?;
         self.index_chain(&go_chain)?;
         self.leaf_chain.insert(ev.old_leaf, stay_chain);
@@ -437,13 +449,13 @@ impl ContinuousUpi {
         }
         let mut out = Vec::new();
         let missing = self.scan_wanted(wanted, |rec, p| {
-            let confidence = rec.exist * p;
+            let t = rec.view()?;
+            let confidence = t.exist() * p;
             if confidence >= qt {
-                out.push(PtqResult {
-                    tuple: decode_tuple(rec.tuple),
-                    confidence,
-                });
+                let tuple = t.to_tuple();
+                out.push(PtqResult { tuple, confidence });
             }
+            Ok(())
         })?;
         none_missing(&missing)?;
         sort_results(&mut out);
@@ -457,7 +469,7 @@ impl ContinuousUpi {
     fn scan_wanted(
         &self,
         wanted: HashMap<PageId, Wanted>,
-        mut hit: impl FnMut(&HeapRecord<'_>, f64),
+        mut hit: impl FnMut(&HeapRecord<'_>, f64) -> Result<()>,
     ) -> Result<Wanted> {
         // One offset lookup per distinct page, before the sort: the disk's
         // page table sits behind a lock, which a sort comparator would
@@ -476,7 +488,7 @@ impl ContinuousUpi {
             for rec in heap_records(pid, &page)? {
                 let rec = rec?;
                 if let Some(i) = want.iter().position(|&(tid, _)| tid == rec.tid) {
-                    hit(&rec, want.swap_remove(i).1);
+                    hit(&rec, want.swap_remove(i).1)?;
                     if want.is_empty() {
                         break;
                     }
@@ -678,10 +690,9 @@ impl ContinuousSecondary {
         }
         let mut out = Vec::new();
         let mut emit = |rec: &HeapRecord<'_>, confidence: f64| {
-            out.push(PtqResult {
-                tuple: decode_tuple(rec.tuple),
-                confidence,
-            })
+            let tuple = rec.view()?.to_tuple();
+            out.push(PtqResult { tuple, confidence });
+            Ok(())
         };
         let stale = upi.scan_wanted(wanted, &mut emit)?;
         // Tuples that migrated during a later leaf split: the
@@ -950,13 +961,26 @@ mod tests {
         assert!(!got.is_empty(), "busy segment must match something");
     }
 
+    /// A heap page holding `tuples`, and how many of its bytes they use.
+    fn heap_page(tuples: &[Tuple], page_size: usize) -> (Bytes, usize) {
+        let enc: Vec<Vec<u8>> = tuples.iter().map(encode_tuple).collect();
+        let records: Vec<&[u8]> = enc.iter().map(Vec::as_slice).collect();
+        let used: usize = records.iter().map(|r| RECORD_PREFIX_LEN + r.len()).sum();
+        (
+            encode_heap_page(&records, page_size),
+            HEAP_HEADER_LEN + used,
+        )
+    }
+
     #[test]
     fn heap_page_codec_roundtrip() {
         let tuples = cloud(10);
-        let refs: Vec<&Tuple> = tuples.iter().collect();
-        let page = encode_heap_page(&refs, 65536);
-        let back = decode_heap_page(PageId(0), &page).unwrap();
-        assert_eq!(back, tuples);
+        let (page, _) = heap_page(&tuples, 65536);
+        let back = page_records(PageId(0), &page).unwrap();
+        assert_eq!(
+            back.iter().map(|r| r.to_tuple()).collect::<Vec<_>>(),
+            tuples
+        );
     }
 
     /// Buffer-pool `get` calls (hits + misses) made while `f` runs.
@@ -979,12 +1003,11 @@ mod tests {
     #[test]
     fn heap_record_scanner_reads_headers_in_place_and_reports_corruption() {
         let tuples = uncertain_cloud(10);
-        let refs: Vec<&Tuple> = tuples.iter().collect();
-        let page = encode_heap_page(&refs, 8192);
+        let (page, used) = heap_page(&tuples, 8192);
         let pid = PageId(31);
         let headers: Vec<(u64, f64)> = heap_records(pid, &page)
             .unwrap()
-            .map(|r| r.map(|r| (r.tid, r.exist)))
+            .map(|r| r.and_then(|r| Ok((r.tid, r.view()?.exist()))))
             .collect::<Result<_>>()
             .unwrap();
         let want: Vec<(u64, f64)> = tuples.iter().map(|t| (t.id.0, t.exist)).collect();
@@ -1015,7 +1038,7 @@ mod tests {
         let mut bad = page.to_vec();
         bad[0..2].copy_from_slice(&u16::MAX.to_le_bytes());
         expect_corrupted(scan(&bad), "31");
-        let tight = &page[..heap_page_bytes_needed(&refs)];
+        let tight = &page[..used];
         assert_eq!(scan(tight).unwrap(), 10);
         let mut bad = tight.to_vec();
         bad[0..2].copy_from_slice(&11u16.to_le_bytes());
@@ -1065,6 +1088,41 @@ mod tests {
         let mut upi = build();
         upi.tid_page.remove(&hit.0);
         expect_corrupted(upi.query_circle(qx, qy, r, qt), &hit.0.to_string());
+    }
+
+    #[test]
+    fn damaged_heap_records_surface_as_corruption_from_circle_and_segment_queries() {
+        let st = store();
+        let tuples = cloud(3000);
+        let mut upi =
+            ContinuousUpi::create(st.clone(), "c", 0, ContinuousConfig::default()).unwrap();
+        upi.bulk_load(&tuples).unwrap();
+        let mut sec = ContinuousSecondary::create(st.clone(), "seg", 1, 8192).unwrap();
+        sec.bulk_load(&upi, &tuples).unwrap();
+        // The first record of a heap page: `count u16 | len u32`, then the
+        // tuple — its 18-byte header, the point (tag and 32 bytes) and the
+        // segment PMF's tag. Claim more alternatives than the record has.
+        let pid = upi.page_of(tuples[1234].id).unwrap();
+        let good = st.pool.get(pid).unwrap();
+        let victim = &tuples[u64::from_le_bytes(good[6..14].try_into().unwrap()) as usize];
+        let count_at = 2 + 4 + 18 + 33 + 1;
+        let mut bad = good.to_vec();
+        assert_eq!(bad[count_at - 1], 3, "field 1 is the segment PMF");
+        bad[count_at..count_at + 2].copy_from_slice(&60_000u16.to_le_bytes());
+        st.pool.put(pid, Bytes::from(bad));
+
+        let (g, seg) = (victim.point(0), victim.discrete(1).first().0);
+        let circle = || upi.query_circle(g.cx, g.cy, 30.0, 0.0);
+        let segment = || sec.ptq(&upi, seg, 0.0);
+        for r in [circle(), segment()] {
+            expect_corrupted(r.map(drop), &format!("{pid:?}"));
+        }
+        expect_corrupted(segment().map(drop), "alternatives needs");
+
+        st.pool.put(pid, good);
+        for r in [circle(), segment()] {
+            assert!(r.unwrap().iter().any(|row| row.tuple == *victim));
+        }
     }
 
     /// `cloud(n)` with existence probabilities spread over (0, 1).

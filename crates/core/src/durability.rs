@@ -43,9 +43,10 @@
 use upi_storage::error::{Result, StorageError};
 use upi_storage::{wal, FileId, Lsn, Store};
 use upi_uncertain::tuple::encode_tuple_into;
-use upi_uncertain::{try_decode_tuple, FieldKind, Schema, Tuple};
+use upi_uncertain::{FieldKind, Schema, Tuple, TupleView};
 
 use crate::fractured::FracturedConfig;
+use crate::records::Records;
 use crate::table::TableLayout;
 use crate::upi::UpiConfig;
 
@@ -71,7 +72,8 @@ pub enum WalRecord {
     Flush,
     /// Fractures were merged into a fresh main component.
     Merge,
-    /// A checkpoint blob (see [`CheckpointImage`]) became authoritative.
+    /// A checkpoint blob (an encoded `CheckpointImage`) became
+    /// authoritative.
     Checkpoint {
         /// Device file holding the blob.
         file: u32,
@@ -152,8 +154,11 @@ impl WalRecord {
 /// (`next_id`), the secondary indexes attached so far, the live
 /// possible-worlds content, and an opaque session payload (the query
 /// layer stores its serialized cost-model calibration here).
-#[derive(Debug, Clone)]
-pub struct CheckpointImage {
+///
+/// The live tuples stay encoded: a checkpoint copies their records off
+/// the heap pages into the blob, and recovery builds from the blob's.
+#[derive(Debug)]
+pub(crate) struct CheckpointImage {
     /// Table schema.
     pub schema: Schema,
     /// Physical layout (with its tuning config).
@@ -164,8 +169,9 @@ pub struct CheckpointImage {
     pub sec_attrs: Vec<u32>,
     /// Auto-id high-water mark.
     pub next_id: u64,
-    /// Live tuples (the possible-worlds state at checkpoint time).
-    pub tuples: Vec<Tuple>,
+    /// Live tuples (the possible-worlds state at checkpoint time), in
+    /// blob order.
+    pub records: Records,
     /// Opaque session payload (e.g. serialized calibration).
     pub extra: Vec<u8>,
 }
@@ -208,9 +214,12 @@ impl CheckpointImage {
             out.extend_from_slice(&a.to_le_bytes());
         }
         out.extend_from_slice(&self.next_id.to_le_bytes());
-        out.extend_from_slice(&(self.tuples.len() as u64).to_le_bytes());
-        for t in &self.tuples {
-            push_tuple(&mut out, t);
+        let framed: usize = self.records.iter().map(|r| 4 + r.len()).sum();
+        out.reserve(8 + framed + 4 + self.extra.len());
+        out.extend_from_slice(&(self.records.len() as u64).to_le_bytes());
+        for record in self.records.iter() {
+            out.extend_from_slice(&(record.len() as u32).to_le_bytes());
+            out.extend_from_slice(record);
         }
         out.extend_from_slice(&(self.extra.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.extra);
@@ -257,10 +266,9 @@ impl CheckpointImage {
             sec_attrs.push(cur.u32()?);
         }
         let next_id = cur.u64()?;
-        let n_tuples = cur.u64()? as usize;
-        let mut tuples = Vec::with_capacity(n_tuples.min(1 << 20));
-        for _ in 0..n_tuples {
-            tuples.push(cur.tuple()?);
+        let mut records = Records::default();
+        for _ in 0..cur.u64()? {
+            records.push(&cur.record()?);
         }
         let n_extra = cur.u32()? as usize;
         let extra = cur.bytes(n_extra)?.to_vec();
@@ -270,7 +278,7 @@ impl CheckpointImage {
             primary_attr,
             sec_attrs,
             next_id,
-            tuples,
+            records,
             extra,
         })
     }
@@ -464,9 +472,14 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
-    fn tuple(&mut self) -> Result<Tuple> {
+    /// A length-prefixed tuple record, checked.
+    fn record(&mut self) -> Result<TupleView<'a>> {
         let n = self.u32()? as usize;
-        try_decode_tuple(self.bytes(n)?).map_err(|why| corrupt(why.to_string()))
+        TupleView::parse(self.bytes(n)?).map_err(|why| corrupt(why.to_string()))
+    }
+
+    fn tuple(&mut self) -> Result<Tuple> {
+        Ok(self.record()?.to_tuple())
     }
 
     fn upi_cfg(&mut self) -> Result<UpiConfig> {
@@ -548,14 +561,15 @@ mod tests {
             primary_attr: 1,
             sec_attrs: vec![1],
             next_id: 42,
-            tuples: (0..5).map(tuple).collect(),
+            records: Records::from_tuples(&(0..5).map(tuple).collect::<Vec<_>>()),
             extra: vec![9, 8, 7],
         };
         let decoded = CheckpointImage::decode(&img.encode()).unwrap();
         assert_eq!(decoded.primary_attr, 1);
         assert_eq!(decoded.sec_attrs, vec![1]);
         assert_eq!(decoded.next_id, 42);
-        assert_eq!(decoded.tuples.len(), 5);
+        let tuples = decoded.records.to_tuples().unwrap();
+        assert_eq!(tuples, (0..5).map(tuple).collect::<Vec<_>>());
         assert_eq!(decoded.extra, vec![9, 8, 7]);
         assert_eq!(decoded.schema.field(1).0, "inst");
         match decoded.layout {

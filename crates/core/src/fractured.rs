@@ -22,16 +22,17 @@
 //!   every component, drop deleted tuples, and bulk-write a fresh main UPI
 //!   — cost ≈ `S_table (T_read + T_write)` (Table 8).
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use upi_btree::BTree;
 use upi_storage::error::Result;
 use upi_storage::Store;
-use upi_uncertain::{Tuple, TupleId};
+use upi_uncertain::{IdSet, Tuple, TupleId};
 
 use crate::cost::DeviceCoeffs;
 use crate::exec::{sort_results, CursorStats, PtqResult};
 use crate::maintenance::{select_compaction, CompactionPlan, CompactionStep};
+use crate::records::Records;
 use crate::upi::{DiscreteUpi, PointRun, RangeRun, SecondaryRun, UpiConfig};
 
 /// Configuration of a Fractured UPI.
@@ -60,9 +61,9 @@ struct Fracture {
     /// Persisted delete set (key = tid, no payload).
     delete_tree: BTree,
     /// RAM-resident copy of the delete set.
-    deleted: HashSet<u64>,
+    deleted: IdSet<u64>,
     /// Tuple ids stored in this fracture (for exact liveness accounting).
-    ids: HashSet<u64>,
+    ids: IdSet<u64>,
 }
 
 impl Fracture {
@@ -88,10 +89,10 @@ pub struct FracturedUpi {
     seq: usize,
     main: DiscreteUpi,
     /// Ids stored in the main UPI.
-    main_ids: HashSet<u64>,
+    main_ids: IdSet<u64>,
     fractures: Vec<Fracture>,
     buf_inserts: BTreeMap<u64, Tuple>,
-    buf_deletes: HashSet<u64>,
+    buf_deletes: IdSet<u64>,
 }
 
 impl FracturedUpi {
@@ -116,10 +117,10 @@ impl FracturedUpi {
             name: name.to_string(),
             seq: 0,
             main,
-            main_ids: HashSet::new(),
+            main_ids: IdSet::default(),
             fractures: Vec::new(),
             buf_inserts: BTreeMap::new(),
-            buf_deletes: HashSet::new(),
+            buf_deletes: IdSet::default(),
         })
     }
 
@@ -128,9 +129,13 @@ impl FracturedUpi {
     where
         I: IntoIterator<Item = &'a Tuple>,
     {
-        let tuples: Vec<&Tuple> = tuples.into_iter().collect();
-        self.main_ids.extend(tuples.iter().map(|t| t.id.0));
-        self.main.bulk_load(tuples)
+        self.load_records(&Records::from_tuples(tuples))
+    }
+
+    /// [`load_initial`](Self::load_initial) from encoded tuples.
+    pub(crate) fn load_records(&mut self, records: &Records) -> Result<()> {
+        self.main_ids.extend(records.ids());
+        self.main.load_records(records)
     }
 
     /// Buffer an insert (RAM only — no I/O is charged, matching the
@@ -179,7 +184,8 @@ impl FracturedUpi {
             return Ok(());
         }
         let name = self.next_name('f');
-        let upi = self.build_upi(&name, upi_cfg, self.buf_inserts.values())?;
+        let inserts = Records::from_tuples(self.buf_inserts.values());
+        let upi = self.build_upi(&name, upi_cfg, &inserts)?;
         let mut deleted: Vec<u64> = self.buf_deletes.iter().copied().collect();
         deleted.sort_unstable();
         let delete_tree = self.build_delete_tree(&name, upi_cfg.page_size, &deleted)?;
@@ -202,18 +208,13 @@ impl FracturedUpi {
     }
 
     /// Build one sealed component — a UPI on `attr` with every secondary
-    /// attached — from `tuples` (in any order), as sequential writes.
-    fn build_upi<'a>(
-        &self,
-        name: &str,
-        cfg: UpiConfig,
-        tuples: impl IntoIterator<Item = &'a Tuple>,
-    ) -> Result<DiscreteUpi> {
+    /// attached — from `records` (in any order), as sequential writes.
+    fn build_upi(&self, name: &str, cfg: UpiConfig, records: &Records) -> Result<DiscreteUpi> {
         let mut upi = DiscreteUpi::create(self.store.clone(), name, self.attr, cfg)?;
         for &a in &self.sec_attrs {
             upi.add_secondary(a)?;
         }
-        upi.bulk_load(tuples)?;
+        upi.load_records(records)?;
         Ok(upi)
     }
 
@@ -227,20 +228,15 @@ impl FracturedUpi {
     }
 
     /// Sequentially read components `levels` (0 = main, `i + 1` =
-    /// fracture `i`) and keep what no newer component, nor the insert
-    /// buffer, suppresses — each surviving tuple once (a suppressed id's
-    /// older versions are exactly what is dropped), in scan order. The
-    /// read half of `Cost_merge`.
-    fn collect_live(&self, levels: std::ops::Range<usize>) -> Result<Vec<Tuple>> {
-        let mut live = Vec::new();
+    /// fracture `i`) and copy the record of what no newer component, nor
+    /// the insert buffer, suppresses — each surviving tuple once (a
+    /// suppressed id's older versions are exactly what is dropped), in
+    /// scan order. The read half of `Cost_merge`.
+    fn collect_live(&self, levels: std::ops::Range<usize>) -> Result<Records> {
+        let mut live = Records::default();
         let slice = self.chain().components().enumerate().take(levels.end);
         for (level, upi) in slice.skip(levels.start) {
-            for t in upi.distinct_scan()? {
-                let t = t?;
-                if !self.suppressed(t.id.0, level) {
-                    live.push(t);
-                }
-            }
+            upi.scan_records(&mut live, |tid| !self.suppressed(tid, level))?;
         }
         Ok(live)
     }
@@ -454,7 +450,7 @@ impl FracturedUpi {
         let new_main = self.build_upi(&name, self.cfg.upi, &live)?;
 
         // Free the replaced files.
-        self.main_ids = live.iter().map(|t| t.id.0).collect();
+        self.main_ids = live.ids().collect();
         let old_main = std::mem::replace(&mut self.main, new_main);
         old_main.destroy()?;
         for f in self.fractures.drain(..k) {
@@ -476,7 +472,7 @@ impl FracturedUpi {
     fn compact_run(&mut self, first: usize, last: usize) -> Result<()> {
         debug_assert!(first < last && last < self.fractures.len());
         let live = self.collect_live(first + 1..last + 2)?;
-        let mut deleted: HashSet<u64> = HashSet::new();
+        let mut deleted: IdSet<u64> = IdSet::default();
         for f in &self.fractures[first..=last] {
             f.read_delete_set()?;
             deleted.extend(f.deleted.iter().copied());
@@ -492,7 +488,7 @@ impl FracturedUpi {
             upi,
             delete_tree,
             deleted,
-            ids: live.iter().map(|t| t.id.0).collect(),
+            ids: live.ids().collect(),
         };
         let old: Vec<Fracture> = self
             .fractures
@@ -513,9 +509,14 @@ impl FracturedUpi {
     /// same enumeration) — this is what a checkpoint snapshots, and the
     /// blob's bytes follow this order.
     pub fn live_tuples(&self) -> Result<Vec<Tuple>> {
+        self.live_records()?.to_tuples()
+    }
+
+    /// [`live_tuples`](Self::live_tuples) as records.
+    pub(crate) fn live_records(&self) -> Result<Records> {
         let mut live = self.collect_live(0..self.fractures.len() + 1)?;
-        live.extend(self.buf_inserts.values().cloned());
-        live.sort_unstable_by_key(|t| t.id);
+        self.buf_inserts.values().for_each(|t| live.push_tuple(t));
+        live.sort_by_id();
         Ok(live)
     }
 

@@ -9,10 +9,11 @@
 use upi_btree::{BTree, Cursor, TreeStats};
 
 use crate::exec::CursorStats;
+use crate::records::{corrupt_record, fetch_tuple};
 use upi_storage::error::Result;
 use upi_storage::Store;
-use upi_uncertain::tuple::{decode_tuple, encode_tuple};
-use upi_uncertain::{Tuple, TupleId};
+use upi_uncertain::tuple::encode_tuple;
+use upi_uncertain::{Tuple, TupleId, TupleView};
 
 /// A heap file clustered by auto-increment tuple id.
 pub struct UnclusteredHeap {
@@ -51,14 +52,10 @@ impl UnclusteredHeap {
         self.tree.delete(&id.0.to_be_bytes())
     }
 
-    /// Point fetch by id.
+    /// Point fetch by id; a damaged record is
+    /// [`Corrupted`](upi_storage::StorageError::Corrupted), naming its leaf.
     pub fn get(&self, id: TupleId) -> Result<Option<Tuple>> {
-        self.tree.get_with(&id.0.to_be_bytes(), decode_tuple)
-    }
-
-    /// Sequentially scan every tuple in id order.
-    pub fn scan(&self) -> Result<Vec<Tuple>> {
-        self.scan_run()?.collect()
+        fetch_tuple(&self.tree, &id.0.to_be_bytes(), "unclustered heap")
     }
 
     /// Streaming sequential scan in id order (the full-table-scan access
@@ -123,13 +120,16 @@ impl Iterator for HeapScanRun<'_> {
         if !self.cur.valid() {
             return None;
         }
-        let tuple = decode_tuple(self.cur.value());
+        let tuple = TupleView::parse(self.cur.value())
+            .map(|t| t.to_tuple())
+            .map_err(|why| corrupt_record("unclustered heap", self.cur.page(), why));
         self.stats.decodes += 1;
+        // Step past the entry first, so a damaged one is reported once.
         if let Err(e) = self.cur.advance() {
             return Some(Err(e));
         }
-        self.stats.rows += 1;
-        Some(Ok(tuple))
+        self.stats.rows += tuple.is_ok() as u64;
+        Some(tuple)
     }
 }
 
@@ -171,8 +171,47 @@ mod tests {
         let tuples: Vec<Tuple> = (0..500).map(tup).collect();
         let mut h = UnclusteredHeap::create(store(), "h", 4096).unwrap();
         h.bulk_load(&tuples).unwrap();
-        let scanned = h.scan().unwrap();
+        let scanned: Vec<Tuple> = h.scan_run().unwrap().collect::<Result<_>>().unwrap();
         assert_eq!(scanned, tuples);
+    }
+
+    #[test]
+    fn damaged_records_surface_as_corruption_naming_the_leaf() {
+        let st = store();
+        let tuples: Vec<Tuple> = (0..500).map(tup).collect();
+        let mut h = UnclusteredHeap::create(st.clone(), "h", 4096).unwrap();
+        h.bulk_load(&tuples).unwrap();
+        let leaf = h.first_leaf_page().unwrap();
+        let good = st.pool.get(leaf).unwrap();
+        // The first entry sits right after the 16-byte node header:
+        // `klen u16 | vlen u16 | 8-byte key | tuple`. Its one field is a
+        // string; claim more bytes for it than the record has.
+        let tuple_at = 16 + 4 + 8;
+        let mut bad = good.to_vec();
+        assert_eq!(bad[tuple_at + 18], 2, "field 0 is a string");
+        bad[tuple_at + 19..tuple_at + 23].copy_from_slice(&60_000u32.to_le_bytes());
+        st.pool.put(leaf, bad.into());
+
+        let is_corrupt = |r: Result<()>| match r {
+            Err(upi_storage::StorageError::Corrupted(what)) => {
+                assert!(
+                    what.contains(&format!("{leaf:?}")),
+                    "names the page: {what}"
+                );
+                assert!(what.contains("string needs 60000 bytes"), "{what}");
+            }
+            other => panic!("expected Corrupted, got {other:?}"),
+        };
+        is_corrupt(h.get(TupleId(0)).map(drop));
+        is_corrupt(h.scan_run().unwrap().collect::<Result<Vec<_>>>().map(drop));
+        // The scan steps past the damaged entry: it is reported once.
+        let scan = h.scan_run().unwrap();
+        assert_eq!(scan.filter(|t| t.is_err()).count(), 1);
+        assert_eq!(h.get(TupleId(1)).unwrap(), Some(tup(1)));
+
+        st.pool.put(leaf, good);
+        let scanned: Result<Vec<Tuple>> = h.scan_run().unwrap().collect();
+        assert_eq!(scanned.unwrap(), tuples);
     }
 
     #[test]

@@ -54,6 +54,7 @@ pub mod heap;
 mod keys;
 pub mod maintenance;
 pub mod pii;
+mod records;
 pub mod secondary;
 pub mod shard;
 pub mod table;
@@ -63,7 +64,7 @@ pub mod upi;
 pub use continuous::{ContinuousConfig, ContinuousSecondary, ContinuousUpi, SecondaryUTree};
 pub use cost::DeviceCoeffs;
 pub use cutoff::{CutoffIndex, CutoffRangeRun};
-pub use durability::{CheckpointImage, RecoveryInfo, WalRecord};
+pub use durability::{RecoveryInfo, WalRecord};
 pub use exec::{group_count, sort_results, CursorStats, ExecError, PtqResult};
 pub use fractured::{
     Chain, ChainPointRun, ChainRangeRun, ChainSecondaryRun, FracturedConfig, FracturedUpi,

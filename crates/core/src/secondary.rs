@@ -15,12 +15,11 @@
 //! because it needs the UPI heap.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use upi_btree::BTree;
 use upi_storage::error::Result;
 use upi_storage::Store;
-use upi_uncertain::{AttrStats, Tuple};
+use upi_uncertain::{AttrStats, IdMap, Tuple, TupleView};
 
 use crate::keys;
 
@@ -182,7 +181,7 @@ pub struct PointerHistogram {
     /// whole population.
     buckets: Regions,
     /// Pointer mass per region, keyed by **secondary value**.
-    per_value: HashMap<u64, Regions>,
+    per_value: IdMap<u64, Regions>,
     /// Total pointers recorded (= Σ buckets, kept for O(1) reads).
     total: u64,
 }
@@ -530,16 +529,16 @@ impl SecondaryIndex {
         Self::pointers(data).collect()
     }
 
-    /// Append this tuple's index entries (one per secondary alternative) to
-    /// `out`, for bulk loading. `heap_ptrs` are the primary-key pointers of
-    /// the tuple's heap (non-cutoff) copies; the alternatives share the one
-    /// payload written for them.
-    pub fn prepare_entries(&self, t: &Tuple, heap_ptrs: &[(u64, f64)], out: &mut SecBuild) {
+    /// Append this record's index entries (one per secondary alternative)
+    /// to `out`, for bulk loading. `heap_ptrs` are the primary-key pointers
+    /// of the tuple's heap (non-cutoff) copies; the alternatives share the
+    /// one payload written for them.
+    pub fn prepare_entries(&self, t: &TupleView<'_>, heap_ptrs: &[(u64, f64)], out: &mut SecBuild) {
         let at = u32::try_from(out.payloads.len()).expect("payload arena stays under 4 GiB");
         self.write_payload(heap_ptrs, &mut out.payloads);
-        for &(v, p) in t.discrete(self.attr).alternatives() {
+        for (v, p) in t.alternatives(self.attr) {
             out.entries
-                .push((keys::entry_key_array(v, p * t.exist, t.id.0), at));
+                .push((keys::entry_key_array(v, p * t.exist(), t.id().0), at));
         }
     }
 
@@ -587,10 +586,9 @@ impl SecondaryIndex {
         let pointers = match t.discrete(self.attr).alternatives().first() {
             Some(&(v, p)) => self
                 .tree
-                .get_with(
-                    &keys::entry_key(v, p * t.exist, t.id.0),
-                    Self::decode_payload,
-                )?
+                .get_with(&keys::entry_key(v, p * t.exist, t.id.0), |data| {
+                    Self::pointers(data).collect()
+                })?
                 .unwrap_or_default(),
             None => Vec::new(),
         };
@@ -765,6 +763,7 @@ impl Iterator for SecScanRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::sync::Arc;
     use upi_storage::{DiskConfig, SimDisk};
     use upi_uncertain::{Datum, DiscretePmf, Field, TupleId};

@@ -17,7 +17,7 @@
 
 use upi_storage::error::{Result, StorageError};
 use upi_storage::{wal, Lsn, Store, Wal, WalCounters};
-use upi_uncertain::{Field, FieldKind, Schema, Tuple, TupleId};
+use upi_uncertain::{Datum, Field, FieldKind, Schema, Tuple, TupleId};
 
 use crate::durability::{
     find_checkpoint, read_wal_generations, CheckpointImage, RecoveryInfo, TableWal, WalRecord,
@@ -26,6 +26,7 @@ use crate::fractured::{Chain, FracturedConfig, FracturedUpi};
 use crate::heap::UnclusteredHeap;
 use crate::maintenance::CompactionStep;
 use crate::pii::Pii;
+use crate::records::Records;
 use crate::upi::{DiscreteUpi, UpiConfig};
 
 /// Physical layout of an [`UncertainTable`].
@@ -194,36 +195,46 @@ impl UncertainTable {
         Ok(pos)
     }
 
-    /// Validate a tuple against the schema.
-    fn check(&self, t: &Tuple) {
-        assert_eq!(
-            t.fields.len(),
-            self.schema.len(),
-            "tuple arity {} != schema arity {}",
-            t.fields.len(),
-            self.schema.len()
-        );
-        for (i, f) in t.fields.iter().enumerate() {
-            let (name, kind) = self.schema.field(i);
-            let ok = matches!(
-                (f, kind),
-                (Field::Certain(upi_uncertain::Datum::U64(_)), FieldKind::U64)
-                    | (Field::Certain(upi_uncertain::Datum::F64(_)), FieldKind::F64)
-                    | (Field::Certain(upi_uncertain::Datum::Str(_)), FieldKind::Str)
+    /// Validate a tuple against the schema and its existence probability
+    /// against `(0, 1]` before anything is logged: a tuple the table could
+    /// not read back is [`StorageError::InvalidTuple`] here, not a
+    /// corrupted record later.
+    fn check(&self, t: &Tuple) -> Result<()> {
+        let (got, want) = (t.fields.len(), self.schema.len());
+        let fits = |(i, f): (usize, &Field)| {
+            matches!(
+                (f, self.schema.field(i).1),
+                (Field::Certain(Datum::U64(_)), FieldKind::U64)
+                    | (Field::Certain(Datum::F64(_)), FieldKind::F64)
+                    | (Field::Certain(Datum::Str(_)), FieldKind::Str)
                     | (Field::Discrete(_), FieldKind::Discrete)
                     | (Field::Point(_), FieldKind::Point)
-            );
-            assert!(ok, "field '{name}' (index {i}) does not match {kind:?}");
-        }
+            )
+        };
+        let why = if got != want {
+            format!("arity {got} != schema arity {want}")
+        } else if let Some(i) = t.fields.iter().enumerate().position(|f| !fits(f)) {
+            let (name, kind) = self.schema.field(i);
+            format!("field '{name}' (index {i}) does not match {kind:?}")
+        } else if !(t.exist > 0.0 && t.exist <= 1.0) {
+            // Written so that a NaN fails the test.
+            format!("existence probability {} out of (0,1]", t.exist)
+        } else {
+            return Ok(());
+        };
+        Err(StorageError::InvalidTuple(format!(
+            "tuple {}: {why}",
+            t.id.0
+        )))
     }
 
     /// Bulk-load tuples into an empty table (ids must be ascending; the
     /// auto-id counter resumes past the maximum).
     pub fn load(&mut self, tuples: &[Tuple]) -> Result<()> {
         for t in tuples {
-            self.check(t);
-            self.next_id = self.next_id.max(t.id.0 + 1);
+            self.check(t)?;
         }
+        self.next_id = tuples.iter().fold(self.next_id, |n, t| n.max(t.id.0 + 1));
         if self.wal.is_some() {
             for t in tuples {
                 self.log_dml(&WalRecord::Insert(t.clone()))?;
@@ -250,16 +261,14 @@ impl UncertainTable {
     /// Insert a row, assigning the next tuple id. Returns the id.
     pub fn insert(&mut self, exist: f64, fields: Vec<Field>) -> Result<TupleId> {
         let id = TupleId(self.next_id);
-        self.next_id += 1;
-        let t = Tuple::new(id, exist, fields);
-        self.insert_tuple(&t)?;
+        self.insert_tuple(&Tuple { id, exist, fields })?;
         Ok(id)
     }
 
     /// Insert a fully-formed tuple (caller manages ids; they must never
     /// repeat except to supersede a deleted tuple on fractured tables).
     pub fn insert_tuple(&mut self, t: &Tuple) -> Result<()> {
-        self.check(t);
+        self.check(t)?;
         self.log_dml(&WalRecord::Insert(t.clone()))?;
         self.apply_insert(t)
     }
@@ -312,7 +321,7 @@ impl UncertainTable {
     /// Replace `old` with `new` as one logical operation (a single WAL
     /// record, so recovery never observes the half-applied state).
     pub fn update(&mut self, old: &Tuple, new: &Tuple) -> Result<()> {
-        self.check(new);
+        self.check(new)?;
         self.log_dml(&WalRecord::Update {
             old: old.clone(),
             new: new.clone(),
@@ -426,7 +435,7 @@ impl UncertainTable {
             primary_attr: self.primary_attr as u32,
             sec_attrs: self.sec_attrs.iter().map(|&a| a as u32).collect(),
             next_id: self.next_id,
-            tuples: self.live_tuples()?,
+            records: self.live_records()?,
             extra: extra.to_vec(),
         };
         let file = wal::write_blob(
@@ -525,7 +534,13 @@ impl UncertainTable {
         for &a in &image.sec_attrs {
             t.add_secondary(a as usize)?;
         }
-        t.load(&image.tuples)?;
+        // The image's records go into the build as they are; its `next_id`
+        // is past every id it holds.
+        match &mut t.inner {
+            Inner::Upi(upi) => upi.load_records(&image.records)?,
+            Inner::Fractured(f) => f.load_records(&image.records)?,
+            Inner::Unclustered { .. } => t.load(&image.records.to_tuples()?)?,
+        }
         t.next_id = t.next_id.max(image.next_id);
 
         let mut replayed = 0usize;
@@ -583,17 +598,24 @@ impl UncertainTable {
 
     /// The live possible-worlds tuple set (what a checkpoint snapshots).
     pub fn live_tuples(&self) -> Result<Vec<Tuple>> {
+        self.live_records()?.to_tuples()
+    }
+
+    /// [`live_tuples`](Self::live_tuples) as records, in the order the
+    /// checkpoint blob lists them.
+    fn live_records(&self) -> Result<Records> {
+        let mut live = Records::default();
         match &self.inner {
-            Inner::Unclustered { heap, .. } => {
-                if heap.is_empty() {
-                    Ok(Vec::new())
-                } else {
-                    heap.scan_run()?.collect()
+            Inner::Unclustered { heap, .. } if !heap.is_empty() => {
+                for t in heap.scan_run()? {
+                    live.push_tuple(&t?);
                 }
             }
-            Inner::Upi(upi) => upi.scan_tuples(),
-            Inner::Fractured(f) => f.live_tuples(),
+            Inner::Unclustered { .. } => {}
+            Inner::Upi(upi) => upi.scan_records(&mut live, |_| true)?,
+            Inner::Fractured(f) => return f.live_records(),
         }
+        Ok(live)
     }
 
     /// Whether `enable_durability` has been called.
@@ -928,6 +950,70 @@ mod tests {
             ],
         )
         .unwrap();
+    }
+
+    #[test]
+    fn invalid_tuples_are_errors_before_anything_is_logged() {
+        let certain = |v| Field::Discrete(DiscretePmf::certain(v));
+        let bad_rows: Vec<(f64, Vec<Field>, &str)> = vec![
+            (
+                0.9,
+                row(1, 0.7, 0)[..2].to_vec(),
+                "arity 2 != schema arity 3",
+            ),
+            (
+                0.9,
+                vec![Field::Certain(Datum::U64(3)), certain(1), certain(1)],
+                "does not match Str",
+            ),
+            (1.5, row(1, 0.7, 0), "existence probability 1.5"),
+            (0.0, row(1, 0.7, 0), "existence probability 0"),
+            (-0.5, row(1, 0.7, 0), "existence probability -0.5"),
+            (f64::NAN, row(1, 0.7, 0), "existence probability NaN"),
+            (f64::INFINITY, row(1, 0.7, 0), "existence probability inf"),
+        ];
+        for layout in [
+            TableLayout::Unclustered,
+            TableLayout::Upi(UpiConfig::default()),
+            TableLayout::FracturedUpi(FracturedConfig {
+                upi: UpiConfig::default(),
+                buffer_ops: 4,
+            }),
+        ] {
+            let mut t = table(layout);
+            t.enable_durability(&[]).unwrap();
+            for i in 0..6u64 {
+                t.insert(0.9, row(i % 3, 0.7, 0)).unwrap();
+            }
+            let live = sorted_by_id(t.live_tuples().unwrap());
+            let (records, next_id) = (t.wal_counters().records, t.next_id());
+            for (exist, fields, why) in &bad_rows {
+                let bad = Tuple {
+                    id: TupleId(99),
+                    exist: *exist,
+                    fields: fields.clone(),
+                };
+                for r in [
+                    t.insert(*exist, fields.clone()).map(drop),
+                    t.insert_tuple(&bad),
+                    t.update(&live[2], &bad),
+                ] {
+                    match r {
+                        Err(StorageError::InvalidTuple(what)) => {
+                            assert!(what.contains(why), "{what}")
+                        }
+                        other => panic!("expected InvalidTuple({why}), got {other:?}"),
+                    }
+                }
+            }
+            assert_eq!(t.wal_counters().records, records, "nothing was logged");
+            assert_eq!(t.next_id(), next_id, "no id was consumed");
+            assert_eq!(
+                sorted_by_id(t.live_tuples().unwrap()),
+                live,
+                "nothing was applied"
+            );
+        }
     }
 
     #[test]

@@ -1,21 +1,20 @@
 //! The discrete UPI: clustered heap + cutoff index + secondary indexes
 //! (§§2–3, Algorithms 1–3).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use upi_btree::{BTree, Cursor, TreeStats};
 use upi_storage::codec::{dequantize_prob, quantize_prob};
 use upi_storage::error::{Result, StorageError};
 use upi_storage::Store;
-use upi_uncertain::tuple::{
-    encode_tuple, encode_tuple_into, peek_first_alt, try_decode_tuple, MalformedTuple,
-};
-use upi_uncertain::{AttrStats, Tuple};
+use upi_uncertain::tuple::encode_tuple;
+use upi_uncertain::{AttrStats, IdMap, IdSet, Tuple, TupleView};
 
 use crate::cutoff::{CutoffIndex, CutoffPointer};
 use crate::exec::{CursorStats, PtqResult};
 use crate::fractured::Chain;
 use crate::keys;
+use crate::records::{corrupt_record, fetch_tuple, Records};
 use crate::secondary::{SecBuild, SecondaryIndex};
 
 /// Tuning parameters of a UPI (per-fracture tunable, §4.2).
@@ -101,12 +100,18 @@ impl DiscreteUpi {
             self.cfg.max_secondary_pointers,
         )?;
         if self.n_tuples > 0 {
-            let mut build = SecBuild::default();
-            for t in self.distinct_scan()? {
-                let t = t?;
-                let alts = self.folded_alts(&t);
-                let (heap_alts, _) = self.partition(&alts);
-                sec.prepare_entries(&t, &heap_alts, &mut build);
+            let (mut build, mut heap_alts) = (SecBuild::default(), Alts::new());
+            let mut scan = self.distinct_scan()?;
+            while let Some(done) = scan.next_with(|t| {
+                heap_alts.clear();
+                let alts = Self::folded(self.attr, t).enumerate();
+                heap_alts.extend(
+                    alts.filter(|&(i, (_, p))| self.stays_in_heap(i, p))
+                        .map(|a| a.1),
+                );
+                sec.prepare_entries(t, &heap_alts, &mut build);
+            }) {
+                done?;
             }
             sec.bulk_load(build)?;
         }
@@ -124,15 +129,10 @@ impl DiscreteUpi {
         &self.cfg
     }
 
-    /// Folded `(value, confidence)` alternatives of a tuple, descending.
-    fn folded(attr: usize, t: &Tuple) -> impl Iterator<Item = (u64, f64)> + '_ {
-        let alts = t.discrete(attr).alternatives();
-        alts.iter().map(|&(v, p)| (v, p * t.exist))
-    }
-
-    /// [`folded`](Self::folded), collected.
-    fn folded_alts(&self, t: &Tuple) -> Alts {
-        Self::folded(self.attr, t).collect()
+    /// Folded `(value, confidence)` alternatives of a record, descending.
+    fn folded<'t>(attr: usize, t: &TupleView<'t>) -> impl Iterator<Item = (u64, f64)> + 't {
+        let exist = t.exist();
+        t.alternatives(attr).map(move |(v, p)| (v, p * exist))
     }
 
     /// Algorithm 1's rule: the `i`-th folded alternative stays in the heap
@@ -141,12 +141,13 @@ impl DiscreteUpi {
         i == 0 || p >= self.cfg.cutoff
     }
 
-    /// Algorithm 1's partition of the folded alternatives into the heap's
-    /// and the cutoff index's.
-    fn partition(&self, alts: &[(u64, f64)]) -> (Alts, Alts) {
-        let mut heap = Vec::with_capacity(alts.len());
-        let mut cut = Vec::new();
-        for (i, &(v, p)) in alts.iter().enumerate() {
+    /// Algorithm 1's partition of a tuple's folded alternatives into the
+    /// heap's and the cutoff index's; together they are the folded
+    /// alternatives in descending order.
+    fn partition(&self, t: &Tuple) -> (Alts, Alts) {
+        let (mut heap, mut cut) = (Alts::new(), Alts::new());
+        for (i, &(v, p)) in t.discrete(self.attr).alternatives().iter().enumerate() {
+            let p = p * t.exist;
             if self.stays_in_heap(i, p) {
                 heap.push((v, p));
             } else {
@@ -158,8 +159,7 @@ impl DiscreteUpi {
 
     /// Insert a tuple (Algorithm 1).
     pub fn insert(&mut self, t: &Tuple) -> Result<()> {
-        let alts = self.folded_alts(t);
-        let (heap_alts, cut_alts) = self.partition(&alts);
+        let (heap_alts, cut_alts) = self.partition(t);
         let bytes = encode_tuple(t);
         for &(v, p) in &heap_alts {
             self.heap.insert(&keys::entry_key(v, p, t.id.0), &bytes)?;
@@ -171,7 +171,7 @@ impl DiscreteUpi {
         for sec in &mut self.secondaries {
             sec.insert_for(t, &heap_alts)?;
         }
-        for (i, &(v, p)) in alts.iter().enumerate() {
+        for (i, &(v, p)) in heap_alts.iter().chain(&cut_alts).enumerate() {
             self.stats.add(v, p, i == 0);
         }
         self.n_tuples += 1;
@@ -182,8 +182,7 @@ impl DiscreteUpi {
     /// depends on the probability"). The caller supplies the tuple, as a
     /// real system would have fetched it to execute the `DELETE`.
     pub fn delete(&mut self, t: &Tuple) -> Result<()> {
-        let alts = self.folded_alts(t);
-        let (heap_alts, cut_alts) = self.partition(&alts);
+        let (heap_alts, cut_alts) = self.partition(t);
         for &(v, p) in &heap_alts {
             self.heap.delete(&keys::entry_key(v, p, t.id.0))?;
         }
@@ -193,7 +192,7 @@ impl DiscreteUpi {
         for sec in &mut self.secondaries {
             sec.delete_for(t)?;
         }
-        for (i, &(v, p)) in alts.iter().enumerate() {
+        for (i, &(v, p)) in heap_alts.iter().chain(&cut_alts).enumerate() {
             self.stats.remove(v, p, i == 0);
         }
         self.n_tuples -= 1;
@@ -201,26 +200,32 @@ impl DiscreteUpi {
     }
 
     /// Bulk-load tuples into an empty UPI (sequential writes for every
-    /// component file — the fracture-flush path of §4.2).
-    ///
-    /// **Input order is irrelevant**: every file is built from its own
-    /// sorted entry run (keys end in the tuple id, so the order is total),
-    /// and the statistics are counts. Shuffling `tuples` changes no page
-    /// and no statistic — which is what lets a fold hand over its live
-    /// set in whatever order the component scans produced it.
-    ///
-    /// Each tuple is encoded once, into one arena; the heap file's
-    /// duplicated copies, the cutoff pointers and the secondary entries
-    /// are fixed-width sort records referring into it, and the B+Trees
-    /// copy from there straight into their page images.
+    /// component file — the fracture-flush path of §4.2): each tuple is
+    /// encoded once, then built as [`load_records`](Self::load_records)
+    /// builds.
     pub fn bulk_load<'a, I>(&mut self, tuples: I) -> Result<()>
     where
         I: IntoIterator<Item = &'a Tuple>,
     {
+        self.load_records(&Records::from_tuples(tuples))
+    }
+
+    /// Bulk-load encoded tuples into an empty UPI — what a fold, a
+    /// compaction and a recovery hand over, without a `Tuple` in between.
+    ///
+    /// **Input order is irrelevant**: every file is built from its own
+    /// sorted entry run (keys end in the tuple id, so the order is total),
+    /// and the statistics are counts. Shuffling the records changes no
+    /// page and no statistic — which is what lets a fold hand over its
+    /// live set in whatever order the component scans produced it.
+    ///
+    /// The heap file's duplicated copies, the cutoff pointers and the
+    /// secondary entries are fixed-width sort records referring into the
+    /// records, and the B+Trees copy from there straight into their page
+    /// images.
+    pub(crate) fn load_records(&mut self, records: &Records) -> Result<()> {
         assert!(self.n_tuples == 0, "bulk_load requires an empty UPI");
-        // Encoded tuples back to back; heap records are `(key, where)`.
-        let mut arena: Vec<u8> = Vec::new();
-        let mut heap_entries: Vec<(EntryKey, std::ops::Range<usize>)> = Vec::new();
+        let mut heap_entries: Vec<(EntryKey, &[u8])> = Vec::with_capacity(records.len());
         let mut cut_entries: Vec<(EntryKey, [u8; keys::POINTER_LEN])> = Vec::new();
         let mut sec_builds: Vec<SecBuild> = self
             .secondaries
@@ -228,18 +233,16 @@ impl DiscreteUpi {
             .map(|_| SecBuild::default())
             .collect();
         let mut heap_alts: Alts = Vec::new();
-        for t in tuples {
-            let at = arena.len();
-            encode_tuple_into(t, &mut arena);
-            let bytes = at..arena.len();
+        for t in records.views() {
+            let t = t?;
             // `partition`, entry by entry: the first alternative always
             // stays in the heap, so it is every cutoff entry's target.
             heap_alts.clear();
-            for (i, (v, p)) in Self::folded(self.attr, t).enumerate() {
-                let key = keys::entry_key_array(v, p, t.id.0);
+            for (i, (v, p)) in Self::folded(self.attr, &t).enumerate() {
+                let key = keys::entry_key_array(v, p, t.id().0);
                 if self.stays_in_heap(i, p) {
                     heap_alts.push((v, p));
-                    heap_entries.push((key, bytes.clone()));
+                    heap_entries.push((key, t.bytes()));
                 } else {
                     let (fv, fp) = heap_alts[0];
                     cut_entries.push((key, keys::pointer_bytes(fv, fp)));
@@ -247,17 +250,14 @@ impl DiscreteUpi {
                 self.stats.add(v, p, i == 0);
             }
             for (sec, build) in self.secondaries.iter().zip(&mut sec_builds) {
-                sec.prepare_entries(t, &heap_alts, build);
+                sec.prepare_entries(&t, &heap_alts, build);
             }
             self.n_tuples += 1;
         }
         heap_entries.sort_unstable_by_key(|e| e.0);
         cut_entries.sort_unstable_by_key(|e| e.0);
-        self.heap.bulk_load(
-            heap_entries
-                .iter()
-                .map(|(key, bytes)| (key, &arena[bytes.clone()])),
-        )?;
+        self.heap
+            .bulk_load(heap_entries.iter().map(|(key, bytes)| (key, *bytes)))?;
         self.cutoff
             .bulk_load(cut_entries.iter().map(|(k, ptr)| (k, ptr)))?;
         for (sec, build) in self.secondaries.iter_mut().zip(sec_builds) {
@@ -309,14 +309,11 @@ impl DiscreteUpi {
 
     /// Fetch the heap copy stored under primary key `(value, prob, tid)`.
     pub fn fetch_by_pointer(&self, value: u64, prob: f64, tid: u64) -> Result<Option<Tuple>> {
-        let key = keys::entry_key_array(value, prob, tid);
-        match self.heap.get_with(&key, try_decode_tuple)? {
-            None => Ok(None),
-            Some(Ok(t)) => Ok(Some(t)),
-            // The descent is repeated (internal pages only) just to name
-            // the leaf in the error.
-            Some(Err(why)) => Err(corrupt_heap(self.heap.leaf_page_for(&key)?, why)),
-        }
+        fetch_tuple(
+            &self.heap,
+            &keys::entry_key_array(value, prob, tid),
+            "upi heap",
+        )
     }
 
     /// Dereference an `index` entry of `value` for `tid` that points at
@@ -370,7 +367,7 @@ impl DiscreteUpi {
     /// pass over the clustered heap plus the cutoff index, yielding each
     /// qualifying tuple exactly once *as soon as it is first
     /// encountered* (its total in-range confidence is computed from the
-    /// decoded PMF on the spot — alternatives sum under possible-world
+    /// record's PMF on the spot — alternatives sum under possible-world
     /// semantics, and the tuple carries them all). Rows stream in value
     /// order, not confidence order; sinks that need ranking sort at the
     /// end, but I/O is a single seek + sequential run either way.
@@ -382,7 +379,7 @@ impl DiscreteUpi {
             lo,
             hi,
             qt,
-            seen: HashSet::new(),
+            seen: IdSet::default(),
             pending: None,
             stats: CursorStats::default(),
         })
@@ -514,9 +511,18 @@ impl DiscreteUpi {
 
     /// Enumerate every distinct tuple by scanning the heap sequentially,
     /// keeping only each tuple's first-alternative copy (which Algorithm 1
-    /// guarantees to be present). This is the merge path's full read (§4.3).
-    pub fn scan_tuples(&self) -> Result<Vec<Tuple>> {
-        self.distinct_scan()?.collect()
+    /// guarantees to be present), and copy the record of each one whose id
+    /// passes `keep` to `out`. This is the merge path's full read (§4.3).
+    pub(crate) fn scan_records(&self, out: &mut Records, keep: impl Fn(u64) -> bool) -> Result<()> {
+        let mut scan = self.distinct_scan()?;
+        while let Some(done) = scan.next_with(|t| {
+            if keep(t.id().0) {
+                out.push(t);
+            }
+        }) {
+            done?;
+        }
+        Ok(())
     }
 
     /// Number of distinct tuples.
@@ -632,21 +638,26 @@ impl DiscreteUpi {
     }
 }
 
-/// A heap leaf held bytes that are not an encoded tuple.
-fn corrupt_heap(page: upi_storage::PageId, why: MalformedTuple) -> StorageError {
-    StorageError::Corrupted(format!("upi heap page {page:?}: {why}"))
-}
-
 /// The heap file's key order for the copy under `(v, p, tid)` — pointer
 /// fetches visit their targets in this physical order.
 fn heap_key(v: u64, p: f64, tid: u64) -> (u64, u32, u64) {
     (v, u32::MAX - quantize_prob(p), tid)
 }
 
-/// Decode the heap entry under `cur`; damaged bytes are a
+/// The heap entry under `cur`, checked; damaged bytes are a
 /// [`StorageError::Corrupted`] naming the leaf, not a panic.
-fn decode_entry(cur: &Cursor<'_>) -> Result<Tuple> {
-    try_decode_tuple(cur.value()).map_err(|why| corrupt_heap(cur.page(), why))
+fn entry_view<'c>(cur: &'c Cursor<'_>) -> Result<TupleView<'c>> {
+    TupleView::parse(cur.value()).map_err(|why| corrupt_record("upi heap", cur.page(), why))
+}
+
+/// Quantized-grid possible-world confidence of `t` for `attr BETWEEN lo
+/// AND hi`, exactly as the index keys would sum it.
+fn range_confidence(t: &TupleView<'_>, attr: usize, lo: u64, hi: u64) -> f64 {
+    let quantized = |(_, p): (u64, f64)| dequantize_prob(quantize_prob(p * t.exist()));
+    let alts = t.alternatives(attr);
+    alts.filter(|&(v, _)| (lo..=hi).contains(&v))
+        .map(quantized)
+        .sum()
 }
 
 /// Streaming iterator over one value's heap run (see
@@ -696,7 +707,7 @@ impl HeapRun<'_> {
                 }
                 continue;
             }
-            let tuple = decode_entry(&self.cur);
+            let tuple = entry_view(&self.cur).map(|t| t.to_tuple());
             self.stats.decodes += 1;
             if let Err(e) = self.cur.advance() {
                 return Some(Err(e));
@@ -733,44 +744,42 @@ impl DistinctScan<'_> {
     pub fn stats(&self) -> CursorStats {
         self.stats
     }
+
+    /// Hand the next distinct tuple's record to `f`. Only the
+    /// first-alternative copy is kept, compared on the quantized grid the
+    /// key uses; the (payload-heavy) duplicate copies are checked in
+    /// place and skipped, nothing materialised.
+    pub(crate) fn next_with<R>(
+        &mut self,
+        mut f: impl FnMut(&TupleView<'_>) -> R,
+    ) -> Option<Result<R>> {
+        while self.cur.valid() {
+            let (v, prob, _tid) = keys::decode_entry_key(self.cur.key());
+            let row = entry_view(&self.cur).map(|t| {
+                let first = t.alternatives(self.attr).next();
+                let grid = |(fv, fp): (u64, f64)| (fv, quantize_prob(fp * t.exist()));
+                (first.map(grid) == Some((v, quantize_prob(prob)))).then(|| f(&t))
+            });
+            let row = row.transpose();
+            self.stats.decodes += row.is_some() as u64;
+            // Step past the entry first, so a damaged one is reported once.
+            if let Err(e) = self.cur.advance() {
+                return Some(Err(e));
+            }
+            if let Some(row) = row {
+                self.stats.rows += row.is_ok() as u64;
+                return Some(row);
+            }
+        }
+        None
+    }
 }
 
 impl Iterator for DistinctScan<'_> {
     type Item = Result<Tuple>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.cur.valid() {
-            let (v, prob, _tid) = keys::decode_entry_key(self.cur.key());
-            // Keep only the first-alternative copy, comparing on the
-            // quantized grid the key uses (as in scan_tuples). The peek
-            // reads the key fields straight off the encoded bytes, so
-            // the (payload-heavy) duplicate copies are skipped without
-            // allocating a tuple per entry.
-            let keep = match peek_first_alt(self.cur.value(), self.attr) {
-                Some((exist, (fv, fp))) => {
-                    fv == v && quantize_prob(fp * exist) == quantize_prob(prob)
-                }
-                None => true, // malformed entry: the decode below reports it
-            };
-            let t = keep.then(|| decode_entry(&self.cur));
-            if t.is_some() {
-                self.stats.decodes += 1;
-            }
-            // Step past the entry first, so a damaged one is reported once.
-            if let Err(e) = self.cur.advance() {
-                return Some(Err(e));
-            }
-            match t {
-                Some(Ok(t)) => {
-                    debug_assert_eq!(t.discrete(self.attr).first().0, v);
-                    self.stats.rows += 1;
-                    return Some(Ok(t));
-                }
-                Some(Err(e)) => return Some(Err(e)),
-                None => {}
-            }
-        }
-        None
+        self.next_with(|t| t.to_tuple())
     }
 }
 
@@ -1025,7 +1034,8 @@ impl Iterator for PointRun<'_> {
 /// Streaming range-PTQ cursor (see [`DiscreteUpi::range_run`]). Phase 1
 /// streams the clustered heap run, emitting each tuple at its first
 /// in-range copy with its full possible-world confidence computed from
-/// the decoded PMF. Phase 2 streams the cutoff index for tuples whose
+/// the record's view; only a qualifying tuple is materialised. Phase 2
+/// streams the cutoff index for tuples whose
 /// in-range mass is entirely below-cutoff, fetching only qualifiers (in
 /// heap order).
 pub struct RangeRun<'a> {
@@ -1034,7 +1044,7 @@ pub struct RangeRun<'a> {
     lo: u64,
     hi: u64,
     qt: f64,
-    seen: HashSet<u64>,
+    seen: IdSet<u64>,
     /// Phase-2 fetch list, heap order; built when the heap run is
     /// exhausted. Each pointer carries the tuple's summed below-cutoff
     /// in-range confidence and the first in-range value it was found under.
@@ -1048,22 +1058,10 @@ impl RangeRun<'_> {
         self.stats
     }
 
-    /// Quantized-grid possible-world confidence of `tuple` for this
-    /// range, exactly as the index keys would sum it.
-    fn range_confidence(&self, tuple: &Tuple) -> f64 {
-        tuple
-            .discrete(self.upi.attr)
-            .alternatives()
-            .iter()
-            .filter(|&&(v, _)| (self.lo..=self.hi).contains(&v))
-            .map(|&(_, p)| dequantize_prob(quantize_prob(p * tuple.exist)))
-            .sum()
-    }
-
     /// Build the phase-2 fetch list: accumulate cutoff mass per unseen
     /// tuple, keep qualifiers, order by heap key.
     fn build_pending(&mut self) -> Result<()> {
-        let mut acc: HashMap<u64, (u64, CutoffPointer)> = HashMap::new();
+        let mut acc: IdMap<u64, (u64, CutoffPointer)> = IdMap::default();
         for r in self.upi.cutoff.scan_range_run(self.lo, self.hi)? {
             let (v, cp) = r?;
             if self.seen.contains(&cp.tid) {
@@ -1088,35 +1086,32 @@ impl Iterator for RangeRun<'_> {
     type Item = Result<PtqResult>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        // Phase 1: the clustered run.
+        let (attr, lo, hi, qt) = (self.upi.attr, self.lo, self.hi, self.qt);
+        // Phase 1: the clustered run, scored on each tuple's first record
+        // in range; only a qualifying one is materialised.
         while let Some(cur) = &mut self.cur {
             if !cur.valid() {
                 self.cur = None;
                 break;
             }
             let (v, _prob, tid) = keys::decode_entry_key(cur.key());
-            if v > self.hi {
+            if v > hi {
                 self.cur = None;
                 break;
             }
-            let fresh = self.seen.insert(tid);
-            let tuple = fresh.then(|| decode_entry(cur));
-            if tuple.is_some() {
-                self.stats.decodes += 1;
-            }
+            let row = self.seen.insert(tid).then(|| -> Result<Option<PtqResult>> {
+                let t = entry_view(cur)?;
+                let confidence = range_confidence(&t, attr, lo, hi);
+                let tuple = (confidence >= qt).then(|| t.to_tuple());
+                Ok(tuple.map(|tuple| PtqResult { tuple, confidence }))
+            });
             if let Err(e) = cur.advance() {
                 return Some(Err(e));
             }
-            match tuple {
-                Some(Ok(tuple)) => {
-                    let confidence = self.range_confidence(&tuple);
-                    if confidence >= self.qt {
-                        self.stats.rows += 1;
-                        return Some(Ok(PtqResult { tuple, confidence }));
-                    }
-                }
-                Some(Err(e)) => return Some(Err(e)),
-                None => {}
+            if let Some(row) = row.and_then(Result::transpose) {
+                self.stats.decodes += 1;
+                self.stats.rows += row.is_ok() as u64;
+                return Some(row);
             }
         }
         // Phase 2: tuples visible only through the cutoff index.
@@ -1481,7 +1476,12 @@ mod tests {
             }
             other => panic!("expected Corrupted, got {other:?}"),
         };
-        is_corrupt(u.scan_tuples().map(drop));
+        is_corrupt(
+            u.distinct_scan()
+                .unwrap()
+                .collect::<Result<Vec<_>>>()
+                .map(drop),
+        );
         is_corrupt(u.ptq(v, 0.0).map(drop));
         is_corrupt(u.fetch_by_pointer(v, prob, tid).map(drop));
         is_corrupt(u.ptq_range(0, 599, 0.0).map(drop));
@@ -1490,15 +1490,21 @@ mod tests {
         assert_eq!(scan.by_ref().filter(|t| t.is_err()).count(), 1);
 
         st.pool.put(leaf, good);
-        assert_eq!(u.scan_tuples().unwrap().len(), 300);
+        assert_eq!(u.distinct_scan().unwrap().count(), 300);
     }
 
     #[test]
     fn scan_tuples_enumerates_each_once() {
         let u = upi_with(0.1);
-        let mut ids: Vec<u64> = u.scan_tuples().unwrap().iter().map(|t| t.id.0).collect();
+        let scanned: Vec<Tuple> = u.distinct_scan().unwrap().collect::<Result<_>>().unwrap();
+        let mut ids: Vec<u64> = scanned.iter().map(|t| t.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3]);
+        // The same tuples as records, in scan order, `keep` filtering ids.
+        let mut records = Records::default();
+        u.scan_records(&mut records, |tid| tid != 2).unwrap();
+        let kept: Vec<Tuple> = scanned.into_iter().filter(|t| t.id.0 != 2).collect();
+        assert_eq!(records.to_tuples().unwrap(), kept);
     }
 
     #[test]

@@ -47,6 +47,10 @@ pub enum StorageError {
     /// Durable state failed validation during recovery (bad checksum,
     /// truncated record, impossible length).
     Corrupted(String),
+    /// A DML statement handed over a tuple its table cannot store (wrong
+    /// arity or field kind, existence outside `(0, 1]`); nothing was
+    /// logged or applied.
+    InvalidTuple(String),
 }
 
 impl std::fmt::Display for StorageError {
@@ -72,6 +76,7 @@ impl std::fmt::Display for StorageError {
                 write!(f, "store is read-only (degraded): {reason}")
             }
             StorageError::Corrupted(what) => write!(f, "corrupted durable state: {what}"),
+            StorageError::InvalidTuple(why) => write!(f, "invalid tuple: {why}"),
         }
     }
 }

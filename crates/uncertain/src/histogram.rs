@@ -10,7 +10,7 @@
 //! Figure 11 (estimated vs. real cutoff-pointer counts) while remaining a
 //! realistic statistics structure (size is `O(distinct values × bins)`).
 
-use std::collections::HashMap;
+use crate::hash::IdMap;
 
 /// Number of equal-width probability bins. 200 bins give 0.5% resolution,
 /// comfortably below the experiment's threshold grid.
@@ -167,8 +167,8 @@ impl<'a> Cur<'a> {
 /// to first alternatives.
 #[derive(Debug, Clone, Default)]
 pub struct AttrStats {
-    per_value: HashMap<u64, ProbHistogram>,
-    per_value_first: HashMap<u64, ProbHistogram>,
+    per_value: IdMap<u64, ProbHistogram>,
+    per_value_first: IdMap<u64, ProbHistogram>,
     global: ProbHistogram,
     global_first: ProbHistogram,
 }
@@ -257,13 +257,24 @@ impl AttrStats {
     }
 
     /// Total alternatives across every value in `[lo, hi]` (inclusive) —
-    /// range-scan selectivity for the planner. `O(distinct values)`.
+    /// range-scan selectivity for the planner. `O(min(hi − lo, distinct
+    /// values))`: the counts are integers, so either walk sums to the
+    /// same bits.
     pub fn est_count_value_range(&self, lo: u64, hi: u64) -> f64 {
-        self.per_value
-            .iter()
-            .filter(|(&v, _)| (lo..=hi).contains(&v))
-            .map(|(_, h)| h.total() as f64)
-            .sum()
+        let total = |h: &ProbHistogram| h.total() as f64;
+        if hi.saturating_sub(lo) < self.per_value.len() as u64 {
+            (lo..=hi)
+                .filter_map(|v| self.per_value.get(&v))
+                .map(total)
+                .sum()
+        } else {
+            let in_range = |(v, _): &(&u64, _)| (lo..=hi).contains(*v);
+            self.per_value
+                .iter()
+                .filter(in_range)
+                .map(|(_, h)| total(h))
+                .sum()
+        }
     }
 
     /// Estimated total alternatives across all values with probability
@@ -294,7 +305,7 @@ impl AttrStats {
     /// Serialize deterministically (maps written in sorted key order) for
     /// the checkpoint's statistics payload.
     pub fn to_bytes(&self) -> Vec<u8> {
-        fn write_map(out: &mut Vec<u8>, m: &HashMap<u64, ProbHistogram>) {
+        fn write_map(out: &mut Vec<u8>, m: &IdMap<u64, ProbHistogram>) {
             out.extend_from_slice(&(m.len() as u32).to_le_bytes());
             let mut keys: Vec<u64> = m.keys().copied().collect();
             keys.sort_unstable();
@@ -314,9 +325,9 @@ impl AttrStats {
     /// Inverse of [`to_bytes`](Self::to_bytes); `None` on any malformed
     /// or trailing bytes.
     pub fn from_bytes(data: &[u8]) -> Option<AttrStats> {
-        fn read_map(cur: &mut Cur<'_>) -> Option<HashMap<u64, ProbHistogram>> {
+        fn read_map(cur: &mut Cur<'_>) -> Option<IdMap<u64, ProbHistogram>> {
             let n = cur.u32()? as usize;
-            let mut m = HashMap::with_capacity(n.min(1 << 16));
+            let mut m = IdMap::with_capacity_and_hasher(n.min(1 << 16), Default::default());
             for _ in 0..n {
                 let k = cur.u64()?;
                 m.insert(k, ProbHistogram::decode_from(cur)?);
@@ -459,6 +470,39 @@ mod tests {
         }
         let sel = s.selectivity(0, 0.2);
         assert!((sel - 0.25).abs() < 1e-9);
+    }
+
+    #[test]
+    fn value_range_walks_agree_with_the_full_walk() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xA77);
+        for _ in 0..50 {
+            let mut s = AttrStats::new();
+            let spread = rng.gen_range(1..5000u64);
+            for _ in 0..rng.gen_range(0..3000usize) {
+                s.add(
+                    rng.gen_range(0..spread),
+                    rng.gen_range(0.0..=1.0),
+                    rng.gen_bool(0.3),
+                );
+            }
+            let full = |lo: u64, hi: u64| -> f64 {
+                let in_range = s.per_value.iter().filter(|(v, _)| (lo..=hi).contains(*v));
+                in_range.map(|(_, h)| h.total() as f64).sum()
+            };
+            for _ in 0..40 {
+                let lo = rng.gen_range(0..spread + 10);
+                let hi =
+                    lo + [0, 1, 5, spread / 3, spread, u64::MAX - lo][rng.gen_range(0..6usize)];
+                let got = s.est_count_value_range(lo, hi);
+                assert_eq!(got.to_bits(), full(lo, hi).to_bits(), "[{lo}, {hi}]");
+            }
+            assert_eq!(
+                s.est_count_value_range(9, 3),
+                0.0,
+                "an inverted range is empty"
+            );
+        }
     }
 
     proptest! {

@@ -24,6 +24,7 @@
 //! sampler used to synthesize the paper's long-tailed distributions.
 
 pub mod gaussian;
+pub mod hash;
 pub mod histogram;
 pub mod pmf;
 pub mod tuple;
@@ -31,10 +32,11 @@ pub mod worlds;
 pub mod zipf;
 
 pub use gaussian::ConstrainedGaussian;
+pub use hash::{IdMap, IdSet};
 pub use histogram::{AttrStats, ProbHistogram};
 pub use pmf::DiscretePmf;
 pub use tuple::{
-    decode_tuple, encode_tuple, try_decode_tuple, Datum, Field, FieldKind, MalformedTuple, Schema,
-    Tuple, TupleId,
+    decode_tuple, encode_tuple, Datum, Field, FieldKind, MalformedTuple, Schema, Tuple, TupleId,
+    TupleView,
 };
 pub use zipf::Zipf;

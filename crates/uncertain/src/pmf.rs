@@ -10,7 +10,9 @@
 /// also produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscretePmf {
-    alts: Vec<(u64, f64)>,
+    /// Also built by `TupleView::to_tuple`, from checked alternatives
+    /// already in this order.
+    pub(crate) alts: Vec<(u64, f64)>,
 }
 
 impl DiscretePmf {
@@ -26,29 +28,9 @@ impl DiscretePmf {
     /// [`new`](Self::new) for pairs that come from outside the program
     /// (stored bytes): the violated condition instead of a panic.
     pub fn try_new(mut alts: Vec<(u64, f64)>) -> Result<DiscretePmf, String> {
-        if alts.is_empty() {
-            return Err("a PMF needs at least one alternative".into());
-        }
-        let mut sum = 0.0;
-        for &(_, p) in &alts {
-            // Written so that a NaN fails the test.
-            if !(p > 0.0 && p <= 1.0) {
-                return Err(format!("probability {p} out of (0,1]"));
-            }
-            sum += p;
-        }
-        if sum > 1.0 + 1e-9 {
-            return Err(format!("probabilities sum to {sum} > 1"));
-        }
-        // No NaN reaches the comparison: the range check above rejected it.
+        check_alternatives(alts.iter().copied())?;
+        // No NaN reaches the comparison: the range check rejected it.
         alts.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
-        // Value ids must be distinct (the sort above is by probability).
-        let mut ids: Vec<u64> = alts.iter().map(|a| a.0).collect();
-        ids.sort_unstable();
-        let duplicate = ids.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]);
-        if let Some(id) = duplicate {
-            return Err(format!("duplicate value id {id}"));
-        }
         Ok(DiscretePmf { alts })
     }
 
@@ -105,6 +87,45 @@ impl DiscretePmf {
             .filter(move |(i, &(_, p))| *i != 0 && p < cutoff)
             .map(|(_, &a)| a)
     }
+}
+
+/// The conditions of [`DiscretePmf::new`], the first one violated named:
+/// at least one alternative, every probability in `(0, 1]`, a sum of at
+/// most `1 + 1e-9`, distinct value ids. `Ok` says whether the alternatives
+/// are already in the order a PMF keeps them: probability descending, ties
+/// by ascending value id.
+pub(crate) fn check_alternatives(
+    alts: impl ExactSizeIterator<Item = (u64, f64)> + Clone,
+) -> Result<bool, String> {
+    let n = alts.len();
+    if n == 0 {
+        return Err("a PMF needs at least one alternative".into());
+    }
+    let (mut sum, mut canonical, mut prev) = (0.0, true, None);
+    for (v, p) in alts.clone() {
+        // Written so that a NaN fails the test.
+        if !(p > 0.0 && p <= 1.0) {
+            return Err(format!("probability {p} out of (0,1]"));
+        }
+        canonical &= prev.is_none_or(|(pv, pp)| pp > p || (pp == p && pv < v));
+        (sum, prev) = (sum + p, Some((v, p)));
+    }
+    if sum > 1.0 + 1e-9 {
+        return Err(format!("probabilities sum to {sum} > 1"));
+    }
+    // Distinct ids: pairwise over the few alternatives a real PMF has, so
+    // that checking one allocates nothing; a sorted copy names the
+    // smallest repeated id.
+    let ids = alts.map(|a| a.0);
+    let seen_before = |(i, v): (usize, u64)| ids.clone().take(i).any(|w| w == v);
+    if n > 16 || ids.clone().enumerate().any(seen_before) {
+        let mut ids: Vec<u64> = ids.collect();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(format!("duplicate value id {}", w[0]));
+        }
+    }
+    Ok(canonical)
 }
 
 #[cfg(test)]

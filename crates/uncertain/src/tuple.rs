@@ -1,7 +1,7 @@
 //! Tuples, fields, schemas, and their byte serialization.
 
 use crate::gaussian::ConstrainedGaussian;
-use crate::pmf::DiscretePmf;
+use crate::pmf::{check_alternatives, DiscretePmf};
 
 /// Logical tuple identifier. Assigned monotonically by the table layer;
 /// never reused (the Fractured UPI's delete sets rely on that, §4.2).
@@ -150,16 +150,6 @@ impl Tuple {
 /// `id u64 | exist f64 | field count u16`.
 pub const TUPLE_HEADER_LEN: usize = 18;
 
-/// Id and existence probability of an encoded tuple, read from its header
-/// without decoding the fields; `None` when `data` is shorter than the
-/// header.
-pub fn peek_header(data: &[u8]) -> Option<(TupleId, f64)> {
-    let header = data.get(..TUPLE_HEADER_LEN)?;
-    let id = u64::from_le_bytes(header[0..8].try_into().expect("8-byte slice"));
-    let exist = f64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-    Some((TupleId(id), exist))
-}
-
 /// Serialize a tuple to bytes (little-endian, length-prefixed strings).
 pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
     let mut out = Vec::with_capacity(t.encoded_len());
@@ -277,124 +267,342 @@ impl<'a> Reader<'a> {
         let len = u32::from_le_bytes(self.array("string length")?) as usize;
         self.take(len, "string")
     }
-}
 
-/// Borrowed peek into an encoded tuple: existence probability plus the
-/// first (most probable) alternative of discrete field `attr`, without
-/// materializing the tuple.
-///
-/// Certain fields — including strings — are skipped as borrowed slices,
-/// so hot run scans that only need to compare key fields (e.g. the
-/// distinct-scan duplicate filter) stop paying one `String` allocation
-/// per field per entry. Returns `None` when `attr` is out of bounds or
-/// not a discrete field, and when the record is malformed up to there
-/// ([`try_decode_tuple`] says how).
-pub fn peek_first_alt(data: &[u8], attr: usize) -> Option<(f64, (u64, f64))> {
-    let mut r = Reader { data, at: 8 };
-    let exist = r.f64("existence").ok()?;
-    let nfields = r.u16("field count").ok()?;
-    if attr >= nfields {
-        return None;
-    }
-    for field in 0..=attr {
-        let skip = match r.take(1, "field tag").ok()?[0] {
-            0 | 1 => 8,
-            2 => r.str_bytes().ok().map(|_| 0)?,
+    /// The next field's tag and body, its lengths checked and read in the
+    /// steps the format names; an unknown tag has an empty body.
+    #[inline(always)]
+    fn field(&mut self) -> Result<(u8, &'a [u8]), MalformedTuple> {
+        let tag = self.take(1, "field tag")?[0];
+        let start = self.at;
+        match tag {
+            0 => self.u64("u64 field").map(drop)?,
+            1 => self.f64("f64 field").map(drop)?,
+            2 => self.str_bytes().map(drop)?,
             3 => {
-                let n = r.u16("alternative count").ok()?;
-                if field == attr && n > 0 {
-                    // Alternatives are stored in descending-probability
-                    // order, so the first encoded pair is `first()`.
-                    let v = r.u64("alternative").ok()?;
-                    let p = r.f64("alternative").ok()?;
-                    return Some((exist, (v, p)));
-                }
-                16 * n
+                let n = self.u16("alternative count")?;
+                self.take(16 * n, "alternatives").map(drop)?
             }
-            4 => 32,
-            _ => return None,
-        };
-        r.take(skip, "field").ok()?;
+            4 => (0..4).try_for_each(|_| self.f64("point").map(drop))?,
+            _ => {}
+        }
+        Ok((tag, &self.data[start..self.at]))
     }
-    None
 }
 
-/// Deserialize a tuple produced by [`encode_tuple`], for callers that own
-/// their bytes (they just encoded them, or a checksum vouches for them).
+/// The `(value, probability)` pairs of a discrete field's body.
+fn pairs(body: &[u8]) -> impl ExactSizeIterator<Item = (u64, f64)> + Clone + '_ {
+    let (pairs, _) = body.as_chunks::<16>();
+    pairs.iter().map(|pair| {
+        let (v, p) = pair.split_at(8);
+        let v = u64::from_le_bytes(v.try_into().expect("8 bytes"));
+        (v, f64::from_le_bytes(p.try_into().expect("8 bytes")))
+    })
+}
+
+/// The `i`-th little-endian `f64` of a field's body.
+fn f64_at(body: &[u8], i: usize) -> f64 {
+    f64::from_le_bytes(body[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+}
+
+/// An encoded tuple, checked where it lies — the one reader of the tuple
+/// format. Every length is checked against the record and every value
+/// against its type's conditions (field tag, UTF-8, PMF probabilities and
+/// distinct ids, Gaussian parameters), plus what [`encode_tuple`] always
+/// produces: alternatives in [`DiscretePmf`] order and an existence
+/// probability in `(0, 1]`. So `encode_tuple(&view.to_tuple())` is exactly
+/// [`bytes`](Self::bytes), and a reader can filter on the view, copy the
+/// bytes of the records it keeps, and materialise only the rows it emits.
+/// Parsing allocates nothing unless a PMF has more than 16 alternatives.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleView<'a> {
+    /// The record, without whatever followed it in the parsed slice. Only
+    /// `parse` sets it: `to_tuple`'s unchecked UTF-8 relies on that.
+    data: &'a [u8],
+    id: TupleId,
+    exist: f64,
+}
+
+impl<'a> TupleView<'a> {
+    /// Check the record at the front of `data` (bytes after it are not
+    /// part of it): damaged bytes come back as [`MalformedTuple`], never
+    /// as a panic or a view of the wrong shape.
+    pub fn parse(data: &'a [u8]) -> Result<TupleView<'a>, MalformedTuple> {
+        let mut r = Reader { data, at: 0 };
+        let id = TupleId(r.u64("tuple id")?);
+        let exist = r.f64("existence")?;
+        // The checks a decoded `Tuple` cannot fail come last, so a record
+        // damaged in some other way too is reported for that damage.
+        let mut disordered = None;
+        for i in 0..r.u16("field count")? {
+            let bad = |why: String| MalformedTuple(format!("field {i}: {why}"));
+            match r.field()? {
+                (0 | 1, _) => {}
+                (2, body) => {
+                    std::str::from_utf8(&body[4..]).map_err(|e| bad(e.to_string()))?;
+                }
+                (3, body) => {
+                    if !check_alternatives(pairs(&body[2..])).map_err(bad)? {
+                        disordered.get_or_insert(i);
+                    }
+                }
+                (4, body) => {
+                    let (sigma, bound) = (f64_at(body, 2), f64_at(body, 3));
+                    if !(sigma > 0.0 && bound > 0.0) {
+                        return Err(bad(format!(
+                            "gaussian sigma {sigma} / bound {bound} not positive"
+                        )));
+                    }
+                }
+                (t, _) => return Err(bad(format!("unknown field tag {t}"))),
+            }
+        }
+        if !(exist > 0.0 && exist <= 1.0) {
+            return Err(MalformedTuple(format!(
+                "existence probability {exist} out of (0,1]"
+            )));
+        }
+        if let Some(i) = disordered {
+            return Err(MalformedTuple(format!(
+                "field {i}: alternatives out of descending-probability order"
+            )));
+        }
+        let data = &data[..r.at];
+        Ok(TupleView { data, id, exist })
+    }
+
+    /// The tuple id.
+    pub fn id(&self) -> TupleId {
+        self.id
+    }
+
+    /// The existence probability.
+    pub fn exist(&self) -> f64 {
+        self.exist
+    }
+
+    /// The record's bytes — what [`encode_tuple`] wrote, nothing after.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.data
+    }
+
+    /// The alternatives of discrete field `attr`, most probable first;
+    /// empty when field `attr` is not discrete.
+    pub fn alternatives(
+        &self,
+        attr: usize,
+    ) -> impl ExactSizeIterator<Item = (u64, f64)> + Clone + 'a {
+        match self.fields().nth(attr) {
+            Some((3, body)) => pairs(&body[2..]),
+            _ => pairs(&[]),
+        }
+    }
+
+    /// The tuple as an owned row. Nothing is checked or sorted again:
+    /// [`parse`](Self::parse) did both.
+    pub fn to_tuple(&self) -> Tuple {
+        let fields = self.fields().map(|(tag, body)| match tag {
+            0 => Field::Certain(Datum::U64(u64::from_le_bytes(
+                body.try_into().expect("8 bytes"),
+            ))),
+            1 => Field::Certain(Datum::F64(f64_at(body, 0))),
+            2 => {
+                // SAFETY: `parse` checked that these very bytes are UTF-8,
+                // and the view borrows them immutably.
+                let s = unsafe { std::str::from_utf8_unchecked(&body[4..]) };
+                Field::Certain(Datum::Str(s.to_owned()))
+            }
+            3 => Field::Discrete(DiscretePmf {
+                alts: pairs(&body[2..]).collect(),
+            }),
+            _ => Field::Point(ConstrainedGaussian {
+                cx: f64_at(body, 0),
+                cy: f64_at(body, 1),
+                sigma: f64_at(body, 2),
+                bound: f64_at(body, 3),
+            }),
+        });
+        Tuple::new(self.id, self.exist, fields.collect())
+    }
+
+    /// `(tag, body)` of every field, in order.
+    fn fields(&self) -> impl Iterator<Item = (u8, &'a [u8])> + 'a {
+        let mut r = Reader {
+            data: self.data,
+            at: TUPLE_HEADER_LEN,
+        };
+        let n = u16::from_le_bytes([self.data[16], self.data[17]]);
+        (0..n).map(move |_| r.field().expect("parse walked the same lengths"))
+    }
+}
+
+/// Deserialize a tuple produced by [`encode_tuple`].
 ///
 /// # Panics
-/// If `data` is not a well-formed record; bytes read back from a data
-/// page go through [`try_decode_tuple`].
-#[inline]
+/// If `data` is not such a record; stored bytes go through
+/// [`TupleView::parse`].
 pub fn decode_tuple(data: &[u8]) -> Tuple {
-    #[cold]
-    #[inline(never)]
-    fn foreign(why: MalformedTuple) -> ! {
-        panic!("decode_tuple on bytes encode_tuple did not produce: {why}")
-    }
-    match try_decode_tuple(data) {
-        Ok(t) => t,
-        Err(why) => foreign(why),
-    }
-}
-
-/// Deserialize a stored tuple, checking every length against the record
-/// and every decoded value against its type's conditions (field tag,
-/// UTF-8, PMF probabilities, Gaussian parameters): damaged bytes come
-/// back as [`MalformedTuple`], never as a panic or a wrong tuple shape.
-pub fn try_decode_tuple(data: &[u8]) -> Result<Tuple, MalformedTuple> {
-    let mut r = Reader { data, at: 0 };
-    let id = TupleId(r.u64("tuple id")?);
-    let exist = r.f64("existence")?;
-    let nfields = r.u16("field count")?;
-    // Every field takes at least two bytes: a bound on what to reserve.
-    let mut fields = Vec::with_capacity(nfields.min(data.len() / 2));
-    for i in 0..nfields {
-        let field = match r.take(1, "field tag")?[0] {
-            0 => Field::Certain(Datum::U64(r.u64("u64 field")?)),
-            1 => Field::Certain(Datum::F64(r.f64("f64 field")?)),
-            2 => {
-                let s = String::from_utf8(r.str_bytes()?.to_vec())
-                    .map_err(|e| MalformedTuple(format!("field {i}: {e}")))?;
-                Field::Certain(Datum::Str(s))
-            }
-            3 => {
-                let n = r.u16("alternative count")?;
-                let pairs = r.take(16 * n, "alternatives")?;
-                let mut alts = Vec::with_capacity(n);
-                for pair in pairs.chunks_exact(16) {
-                    let (v, p) = pair.split_at(8);
-                    alts.push((
-                        u64::from_le_bytes(v.try_into().expect("8 bytes")),
-                        f64::from_le_bytes(p.try_into().expect("8 bytes")),
-                    ));
-                }
-                Field::Discrete(
-                    DiscretePmf::try_new(alts)
-                        .map_err(|why| MalformedTuple(format!("field {i}: {why}")))?,
-                )
-            }
-            4 => {
-                let (cx, cy) = (r.f64("point")?, r.f64("point")?);
-                let (sigma, bound) = (r.f64("point")?, r.f64("point")?);
-                if !(sigma > 0.0 && bound > 0.0) {
-                    return Err(MalformedTuple(format!(
-                        "field {i}: gaussian sigma {sigma} / bound {bound} not positive"
-                    )));
-                }
-                Field::Point(ConstrainedGaussian::new(cx, cy, sigma, bound))
-            }
-            t => return Err(MalformedTuple(format!("field {i}: unknown field tag {t}"))),
-        };
-        fields.push(field);
-    }
-    Ok(Tuple { id, exist, fields })
+    TupleView::parse(data)
+        .unwrap_or_else(|why| panic!("decode_tuple on bytes encode_tuple did not produce: {why}"))
+        .to_tuple()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The validating decoder [`TupleView`] replaced: it re-sorts every PMF
+    /// and takes any existence probability. Kept only as the reference of
+    /// `view_matches_the_reference_decoder`, for as long as that identity
+    /// test is the only proof of the view.
+    fn try_decode_tuple(data: &[u8]) -> Result<Tuple, MalformedTuple> {
+        let mut r = Reader { data, at: 0 };
+        let id = TupleId(r.u64("tuple id")?);
+        let exist = r.f64("existence")?;
+        let nfields = r.u16("field count")?;
+        // Every field takes at least two bytes: a bound on what to reserve.
+        let mut fields = Vec::with_capacity(nfields.min(data.len() / 2));
+        for i in 0..nfields {
+            let field = match r.take(1, "field tag")?[0] {
+                0 => Field::Certain(Datum::U64(r.u64("u64 field")?)),
+                1 => Field::Certain(Datum::F64(r.f64("f64 field")?)),
+                2 => {
+                    let s = String::from_utf8(r.str_bytes()?.to_vec())
+                        .map_err(|e| MalformedTuple(format!("field {i}: {e}")))?;
+                    Field::Certain(Datum::Str(s))
+                }
+                3 => {
+                    let n = r.u16("alternative count")?;
+                    let pairs = r.take(16 * n, "alternatives")?;
+                    let mut alts = Vec::with_capacity(n);
+                    for pair in pairs.chunks_exact(16) {
+                        let (v, p) = pair.split_at(8);
+                        alts.push((
+                            u64::from_le_bytes(v.try_into().expect("8 bytes")),
+                            f64::from_le_bytes(p.try_into().expect("8 bytes")),
+                        ));
+                    }
+                    Field::Discrete(
+                        DiscretePmf::try_new(alts)
+                            .map_err(|why| MalformedTuple(format!("field {i}: {why}")))?,
+                    )
+                }
+                4 => {
+                    let (cx, cy) = (r.f64("point")?, r.f64("point")?);
+                    let (sigma, bound) = (r.f64("point")?, r.f64("point")?);
+                    if !(sigma > 0.0 && bound > 0.0) {
+                        return Err(MalformedTuple(format!(
+                            "field {i}: gaussian sigma {sigma} / bound {bound} not positive"
+                        )));
+                    }
+                    Field::Point(ConstrainedGaussian::new(cx, cy, sigma, bound))
+                }
+                t => return Err(MalformedTuple(format!("field {i}: unknown field tag {t}"))),
+            };
+            fields.push(field);
+        }
+        Ok(Tuple { id, exist, fields })
+    }
+
+    /// The view and the reference agree on `bytes`: the same error, or the
+    /// same tuple — or the reference accepts what `encode_tuple` cannot
+    /// have written (an existence outside `(0, 1]`, alternatives out of
+    /// order), which the view alone rejects.
+    fn agree(bytes: &[u8]) {
+        match (TupleView::parse(bytes), try_decode_tuple(bytes)) {
+            (Ok(view), Ok(t)) => {
+                // Bit-for-bit (a damaged f64 field may be a NaN).
+                assert_eq!(encode_tuple(&view.to_tuple()), encode_tuple(&t));
+                assert_eq!(view.bytes(), encode_tuple(&t));
+                assert_eq!(
+                    (view.id(), view.exist().to_bits()),
+                    (t.id, t.exist.to_bits())
+                );
+            }
+            (Err(why), Err(reference)) => assert_eq!(why, reference),
+            (Err(why), Ok(t)) => {
+                let canonical = encode_tuple(&t);
+                assert!(
+                    !(t.exist > 0.0 && t.exist <= 1.0 && bytes.starts_with(&canonical)),
+                    "rejected a canonical record: {why}"
+                );
+            }
+            (Ok(_), Err(reference)) => panic!("accepted what the reference rejects: {reference}"),
+        }
+    }
+
+    /// A random tuple over every field kind: multibyte strings, PMFs of one
+    /// to forty alternatives (tied probabilities included), points.
+    fn random_tuple(rng: &mut StdRng) -> Tuple {
+        let fields = (0..rng.gen_range(0..7usize))
+            .map(|_| match rng.gen_range(0..5u32) {
+                0 => Field::Certain(Datum::U64(rng.gen())),
+                1 => Field::Certain(Datum::F64(rng.gen_range(-1e9..1e9))),
+                2 => {
+                    let chars = ['a', 'é', '日', '🦀', ' '];
+                    let len = rng.gen_range(0..12usize);
+                    let s = (0..len).map(|_| chars[rng.gen_range(0..5usize)]).collect();
+                    Field::Certain(Datum::Str(s))
+                }
+                3 => {
+                    let n = [1u64, 2, 3, 8, 40][rng.gen_range(0..5usize)];
+                    let (base, p) = (rng.gen_range(0..1000u64), 1.0 / n as f64);
+                    let alts = (0..n)
+                        .map(|i| (base + 7 * i, if rng.gen_bool(0.5) { p } else { p / 3.0 }))
+                        .collect();
+                    Field::Discrete(DiscretePmf::new(alts))
+                }
+                _ => Field::Point(ConstrainedGaussian::new(
+                    rng.gen_range(-1e3..1e3),
+                    rng.gen_range(-1e3..1e3),
+                    rng.gen_range(0.1..10.0),
+                    rng.gen_range(0.1..10.0),
+                )),
+            })
+            .collect();
+        Tuple::new(TupleId(rng.gen()), rng.gen_range(0.01..=1.0), fields)
+    }
+
+    #[test]
+    fn view_matches_the_reference_decoder() {
+        let mut rng = StdRng::seed_from_u64(0x7u64 << 40 | 0x1EE);
+        for _ in 0..400 {
+            let t = random_tuple(&mut rng);
+            let enc = encode_tuple(&t);
+            let view = TupleView::parse(&enc).expect("encode_tuple output parses");
+            assert_eq!(view.to_tuple(), t);
+            agree(&enc);
+            // Bytes after the record are not part of it.
+            let mut padded = enc.clone();
+            padded.extend_from_slice(&[0xAB; 5]);
+            assert_eq!(TupleView::parse(&padded).unwrap().bytes(), enc);
+            for cut in 0..enc.len() {
+                agree(&enc[..cut]);
+            }
+            // Byte damage anywhere, one to three bytes at a time.
+            for _ in 0..40 {
+                let mut bad = enc.clone();
+                for _ in 0..rng.gen_range(1..=3usize) {
+                    let at = rng.gen_range(0..bad.len());
+                    bad[at] = rng.gen();
+                }
+                agree(&bad);
+            }
+        }
+        // The most alternatives a record can carry.
+        let n = u16::MAX as u64;
+        let most = DiscretePmf::new((0..n).map(|v| (v, 1.0 / n as f64)).collect());
+        let t = Tuple::new(TupleId(9), 0.5, vec![Field::Discrete(most)]);
+        let enc = encode_tuple(&t);
+        assert_eq!(TupleView::parse(&enc).unwrap().to_tuple(), t);
+        agree(&enc);
+        agree(&enc[..enc.len() - 1]);
+        let mut repeated = enc.clone();
+        repeated[TUPLE_HEADER_LEN + 3 + 16..][..8].copy_from_slice(&0u64.to_le_bytes());
+        agree(&repeated);
+    }
 
     fn alice() -> Tuple {
         // The running example of Table 1.
@@ -433,12 +641,13 @@ mod tests {
         let enc = encode_tuple(&t);
         assert_eq!(decode_tuple(&enc), t);
         assert_eq!(t.encoded_len(), enc.len());
-        assert_eq!(peek_header(&enc), Some((TupleId(42), 0.8)));
-        assert_eq!(peek_header(&enc[..TUPLE_HEADER_LEN - 1]), None);
+        let view = TupleView::parse(&enc).unwrap();
+        assert_eq!((view.id(), view.exist()), (TupleId(42), 0.8));
+        assert!(TupleView::parse(&enc[..TUPLE_HEADER_LEN - 1]).is_err());
     }
 
     #[test]
-    fn peek_first_alt_matches_full_decode() {
+    fn view_alternatives_match_full_decode() {
         let t = Tuple::new(
             TupleId(42),
             0.8,
@@ -451,16 +660,15 @@ mod tests {
             ],
         );
         let enc = encode_tuple(&t);
-        let (exist, first) = peek_first_alt(&enc, 2).unwrap();
-        assert_eq!(exist, 0.8);
-        assert_eq!(first, t.discrete(2).first());
-        let (_, first4) = peek_first_alt(&enc, 4).unwrap();
-        assert_eq!(first4, (9, 0.9));
-        // Non-discrete or out-of-bounds fields peek as None.
-        assert_eq!(peek_first_alt(&enc, 0), None);
-        assert_eq!(peek_first_alt(&enc, 1), None);
-        assert_eq!(peek_first_alt(&enc, 3), None);
-        assert_eq!(peek_first_alt(&enc, 9), None);
+        let view = TupleView::parse(&enc).unwrap();
+        let alts = |attr| view.alternatives(attr).collect::<Vec<_>>();
+        assert_eq!(alts(2), t.discrete(2).alternatives());
+        assert_eq!(view.alternatives(2).next(), Some(t.discrete(2).first()));
+        assert_eq!(alts(4), vec![(9, 0.9)]);
+        // Non-discrete or out-of-bounds fields have no alternatives.
+        for attr in [0, 1, 3, 9] {
+            assert_eq!(view.alternatives(attr).len(), 0, "field {attr}");
+        }
     }
 
     #[test]
@@ -476,22 +684,17 @@ mod tests {
             ],
         );
         let enc = encode_tuple(&t);
-        assert_eq!(try_decode_tuple(&enc), Ok(t));
-        // Every truncation is caught by a length check, in both walkers.
+        assert_eq!(TupleView::parse(&enc).map(|v| v.to_tuple()), Ok(t));
+        // Every truncation is caught by a length check.
         for cut in 0..enc.len() {
-            let err = try_decode_tuple(&enc[..cut]).expect_err("truncated");
+            let err = TupleView::parse(&enc[..cut]).expect_err("truncated");
             assert!(err.to_string().contains("malformed tuple record"), "{err}");
-            let _ = peek_first_alt(&enc[..cut], 2);
         }
-        assert_eq!(
-            peek_first_alt(&enc[..45], 2),
-            None,
-            "cut inside the first pair"
-        );
         let damaged = |at: usize, with: &[u8]| {
             let mut bad = enc.clone();
             bad[at..at + with.len()].copy_from_slice(with);
-            try_decode_tuple(&bad).expect_err("damaged").to_string()
+            agree(&bad);
+            TupleView::parse(&bad).expect_err("damaged").to_string()
         };
         // Field 0's tag; the string's length and then its bytes; the
         // PMF's count, a probability (NaN, then a sum above one); sigma.
@@ -504,6 +707,25 @@ mod tests {
         assert!(damaged(90, &(-1.0f64).to_le_bytes()).contains("not positive"));
         // A field count the record cannot hold does not reserve for it.
         assert!(damaged(16, &u16::MAX.to_le_bytes()).contains("field tag needs"));
+
+        // What only the bytes can show — alternatives out of order (a
+        // lower probability first; a tie with the larger id first) and an
+        // existence outside (0, 1] — is rejected too, though a decode
+        // would re-sort or keep it.
+        let tie = [3u64.to_le_bytes(), 0.25f64.to_le_bytes()].concat();
+        for (at, with) in [(49, &0.2f64.to_le_bytes()[..]), (41, &tie)] {
+            assert!(damaged(at, with).contains("field 2: alternatives out of descending"));
+        }
+        for exist in [1.5, 0.0, -0.5, f64::NAN, f64::INFINITY] {
+            assert!(damaged(8, &exist.to_le_bytes()).contains("existence probability"));
+        }
+        let mut both = enc.clone();
+        both[8..16].copy_from_slice(&1.5f64.to_le_bytes());
+        let err = TupleView::parse(&both[..enc.len() - 1]).expect_err("damaged twice");
+        assert!(
+            err.to_string().contains("point needs"),
+            "the older check reports: {err}"
+        );
     }
 
     #[test]
@@ -555,7 +777,8 @@ mod tests {
             let t = Tuple::new(TupleId(id), exist, fields);
             let enc = encode_tuple(&t);
             prop_assert_eq!(t.encoded_len(), enc.len());
-            prop_assert_eq!(peek_header(&enc), Some((t.id, t.exist)));
+            let view = TupleView::parse(&enc).unwrap();
+            prop_assert_eq!((view.id(), view.exist()), (t.id, t.exist));
             prop_assert_eq!(decode_tuple(&enc), t);
         }
     }
