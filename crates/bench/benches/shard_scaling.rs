@@ -16,11 +16,11 @@
 //!    N stores, each shard's share fits its own pool and the second
 //!    pass runs from RAM. Total demand pages over the workload must be
 //!    **strictly lower at 4 shards than at 1** — the acceptance gate.
-//! 3. **Parallel scatter latency** — shard workers run concurrently on
-//!    independent devices, so a query's latency is the *max* of its
-//!    per-shard attributed windows while calibration keeps seeing the
-//!    *sum*. Over the workload, Σ max (`parallel_ms`) must undercut
-//!    Σ sum (`device_ms`, the serial-drain cost) by ≥ 40% at 4 shards.
+//! 3. **Parallel scatter latency** — the shards are independent
+//!    devices, so a query's latency is the *max* of its per-shard
+//!    attributed windows while calibration keeps seeing the *sum*. Over
+//!    the workload, Σ max (`parallel_ms`) must undercut Σ sum
+//!    (`device_ms`, the serial-drain cost) by ≥ 40% at 4 shards.
 //! 4. **Pruned cold shards** — on a skewed range layout whose last
 //!    shard holds only low-confidence rows, the per-shard `ShardStats`
 //!    bounds let every scatter skip *opening* it: the pruned shard's
@@ -189,8 +189,8 @@ fn run_series(tuples: &[Tuple], n_shards: usize, buffer_ops: usize) -> Series {
             let io = out.io.as_ref().expect("scatter reports io");
             *pages += io.misses;
             prefetch_pages += io.readahead;
-            // Workers drain shards concurrently: the query's wall-clock
-            // cost is the max per-shard window, not their sum.
+            // The shards' devices work in parallel: the query's
+            // wall-clock cost is the max per-shard window, not their sum.
             parallel_ms += out.latency_ms.expect("scatter reports parallel latency");
             assert_eq!(
                 out.rows.len(),

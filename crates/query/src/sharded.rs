@@ -8,49 +8,58 @@
 //! logical query may run a cutoff merge on one shard and a plain heap
 //! run on another, priced by each shard's own observed scales.
 //!
-//! Execution is scatter-gather and **genuinely parallel**: every shard
-//! runs its plan-and-drain on its own worker thread
-//! (`std::thread::scope`), against its own simulated device. Top-k
-//! point queries take the fast path: every shard whose chosen plan is a
-//! clustered point probe (`UpiHeap`, `FracturedProbe`) opens its chain's
-//! confidence-ordered point merge (`upi::Chain::point_run`) as a raw
-//! cursor, and all workers share one
-//! [`TopKWatermark`](upi::TopKWatermark) behind a lock. The k-th best
-//! confidence seen *anywhere* becomes every cursor's pull watermark, so
-//! a shard whose best remaining confidence falls below the global k-th
-//! stops its source I/O early — even when the floor was raised by a
-//! faster shard mid-drain. Shards whose chosen plan is not
+//! Execution is scatter-gather in **bulk-synchronous rounds on the
+//! caller's thread**. The shards' simulated devices are independent
+//! spindles, so the device model already prices a scatter as parallel
+//! (its latency is the max over the per-shard windows); host threads add
+//! nothing to that model and would cost a spawn per query. Shards learn
+//! about each other only at round boundaries, so every page a shard
+//! reads is a function of the data alone: the same query on the same
+//! state reads the same pages, run after run.
+//!
+//! Top-k point queries take the fast path. In round 0 every live shard
+//! plans, and a shard whose chosen plan is a clustered point probe
+//! (`UpiHeap`, `FracturedProbe`) opens its chain's confidence-ordered
+//! point merge (`upi::Chain::point_run`) as a raw cursor. In every round
+//! each unfinished shard takes the floor published for that round
+//! (`raise_conf_floor`) and pulls up to ⌈k / live shards⌉ rows; at the
+//! barrier the facade notes the round's rows, in shard order, into one
+//! [`TopKWatermark`](upi::TopKWatermark), and its k-th best confidence is
+//! the next round's floor. A shard finishes with k rows, when its cursor
+//! runs dry, or when no row at or above the floor remains on it — its
+//! source I/O stops there. Shards whose chosen plan is not
 //! confidence-ordered (or, behind a heterogeneous
 //! [`ShardedDb::from_shards`] facade, an unclustered shard handed a
-//! clustered path) fall back to a full per-shard execution and join the
-//! merge as a pre-sorted batch; every other query shape scatters whole
-//! queries in parallel and gathers (re-sorts, re-aggregates, truncates)
-//! at the facade.
+//! clustered path) execute the whole query in round 0 and join the merge
+//! as a pre-sorted batch. Every other query shape runs the same scatter
+//! for one round with no floor: each shard executes the whole query, and
+//! the facade gathers (re-sorts, re-aggregates, truncates).
 //!
 //! **Pruning.** The facade maintains one [`upi::ShardStats`] per shard —
 //! a raise-only max-confidence sketch per primary value — so an
 //! `Eq`-on-primary scatter skips *opening* shards whose bound is
-//! strictly below the confidence still needed (`qt`, or the current
-//! watermark floor): no plan, no descent, zero pages. Skips are counted
-//! on the facade ([`shards_skipped`](ShardedDb::shards_skipped)) and on
-//! each skipped shard's metrics registry, and can be disabled with
+//! strictly below `qt`: no plan, no descent, zero pages. From round 1
+//! on, a top-k shard whose bound is strictly below the published floor
+//! is retired before its next pull. Skips are counted on the facade
+//! ([`shards_skipped`](ShardedDb::shards_skipped)) and on each skipped
+//! shard's metrics registry; both rules can be disabled with
 //! [`set_pruning`](ShardedDb::set_pruning).
 //!
-//! Observability keeps the partition identity: the facade runs the
-//! whole query under **one** attribution id; the attribution stack is
-//! thread-local, so every worker re-pins its shard's window on its own
-//! thread. The per-shard attributed device windows still sum to exactly
-//! the query's total device time (`QueryOutput::device`), each shard's
-//! `(estimated, observed)` pair feeds *that shard's* calibration store
-//! with its own clock, and the merged trace carries one child span per
-//! shard. Because the devices run concurrently, the query's
+//! Observability keeps the partition identity: the whole scatter runs
+//! under **one** attribution id, pinned once on the caller's thread, and
+//! each shard's device charges land in that id's slot of the shard's own
+//! pool. The per-shard windows sum to exactly the query's total device
+//! time (`QueryOutput::device`), each shard's `(estimated, observed)`
+//! pair feeds *that shard's* calibration store with its own clock, and
+//! the merged trace records the round count on its root and, on one
+//! child span per shard, why that shard finished. The query's
 //! wall-clock-shaped latency is the **max** over the shard windows —
 //! reported as `QueryOutput::latency_ms`, with the sum preserved in
 //! `device` for calibration.
 
+use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use parking_lot::Mutex;
 use upi::{
     ChainPointRun, PtqResult, RecoveryInfo, ShardLayout, ShardStats, TableLayout, TopKWatermark,
 };
@@ -151,33 +160,121 @@ fn open_fast_cursor<'a>(
     }
 }
 
-/// What one shard worker brings back to the gather (everything here
-/// crosses the thread boundary; cursors and guards never do).
-struct ShardOutcome {
-    /// This shard's qualifying rows, canonically ordered, at most k.
-    rows: Vec<PtqResult>,
-    /// The shard's chosen plan; `None` when the shard was skipped.
+/// One shard's part in a scatter, from round 0 to the gather.
+#[derive(Default)]
+struct ShardRun<'a> {
+    /// The fast path's plan; `None` for a skipped shard and for a whole
+    /// scatter, where the shard session plans for itself.
     plan: Option<PhysicalPlan>,
-    /// Span label: the path label, a fallback annotation, or the skip
-    /// reason.
+    /// Span label: the path label (with a fallback annotation where one
+    /// applies), then why the shard finished.
     label: String,
-    /// Set when the shard executed the whole query itself (its inner
-    /// attribution window is this device view; the outer slot holds only
-    /// plan-time I/O).
-    fallback_device: Option<IoStats>,
-    /// The shard was pruned: no plan, no cursor, zero pages.
-    skipped: bool,
+    /// The confidence-ordered cursor, while the shard streams.
+    cursor: Option<ChainPointRun<'a>>,
+    /// Rows collected so far, canonically ordered; the first `noted` are
+    /// in the watermark.
+    rows: Vec<PtqResult>,
+    noted: usize,
+    /// The shard session's own output (rows moved out) when the shard
+    /// executed the whole query: its inner attribution window is
+    /// `device`, and the outer slot holds only plan-time I/O.
+    whole: Option<QueryOutput>,
+    done: bool,
 }
 
-impl ShardOutcome {
-    fn skipped(reason: String) -> ShardOutcome {
-        ShardOutcome {
-            rows: Vec::new(),
-            plan: None,
-            label: reason,
-            fallback_device: None,
-            skipped: true,
+impl<'a> ShardRun<'a> {
+    /// Stop the shard, closing its cursor, and say why on its span.
+    fn finish(&mut self, why: impl Display) {
+        self.label = if self.label.is_empty() {
+            why.to_string()
+        } else {
+            format!("{} [{why}]", self.label)
+        };
+        self.cursor = None;
+        self.done = true;
+    }
+
+    /// Round 0 for one live shard. The fast path plans and opens the
+    /// shard's confidence-ordered cursor; a shard that cannot stream one,
+    /// and every shard of a whole scatter, executes `q` outright.
+    fn open(
+        &mut self,
+        s: &'a UncertainDb,
+        q: &PtqQuery,
+        topk: Option<(u64, usize)>,
+        qid: QueryId,
+    ) -> Result<(), QueryError> {
+        if let Some((value, k)) = topk {
+            let catalog = s.catalog().with_query_id(qid);
+            let plan = q.plan(&catalog)?;
+            let chosen = &plan.candidates[0];
+            self.label = chosen.path.label();
+            let pool = s.table().store().pool.as_ref();
+            let opened = open_fast_cursor(s, &chosen.path, &chosen.hints, pool, value, q.qt, k);
+            self.plan = Some(plan);
+            match opened {
+                Ok(Some(cursor)) => {
+                    self.cursor = Some(cursor);
+                    return Ok(());
+                }
+                // Not confidence-ordered (e.g. a full scan won on a tiny
+                // shard): execute the whole shard query below.
+                Ok(None) => {}
+                // A clustered path on an unclustered shard: typed and
+                // recoverable — run the whole shard query instead of
+                // panicking.
+                Err(QueryError::Exec(e @ upi::ExecError::LayoutMismatch { .. })) => {
+                    self.label = format!("{} [fallback: {e}]", self.label);
+                }
+                Err(e) => return Err(e),
+            }
         }
+        // The shard session pushes its own inner attribution window and
+        // records its own calibration sample.
+        let mut out = s.query(q)?;
+        if self.plan.is_none() {
+            self.label = out
+                .trace
+                .as_ref()
+                .map_or("?", |t| t.path.as_str())
+                .to_string();
+        }
+        self.rows = std::mem::take(&mut out.rows);
+        self.whole = Some(out);
+        self.finish("exhausted");
+        Ok(())
+    }
+
+    /// One round's pulls: push the published `floor` into the cursor and
+    /// take up to `budget` rows. The shard finishes with k rows, or when
+    /// its cursor has nothing left at or above the floor.
+    fn pull(&mut self, budget: usize, k: usize, floor: f64) -> Result<(), QueryError> {
+        let Some(cursor) = self.cursor.as_mut() else {
+            return Ok(());
+        };
+        // Confidence ties survive; the floor only rises.
+        cursor.raise_conf_floor(floor);
+        let mut dry = false;
+        for _ in 0..budget {
+            match cursor.next() {
+                Some(r) => self.rows.push(r?),
+                None => {
+                    dry = true;
+                    break;
+                }
+            }
+            if self.rows.len() >= k {
+                break;
+            }
+        }
+        if self.rows.len() >= k {
+            self.finish("k rows");
+        } else if dry && floor > f64::NEG_INFINITY {
+            self.finish(format_args!("below floor {floor:.3}"));
+        } else if dry {
+            self.finish("exhausted");
+        }
+        Ok(())
     }
 }
 
@@ -214,7 +311,6 @@ impl ShardedDb {
             layout.n_shards(),
             "one store per shard required"
         );
-        assert!(!stores.is_empty(), "at least one shard required");
         let shards = stores
             .into_iter()
             .enumerate()
@@ -228,15 +324,7 @@ impl ShardedDb {
                 )
             })
             .collect::<StorageResult<Vec<_>>>()?;
-        let stats = vec![ShardStats::new(); layout.n_shards()];
-        Ok(ShardedDb {
-            shards,
-            layout,
-            next_id: 0,
-            stats,
-            prune: AtomicBool::new(true),
-            skipped: AtomicU64::new(0),
-        })
+        ShardedDb::from_shards(shards, layout)
     }
 
     /// Assemble a facade over existing shard sessions — the shards may
@@ -244,7 +332,8 @@ impl ShardedDb {
     /// fractured, one unclustered …); the fast path falls back per shard
     /// where a layout cannot stream in confidence order. The id horizon
     /// is re-seeded from the max over shard id horizons and the pruning
-    /// statistics are rebuilt from live tuples.
+    /// statistics are rebuilt from live tuples. Every other constructor
+    /// ends here.
     pub fn from_shards(shards: Vec<UncertainDb>, layout: ShardLayout) -> StorageResult<ShardedDb> {
         assert_eq!(
             shards.len(),
@@ -468,21 +557,7 @@ impl ShardedDb {
             shards.push(db);
             infos.push(info);
         }
-        let next_id = shards
-            .iter()
-            .map(|s| s.table().next_id())
-            .max()
-            .unwrap_or(0);
-        let mut db = ShardedDb {
-            shards,
-            layout,
-            next_id,
-            stats: Vec::new(),
-            prune: AtomicBool::new(true),
-            skipped: AtomicU64::new(0),
-        };
-        db.rebuild_stats()?;
-        Ok((db, infos))
+        Ok((ShardedDb::from_shards(shards, layout)?, infos))
     }
 
     /// All live tuples across shards, ascending by tuple id.
@@ -507,17 +582,26 @@ impl ShardedDb {
     /// same query on an unsharded table holding the union of the
     /// shards' tuples.
     pub fn query(&self, q: &PtqQuery) -> Result<QueryOutput, QueryError> {
-        match (&q.predicate, q.top_k) {
+        let topk = match (&q.predicate, q.top_k) {
             (Predicate::Eq { attr, value }, Some(k))
                 if *attr == self.primary_attr()
                     && q.group_count.is_none()
                     && q.projection.is_none()
                     && k > 0 =>
             {
-                self.scatter_topk(q, *value, k)
+                Some((*value, k))
             }
-            _ => self.scatter_whole(q),
+            _ => None,
+        };
+        let qid = QueryId::next();
+        let result = self.scatter(q, topk, qid);
+        if result.is_err() {
+            // Drain the attribution slots the failed scatter left behind.
+            for s in &self.shards {
+                s.table().store().pool.take_attributed(qid);
+            }
         }
+        result
     }
 
     /// Point PTQ on the primary attribute.
@@ -554,7 +638,7 @@ impl ShardedDb {
     }
 
     /// Top-k most confident rows for a primary value — the scatter-
-    /// gather fast path with the shared watermark.
+    /// gather fast path under the round floor.
     pub fn top_k(&self, value: u64, k: usize) -> Result<Vec<PtqResult>, QueryError> {
         Ok(self
             .query(&PtqQuery::eq(self.primary_attr(), value).with_top_k(k))?
@@ -563,170 +647,127 @@ impl ShardedDb {
 
     // --- Scatter-gather execution -----------------------------------------
 
-    /// The fast path: per-shard plans, confidence-ordered cursors, one
-    /// shared top-k watermark (module docs). Wraps the inner body so
-    /// attribution slots are drained even on error.
-    fn scatter_topk(&self, q: &PtqQuery, value: u64, k: usize) -> Result<QueryOutput, QueryError> {
-        let qid = QueryId::next();
-        let result = self.scatter_topk_inner(q, value, k, qid);
-        if result.is_err() {
-            for s in &self.shards {
-                s.table().store().pool.take_attributed(qid);
+    /// Per-shard pruning bounds for `q`: each shard's sketch bound for the
+    /// probed value, or `None` when pruning is off or `q` is not an `Eq`
+    /// on the primary attribute (the sketch bounds nothing else). Both
+    /// query shapes skip by these against `qt` — qualifying means
+    /// confidence >= qt, so only a *strictly* lower bound may skip — and
+    /// the fast path retires by them against each round's floor.
+    fn prune_bounds(&self, q: &PtqQuery) -> Option<Vec<f64>> {
+        match &q.predicate {
+            Predicate::Eq { attr, value }
+                if *attr == self.primary_attr() && self.prune.load(Ordering::Relaxed) =>
+            {
+                Some(self.stats.iter().map(|st| st.bound(*value)).collect())
             }
+            _ => None,
         }
-        result
     }
 
-    fn scatter_topk_inner(
+    /// One scatter for both query shapes (module docs): static pruning,
+    /// bulk-synchronous rounds on this thread until every shard has
+    /// finished, then one gather. `topk = Some((value, k))` selects the
+    /// fast path; `None` runs one round in which every live shard
+    /// executes `q` whole.
+    fn scatter(
         &self,
         q: &PtqQuery,
-        value: u64,
-        k: usize,
+        topk: Option<(u64, usize)>,
         qid: QueryId,
     ) -> Result<QueryOutput, QueryError> {
         let n = self.shards.len();
-        let pools: Vec<_> = self
+        let pools: Vec<&BufferPool> = self
             .shards
             .iter()
             .map(|s| s.table().store().pool.as_ref())
             .collect();
         let before: Vec<PoolCounters> = pools.iter().map(|p| p.counters()).collect();
-        let prune_on = self.prune.load(Ordering::Relaxed);
-        // Static pruning, decided before any worker starts so it is
-        // deterministic: a shard whose per-value bound cannot reach `qt`
-        // holds no qualifying row (qualifying means confidence >= qt, so
-        // only a *strictly* lower bound may skip).
-        let bounds: Vec<f64> = self.stats.iter().map(|st| st.bound(value)).collect();
-        // One shared floor for all workers: the lock is held only for a
-        // note() or floor() read, never across I/O.
-        let wm = Mutex::new(TopKWatermark::new(k));
-
-        // Scatter: one worker per shard. Only `Send` data crosses the
-        // boundary — plans and rows come back in a `ShardOutcome`;
-        // cursors, catalogs, and attribution guards live and die on the
-        // worker. The attribution stack is thread-local, so each worker
-        // re-pins its shard's window (same `qid`) on its own thread.
-        let run_shard = |i: usize, s: &UncertainDb| -> Result<ShardOutcome, QueryError> {
-            if prune_on && bounds[i] < q.qt {
-                return Ok(ShardOutcome::skipped(format!(
-                    "skipped (bound {:.3} < qt {:.3})",
-                    bounds[i], q.qt
-                )));
-            }
-            let pool = s.table().store().pool.as_ref();
-            let _guard = pool.attributed(qid);
-            // Dynamic pruning: a faster shard may already have raised the
-            // k-th floor above this shard's best possible row.
-            if prune_on {
-                let floor = wm.lock().floor();
-                if bounds[i] < floor {
-                    return Ok(ShardOutcome::skipped(format!(
-                        "skipped (bound {:.3} < floor {:.3})",
-                        bounds[i], floor
-                    )));
-                }
-            }
-            let catalog = s.catalog().with_query_id(qid);
-            let plan = q.plan(&catalog)?;
-            let chosen = &plan.candidates[0];
-            let mut label = chosen.path.label();
-            let cursor =
-                match open_fast_cursor(s, &chosen.path, &chosen.hints, pool, value, q.qt, k) {
-                    Ok(c) => c,
-                    // A clustered path on an unclustered shard: typed and
-                    // recoverable — run the whole shard query instead of
-                    // panicking.
-                    Err(QueryError::Exec(e @ upi::ExecError::LayoutMismatch { .. })) => {
-                        label = format!("{label} [fallback: {e}]");
-                        None
-                    }
-                    Err(e) => return Err(e),
-                };
-            match cursor {
-                Some(mut cur) => {
-                    let mut rows = Vec::with_capacity(k);
-                    loop {
-                        // Confidence ties survive; the floor only rises.
-                        cur.raise_conf_floor(wm.lock().floor());
-                        let Some(r) = cur.next() else { break };
-                        let r = r?;
-                        wm.lock().note(r.confidence);
-                        rows.push(r);
-                        if rows.len() >= k {
-                            break;
-                        }
-                    }
-                    Ok(ShardOutcome {
-                        rows,
-                        plan: Some(plan),
-                        label,
-                        fallback_device: None,
-                        skipped: false,
-                    })
-                }
-                // Not confidence-ordered (e.g. a full scan won on a tiny
-                // shard), or an unclustered shard: execute the whole shard
-                // query — it pushes its own inner attribution window and
-                // records its own calibration sample — and merge its
-                // exact rows (noting them so other shards' floors rise).
-                None => {
-                    let out = s.query(q)?;
-                    {
-                        let mut wm = wm.lock();
-                        for r in &out.rows {
-                            wm.note(r.confidence);
-                        }
-                    }
-                    Ok(ShardOutcome {
-                        rows: out.rows,
-                        plan: Some(plan),
-                        label,
-                        fallback_device: out.device,
-                        skipped: false,
-                    })
-                }
-            }
+        let bounds = self.prune_bounds(q);
+        let bound_below = |i: usize, threshold: f64| {
+            bounds
+                .as_ref()
+                .map(|b| b[i])
+                .filter(|&bound| bound < threshold)
         };
-        let results: Vec<Result<ShardOutcome, QueryError>> = std::thread::scope(|scope| {
-            let run_shard = &run_shard;
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| scope.spawn(move || run_shard(i, s)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-        let mut outcomes = Vec::with_capacity(n);
-        for r in results {
-            outcomes.push(r?);
-        }
-        for (o, s) in outcomes.iter().zip(&self.shards) {
-            if o.skipped {
+        // Static pruning picks the live shards before any is opened: a
+        // skipped shard is never planned and reads no page.
+        let mut runs: Vec<ShardRun> = Vec::with_capacity(n);
+        for (i, s) in self.shards.iter().enumerate() {
+            let mut run = ShardRun::default();
+            if let Some(bound) = bound_below(i, q.qt) {
+                run.finish(format_args!("skipped (bound {bound:.3} < qt {:.3})", q.qt));
                 self.skipped.fetch_add(1, Ordering::Relaxed);
                 s.note_shard_skip();
             }
+            runs.push(run);
         }
+        let live = runs.iter().filter(|r| !r.done).count();
 
-        // Gather: merge the per-shard prefixes under the explicit total
-        // order. Per-shard rows are each canonical already; any row a
-        // worker's floor suppressed is provably outside the global top-k
-        // (k noted-and-collected rows strictly beat it).
+        // One attribution window for the whole scatter: every shard runs
+        // on this thread, and each one's device charges land in `qid`'s
+        // slot of its own pool.
+        let guard = pools[0].attributed(qid);
+        let mut wm = topk.map(|(_, k)| TopKWatermark::new(k));
+        let mut floor = f64::NEG_INFINITY;
+        let mut rounds = 0u32;
+        while runs.iter().any(|r| !r.done) {
+            for (i, (s, run)) in self.shards.iter().zip(&mut runs).enumerate() {
+                if run.done {
+                    continue;
+                }
+                if rounds == 0 {
+                    run.open(s, q, topk, qid)?;
+                } else if let Some(bound) = bound_below(i, floor) {
+                    run.finish(format_args!(
+                        "retired (bound {bound:.3} < floor {floor:.3})"
+                    ));
+                    continue;
+                }
+                if let Some((_, k)) = topk {
+                    run.pull(k.div_ceil(live), k, floor)?;
+                }
+            }
+            rounds += 1;
+            // The barrier: note the round's rows in shard order; the k-th
+            // best confidence so far is the next round's floor.
+            if let Some(wm) = &mut wm {
+                for run in &mut runs {
+                    for r in &run.rows[run.noted..] {
+                        wm.note(r.confidence);
+                    }
+                    run.noted = run.rows.len();
+                }
+                floor = wm.floor();
+            }
+        }
+        drop(guard);
+
+        // Gather: one merge under the explicit total order. A row a floor
+        // suppressed is provably outside the top k: k noted-and-collected
+        // rows sit at or above that floor, and the row strictly below it.
         let mut tagged: Vec<(usize, PtqResult)> = Vec::new();
-        for (i, o) in outcomes.iter_mut().enumerate() {
-            tagged.extend(o.rows.drain(..).map(|r| (i, r)));
+        let mut groups: Option<std::collections::BTreeMap<u64, u64>> = None;
+        for (i, run) in runs.iter_mut().enumerate() {
+            tagged.extend(run.rows.drain(..).map(|r| (i, r)));
+            if let Some(g) = run.whole.as_mut().and_then(|out| out.groups.take()) {
+                let acc = groups.get_or_insert_with(Default::default);
+                for (key, count) in g {
+                    *acc.entry(key).or_insert(0) += count;
+                }
+            }
         }
         tagged.sort_by(merge_cmp);
-        tagged.truncate(k);
-        let mut emitted = vec![0u64; n];
-        let mut rows = Vec::with_capacity(tagged.len());
-        for (i, r) in tagged {
-            emitted[i] += 1;
-            rows.push(r);
+        if let Some(k) = q.top_k {
+            tagged.truncate(k);
         }
+        let mut emitted = vec![0u64; n];
+        let rows: Vec<PtqResult> = tagged
+            .into_iter()
+            .map(|(i, r)| {
+                emitted[i] += 1;
+                r
+            })
+            .collect();
 
         // Attribute, observe, and assemble: per-shard windows feed each
         // shard's calibration with its own clock; their sum is the
@@ -735,13 +776,24 @@ impl ShardedDb {
         let mut device = IoStats::default();
         let mut latency_ms = 0.0f64;
         let mut degraded = None;
-        let mut spans = vec![TraceSpan::label_only(format!("ShardMerge(k={k})"), 0)];
-        for (i, (s, o)) in self.shards.iter().zip(&outcomes).enumerate() {
+        let (path, root) = match topk {
+            Some((_, k)) => (
+                format!("ShardMerge({n} shards)"),
+                format!("ShardMerge(k={k}, rounds={rounds})"),
+            ),
+            None => (
+                format!("ShardScatter({n} shards)"),
+                format!("ShardScatter({n} shards, rounds={rounds})"),
+            ),
+        };
+        let mut spans = vec![TraceSpan::label_only(root, 0)];
+        for (i, (s, run)) in self.shards.iter().zip(&runs).enumerate() {
             let attributed = pools[i].take_attributed(qid);
             let shard_io = pools[i].counters().since(&before[i]);
-            let shard_device = match (&o.fallback_device, &o.plan) {
-                // Fallback shards attributed their execution to their own
-                // inner window; the outer slot holds only plan-time I/O.
+            let whole_device = run.whole.as_ref().and_then(|out| out.device.as_ref());
+            let shard_device = match (whole_device, &run.plan) {
+                // A whole execution attributed itself to its own inner
+                // window; the outer slot holds only plan-time I/O.
                 (Some(d), _) => add_stats(attributed, d),
                 (None, Some(plan)) => {
                     s.note_external_execution(
@@ -756,7 +808,7 @@ impl ShardedDb {
                 // Skipped: an empty window — the shard was never opened.
                 (None, None) => attributed,
             };
-            let mut span = TraceSpan::label_only(format!("shard{i}: {}", o.label), 1);
+            let mut span = TraceSpan::label_only(format!("shard{i}: {}", run.label), 1);
             span.stats = Some(upi::CursorStats {
                 rows: emitted[i],
                 ..Default::default()
@@ -764,9 +816,7 @@ impl ShardedDb {
             span.demand_pages = Some(shard_io.demand_pages());
             span.prefetch_pages = Some(shard_io.sequential_pages());
             span.device_ms = Some(shard_device.total_ms());
-            if let Some(plan) = &o.plan {
-                span.est_ms = Some(plan.est_ms());
-            }
+            span.est_ms = run.plan.as_ref().map(|p| p.est_ms());
             spans.push(span);
             io = add_counters(io, &shard_io);
             latency_ms = latency_ms.max(shard_device.total_ms());
@@ -783,140 +833,13 @@ impl ShardedDb {
         });
         Ok(QueryOutput {
             rows,
-            groups: None,
-            io: Some(io),
-            device: Some(device),
-            latency_ms: Some(latency_ms),
-            trace: Some(QueryTrace {
-                query_id: qid.0,
-                path: format!("ShardMerge({n} shards)"),
-                spans,
-            }),
-            degraded,
-        })
-    }
-
-    /// The general path: scatter the whole query to every shard **in
-    /// parallel**, gather by re-sorting (and re-aggregating /
-    /// truncating) the shard outputs. Tuple-id partitioning makes the
-    /// union exact — no row can appear on two shards, and per-group
-    /// counts add. `Eq`-on-primary scatters prune with the same
-    /// per-shard bounds as the fast path (a pruned shard's rows would
-    /// all sit below `qt`, contributing neither rows nor group counts).
-    fn scatter_whole(&self, q: &PtqQuery) -> Result<QueryOutput, QueryError> {
-        let n = self.shards.len();
-        let skip: Vec<Option<f64>> = match &q.predicate {
-            Predicate::Eq { attr, value }
-                if *attr == self.primary_attr() && self.prune.load(Ordering::Relaxed) =>
-            {
-                self.stats
-                    .iter()
-                    .map(|st| {
-                        let b = st.bound(*value);
-                        (b < q.qt).then_some(b)
-                    })
-                    .collect()
-            }
-            _ => vec![None; n],
-        };
-        let results: Vec<Option<Result<QueryOutput, QueryError>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(&skip)
-                .map(|(s, sk)| {
-                    if sk.is_some() {
-                        None
-                    } else {
-                        Some(scope.spawn(move || s.query(q)))
-                    }
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.map(|h| h.join().expect("shard worker panicked")))
-                .collect()
-        });
-        let mut rows: Vec<PtqResult> = Vec::new();
-        let mut groups: Option<std::collections::BTreeMap<u64, u64>> = None;
-        let mut io = PoolCounters::default();
-        let mut device = IoStats::default();
-        let mut latency_ms = 0.0f64;
-        let mut degraded = None;
-        let mut spans = vec![TraceSpan::label_only(
-            format!("ShardScatter({n} shards)"),
-            0,
-        )];
-        for (i, result) in results.into_iter().enumerate() {
-            let Some(result) = result else {
-                self.skipped.fetch_add(1, Ordering::Relaxed);
-                self.shards[i].note_shard_skip();
-                let mut span = TraceSpan::label_only(
-                    format!(
-                        "shard{i}: skipped (bound {:.3} < qt {:.3})",
-                        skip[i].unwrap_or(0.0),
-                        q.qt
-                    ),
-                    1,
-                );
-                span.device_ms = Some(0.0);
-                span.stats = Some(upi::CursorStats::default());
-                spans.push(span);
-                continue;
-            };
-            let out = result?;
-            let mut span = TraceSpan::label_only(
-                format!(
-                    "shard{i}: {}",
-                    out.trace.as_ref().map(|t| t.path.as_str()).unwrap_or("?")
-                ),
-                1,
-            );
-            if let Some(io_i) = &out.io {
-                io = add_counters(io, io_i);
-                span.demand_pages = Some(io_i.demand_pages());
-                span.prefetch_pages = Some(io_i.sequential_pages());
-            }
-            if let Some(d) = &out.device {
-                device = add_stats(device, d);
-                latency_ms = latency_ms.max(d.total_ms());
-                span.device_ms = Some(d.total_ms());
-            }
-            if degraded.is_none() {
-                degraded = out.degraded;
-            }
-            if let Some(g) = out.groups {
-                let acc = groups.get_or_insert_with(Default::default);
-                for (key, count) in g {
-                    *acc.entry(key).or_insert(0) += count;
-                }
-            }
-            span.stats = Some(upi::CursorStats {
-                rows: out.rows.len() as u64,
-                ..Default::default()
-            });
-            rows.extend(out.rows);
-            spans.push(span);
-        }
-        upi::sort_results(&mut rows);
-        if let Some(k) = q.top_k {
-            rows.truncate(k);
-        }
-        spans[0].stats = Some(upi::CursorStats {
-            rows: rows.len() as u64,
-            ..Default::default()
-        });
-        spans[0].device_ms = Some(device.total_ms());
-        spans[0].end_ms = device.total_ms();
-        Ok(QueryOutput {
-            rows,
             groups: groups.map(|g| g.into_iter().collect()),
             io: Some(io),
             device: Some(device),
             latency_ms: Some(latency_ms),
             trace: Some(QueryTrace {
-                query_id: 0,
-                path: format!("ShardScatter({n} shards)"),
+                query_id: qid.0,
+                path,
                 spans,
             }),
             degraded,
@@ -1045,17 +968,18 @@ mod tests {
     #[test]
     fn top_k_attribution_and_trace_cover_every_shard() {
         let (sharded, _) = filled(3, TableLayout::Upi(UpiConfig::default()), 150);
-        // Pruning off: this test asserts every shard was *opened* (the
-        // dynamic floor-skip is legitimately timing-dependent).
-        sharded.set_pruning(false);
         let out = sharded.query(&PtqQuery::eq(1, 3).with_top_k(5)).unwrap();
         assert_eq!(out.rows.len(), 5);
         let trace = out.trace.unwrap();
         assert!(trace.path.starts_with("ShardMerge"));
+        assert!(trace.spans[0].label.contains("rounds="), "{trace:?}");
         assert_eq!(trace.spans.len(), 1 + 3, "root + one span per shard");
-        // Σ per-shard device windows = the reported total (the partition
-        // identity survives concurrent workers), and the parallel
-        // latency is the max over the same windows.
+        // qt = 0 skips nothing statically, and round 0 opens every live
+        // shard: the skip set is exactly empty.
+        assert_eq!(sharded.shards_skipped(), 0);
+        assert!(trace.spans.iter().all(|s| !s.label.contains("skipped")));
+        // Σ per-shard device windows = the reported total, and the
+        // parallel latency is the max over the same windows.
         let children: Vec<f64> = trace.spans[1..]
             .iter()
             .map(|s| s.device_ms.unwrap())
@@ -1146,9 +1070,10 @@ mod tests {
         }
         single.flush().unwrap();
         let sharded = ShardedDb::from_shards(shard_dbs, routing).unwrap();
-        // Pruning off: every shard is opened, so each span names its path.
-        sharded.set_pruning(false);
+        // Round 0 opens every live shard, so each span names its path;
+        // qt = 0 skips none.
         let out = sharded.query(&PtqQuery::eq(1, 3).with_top_k(5)).unwrap();
+        assert_eq!(sharded.shards_skipped(), 0);
         let labels: Vec<&str> = out.trace.as_ref().unwrap().spans[1..]
             .iter()
             .map(|s| s.label.as_str())
@@ -1364,5 +1289,119 @@ mod tests {
             id.0,
             last.0
         );
+    }
+
+    fn shard_labels(out: &QueryOutput) -> Vec<String> {
+        out.trace.as_ref().unwrap().spans[1..]
+            .iter()
+            .map(|s| s.label.clone())
+            .collect()
+    }
+
+    /// Asking for more rows than qualify: no floor ever forms, so every
+    /// shard runs dry and the answer is every qualifying row.
+    #[test]
+    fn top_k_beyond_the_qualifying_rows_drains_every_shard() {
+        let (sharded, single) = filled(3, TableLayout::Upi(UpiConfig::default()), 150);
+        let q = PtqQuery::eq(1, 3).with_top_k(500);
+        let out = sharded.query(&q).unwrap();
+        assert!(!out.rows.is_empty() && out.rows.len() < 500);
+        assert_eq!(
+            fingerprint(&out.rows),
+            fingerprint(&single.query(&q).unwrap().rows)
+        );
+        for label in shard_labels(&out) {
+            assert!(label.ends_with("[exhausted]"), "{label}");
+        }
+    }
+
+    /// k = 1 over 8 shards: a budget of one row per shard per round.
+    #[test]
+    fn top_one_over_eight_shards_matches_the_single_table() {
+        let (sharded, single) = filled(8, TableLayout::Upi(UpiConfig::default()), 400);
+        for value in 0..7 {
+            assert_eq!(
+                fingerprint(&sharded.top_k(value, 1).unwrap()),
+                fingerprint(&single.top_k(value, 1).unwrap()),
+                "value {value}"
+            );
+        }
+    }
+
+    /// When every shard's bound sits below qt nothing is opened: no round
+    /// runs, no page is read, and the answer is empty — for both shapes.
+    #[test]
+    fn a_scatter_with_every_shard_pruned_reads_nothing() {
+        let (sharded, single) = filled(4, TableLayout::Upi(UpiConfig::default()), 160);
+        // The strongest row of any value has confidence 0.9 * 0.85.
+        let disks: Vec<IoStats> = sharded
+            .shards()
+            .iter()
+            .map(|s| s.table().store().disk.stats())
+            .collect();
+        for q in [
+            PtqQuery::eq(1, 3).with_qt(0.9).with_top_k(5),
+            PtqQuery::eq(1, 3).with_qt(0.9),
+        ] {
+            let before = sharded.shards_skipped();
+            let out = sharded.query(&q).unwrap();
+            assert!(out.rows.is_empty());
+            assert!(single.query(&q).unwrap().rows.is_empty());
+            assert_eq!(sharded.shards_skipped(), before + 4);
+            assert_eq!(out.device.unwrap().page_reads, 0);
+            let labels = shard_labels(&out);
+            for (i, label) in labels.iter().enumerate() {
+                assert!(label.starts_with(&format!("shard{i}: skipped")), "{label}");
+            }
+            let root = &out.trace.as_ref().unwrap().spans[0].label;
+            assert!(root.contains("rounds=0"), "{root}");
+        }
+        for (s, before) in sharded.shards().iter().zip(&disks) {
+            assert_eq!(s.table().store().disk.stats().since(before).page_reads, 0);
+        }
+    }
+
+    /// A confidence tie at the k-th place across two shards goes to the
+    /// lower tuple id, whichever shard holds it — as on one table.
+    #[test]
+    fn a_kth_place_tie_across_shards_goes_to_the_lower_tuple_id() {
+        let routing = ShardLayout::HashTid(2);
+        let ids: Vec<Vec<u64>> = (0..2)
+            .map(|shard| {
+                (0u64..64)
+                    .filter(|&id| routing.route(id) == shard)
+                    .collect()
+            })
+            .collect();
+        for lo_shard in [0, 1] {
+            let lo = ids[lo_shard][0];
+            let hi = *ids[1 - lo_shard].iter().find(|&&id| id > lo).unwrap();
+            let layout = TableLayout::Upi(UpiConfig::default());
+            let mut sharded = ShardedDb::create(
+                stores(2),
+                "tie",
+                schema(),
+                1,
+                layout.clone(),
+                routing.clone(),
+            )
+            .unwrap();
+            let mut single =
+                UncertainDb::create(stores(1).remove(0), "tie", schema(), 1, layout).unwrap();
+            // One strong row per shard takes the first two places; `lo`
+            // and `hi` tie for the third.
+            let strong = [
+                (*ids[0].last().unwrap(), 0.9),
+                (*ids[1].last().unwrap(), 0.8),
+            ];
+            for (id, p) in [(lo, 0.5), (hi, 0.5)].into_iter().chain(strong) {
+                let t = Tuple::new(TupleId(id), 1.0, row(5, p, 0));
+                sharded.insert_tuple(&t).unwrap();
+                single.insert_tuple(&t).unwrap();
+            }
+            let got = sharded.top_k(5, 3).unwrap();
+            assert_eq!(fingerprint(&got), fingerprint(&single.top_k(5, 3).unwrap()));
+            assert_eq!(got[2].tuple.id.0, lo, "the tie goes to the lower id");
+        }
     }
 }

@@ -18,13 +18,13 @@
 //! the innermost id.
 //!
 //! The flip side of thread-locality: a guard pinned on one thread does
-//! **not** cover I/O issued from another. A query that fans work out to
-//! worker threads (the sharded scatter-gather runs one worker per
-//! shard) must re-pin a guard — same [`QueryId`], that shard's pool —
-//! on *each* worker; the per-query slot in the pool is shared, so the
-//! windows still land on one id and
-//! [`take_attributed`](crate::BufferPool::take_attributed) may be
-//! called from any thread afterwards.
+//! **not** cover I/O issued from another, so a query that fans work out
+//! to other threads must re-pin a guard with the same [`QueryId`] on
+//! each. Conversely, one guard covers every store its thread touches:
+//! each device keeps its own per-query slot, so the sharded
+//! scatter-gather, which drives all of its shards from the caller's
+//! thread, pins one guard and then drains each shard's slot with
+//! [`take_attributed`](crate::BufferPool::take_attributed).
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

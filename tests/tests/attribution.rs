@@ -313,53 +313,94 @@ fn racing_sharded_queries_partition_every_shard_clock() {
         "across two racing sessions and three shard clocks the attributed \
          windows must partition the combined store delta: {sum} vs {delta_sum}"
     );
+    // Every shard bounds every value above qt = 0.56: the exact skip set
+    // is empty, however the two sessions interleave.
+    assert_eq!(db.shards_skipped(), 0);
+}
+
+/// The trace of one cold `run`: every store is dropped to cold first,
+/// so only the per-query attributed clock can reach the trace.
+fn cold_trace(stores: &[Store], run: impl Fn() -> upi_query::QueryOutput) -> upi_query::QueryTrace {
+    for st in stores {
+        st.go_cold();
+    }
+    run().trace.expect("facade queries trace")
 }
 
 /// Satellite: trace timestamps come from the per-query attributed device
 /// clock only. Two identical cold runs — with the *store-wide* clock
-/// advanced in between — must render byte-identical span trees.
+/// advanced in between — must render byte-identical span trees. That
+/// holds for a sharded top-k and a sharded whole scatter too: the shards
+/// advance in rounds on the caller's thread, so how far each one reads,
+/// and why it finished, is a function of the data alone.
 #[test]
 fn identical_cold_runs_render_byte_identical_traces() {
     let db = build();
-    let st = db.table().store().clone();
-    let q = PtqQuery::eq(ATTR, 2).with_qt(0.6).with_top_k(7);
+    let sharded = build_sharded("attrib_trace");
+    let stores: Vec<Store> = sharded
+        .shards()
+        .iter()
+        .map(|s| s.table().store().clone())
+        .collect();
+    let single = [db.table().store().clone()];
+    let topk = PtqQuery::eq(ATTR, 2).with_qt(0.6).with_top_k(7);
+    let whole = PtqQuery::eq(ATTR, 2).with_qt(0.6);
+    let pairs = [
+        (
+            cold_trace(&single, || db.query(&topk).unwrap()),
+            cold_trace(&single, || db.query(&topk).unwrap()),
+        ),
+        (
+            cold_trace(&stores, || sharded.query(&topk).unwrap()),
+            cold_trace(&stores, || sharded.query(&topk).unwrap()),
+        ),
+        (
+            cold_trace(&stores, || sharded.query(&whole).unwrap()),
+            cold_trace(&stores, || sharded.query(&whole).unwrap()),
+        ),
+    ];
 
-    st.go_cold();
-    let first = db.query(&q).unwrap().trace.expect("facade queries trace");
-    st.go_cold();
-    let second = db.query(&q).unwrap().trace.expect("facade queries trace");
-
-    let (a, b) = (first.render(), second.render());
-    assert!(
-        a.contains("device_ms="),
-        "trace must carry per-operator device time:\n{a}"
-    );
-    assert_ne!(
-        first.query_id, second.query_id,
-        "each execution gets its own query id"
-    );
-    assert_eq!(
-        a, b,
-        "same plan, same cold cache, new store-clock epoch: the rendered \
-         trace may not change"
-    );
+    for (first, second) in &pairs {
+        let (a, b) = (first.render(), second.render());
+        assert!(
+            a.contains("device_ms="),
+            "trace must carry per-operator device time:\n{a}"
+        );
+        assert_ne!(
+            first.query_id, second.query_id,
+            "each execution gets its own query id"
+        );
+        assert_eq!(
+            a, b,
+            "same plan, same cold cache, new store-clock epoch: the rendered \
+             trace may not change"
+        );
+    }
+    // The sharded roots record their round count, and every shard span
+    // says why the shard finished.
+    for (trace, _) in &pairs[1..] {
+        assert!(
+            trace.spans[0].label.contains("rounds="),
+            "{}",
+            trace.render()
+        );
+        for span in trace.spans.iter().filter(|s| s.depth == 1) {
+            assert!(span.label.ends_with(']'), "{}", span.label);
+        }
+    }
 }
 
-/// Concurrency *within* one query: a scatter now runs one worker thread
-/// per shard, each re-pinning its own attribution guard on its own
-/// pool. For a single query the partition identity must hold across
-/// those racing workers — `QueryOutput.device` (the gathered sum of the
-/// per-shard slots) equals the sum of the per-shard store-wide deltas,
-/// the depth-1 trace spans partition that sum shard-by-shard, and
-/// `latency_ms` is their max, strictly below the sum when several
-/// shards do real I/O.
+/// Attribution *within* one query: a scatter runs every shard on the
+/// caller's thread under one attribution id, and each shard's device
+/// charges land in that id's slot of its own pool. For a single query
+/// the partition identity must hold — `QueryOutput.device` (the
+/// gathered sum of the per-shard slots) equals the sum of the per-shard
+/// store-wide deltas, the depth-1 trace spans partition that sum
+/// shard-by-shard, and `latency_ms` is their max, strictly below the sum
+/// when several shards do real I/O.
 #[test]
 fn shard_workers_within_one_query_partition_their_own_clocks() {
     let db = build_sharded("attrib_par");
-    // Dynamic watermark skips are timing-dependent; disable pruning so
-    // every shard provably opens and the per-shard window comparison is
-    // deterministic.
-    db.set_pruning(false);
     let stores: Vec<Store> = db
         .shards()
         .iter()
@@ -382,7 +423,7 @@ fn shard_workers_within_one_query_partition_their_own_clocks() {
             .map(|(st, b)| st.disk.stats().since(b))
             .collect();
         for d in &deltas {
-            assert!(d.page_reads > 0, "unpruned: every shard must be opened");
+            assert!(d.page_reads > 0, "round 0 opens every live shard");
         }
 
         let dev = out.device.expect("scatter attributes device time");
@@ -391,11 +432,11 @@ fn shard_workers_within_one_query_partition_their_own_clocks() {
         let delta_max = deltas.iter().map(|d| d.total_ms()).fold(0.0, f64::max);
         assert_eq!(
             dev.page_reads, delta_pages,
-            "every page the workers read is attributed to this query"
+            "every page the shards read is attributed to this query"
         );
         assert!(
             (dev.total_ms() - delta_sum).abs() < 1e-6,
-            "one query's racing workers must partition its shard clocks: \
+            "one query's shards must partition its shard clocks: \
              {} vs {delta_sum}",
             dev.total_ms()
         );
@@ -423,6 +464,9 @@ fn shard_workers_within_one_query_partition_their_own_clocks() {
             "with three shards doing real I/O the max must undercut the sum"
         );
     }
+    // Pruning stayed on: every shard bounds both values above qt, so the
+    // exact skip set is empty.
+    assert_eq!(db.shards_skipped(), 0);
 }
 
 /// Seeded pruning oracle: a range-sharded table whose second shard
@@ -527,9 +571,10 @@ fn skipped_cold_shard_answers_are_byte_equal_to_unskipped() {
             fp(&unskipped),
             "pruning may only skip work, never change the answer"
         );
-        assert!(
-            db.shards_skipped() > skipped_before,
-            "the cold shard must be pruned"
+        assert_eq!(
+            db.shards_skipped(),
+            skipped_before + 1,
+            "exactly the cold shard must be pruned"
         );
         assert_eq!(
             stores[1].disk.stats().since(&cold_before).page_reads,
