@@ -209,8 +209,9 @@ fn run_point(
 }
 
 /// A prefetch-hint experiment: the plan for `want_path`, executed cold
-/// as planned (hints armed — one per run, so a fracture-parallel path
-/// arms one per component) and again with every hint stripped. Same
+/// as planned (each run's open arms its estimate — one per run, so a
+/// fracture-parallel path arms one per component) and again with every
+/// estimate stripped. Same
 /// plan, same rows — the only difference is whether the buffer pool
 /// learns each run from the planner or from two adjacent misses, so the
 /// miss delta is exactly the hints' contribution.
@@ -233,7 +234,7 @@ fn run_hint_experiment(
         cand.path.label()
     );
     let runs = cand.hints.len();
-    let est_run_pages: usize = cand.hints.iter().map(|h| h.est_run_pages).sum();
+    let est_run_pages: usize = cand.hints.iter().sum();
 
     let measure = |strip_hints: bool| -> (PoolCounters, usize) {
         let mut cand = cand.clone();

@@ -7,8 +7,8 @@
 //! value. The physics under test:
 //!
 //! 1. **Watermark-bounded cold reads** — a cold top-k touches each
-//!    component for its descent plus a head leaf (O(1) pages per
-//!    component), *not* the value's full clustered run. Checked per
+//!    component it opens for its descent plus a head leaf (O(1) pages
+//!    per component), *not* the value's full clustered run. Checked per
 //!    shard count against a forced full-run PTQ of the same value.
 //! 2. **Partitioned working set** — the single-store table's per-value
 //!    touched set (one head leaf per fracture × every value) overflows
@@ -16,13 +16,17 @@
 //!    N stores, each shard's share fits its own pool and the second
 //!    pass runs from RAM. Total demand pages over the workload must be
 //!    **strictly lower at 4 shards than at 1** — the acceptance gate.
+//!    Since a chain merge opens a component only when its confidence
+//!    bound admits it, the single store's touched set fits its pool too,
+//!    and this gate fails at scale 0.5 (see `docs/sharding.md`); the
+//!    other gates are still evaluated, and no record is written.
 //! 3. **Parallel scatter latency** — the shards are independent
 //!    devices, so a query's latency is the *max* of its per-shard
 //!    attributed windows while calibration keeps seeing the *sum*. Over
 //!    the workload, Σ max (`parallel_ms`) must undercut Σ sum
 //!    (`device_ms`, the serial-drain cost) by ≥ 40% at 4 shards.
 //! 4. **Pruned cold shards** — on a skewed range layout whose last
-//!    shard holds only low-confidence rows, the per-shard `ShardStats`
+//!    shard holds only low-confidence rows, the per-shard `ConfidenceBound`
 //!    bounds let every scatter skip *opening* it: the pruned shard's
 //!    device sees zero page reads while the answers stay byte-equal to
 //!    an exhaustive scatter. Checked at every scale (routing is
@@ -215,7 +219,7 @@ fn run_series(tuples: &[Tuple], n_shards: usize, buffer_ops: usize) -> Series {
 }
 
 /// Skewed pruning experiment, always at 4 shards: range layout whose
-/// last shard stores only confidences ≤ ~0.3, so its `ShardStats`
+/// last shard stores only confidences ≤ ~0.3, so its `ConfidenceBound`
 /// bounds sit strictly below the workload's `qt = 0.5` and every
 /// scatter skips opening it. Routing and bounds are deterministic, so
 /// this holds at any scale.
@@ -447,29 +451,36 @@ fn main() {
 
     let gate_enforced = s >= 0.5;
     if gate_enforced {
-        assert!(
-            pages(four) < pages(one),
-            "acceptance gate: top-k over 4 shards must read strictly fewer \
-             total demand pages than 1 shard ({} vs {})",
-            pages(four),
-            pages(one)
-        );
-        assert!(
-            four.parallel_ms <= 0.6 * four.device_ms,
-            "acceptance gate: at 4 shards the parallel scatter latency              (max-composed, {:.1} ms) must be ≤ 0.6x the serial drain              ({:.1} ms)",
-            four.parallel_ms,
-            four.device_ms
-        );
-        for rec in &series {
-            assert!(
-                rec.cold_topk_pages < rec.full_run_pages,
-                "{} shards: a cold watermark-bounded top-k ({} pages) must \
-                 read less than the value's full run ({} pages)",
-                rec.shards,
-                rec.cold_topk_pages,
-                rec.full_run_pages
-            );
+        // Every gate is evaluated before any fails the run, so one broken
+        // claim never hides another; the record is written only when all
+        // of them hold.
+        let mut failed = Vec::new();
+        if pages(four) >= pages(one) {
+            failed.push(format!(
+                "acceptance gate: top-k over 4 shards must read strictly fewer \
+                 total demand pages than 1 shard ({} vs {})",
+                pages(four),
+                pages(one)
+            ));
         }
+        if four.parallel_ms > 0.6 * four.device_ms {
+            failed.push(format!(
+                "acceptance gate: at 4 shards the parallel scatter latency \
+                 (max-composed, {:.1} ms) must be ≤ 0.6x the serial drain \
+                 ({:.1} ms)",
+                four.parallel_ms, four.device_ms
+            ));
+        }
+        for rec in &series {
+            if rec.cold_topk_pages >= rec.full_run_pages {
+                failed.push(format!(
+                    "{} shards: a cold watermark-bounded top-k ({} pages) must \
+                     read less than the value's full run ({} pages)",
+                    rec.shards, rec.cold_topk_pages, rec.full_run_pages
+                ));
+            }
+        }
+        assert!(failed.is_empty(), "{}", failed.join("\n"));
         summary(
             "gate",
             "PASS (fewer pages and ≤ 0.6x serial latency at 4 shards)",

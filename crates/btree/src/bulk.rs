@@ -49,7 +49,7 @@ impl BTree {
         // create-time root page predates the load (other files typically
         // allocated pages since), and reusing it as the first leaf would
         // open the run with a gap that breaks sequential read-ahead (and
-        // planner prefetch hints) right at the seek target. The stale
+        // hinted read-ahead) right at the seek target. The stale
         // create-time page is freed once all allocations are done.
         let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new(); // (first key, page)
         let mut cur = PageWriter::new(NodeKind::Leaf, self.page_size);

@@ -1,7 +1,7 @@
 //! The B+Tree proper: create, insert, delete, point lookup.
 
 use upi_storage::error::{Result, StorageError};
-use upi_storage::{FileId, PageId, Store};
+use upi_storage::{AccessHint, FileId, PageId, Store};
 
 use crate::cursor::Cursor;
 use crate::node::{
@@ -412,10 +412,7 @@ impl BTree {
 
     /// The leaf page a [`seek`](Self::seek) for `key` would land on,
     /// found by descending **internal** nodes only — the leaf itself is
-    /// not read. Planner prefetch hints use this to name a run's first
-    /// page before the run is opened, so the leaf's own (cold) read is
-    /// the hinted first miss; the internal reads are exactly the ones the
-    /// subsequent seek repeats against a now-warm cache.
+    /// not read.
     pub fn leaf_page_for(&self, key: &[u8]) -> Result<PageId> {
         let mut pid = self.root;
         for _ in 1..self.height {
@@ -426,7 +423,31 @@ impl BTree {
 
     /// Cursor positioned at the first entry with key `>= key`.
     pub fn seek(&self, key: &[u8]) -> Result<Cursor<'_>> {
-        let (pid, leaf) = self.descend(key)?;
+        self.seek_run(key, None)
+    }
+
+    /// [`seek`](Self::seek) at the start of a run the caller expects to
+    /// read for about `est_run_pages` leaves (the landing leaf included).
+    /// With an estimate, the descent arms the buffer pool's read-ahead
+    /// hint ([`BufferPool::hint_run`](upi_storage::BufferPool::hint_run))
+    /// on the leaf it landed on immediately before reading that leaf, so
+    /// the run's first cold miss starts a run-sized prefetch; a failed
+    /// leaf read clears the hint again, lest it fire on a later unrelated
+    /// miss of that page. `None` is a plain seek.
+    pub fn seek_run(&self, key: &[u8], est_run_pages: Option<usize>) -> Result<Cursor<'_>> {
+        let pid = self.leaf_page_for(key)?;
+        let pool = &self.store.pool;
+        if let Some(est_run_pages) = est_run_pages {
+            pool.hint_run(AccessHint {
+                start_page: pid,
+                est_run_pages,
+            });
+        }
+        let leaf = self.view_kind(pid, NodeKind::Leaf).inspect_err(|_| {
+            if est_run_pages.is_some() {
+                pool.clear_hint(pid);
+            }
+        })?;
         let slot = leaf.lower_bound(key);
         let mut cur = Cursor::new(self, pid, leaf, slot);
         cur.skip_exhausted()?;

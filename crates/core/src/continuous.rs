@@ -516,7 +516,7 @@ impl ContinuousUpi {
 
     /// Bounding rectangle of every indexed location (`None` when empty) —
     /// the spatial domain for the planner's circle selectivity estimate.
-    pub fn bounds(&self) -> Result<Option<upi_rtree::Rect>> {
+    pub fn bounds(&self) -> Option<upi_rtree::Rect> {
         self.rtree.bounds()
     }
 
@@ -619,7 +619,7 @@ impl SecondaryUTree {
     }
 
     /// Bounding rectangle of every indexed location (`None` when empty).
-    pub fn bounds(&self) -> Result<Option<upi_rtree::Rect>> {
+    pub fn bounds(&self) -> Option<upi_rtree::Rect> {
         self.rtree.bounds()
     }
 }

@@ -48,6 +48,51 @@ impl CursorStats {
     }
 }
 
+/// A structure a cursor left unopened, with the bound that ruled it
+/// out — the note a trace span ends with. Each is sound: the structure
+/// provably holds no row the query could return.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Skip {
+    /// A chain component whose confidence bound for the value is below
+    /// the confidence the merge still needs (`qt` or the top-k floor).
+    Component {
+        /// The component's bound for the value.
+        bound: f64,
+        /// The confidence needed when the span was harvested.
+        floor: f64,
+    },
+    /// A chain component that never stored a row for the value's bucket.
+    NoRow,
+    /// An opened component's cutoff list: every cutoff entry is below
+    /// `C`, and the floor is above that.
+    CutoffList {
+        /// The floor that ruled the list out.
+        floor: f64,
+    },
+    /// A range's cutoff phase: no cutoff-only tuple can reach `qt`.
+    CutoffPhase {
+        /// The phase's confidence bound.
+        bound: f64,
+        /// The query threshold.
+        qt: f64,
+    },
+}
+
+impl std::fmt::Display for Skip {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Skip::Component { bound, floor } => {
+                write!(f, "not opened: bound {bound:.3} < floor {floor:.3}")
+            }
+            Skip::NoRow => write!(f, "not opened: no row for value"),
+            Skip::CutoffList { floor } => write!(f, "cutoff not opened: floor {floor:.3} ≥ C"),
+            Skip::CutoffPhase { bound, qt } => {
+                write!(f, "cutoff phase skipped: bound {bound:.3} < qt {qt:.3}")
+            }
+        }
+    }
+}
+
 /// Typed executor errors (library code must not panic on malformed
 /// queries — a bad field index or type comes from the caller, not a bug).
 #[derive(Debug, Clone, PartialEq, Eq)]

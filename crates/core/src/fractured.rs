@@ -30,7 +30,7 @@ use upi_storage::Store;
 use upi_uncertain::{IdSet, Tuple, TupleId};
 
 use crate::cost::DeviceCoeffs;
-use crate::exec::{sort_results, CursorStats, PtqResult};
+use crate::exec::{sort_results, CursorStats, PtqResult, Skip};
 use crate::maintenance::{select_compaction, CompactionPlan, CompactionStep};
 use crate::records::Records;
 use crate::upi::{DiscreteUpi, PointRun, RangeRun, SecondaryRun, UpiConfig};
@@ -638,6 +638,20 @@ impl<'a> Chain<'a> {
         self.fractured.map_or(1, |f| f.n_fractures() + 1)
     }
 
+    /// The component at suppression level `level` (0 = main).
+    fn component(self, level: usize) -> &'a DiscreteUpi {
+        match level {
+            0 => self.main,
+            _ => {
+                &self
+                    .fractured
+                    .expect("a plain UPI has one component")
+                    .fractures[level - 1]
+                    .upi
+            }
+        }
+    }
+
     /// True if `tid` found at component `level` is suppressed by the
     /// write side (never, for a plain UPI).
     fn suppressed(self, tid: u64, level: usize) -> bool {
@@ -655,17 +669,30 @@ impl<'a> Chain<'a> {
     /// *before* any heap fetch (suppressed cutoff pointers are never
     /// dereferenced).
     ///
+    /// Every open is justified by a bound: a component whose
+    /// [`ConfidenceBound`](crate::ConfidenceBound) for `value` is 0 (it
+    /// never stored a row in the value's bucket) or below `qt` is never
+    /// opened, in either mode.
+    ///
     /// With `limit = Some(k)` each component streams confidence-ordered,
     /// so the merge is `{confidence DESC, tid ASC}`-ordered and a top-k
     /// consumer stops pulling — and each component stops *reading* —
-    /// after k surviving rows. The merge also keeps a running
-    /// k-th-confidence **watermark** over the surviving rows seen so far
-    /// (heads, emitted rows, and the insert buffer — each a distinct row
-    /// of the merged output): once a component's next cutoff candidate —
-    /// or next **keyed heap entry** — falls below the watermark, that
-    /// component's scan stops outright; suppressed rows and
-    /// below-watermark tails are skipped *before their tuples are
-    /// decoded* (the heap key carries the confidence), so a long
+    /// after k surviving rows. Components open **lazily**: before each
+    /// emit, the unopened component with the highest bound (lowest level
+    /// on ties) is opened and its head pulled if that bound is at or
+    /// above both the floor and the best head's confidence, until no
+    /// such component remains. A row is therefore emitted only after
+    /// every component that could beat or tie it has been opened, so the
+    /// order and the tie rule are those of an eager merge, and a
+    /// component whose bound falls below the floor is never opened. The
+    /// merge keeps a running k-th-confidence **watermark** over the
+    /// surviving rows seen so far (heads, emitted rows, and the insert
+    /// buffer — each a distinct row of the merged output), combined with
+    /// an external floor ([`ChainPointRun::raise_conf_floor`]): once a
+    /// component's next cutoff candidate — or next **keyed heap entry** —
+    /// falls below it, that component's scan stops outright; suppressed
+    /// rows and below-watermark tails are skipped *before their tuples
+    /// are decoded* (the heap key carries the confidence), so a long
     /// suppressed heap stretch costs no decodes and no extra leaf reads.
     /// This is sound because suppression only *removes* rows — it can
     /// never raise another row's confidence — so k rows at/above the
@@ -674,22 +701,35 @@ impl<'a> Chain<'a> {
     /// remain unsound (a component's k-th row may be suppressed by a newer
     /// delete).
     ///
-    /// Without a limit each component runs Algorithm 2 — its heap run,
-    /// then its cutoff pointers in heap order — and the merged rows are
-    /// not confidence-ordered.
-    pub fn point_run(self, value: u64, qt: f64, limit: Option<usize>) -> Result<ChainPointRun<'a>> {
-        let mut streams = Vec::with_capacity(self.n_components());
-        for upi in self.components() {
-            streams.push(upi.point_run(value, qt, limit.is_some())?);
-        }
+    /// Without a limit every admitted component is opened here, in level
+    /// order (all descents first, then the landing leaves), and runs
+    /// Algorithm 2 — its heap run, then its cutoff
+    /// pointers in heap order — and the merged rows are not
+    /// confidence-ordered.
+    ///
+    /// `run_pages` holds each component's estimated heap-run length in
+    /// leaves, index-aligned with the components; a component's seek arms
+    /// it as the pool's read-ahead hint when (and only if) the component
+    /// is opened. Empty: no hints.
+    pub fn point_run(
+        self,
+        value: u64,
+        qt: f64,
+        limit: Option<usize>,
+        run_pages: &[usize],
+    ) -> Result<ChainPointRun<'a>> {
+        let bounds: Vec<f64> = self
+            .components()
+            .map(|u| u.confidence_bound().bound(value))
+            .collect();
         let attr = self.main.attr();
         let buffered = self.buffered_matches(qt, |t| t.confidence_eq(attr, value));
         // A lone component with nothing buffered has nothing to merge: no
         // heads, and its first k rows are the answer without a watermark.
-        let heads = if streams.len() == 1 && buffered.is_empty() {
+        let heads = if bounds.len() == 1 && buffered.is_empty() {
             Vec::new()
         } else {
-            streams.iter().map(|_| None).collect()
+            bounds.iter().map(|_| None).collect()
         };
         let mut seen_topk = Vec::new();
         if let Some(k) = limit {
@@ -699,16 +739,38 @@ impl<'a> Chain<'a> {
                 note_seen(&mut seen_topk, k, r.confidence);
             }
         }
-        Ok(ChainPointRun {
+        let mut run = ChainPointRun {
             chain: self,
-            streams,
+            value,
+            qt,
+            run_pages: run_pages.to_vec(),
+            streams: bounds.iter().map(|_| None).collect(),
+            bounds,
             heads,
             buffered: buffered.into_iter(),
             buf_head: None,
             limit,
             seen_topk,
             ext_floor: f64::NEG_INFINITY,
-        })
+        };
+        if limit.is_none() || run.heads.is_empty() {
+            let admitted: Vec<usize> = (0..run.streams.len())
+                .filter(|&level| run.admitted(level))
+                .collect();
+            if limit.is_none() && admitted.len() > 1 {
+                // Every admitted component is opened now, so descend them
+                // all before reading any landing leaf: the head sweeps the
+                // index levels once, then the leaves, instead of
+                // alternating between them component by component.
+                for &level in &admitted {
+                    run.chain.component(level).descend_to_run(value)?;
+                }
+            }
+            for level in admitted {
+                run.open(level)?;
+            }
+        }
+        Ok(run)
     }
 
     /// Streaming range PTQ: per-component [`RangeRun`]s pulled
@@ -717,11 +779,19 @@ impl<'a> Chain<'a> {
     /// each component's prefetched window hot instead of letting it age
     /// out while an earlier component drains), suppression applied as
     /// rows surface, insert-buffer matches last. Rows are unordered
-    /// across components; sinks sort.
-    pub fn range_run(self, lo: u64, hi: u64, qt: f64) -> Result<ChainRangeRun<'a>> {
+    /// across components; sinks sort. `run_pages` arms each component's
+    /// read-ahead as for [`point_run`](Self::point_run).
+    pub fn range_run(
+        self,
+        lo: u64,
+        hi: u64,
+        qt: f64,
+        run_pages: &[usize],
+    ) -> Result<ChainRangeRun<'a>> {
         let streams = self
             .components()
-            .map(|u| u.range_run(lo, hi, qt))
+            .enumerate()
+            .map(|(level, u)| u.range_run(lo, hi, qt, run_pages.get(level).copied()))
             .collect::<Result<Vec<_>>>()?;
         let attr = self.main.attr();
         let buffered = self.buffered_matches(qt, |t| range_confidence(t, attr, lo, hi));
@@ -742,7 +812,9 @@ impl<'a> Chain<'a> {
     /// heap-order fetch stream advances together, insert-buffer matches
     /// last. `limit` bounds each component's post-suppression entry count
     /// — sound for top-k because the global top-k is a subset of the
-    /// per-component top-k unions.
+    /// per-component top-k unions. `run_pages` holds each component's
+    /// estimated entry-run length, armed as for
+    /// [`point_run`](Self::point_run).
     pub fn secondary_run(
         self,
         sec_idx: usize,
@@ -750,11 +822,13 @@ impl<'a> Chain<'a> {
         qt: f64,
         tailored: bool,
         limit: Option<usize>,
+        run_pages: &[usize],
     ) -> Result<ChainSecondaryRun<'a>> {
         let mut streams = Vec::with_capacity(self.n_components());
         for (level, upi) in self.components().enumerate() {
             let keep = |tid: u64| !self.suppressed(tid, level);
-            streams.push(upi.secondary_run(sec_idx, value, qt, tailored, limit, &keep)?);
+            let pages = run_pages.get(level).copied();
+            streams.push(upi.secondary_run(sec_idx, value, qt, tailored, limit, &keep, pages)?);
         }
         let sec_attr = self.main.secondaries()[sec_idx].attr();
         let buffered = self.buffered_matches(qt, |t| t.confidence_eq(sec_attr, value));
@@ -871,8 +945,16 @@ impl TopKWatermark {
 /// [`Chain::point_run`]).
 pub struct ChainPointRun<'a> {
     chain: Chain<'a>,
-    /// One stream per on-disk component; index == suppression level.
-    streams: Vec<PointRun<'a>>,
+    value: u64,
+    qt: f64,
+    /// Per-component estimated run lengths (read-ahead hints), armed at
+    /// open; empty = no hints.
+    run_pages: Vec<usize>,
+    /// One stream per on-disk component, `None` until opened; index ==
+    /// suppression level.
+    streams: Vec<Option<PointRun<'a>>>,
+    /// Each component's confidence bound for the value.
+    bounds: Vec<f64>,
     /// One merge head per stream; empty when there is nothing to merge.
     heads: Vec<Option<PtqResult>>,
     buffered: std::vec::IntoIter<PtqResult>,
@@ -891,9 +973,32 @@ pub struct ChainPointRun<'a> {
 impl ChainPointRun<'_> {
     /// Per-component instrumentation counters (index 0 = the main UPI,
     /// then one entry per fracture; suppression and decode work are
-    /// pushed into each component cursor, so they land here).
+    /// pushed into each component cursor, so they land here). An
+    /// unopened component did no work.
     pub fn component_stats(&self) -> Vec<CursorStats> {
-        self.streams.iter().map(|s| s.stats()).collect()
+        self.streams
+            .iter()
+            .map(|s| s.as_ref().map_or_else(CursorStats::default, |s| s.stats()))
+            .collect()
+    }
+
+    /// Per component, the structure it left unopened and the bound that
+    /// ruled it out: the whole component ([`Skip::NoRow`],
+    /// [`Skip::Component`] against the confidence the merge needs now),
+    /// or an opened component's cutoff list ([`Skip::CutoffList`]). A
+    /// component still unopened only because the consumer stopped
+    /// pulling has no note.
+    pub fn component_skips(&self) -> Vec<Option<Skip>> {
+        let floor = self.floor().max(self.qt);
+        self.streams
+            .iter()
+            .zip(&self.bounds)
+            .map(|(s, &bound)| match s {
+                Some(s) => s.skipped(),
+                None if bound == 0.0 => Some(Skip::NoRow),
+                None => (bound < floor).then_some(Skip::Component { bound, floor }),
+            })
+            .collect()
     }
 
     /// Raise the external confidence floor: rows strictly below `floor`
@@ -909,26 +1014,50 @@ impl ChainPointRun<'_> {
         }
     }
 
+    /// The confidence a row still needs: the internal top-k watermark
+    /// combined with the external floor.
+    fn floor(&self) -> f64 {
+        match self.limit {
+            Some(k) => watermark(&self.seen_topk, k),
+            None => f64::NEG_INFINITY,
+        }
+        .max(self.ext_floor)
+    }
+
+    /// Whether component `level` can hold a qualifying row at all: some
+    /// row was stored for the value's bucket, at a bound reaching `qt`.
+    fn admitted(&self, level: usize) -> bool {
+        let bound = self.bounds[level];
+        bound > 0.0 && bound >= self.qt
+    }
+
+    /// Open component `level`'s cursor, arming its run hint.
+    fn open(&mut self, level: usize) -> Result<()> {
+        let upi = self.chain.component(level);
+        let pages = self.run_pages.get(level).copied();
+        let run = upi.point_run(self.value, self.qt, self.limit.is_some(), pages)?;
+        self.streams[level] = Some(run);
+        Ok(())
+    }
+
     /// The next *surviving* (non-suppressed) row of component `level`.
     /// Suppression and the top-k watermark are pushed into the
     /// component's [`PointRun`], so suppressed cutoff pointers are skipped
     /// without a heap fetch and a component whose next candidate cannot
     /// reach the watermark stops scanning its cutoff list entirely.
     fn pull(&mut self, level: usize) -> Option<Result<PtqResult>> {
-        let wm = match self.limit {
-            Some(k) => watermark(&self.seen_topk, k),
-            None => f64::NEG_INFINITY,
-        }
-        .max(self.ext_floor);
+        let wm = self.floor();
         let chain = self.chain;
-        let r = self.streams[level].next_where(wm, &|tid| !chain.suppressed(tid, level))?;
+        let stream = self.streams[level].as_mut()?;
+        let r = stream.next_where(wm, &|tid| !chain.suppressed(tid, level))?;
         if let (Ok(r), Some(k)) = (&r, self.limit) {
             note_seen(&mut self.seen_topk, k, r.confidence);
         }
         Some(r)
     }
 
-    /// Refill every empty head, then the insert buffer's.
+    /// Refill every empty head of an opened stream, then the insert
+    /// buffer's.
     fn fill_heads(&mut self) -> Result<()> {
         for level in 0..self.streams.len() {
             if self.heads[level].is_none() {
@@ -942,6 +1071,36 @@ impl ChainPointRun<'_> {
         }
         Ok(())
     }
+
+    /// Top-k: open, one at a time, every unopened component whose bound
+    /// could beat or tie the best current head (the insert buffer's
+    /// included) and reaches the floor — highest bound first, lowest
+    /// level on ties — and pull its head. A component whose bound is
+    /// below the floor stays unopened for good (the floor only rises).
+    fn open_contenders(&mut self) -> Result<()> {
+        loop {
+            let floor = self.floor();
+            let mut pick: Option<usize> = None;
+            for level in 0..self.streams.len() {
+                let bound = self.bounds[level];
+                if self.streams[level].is_some() || !self.admitted(level) || bound < floor {
+                    continue;
+                }
+                if pick.is_none_or(|p| bound > self.bounds[p]) {
+                    pick = Some(level);
+                }
+            }
+            let Some(level) = pick else { return Ok(()) };
+            let best = self.heads.iter().chain([&self.buf_head]).flatten();
+            if best.map(|r| r.confidence).any(|c| c > self.bounds[level]) {
+                return Ok(());
+            }
+            self.open(level)?;
+            if let Some(r) = self.pull(level) {
+                self.heads[level] = Some(r?);
+            }
+        }
+    }
 }
 
 impl Iterator for ChainPointRun<'_> {
@@ -953,10 +1112,15 @@ impl Iterator for ChainPointRun<'_> {
             // external floor can bound it.
             let chain = self.chain;
             let keep = |tid| !chain.suppressed(tid, 0);
-            return self.streams[0].next_where(self.ext_floor, &keep);
+            return self.streams[0].as_mut()?.next_where(self.ext_floor, &keep);
         }
         if let Err(e) = self.fill_heads() {
             return Some(Err(e));
+        }
+        if self.limit.is_some() {
+            if let Err(e) = self.open_contenders() {
+                return Some(Err(e));
+            }
         }
         // Pick the winner: highest confidence, ties by lowest tid.
         let rank = |r: &PtqResult| (r.confidence, std::cmp::Reverse(r.tuple.id.0));
@@ -993,6 +1157,12 @@ pub struct ChainRangeRun<'a> {
 }
 
 impl ChainRangeRun<'_> {
+    /// Per component, the cutoff phase its bound let it skip, if any
+    /// ([`Skip::CutoffPhase`]).
+    pub fn component_skips(&self) -> Vec<Option<Skip>> {
+        self.streams.iter().map(|s| s.skipped()).collect()
+    }
+
     /// Per-component instrumentation counters (index 0 = the main UPI,
     /// then one entry per fracture), including post-pull suppressions.
     pub fn component_stats(&self) -> Vec<CursorStats> {
@@ -1264,7 +1434,7 @@ mod tests {
             let batch = f.ptq(3, qt).unwrap();
             let streamed: Vec<PtqResult> = f
                 .chain()
-                .point_run(3, qt, Some(usize::MAX))
+                .point_run(3, qt, Some(usize::MAX), &[])
                 .unwrap()
                 .collect::<Result<_>>()
                 .unwrap();
@@ -1280,7 +1450,7 @@ mod tests {
             let mut batch = f.ptq_range(1, 4, qt).unwrap();
             let mut streamed: Vec<PtqResult> = f
                 .chain()
-                .range_run(1, 4, qt)
+                .range_run(1, 4, qt, &[])
                 .unwrap()
                 .collect::<Result<_>>()
                 .unwrap();
@@ -1296,7 +1466,7 @@ mod tests {
                 let mut batch = f.ptq_secondary(0, 2, qt, tailored).unwrap();
                 let mut streamed: Vec<PtqResult> = f
                     .chain()
-                    .secondary_run(0, 2, qt, tailored, None)
+                    .secondary_run(0, 2, qt, tailored, None, &[])
                     .unwrap()
                     .collect::<Result<_>>()
                     .unwrap();

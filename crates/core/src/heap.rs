@@ -59,18 +59,14 @@ impl UnclusteredHeap {
     }
 
     /// Streaming sequential scan in id order (the full-table-scan access
-    /// path of the `upi-query` executor).
-    pub fn scan_run(&self) -> Result<HeapScanRun<'_>> {
+    /// path of the `upi-query` executor). `run_pages` is the scan's
+    /// estimated length in leaves, armed as the pool's read-ahead hint by
+    /// the seek (`None`: no hint).
+    pub fn scan_run(&self, run_pages: Option<usize>) -> Result<HeapScanRun<'_>> {
         Ok(HeapScanRun {
-            cur: self.tree.first()?,
+            cur: self.tree.seek_run(&[], run_pages)?,
             stats: CursorStats::default(),
         })
-    }
-
-    /// The first leaf page — where a full sequential scan starts (feeds
-    /// the planner's scan prefetch hint).
-    pub fn first_leaf_page(&self) -> Result<upi_storage::PageId> {
-        self.tree.leaf_page_for(&[])
     }
 
     /// Number of tuples.
@@ -171,7 +167,7 @@ mod tests {
         let tuples: Vec<Tuple> = (0..500).map(tup).collect();
         let mut h = UnclusteredHeap::create(store(), "h", 4096).unwrap();
         h.bulk_load(&tuples).unwrap();
-        let scanned: Vec<Tuple> = h.scan_run().unwrap().collect::<Result<_>>().unwrap();
+        let scanned: Vec<Tuple> = h.scan_run(None).unwrap().collect::<Result<_>>().unwrap();
         assert_eq!(scanned, tuples);
     }
 
@@ -181,7 +177,7 @@ mod tests {
         let tuples: Vec<Tuple> = (0..500).map(tup).collect();
         let mut h = UnclusteredHeap::create(st.clone(), "h", 4096).unwrap();
         h.bulk_load(&tuples).unwrap();
-        let leaf = h.first_leaf_page().unwrap();
+        let leaf = h.tree.leaf_page_for(&[]).unwrap();
         let good = st.pool.get(leaf).unwrap();
         // The first entry sits right after the 16-byte node header:
         // `klen u16 | vlen u16 | 8-byte key | tuple`. Its one field is a
@@ -203,14 +199,19 @@ mod tests {
             other => panic!("expected Corrupted, got {other:?}"),
         };
         is_corrupt(h.get(TupleId(0)).map(drop));
-        is_corrupt(h.scan_run().unwrap().collect::<Result<Vec<_>>>().map(drop));
+        is_corrupt(
+            h.scan_run(None)
+                .unwrap()
+                .collect::<Result<Vec<_>>>()
+                .map(drop),
+        );
         // The scan steps past the damaged entry: it is reported once.
-        let scan = h.scan_run().unwrap();
+        let scan = h.scan_run(None).unwrap();
         assert_eq!(scan.filter(|t| t.is_err()).count(), 1);
         assert_eq!(h.get(TupleId(1)).unwrap(), Some(tup(1)));
 
         st.pool.put(leaf, good);
-        let scanned: Result<Vec<Tuple>> = h.scan_run().unwrap().collect();
+        let scanned: Result<Vec<Tuple>> = h.scan_run(None).unwrap().collect();
         assert_eq!(scanned.unwrap(), tuples);
     }
 

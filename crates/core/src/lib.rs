@@ -44,6 +44,7 @@
 //! sequential-vs-random I/O trade-offs exactly (the device model is
 //! described in the [`upi_storage`] crate docs).
 
+pub mod bound;
 pub mod continuous;
 pub mod cost;
 pub mod cutoff;
@@ -61,11 +62,12 @@ pub mod table;
 pub mod tuning;
 pub mod upi;
 
+pub use bound::ConfidenceBound;
 pub use continuous::{ContinuousConfig, ContinuousSecondary, ContinuousUpi, SecondaryUTree};
 pub use cost::DeviceCoeffs;
 pub use cutoff::{CutoffIndex, CutoffRangeRun};
 pub use durability::{RecoveryInfo, WalRecord};
-pub use exec::{group_count, sort_results, CursorStats, ExecError, PtqResult};
+pub use exec::{group_count, sort_results, CursorStats, ExecError, PtqResult, Skip};
 pub use fractured::{
     Chain, ChainPointRun, ChainRangeRun, ChainSecondaryRun, FracturedConfig, FracturedUpi,
     TopKWatermark,
@@ -76,7 +78,7 @@ pub use maintenance::{
 };
 pub use pii::{Pii, PiiRun};
 pub use secondary::{PointerHistogram, SecBuild, SecEntry, SecScanRun, SecondaryIndex};
-pub use shard::{ShardLayout, ShardStats};
+pub use shard::ShardLayout;
 pub use table::{TableLayout, UncertainTable};
 pub use tuning::{CutoffChoice, TuningAdvisor, WorkloadProfile};
 pub use upi::{DiscreteUpi, DistinctScan, HeapRun, PointRun, RangeRun, SecondaryRun, UpiConfig};

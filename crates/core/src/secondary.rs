@@ -604,16 +604,24 @@ impl SecondaryIndex {
 
     /// All entries for `value` with confidence `≥ qt`, descending.
     pub fn scan(&self, value: u64, qt: f64) -> Result<Vec<SecEntry>> {
-        self.scan_run(value, qt)?.collect()
+        self.scan_run(value, qt, None)?.collect()
     }
 
     /// Streaming cursor over the entries for `value` with confidence
     /// `≥ qt`, in descending-confidence order: one index seek, then
     /// sequential reads that stop at the first entry below the threshold
     /// — so a top-k probe reads only the entries it consumes.
-    pub fn scan_run(&self, value: u64, qt: f64) -> Result<SecScanRun<'_>> {
+    ///
+    /// `run_pages` is the entry run's estimated length in leaves, armed as
+    /// the pool's read-ahead hint by the seek (`None`: no hint).
+    pub fn scan_run(
+        &self,
+        value: u64,
+        qt: f64,
+        run_pages: Option<usize>,
+    ) -> Result<SecScanRun<'_>> {
         Ok(SecScanRun {
-            cur: self.tree.seek(&keys::value_prefix(value))?,
+            cur: self.tree.seek_run(&keys::value_prefix(value), run_pages)?,
             value,
             qt,
         })
@@ -647,15 +655,6 @@ impl SecondaryIndex {
     /// Leaf pages of the backing tree (entry-run length estimation).
     pub fn leaf_pages(&self) -> usize {
         self.tree.stats().leaf_pages
-    }
-
-    /// The leaf page where the entry run for `value` begins — the first
-    /// page a [`scan_run`](Self::scan_run) seek will read. Only internal
-    /// pages are touched (the later seek re-reads them warm), so the
-    /// leaf's own read stays cold for the buffer pool's hinted
-    /// read-ahead to arm on.
-    pub fn run_start_page(&self, value: u64) -> Result<upi_storage::PageId> {
-        self.tree.leaf_page_for(&keys::value_prefix(value))
     }
 
     /// Histogram statistics of the secondary attribute (folded

@@ -4,16 +4,14 @@
 //! [`UncertainTable`](crate::table::UncertainTable) across N shards, each
 //! a full table over its **own** store — its own simulated disk, buffer
 //! pool, WAL, statistics and calibrated cost model. This module holds the
-//! two pieces of that design that are pure functions of the data: how
-//! tuple ids map to shards ([`ShardLayout`]) and the per-shard
-//! max-confidence bounds a scatter prunes by ([`ShardStats`]). The split
+//! piece of that design that is a pure function of the data: how tuple
+//! ids map to shards ([`ShardLayout`]). Each shard's max-confidence
+//! bounds, which a scatter prunes by, are a
+//! [`ConfidenceBound`](crate::ConfidenceBound). The split
 //! is by **tuple id**, never by attribute value: a tuple's alternatives
 //! must stay together (possible-world semantics are per tuple), and id
 //! routing keeps every layout — unclustered, UPI, fractured — valid per
 //! shard with zero cross-shard coordination on DML.
-
-use upi_storage::codec::{dequantize_prob, quantize_prob};
-use upi_uncertain::{Field, Tuple};
 
 /// How tuple ids map to shards. Both variants are pure functions of the
 /// id, so routing is deterministic across sessions and recovery.
@@ -50,99 +48,12 @@ impl ShardLayout {
     }
 }
 
-/// Buckets in the per-value max-confidence sketch: small enough to sit
-/// in RAM per shard (2 KB), wide enough that a handful of hot values
-/// rarely collide.
-const SKETCH_BUCKETS: usize = 256;
-
-/// Per-shard pruning statistics: the maximum confidence any alternative
-/// on the shard could reach, overall and per hashed primary value.
-///
-/// Both are **sound upper bounds**, never exact: every insert/load/update
-/// raises them, deletes and updates never lower them (rebuilding from
-/// live tuples is the only tightening operation). A scatter-gather query
-/// may therefore skip *opening* a shard whose bound is **strictly**
-/// below the confidence it still needs — qualifying rows have
-/// `confidence >= qt`, so a bound equal to the threshold must still be
-/// visited. Bounds are rounded up to the storage quantization grid
-/// ([`quantize_prob`] rounds to nearest, so a flushed row's stored
-/// confidence can exceed the exact in-buffer one).
-#[derive(Debug, Clone)]
-pub struct ShardStats {
-    max_conf: f64,
-    sketch: [f64; SKETCH_BUCKETS],
-}
-
-impl Default for ShardStats {
-    fn default() -> ShardStats {
-        ShardStats {
-            max_conf: 0.0,
-            sketch: [0.0; SKETCH_BUCKETS],
-        }
-    }
-}
-
-impl ShardStats {
-    /// Empty statistics (bound 0 everywhere: a fresh shard can be
-    /// skipped by any query with `qt > 0`).
-    pub fn new() -> ShardStats {
-        ShardStats::default()
-    }
-
-    fn bucket(value: u64) -> usize {
-        // Same fibonacci-hash family as ShardLayout::HashTid, taking the
-        // top 8 bits.
-        (value.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % SKETCH_BUCKETS
-    }
-
-    /// Raise the bounds for one `(value, confidence)` alternative.
-    pub fn note(&mut self, value: u64, conf: f64) {
-        // A stored confidence is quantized to-nearest and may round UP:
-        // bound the quantized form too, or a flushed row could beat the
-        // sketch by half a quantum and a sound-looking skip would drop it.
-        let conf = conf.max(dequantize_prob(quantize_prob(conf)));
-        if conf > self.max_conf {
-            self.max_conf = conf;
-        }
-        let b = Self::bucket(value);
-        if conf > self.sketch[b] {
-            self.sketch[b] = conf;
-        }
-    }
-
-    /// Raise the bounds for every alternative of `t`'s attribute `attr`.
-    /// Non-discrete or out-of-range attributes saturate every bound to
-    /// 1.0 — no pruning rather than unsound pruning.
-    pub fn note_tuple(&mut self, attr: usize, t: &Tuple) {
-        match t.fields.get(attr) {
-            Some(Field::Discrete(pmf)) => {
-                for &(v, p) in pmf.alternatives() {
-                    self.note(v, t.exist * p);
-                }
-            }
-            _ => {
-                self.max_conf = 1.0;
-                self.sketch = [1.0; SKETCH_BUCKETS];
-            }
-        }
-    }
-
-    /// Upper bound on the confidence any row with primary value `value`
-    /// on this shard can reach.
-    pub fn bound(&self, value: u64) -> f64 {
-        self.sketch[Self::bucket(value)]
-    }
-
-    /// Upper bound on any confidence on this shard, regardless of value.
-    pub fn max_conf(&self) -> f64 {
-        self.max_conf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upi_uncertain::{Datum, DiscretePmf, TupleId};
+    use crate::ConfidenceBound;
+    use upi_storage::codec::{dequantize_prob, quantize_prob};
+    use upi_uncertain::{Datum, DiscretePmf, Field, Tuple, TupleId};
 
     fn row(inst: u64, p: f64, country: u64) -> Vec<Field> {
         vec![
@@ -190,7 +101,7 @@ mod tests {
 
     #[test]
     fn shard_stats_bound_rows_and_round_up_to_the_quantization_grid() {
-        let mut st = ShardStats::new();
+        let mut st = ConfidenceBound::new();
         assert_eq!(st.bound(7), 0.0);
         let t = Tuple::new(TupleId(0), 0.9, row(7, 0.61, 1));
         st.note_tuple(1, &t);
@@ -207,7 +118,7 @@ mod tests {
         st.note_tuple(1, &Tuple::new(TupleId(1), 0.1, row(7, 0.2, 1)));
         assert!(st.bound(7) >= before);
         // Non-discrete primary attribute: saturate, never prune.
-        let mut s2 = ShardStats::new();
+        let mut s2 = ConfidenceBound::new();
         s2.note_tuple(0, &t);
         assert_eq!(s2.bound(12345), 1.0);
         assert_eq!(s2.max_conf(), 1.0);

@@ -179,7 +179,7 @@ impl UncertainTable {
                     self.page_size,
                 )?;
                 if !heap.is_empty() {
-                    let live: Vec<Tuple> = heap.scan_run()?.collect::<Result<_>>()?;
+                    let live: Vec<Tuple> = heap.scan_run(None)?.collect::<Result<_>>()?;
                     pii.bulk_load(&live)?;
                 }
                 secondaries.push(pii);
@@ -607,7 +607,7 @@ impl UncertainTable {
         let mut live = Records::default();
         match &self.inner {
             Inner::Unclustered { heap, .. } if !heap.is_empty() => {
-                for t in heap.scan_run()? {
+                for t in heap.scan_run(None)? {
                     live.push_tuple(&t?);
                 }
             }

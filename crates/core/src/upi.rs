@@ -10,8 +10,9 @@ use upi_storage::Store;
 use upi_uncertain::tuple::encode_tuple;
 use upi_uncertain::{AttrStats, IdMap, IdSet, Tuple, TupleView};
 
+use crate::bound::{ConfidenceBound, SKETCH_BUCKETS};
 use crate::cutoff::{CutoffIndex, CutoffPointer};
-use crate::exec::{CursorStats, PtqResult};
+use crate::exec::{CursorStats, PtqResult, Skip};
 use crate::fractured::Chain;
 use crate::keys;
 use crate::records::{corrupt_record, fetch_tuple, Records};
@@ -60,6 +61,9 @@ pub struct DiscreteUpi {
     cutoff: CutoffIndex,
     secondaries: Vec<SecondaryIndex>,
     stats: AttrStats,
+    /// Raise-only per-value confidence bound over every folded
+    /// alternative this component stores (see [`ConfidenceBound`]).
+    bound: ConfidenceBound,
     n_tuples: u64,
 }
 
@@ -77,6 +81,7 @@ impl DiscreteUpi {
             cutoff,
             secondaries: Vec::new(),
             stats: AttrStats::new(),
+            bound: ConfidenceBound::new(),
             n_tuples: 0,
         })
     }
@@ -101,7 +106,7 @@ impl DiscreteUpi {
         )?;
         if self.n_tuples > 0 {
             let (mut build, mut heap_alts) = (SecBuild::default(), Alts::new());
-            let mut scan = self.distinct_scan()?;
+            let mut scan = self.distinct_scan(None)?;
             while let Some(done) = scan.next_with(|t| {
                 heap_alts.clear();
                 let alts = Self::folded(self.attr, t).enumerate();
@@ -173,6 +178,7 @@ impl DiscreteUpi {
         }
         for (i, &(v, p)) in heap_alts.iter().chain(&cut_alts).enumerate() {
             self.stats.add(v, p, i == 0);
+            self.bound.note(v, p);
         }
         self.n_tuples += 1;
         Ok(())
@@ -248,6 +254,7 @@ impl DiscreteUpi {
                     cut_entries.push((key, keys::pointer_bytes(fv, fp)));
                 }
                 self.stats.add(v, p, i == 0);
+                self.bound.note(v, p);
             }
             for (sec, build) in self.secondaries.iter().zip(&mut sec_builds) {
                 sec.prepare_entries(&t, &heap_alts, build);
@@ -270,8 +277,10 @@ impl DiscreteUpi {
     /// `≥ qt`: one index seek, then sequential leaf-chain reads, yielding
     /// results in descending-confidence order without materializing the
     /// run — the first half of every point cursor ([`PointRun`]).
-    pub fn heap_run(&self, value: u64, qt: f64) -> Result<HeapRun<'_>> {
-        let cur = self.heap.seek(&keys::value_prefix(value))?;
+    /// `run_pages` is the run's estimated length in leaves; the seek arms
+    /// the pool's read-ahead on it ([`BTree::seek_run`]).
+    pub fn heap_run(&self, value: u64, qt: f64, run_pages: Option<usize>) -> Result<HeapRun<'_>> {
+        let cur = self.heap.seek_run(&keys::value_prefix(value), run_pages)?;
         Ok(HeapRun {
             cur,
             value,
@@ -282,9 +291,10 @@ impl DiscreteUpi {
 
     /// Streaming scan of the whole heap yielding each distinct tuple once
     /// (its first-alternative copy, which Algorithm 1 guarantees to be
-    /// heap-resident) — the full-scan fallback access path.
-    pub fn distinct_scan(&self) -> Result<DistinctScan<'_>> {
-        let cur = self.heap.first()?;
+    /// heap-resident) — the full-scan fallback access path. `run_pages`
+    /// arms read-ahead as for [`heap_run`](Self::heap_run).
+    pub fn distinct_scan(&self, run_pages: Option<usize>) -> Result<DistinctScan<'_>> {
+        let cur = self.heap.seek_run(&[], run_pages)?;
         Ok(DistinctScan {
             cur,
             attr: self.attr,
@@ -292,19 +302,13 @@ impl DiscreteUpi {
         })
     }
 
-    /// The heap leaf page where the clustered run for `value` begins —
-    /// i.e. the first page [`heap_run`](Self::heap_run) (or a
-    /// [`range_run`](Self::range_run) starting at `value`) will read.
-    /// Only internal pages are touched (the later seek re-reads them
-    /// warm), so the leaf's own read stays cold for the buffer pool's
-    /// hinted read-ahead to arm on.
-    pub fn run_start_page(&self, value: u64) -> Result<upi_storage::PageId> {
-        self.heap.leaf_page_for(&keys::value_prefix(value))
-    }
-
-    /// The heap's first leaf page — where a full sequential scan starts.
-    pub fn first_leaf_page(&self) -> Result<upi_storage::PageId> {
-        self.heap.leaf_page_for(&[])
+    /// Read the heap's internal nodes on the way to `value`'s run without
+    /// reading the leaf it lands on — the descent a later
+    /// [`heap_run`](Self::heap_run) seek repeats from the cache.
+    pub(crate) fn descend_to_run(&self, value: u64) -> Result<()> {
+        self.heap
+            .leaf_page_for(&keys::value_prefix(value))
+            .map(drop)
     }
 
     /// Fetch the heap copy stored under primary key `(value, prob, tid)`.
@@ -341,15 +345,26 @@ impl DiscreteUpi {
     ///   top-k consumer can stop pulling — and therefore stop *reading* —
     ///   after k rows. The cutoff list is only opened once the run's head
     ///   falls below the cutoff threshold `C` (every cutoff entry is below
-    ///   `C`, so until then the heap run wins outright, §3.1).
+    ///   `C`, so until then the heap run wins outright, §3.1), and never
+    ///   while the caller's confidence floor is above every cutoff entry
+    ///   ([`PointRun::next_where`]).
     /// * otherwise Algorithm 2: drain the heap run, then read the cutoff
     ///   pointers (only when `qt < C`) and dereference them in heap
     ///   (physical) order — which is what makes §6.3's sigmoid saturate at
     ///   `Cost_scan`. Rows are not confidence-ordered.
-    pub fn point_run(&self, value: u64, qt: f64, ordered: bool) -> Result<PointRun<'_>> {
+    ///
+    /// `run_pages` is the heap run's estimated length in leaves, armed as
+    /// the pool's read-ahead hint by the run's seek (`None`: no hint).
+    pub fn point_run(
+        &self,
+        value: u64,
+        qt: f64,
+        ordered: bool,
+        run_pages: Option<usize>,
+    ) -> Result<PointRun<'_>> {
         Ok(PointRun {
             upi: self,
-            run: Some(self.heap_run(value, qt)?),
+            run: Some(self.heap_run(value, qt, run_pages)?),
             run_head: None,
             value,
             qt,
@@ -358,8 +373,42 @@ impl DiscreteUpi {
             pointers: None,
             ptr_head: None,
             pending: Vec::new().into_iter(),
+            skip: None,
             stats: CursorStats::default(),
         })
+    }
+
+    /// The highest confidence any stored cutoff entry can carry: every
+    /// one is below `C` exactly, and its key quantizes to nearest, so
+    /// the keyed confidence is at most `C` rounded onto the grid.
+    fn cutoff_ceiling(&self) -> f64 {
+        let c = self.cfg.cutoff;
+        c.max(dequantize_prob(quantize_prob(c)))
+    }
+
+    /// Upper bound on the range confidence of any tuple a
+    /// [`range_run`](Self::range_run) can find only through the cutoff
+    /// index (phase 2), or `None` when the range is too wide to bound
+    /// value by value. Such a tuple keeps every in-range alternative in
+    /// the cutoff index — at most one per value, each at most
+    /// [`cutoff_ceiling`](Self::cutoff_ceiling) and at most the value's
+    /// [`ConfidenceBound`] — so its confidence is at most the sum, taken
+    /// in ascending value order as phase 2 sums it (float addition is
+    /// monotone, so each partial sum stays an upper bound).
+    pub fn range_cutoff_bound(&self, lo: u64, hi: u64) -> Option<f64> {
+        if hi.saturating_sub(lo) >= SKETCH_BUCKETS as u64 {
+            return None;
+        }
+        let ceiling = self.cutoff_ceiling();
+        Some((lo..=hi).map(|v| self.bound.bound(v).min(ceiling)).sum())
+    }
+
+    /// Whether a range PTQ's cutoff phase can contribute a row — the one
+    /// predicate both [`RangeRun`] and the planner's range pricing use:
+    /// `false` exactly when [`range_cutoff_bound`](Self::range_cutoff_bound)
+    /// is below `qt`.
+    pub fn range_cutoff_phase_runs(&self, lo: u64, hi: u64, qt: f64) -> bool {
+        self.range_cutoff_bound(lo, hi).is_none_or(|b| b >= qt)
     }
 
     /// Streaming range cursor:
@@ -370,17 +419,28 @@ impl DiscreteUpi {
     /// record's PMF on the spot — alternatives sum under possible-world
     /// semantics, and the tuple carries them all). Rows stream in value
     /// order, not confidence order; sinks that need ranking sort at the
-    /// end, but I/O is a single seek + sequential run either way.
-    pub fn range_run(&self, lo: u64, hi: u64, qt: f64) -> Result<RangeRun<'_>> {
+    /// end, but I/O is a single seek + sequential run either way. The
+    /// cutoff index is scanned only when
+    /// [`range_cutoff_phase_runs`](Self::range_cutoff_phase_runs) says a
+    /// cutoff-only tuple can qualify. `run_pages` arms read-ahead as for
+    /// [`point_run`](Self::point_run).
+    pub fn range_run(
+        &self,
+        lo: u64,
+        hi: u64,
+        qt: f64,
+        run_pages: Option<usize>,
+    ) -> Result<RangeRun<'_>> {
         assert!(lo <= hi, "inverted range");
         Ok(RangeRun {
             upi: self,
-            cur: Some(self.heap.seek(&keys::value_prefix(lo))?),
+            cur: Some(self.heap.seek_run(&keys::value_prefix(lo), run_pages)?),
             lo,
             hi,
             qt,
             seen: IdSet::default(),
             pending: None,
+            skip: None,
             stats: CursorStats::default(),
         })
     }
@@ -395,6 +455,9 @@ impl DiscreteUpi {
     /// `keep` is a tuple-id filter applied *before* pointer choice and
     /// heap fetches — a fractured chain drops suppressed tuples this way
     /// without paying their heap I/O. `limit` counts entries that pass it.
+    /// `run_pages` is the entry run's estimated length in leaves, armed
+    /// as the pool's read-ahead hint by its seek.
+    #[allow(clippy::too_many_arguments)]
     pub fn secondary_run(
         &self,
         sec_idx: usize,
@@ -403,10 +466,11 @@ impl DiscreteUpi {
         tailored: bool,
         limit: Option<usize>,
         keep: &dyn Fn(u64) -> bool,
+        run_pages: Option<usize>,
     ) -> Result<SecondaryRun<'_>> {
         let mut entries = Vec::new();
         let mut suppressed = 0u64;
-        for e in self.secondaries[sec_idx].scan_run(value, qt)? {
+        for e in self.secondaries[sec_idx].scan_run(value, qt, run_pages)? {
             let e = e?;
             if !keep(e.tid) {
                 suppressed += 1;
@@ -464,8 +528,9 @@ impl DiscreteUpi {
     /// [`point_run`](Self::point_run), collected in canonical order. The
     /// figure benches measure this body.
     pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut results: Vec<PtqResult> =
-            self.point_run(value, qt, false)?.collect::<Result<_>>()?;
+        let mut results: Vec<PtqResult> = self
+            .point_run(value, qt, false, None)?
+            .collect::<Result<_>>()?;
         crate::exec::sort_results(&mut results);
         Ok(results)
     }
@@ -481,7 +546,7 @@ impl DiscreteUpi {
     /// strength), plus the below-cutoff alternatives from the cutoff
     /// index. This is the batch collection of [`range_run`](Self::range_run).
     pub fn ptq_range(&self, lo: u64, hi: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let mut out: Vec<PtqResult> = self.range_run(lo, hi, qt)?.collect::<Result<_>>()?;
+        let mut out: Vec<PtqResult> = self.range_run(lo, hi, qt, None)?.collect::<Result<_>>()?;
         crate::exec::sort_results(&mut out);
         Ok(out)
     }
@@ -503,7 +568,7 @@ impl DiscreteUpi {
         tailored: bool,
     ) -> Result<Vec<PtqResult>> {
         let mut out: Vec<PtqResult> = self
-            .secondary_run(sec_idx, value, qt, tailored, None, &|_| true)?
+            .secondary_run(sec_idx, value, qt, tailored, None, &|_| true, None)?
             .collect::<Result<_>>()?;
         crate::exec::sort_results(&mut out);
         Ok(out)
@@ -514,7 +579,7 @@ impl DiscreteUpi {
     /// guarantees to be present), and copy the record of each one whose id
     /// passes `keep` to `out`. This is the merge path's full read (§4.3).
     pub(crate) fn scan_records(&self, out: &mut Records, keep: impl Fn(u64) -> bool) -> Result<()> {
-        let mut scan = self.distinct_scan()?;
+        let mut scan = self.distinct_scan(None)?;
         while let Some(done) = scan.next_with(|t| {
             if keep(t.id().0) {
                 out.push(t);
@@ -544,6 +609,13 @@ impl DiscreteUpi {
     /// Attached secondary indexes.
     pub fn secondaries(&self) -> &[SecondaryIndex] {
         &self.secondaries
+    }
+
+    /// The per-value confidence bound over every alternative this
+    /// component ever stored (raise-only; a rebuild tightens it). Never
+    /// checkpointed: recovery rebuilds it with the component.
+    pub fn confidence_bound(&self) -> &ConfidenceBound {
+        &self.bound
     }
 
     /// Histogram statistics of the primary attribute (folded
@@ -789,7 +861,10 @@ impl Iterator for DistinctScan<'_> {
 /// dereferenced only as the merge emits them, so an early-terminated
 /// consumer never pays for the tail — and a *bounded* consumer
 /// ([`next_where`](PointRun::next_where)) can stop the cutoff scan as
-/// soon as its next candidate falls below a confidence watermark. In heap
+/// soon as its next candidate falls below a confidence watermark, or
+/// never open the list at all while the watermark is above every cutoff
+/// entry (below `C`, so at most `C` rounded onto the key grid; the
+/// skipped open is reported by [`skipped`](PointRun::skipped)). In heap
 /// order it is Algorithm 2: the run is drained first, then the surviving
 /// cutoff pointers are sorted into heap key order and fetched lazily.
 pub struct PointRun<'a> {
@@ -809,6 +884,8 @@ pub struct PointRun<'a> {
     ptr_head: Option<CutoffPointer>,
     /// Heap order: the surviving cutoff pointers, in heap key order.
     pending: std::vec::IntoIter<CutoffPointer>,
+    /// Set when a floor above every cutoff entry kept the list unopened.
+    skip: Option<Skip>,
     /// Merge-level counters; the live heap run keeps its own, folded in
     /// by [`stats`](Self::stats) (and harvested when the run ends).
     stats: CursorStats,
@@ -823,6 +900,12 @@ impl PointRun<'_> {
             Some(run) => self.stats.merged(Self::child_contrib(run)),
             None => self.stats,
         }
+    }
+
+    /// [`Skip::CutoffList`] when a confidence floor kept the cutoff list
+    /// from ever being opened.
+    pub fn skipped(&self) -> Option<Skip> {
+        self.skip
     }
 
     /// A child run's counters minus its `rows`: rows are counted at this
@@ -934,9 +1017,10 @@ impl PointRun<'_> {
     /// paying their I/O), and `None` is returned as soon as no remaining
     /// row can reach `min_conf` — both the heap run and the cutoff list
     /// stream in descending confidence, so the first below-watermark
-    /// candidate proves the tail is out too. Callers must only ever
-    /// *raise* `min_conf` across calls (a top-k watermark), and only an
-    /// ordered cursor takes one.
+    /// candidate proves the tail is out too, and a `min_conf` above every
+    /// cutoff entry ends the merge without opening the list at all.
+    /// Callers must only ever *raise* `min_conf` across calls (a top-k
+    /// watermark), and only an ordered cursor takes one.
     pub fn next_where(
         &mut self,
         min_conf: f64,
@@ -949,16 +1033,29 @@ impl PointRun<'_> {
         if let Err(e) = self.fill_run_head(min_conf, keep) {
             return Some(Err(e));
         }
-        // While the run head is at/above C, no cutoff entry can beat it:
-        // emit without ever touching the cutoff index.
+        // Every cutoff entry is below C, so its key is at most C rounded
+        // onto the grid. While the run head is above that, no cutoff
+        // entry can beat or tie it: emit without touching the cutoff
+        // index. (A head keyed exactly at the ceiling can tie a cutoff
+        // entry, whose lower tid then goes first.)
+        let ceiling = self.upi.cutoff_ceiling();
         if let Some(head) = &self.run_head {
-            if head.confidence >= self.upi.cfg.cutoff {
+            if head.confidence > ceiling {
                 if head.confidence < min_conf {
                     return None; // run is descending: nothing can qualify
                 }
                 self.stats.rows += 1;
                 return Some(Ok(self.run_head.take().unwrap()));
             }
+        }
+        // The run head (if any) is now at most the ceiling: a floor above
+        // it rules out the head and every cutoff entry, so the list need
+        // never be opened.
+        if min_conf > ceiling {
+            if !self.consulted && self.qt < self.upi.cfg.cutoff {
+                self.skip = Some(Skip::CutoffList { floor: min_conf });
+            }
+            return None;
         }
         if let Err(e) = self.ensure_consulted(keep) {
             return Some(Err(e));
@@ -1049,6 +1146,8 @@ pub struct RangeRun<'a> {
     /// exhausted. Each pointer carries the tuple's summed below-cutoff
     /// in-range confidence and the first in-range value it was found under.
     pending: Option<std::vec::IntoIter<(u64, CutoffPointer)>>,
+    /// Set when phase 2 was skipped because its bound is below `qt`.
+    skip: Option<Skip>,
     stats: CursorStats,
 }
 
@@ -1058,9 +1157,22 @@ impl RangeRun<'_> {
         self.stats
     }
 
+    /// [`Skip::CutoffPhase`] when phase 2 was skipped by its bound.
+    pub fn skipped(&self) -> Option<Skip> {
+        self.skip
+    }
+
     /// Build the phase-2 fetch list: accumulate cutoff mass per unseen
-    /// tuple, keep qualifiers, order by heap key.
+    /// tuple, keep qualifiers, order by heap key. When no cutoff-only
+    /// tuple can reach `qt` ([`DiscreteUpi::range_cutoff_phase_runs`]),
+    /// the list is empty and the cutoff index is never opened.
     fn build_pending(&mut self) -> Result<()> {
+        if !self.upi.range_cutoff_phase_runs(self.lo, self.hi, self.qt) {
+            let bound = self.upi.range_cutoff_bound(self.lo, self.hi);
+            self.skip = bound.map(|bound| Skip::CutoffPhase { bound, qt: self.qt });
+            self.pending = Some(Vec::new().into_iter());
+            return Ok(());
+        }
         let mut acc: IdMap<u64, (u64, CutoffPointer)> = IdMap::default();
         for r in self.upi.cutoff.scan_range_run(self.lo, self.hi)? {
             let (v, cp) = r?;
@@ -1439,11 +1551,16 @@ mod tests {
         // Every cursor, on a one-component chain and on the fractured one.
         for chain in [f.main().chain(), f.chain()] {
             for limit in [None, Some(3)] {
-                is_corrupt(UCB, chain.point_run(UCB, 0.0, limit).unwrap().collect());
+                is_corrupt(
+                    UCB,
+                    chain.point_run(UCB, 0.0, limit, &[]).unwrap().collect(),
+                );
             }
-            is_corrupt(UCB, chain.range_run(UCB, UCB, 0.0).unwrap().collect());
+            is_corrupt(UCB, chain.range_run(UCB, UCB, 0.0, &[]).unwrap().collect());
             for tailored in [true, false] {
-                let run = chain.secondary_run(0, US, 0.0, tailored, None).unwrap();
+                let run = chain
+                    .secondary_run(0, US, 0.0, tailored, None, &[])
+                    .unwrap();
                 is_corrupt(US, run.collect());
             }
         }
@@ -1454,7 +1571,7 @@ mod tests {
         let st = store();
         let mut u = DiscreteUpi::create(st.clone(), "u", 1, UpiConfig::default()).unwrap();
         u.bulk_load(&synthetic(300, 1)).unwrap();
-        let leaf = u.first_leaf_page().unwrap();
+        let leaf = u.heap.leaf_page_for(&[]).unwrap();
         let good = st.pool.get(leaf).unwrap();
         // The first entry sits right after the 16-byte node header:
         // `klen u16 | vlen u16 | 20-byte key | tuple`. Its first field is
@@ -1477,7 +1594,7 @@ mod tests {
             other => panic!("expected Corrupted, got {other:?}"),
         };
         is_corrupt(
-            u.distinct_scan()
+            u.distinct_scan(None)
                 .unwrap()
                 .collect::<Result<Vec<_>>>()
                 .map(drop),
@@ -1486,17 +1603,21 @@ mod tests {
         is_corrupt(u.fetch_by_pointer(v, prob, tid).map(drop));
         is_corrupt(u.ptq_range(0, 599, 0.0).map(drop));
         // The scan steps past the damaged entry: it is reported once.
-        let mut scan = u.distinct_scan().unwrap();
+        let mut scan = u.distinct_scan(None).unwrap();
         assert_eq!(scan.by_ref().filter(|t| t.is_err()).count(), 1);
 
         st.pool.put(leaf, good);
-        assert_eq!(u.distinct_scan().unwrap().count(), 300);
+        assert_eq!(u.distinct_scan(None).unwrap().count(), 300);
     }
 
     #[test]
     fn scan_tuples_enumerates_each_once() {
         let u = upi_with(0.1);
-        let scanned: Vec<Tuple> = u.distinct_scan().unwrap().collect::<Result<_>>().unwrap();
+        let scanned: Vec<Tuple> = u
+            .distinct_scan(None)
+            .unwrap()
+            .collect::<Result<_>>()
+            .unwrap();
         let mut ids: Vec<u64> = scanned.iter().map(|t| t.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3]);
@@ -1527,7 +1648,7 @@ mod tests {
                 for qt in [0.0, 0.01, 0.1, 0.5] {
                     let batch = u.ptq(value, qt).unwrap();
                     let streamed: Vec<PtqResult> = u
-                        .point_run(value, qt, true)
+                        .point_run(value, qt, true, None)
                         .unwrap()
                         .collect::<Result<_>>()
                         .unwrap();
@@ -1552,7 +1673,7 @@ mod tests {
             for qt in [0.0, 0.1, 0.4] {
                 let batch = u.ptq_range(lo, hi, qt).unwrap();
                 let mut streamed: Vec<PtqResult> = u
-                    .range_run(lo, hi, qt)
+                    .range_run(lo, hi, qt, None)
                     .unwrap()
                     .collect::<Result<_>>()
                     .unwrap();
@@ -1578,7 +1699,7 @@ mod tests {
         let full = u.ptq_secondary(0, US, 0.0, true).unwrap();
         assert!(full.len() >= 2);
         let mut limited: Vec<PtqResult> = u
-            .secondary_run(0, US, 0.0, true, Some(2), &|_| true)
+            .secondary_run(0, US, 0.0, true, Some(2), &|_| true, None)
             .unwrap()
             .collect::<Result<_>>()
             .unwrap();

@@ -46,7 +46,7 @@ pub struct Catalog<'a> {
     /// `PhysicalPlan::explain_with_io`).
     pub pool: Option<&'a BufferPool>,
     /// The attribution id the executor should charge device time under.
-    /// A session sets this so plan-time and execute-time I/O land on one
+    /// A session sets this so every execution's I/O lands on its own
     /// per-query slot; when absent the executor allocates a fresh id per
     /// execution.
     pub query_id: Option<upi_storage::QueryId>,
@@ -151,9 +151,8 @@ impl<'a> Catalog<'a> {
         self
     }
 
-    /// Register the buffer pool for per-query I/O attribution and
-    /// planner prefetch hints (single-slot, see
-    /// [`with_upi`](Self::with_upi)).
+    /// Register the buffer pool for per-query I/O attribution and run
+    /// detection (single-slot, see [`with_upi`](Self::with_upi)).
     pub fn with_pool(mut self, pool: &'a BufferPool) -> Catalog<'a> {
         debug_assert!(
             self.pool.is_none(),

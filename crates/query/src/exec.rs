@@ -206,14 +206,16 @@ pub struct HeapScan<'a> {
 }
 
 impl<'a> HeapScan<'a> {
-    /// Open over the unclustered heap.
+    /// Open over the unclustered heap; `run_pages` is the scan's
+    /// estimated length, armed as the pool's read-ahead hint.
     pub fn open(
         heap: &'a UnclusteredHeap,
         pred: Predicate,
         qt: f64,
+        run_pages: Option<usize>,
     ) -> StorageResult<HeapScan<'a>> {
         Ok(HeapScan {
-            inner: heap.scan_run()?,
+            inner: heap.scan_run(run_pages)?,
             pred,
             qt,
             emitted: 0,
@@ -259,10 +261,16 @@ pub struct UpiFullScan<'a> {
 }
 
 impl<'a> UpiFullScan<'a> {
-    /// Open over the UPI's clustered heap.
-    pub fn open(upi: &'a DiscreteUpi, pred: Predicate, qt: f64) -> StorageResult<UpiFullScan<'a>> {
+    /// Open over the UPI's clustered heap; `run_pages` is the scan's
+    /// estimated length, armed as the pool's read-ahead hint.
+    pub fn open(
+        upi: &'a DiscreteUpi,
+        pred: Predicate,
+        qt: f64,
+        run_pages: Option<usize>,
+    ) -> StorageResult<UpiFullScan<'a>> {
         Ok(UpiFullScan {
-            inner: upi.distinct_scan()?,
+            inner: upi.distinct_scan(run_pages)?,
             pred,
             qt,
             emitted: 0,
@@ -384,11 +392,19 @@ impl SourceOp<'_> {
     pub fn spans(&self) -> Vec<(String, usize, CursorStats)> {
         match self {
             SourceOp::Clustered { run, emitted } => {
-                let (label, comps) = match run {
-                    ClusteredRun::Point(run) => ("ChainMerge(point)", run.component_stats()),
-                    ClusteredRun::Range(run) => ("ChainMerge(range)", run.component_stats()),
+                let (label, comps, skips) = match run {
+                    ClusteredRun::Point(run) => (
+                        "ChainMerge(point)",
+                        run.component_stats(),
+                        run.component_skips(),
+                    ),
+                    ClusteredRun::Range(run) => (
+                        "ChainMerge(range)",
+                        run.component_stats(),
+                        run.component_skips(),
+                    ),
                     ClusteredRun::Secondary(run) => {
-                        ("ChainMerge(secondary)", run.component_stats())
+                        ("ChainMerge(secondary)", run.component_stats(), Vec::new())
                     }
                 };
                 let mut parent = comps
@@ -397,11 +413,16 @@ impl SourceOp<'_> {
                 parent.rows = *emitted;
                 let mut spans = vec![(label.to_string(), 0, parent)];
                 for (i, s) in comps.into_iter().enumerate() {
-                    let name = if i == 0 {
+                    let mut name = if i == 0 {
                         "Component#0(main)".to_string()
                     } else {
                         format!("Component#{i}(fracture)")
                     };
+                    // Why the component (or its cutoff half) was never
+                    // opened, as the bound that ruled it out.
+                    if let Some(skip) = skips.get(i).copied().flatten() {
+                        name = format!("{name} [{skip}]");
+                    }
                     spans.push((name, 1, s));
                 }
                 spans
@@ -526,12 +547,15 @@ fn range_params(q: &PtqQuery, what: &str) -> Result<(u64, u64), QueryError> {
 /// Open the chosen path as a streaming source; the `bool` says whether
 /// the stream is already `{confidence DESC, tid ASC}`-ordered (ordered
 /// streams let the top-k sink terminate the source early and skip the
-/// sort).
+/// sort). `hints` are the candidate's run estimates, handed to the opens
+/// that arm them.
 fn open_source<'a>(
     path: &AccessPath,
+    hints: &[usize],
     q: &PtqQuery,
     catalog: &Catalog<'a>,
 ) -> Result<(SourceOp<'a>, bool), QueryError> {
+    let scan_pages = hints.first().copied();
     let batch = |rows: Vec<PtqResult>, label: &'static str| {
         (
             SourceOp::Batch(BatchRows {
@@ -549,13 +573,13 @@ fn open_source<'a>(
             // A top-k streams confidence-ordered (§3.1): the sink stops the
             // component runs — and their cutoff fetches — after k rows.
             // Otherwise every component runs Algorithm 2.
-            let run = ClusteredRun::Point(chain.point_run(value, q.qt, q.top_k)?);
+            let run = ClusteredRun::Point(chain.point_run(value, q.qt, q.top_k, hints)?);
             (SourceOp::Clustered { run, emitted: 0 }, q.top_k.is_some())
         }
         AccessPath::UpiRange { fractured } => {
             let chain = need_chain(catalog, *fractured)?;
             let (lo, hi) = range_params(q, "a clustered range path")?;
-            let run = ClusteredRun::Range(chain.range_run(lo, hi, q.qt)?);
+            let run = ClusteredRun::Range(chain.range_run(lo, hi, q.qt, hints)?);
             (SourceOp::Clustered { run, emitted: 0 }, false)
         }
         AccessPath::UpiSecondary {
@@ -570,7 +594,7 @@ fn open_source<'a>(
                 });
             }
             let (_, value) = eq_params(q)?;
-            let run = chain.secondary_run(*index, value, q.qt, *tailored, q.top_k)?;
+            let run = chain.secondary_run(*index, value, q.qt, *tailored, q.top_k, hints)?;
             let run = ClusteredRun::Secondary(run);
             (SourceOp::Clustered { run, emitted: 0 }, false)
         }
@@ -602,14 +626,19 @@ fn open_source<'a>(
         AccessPath::HeapScan => {
             let heap = need(catalog.heap, "the unclustered heap")?;
             (
-                SourceOp::HeapScan(HeapScan::open(heap, q.predicate.clone(), q.qt)?),
+                SourceOp::HeapScan(HeapScan::open(heap, q.predicate.clone(), q.qt, scan_pages)?),
                 false,
             )
         }
         AccessPath::UpiFullScan => {
             let upi = need(catalog.upi, "the discrete UPI")?;
             (
-                SourceOp::UpiFullScan(UpiFullScan::open(upi, q.predicate.clone(), q.qt)?),
+                SourceOp::UpiFullScan(UpiFullScan::open(
+                    upi,
+                    q.predicate.clone(),
+                    q.qt,
+                    scan_pages,
+                )?),
                 false,
             )
         }
@@ -738,8 +767,8 @@ pub(crate) fn execute(
     // Per-query attribution: every device charge issued while the guard
     // is alive lands on this query's slot, so concurrent queries on one
     // pool each observe only their own I/O. The session threads its own
-    // id through the catalog (covering plan-time I/O too); stand-alone
-    // executions allocate one here and consume the slot on exit.
+    // id through the catalog; stand-alone executions allocate one here
+    // and consume the slot on exit.
     let qid = catalog.query_id.unwrap_or_else(QueryId::next);
     let own_qid = catalog.query_id.is_none();
     let _guard = catalog.pool.map(|p| {
@@ -759,35 +788,11 @@ pub(crate) fn execute(
         .pool
         .map(|p| p.attributed_stats(qid))
         .unwrap_or_default();
-    // Planner-aware prefetch: run-shaped paths carry each expected run's
-    // start page and estimated length — one hint for single-structure
-    // paths, one *per component* for fracture-parallel merges — so the
-    // pool arms read-ahead on each run's first miss with a
-    // run-length-sized window instead of waiting for two adjacent misses
-    // (pointer-chasing paths carry no hint and fall back to the pool's
-    // own detection). Hints must be armed before the source opens — the
-    // opens perform the seeks whose leaf reads consume them — so a
-    // failed open clears exactly the hints this plan armed (by start
-    // page), lest a stale hint mis-fire on a later unrelated access;
-    // hints of concurrent queries are left alone.
-    let armed = &chosen.hints;
-    let hinted_pool = match catalog.pool {
-        Some(pool) if !armed.is_empty() => {
-            for &hint in armed {
-                pool.hint_run(hint);
-            }
-            Some(pool)
-        }
-        _ => None,
-    };
-    let (mut source, ordered) = match open_source(plan.path(), q, catalog) {
+    // Run-shaped paths carry each expected run's length; the seek that
+    // opens a run arms it on the leaf it lands on (see `CandidatePlan::hints`).
+    let (mut source, ordered) = match open_source(plan.path(), &chosen.hints, q, catalog) {
         Ok(source) => source,
         Err(e) => {
-            if let Some(pool) = hinted_pool {
-                for hint in armed {
-                    pool.clear_hint(hint.start_page);
-                }
-            }
             if own_qid {
                 if let Some(pool) = catalog.pool {
                     pool.take_attributed(qid);

@@ -50,10 +50,11 @@
 //!    probe runs Algorithm 2 per component. Range and secondary probes
 //!    stream page-at-a-time through the buffer pool (whose sequential
 //!    read-ahead keeps clustered runs sequential even under interleaved
-//!    access). Run-shaped candidates carry prefetch hints — one
-//!    `AccessHint` per component run — which the executor arms before
-//!    opening the source; the pool then starts read-ahead on each run's
-//!    *first* cold miss with a run-length-sized window. Only the R-Tree
+//!    access). Run-shaped candidates carry each run's estimated length —
+//!    one per component run — and the seek that opens a run arms it as
+//!    the pool's read-ahead hint on the leaf it lands on, so read-ahead
+//!    starts on each run's *first* cold miss with a run-length-sized
+//!    window; planning itself reads no page. Only the R-Tree
 //!    circle paths delegate to batch index calls, feeding their rows
 //!    through the same sink operators.
 //!

@@ -140,18 +140,18 @@ pub struct CandidatePlan {
     pub cost: PathCost,
     /// How the estimate was assembled (for `explain()`).
     pub note: String,
-    /// Prefetch hints for run-shaped paths: each entry names the first
-    /// page of one expected sequential run and its estimated length,
-    /// derived from the same live statistics that priced the candidate.
-    /// Single-structure paths carry one hint; fracture-parallel paths
-    /// carry **one hint per component** (start page via each component's
-    /// `BTree::leaf_page_for`, length via its per-component run
-    /// estimate). When the catalog registers a buffer pool, the executor
-    /// arms every hint via [`upi_storage::BufferPool::hint_run`] before
-    /// opening the source, so each run's read-ahead arms on its own first
-    /// miss with a run-length-sized window. Empty for pointer-chasing and
-    /// batch paths.
-    pub hints: Vec<upi_storage::AccessHint>,
+    /// Prefetch hints for run-shaped paths: the estimated length, in
+    /// leaf pages, of each expected sequential run, derived from the same
+    /// in-memory statistics that priced the candidate. Single-structure
+    /// paths carry one; chain paths carry **one per component**,
+    /// index-aligned with the chain's components. The seek that opens a
+    /// run arms its estimate as the pool's read-ahead hint on the leaf it
+    /// lands on (`upi_btree::BTree::seek_run`), so each run's read-ahead
+    /// arms on its own first miss with a run-length-sized window, and a
+    /// component the merge never opens arms nothing. Empty for
+    /// pointer-chasing and batch paths, whose execution also suppresses
+    /// the pool's run detector; clearing it strips the hints.
+    pub hints: Vec<usize>,
     /// Planner-estimated result rows (pre-top-k qualifying rows), when
     /// the statistics support an estimate. Rendered next to the observed
     /// row count by `explain_analyze`.
@@ -266,22 +266,16 @@ impl PhysicalPlan {
         }
         match self.candidates[0].hints.as_slice() {
             [] => {}
-            [h] => out.push_str(&format!(
-                "prefetch hint: run of ~{} page(s) from page {:?}\n",
-                h.est_run_pages, h.start_page
-            )),
+            [h] => out.push_str(&format!("prefetch hint: run of ~{h} page(s)\n")),
             hints => {
-                let total: usize = hints.iter().map(|h| h.est_run_pages).sum();
+                let total: usize = hints.iter().sum();
                 out.push_str(&format!(
                     "prefetch hints: {} component runs, ~{} page(s) total\n",
                     hints.len(),
                     total
                 ));
-                for h in hints {
-                    out.push_str(&format!(
-                        "  run of ~{} page(s) from page {:?}\n",
-                        h.est_run_pages, h.start_page
-                    ));
+                for (i, h) in hints.iter().enumerate() {
+                    out.push_str(&format!("  component #{i}: run of ~{h} page(s)\n"));
                 }
             }
         }

@@ -50,8 +50,7 @@
 //!   next to calibrated cost with the sample count behind the scale.
 
 use upi::cost::{self};
-use upi::{Chain, DiscreteUpi, SecondaryIndex, UnclusteredHeap};
-use upi_storage::AccessHint;
+use upi::{Chain, DiscreteUpi, SecondaryIndex};
 
 use crate::catalog::Catalog;
 use crate::cost::CostModel;
@@ -91,7 +90,7 @@ fn candidate(
     fixed_ms: f64,
     dominant_ms: f64,
     note: String,
-    hints: Vec<AccessHint>,
+    hints: Vec<usize>,
 ) -> CandidatePlan {
     let cost = model.price(path.kind(), fixed_ms, dominant_ms);
     CandidatePlan {
@@ -105,92 +104,54 @@ fn candidate(
     }
 }
 
-/// Total pages across a candidate's prefetch hints (the planner's page
+/// Total pages across a candidate's run estimates (the planner's page
 /// estimate for run-shaped paths), floored at one page.
-fn hint_pages(hints: &[AccessHint]) -> f64 {
-    hints
-        .iter()
-        .map(|h| h.est_run_pages as f64)
-        .sum::<f64>()
-        .max(1.0)
+fn hint_pages(hints: &[usize]) -> f64 {
+    hints.iter().map(|&h| h as f64).sum::<f64>().max(1.0)
 }
 
-// --- Prefetch hints (run-shaped paths only) --------------------------------
+// --- Run-length estimates (run-shaped paths only) --------------------------
 //
 // The same statistics that price a candidate also tell the buffer pool
-// where the run starts and how long it is expected to be, so read-ahead
-// can arm on the first miss instead of waiting for the two-adjacent-miss
-// detector. Resolving the start page descends *internal* B+Tree pages
-// only (a handful of reads the executor's own seek repeats warm); hint
-// resolution is best-effort — an I/O error yields no hint, never a plan
-// failure. Clustered paths carry one hint **per component**: the pool
-// tracks concurrent hinted runs, so the k-way merge's interleaved
-// component reads each stream independently. Pointer-chasing paths
-// (plain/tailored secondary heap fetches, PII probes, cutoff-heavy
-// merges) scatter by construction and get no hint; a fractured chain's
-// *secondary* path hints only each component's compact entry run, not
-// the scattered heap fetches behind it.
+// how long each run is expected to be, so read-ahead can arm on the
+// run's first miss instead of waiting for the two-adjacent-miss
+// detector. The plan carries lengths only, computed from in-memory
+// statistics: the seek that opens a run knows its first leaf and arms
+// the hint there (`BTree::seek_run`), so planning reads no page and a
+// run that is never opened arms nothing. Clustered paths carry one
+// estimate **per component**, index-aligned: the pool tracks concurrent
+// hinted runs, so the k-way merge's interleaved component reads each
+// stream independently. Pointer-chasing paths (plain/tailored secondary
+// heap fetches, PII probes, cutoff-heavy merges) scatter by construction
+// and get none; a fractured chain's *secondary* path estimates only
+// each component's compact entry run, not the scattered heap fetches
+// behind it.
 
-/// Hint for one component's clustered point run (`UpiHeap`): §2's
+/// One component's clustered point run (`UpiHeap`): §2's
 /// one-seek-then-sequential access, bounded by k leaves for an
 /// early-terminating top-k.
-fn upi_point_hint(
-    upi: &DiscreteUpi,
-    value: u64,
-    qt: f64,
-    top_k: Option<usize>,
-) -> Option<AccessHint> {
-    let mut pages = cost::estimate_run_pages(upi, value, qt);
-    if let Some(k) = top_k {
-        let per_leaf = cost::entries_per_leaf(upi);
-        pages = pages.min(((k as f64 / per_leaf).ceil() as usize).max(1));
+fn upi_point_pages(upi: &DiscreteUpi, value: u64, qt: f64, top_k: Option<usize>) -> usize {
+    let pages = cost::estimate_run_pages(upi, value, qt);
+    match top_k {
+        Some(k) => {
+            let per_leaf = cost::entries_per_leaf(upi);
+            pages.min(((k as f64 / per_leaf).ceil() as usize).max(1))
+        }
+        None => pages,
     }
-    Some(AccessHint {
-        start_page: upi.run_start_page(value).ok()?,
-        est_run_pages: pages,
-    })
 }
 
-/// Hint for one component's clustered range run (`UpiRange`).
-fn upi_range_hint(upi: &DiscreteUpi, lo: u64, hi: u64) -> Option<AccessHint> {
-    Some(AccessHint {
-        start_page: upi.run_start_page(lo).ok()?,
-        est_run_pages: cost::estimate_range_run_pages(upi, lo, hi),
-    })
-}
-
-/// Hint for a full scan of the UPI's clustered heap (`UpiFullScan`).
-fn upi_scan_hint(upi: &DiscreteUpi) -> Option<AccessHint> {
-    Some(AccessHint {
-        start_page: upi.first_leaf_page().ok()?,
-        est_run_pages: upi.heap_stats().leaf_pages.max(1),
-    })
-}
-
-/// Hint for a full scan of the unclustered heap (`HeapScan`).
-fn heap_scan_hint(heap: &UnclusteredHeap) -> Option<AccessHint> {
-    Some(AccessHint {
-        start_page: heap.first_leaf_page().ok()?,
-        est_run_pages: heap.stats().leaf_pages.max(1),
-    })
-}
-
-/// Per-component hints for a fractured chain's secondary path: only each
-/// component's compact **entry run** is run-shaped (the heap fetches
-/// behind it scatter), so each hint covers the secondary tree's leaf run
-/// for the queried value.
-fn secondary_entry_hints(chain: Chain<'_>, sec_idx: usize, value: u64, qt: f64) -> Vec<AccessHint> {
+/// A fractured chain's secondary path: each component's compact **entry
+/// run** (the heap fetches behind it scatter).
+fn secondary_entry_pages(chain: Chain<'_>, sec_idx: usize, value: u64, qt: f64) -> Vec<usize> {
     chain
         .components()
-        .filter_map(|u| {
-            let sec = u.secondaries().get(sec_idx)?;
+        .map(|u| {
+            let sec = &u.secondaries()[sec_idx];
             let leaf_pages = sec.leaf_pages().max(1);
             let per_leaf = (sec.len() as f64 / leaf_pages as f64).max(1.0);
             let entries = sec.stats().est_count_ge(value, qt);
-            Some(AccessHint {
-                start_page: sec.run_start_page(value).ok()?,
-                est_run_pages: ((entries / per_leaf).ceil() as usize).clamp(1, leaf_pages),
-            })
+            ((entries / per_leaf).ceil() as usize).clamp(1, leaf_pages)
         })
         .collect()
 }
@@ -247,7 +208,7 @@ fn upi_full_scan(model: &CostModel, upi: &DiscreteUpi) -> CandidatePlan {
         model.coeffs.cost_init_ms,
         model.read_ms(upi.heap_stats().bytes as f64),
         format!("{} heap bytes sequential", upi.heap_stats().bytes),
-        upi_scan_hint(upi).into_iter().collect(),
+        vec![upi.heap_stats().leaf_pages.max(1)],
     )
     .with_est_pages(upi.heap_stats().leaf_pages.max(1) as f64)
 }
@@ -315,9 +276,9 @@ fn enumerate_eq(
                 Some(k) => qualifying.min(k as f64),
                 None => qualifying,
             };
-            let hints: Vec<AccessHint> = chain
+            let hints: Vec<usize> = chain
                 .components()
-                .filter_map(|u| upi_point_hint(u, value, qt, q.top_k))
+                .map(|u| upi_point_pages(u, value, qt, q.top_k))
                 .collect();
             let est_pages = hint_pages(&hints);
             out.push(
@@ -356,7 +317,7 @@ fn enumerate_eq(
             // A fractured chain hints each component's entry run; a plain
             // UPI's probe is pointer-chasing throughout.
             let (hints, entry_pages) = if fractured {
-                let hints = secondary_entry_hints(chain, i, value, qt);
+                let hints = secondary_entry_pages(chain, i, value, qt);
                 let pages = hint_pages(&hints);
                 (hints, pages)
             } else {
@@ -434,7 +395,7 @@ fn enumerate_eq(
                 model.coeffs.cost_init_ms,
                 model.read_ms(heap.stats().bytes as f64),
                 format!("{} heap bytes sequential", heap.stats().bytes),
-                heap_scan_hint(heap).into_iter().collect(),
+                vec![heap.stats().leaf_pages.max(1)],
             )
             .with_est_pages(heap.stats().leaf_pages.max(1) as f64),
         );
@@ -495,8 +456,10 @@ fn enumerate_range(
                     let hs = main.heap_stats();
                     let mut fixed = model.open_descend(hs.height);
                     let mut dom = model.read_ms(hs.bytes as f64) * frac;
+                    // The cutoff phase is charged only when the same
+                    // bound the cursor checks says it runs.
                     let cut = main.cutoff_index();
-                    if !cut.is_empty() {
+                    if !cut.is_empty() && main.range_cutoff_phase_runs(lo, hi, q.qt) {
                         fixed += model.open_descend(cut.height());
                         dom += model.read_ms(cut.bytes() as f64) * frac;
                     }
@@ -507,9 +470,9 @@ fn enumerate_range(
                     )
                 }
             };
-            let hints: Vec<AccessHint> = chain
+            let hints: Vec<usize> = chain
                 .components()
-                .filter_map(|u| upi_range_hint(u, lo, hi))
+                .map(|u| cost::estimate_range_run_pages(u, lo, hi))
                 .collect();
             let est_pages = hint_pages(&hints);
             out.push(
@@ -559,13 +522,12 @@ fn enumerate_range(
                 model.coeffs.cost_init_ms,
                 model.read_ms(heap.stats().bytes as f64),
                 format!("{} heap bytes sequential", heap.stats().bytes),
-                heap_scan_hint(heap).into_iter().collect(),
+                vec![heap.stats().leaf_pages.max(1)],
             )
             .with_est_pages(heap.stats().leaf_pages.max(1) as f64),
         );
     }
 
-    let _ = q;
     out
 }
 
@@ -592,7 +554,7 @@ fn enumerate_circle(
 
     if let Some(cupi) = catalog.cupi {
         if cupi.attr() == attr {
-            let frac = circle_frac(cupi.bounds().ok().flatten());
+            let frac = circle_frac(cupi.bounds());
             let rs = cupi.rtree_stats();
             out.push(
                 candidate(
@@ -613,7 +575,7 @@ fn enumerate_circle(
 
     if let (Some(utree), Some(heap)) = (catalog.utree, catalog.heap) {
         if utree.attr() == attr {
-            let frac = circle_frac(utree.bounds().ok().flatten());
+            let frac = circle_frac(utree.bounds());
             let candidates = utree.stats().entries as f64 * frac;
             let hs = heap.stats();
             out.push(

@@ -14,8 +14,8 @@
 //! callers never juggle per-structure references — the internal
 //! registration step ([`catalog`](UncertainDb::catalog)) borrows the
 //! right structures for the table's layout (including the shared buffer
-//! pool, so per-query I/O counters and planner prefetch hints are wired
-//! up by construction) and hands back a ready catalog whose borrows are
+//! pool, so per-query I/O counters and read-ahead hints are wired up by
+//! construction) and hands back a ready catalog whose borrows are
 //! tied to `&self`.
 
 use parking_lot::Mutex;
@@ -474,9 +474,13 @@ impl UncertainDb {
     /// from the checkpoint payload, so the recovered planner prices
     /// tailored-secondary coverage like the pre-crash one without a
     /// warm-up pass. Statistics restored here are the checkpoint-time
-    /// snapshot: contributions from WAL records replayed after the
-    /// checkpoint are overwritten, a bounded staleness the next few
-    /// queries repair incrementally.
+    /// snapshot: the contributions of WAL records replayed after the
+    /// checkpoint are overwritten — and on a fractured table, whose
+    /// rebuild folds every fracture into main, so are the fractures'. No
+    /// query path updates the statistics; the gap stays until a fold or
+    /// compaction rebuilds the component (a plain UPI never does). Only
+    /// planner estimates read them: every bound a cursor skips by is
+    /// rebuilt with its component, never restored.
     pub fn recover(store: Store, name: &str) -> StorageResult<(UncertainDb, RecoveryInfo)> {
         let (table, info) = UncertainTable::recover(store, name)?;
         let mut db = UncertainDb::from_table(table);
@@ -529,14 +533,13 @@ impl UncertainDb {
     /// The shared plan-and-execute core: every query path below runs
     /// through here, under one **per-query attribution id**.
     ///
-    /// The attribution guard is pushed before planning, so plan-time I/O
-    /// (hint resolution, statistics reads — on a cold cache some of the
-    /// opens the estimate prices are paid here) and execute-time I/O land
-    /// on the same slot; the slot is consumed afterwards, and its total
-    /// is both the observed side of calibration and the query's
-    /// `QueryOutput::device`. Concurrent queries on this session each
-    /// observe only their own device time — the shared-store-clock
-    /// cross-talk the old store-wide snapshot window suffered is gone.
+    /// The attribution guard is pushed before planning (which reads no
+    /// page), so the slot holds exactly the execution's I/O; it is
+    /// consumed afterwards, and its total is both the observed side of
+    /// calibration and the query's `QueryOutput::device`. Concurrent
+    /// queries on this session each observe only their own device time —
+    /// the shared-store-clock cross-talk the old store-wide snapshot
+    /// window suffered is gone.
     /// Warm-cache executions are still filtered out by the calibration
     /// store itself (see `CalibrationStore::record`).
     fn run_query(&self, q: &PtqQuery) -> Result<(QueryOutput, PhysicalPlan), QueryError> {

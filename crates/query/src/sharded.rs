@@ -35,7 +35,7 @@
 //! for one round with no floor: each shard executes the whole query, and
 //! the facade gathers (re-sorts, re-aggregates, truncates).
 //!
-//! **Pruning.** The facade maintains one [`upi::ShardStats`] per shard —
+//! **Pruning.** The facade maintains one [`upi::ConfidenceBound`] per shard —
 //! a raise-only max-confidence sketch per primary value — so an
 //! `Eq`-on-primary scatter skips *opening* shards whose bound is
 //! strictly below `qt`: no plan, no descent, zero pages. From round 1
@@ -61,7 +61,8 @@ use std::fmt::Display;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use upi::{
-    ChainPointRun, PtqResult, RecoveryInfo, ShardLayout, ShardStats, TableLayout, TopKWatermark,
+    ChainPointRun, ConfidenceBound, PtqResult, RecoveryInfo, ShardLayout, TableLayout,
+    TopKWatermark,
 };
 use upi_storage::error::Result as StorageResult;
 use upi_storage::{BufferPool, IoStats, Lsn, PoolCounters, QueryId, Store};
@@ -131,8 +132,7 @@ fn merge_cmp(a: &(usize, PtqResult), b: &(usize, PtqResult)) -> std::cmp::Orderi
 fn open_fast_cursor<'a>(
     s: &'a UncertainDb,
     path: &AccessPath,
-    hints: &[upi_storage::AccessHint],
-    pool: &BufferPool,
+    hints: &[usize],
     value: u64,
     qt: f64,
     k: usize,
@@ -146,18 +146,7 @@ fn open_fast_cursor<'a>(
             layout: "unclustered heap".to_string(),
         }));
     };
-    for &hint in hints {
-        pool.hint_run(hint);
-    }
-    match chain.point_run(value, qt, Some(k)) {
-        Ok(run) => Ok(Some(run)),
-        Err(e) => {
-            for hint in hints {
-                pool.clear_hint(hint.start_page);
-            }
-            Err(e.into())
-        }
-    }
+    Ok(Some(chain.point_run(value, qt, Some(k), hints)?))
 }
 
 /// One shard's part in a scatter, from round 0 to the gather.
@@ -177,7 +166,8 @@ struct ShardRun<'a> {
     noted: usize,
     /// The shard session's own output (rows moved out) when the shard
     /// executed the whole query: its inner attribution window is
-    /// `device`, and the outer slot holds only plan-time I/O.
+    /// `device` (the outer slot holds nothing of it: planning reads no
+    /// page).
     whole: Option<QueryOutput>,
     done: bool,
 }
@@ -209,8 +199,7 @@ impl<'a> ShardRun<'a> {
             let plan = q.plan(&catalog)?;
             let chosen = &plan.candidates[0];
             self.label = chosen.path.label();
-            let pool = s.table().store().pool.as_ref();
-            let opened = open_fast_cursor(s, &chosen.path, &chosen.hints, pool, value, q.qt, k);
+            let opened = open_fast_cursor(s, &chosen.path, &chosen.hints, value, q.qt, k);
             self.plan = Some(plan);
             match opened {
                 Ok(Some(cursor)) => {
@@ -286,7 +275,7 @@ pub struct ShardedDb {
     layout: ShardLayout,
     next_id: u64,
     /// Per-shard pruning bounds, maintained by every DML entry point.
-    stats: Vec<ShardStats>,
+    stats: Vec<ConfidenceBound>,
     /// Pruning switch (on by default); tests and benches flip it to
     /// compare skipped vs. exhaustive scatters.
     prune: AtomicBool,
@@ -379,7 +368,7 @@ impl ShardedDb {
     }
 
     /// Per-shard pruning statistics, in shard order.
-    pub fn stats(&self) -> &[ShardStats] {
+    pub fn stats(&self) -> &[ConfidenceBound] {
         &self.stats
     }
 
@@ -398,7 +387,7 @@ impl ShardedDb {
     /// so deletes and down-updates accumulate slack until a rebuild).
     pub fn rebuild_stats(&mut self) -> StorageResult<()> {
         let attr = self.primary_attr();
-        let mut stats = vec![ShardStats::new(); self.shards.len()];
+        let mut stats = vec![ConfidenceBound::new(); self.shards.len()];
         for (st, s) in stats.iter_mut().zip(&self.shards) {
             for t in s.table().live_tuples()? {
                 st.note_tuple(attr, &t);
@@ -793,7 +782,8 @@ impl ShardedDb {
             let whole_device = run.whole.as_ref().and_then(|out| out.device.as_ref());
             let shard_device = match (whole_device, &run.plan) {
                 // A whole execution attributed itself to its own inner
-                // window; the outer slot holds only plan-time I/O.
+                // window; the outer slot holds nothing (planning reads
+                // no page).
                 (Some(d), _) => add_stats(attributed, d),
                 (None, Some(plan)) => {
                     s.note_external_execution(
@@ -1121,17 +1111,9 @@ mod tests {
             use_cutoff: false,
             fractured: false,
         };
-        let err = open_fast_cursor(
-            &unclustered,
-            &heap_path,
-            &[],
-            unclustered.table().store().pool.as_ref(),
-            3,
-            0.0,
-            5,
-        )
-        .err()
-        .expect("UpiHeap on an unclustered shard must be rejected");
+        let err = open_fast_cursor(&unclustered, &heap_path, &[], 3, 0.0, 5)
+            .err()
+            .expect("UpiHeap on an unclustered shard must be rejected");
         match err {
             QueryError::Exec(upi::ExecError::LayoutMismatch { path, layout }) => {
                 assert!(path.starts_with("UpiHeap"), "{path}");

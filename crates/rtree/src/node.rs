@@ -174,17 +174,6 @@ impl<'a> PageView<'a> {
         })
     }
 
-    /// MBR of every entry in the page.
-    pub fn mbr(&self) -> Rect {
-        let (bytes, entry_len) = match self {
-            PageView::Leaf(v) => (v.0, LEAF_ENTRY_LEN),
-            PageView::Internal(v) => (v.0, INTERNAL_ENTRY_LEN),
-        };
-        bytes
-            .chunks_exact(entry_len)
-            .fold(Rect::empty(), |r, e| r.union(&read_rect(e)))
-    }
-
     /// Copy the page into an owned builder node.
     pub fn to_node(self) -> RNode {
         match self {
@@ -375,7 +364,6 @@ mod tests {
                 leaf.entries_where(|r| r.min_x > 0.0).collect::<Vec<_>>(),
                 want
             );
-            assert_eq!(view.mbr(), node.mbr());
             assert!(matches!(view.to_node(), RNode::Leaf(got) if got == entries));
         }
         for n in [0, 1, 7, internal_capacity(page_size)] {
@@ -389,7 +377,6 @@ mod tests {
                 panic!("internal page parsed as leaf")
             };
             assert_eq!(internal.children().collect::<Vec<_>>(), children);
-            assert_eq!(view.mbr(), node.mbr());
             assert!(matches!(view.to_node(), RNode::Internal(got) if got == children));
         }
     }

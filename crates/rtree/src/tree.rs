@@ -49,6 +49,10 @@ pub struct RTree {
     entries: u64,
     leaf_pages: usize,
     internal_pages: usize,
+    /// MBR of every entry ever indexed — the root's MBR, kept in RAM so
+    /// that [`bounds`](Self::bounds) reads no page (entries are never
+    /// removed, so the union is exact).
+    bounds: Rect,
 }
 
 impl RTree {
@@ -67,6 +71,7 @@ impl RTree {
             entries: 0,
             leaf_pages: 1,
             internal_pages: 0,
+            bounds: Rect::empty(),
         })
     }
 
@@ -102,13 +107,9 @@ impl RTree {
 
     /// Minimum bounding rectangle of all indexed entries (`None` when the
     /// tree is empty) — the spatial-domain estimate behind circle-query
-    /// selectivity in the planner.
-    pub fn bounds(&self) -> Result<Option<Rect>> {
-        if self.is_empty() {
-            return Ok(None);
-        }
-        let page = self.store.pool.get(self.root)?;
-        Ok(Some(PageView::parse(self.root, &page)?.mbr()))
+    /// selectivity in the planner. Reads no page.
+    pub fn bounds(&self) -> Option<Rect> {
+        (!self.is_empty()).then_some(self.bounds)
     }
 
     /// Copy page `pid` into an owned node — for a page about to be
@@ -126,7 +127,9 @@ impl RTree {
     /// the leaf page the entry ended up in (after splits), which the
     /// continuous UPI uses to place the tuple in the synchronized heap.
     pub fn insert(&mut self, entry: LeafEntry, events: &mut Vec<SplitEvent>) -> Result<PageId> {
+        let rect = entry.rect;
         let (_, split, dest) = self.insert_rec(self.root, entry, events)?;
+        self.bounds = self.bounds.union(&rect);
         if let Some((right_rect, right_pid)) = split {
             // Grow a new root above the old one.
             let left = self.read(self.root)?;
@@ -268,6 +271,7 @@ impl RTree {
         }
         self.leaf_pages = leaves.len();
         self.entries = n as u64;
+        self.bounds = leaves.iter().fold(Rect::empty(), |r, (l, _)| r.union(l));
 
         // Build internal levels by packing in order.
         let icap = ((internal_capacity(self.page_size) as f64) * BULK_FILL).max(2.0) as usize;
@@ -551,6 +555,8 @@ mod tests {
         assert!(t.height() > 1);
         assert!(!events.is_empty(), "3000 entries must split 4KB leaves");
         t.check_invariants().unwrap();
+        // The in-RAM bounds are exactly the root's MBR.
+        assert_eq!(t.bounds(), Some(t.read(t.root).unwrap().mbr()));
         for (cx, cy, r) in [
             (100.0, 100.0, 50.0),
             (500.0, 500.0, 120.0),
@@ -575,6 +581,7 @@ mod tests {
         t.bulk_load(entries.clone()).unwrap();
         assert_eq!(t.len(), 5000);
         t.check_invariants().unwrap();
+        assert_eq!(t.bounds(), Some(t.read(t.root).unwrap().mbr()));
         for (cx, cy, r) in [(300.0, 1700.0, 80.0), (1000.0, 1000.0, 300.0)] {
             let c = Point::new(cx, cy);
             let mut got: Vec<u64> = t
@@ -640,6 +647,7 @@ mod tests {
     #[test]
     fn empty_tree_queries_are_empty() {
         let t = RTree::create(store(), "rt", 4096).unwrap();
+        assert_eq!(t.bounds(), None);
         assert!(t
             .query_circle(Point::new(0.0, 0.0), 100.0)
             .unwrap()
@@ -699,9 +707,14 @@ mod tests {
         for walk in walks(&t) {
             corrupted(walk, root);
         }
-        // The root page itself unreadable: `bounds` reports it too.
+        // The root page itself unreadable: every walk reports it, while
+        // `bounds` still answers from RAM.
+        let bounds = t.bounds();
         st.pool.put(root, Bytes::from(vec![7u8; 4096]));
-        corrupted(t.bounds().map(|_| ()), root);
+        for walk in walks(&t) {
+            corrupted(walk, root);
+        }
+        assert_eq!(t.bounds(), bounds);
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!   so bulk loads cost sequential-write time. It detects sequential read
 //!   runs (two adjacent misses) and prefetches their continuation, tracks
 //!   **several runs concurrently** so k-way merges that interleave
-//!   component files keep every run streaming, and accepts planner
+//!   component files keep every run streaming, and accepts
 //!   [`AccessHint`]s — up to one pending hint per expected run, armed,
 //!   discharged, and cleared independently — so a hinted run's read-ahead
 //!   arms on its *first* miss with a run-length-sized window.

@@ -13,12 +13,14 @@ use crate::obs::{self, QueryId};
 use crate::page::PageId;
 use crate::stats::IoStats;
 
-/// A planner-supplied prefetch hint: the chosen access path expects to
-/// read roughly `est_run_pages` physically contiguous pages starting at
-/// `start_page` (a clustered heap run, a range scan, a full scan).
+/// A prefetch hint: the access path about to read expects roughly
+/// `est_run_pages` physically contiguous pages starting at `start_page`
+/// (a clustered heap run, a range scan, a full scan).
 ///
 /// Pass to [`BufferPool::hint_run`] *before* the run's first page is
-/// requested. A hinted run arms sequential read-ahead on its **first**
+/// requested — a B+Tree seek that opens a run (`upi_btree::BTree::seek_run`)
+/// arms it on the leaf it landed on, with the planner's run-length
+/// estimate, right before reading that leaf. A hinted run arms sequential read-ahead on its **first**
 /// cold miss — the unhinted detector needs two adjacent misses before it
 /// trusts the pattern — and sizes the prefetch window from the estimated
 /// run length instead of the fixed
@@ -285,7 +287,7 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Arm a planner prefetch hint (see [`AccessHint`]): the next miss on
+    /// Arm a prefetch hint (see [`AccessHint`]): the next miss on
     /// `hint.start_page` triggers read-ahead immediately — no second
     /// adjacent miss required — with the window sized from
     /// `hint.est_run_pages` (in batches of at most [`HINTED_BATCH_PAGES`])

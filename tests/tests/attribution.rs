@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use upi::{ShardLayout, TableLayout, UpiConfig};
+use upi::{FracturedConfig, ShardLayout, TableLayout, UpiConfig};
 use upi_query::{PtqQuery, ShardedDb, UncertainDb};
 use upi_storage::{DiskConfig, QueryId, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema};
@@ -55,6 +55,46 @@ fn build() -> UncertainDb {
         })
         .collect();
     db.load(&tuples).unwrap();
+    db
+}
+
+/// A fractured facade table: main holds 4k rows like [`build`]'s, one
+/// fracture holds 200 more of value 2, all at confidence 0.3 — below any
+/// top-k floor main's value-2 run sets.
+fn build_fractured() -> UncertainDb {
+    let schema = Schema::new(vec![
+        ("pad", FieldKind::Str),
+        ("value", FieldKind::Discrete),
+    ]);
+    let mut db = UncertainDb::create(
+        store(),
+        "attrib_fractured",
+        schema,
+        ATTR,
+        TableLayout::FracturedUpi(FracturedConfig {
+            upi: UpiConfig::default(),
+            buffer_ops: 0,
+        }),
+    )
+    .unwrap();
+    let row = |i: u64, value: u64, p: f64| {
+        upi_uncertain::Tuple::new(
+            upi_uncertain::TupleId(i),
+            1.0,
+            vec![
+                Field::Certain(Datum::Str(format!("pad-{i}-{}", "x".repeat(256)))),
+                Field::Discrete(DiscretePmf::new(vec![(value, p)])),
+            ],
+        )
+    };
+    let main: Vec<upi_uncertain::Tuple> = (0..4_000u64)
+        .map(|i| row(i, i % 5, 0.55 + (i % 400) as f64 / 1000.0))
+        .collect();
+    db.load(&main).unwrap();
+    for i in 100_000..100_200u64 {
+        db.insert_tuple(&row(i, 2, 0.3)).unwrap();
+    }
+    db.flush().unwrap();
     db
 }
 
@@ -332,10 +372,14 @@ fn cold_trace(stores: &[Store], run: impl Fn() -> upi_query::QueryOutput) -> upi
 /// advanced in between — must render byte-identical span trees. That
 /// holds for a sharded top-k and a sharded whole scatter too: the shards
 /// advance in rounds on the caller's thread, so how far each one reads,
-/// and why it finished, is a function of the data alone.
+/// and why it finished, is a function of the data alone. So does a
+/// fractured top-k that leaves a component unopened — and its span says
+/// which bound ruled the component out.
 #[test]
 fn identical_cold_runs_render_byte_identical_traces() {
     let db = build();
+    let fractured = build_fractured();
+    let fractured_store = [fractured.table().store().clone()];
     let sharded = build_sharded("attrib_trace");
     let stores: Vec<Store> = sharded
         .shards()
@@ -358,6 +402,10 @@ fn identical_cold_runs_render_byte_identical_traces() {
             cold_trace(&stores, || sharded.query(&whole).unwrap()),
             cold_trace(&stores, || sharded.query(&whole).unwrap()),
         ),
+        (
+            cold_trace(&fractured_store, || fractured.query(&topk).unwrap()),
+            cold_trace(&fractured_store, || fractured.query(&topk).unwrap()),
+        ),
     ];
 
     for (first, second) in &pairs {
@@ -378,7 +426,7 @@ fn identical_cold_runs_render_byte_identical_traces() {
     }
     // The sharded roots record their round count, and every shard span
     // says why the shard finished.
-    for (trace, _) in &pairs[1..] {
+    for (trace, _) in &pairs[1..3] {
         assert!(
             trace.spans[0].label.contains("rounds="),
             "{}",
@@ -388,6 +436,13 @@ fn identical_cold_runs_render_byte_identical_traces() {
             assert!(span.label.ends_with(']'), "{}", span.label);
         }
     }
+    // The fracture's bound for value 2 (0.3) is below main's seventh
+    // best: it was never opened, and its span says why.
+    let fractured_trace = pairs[3].0.render();
+    assert!(
+        fractured_trace.contains("Component#1(fracture) [not opened: bound 0.300 < floor 0.9"),
+        "{fractured_trace}"
+    );
 }
 
 /// Attribution *within* one query: a scatter runs every shard on the

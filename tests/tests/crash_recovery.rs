@@ -18,7 +18,9 @@
 //! 3. **Path agreement**: planner choice and every forced candidate on
 //!    the recovered table agree with a reference table freshly built from
 //!    the model state, across point / secondary / range / top-k / group
-//!    query shapes.
+//!    query shapes — plus, when the durable prefix has one, an unbounded
+//!    point query and a top-k at `qt = 0` on a value first inserted after
+//!    the last checkpoint (known to recovery only through log replay).
 //! 4. **Calibration survives**: the recovered session's cost-model scales
 //!    equal the scales serialized into the checkpoint recovery restored.
 //!
@@ -358,7 +360,7 @@ fn run_seed(seed: u64) {
     reference.add_secondary(2).unwrap();
     reference.load(&expected).unwrap();
 
-    let queries = vec![
+    let mut queries = vec![
         PtqQuery::eq(1, rng.gen_range(0..8)).with_qt(rng.gen_range(0.0f64..0.8)),
         PtqQuery::eq(1, rng.gen_range(0..8)).with_qt(0.0),
         PtqQuery::eq(2, rng.gen_range(0..6)).with_qt(rng.gen_range(0.0f64..0.6)),
@@ -368,6 +370,13 @@ fn run_seed(seed: u64) {
         PtqQuery::range(1, 1, 5).with_qt(rng.gen_range(0.0f64..0.6)),
         PtqQuery::range(1, 0, 7).with_qt(0.1).with_group_count(0),
     ];
+    // A value first inserted after the last checkpoint exists only in
+    // replayed records: the restored statistics have never seen it, so
+    // no bound may be taken from them.
+    if let Some(v) = value_first_inserted_after_checkpoint(&log, &ckpt_scales, &info, &expected) {
+        queries.push(PtqQuery::eq(1, v).with_qt(0.0));
+        queries.push(PtqQuery::eq(1, v).with_qt(0.0).with_top_k(3));
+    }
     for q in queries {
         let want = fingerprint(&reference.query(&q).unwrap());
         let got = fingerprint(&rdb.query(&q).unwrap());
@@ -483,6 +492,115 @@ fn checkpoint_rotation_survives_a_kill_anywhere_inside_it() {
         "the sweep must actually kill mid-rotation (only {kills} kills — \
          is the checkpoint not touching the device?)"
     );
+}
+
+/// The smallest primary value of the recovered model state that no
+/// record up to the last durable checkpoint ever inserted, if any.
+fn value_first_inserted_after_checkpoint(
+    log: &[(u64, Op)],
+    ckpt_scales: &[(u64, [f64; 6])],
+    info: &upi::RecoveryInfo,
+    expected: &[Tuple],
+) -> Option<u64> {
+    let ckpt = ckpt_scales
+        .iter()
+        .filter(|(lsn, _)| *lsn <= info.durable_lsn.0)
+        .map(|(lsn, _)| *lsn)
+        .max()?;
+    let values =
+        |t: &Tuple| -> Vec<u64> { t.discrete(1).alternatives().iter().map(|a| a.0).collect() };
+    let mut before = std::collections::BTreeSet::new();
+    for (_, op) in log.iter().filter(|(lsn, _)| *lsn <= ckpt) {
+        match op {
+            Op::Insert(t) | Op::Update(_, t) => before.extend(values(t)),
+            Op::Delete(_) => {}
+        }
+    }
+    expected
+        .iter()
+        .flat_map(values)
+        .filter(|v| !before.contains(v))
+        .min()
+}
+
+/// The case a statistics-derived bound gets wrong: a value first
+/// inserted after the last checkpoint, on a clustered layout, recovered
+/// through log replay — the restored checkpoint-time statistics have
+/// never seen it (and on a fractured table the rebuild folds every
+/// fracture into main), yet an unbounded point query and a top-k at
+/// `qt = 0` must both find every row.
+#[test]
+fn a_value_first_inserted_after_the_checkpoint_is_found_after_recovery() {
+    let cfg = UpiConfig {
+        cutoff: 0.3,
+        ..UpiConfig::default()
+    };
+    for layout in [
+        TableLayout::Upi(cfg),
+        TableLayout::FracturedUpi(FracturedConfig {
+            upi: cfg,
+            buffer_ops: 0,
+        }),
+    ] {
+        let fractured = matches!(layout, TableLayout::FracturedUpi(_));
+        let st = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 8 << 20);
+        let mut db = UncertainDb::create(st.clone(), "t", schema(), 1, layout).unwrap();
+        db.add_secondary(2).unwrap();
+        db.enable_durability().unwrap();
+        let row = |id: u64, alts: Vec<(u64, f64)>| {
+            Tuple::new(
+                TupleId(id),
+                1.0,
+                vec![
+                    Field::Certain(Datum::U64(id % 4)),
+                    Field::Discrete(DiscretePmf::new(alts)),
+                    Field::Discrete(DiscretePmf::new(vec![(id % 6, 0.9)])),
+                ],
+            )
+        };
+        for i in 0..30 {
+            db.insert_tuple(&row(i, vec![(i % 5, 0.7)])).unwrap();
+        }
+        db.checkpoint().unwrap();
+        // Value 6 appears only after the checkpoint: as a heap-resident
+        // first alternative, and as a below-cutoff one.
+        for i in 30..36 {
+            db.insert_tuple(&row(i, vec![(6, 0.6), (1, 0.2)])).unwrap();
+            if fractured && i == 32 {
+                db.flush().unwrap();
+            }
+        }
+        for i in 36..40 {
+            db.insert_tuple(&row(i, vec![(2, 0.75), (6, 0.1)])).unwrap();
+        }
+        db.sync_wal().unwrap();
+        drop(db);
+
+        let (rdb, _) = UncertainDb::recover(st, "t").unwrap();
+        let want: Vec<u64> = (30..40).collect();
+        for q in [
+            PtqQuery::eq(1, 6).with_qt(0.0),
+            PtqQuery::eq(1, 6).with_qt(0.0).with_top_k(20),
+        ] {
+            let catalog = rdb.catalog();
+            let plan = q.plan(&catalog).unwrap();
+            for cand in &plan.candidates {
+                let forced = PhysicalPlan {
+                    query: q.clone(),
+                    candidates: vec![cand.clone()],
+                };
+                let mut got: Vec<u64> = forced
+                    .execute(&catalog)
+                    .unwrap()
+                    .rows
+                    .iter()
+                    .map(|r| r.tuple.id.0)
+                    .collect();
+                got.sort_unstable();
+                assert_eq!(got, want, "{} after recovery, {q:?}", cand.path.label());
+            }
+        }
+    }
 }
 
 fn seeds() -> Vec<u64> {

@@ -1,18 +1,17 @@
 //! Multi-run prefetch hints on the fractured fast path, proven through
 //! `PoolCounters`.
 //!
-//! PR 3's planner hints covered single-run plans only, and the buffer
-//! pool tracked a single pending hint and a single detected run — a
-//! fracture-parallel merge, which interleaves reads across component
-//! files, got neither. These tests pin the generalized behaviour:
+//! A fracture-parallel merge interleaves reads across component files,
+//! so the buffer pool tracks one pending hint and one detected run per
+//! component. These tests pin that behaviour:
 //!
 //! * at the pool level — k concurrent hinted runs each arm on their own
 //!   first miss with no cross-run interference, the two-adjacent-miss
 //!   fallback still works for unhinted runs even when interleaved with
 //!   hinted ones, and clearing one run's hint leaves its siblings armed;
-//! * end-to-end — a fractured plan carries one `AccessHint` per
-//!   component, the executor arms all of them before opening the k-way
-//!   merge (`PoolCounters::hinted_runs` equals the component count), a
+//! * end-to-end — a fractured plan carries one run-length estimate per
+//!   component, each component's open arms its own on the leaf its seek
+//!   lands on (`PoolCounters::hinted_runs` equals the component count), a
 //!   failed open clears exactly the hints it armed, and the hinted
 //!   execution takes measurably fewer demand misses than the same plan
 //!   with the hints stripped (same rows either way).
@@ -21,7 +20,7 @@ use std::sync::Arc;
 
 use upi::{FracturedConfig, TableLayout, UpiConfig};
 use upi_query::{AccessPath, PhysicalPlan, PtqQuery, UncertainDb};
-use upi_storage::{AccessHint, DiskConfig, SimDisk, Store};
+use upi_storage::{AccessHint, DiskConfig, FaultPlan, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema};
 
 const ATTR: usize = 1;
@@ -168,8 +167,8 @@ fn fractured_plans_carry_one_hint_per_component_and_arm_them_all() {
         "a fractured range plan must hint every component: {}",
         plan.explain()
     );
-    for h in hints {
-        assert!(h.est_run_pages >= 1);
+    for &h in hints {
+        assert!(h >= 1);
     }
     assert!(
         plan.explain().contains("prefetch hints:"),
@@ -179,7 +178,8 @@ fn fractured_plans_carry_one_hint_per_component_and_arm_them_all() {
 
     let catalog = db.catalog();
 
-    // Hinted (as planned): every component's run arms on its first miss.
+    // Hinted (as planned): every component's open arms its run's
+    // read-ahead on the run's first miss.
     st.go_cold();
     let hinted = plan.execute(&catalog).unwrap();
     let hinted_io = hinted.io.expect("session registers the pool");
@@ -212,8 +212,8 @@ fn fractured_plans_carry_one_hint_per_component_and_arm_them_all() {
          detector: hinted {hinted_io} vs unhinted {unhinted_io}"
     );
 
-    // The point merge gets per-component hints too, and its k-way open
-    // consumes all of them.
+    // The point merge gets per-component hints too, and opening every
+    // component (each holds rows of the value) consumes all of them.
     let point = db.plan(&PtqQuery::eq(ATTR, 3).with_qt(0.1)).unwrap();
     assert_eq!(
         point.path(),
@@ -233,10 +233,20 @@ fn fractured_plans_carry_one_hint_per_component_and_arm_them_all() {
 fn failed_open_clears_only_its_own_hints() {
     let db = build();
     let st = db.table().store().clone();
-    let q = PtqQuery::range(ATTR, 1, 3).with_qt(0.1);
+    // [0, 4] starts every component's run at that component's first leaf.
+    let q = PtqQuery::range(ATTR, 0, 4).with_qt(0.1);
     let plan = db.plan(&q).unwrap();
-    let hints = plan.candidates[0].hints.clone();
-    assert!(hints.len() >= 2);
+    assert_eq!(plan.path().label(), "FracturedRange");
+    assert!(plan.candidates[0].hints.len() >= 2);
+    let mut stripped = plan.clone();
+    for c in &mut stripped.candidates {
+        c.hints.clear();
+    }
+    // Main opens first; from cold its seek reads `height - 1` internal
+    // pages, then the leaf that open arms its hint for.
+    let height = db.table().chain().unwrap().main().heap_stats().height;
+    assert!(height > 1, "the seek must descend before its leaf read");
+    st.go_cold();
 
     // An unrelated hint armed by "someone else" (a concurrent query)
     // must survive this plan's failed execution.
@@ -252,16 +262,24 @@ fn failed_open_clears_only_its_own_hints() {
         est_run_pages: pages.len(),
     });
 
-    // Execute against a catalog that registers the pool but not the
-    // fractured UPI: open_source fails after the hints were armed.
-    let mismatched = upi_query::Catalog::new(st.disk.config()).with_pool(st.pool.as_ref());
-    assert!(plan.execute(&mismatched).is_err());
+    // The device dies on the first leaf read: the open fails after
+    // arming its hint.
+    let before = st.disk.stats();
+    st.disk
+        .set_fault_plan(FaultPlan::kill_at(height as u64 - 1));
+    assert!(plan.execute(&db.catalog()).is_err());
+    st.disk.clear_fault_plan();
+    assert_eq!(
+        st.disk.stats().since(&before).page_reads,
+        height as u64 - 1,
+        "the device must die on the leaf read, after the descent"
+    );
 
-    // None of the plan's own hints survive to mis-fire later...
+    // None of the plan's hints survive to mis-fire later: the same plan
+    // without estimates arms nothing, and its first miss on every
+    // component is that component's landing leaf...
     let before = st.pool.counters();
-    for h in &hints {
-        st.pool.get(h.start_page).unwrap();
-    }
+    stripped.execute(&db.catalog()).unwrap();
     let after = st.pool.counters().since(&before);
     assert_eq!(
         after.hinted_runs, 0,

@@ -75,7 +75,10 @@ fn key(r: &PtqResult) -> (u64, u64) {
 /// confidence-ordered top-k merge) or unbounded (every row, each
 /// component running Algorithm 2, sorted afterwards).
 fn first_k(f: &FracturedUpi, qt: f64, k: usize, bounded: bool) -> Vec<(u64, u64)> {
-    let run = f.chain().point_run(QV, qt, bounded.then_some(k)).unwrap();
+    let run = f
+        .chain()
+        .point_run(QV, qt, bounded.then_some(k), &[])
+        .unwrap();
     if bounded {
         return run.take(k).map(|r| key(&r.unwrap())).collect();
     }

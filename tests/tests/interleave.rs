@@ -1,8 +1,9 @@
 //! The fractured range merge must *interleave* its per-component runs.
 //!
 //! Every component's `RangeRun` is constructed up front (each
-//! construction seeks to the run start, consuming that component's
-//! armed prefetch hint and pulling a read-ahead window into the pool).
+//! construction seeks to the run start, arming that component's prefetch
+//! hint on the leaf it lands on and pulling a read-ahead window into the
+//! pool).
 //! Draining the components one after another — the old chained
 //! behavior — lets the later components' prefetched windows age out of
 //! a pressured pool while the first component streams, so their pages
@@ -14,7 +15,7 @@ use std::sync::Arc;
 
 use upi::cost::estimate_range_run_pages;
 use upi::{FracturedConfig, FracturedUpi, UpiConfig};
-use upi_storage::{AccessHint, DiskConfig, PoolCounters, SimDisk, Store};
+use upi_storage::{DiskConfig, PoolCounters, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, Tuple, TupleId};
 
 const LO: u64 = 0;
@@ -67,14 +68,12 @@ fn build() -> (Store, FracturedUpi) {
     (store, f)
 }
 
-/// The per-component run hints the planner arms for `FracturedRange`.
-fn range_hints(f: &FracturedUpi) -> Vec<AccessHint> {
+/// The per-component run estimates the planner hands `FracturedRange`;
+/// each component's seek arms its own as it opens.
+fn range_hints(f: &FracturedUpi) -> Vec<usize> {
     f.chain()
         .components()
-        .map(|u| AccessHint {
-            start_page: u.run_start_page(LO).unwrap(),
-            est_run_pages: estimate_range_run_pages(u, LO, HI),
-        })
+        .map(|u| estimate_range_run_pages(u, LO, HI))
         .collect()
 }
 
@@ -83,13 +82,12 @@ fn range_hints(f: &FracturedUpi) -> Vec<AccessHint> {
 fn drain_sequentially(store: &Store, f: &FracturedUpi) -> (usize, PoolCounters) {
     store.go_cold();
     let before = store.pool.counters();
-    for hint in range_hints(f) {
-        store.pool.hint_run(hint);
-    }
+    let hints = range_hints(f);
     let mut runs: Vec<_> = f
         .chain()
         .components()
-        .map(|u| u.range_run(LO, HI, QT).unwrap())
+        .zip(hints)
+        .map(|(u, pages)| u.range_run(LO, HI, QT, Some(pages)).unwrap())
         .collect();
     let mut rows = 0usize;
     for run in &mut runs {
@@ -105,12 +103,9 @@ fn drain_sequentially(store: &Store, f: &FracturedUpi) -> (usize, PoolCounters) 
 fn drain_interleaved(store: &Store, f: &FracturedUpi) -> (usize, PoolCounters) {
     store.go_cold();
     let before = store.pool.counters();
-    for hint in range_hints(f) {
-        store.pool.hint_run(hint);
-    }
     let rows = f
         .chain()
-        .range_run(LO, HI, QT)
+        .range_run(LO, HI, QT, &range_hints(f))
         .unwrap()
         .map(|r| r.map(|_| 1usize))
         .sum::<Result<usize, _>>()

@@ -356,10 +356,21 @@ fn damaged_heap_leaf_fails_the_step_and_the_checkpoint_with_a_typed_error() {
         let _ = db.ptq(rng.gen_range(0..8), 0.1);
     }
 
-    let leaf = {
-        let f = db.table().as_fractured().unwrap();
-        f.main().first_leaf_page().unwrap()
-    };
+    // Any leaf of main's heap will do: the fold and the checkpoint scan
+    // read them all. The first live page of the file holding entries is
+    // one (node tag 1 = leaf, then the entry count).
+    let heap = st.disk.find_file("t.main.heap").unwrap();
+    let leaf = st
+        .disk
+        .file_pages(heap)
+        .unwrap()
+        .into_iter()
+        .find(|&p| {
+            st.pool
+                .get(p)
+                .is_ok_and(|b| b[0] == 1 && u16::from_le_bytes([b[2], b[3]]) > 0)
+        })
+        .expect("main's heap has a leaf");
     let good = st.pool.get(leaf).unwrap();
     // First entry: 16-byte node header, `klen u16 | vlen u16`, the
     // 20-byte key, then the tuple — 18-byte header, the u64 field, and

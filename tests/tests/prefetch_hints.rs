@@ -8,16 +8,17 @@
 //!   **single** cold miss with a window sized from the estimated run
 //!   length, while an unhinted run still pays the two-miss detection
 //!   latency;
-//! * end-to-end — a planned clustered range run carries an
-//!   `AccessHint`, the executor arms it, and the hinted execution takes
-//!   measurably fewer demand misses than the same plan with the hint
+//! * end-to-end — a planned clustered range run carries its estimated
+//!   length (and no page: planning reads none), the seek that opens the
+//!   run arms it on the leaf it lands on, and the hinted execution takes
+//!   measurably fewer demand misses than the same plan with the estimate
 //!   stripped (same rows either way).
 
 use std::sync::Arc;
 
 use upi::{TableLayout, UpiConfig};
 use upi_query::{PhysicalPlan, PtqQuery, UncertainDb};
-use upi_storage::{AccessHint, DiskConfig, SimDisk, Store};
+use upi_storage::{AccessHint, DiskConfig, FaultPlan, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema};
 
 const ATTR: usize = 1;
@@ -128,9 +129,8 @@ fn planned_range_run_carries_and_arms_a_hint() {
         .first()
         .expect("a clustered range run must carry a prefetch hint");
     assert!(
-        hint.est_run_pages > 50,
-        "three of five values over ~430 heap pages: {}",
-        hint.est_run_pages
+        hint > 50,
+        "three of five values over ~430 heap pages: {hint}"
     );
     assert!(
         plan.explain().contains("prefetch hint:"),
@@ -140,7 +140,8 @@ fn planned_range_run_carries_and_arms_a_hint() {
 
     let catalog = db.catalog();
 
-    // Hinted (as planned): read-ahead arms on the run's first miss.
+    // Hinted (as planned): the open arms read-ahead on the run's first
+    // miss.
     st.go_cold();
     let hinted = plan.execute(&catalog).unwrap();
     let hinted_io = hinted.io.expect("session registers the pool");
@@ -173,7 +174,7 @@ fn planned_range_run_carries_and_arms_a_hint() {
     // Both read essentially the run; the hint moves pages from demand
     // misses into large prefetch batches rather than reading more.
     assert!(
-        hinted_io.pages_read() <= unhinted_io.pages_read() + hint.est_run_pages as u64,
+        hinted_io.pages_read() <= unhinted_io.pages_read() + hint as u64,
         "hinted {hinted_io} vs unhinted {unhinted_io}"
     );
 }
@@ -182,21 +183,50 @@ fn planned_range_run_carries_and_arms_a_hint() {
 fn failed_execution_clears_its_armed_hint() {
     let db = build();
     let st = db.table().store().clone();
-    let q = PtqQuery::range(ATTR, 1, 3).with_qt(0.1);
+    let q = PtqQuery::range(ATTR, 0, 4).with_qt(0.1);
     let plan = db.plan(&q).unwrap();
-    let hint = *plan.candidates[0]
-        .hints
-        .first()
-        .expect("range run carries a hint");
+    // The full scan's seek lands on the heap's first leaf.
+    let scan = plan
+        .candidates
+        .iter()
+        .find(|c| c.path.label() == "UpiFullScan")
+        .expect("a plain UPI always offers a full scan")
+        .clone();
+    assert!(!scan.hints.is_empty(), "a full scan carries its run length");
+    let mut stripped = scan.clone();
+    stripped.hints.clear();
+    let scan_plan = PhysicalPlan {
+        query: q.clone(),
+        candidates: vec![scan],
+    };
+    let height = db.table().chain().unwrap().main().heap_stats().height;
+    assert!(height > 1, "the seek must descend before its leaf read");
 
-    // Execute the plan against a catalog that registers the pool but not
-    // the UPI: open_source fails after the hint was armed. The stale
-    // hint must not survive to mis-fire on a later unrelated access.
-    let mismatched = upi_query::Catalog::new(st.disk.config()).with_pool(st.pool.as_ref());
-    assert!(plan.execute(&mismatched).is_err());
+    // From cold, the seek reads `height - 1` internal pages and then the
+    // leaf the open arms its hint for: fail the device on that read. The
+    // execution fails after the hint was armed; the stale hint must not
+    // survive to mis-fire on a later unrelated access of that page.
+    st.go_cold();
+    let before = st.disk.stats();
+    st.disk
+        .set_fault_plan(FaultPlan::kill_at(height as u64 - 1));
+    assert!(scan_plan.execute(&db.catalog()).is_err());
+    st.disk.clear_fault_plan();
+    assert_eq!(
+        st.disk.stats().since(&before).page_reads,
+        height as u64 - 1,
+        "the device must die on the leaf read, after the descent"
+    );
 
+    // The same scan without its estimate arms nothing and suppresses run
+    // detection, and its first miss is that leaf: only a stale hint can
+    // fire there.
+    let stripped_plan = PhysicalPlan {
+        query: q,
+        candidates: vec![stripped],
+    };
     let before = st.pool.counters();
-    st.pool.get(hint.start_page).unwrap();
+    stripped_plan.execute(&db.catalog()).unwrap();
     let after = st.pool.counters().since(&before);
     assert_eq!(
         after.hinted_runs, 0,
@@ -216,7 +246,7 @@ fn point_and_scan_plans_carry_hints_pointer_paths_do_not() {
                 .hints
                 .first()
                 .unwrap_or_else(|| panic!("{label} needs a hint"));
-            assert!(hint.est_run_pages >= 1);
+            assert!(hint >= 1);
         }
     }
     // A top-k plan bounds its hinted window by k rows' worth of leaves.
@@ -226,14 +256,11 @@ fn point_and_scan_plans_carry_hints_pointer_paths_do_not() {
     let full_hint = point.candidates[0].hints[0];
     let topk_hint = topk.candidates[0].hints[0];
     assert!(
-        topk_hint.est_run_pages <= full_hint.est_run_pages,
-        "top-k window {} must not exceed the full run's {}",
-        topk_hint.est_run_pages,
-        full_hint.est_run_pages
+        topk_hint <= full_hint,
+        "top-k window {topk_hint} must not exceed the full run's {full_hint}"
     );
     assert!(
-        topk_hint.est_run_pages <= 2,
-        "5 rows fit in a couple of leaves: {}",
-        topk_hint.est_run_pages
+        topk_hint <= 2,
+        "5 rows fit in a couple of leaves: {topk_hint}"
     );
 }

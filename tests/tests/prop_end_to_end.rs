@@ -156,7 +156,7 @@ proptest! {
         upi.bulk_load(&tuples).unwrap();
         let top: Vec<_> = upi
             .chain()
-            .point_run(value, 0.0, Some(k))
+            .point_run(value, 0.0, Some(k), &[])
             .unwrap()
             .take(k)
             .collect::<Result<_, _>>()
