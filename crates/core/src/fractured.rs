@@ -541,16 +541,12 @@ impl FracturedUpi {
         &mut self.main
     }
 
-    /// Serialize the main component's statistics (the ones the cost
-    /// models read; fractures carry only their own slice and are folded
-    /// away by maintenance).
+    /// The main component's statistics as canonical bytes (the ones the
+    /// cost models read; fractures carry only their own slice and are
+    /// folded away by maintenance). Not persisted: see
+    /// [`DiscreteUpi::stats_payload`].
     pub fn stats_payload(&self) -> Vec<u8> {
         self.main.stats_payload()
-    }
-
-    /// Inverse of [`stats_payload`](Self::stats_payload).
-    pub fn restore_stats_payload(&mut self, data: &[u8]) -> bool {
-        self.main.restore_stats_payload(data)
     }
 
     /// Live bytes across every on-disk component.

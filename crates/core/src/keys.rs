@@ -5,7 +5,7 @@
 //! always *folded* confidences (`existence × alternative probability`,
 //! e.g. Alice@Brown = 80% × 90% = 72%).
 
-use upi_storage::codec::{quantize_prob, KeyBuf, KeyReader};
+use upi_storage::codec::{dequantize_prob, quantize_prob, KeyBuf, KeyReader};
 
 /// Byte length of a full `(value, prob, tid)` key.
 pub const ENTRY_KEY_LEN: usize = 20;
@@ -62,6 +62,16 @@ pub fn decode_pointer(data: &[u8]) -> (u64, f64) {
 /// Byte length of one encoded pointer.
 pub const POINTER_LEN: usize = 12;
 
+/// The probability a key or pointer encoded from `p` stores — what
+/// [`decode_entry_key`] and [`decode_pointer`] return for it. Statistics
+/// count every observation by this one number, whether it arrives by a
+/// bulk load (which reads it back off the sorted keys), an insert or a
+/// delete, so a delete always finds the bin its row was counted in.
+#[inline]
+pub fn stored_prob(p: f64) -> f64 {
+    dequantize_prob(quantize_prob(p))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,6 +94,16 @@ mod tests {
             let mut k = KeyBuf::new();
             k.u64(v).prob_desc(p);
             assert_eq!(pointer_bytes(v, p)[..], *k.as_bytes());
+        }
+    }
+
+    #[test]
+    fn stored_prob_is_what_keys_and_pointers_decode_to() {
+        for p in [0.0, 0.05, 0.32, 0.48 * 0.8, 0.95, 0.6 * 0.8, 1.0 / 3.0, 1.0] {
+            let want = stored_prob(p).to_bits();
+            assert_eq!(decode_entry_key(&entry_key(1, p, 2)).1.to_bits(), want);
+            assert_eq!(decode_pointer(&pointer_bytes(1, p)).1.to_bits(), want);
+            assert_eq!(stored_prob(stored_prob(p)).to_bits(), want, "idempotent");
         }
     }
 

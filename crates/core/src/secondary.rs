@@ -128,23 +128,6 @@ impl Regions {
             .zip(&self.counts)
             .filter_map(|(b, &c)| (c > 0).then_some((b, c)))
     }
-
-    /// The run holding exactly `pairs` (`(region id, mass)`, any order).
-    fn from_pairs(pairs: &[(u64, u64)]) -> Regions {
-        let mut r = Regions::default();
-        let occupied = || pairs.iter().filter(|&&(_, c)| c > 0);
-        if let (Some(lo), Some(hi)) = (
-            occupied().map(|&(b, _)| b).min(),
-            occupied().map(|&(b, _)| b).max(),
-        ) {
-            r.lo = lo;
-            r.counts = vec![0; (hi - lo) as usize + 1];
-            for &(b, c) in occupied() {
-                r.counts[(b - lo) as usize] += c;
-            }
-        }
-        r
-    }
 }
 
 /// A coarse histogram of where a secondary index's heap pointers land in
@@ -173,6 +156,17 @@ impl Regions {
 /// over the whole population's span — the measured replacement for the
 /// old `repl^1.5` concentration guess, which assumed pointer overlap
 /// instead of observing it.
+///
+/// Two parts depend on history rather than on the live pointers alone,
+/// so a histogram kept up under deletes can differ from a rebuild's:
+/// - the region width only coarsens: after deletes shrink the
+///   primary-value extent, it can stay wider than a rebuild would pick;
+/// - per-value tracking admits the first [`MAX_TRACKED_VALUES`] values
+///   seen, in arrival order.
+///
+/// Both agree with a rebuild while the primary values never span
+/// [`REGION_BUCKETS`] or more (so the width stays 1) and fewer than
+/// [`MAX_TRACKED_VALUES`] secondary values ever arrive.
 #[derive(Debug, Clone, Default)]
 pub struct PointerHistogram {
     /// Region width is `1 << shift` primary-value units.
@@ -215,9 +209,10 @@ impl PointerHistogram {
                 Entry::Vacant(e) if room => Some(e.insert(Regions::default())),
                 Entry::Vacant(_) => None,
             };
-            // A value's own run lies inside the population's unless
-            // removals of pointers that were never added emptied the
-            // latter under it; bounding both keeps every array within
+            // A value's own run lies inside the population's unless a
+            // stale delete (of a pointer that was never added) emptied
+            // the latter under it, which `remove` only debug-asserts
+            // against; bounding both keeps every array within
             // REGION_BUCKETS regardless.
             if self.buckets.extent_with(b) < limit
                 && own.as_ref().is_none_or(|m| m.extent_with(b) < limit)
@@ -233,12 +228,15 @@ impl PointerHistogram {
         }
     }
 
-    /// Remove one previously recorded pointer (saturating — widths may
-    /// have coarsened since it was added).
+    /// Remove one previously recorded pointer. Coarsening folds a
+    /// pointer's mass into `pv >> shift`, so the whole mass is there to
+    /// take; a release build saturates if it is not (a stale delete).
     pub fn remove(&mut self, value: u64, pv: u64, weight: f64) {
         let w = Self::mass(weight);
         let b = pv >> self.shift;
-        self.total -= self.buckets.remove(b, w);
+        let taken = self.buckets.remove(b, w);
+        debug_assert_eq!(taken, w, "removed pointer mass that was never added");
+        self.total -= taken;
         if let Some(m) = self.per_value.get_mut(&value) {
             m.remove(b, w);
             if m.span() == 0 {
@@ -359,9 +357,9 @@ impl PointerHistogram {
     }
 
     /// Serialize deterministically (regions and values in ascending
-    /// order; only occupied regions are written) for the checkpoint's
-    /// statistics payload. `total` is redundant (the bucket sum) and not
-    /// stored.
+    /// order; only occupied regions are written), for the canonical
+    /// statistics dump. `total` is redundant (the bucket sum) and not
+    /// written.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn write_counts(out: &mut Vec<u8>, m: &Regions) {
             out.extend_from_slice(&(m.occupied().count() as u32).to_le_bytes());
@@ -381,73 +379,6 @@ impl PointerHistogram {
             write_counts(&mut out, &self.per_value[&v]);
         }
         out
-    }
-
-    /// Inverse of [`to_bytes`](Self::to_bytes); `None` on malformed or
-    /// trailing bytes. A payload whose regions span more than
-    /// `REGION_BUCKETS` (one written while
-    /// [`add`](Self::add) still coarsened a single step per call) is
-    /// coarsened until it fits, as `add` would have.
-    pub fn from_bytes(data: &[u8]) -> Option<PointerHistogram> {
-        fn u32_at(data: &[u8], pos: &mut usize) -> Option<u32> {
-            let v = u32::from_le_bytes(data.get(*pos..*pos + 4)?.try_into().unwrap());
-            *pos += 4;
-            Some(v)
-        }
-        fn u64_at(data: &[u8], pos: &mut usize) -> Option<u64> {
-            let v = u64::from_le_bytes(data.get(*pos..*pos + 8)?.try_into().unwrap());
-            *pos += 8;
-            Some(v)
-        }
-        /// `(region id, mass)` pairs as stored.
-        fn read_counts(data: &[u8], pos: &mut usize) -> Option<Vec<(u64, u64)>> {
-            let n = u32_at(data, pos)? as usize;
-            // Each pair takes 16 bytes: bounds `n` before reserving.
-            if n > (data.len() - *pos) / 16 {
-                return None;
-            }
-            (0..n)
-                .map(|_| Some((u64_at(data, pos)?, u64_at(data, pos)?)))
-                .collect()
-        }
-        let mut pos = 0;
-        let mut shift = u32_at(data, &mut pos)?;
-        let mut buckets = read_counts(data, &mut pos)?;
-        let n_values = u32_at(data, &mut pos)? as usize;
-        let mut per_value = Vec::with_capacity(n_values.min(1 << 16));
-        for _ in 0..n_values {
-            let v = u64_at(data, &mut pos)?;
-            per_value.push((v, read_counts(data, &mut pos)?));
-        }
-        if pos != data.len() {
-            return None;
-        }
-        // Bound every distribution's span before allocating its array.
-        let fits = |m: &[(u64, u64)], s: u32| {
-            let ids = || m.iter().filter(|p| p.1 > 0).map(|p| p.0 >> s);
-            ids().max().unwrap_or(0) - ids().min().unwrap_or(0) < REGION_BUCKETS as u64
-        };
-        let mut extra = 0;
-        while !(fits(&buckets, extra) && per_value.iter().all(|(_, m)| fits(m, extra))) {
-            extra += 1;
-        }
-        shift = shift.checked_add(extra)?;
-        for m in std::iter::once(&mut buckets).chain(per_value.iter_mut().map(|(_, m)| m)) {
-            for p in m.iter_mut() {
-                p.0 >>= extra;
-            }
-        }
-        let buckets = Regions::from_pairs(&buckets);
-        let total = buckets.counts.iter().sum();
-        Some(PointerHistogram {
-            shift,
-            buckets,
-            per_value: per_value
-                .iter()
-                .map(|(v, m)| (*v, Regions::from_pairs(m)))
-                .collect(),
-            total,
-        })
     }
 }
 
@@ -543,10 +474,11 @@ impl SecondaryIndex {
     }
 
     /// Bulk-load prepared entries, in any order: they are sorted here,
-    /// the statistics are fed from the sorted run — the quantized
+    /// the statistics are fed from the sorted run — the stored
     /// `(value, confidence)` of each key, the `(value, probability)` of
-    /// each pointer in its payload — and the tree is loaded straight from
-    /// the sort records and the payload arena.
+    /// each pointer in its payload, both [`keys::stored_prob`] of what was
+    /// encoded, as insert and delete count them — and the tree is loaded
+    /// straight from the sort records and the payload arena.
     pub fn bulk_load(&mut self, mut build: SecBuild) -> Result<u64> {
         build.entries.sort_unstable();
         let payload_of = |at: u32| Self::payload_at(&build.payloads[at as usize..]);
@@ -569,9 +501,10 @@ impl SecondaryIndex {
         for &(v, p) in t.discrete(self.attr).alternatives() {
             self.tree
                 .insert(&keys::entry_key(v, p * t.exist, t.id.0), &payload)?;
-            self.stats.add(v, p * t.exist, false);
+            let q = keys::stored_prob(p * t.exist);
+            self.stats.add(v, q, false);
             for &(pv, pp) in kept {
-                self.regions.add(v, pv, p * t.exist * pp);
+                self.regions.add(v, pv, q * keys::stored_prob(pp));
             }
         }
         Ok(())
@@ -594,9 +527,10 @@ impl SecondaryIndex {
         };
         for &(v, p) in t.discrete(self.attr).alternatives() {
             self.tree.delete(&keys::entry_key(v, p * t.exist, t.id.0))?;
-            self.stats.remove(v, p * t.exist, false);
+            let q = keys::stored_prob(p * t.exist);
+            self.stats.remove(v, q, false);
             for &(pv, pp) in &pointers {
-                self.regions.remove(v, pv, p * t.exist * pp);
+                self.regions.remove(v, pv, q * pp);
             }
         }
         Ok(())
@@ -672,8 +606,9 @@ impl SecondaryIndex {
         &self.regions
     }
 
-    /// Serialize this index's statistics (selectivity histogram + pointer
-    /// regions) for the checkpoint payload: each blob length-prefixed.
+    /// This index's statistics (selectivity histogram + pointer regions)
+    /// as canonical bytes, each blob length-prefixed. Not persisted: see
+    /// [`DiscreteUpi::stats_payload`](crate::upi::DiscreteUpi::stats_payload).
     pub fn stats_payload(&self) -> Vec<u8> {
         let stats = self.stats.to_bytes();
         let regions = self.regions.to_bytes();
@@ -684,48 +619,6 @@ impl SecondaryIndex {
         out.extend(regions);
         out
     }
-
-    /// Inverse of [`stats_payload`](Self::stats_payload): replace both
-    /// statistics structures. `false` (state untouched) on malformation.
-    pub fn restore_stats_payload(&mut self, data: &[u8]) -> bool {
-        let Some((stats, regions)) = decode_stats_payload(data) else {
-            return false;
-        };
-        self.stats = stats;
-        self.regions = regions;
-        true
-    }
-
-    /// Replace both statistics structures (validated-payload path; see
-    /// `DiscreteUpi::restore_stats_payload`).
-    pub(crate) fn set_stats(&mut self, stats: AttrStats, regions: PointerHistogram) {
-        self.stats = stats;
-        self.regions = regions;
-    }
-}
-
-/// Decode one [`SecondaryIndex::stats_payload`] blob without touching any
-/// index state.
-pub(crate) fn decode_stats_payload(data: &[u8]) -> Option<(AttrStats, PointerHistogram)> {
-    let (stats_bytes, rest) = take_prefixed(data)?;
-    let (region_bytes, rest) = take_prefixed(rest)?;
-    if !rest.is_empty() {
-        return None;
-    }
-    Some((
-        AttrStats::from_bytes(stats_bytes)?,
-        PointerHistogram::from_bytes(region_bytes)?,
-    ))
-}
-
-/// Split a `u32`-length-prefixed blob off the front of `data`.
-pub(crate) fn take_prefixed(data: &[u8]) -> Option<(&[u8], &[u8])> {
-    let len = u32::from_le_bytes(data.get(..4)?.try_into().unwrap()) as usize;
-    let rest = &data[4..];
-    if rest.len() < len {
-        return None;
-    }
-    Some(rest.split_at(len))
 }
 
 /// Streaming iterator over one value's secondary entries (see
@@ -1026,8 +919,6 @@ mod tests {
                 }
             }
             assert_agree(&h, &r, values);
-            let back = PointerHistogram::from_bytes(&h.to_bytes()).expect("round trip");
-            assert_agree(&back, &r, values);
             // Empty again after removing everything that was added.
             for (v, pv, w) in added {
                 h.remove(v, pv, w);
@@ -1054,26 +945,5 @@ mod tests {
             h.covered_fraction(u64::MAX, 50.0),
             "both read the population's distribution"
         );
-    }
-
-    #[test]
-    fn over_wide_payloads_are_coarsened_on_load() {
-        // What the single-step `add` could leave in a checkpoint: two
-        // regions 50 000 apart at shift 0.
-        let mut wide = Vec::new();
-        wide.extend_from_slice(&0u32.to_le_bytes()); // shift
-        wide.extend_from_slice(&2u32.to_le_bytes());
-        for (b, c) in [(0u64, 5u64), (50_000, 7)] {
-            wide.extend_from_slice(&b.to_le_bytes());
-            wide.extend_from_slice(&c.to_le_bytes());
-        }
-        wide.extend_from_slice(&0u32.to_le_bytes()); // no per-value maps
-        let h = PointerHistogram::from_bytes(&wide).expect("well-formed");
-        assert!(h.span() <= REGION_BUCKETS, "span {}", h.span());
-        assert_eq!(h.total(), 12);
-        // A count the payload cannot hold is rejected before reserving.
-        let mut lying = wide.clone();
-        lying[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(PointerHistogram::from_bytes(&lying).is_none());
     }
 }

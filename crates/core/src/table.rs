@@ -718,11 +718,12 @@ impl UncertainTable {
         }
     }
 
-    /// Serialize the planner-facing statistics (primary [`AttrStats`]
-    /// plus each secondary's selectivity histogram and pointer-region
-    /// histogram) for the checkpoint's session payload — so a recovered
-    /// session prices tailored-secondary coverage without a warm-up scan.
-    /// Empty on layouts without persisted statistics (unclustered).
+    /// The planner-facing statistics (primary [`AttrStats`] plus each
+    /// secondary's selectivity histogram and pointer-region histogram) as
+    /// canonical bytes — main's only on a fractured UPI, empty on the
+    /// unclustered layout. Not persisted: the statistics are derived from
+    /// the records, so recovery rebuilds them, and tests compare a
+    /// rebuild with a table that never crashed through this dump.
     ///
     /// [`AttrStats`]: upi_uncertain::AttrStats
     pub fn stats_payload(&self) -> Vec<u8> {
@@ -730,21 +731,6 @@ impl UncertainTable {
             Inner::Upi(upi) => upi.stats_payload(),
             Inner::Fractured(f) => f.stats_payload(),
             Inner::Unclustered { .. } => Vec::new(),
-        }
-    }
-
-    /// Inverse of [`stats_payload`](Self::stats_payload): replace the
-    /// live statistics with the checkpoint-time snapshot. `false` (state
-    /// untouched) on malformation or layout mismatch; restoring an empty
-    /// payload is a no-op success on any layout.
-    pub fn restore_stats_payload(&mut self, data: &[u8]) -> bool {
-        if data.is_empty() {
-            return true;
-        }
-        match &mut self.inner {
-            Inner::Upi(upi) => upi.restore_stats_payload(data),
-            Inner::Fractured(f) => f.restore_stats_payload(data),
-            Inner::Unclustered { .. } => false,
         }
     }
 

@@ -153,11 +153,11 @@ pub struct MaintenanceSummary {
 }
 
 /// Serialize the session's calibration (per-kind scales plus the sample
-/// rings) and the table's planner statistics into the opaque checkpoint
-/// payload. Layout (version 2): `[2u8]`, per-kind `(scale f64, samples
-/// u64)`, `u32` calibration-store length, store bytes, then the table's
-/// statistics payload as the tail.
-fn calibration_payload(state: &CalibrationState, table: &UncertainTable) -> Vec<u8> {
+/// rings) into the opaque checkpoint payload. Layout (version 2): `[2u8]`,
+/// per-kind `(scale f64, samples u64)`, `u32` calibration-store length,
+/// store bytes. Planner statistics are not part of it: they are derived
+/// from the records, and recovery rebuilds them.
+fn calibration_payload(state: &CalibrationState) -> Vec<u8> {
     let mut out = vec![2u8];
     for (scale, samples) in state.model.export_scales() {
         out.extend_from_slice(&scale.to_le_bytes());
@@ -166,19 +166,19 @@ fn calibration_payload(state: &CalibrationState, table: &UncertainTable) -> Vec<
     let store = state.store.to_bytes();
     out.extend_from_slice(&(store.len() as u32).to_le_bytes());
     out.extend(store);
-    out.extend(table.stats_payload());
     out
 }
 
-/// Inverse of [`calibration_payload`]: restore the calibration and return
-/// the table-statistics tail for the caller to apply. `None` (state
-/// untouched) on any malformed payload — losing calibration is degraded,
-/// never fatal. Version-1 payloads (no length prefix, no statistics
-/// tail) are still accepted and yield an empty tail.
-fn restore_calibration<'a>(state: &mut CalibrationState, data: &'a [u8]) -> Option<&'a [u8]> {
+/// Inverse of [`calibration_payload`]: restore the calibration. `false`
+/// (state untouched) on any malformed payload — losing calibration is
+/// degraded, never fatal. Version-1 payloads (no length prefix) are still
+/// accepted, and so are version-2 payloads from builds that appended the
+/// table's statistics after the store: anything past the store is
+/// ignored.
+fn restore_calibration(state: &mut CalibrationState, data: &[u8]) -> bool {
     let header = 1 + N_PATH_KINDS * 16;
     if data.len() < header || !matches!(data[0], 1 | 2) {
-        return None;
+        return false;
     }
     let mut scales = [(1.0f64, 0usize); N_PATH_KINDS];
     for (i, sc) in scales.iter_mut().enumerate() {
@@ -186,23 +186,25 @@ fn restore_calibration<'a>(state: &mut CalibrationState, data: &'a [u8]) -> Opti
         sc.0 = f64::from_le_bytes(data[off..off + 8].try_into().unwrap());
         sc.1 = u64::from_le_bytes(data[off + 8..off + 16].try_into().unwrap()) as usize;
     }
-    let (store_bytes, tail) = if data[0] == 1 {
-        (&data[header..], &[][..])
+    let store_bytes = if data[0] == 1 {
+        &data[header..]
     } else {
         let rest = &data[header..];
         if rest.len() < 4 {
-            return None;
+            return false;
         }
         let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        if rest.len() - 4 < len {
-            return None;
+        match rest[4..].get(..len) {
+            Some(store) => store,
+            None => return false,
         }
-        (&rest[4..4 + len], &rest[4 + len..])
     };
-    let store = CalibrationStore::from_bytes(store_bytes)?;
+    let Some(store) = CalibrationStore::from_bytes(store_bytes) else {
+        return false;
+    };
     state.model.import_scales(&scales);
     state.store = store;
-    Some(tail)
+    true
 }
 
 impl UncertainDb {
@@ -450,14 +452,14 @@ impl UncertainDb {
     /// cost-model calibration, so a reopened session prices plans with
     /// the scales it had already learned.
     pub fn enable_durability(&mut self) -> StorageResult<Lsn> {
-        let payload = calibration_payload(&self.calibration.lock(), &self.table);
+        let payload = calibration_payload(&self.calibration.lock());
         self.table.enable_durability(&payload)
     }
 
     /// Checkpoint the table (live tuples + current calibration) and seal
     /// it in the WAL. Post-checkpoint recovery replays only later records.
     pub fn checkpoint(&mut self) -> StorageResult<Lsn> {
-        let payload = calibration_payload(&self.calibration.lock(), &self.table);
+        let payload = calibration_payload(&self.calibration.lock());
         let lsn = self.table.checkpoint(&payload)?;
         self.metrics.lock().set_wal(self.table.wal_counters());
         Ok(lsn)
@@ -470,27 +472,15 @@ impl UncertainDb {
 
     /// Rebuild a crashed session: recover the table from its durable
     /// WAL and checkpoint (see [`UncertainTable::recover`]) and restore
-    /// the serialized calibration plus the table's planner statistics
-    /// from the checkpoint payload, so the recovered planner prices
-    /// tailored-secondary coverage like the pre-crash one without a
-    /// warm-up pass. Statistics restored here are the checkpoint-time
-    /// snapshot: the contributions of WAL records replayed after the
-    /// checkpoint are overwritten — and on a fractured table, whose
-    /// rebuild folds every fracture into main, so are the fractures'. No
-    /// query path updates the statistics; the gap stays until a fold or
-    /// compaction rebuilds the component (a plain UPI never does). Only
-    /// planner estimates read them: every bound a cursor skips by is
-    /// rebuilt with its component, never restored.
+    /// the serialized calibration from the checkpoint payload, so the
+    /// recovered planner prices plans with the scales it had learned.
+    /// The planner statistics need no restoring: the rebuild derives them
+    /// from the checkpoint's records and the replayed WAL, so they are a
+    /// recount of the recovered components and cover every replayed row.
     pub fn recover(store: Store, name: &str) -> StorageResult<(UncertainDb, RecoveryInfo)> {
         let (table, info) = UncertainTable::recover(store, name)?;
-        let mut db = UncertainDb::from_table(table);
-        let tail = {
-            let mut g = db.calibration.lock();
-            restore_calibration(&mut g, &info.extra).map(<[u8]>::to_vec)
-        };
-        if let Some(tail) = tail {
-            db.table.restore_stats_payload(&tail);
-        }
+        let db = UncertainDb::from_table(table);
+        restore_calibration(&mut db.calibration.lock(), &info.extra);
         {
             let mut m = db.metrics.lock();
             m.record_recovery(info.faults_survived);

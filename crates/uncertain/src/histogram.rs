@@ -51,9 +51,12 @@ impl ProbHistogram {
         self.total += 1;
     }
 
-    /// Remove one observation (for delete maintenance).
+    /// Remove one observation (for delete maintenance). `p` must have been
+    /// added: removing from an empty bin is a debug assertion, and a
+    /// no-op in a release build.
     pub fn remove(&mut self, p: f64) {
         let b = self.bin_of(p);
+        debug_assert!(self.bins[b] > 0, "removed {p} from an empty bin");
         if self.bins[b] > 0 {
             self.bins[b] -= 1;
             self.total -= 1;
@@ -108,51 +111,6 @@ impl ProbHistogram {
             }
         }
     }
-
-    fn decode_from(cur: &mut Cur<'_>) -> Option<ProbHistogram> {
-        let nbins = cur.u32()? as usize;
-        if nbins == 0 || nbins > 1 << 20 {
-            return None;
-        }
-        let occupied = cur.u32()? as usize;
-        let mut h = ProbHistogram::new(nbins);
-        for _ in 0..occupied {
-            let idx = cur.u32()? as usize;
-            let count = cur.u64()?;
-            if idx >= nbins {
-                return None;
-            }
-            h.bins[idx] = count;
-            h.total += count;
-        }
-        Some(h)
-    }
-}
-
-/// Byte cursor for the statistics (de)serializers.
-struct Cur<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        if end > self.data.len() {
-            return None;
-        }
-        let s = &self.data[self.pos..end];
-        self.pos = end;
-        Some(s)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
 }
 
 /// Per-attribute statistics: a probability histogram per distinct value
@@ -190,16 +148,23 @@ impl AttrStats {
         }
     }
 
-    /// Remove one alternative.
+    /// Remove one alternative that was [`add`](Self::add)ed with the same
+    /// arguments. A value's histogram is dropped when it empties, so the
+    /// statistics equal a recount of what is left.
     pub fn remove(&mut self, value: u64, p: f64, is_first: bool) {
-        if let Some(h) = self.per_value.get_mut(&value) {
-            h.remove(p);
+        fn remove_from(m: &mut IdMap<u64, ProbHistogram>, value: u64, p: f64) {
+            debug_assert!(m.contains_key(&value), "removed absent value {value}");
+            if let Some(h) = m.get_mut(&value) {
+                h.remove(p);
+                if h.total() == 0 {
+                    m.remove(&value);
+                }
+            }
         }
+        remove_from(&mut self.per_value, value, p);
         self.global.remove(p);
         if is_first {
-            if let Some(h) = self.per_value_first.get_mut(&value) {
-                h.remove(p);
-            }
+            remove_from(&mut self.per_value_first, value, p);
             self.global_first.remove(p);
         }
     }
@@ -288,7 +253,7 @@ impl AttrStats {
         self.global.total()
     }
 
-    /// Number of distinct values observed.
+    /// Number of distinct values with at least one recorded alternative.
     pub fn distinct_values(&self) -> usize {
         self.per_value.len()
     }
@@ -302,8 +267,8 @@ impl AttrStats {
         self.est_count_ge(value, qt) / self.global.total() as f64
     }
 
-    /// Serialize deterministically (maps written in sorted key order) for
-    /// the checkpoint's statistics payload.
+    /// Serialize deterministically (maps written in sorted key order): the
+    /// canonical dump tests compare statistics by.
     pub fn to_bytes(&self) -> Vec<u8> {
         fn write_map(out: &mut Vec<u8>, m: &IdMap<u64, ProbHistogram>) {
             out.extend_from_slice(&(m.len() as u32).to_le_bytes());
@@ -320,28 +285,6 @@ impl AttrStats {
         self.global.encode_into(&mut out);
         self.global_first.encode_into(&mut out);
         out
-    }
-
-    /// Inverse of [`to_bytes`](Self::to_bytes); `None` on any malformed
-    /// or trailing bytes.
-    pub fn from_bytes(data: &[u8]) -> Option<AttrStats> {
-        fn read_map(cur: &mut Cur<'_>) -> Option<IdMap<u64, ProbHistogram>> {
-            let n = cur.u32()? as usize;
-            let mut m = IdMap::with_capacity_and_hasher(n.min(1 << 16), Default::default());
-            for _ in 0..n {
-                let k = cur.u64()?;
-                m.insert(k, ProbHistogram::decode_from(cur)?);
-            }
-            Some(m)
-        }
-        let mut cur = Cur { data, pos: 0 };
-        let s = AttrStats {
-            per_value: read_map(&mut cur)?,
-            per_value_first: read_map(&mut cur)?,
-            global: ProbHistogram::decode_from(&mut cur)?,
-            global_first: ProbHistogram::decode_from(&mut cur)?,
-        };
-        (cur.pos == data.len()).then_some(s)
     }
 }
 
@@ -429,37 +372,9 @@ mod tests {
         s.remove(1, 0.06, true);
         assert_eq!(s.total(), 0);
         assert_eq!(s.est_first_below_global(1.0), 0.0);
-    }
-
-    #[test]
-    fn stats_round_trip_bytes() {
-        let mut s = AttrStats::new();
-        for i in 0..50u64 {
-            s.add(i % 7, (i % 10) as f64 / 10.0, i % 3 == 0);
-        }
-        s.remove(3, 0.3, true);
-        let bytes = s.to_bytes();
-        let r = AttrStats::from_bytes(&bytes).expect("round trip");
-        assert_eq!(r.total(), s.total());
-        assert_eq!(r.distinct_values(), s.distinct_values());
-        for v in 0..8u64 {
-            assert_eq!(r.value_count(v), s.value_count(v));
-            for qt in [0.0, 0.25, 0.7] {
-                assert!((r.est_count_ge(v, qt) - s.est_count_ge(v, qt)).abs() < 1e-12);
-                assert!(
-                    (r.est_first_between(v, qt, 0.9) - s.est_first_between(v, qt, 0.9)).abs()
-                        < 1e-12
-                );
-            }
-        }
-        // Deterministic: same stats encode to the same bytes.
-        assert_eq!(bytes, r.to_bytes());
-        // Malformed payloads are rejected, not misread.
-        assert!(AttrStats::from_bytes(&bytes[..bytes.len() - 1]).is_none());
-        let mut extended = bytes.clone();
-        extended.push(0);
-        assert!(AttrStats::from_bytes(&extended).is_none());
-        assert!(AttrStats::from_bytes(&[]).is_none());
+        // Emptied entries are dropped: the same bytes as never-fed stats.
+        assert_eq!(s.distinct_values(), 0);
+        assert_eq!(s.to_bytes(), AttrStats::new().to_bytes());
     }
 
     #[test]

@@ -383,23 +383,26 @@ fn recovery_from_an_older_checkpoint_reconverges() {
     }
 }
 
-/// The checkpoint payload carries the table's planner statistics
-/// (primary `AttrStats` plus each secondary's selectivity and
-/// pointer-region histograms) beside the calibration scales, and session
-/// recovery restores them — the reopened planner prices
-/// tailored-secondary coverage from the checkpoint-time snapshot, not
-/// from a from-scratch rebuild that forgets DML history.
+/// The planner statistics (primary `AttrStats` plus each secondary's
+/// selectivity and pointer-region histograms) are derived from the
+/// records, never restored: core recovery and session recovery both
+/// rebuild them, and the rebuild equals the pre-crash table's statistics
+/// byte for byte — rows deleted before and after the checkpoint
+/// included — so the reopened planner prices plans like the pre-crash
+/// one without a warm-up pass.
 #[test]
-fn recovered_session_restores_planner_statistics_without_warmup() {
+fn recovered_session_needs_no_statistics_warmup() {
     let mut db = calibration_db();
     db.enable_durability().unwrap();
     // Delete every row of institution 7 (i ≡ 7 mod 40 never collides
-    // with the i % 6 == 0 hot-value rewrite). The cumulative statistics
-    // keep the emptied per-value entries for 7 and its alternative 47;
-    // a from-scratch rebuild over the surviving tuples would never
-    // create them — so byte equality below proves the snapshot was
-    // *restored*, not re-derived.
-    for i in (7..12_000u64).step_by(40) {
+    // with the i % 6 == 0 hot-value rewrite), half before the checkpoint
+    // and half after it: the emptied per-value entries for 7 and its
+    // alternative 47 must be gone from the live statistics, as they are
+    // from a rebuild over the surviving tuples, and the deletes the WAL
+    // replays must count too.
+    let doomed: Vec<u64> = (7..12_000u64).step_by(40).collect();
+    let (before, after) = doomed.split_at(doomed.len() / 2);
+    for &i in before {
         db.delete(&cal_tuple(i)).unwrap();
     }
     for (_, q) in workload() {
@@ -407,25 +410,25 @@ fn recovered_session_restores_planner_statistics_without_warmup() {
         db.query(&q).unwrap();
     }
     db.checkpoint().unwrap();
+    for &i in after {
+        db.delete(&cal_tuple(i)).unwrap();
+    }
+    db.sync_wal().unwrap();
     let snapshot = db.table().stats_payload();
-    assert!(!snapshot.is_empty(), "UPI layouts persist statistics");
+    assert!(!snapshot.is_empty(), "UPI layouts dump statistics");
     let upi = db.table().as_upi().unwrap();
+    assert_eq!(upi.attr_stats().value_count(7), 0);
     let want_heap = upi.attr_stats().est_count_ge(3, 0.2);
     let want_sec = upi.secondaries()[0].stats().est_count_ge(2, 0.3);
     assert!(want_heap > 0.0 && want_sec > 0.0);
     let store = db.table().store().clone();
     drop(db);
 
-    // Control arm: core-level recovery alone (no session payload
-    // restore) rebuilds statistics from the surviving tuples and lands
-    // on a structurally different snapshot — the deleted institution's
-    // tombstoned entries are gone.
     let (t, _info) = upi::UncertainTable::recover(store.clone(), "t").unwrap();
-    assert_ne!(
+    assert_eq!(
         t.stats_payload(),
         snapshot,
-        "a rebuild must not accidentally equal the cumulative snapshot \
-         (the restore test below would be vacuous)"
+        "core recovery must rebuild the pre-crash statistics"
     );
     drop(t);
 
@@ -433,12 +436,16 @@ fn recovered_session_restores_planner_statistics_without_warmup() {
     assert_eq!(
         rdb.table().stats_payload(),
         snapshot,
-        "session recovery must restore the checkpoint-time statistics"
+        "session recovery must rebuild the pre-crash statistics"
     );
     let rupi = rdb.table().as_upi().unwrap();
-    assert!((rupi.attr_stats().est_count_ge(3, 0.2) - want_heap).abs() < 1e-9);
-    assert!(
-        (rupi.secondaries()[0].stats().est_count_ge(2, 0.3) - want_sec).abs() < 1e-9,
+    assert_eq!(
+        rupi.attr_stats().est_count_ge(3, 0.2).to_bits(),
+        want_heap.to_bits()
+    );
+    assert_eq!(
+        rupi.secondaries()[0].stats().est_count_ge(2, 0.3).to_bits(),
+        want_sec.to_bits(),
         "secondary selectivity must price like the pre-crash session"
     );
 }

@@ -23,6 +23,9 @@
 //!    the last checkpoint (known to recovery only through log replay).
 //! 4. **Calibration survives**: the recovered session's cost-model scales
 //!    equal the scales serialized into the checkpoint recovery restored.
+//! 5. **Statistics are a recount** (plain UPI): the recovered planner
+//!    statistics equal, byte for byte, those of a same-layout table
+//!    freshly loaded with the model state — rebuilt, never restored.
 //!
 //! Seeds come from `UPI_CRASH_SEEDS` (comma-separated) or a fixed
 //! default matrix; the failing seed is printed before each run so CI
@@ -33,7 +36,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use upi::{FracturedConfig, TableLayout, UpiConfig};
+use upi::{FracturedConfig, TableLayout, UncertainTable, UpiConfig};
 use upi_query::{PhysicalPlan, PtqQuery, QueryOutput, UncertainDb};
 use upi_storage::{DiskConfig, FaultPlan, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
@@ -135,7 +138,7 @@ fn run_seed(seed: u64) {
     let layout = layout_for(seed, &mut rng);
     let is_fractured = matches!(layout, TableLayout::FracturedUpi(_));
 
-    let mut db = UncertainDb::create(st.clone(), "t", schema(), 1, layout).unwrap();
+    let mut db = UncertainDb::create(st.clone(), "t", schema(), 1, layout.clone()).unwrap();
     db.add_secondary(2).unwrap();
     let enable_lsn = db.enable_durability().unwrap();
 
@@ -319,6 +322,17 @@ fn run_seed(seed: u64) {
         info.durable_lsn.0
     );
 
+    // Invariant 5: a plain UPI's recovered statistics are a recount of
+    // the model state (a fractured one's cover main only, whose contents
+    // depend on where the checkpoint fell).
+    if matches!(layout, TableLayout::Upi(_)) {
+        assert_eq!(
+            rdb.table().stats_payload(),
+            fresh_stats(layout, &expected),
+            "seed {seed}: recovered statistics differ from a fresh load"
+        );
+    }
+
     // Invariant 4: recovered calibration scales match a durable
     // checkpoint's serialized scales — and without tear injection,
     // exactly the last one recovery could have used.
@@ -371,8 +385,7 @@ fn run_seed(seed: u64) {
         PtqQuery::range(1, 0, 7).with_qt(0.1).with_group_count(0),
     ];
     // A value first inserted after the last checkpoint exists only in
-    // replayed records: the restored statistics have never seen it, so
-    // no bound may be taken from them.
+    // replayed records: recovery knows it through log replay alone.
     if let Some(v) = value_first_inserted_after_checkpoint(&log, &ckpt_scales, &info, &expected) {
         queries.push(PtqQuery::eq(1, v).with_qt(0.0));
         queries.push(PtqQuery::eq(1, v).with_qt(0.0).with_top_k(3));
@@ -523,12 +536,25 @@ fn value_first_inserted_after_checkpoint(
         .min()
 }
 
-/// The case a statistics-derived bound gets wrong: a value first
-/// inserted after the last checkpoint, on a clustered layout, recovered
-/// through log replay — the restored checkpoint-time statistics have
-/// never seen it (and on a fractured table the rebuild folds every
-/// fracture into main), yet an unbounded point query and a top-k at
-/// `qt = 0` must both find every row.
+/// The planner statistics of a table of `layout` with a secondary on
+/// field 2, freshly loaded with `tuples`.
+fn fresh_stats(layout: TableLayout, tuples: &[Tuple]) -> Vec<u8> {
+    let st = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 8 << 20);
+    let mut t = UncertainTable::create(st, "fresh", schema(), 1, layout).unwrap();
+    t.add_secondary(2).unwrap();
+    t.load(tuples).unwrap();
+    t.stats_payload()
+}
+
+/// The case a checkpoint-time copy of the statistics gets wrong: a value
+/// first inserted after the last checkpoint, on a clustered layout,
+/// recovered through log replay, beside rows deleted before and after
+/// the checkpoint. An unbounded point query and a top-k at `qt = 0` must
+/// both find every row, and the recovered statistics must be a recount:
+/// on a plain UPI, of the recovered live set; on a fractured UPI, whose
+/// recovery loads the checkpoint image into main and replays the rest
+/// into a fracture and the buffer (as on a table that never crashed), of
+/// the live set at the checkpoint.
 #[test]
 fn a_value_first_inserted_after_the_checkpoint_is_found_after_recovery() {
     let cfg = UpiConfig {
@@ -544,7 +570,7 @@ fn a_value_first_inserted_after_the_checkpoint_is_found_after_recovery() {
     ] {
         let fractured = matches!(layout, TableLayout::FracturedUpi(_));
         let st = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 8 << 20);
-        let mut db = UncertainDb::create(st.clone(), "t", schema(), 1, layout).unwrap();
+        let mut db = UncertainDb::create(st.clone(), "t", schema(), 1, layout.clone()).unwrap();
         db.add_secondary(2).unwrap();
         db.enable_durability().unwrap();
         let row = |id: u64, alts: Vec<(u64, f64)>| {
@@ -560,8 +586,14 @@ fn a_value_first_inserted_after_the_checkpoint_is_found_after_recovery() {
         };
         for i in 0..30 {
             db.insert_tuple(&row(i, vec![(i % 5, 0.7)])).unwrap();
+            if fractured && i == 19 {
+                db.flush().unwrap();
+            }
         }
+        db.delete(&row(3, vec![(3, 0.7)])).unwrap();
+        let at_checkpoint = db.table().live_tuples().unwrap();
         db.checkpoint().unwrap();
+        db.delete(&row(24, vec![(4, 0.7)])).unwrap();
         // Value 6 appears only after the checkpoint: as a heap-resident
         // first alternative, and as a below-cutoff one.
         for i in 30..36 {
@@ -573,11 +605,22 @@ fn a_value_first_inserted_after_the_checkpoint_is_found_after_recovery() {
         for i in 36..40 {
             db.insert_tuple(&row(i, vec![(2, 0.75), (6, 0.1)])).unwrap();
         }
+        db.delete(&row(39, vec![(2, 0.75), (6, 0.1)])).unwrap();
         db.sync_wal().unwrap();
         drop(db);
 
         let (rdb, _) = UncertainDb::recover(st, "t").unwrap();
-        let want: Vec<u64> = (30..40).collect();
+        let counted = if fractured {
+            at_checkpoint
+        } else {
+            rdb.table().live_tuples().unwrap()
+        };
+        assert_eq!(
+            rdb.table().stats_payload(),
+            fresh_stats(layout, &counted),
+            "fractured: {fractured}"
+        );
+        let want: Vec<u64> = (30..39).collect();
         for q in [
             PtqQuery::eq(1, 6).with_qt(0.0),
             PtqQuery::eq(1, 6).with_qt(0.0).with_top_k(20),
