@@ -1,7 +1,7 @@
 //! The B+Tree proper: create, insert, delete, point lookup.
 
 use upi_storage::error::{Result, StorageError};
-use upi_storage::{AccessHint, FileId, PageId, Store};
+use upi_storage::{FileId, PageId, Store};
 
 use crate::cursor::Cursor;
 use crate::node::{
@@ -118,7 +118,19 @@ impl BTree {
     /// shape dictates; the other kind there means the page is not the
     /// one that was written (and following it could loop forever).
     pub(crate) fn view_kind(&self, pid: PageId, want: NodeKind) -> Result<NodeView> {
-        let view = self.view_node(pid)?;
+        self.view_run(pid, want, None)
+    }
+
+    /// [`view_kind`](Self::view_kind) reading `pid` as the first page of
+    /// a run of about `est_run_pages` pages
+    /// ([`BufferPool::get_run`](upi_storage::BufferPool::get_run)).
+    fn view_run(
+        &self,
+        pid: PageId,
+        want: NodeKind,
+        est_run_pages: Option<usize>,
+    ) -> Result<NodeView> {
+        let view = NodeView::new(pid, self.store.pool.get_run(pid, est_run_pages)?)?;
         if view.kind() != want {
             return Err(StorageError::Corrupted(format!(
                 "b+tree page {pid:?}: expected a {want:?} node, found {:?}",
@@ -428,26 +440,13 @@ impl BTree {
 
     /// [`seek`](Self::seek) at the start of a run the caller expects to
     /// read for about `est_run_pages` leaves (the landing leaf included).
-    /// With an estimate, the descent arms the buffer pool's read-ahead
-    /// hint ([`BufferPool::hint_run`](upi_storage::BufferPool::hint_run))
-    /// on the leaf it landed on immediately before reading that leaf, so
-    /// the run's first cold miss starts a run-sized prefetch; a failed
-    /// leaf read clears the hint again, lest it fire on a later unrelated
-    /// miss of that page. `None` is a plain seek.
+    /// With an estimate, the descent reads the leaf it landed on through
+    /// [`BufferPool::get_run`](upi_storage::BufferPool::get_run), so the
+    /// run's first cold miss starts a run-sized prefetch. `None` is a
+    /// plain seek.
     pub fn seek_run(&self, key: &[u8], est_run_pages: Option<usize>) -> Result<Cursor<'_>> {
         let pid = self.leaf_page_for(key)?;
-        let pool = &self.store.pool;
-        if let Some(est_run_pages) = est_run_pages {
-            pool.hint_run(AccessHint {
-                start_page: pid,
-                est_run_pages,
-            });
-        }
-        let leaf = self.view_kind(pid, NodeKind::Leaf).inspect_err(|_| {
-            if est_run_pages.is_some() {
-                pool.clear_hint(pid);
-            }
-        })?;
+        let leaf = self.view_run(pid, NodeKind::Leaf, est_run_pages)?;
         let slot = leaf.lower_bound(key);
         let mut cur = Cursor::new(self, pid, leaf, slot);
         cur.skip_exhausted()?;

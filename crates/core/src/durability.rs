@@ -1,4 +1,5 @@
-//! Logical WAL records and checkpoint images for [`UncertainTable`].
+//! Logical WAL records and checkpoint images for
+//! [`UncertainTable`](crate::UncertainTable).
 //!
 //! ## Why logical redo, not physical
 //!

@@ -375,7 +375,7 @@ impl FracturedUpi {
     /// Per-component on-disk sizes: main first, then fractures
     /// oldest-to-newest, each fracture including its persisted delete
     /// set — the input shape of
-    /// [`select_compaction`](crate::maintenance::select_compaction).
+    /// [`select_compaction`].
     pub fn component_bytes(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.fractures.len() + 1);
         out.push(self.main.total_bytes());
@@ -386,8 +386,7 @@ impl FracturedUpi {
     }
 
     /// Select (read-only) the best compaction step affordable within
-    /// `budget_ms` of device time — see
-    /// [`select_compaction`](crate::maintenance::select_compaction).
+    /// `budget_ms` of device time — see [`select_compaction`].
     pub fn plan_compaction(&self, coeffs: &DeviceCoeffs, budget_ms: f64) -> Option<CompactionPlan> {
         select_compaction(&self.component_bytes(), coeffs, budget_ms)
     }

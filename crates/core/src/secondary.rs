@@ -136,7 +136,7 @@ impl Regions {
 ///
 /// Regions are contiguous primary-value ranges of width `2^shift`,
 /// addressed by their absolute bucket number `value >> shift` and kept to
-/// at most [`REGION_BUCKETS`] occupied-span buckets (width doubles and
+/// at most 256 occupied-span buckets (width doubles and
 /// buckets fold when the range grows). Counts are maintained at insert /
 /// bulk-load / delete time, **per secondary value**: tailored secondary
 /// access fetches one value's entries, and real datasets correlate the
@@ -161,12 +161,12 @@ impl Regions {
 /// so a histogram kept up under deletes can differ from a rebuild's:
 /// - the region width only coarsens: after deletes shrink the
 ///   primary-value extent, it can stay wider than a rebuild would pick;
-/// - per-value tracking admits the first [`MAX_TRACKED_VALUES`] values
-///   seen, in arrival order.
+/// - per-value tracking admits the first 4096 values seen, in arrival
+///   order.
 ///
-/// Both agree with a rebuild while the primary values never span
-/// [`REGION_BUCKETS`] or more (so the width stays 1) and fewer than
-/// [`MAX_TRACKED_VALUES`] secondary values ever arrive.
+/// Both agree with a rebuild while the primary values never span 256
+/// buckets or more (so the width stays 1) and fewer than 4096 secondary
+/// values ever arrive.
 #[derive(Debug, Clone, Default)]
 pub struct PointerHistogram {
     /// Region width is `1 << shift` primary-value units.
@@ -193,7 +193,8 @@ impl PointerHistogram {
 
     /// Record one pointer to primary value `pv` carried by an entry of
     /// secondary value `value`, weighted by
-    /// `entry confidence × pointer probability` (see [`Self::mass`]).
+    /// `entry confidence × pointer probability`, in fixed-point units of
+    /// 1/4096 and at least one unit.
     ///
     /// `span() <= REGION_BUCKETS` holds on return: regions are coarsened
     /// *until* the new pointer's region fits, however far outside the
@@ -476,7 +477,7 @@ impl SecondaryIndex {
     /// Bulk-load prepared entries, in any order: they are sorted here,
     /// the statistics are fed from the sorted run — the stored
     /// `(value, confidence)` of each key, the `(value, probability)` of
-    /// each pointer in its payload, both [`keys::stored_prob`] of what was
+    /// each pointer in its payload, both the stored probability of what was
     /// encoded, as insert and delete count them — and the tree is loaded
     /// straight from the sort records and the payload arena.
     pub fn bulk_load(&mut self, mut build: SecBuild) -> Result<u64> {

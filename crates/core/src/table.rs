@@ -6,8 +6,9 @@
 //! different clustering") one-line configuration changes.
 //!
 //! **Queries do not run through this type.** `UncertainTable` owns the
-//! physical structures and exposes them read-only (see [`Self::as_upi`],
-//! [`Self::as_fractured`], [`Self::unclustered_parts`]); the query entry
+//! physical structures and exposes them read-only (see
+//! [`UncertainTable::as_upi`], [`UncertainTable::as_fractured`],
+//! [`UncertainTable::unclustered_parts`]); the query entry
 //! points live on `upi_query::UncertainDb`, the session layer that
 //! registers those structures in a planner `Catalog` so every query is
 //! cost-planned across whatever access paths the layout offers. This

@@ -207,8 +207,8 @@ impl DiscreteUpi {
 
     /// Bulk-load tuples into an empty UPI (sequential writes for every
     /// component file — the fracture-flush path of §4.2): each tuple is
-    /// encoded once, then built as [`load_records`](Self::load_records)
-    /// builds.
+    /// encoded once, then built as a fold or a recovery builds from
+    /// copied record bytes.
     pub fn bulk_load<'a, I>(&mut self, tuples: I) -> Result<()>
     where
         I: IntoIterator<Item = &'a Tuple>,
@@ -390,8 +390,9 @@ impl DiscreteUpi {
     /// [`range_run`](Self::range_run) can find only through the cutoff
     /// index (phase 2), or `None` when the range is too wide to bound
     /// value by value. Such a tuple keeps every in-range alternative in
-    /// the cutoff index — at most one per value, each at most
-    /// [`cutoff_ceiling`](Self::cutoff_ceiling) and at most the value's
+    /// the cutoff index — at most one per value, each at most the larger
+    /// of `C` and `C` rounded onto the key's probability grid, and at
+    /// most the value's
     /// [`ConfidenceBound`] — so its confidence is at most the sum, taken
     /// in ascending value order as phase 2 sums it (float addition is
     /// monotone, so each partial sum stays an upper bound).

@@ -2,7 +2,7 @@
 //!
 //! Rows flow as `Iterator<Item = Result<PtqResult, QueryError>>` from a
 //! source operator into the sink pipeline (`Filter` is fused into every
-//! source; `TopK`, `GroupCount`, `Project` run at the sink). Every
+//! source; `TopK` and `GroupCount` run at the sink). Every
 //! discrete access path is a true streaming cursor over the B+Tree leaf
 //! chains: one clustered family over a chain of components
 //! (`upi::Chain` — a plain UPI is a chain of one), plus `PiiProbe` and
@@ -14,7 +14,7 @@
 //!
 //! Every execution is observed: the concrete [`SourceOp`] wrapper keeps
 //! per-operator [`CursorStats`], device time is attributed to a
-//! [`QueryId`](upi_storage::QueryId) via the pool's scoped attribution
+//! [`QueryId`] via the pool's scoped attribution
 //! guard, and the harvested span tree lands on
 //! [`QueryOutput::trace`].
 
@@ -207,7 +207,8 @@ pub struct HeapScan<'a> {
 
 impl<'a> HeapScan<'a> {
     /// Open over the unclustered heap; `run_pages` is the scan's
-    /// estimated length, armed as the pool's read-ahead hint.
+    /// estimated length, passed with its first leaf read to size the
+    /// pool's read-ahead.
     pub fn open(
         heap: &'a UnclusteredHeap,
         pred: Predicate,
@@ -262,7 +263,8 @@ pub struct UpiFullScan<'a> {
 
 impl<'a> UpiFullScan<'a> {
     /// Open over the UPI's clustered heap; `run_pages` is the scan's
-    /// estimated length, armed as the pool's read-ahead hint.
+    /// estimated length, passed with its first leaf read to size the
+    /// pool's read-ahead.
     pub fn open(
         upi: &'a DiscreteUpi,
         pred: Predicate,
@@ -486,26 +488,6 @@ fn collect_stream(
     Ok(rows)
 }
 
-fn project_rows(rows: &mut [PtqResult], fields: &[usize]) -> Result<(), QueryError> {
-    for r in rows.iter_mut() {
-        let mut projected = Vec::with_capacity(fields.len());
-        for &f in fields {
-            match r.tuple.fields.get(f) {
-                Some(field) => projected.push(field.clone()),
-                None => {
-                    return Err(upi::ExecError::FieldOutOfBounds {
-                        field: f,
-                        arity: r.tuple.fields.len(),
-                    }
-                    .into())
-                }
-            }
-        }
-        r.tuple = Tuple::new(r.tuple.id, r.tuple.exist, projected);
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Plan execution
 // ---------------------------------------------------------------------------
@@ -720,9 +702,6 @@ fn build_trace(
     if let Some(f) = q.group_count {
         push_sink(&mut spans, format!("GroupCount(field#{f})"));
     }
-    if let Some(p) = &q.projection {
-        push_sink(&mut spans, format!("Project({p:?})"));
-    }
     if let Some(k) = q.top_k {
         push_sink(&mut spans, format!("TopK({k})"));
     }
@@ -757,7 +736,7 @@ fn build_trace(
     }
 }
 
-/// Run a plan: source → (early-terminating) top-k → sort → group/project.
+/// Run a plan: source → (early-terminating) top-k → sort → group.
 pub(crate) fn execute(
     plan: &PhysicalPlan,
     catalog: &Catalog<'_>,
@@ -776,8 +755,9 @@ pub(crate) fn execute(
         if chosen.hints.is_empty() {
             // Pointer-chasing plan: its scattered misses are not runs.
             // Keep the pool's two-adjacent-miss detector from arming
-            // read-ahead windows this access pattern would waste
-            // (hinted runs of concurrent queries still stream).
+            // read-ahead windows this access pattern would waste (runs
+            // opened with an estimate, and runs already armed, still
+            // stream).
             g.suppress_run_detection()
         } else {
             g
@@ -789,7 +769,8 @@ pub(crate) fn execute(
         .map(|p| p.attributed_stats(qid))
         .unwrap_or_default();
     // Run-shaped paths carry each expected run's length; the seek that
-    // opens a run arms it on the leaf it lands on (see `CandidatePlan::hints`).
+    // opens a run passes it with the read of the leaf it lands on (see
+    // `CandidatePlan::hints`).
     let (mut source, ordered) = match open_source(plan.path(), &chosen.hints, q, catalog) {
         Ok(source) => source,
         Err(e) => {
@@ -857,9 +838,6 @@ pub(crate) fn execute(
             trace: Some(trace),
             degraded: None,
         });
-    }
-    if let Some(fields) = &q.projection {
-        project_rows(&mut rows, fields)?;
     }
     let trace = build_trace(
         plan,

@@ -19,8 +19,8 @@
 //!    `plan()` → streaming execution. The table type itself has no
 //!    query methods, so nothing can bypass the cost models.
 //! 1. **[`PtqQuery`]** — the logical query: a point, range, or circle
-//!    predicate, a confidence threshold `QT`, and optional top-k,
-//!    group-count, and projection clauses. Queries 1–5 of the paper's
+//!    predicate, a confidence threshold `QT`, and optional top-k and
+//!    group-count clauses. Queries 1–5 of the paper's
 //!    evaluation are all expressible.
 //! 2. **The planner** ([`PtqQuery::plan`]) — enumerates every *candidate*
 //!    access path the [`Catalog`] supports for the predicate, prices each
@@ -38,7 +38,7 @@
 //! 3. **The executor** ([`PhysicalPlan::execute`]) — iterator-based
 //!    streaming operators (`ChainMerge` over a clustered chain's
 //!    components, `PiiProbe`, `HeapScan`, `Filter`, `TopK`,
-//!    `GroupCount`, `Project`) over the streaming cursors the index
+//!    `GroupCount`) over the streaming cursors the index
 //!    crates expose (`upi::Chain::{point_run, range_run, secondary_run}`
 //!    — a plain UPI is a chain of one component, a fractured UPI its
 //!    main component plus fractures, delete sets and insert buffer —
@@ -51,10 +51,10 @@
 //!    stream page-at-a-time through the buffer pool (whose sequential
 //!    read-ahead keeps clustered runs sequential even under interleaved
 //!    access). Run-shaped candidates carry each run's estimated length —
-//!    one per component run — and the seek that opens a run arms it as
-//!    the pool's read-ahead hint on the leaf it lands on, so read-ahead
-//!    starts on each run's *first* cold miss with a run-length-sized
-//!    window; planning itself reads no page. Only the R-Tree
+//!    one per component run — and the seek that opens a run passes it
+//!    with the read of the leaf it lands on, so read-ahead starts on
+//!    each run's *first* cold miss with a run-length-sized window;
+//!    planning itself reads no page. Only the R-Tree
 //!    circle paths delegate to batch index calls, feeding their rows
 //!    through the same sink operators.
 //!

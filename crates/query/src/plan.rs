@@ -145,8 +145,9 @@ pub struct CandidatePlan {
     /// in-memory statistics that priced the candidate. Single-structure
     /// paths carry one; chain paths carry **one per component**,
     /// index-aligned with the chain's components. The seek that opens a
-    /// run arms its estimate as the pool's read-ahead hint on the leaf it
-    /// lands on (`upi_btree::BTree::seek_run`), so each run's read-ahead
+    /// run reads the leaf it lands on with its estimate
+    /// (`upi_btree::BTree::seek_run` →
+    /// `upi_storage::BufferPool::get_run`), so each run's read-ahead
     /// arms on its own first miss with a run-length-sized window, and a
     /// component the merge never opens arms nothing. Empty for
     /// pointer-chasing and batch paths, whose execution also suppresses
@@ -320,9 +321,6 @@ fn describe_query(q: &PtqQuery) -> String {
     if let Some(f) = q.group_count {
         s.push_str(&format!(" GROUP COUNT BY field#{f}"));
     }
-    if let Some(p) = &q.projection {
-        s.push_str(&format!(" PROJECT {p:?}"));
-    }
     s
 }
 
@@ -340,9 +338,6 @@ fn operator_tree(q: &PtqQuery, path: &AccessPath) -> Vec<String> {
     let mut ops: Vec<String> = Vec::new();
     if let Some(f) = q.group_count {
         ops.push(format!("GroupCount(field#{f})"));
-    }
-    if let Some(p) = &q.projection {
-        ops.push(format!("Project({p:?})"));
     }
     if let Some(k) = q.top_k {
         ops.push(format!("TopK({k})"));

@@ -2,7 +2,7 @@
 //!
 //! Every candidate an access structure in the [`Catalog`] supports for the
 //! query's predicate is priced in **simulated-disk milliseconds** by the
-//! catalog's [`CostModel`](crate::cost::CostModel) — the single pricing
+//! catalog's [`CostModel`] — the single pricing
 //! authority — with the §6 cost models over live statistics:
 //!
 //! * clustered-probe paths derive from the shared
@@ -38,7 +38,7 @@
 //!   [ms/open], `stroke_bytes` [bytes/full-stroke]. These price the
 //!   *fixed* term (opens + descents) and the shape of the dominant term;
 //!   they are never refit — the simulator charges them exactly.
-//! * **Per-path-kind scales** [dimensionless], initially 1.0: the
+//! * **Per-path-kind scales** (dimensionless), initially 1.0: the
 //!   calibrated coefficients. After each executed plan the session
 //!   records `(kind, fixed, dominant, observed device ms)` into a
 //!   `CalibrationStore`; `CostModel::refit` solves the per-kind
@@ -116,12 +116,12 @@ fn hint_pages(hints: &[usize]) -> f64 {
 // how long each run is expected to be, so read-ahead can arm on the
 // run's first miss instead of waiting for the two-adjacent-miss
 // detector. The plan carries lengths only, computed from in-memory
-// statistics: the seek that opens a run knows its first leaf and arms
-// the hint there (`BTree::seek_run`), so planning reads no page and a
+// statistics: the seek that opens a run passes the estimate with the read
+// of its first leaf (`BTree::seek_run`), so planning reads no page and a
 // run that is never opened arms nothing. Clustered paths carry one
 // estimate **per component**, index-aligned: the pool tracks concurrent
-// hinted runs, so the k-way merge's interleaved component reads each
-// stream independently. Pointer-chasing paths (plain/tailored secondary
+// runs, so the k-way merge's interleaved component reads each stream
+// independently. Pointer-chasing paths (plain/tailored secondary
 // heap fetches, PII probes, cutoff-heavy merges) scatter by construction
 // and get none; a fractured chain's *secondary* path estimates only
 // each component's compact entry run, not the scattered heap fetches
@@ -763,10 +763,5 @@ mod tests {
             assert_eq!(a.tuple.id, b.tuple.id);
             assert!((a.confidence - b.confidence).abs() < 1e-12);
         }
-
-        // Projection keeps ids/confidences but narrows fields.
-        let q = PtqQuery::eq(1, 2).with_qt(0.2).with_projection(vec![0]);
-        let out = q.run(&catalog).unwrap();
-        assert!(out.rows.iter().all(|r| r.tuple.fields.len() == 1));
     }
 }

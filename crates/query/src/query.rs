@@ -70,8 +70,6 @@ pub struct PtqQuery {
     /// `SELECT field, COUNT(*) … GROUP BY field` over a certain `U64`
     /// column (Queries 2–3).
     pub group_count: Option<usize>,
-    /// Project output tuples to these field indices (`None` = all).
-    pub projection: Option<Vec<usize>>,
 }
 
 impl PtqQuery {
@@ -82,7 +80,6 @@ impl PtqQuery {
             qt: 0.0,
             top_k: None,
             group_count: None,
-            projection: None,
         }
     }
 
@@ -93,7 +90,6 @@ impl PtqQuery {
             qt: 0.0,
             top_k: None,
             group_count: None,
-            projection: None,
         }
     }
 
@@ -104,7 +100,6 @@ impl PtqQuery {
             qt: 0.0,
             top_k: None,
             group_count: None,
-            projection: None,
         }
     }
 
@@ -124,12 +119,6 @@ impl PtqQuery {
     /// field.
     pub fn with_group_count(mut self, field: usize) -> PtqQuery {
         self.group_count = Some(field);
-        self
-    }
-
-    /// Project output tuples to the given field indices.
-    pub fn with_projection(mut self, fields: Vec<usize>) -> PtqQuery {
-        self.projection = Some(fields);
         self
     }
 
@@ -185,13 +174,11 @@ mod tests {
         let q = PtqQuery::eq(1, 7)
             .with_qt(0.4)
             .with_top_k(3)
-            .with_group_count(0)
-            .with_projection(vec![0, 1]);
+            .with_group_count(0);
         assert_eq!(q.predicate, Predicate::Eq { attr: 1, value: 7 });
         assert_eq!(q.qt, 0.4);
         assert_eq!(q.top_k, Some(3));
         assert_eq!(q.group_count, Some(0));
-        assert_eq!(q.projection, Some(vec![0, 1]));
         assert!(q.validate().is_ok());
     }
 

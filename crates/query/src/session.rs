@@ -14,7 +14,7 @@
 //! callers never juggle per-structure references — the internal
 //! registration step ([`catalog`](UncertainDb::catalog)) borrows the
 //! right structures for the table's layout (including the shared buffer
-//! pool, so per-query I/O counters and read-ahead hints are wired up by
+//! pool, so per-query I/O counters and run-sized read-ahead are wired up by
 //! construction) and hands back a ready catalog whose borrows are
 //! tied to `&self`.
 
@@ -423,8 +423,8 @@ impl UncertainDb {
         }))
     }
 
-    /// Drain profitable maintenance: run [`maintenance_tick`]
-    /// (Self::maintenance_tick) until the policy declines, then seal the
+    /// Drain profitable maintenance: run
+    /// [`maintenance_tick`](Self::maintenance_tick) until the policy declines, then seal the
     /// work with a checkpoint when the table is durable (which also
     /// rotates the WAL to a fresh generation and retires the old one).
     pub fn maintain(&mut self) -> StorageResult<MaintenanceSummary> {
@@ -583,15 +583,6 @@ impl UncertainDb {
     /// The chosen plan's `explain()` rendering, without executing.
     pub fn explain(&self, q: &PtqQuery) -> Result<String, PlanError> {
         Ok(self.plan(q)?.explain())
-    }
-
-    /// Plan, execute, and render the plan **with** the measured I/O of
-    /// this execution (`explain_with_io`). Feeds the calibration store
-    /// like [`query`](Self::query).
-    pub fn run_explained(&self, q: &PtqQuery) -> Result<(QueryOutput, String), QueryError> {
-        let (out, plan) = self.run_query(q)?;
-        let text = plan.explain_with_io(out.io.as_ref());
-        Ok((out, text))
     }
 
     /// EXPLAIN ANALYZE: plan, execute, and render the plan **with** the
@@ -841,7 +832,7 @@ mod tests {
         assert!(range.len() >= rows.len());
 
         // Executions report their pool traffic (the session wired it).
-        let (out, text) = d.run_explained(&q).unwrap();
+        let (out, text) = d.explain_analyze(&q).unwrap();
         assert!(out.io.is_some());
         assert!(text.contains("candidates:"));
     }

@@ -24,7 +24,7 @@
 //! each unfinished shard takes the floor published for that round
 //! (`raise_conf_floor`) and pulls up to ⌈k / live shards⌉ rows; at the
 //! barrier the facade notes the round's rows, in shard order, into one
-//! [`TopKWatermark`](upi::TopKWatermark), and its k-th best confidence is
+//! [`TopKWatermark`], and its k-th best confidence is
 //! the next round's floor. A shard finishes with k rows, when its cursor
 //! runs dry, or when no row at or above the floor remains on it — its
 //! source I/O stops there. Shards whose chosen plan is not
@@ -573,10 +573,7 @@ impl ShardedDb {
     pub fn query(&self, q: &PtqQuery) -> Result<QueryOutput, QueryError> {
         let topk = match (&q.predicate, q.top_k) {
             (Predicate::Eq { attr, value }, Some(k))
-                if *attr == self.primary_attr()
-                    && q.group_count.is_none()
-                    && q.projection.is_none()
-                    && k > 0 =>
+                if *attr == self.primary_attr() && q.group_count.is_none() && k > 0 =>
             {
                 Some((*value, k))
             }

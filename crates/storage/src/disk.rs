@@ -330,15 +330,6 @@ impl SimDisk {
             .ok_or(StorageError::UnknownPage(pid))
     }
 
-    /// Page size of a file in bytes.
-    pub fn page_size_of(&self, file: FileId) -> Result<u32> {
-        let g = self.inner.lock();
-        g.files
-            .get(file.0 as usize)
-            .map(|f| f.page_size)
-            .ok_or(StorageError::UnknownFile(file))
-    }
-
     /// Live bytes of one file (allocated pages minus free list).
     pub fn file_bytes(&self, file: FileId) -> Result<u64> {
         let g = self.inner.lock();

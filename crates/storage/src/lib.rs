@@ -21,10 +21,10 @@
 //!   so bulk loads cost sequential-write time. It detects sequential read
 //!   runs (two adjacent misses) and prefetches their continuation, tracks
 //!   **several runs concurrently** so k-way merges that interleave
-//!   component files keep every run streaming, and accepts
-//!   [`AccessHint`]s — up to one pending hint per expected run, armed,
-//!   discharged, and cleared independently — so a hinted run's read-ahead
-//!   arms on its *first* miss with a run-length-sized window.
+//!   component files keep every run streaming, and takes a run-length
+//!   estimate with the read that opens a run
+//!   ([`BufferPool::get_run`]), so that run's read-ahead arms on its
+//!   *first* miss with a run-length-sized window.
 //! * [`codec`] provides order-preserving byte encodings for composite index
 //!   keys such as `(value ASC, probability DESC, tuple-id ASC)`.
 //!
@@ -63,7 +63,7 @@ pub use fault::{FaultCounters, FaultPlan};
 pub use file::FileId;
 pub use obs::QueryId;
 pub use page::{PageId, INVALID_PAGE};
-pub use pool::{AccessHint, AttributedGuard, BufferPool, PoolCounters};
+pub use pool::{AttributedGuard, BufferPool, PoolCounters};
 pub use stats::IoStats;
 pub use wal::{Lsn, Wal, WalCounters};
 

@@ -13,31 +13,6 @@ use crate::obs::{self, QueryId};
 use crate::page::PageId;
 use crate::stats::IoStats;
 
-/// A prefetch hint: the access path about to read expects roughly
-/// `est_run_pages` physically contiguous pages starting at `start_page`
-/// (a clustered heap run, a range scan, a full scan).
-///
-/// Pass to [`BufferPool::hint_run`] *before* the run's first page is
-/// requested — a B+Tree seek that opens a run (`upi_btree::BTree::seek_run`)
-/// arms it on the leaf it landed on, with the planner's run-length
-/// estimate, right before reading that leaf. A hinted run arms sequential read-ahead on its **first**
-/// cold miss — the unhinted detector needs two adjacent misses before it
-/// trusts the pattern — and sizes the prefetch window from the estimated
-/// run length instead of the fixed
-/// [`DiskConfig::readahead_pages`](crate::DiskConfig::readahead_pages)
-/// window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessHint {
-    /// First page of the expected run (e.g. the B+Tree leaf a clustered
-    /// probe will land on).
-    pub start_page: PageId,
-    /// Estimated run length in pages, **including** `start_page`. An
-    /// overestimate costs at most one over-sized (but physically
-    /// contiguous, hence cheap) prefetch batch; an underestimate degrades
-    /// gracefully into the unhinted two-miss detector.
-    pub est_run_pages: usize,
-}
-
 /// Named buffer-pool counters, cumulative since creation.
 ///
 /// Snapshot with [`BufferPool::counters`] before and after a query and
@@ -56,9 +31,9 @@ pub struct PoolCounters {
     pub readahead: u64,
     /// Hits served from a frame that read-ahead installed (the payoff).
     pub readahead_hits: u64,
-    /// Planner hints consumed: runs whose read-ahead was armed by an
-    /// [`AccessHint`] on their first miss (instead of the two-adjacent-
-    /// miss detector).
+    /// Runs whose read-ahead was armed on their first miss by a
+    /// run-length estimate ([`BufferPool::get_run`]) instead of the
+    /// two-adjacent-miss detector.
     pub hinted_runs: u64,
     /// Eviction flushes that failed (e.g. the page was freed underneath
     /// the pool). Non-zero means a write was dropped — surfaced here
@@ -147,19 +122,16 @@ impl std::fmt::Display for PoolCounters {
 ///   switch that position into **run mode**: the next
 ///   [`DiskConfig::readahead_pages`](crate::DiskConfig::readahead_pages)
 ///   contiguous pages are prefetched in one batch while the head is
-///   already there. Up to [`MAX_TRACKED_RUNS`] runs are tracked
-///   concurrently, so a k-way merge that interleaves reads across k
-///   component files (a fractured UPI probe) keeps every component's run
-///   streaming — a switch to another file no longer resets the detector.
-/// * A planner that *knows* the chosen access path is a long sequential
-///   run can skip the detection latency entirely:
-///   [`hint_run`](BufferPool::hint_run) arms read-ahead on the run's
-///   **first** miss and sizes the window from the estimated run length
-///   (see [`AccessHint`]). Up to [`MAX_PENDING_HINTS`] hints may be
-///   pending at once — one per component of a fracture-parallel plan —
-///   each armed, discharged, or cleared
-///   ([`clear_hint`](BufferPool::clear_hint)) independently of its
-///   siblings.
+///   already there. Up to 16 runs are tracked concurrently, so a k-way
+///   merge that interleaves reads across k component files (a fractured
+///   UPI probe) keeps every component's run streaming — a switch to
+///   another file no longer resets the detector.
+/// * A reader that *knows* it is opening a long sequential run can skip
+///   the detection latency entirely: [`get_run`](BufferPool::get_run)
+///   passes the estimated run length with the run's first read, so a
+///   miss there arms read-ahead at once with a window sized from the
+///   estimate. The estimate lives only for that one call; the pool keeps
+///   no hint state between calls.
 ///
 /// The pool must be configured *smaller* than the experimental tables to
 /// reproduce the paper's disk-bound regime; the benchmark harness does this
@@ -192,27 +164,25 @@ struct RunState {
     /// Offset just past the last demand-missed or prefetched page: where
     /// the next miss lands if the read pattern is a sequential run.
     next: u64,
-    /// For hinted runs: estimated pages still ahead of `next`. `Some`
-    /// sizes each prefetch batch from the remaining run length (capped at
-    /// [`HINTED_BATCH_PAGES`]); `None` (unhinted, or a hint that ran out)
+    /// For runs opened with an estimate ([`BufferPool::get_run`]):
+    /// estimated pages still ahead of `next`. `Some` sizes each prefetch
+    /// batch from the remaining run length (capped at
+    /// [`HINTED_BATCH_PAGES`]); `None` (no estimate, or one that ran out)
     /// uses the fixed `DiskConfig::readahead_pages` window.
     hinted_remaining: Option<usize>,
 }
 
 /// Upper bound on one hinted prefetch batch, in pages. Bounds the single
-/// contiguous transfer a hint can trigger (and the pool-capacity pressure
-/// of speculative frames) while still letting a long hinted run stream in
-/// a few large batches instead of one fixed-size window per 8 pages.
+/// contiguous transfer a run estimate can trigger (and the pool-capacity
+/// pressure of speculative frames) while still letting a long hinted run
+/// stream in a few large batches instead of one fixed-size window per 8
+/// pages.
 const HINTED_BATCH_PAGES: usize = 64;
 
 /// How many concurrent sequential runs the pool tracks (LRU-evicted).
 /// Sized for a fractured UPI's k-way merge — main + a handful of
 /// fractures, each with a heap and a cutoff file in flight.
 const MAX_TRACKED_RUNS: usize = 16;
-
-/// How many planner hints may be pending at once (LRU-evicted). One per
-/// component of the largest plausible fracture-parallel plan.
-const MAX_PENDING_HINTS: usize = 16;
 
 #[derive(Default)]
 struct PoolInner {
@@ -225,16 +195,12 @@ struct PoolInner {
     counters: PoolCounters,
     /// Concurrently tracked runs (see [`RunState`]), oldest first.
     runs: Vec<RunState>,
-    /// Pending planner hints ([`BufferPool::hint_run`]), oldest first:
-    /// each is consumed by the next access to its start page,
-    /// independently of the others.
-    pending_hints: Vec<AccessHint>,
     /// While non-zero, raw misses do not create new run-tracker state
     /// (see [`BufferPool::attributed`] /
     /// [`AttributedGuard::suppress_run_detection`]): a scatter-shaped
-    /// access pattern whose plan carries no hints cannot arm speculative
-    /// read-ahead. Hinted runs — and continuations of already-armed
-    /// runs — still stream.
+    /// access pattern whose plan carries no run estimates cannot arm
+    /// speculative read-ahead. Runs opened with an estimate — and
+    /// continuations of already-armed runs — still stream.
     suppress_runs: u32,
     /// Degraded read-only mode: `Some(reason)` after a write-back failed
     /// persistently (not transiently) or the durability layer could not
@@ -251,11 +217,6 @@ const WRITEBACK_RETRIES: u32 = 4;
 const RETRY_BACKOFF_MS: f64 = 0.2;
 
 impl PoolInner {
-    /// Index of the pending hint whose run starts at `pid`, if any.
-    fn hint_index(&self, pid: PageId) -> Option<usize> {
-        self.pending_hints.iter().position(|h| h.start_page == pid)
-    }
-
     /// Replace (or insert) the tracked run continuing at `(file, at)`.
     fn note_run(&mut self, file: FileId, at: u64, state: RunState) {
         if let Some(i) = self
@@ -287,55 +248,29 @@ impl BufferPool {
         self.capacity
     }
 
-    /// Arm a prefetch hint (see [`AccessHint`]): the next miss on
-    /// `hint.start_page` triggers read-ahead immediately — no second
-    /// adjacent miss required — with the window sized from
-    /// `hint.est_run_pages` (in batches of at most [`HINTED_BATCH_PAGES`])
-    /// instead of the fixed `readahead_pages` window.
-    ///
-    /// Up to [`MAX_PENDING_HINTS`] hints may be pending concurrently, one
-    /// per expected run — a fracture-parallel merge arms one per
-    /// component — and each is consumed (or discharged) independently: a
-    /// new hint for the same start page replaces the old one, and a hint
-    /// whose start page is already cached is discharged by the hit — the
-    /// run needs no arming if its head is warm, and the ordinary detector
-    /// covers any cold tail.
-    pub fn hint_run(&self, hint: AccessHint) {
-        let mut g = self.inner.lock();
-        if let Some(i) = g.hint_index(hint.start_page) {
-            g.pending_hints.remove(i);
-        }
-        g.pending_hints.push(hint);
-        if g.pending_hints.len() > MAX_PENDING_HINTS {
-            g.pending_hints.remove(0);
-        }
-    }
-
-    /// Drop the pending [`hint_run`](Self::hint_run) hint starting at
-    /// `start_page`, if one was never consumed — a caller that armed a
-    /// hint and then failed before touching the run's start page must
-    /// clear it, or the stale hint would mis-fire on the next unrelated
-    /// cold miss of that page. Clearing is per-run: other pending hints
-    /// (e.g. sibling components of the same fractured plan) are untouched.
-    pub fn clear_hint(&self, start_page: PageId) {
-        let mut g = self.inner.lock();
-        if let Some(i) = g.hint_index(start_page) {
-            g.pending_hints.remove(i);
-        }
-    }
-
     /// Read a page through the cache. A miss reads the device; two
-    /// adjacent misses in a row — or a single miss on a hinted run's
-    /// start page ([`hint_run`](Self::hint_run)) — trigger sequential
-    /// read-ahead of the physically contiguous continuation (see the
-    /// type docs).
+    /// adjacent misses in a row trigger sequential read-ahead of the
+    /// physically contiguous continuation (see the type docs).
     pub fn get(&self, pid: PageId) -> Result<Bytes> {
+        self.get_run(pid, None)
+    }
+
+    /// [`get`](Self::get) for the first page of a run the caller expects
+    /// to read for about `est_run_pages` pages, `pid` included (a
+    /// clustered heap run, a range scan, a full scan). With an estimate,
+    /// a miss arms read-ahead at once — no second adjacent miss — with the
+    /// window sized from the estimate (in batches of at most 64 pages)
+    /// instead of the fixed
+    /// [`DiskConfig::readahead_pages`](crate::DiskConfig::readahead_pages)
+    /// window, and counts in [`PoolCounters::hinted_runs`]. A hit arms
+    /// nothing: the run's head is warm, and the ordinary detector covers
+    /// any cold tail. An overestimate costs at most one over-sized (but
+    /// contiguous, hence cheap) prefetch batch; an underestimate degrades
+    /// into the two-miss detector. `None` is a plain [`get`](Self::get).
+    pub fn get_run(&self, pid: PageId, est_run_pages: Option<usize>) -> Result<Bytes> {
         let mut g = self.inner.lock();
         if g.frames.contains_key(&pid) {
             g.counters.hits += 1;
-            if let Some(i) = g.hint_index(pid) {
-                g.pending_hints.remove(i); // warm run head: hint is moot
-            }
             let f = g.frames.get_mut(&pid).unwrap();
             let was_prefetched = std::mem::take(&mut f.prefetched);
             if was_prefetched {
@@ -349,26 +284,25 @@ impl BufferPool {
         let file = self.disk.page_file(pid)?;
         let offset = self.disk.page_offset(pid)?;
         let suppress = g.suppress_runs > 0;
-        let sequential = g.runs.iter().any(|r| r.file == file && r.next == offset);
-        let hinted_start = g.hint_index(pid).is_some();
-        let mut hinted_remaining = None;
-        if hinted_start {
-            let i = g.hint_index(pid).unwrap();
-            let hint = g.pending_hints.remove(i);
-            g.counters.hinted_runs += 1;
-            hinted_remaining = Some(hint.est_run_pages.saturating_sub(1));
-        } else if sequential {
-            hinted_remaining = g
-                .runs
-                .iter()
-                .find(|r| r.file == file && r.next == offset)
-                .and_then(|r| r.hinted_remaining);
-        }
+        let tracked = g
+            .runs
+            .iter()
+            .find(|r| r.file == file && r.next == offset)
+            .map(|r| r.hinted_remaining);
+        let sequential = tracked.is_some();
+        let hinted_start = est_run_pages.is_some();
+        let mut hinted_remaining = match est_run_pages {
+            Some(est) => {
+                g.counters.hinted_runs += 1;
+                Some(est.saturating_sub(1))
+            }
+            None => tracked.flatten(),
+        };
         drop(g);
         let data = self.disk.read_page(pid)?;
         let end = offset + data.len() as u64;
         let depth = if self.disk.config().readahead_pages == 0 {
-            0 // read-ahead disabled outright, hints included
+            0 // read-ahead disabled outright, run estimates included
         } else if hinted_start {
             hinted_remaining.unwrap_or(0).min(HINTED_BATCH_PAGES)
         } else if sequential {
@@ -403,7 +337,7 @@ impl BufferPool {
             }
         }
         // Under suppression a raw miss leaves no run state behind — only
-        // hinted arming and the continuation of an already-armed run keep
+        // a run opened with an estimate and the continuation of an already-armed run keep
         // tracking, so two adjacent scatter misses can never arm.
         if !suppress || hinted_start || sequential {
             g.note_run(
@@ -499,7 +433,7 @@ impl BufferPool {
     /// path's reset: `clear()` would flush dirty frames, quietly making
     /// un-logged data durable and masking recovery bugs. Also lifts any
     /// degraded-mode poisoning (the reboot replaced the faulty device
-    /// conditions) and resets run/hint tracking.
+    /// conditions) and resets run tracking.
     pub fn drop_all(&self) {
         let mut g = self.inner.lock();
         let wasted = g.frames.values().filter(|f| f.prefetched).count() as u64;
@@ -509,7 +443,6 @@ impl BufferPool {
         g.head = None;
         g.tail = None;
         g.runs.clear();
-        g.pending_hints.clear();
         g.poisoned = None;
     }
 
@@ -544,7 +477,6 @@ impl BufferPool {
         g.head = None;
         g.tail = None;
         g.runs.clear();
-        g.pending_hints.clear();
     }
 
     /// Cumulative counters since creation.
@@ -661,9 +593,10 @@ impl AttributedGuard<'_> {
     /// Additionally suppress run-detection arming while this guard
     /// lives: raw cache misses no longer create run-tracker state, so a
     /// scatter-shaped access pattern (a plan whose chosen candidate
-    /// carries no [`AccessHint`]s) cannot trick the two-adjacent-miss
-    /// detector into speculative read-ahead. Planner hints — and runs
-    /// they already armed — still stream normally.
+    /// carries no run estimates) cannot trick the two-adjacent-miss
+    /// detector into speculative read-ahead. Runs opened with an estimate
+    /// ([`BufferPool::get_run`]) — and runs they already armed — still
+    /// stream normally.
     pub fn suppress_run_detection(mut self) -> Self {
         if !self.suppressing {
             self.pool.inner.lock().suppress_runs += 1;
@@ -922,13 +855,9 @@ mod tests {
             disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
         }
         let run_len = 20;
-        pool.hint_run(AccessHint {
-            start_page: pages[0],
-            est_run_pages: run_len,
-        });
-        // One cold miss on the hinted start page prefetches the whole
+        // One cold miss on the run's first page prefetches the whole
         // estimated run — no second adjacent miss needed.
-        pool.get(pages[0]).unwrap();
+        pool.get_run(pages[0], Some(run_len)).unwrap();
         let c = pool.counters();
         assert_eq!(c.misses, 1);
         assert_eq!(c.hinted_runs, 1);
@@ -952,28 +881,6 @@ mod tests {
     }
 
     #[test]
-    fn hint_on_other_page_does_not_arm() {
-        let (disk, pool) = setup(1 << 20);
-        let f = disk.create_file("t", 4096);
-        let pages: Vec<_> = (0..8).map(|_| disk.alloc_page(f).unwrap()).collect();
-        for &p in &pages {
-            disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
-        }
-        pool.hint_run(AccessHint {
-            start_page: pages[4],
-            est_run_pages: 4,
-        });
-        // A miss elsewhere must not consume or act on the hint.
-        pool.get(pages[0]).unwrap();
-        assert_eq!(pool.counters().readahead, 0);
-        assert_eq!(pool.counters().hinted_runs, 0);
-        // The hinted page itself then arms.
-        pool.get(pages[4]).unwrap();
-        assert_eq!(pool.counters().hinted_runs, 1);
-        assert_eq!(pool.counters().readahead, 3);
-    }
-
-    #[test]
     fn warm_start_page_discharges_hint() {
         let (disk, pool) = setup(1 << 20);
         let f = disk.create_file("t", 4096);
@@ -982,11 +889,7 @@ mod tests {
             disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
         }
         pool.get(pages[0]).unwrap(); // warm the head
-        pool.hint_run(AccessHint {
-            start_page: pages[0],
-            est_run_pages: 4,
-        });
-        pool.get(pages[0]).unwrap(); // hit: hint is moot and dropped
+        pool.get_run(pages[0], Some(4)).unwrap(); // hit: arms nothing
         pool.get(pages[2]).unwrap(); // unrelated miss later
         let c = pool.counters();
         assert_eq!(c.hinted_runs, 0, "a warm head must not count as armed");
@@ -1001,11 +904,7 @@ mod tests {
         for &p in &pages {
             disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
         }
-        pool.hint_run(AccessHint {
-            start_page: pages[0],
-            est_run_pages: 1,
-        });
-        pool.get(pages[0]).unwrap();
+        pool.get_run(pages[0], Some(1)).unwrap();
         let c = pool.counters();
         assert_eq!(c.hinted_runs, 1);
         assert_eq!(c.readahead, 0, "a one-page run has no continuation: {c}");
@@ -1020,11 +919,8 @@ mod tests {
         for &p in &pages {
             disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
         }
-        pool.hint_run(AccessHint {
-            start_page: pages[0],
-            est_run_pages: n,
-        });
-        for &p in &pages {
+        pool.get_run(pages[0], Some(n)).unwrap();
+        for &p in &pages[1..] {
             pool.get(p).unwrap();
         }
         let c = pool.counters();
@@ -1051,16 +947,13 @@ mod tests {
                 pages
             })
             .collect();
-        for run in &runs {
-            pool.hint_run(AccessHint {
-                start_page: run[0],
-                est_run_pages: run.len(),
-            });
-        }
         // Interleave the three runs round-robin, the way a k-way merge
         // pulls one row per component: each run must still arm on its own
         // first miss and then stream entirely from read-ahead.
-        for i in 0..runs[0].len() {
+        for run in &runs {
+            pool.get_run(run[0], Some(run.len())).unwrap();
+        }
+        for i in 1..runs[0].len() {
             for run in &runs {
                 pool.get(run[i]).unwrap();
             }
@@ -1095,34 +988,6 @@ mod tests {
             2 * disk.config().readahead_pages as u64,
             "both interleaved runs must detect: {c}"
         );
-    }
-
-    #[test]
-    fn clear_hint_is_per_run() {
-        let (disk, pool) = setup(1 << 20);
-        let f = disk.create_file("t", 4096);
-        let pages: Vec<_> = (0..16).map(|_| disk.alloc_page(f).unwrap()).collect();
-        for &p in &pages {
-            disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
-        }
-        pool.hint_run(AccessHint {
-            start_page: pages[0],
-            est_run_pages: 4,
-        });
-        pool.hint_run(AccessHint {
-            start_page: pages[8],
-            est_run_pages: 4,
-        });
-        pool.clear_hint(pages[8]);
-        pool.get(pages[8]).unwrap();
-        let c = pool.counters();
-        assert_eq!(c.hinted_runs, 0, "cleared hint must not arm: {c}");
-        assert_eq!(c.readahead, 0, "{c}");
-        // The sibling hint is untouched and still arms.
-        pool.get(pages[0]).unwrap();
-        let c = pool.counters();
-        assert_eq!(c.hinted_runs, 1, "{c}");
-        assert_eq!(c.readahead, 3, "{c}");
     }
 
     #[test]
@@ -1289,11 +1154,7 @@ mod tests {
             disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
         }
         let _guard = pool.attributed(QueryId::next()).suppress_run_detection();
-        pool.hint_run(AccessHint {
-            start_page: pages[0],
-            est_run_pages: 8,
-        });
-        pool.get(pages[0]).unwrap();
+        pool.get_run(pages[0], Some(8)).unwrap();
         let c = pool.counters();
         assert_eq!(c.hinted_runs, 1, "{c}");
         assert_eq!(c.readahead, 7, "hint must stream despite suppression: {c}");
@@ -1309,11 +1170,7 @@ mod tests {
         }
         // Arm a hinted run larger than the pool: prefetched frames evict
         // each other before any demand get touches them.
-        pool.hint_run(AccessHint {
-            start_page: pages[0],
-            est_run_pages: 12,
-        });
-        pool.get(pages[0]).unwrap();
+        pool.get_run(pages[0], Some(12)).unwrap();
         let c = pool.counters();
         assert!(c.readahead > 0, "{c}");
         assert!(

@@ -181,11 +181,6 @@ impl Wal {
         Lsn(self.inner.lock().next_lsn)
     }
 
-    /// Records appended but not yet flushed.
-    pub fn pending_records(&self) -> usize {
-        self.inner.lock().pending.len()
-    }
-
     /// Cumulative activity counters.
     pub fn counters(&self) -> WalCounters {
         self.inner.lock().counters

@@ -3,9 +3,9 @@
 //! unclustered heap + PII baseline, once UPI-clustered with a country
 //! secondary — and let each `UncertainDb` session plan Queries 1 and 3.
 //! The same logical `PtqQuery` picks a different physical story per
-//! layout, and `explain_with_io` shows the chosen operator tree, the
-//! planner's prefetch hint, every priced candidate, and the buffer-pool
-//! traffic the execution actually caused.
+//! layout, and `explain_analyze` shows the chosen operator tree, the
+//! planner's prefetch hint, every priced candidate, the buffer-pool
+//! traffic the execution actually caused, and the executed span tree.
 //!
 //! Run: `cargo run -p upi-examples --example planner_explain`
 
@@ -72,7 +72,7 @@ fn main() {
         println!("=== layout: {name} ===\n");
         for (label, q) in [("Query 1", &q1), ("Query 3", &q3)] {
             store.go_cold();
-            let (out, text) = db.run_explained(q).unwrap();
+            let (out, text) = db.explain_analyze(q).unwrap();
             println!("--- {label}\n{text}-> {} journal groups\n", out.len());
         }
     }
@@ -82,7 +82,7 @@ fn main() {
     // the full Query 1 run above.
     let topk = PtqQuery::eq(publication_fields::INSTITUTION, mit).with_top_k(5);
     upi_store.go_cold();
-    let (out, text) = clustered.run_explained(&topk).unwrap();
+    let (out, text) = clustered.explain_analyze(&topk).unwrap();
     println!("=== top-5, UPI-clustered ===\n\n{text}");
     for r in out.rows {
         println!("  tid {:>6}  confidence {:.3}", r.tuple.id.0, r.confidence);

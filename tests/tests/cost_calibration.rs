@@ -251,7 +251,9 @@ fn session_records_samples_per_kind_automatically() {
         "warm-cache executions must be filtered"
     );
     db.table().store().go_cold();
-    let (_, text) = db.run_explained(&PtqQuery::eq(1, 3).with_qt(0.2)).unwrap();
+    let (_, text) = db
+        .explain_analyze(&PtqQuery::eq(1, 3).with_qt(0.2))
+        .unwrap();
     assert_eq!(db.calibration_samples(PathKind::PointMerge), 2);
     assert!(text.contains("cost model:"), "{text}");
     // A third sample clears MIN_REFIT_SAMPLES; after a refit, explain

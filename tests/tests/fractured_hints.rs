@@ -2,17 +2,17 @@
 //! `PoolCounters`.
 //!
 //! A fracture-parallel merge interleaves reads across component files,
-//! so the buffer pool tracks one pending hint and one detected run per
-//! component. These tests pin that behaviour:
+//! so the buffer pool tracks one run per component. These tests pin that
+//! behaviour:
 //!
-//! * at the pool level — k concurrent hinted runs each arm on their own
-//!   first miss with no cross-run interference, the two-adjacent-miss
-//!   fallback still works for unhinted runs even when interleaved with
-//!   hinted ones, and clearing one run's hint leaves its siblings armed;
+//! * at the pool level — k concurrent runs opened with an estimate
+//!   (`BufferPool::get_run`) each arm on their own first miss with no
+//!   cross-run interference, and the two-adjacent-miss fallback still
+//!   works for unhinted runs even when interleaved with hinted ones;
 //! * end-to-end — a fractured plan carries one run-length estimate per
-//!   component, each component's open arms its own on the leaf its seek
-//!   lands on (`PoolCounters::hinted_runs` equals the component count), a
-//!   failed open clears exactly the hints it armed, and the hinted
+//!   component, each component's open reads the leaf its seek lands on
+//!   with its own (`PoolCounters::hinted_runs` equals the component
+//!   count), a failed open leaves nothing armed, and the hinted
 //!   execution takes measurably fewer demand misses than the same plan
 //!   with the hints stripped (same rows either way).
 
@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use upi::{FracturedConfig, TableLayout, UpiConfig};
 use upi_query::{AccessPath, PhysicalPlan, PtqQuery, UncertainDb};
-use upi_storage::{AccessHint, DiskConfig, FaultPlan, SimDisk, Store};
+use upi_storage::{DiskConfig, FaultPlan, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema};
 
 const ATTR: usize = 1;
@@ -73,9 +73,9 @@ fn build() -> UncertainDb {
 
 #[test]
 fn concurrent_hinted_runs_arm_without_interference() {
-    // Three files, three hints, reads interleaved the way a k-way merge
-    // pulls one row per component: each run must arm on its own first
-    // miss and stream from read-ahead from then on.
+    // Three files, three run estimates, reads interleaved the way a k-way
+    // merge pulls one row per component: each run must arm on its own
+    // first miss and stream from read-ahead from then on.
     let st = store();
     let runs: Vec<Vec<_>> = (0..3)
         .map(|i| {
@@ -92,12 +92,9 @@ fn concurrent_hinted_runs_arm_without_interference() {
     st.go_cold();
     let before = st.pool.counters();
     for run in &runs {
-        st.pool.hint_run(AccessHint {
-            start_page: run[0],
-            est_run_pages: run.len(),
-        });
+        st.pool.get_run(run[0], Some(run.len())).unwrap();
     }
-    for i in 0..runs[0].len() {
+    for i in 1..runs[0].len() {
         for run in &runs {
             st.pool.get(run[i]).unwrap();
         }
@@ -126,14 +123,10 @@ fn unhinted_runs_keep_the_two_miss_fallback_beside_hinted_ones() {
     let plain = make("plain");
     st.go_cold();
     let before = st.pool.counters();
-    st.pool.hint_run(AccessHint {
-        start_page: hinted[0],
-        est_run_pages: hinted.len(),
-    });
     // Interleave: hinted run arms on its first miss; the unhinted run
     // still needs its own two adjacent misses, unaffected by the hinted
     // traffic in between.
-    st.pool.get(hinted[0]).unwrap();
+    st.pool.get_run(hinted[0], Some(hinted.len())).unwrap();
     st.pool.get(plain[0]).unwrap();
     let c = st.pool.counters().since(&before);
     assert_eq!(c.hinted_runs, 1, "{c}");
@@ -243,27 +236,13 @@ fn failed_open_clears_only_its_own_hints() {
         c.hints.clear();
     }
     // Main opens first; from cold its seek reads `height - 1` internal
-    // pages, then the leaf that open arms its hint for.
+    // pages, then the leaf it reads with its run estimate.
     let height = db.table().chain().unwrap().main().heap_stats().height;
     assert!(height > 1, "the seek must descend before its leaf read");
     st.go_cold();
 
-    // An unrelated hint armed by "someone else" (a concurrent query)
-    // must survive this plan's failed execution.
-    let f = st.disk.create_file("bystander", 8192);
-    let pages: Vec<_> = (0..8).map(|_| st.disk.alloc_page(f).unwrap()).collect();
-    for &p in &pages {
-        st.disk
-            .write_page(p, bytes::Bytes::from(vec![9u8; 8192]))
-            .unwrap();
-    }
-    st.pool.hint_run(AccessHint {
-        start_page: pages[0],
-        est_run_pages: pages.len(),
-    });
-
-    // The device dies on the first leaf read: the open fails after
-    // arming its hint.
+    // The device dies on the first leaf read: the open fails on the read
+    // that carries its run estimate.
     let before = st.disk.stats();
     st.disk
         .set_fault_plan(FaultPlan::kill_at(height as u64 - 1));
@@ -275,20 +254,14 @@ fn failed_open_clears_only_its_own_hints() {
         "the device must die on the leaf read, after the descent"
     );
 
-    // None of the plan's hints survive to mis-fire later: the same plan
-    // without estimates arms nothing, and its first miss on every
-    // component is that component's landing leaf...
+    // Nothing of the failed execution survives to mis-fire later: the
+    // same plan without estimates arms nothing, and its first miss on
+    // every component is that component's landing leaf.
     let before = st.pool.counters();
     stripped.execute(&db.catalog()).unwrap();
     let after = st.pool.counters().since(&before);
     assert_eq!(
         after.hinted_runs, 0,
-        "hints armed by a failed execution must all be cleared: {after}"
+        "a failed execution must leave nothing armed: {after}"
     );
-
-    // ...while the bystander's hint is still pending and arms normally.
-    let before = st.pool.counters();
-    st.pool.get(pages[0]).unwrap();
-    let after = st.pool.counters().since(&before);
-    assert_eq!(after.hinted_runs, 1, "unrelated hint must survive: {after}");
 }

@@ -4,13 +4,14 @@
 //! adjacent cold misses; a planner that chose a run-shaped access path
 //! knows better *before* execution. These tests pin both behaviours:
 //!
-//! * at the pool level — a hinted start page arms read-ahead after a
-//!   **single** cold miss with a window sized from the estimated run
+//! * at the pool level — a run's first page read with an estimate
+//!   (`BufferPool::get_run`) arms read-ahead after a **single** cold miss with a window sized from the estimated run
 //!   length, while an unhinted run still pays the two-miss detection
 //!   latency;
 //! * end-to-end — a planned clustered range run carries its estimated
 //!   length (and no page: planning reads none), the seek that opens the
-//!   run arms it on the leaf it lands on, and the hinted execution takes
+//!   run reads the leaf it lands on with that estimate, and the hinted
+//!   execution takes
 //!   measurably fewer demand misses than the same plan with the estimate
 //!   stripped (same rows either way).
 
@@ -18,7 +19,7 @@ use std::sync::Arc;
 
 use upi::{TableLayout, UpiConfig};
 use upi_query::{PhysicalPlan, PtqQuery, UncertainDb};
-use upi_storage::{AccessHint, DiskConfig, FaultPlan, SimDisk, Store};
+use upi_storage::{DiskConfig, FaultPlan, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema};
 
 const ATTR: usize = 1;
@@ -99,14 +100,10 @@ fn hinted_run_arms_on_first_miss_with_run_sized_window() {
     }
     st.go_cold();
     let before = st.pool.counters();
-    st.pool.hint_run(AccessHint {
-        start_page: pages[0],
-        est_run_pages: 30,
-    });
-    st.pool.get(pages[0]).unwrap();
+    st.pool.get_run(pages[0], Some(30)).unwrap();
     let c = st.pool.counters().since(&before);
     assert_eq!(c.misses, 1, "exactly one cold miss so far");
-    assert_eq!(c.hinted_runs, 1, "the hint must be consumed: {c}");
+    assert_eq!(c.hinted_runs, 1, "the estimate must arm the run: {c}");
     assert_eq!(
         c.readahead,
         29,
@@ -203,9 +200,9 @@ fn failed_execution_clears_its_armed_hint() {
     assert!(height > 1, "the seek must descend before its leaf read");
 
     // From cold, the seek reads `height - 1` internal pages and then the
-    // leaf the open arms its hint for: fail the device on that read. The
-    // execution fails after the hint was armed; the stale hint must not
-    // survive to mis-fire on a later unrelated access of that page.
+    // leaf it reads with its run estimate: fail the device on that read.
+    // Nothing of the failed read may survive to mis-fire on a later
+    // unrelated access of that page.
     st.go_cold();
     let before = st.disk.stats();
     st.disk
@@ -219,8 +216,8 @@ fn failed_execution_clears_its_armed_hint() {
     );
 
     // The same scan without its estimate arms nothing and suppresses run
-    // detection, and its first miss is that leaf: only a stale hint can
-    // fire there.
+    // detection, and its first miss is that leaf: only a stale estimate
+    // could arm there.
     let stripped_plan = PhysicalPlan {
         query: q,
         candidates: vec![stripped],
@@ -230,7 +227,7 @@ fn failed_execution_clears_its_armed_hint() {
     let after = st.pool.counters().since(&before);
     assert_eq!(
         after.hinted_runs, 0,
-        "a hint armed by a failed execution must have been cleared: {after}"
+        "a failed execution must leave nothing armed: {after}"
     );
     assert_eq!(after.readahead, 0, "{after}");
 }
