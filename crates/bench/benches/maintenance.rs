@@ -187,17 +187,6 @@ fn run_arm(arm: Arm, n_rows: usize) -> Series {
         .as_fractured()
         .map(|f| f.n_fractures() + 1)
         .unwrap_or(1);
-    if std::env::var("UPI_BENCH_DEBUG").is_ok() {
-        if let Some(f) = db.table().as_fractured() {
-            eprintln!(
-                "arm {:?} component_bytes: {:?}",
-                arm as u8,
-                f.component_bytes()
-            );
-        }
-        let q = PtqQuery::eq(1, 0).with_qt(QT);
-        eprintln!("{}", db.explain(&q).unwrap());
-    }
     let m = db.metrics();
     Series {
         name: match arm {

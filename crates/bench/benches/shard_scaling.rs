@@ -26,11 +26,11 @@
 //!    the workload, Σ max (`parallel_ms`) must undercut Σ sum
 //!    (`device_ms`, the serial-drain cost) by ≥ 40% at 4 shards.
 //! 4. **Pruned cold shards** — on a skewed range layout whose last
-//!    shard holds only low-confidence rows, the per-shard `ConfidenceBound`
-//!    bounds let every scatter skip *opening* it: the pruned shard's
-//!    device sees zero page reads while the answers stay byte-equal to
-//!    an exhaustive scatter. Checked at every scale (routing is
-//!    deterministic).
+//!    shard holds only low-confidence rows, that shard table's own
+//!    confidence bounds let every scatter skip *opening* it: the pruned
+//!    shard's device sees zero page reads while the answers stay
+//!    byte-equal to an unsharded twin's. Checked at every scale (routing
+//!    is deterministic).
 //!
 //! Emits `BENCH_shard.json` (override the path with
 //! `UPI_BENCH_SHARD_JSON`): per shard count, demand pages per pass,
@@ -46,7 +46,7 @@ use std::sync::Arc;
 
 use upi::{FracturedConfig, ShardLayout, TableLayout, UpiConfig};
 use upi_bench::{banner, header, scale, summary, POOL_BYTES};
-use upi_query::{PtqQuery, ShardedDb};
+use upi_query::{PtqQuery, ShardedDb, UncertainDb};
 use upi_storage::{DiskConfig, IoStats, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
 
@@ -219,7 +219,7 @@ fn run_series(tuples: &[Tuple], n_shards: usize, buffer_ops: usize) -> Series {
 }
 
 /// Skewed pruning experiment, always at 4 shards: range layout whose
-/// last shard stores only confidences ≤ ~0.3, so its `ConfidenceBound`
+/// last shard stores only confidences ≤ ~0.3, so its table's confidence
 /// bounds sit strictly below the workload's `qt = 0.5` and every
 /// scatter skips opening it. Routing and bounds are deterministic, so
 /// this holds at any scale.
@@ -233,15 +233,18 @@ fn run_skew(n_rows: usize) -> Skew {
         ("pad", FieldKind::Str),
         ("value", FieldKind::Discrete),
     ]);
+    let table_layout = TableLayout::Upi(UpiConfig::default());
     let mut db = ShardedDb::create(
         stores,
         "shard_skew",
-        schema,
+        schema.clone(),
         1,
-        TableLayout::Upi(UpiConfig::default()),
+        table_layout.clone(),
         layout,
     )
     .unwrap();
+    let twin_store = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), POOL_BYTES);
+    let mut twin = UncertainDb::create(twin_store, "shard_skew", schema, 1, table_layout).unwrap();
     let tuples: Vec<Tuple> = (0..n_rows as u64)
         .map(|i| {
             let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
@@ -263,8 +266,9 @@ fn run_skew(n_rows: usize) -> Skew {
         })
         .collect();
     db.load(&tuples).unwrap();
+    twin.load(&tuples).unwrap();
     assert!(
-        db.stats()[3].max_conf() < 0.5,
+        (0..VALUES).all(|v| db.shards()[3].table().confidence_bound(v) < 0.5),
         "the skewed shard's bound must sit below qt"
     );
 
@@ -276,14 +280,11 @@ fn run_skew(n_rows: usize) -> Skew {
             .collect()
     };
 
-    // Exhaustive baseline first, then the pruned run from cold.
-    db.set_pruning(false);
-    go_cold(&db);
+    // The unsharded twin's answers are the baseline; the pruned run
+    // starts from cold.
     let baseline: Vec<_> = (0..VALUES)
-        .map(|v| fp(&db.query(&topk(v)).unwrap()))
+        .map(|v| fp(&twin.query(&topk(v)).unwrap()))
         .collect();
-
-    db.set_pruning(true);
     go_cold(&db);
     let skipped_before = db.shards_skipped();
     let cold_before = db.shards()[3].table().store().disk.stats();

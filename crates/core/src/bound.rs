@@ -1,26 +1,29 @@
 //! Sound per-value confidence upper bounds.
 //!
 //! One [`ConfidenceBound`] sketch answers "can any row with primary value
-//! `v` here reach confidence `c`?" without reading a page. Two owners
-//! keep one: every [`DiscreteUpi`](crate::DiscreteUpi) component (so a
-//! chain merge opens only the components, and a range only the cutoff
-//! phase, that a bound says can qualify) and every shard of
-//! `upi_query::ShardedDb` (so a scatter skips whole shards).
+//! `v` here reach confidence `c`?" without reading a page. Two structures
+//! own one, noted as they store rows and rebuilt with themselves: every
+//! [`DiscreteUpi`](crate::DiscreteUpi) component (so a chain merge opens
+//! only the components, and a range only the cutoff phase, that a bound
+//! says can qualify) and the unclustered layout's primary
+//! [`Pii`](crate::Pii). A table's bound is read off those
+//! ([`UncertainTable::confidence_bound`](crate::UncertainTable::confidence_bound)),
+//! and a shard of `upi_query::ShardedDb` skips by its table's bound.
 
 use upi_storage::codec::{dequantize_prob, quantize_prob};
-use upi_uncertain::{Field, Tuple};
 
 /// Buckets in the per-value max-confidence sketch: small enough to sit
-/// in RAM per component or shard (2 KB), wide enough that a handful of
+/// in RAM per component or index (2 KB), wide enough that a handful of
 /// hot values rarely collide.
 pub(crate) const SKETCH_BUCKETS: usize = 256;
 
-/// The maximum confidence any alternative noted here could reach,
-/// overall and per hashed primary value.
+/// The maximum confidence any alternative noted here could reach, per
+/// hashed primary value.
 ///
-/// Both are **sound upper bounds**, never exact: every insert/load/update
-/// raises them, deletes and updates never lower them (rebuilding from
-/// live tuples is the only tightening operation). A reader may therefore
+/// It is a **sound upper bound**, never exact: every insert/load/update
+/// raises it, deletes and updates never lower it (the owner's rebuild —
+/// a fold, a flush into a new component, a recovery — is the only
+/// tightening operation). A reader may therefore
 /// skip *opening* a structure whose bound is **strictly** below the
 /// confidence it still needs — qualifying rows have `confidence >= qt`,
 /// so a bound equal to the threshold must still be visited. Bounds are
@@ -30,14 +33,12 @@ pub(crate) const SKETCH_BUCKETS: usize = 256;
 /// zero bound means no row for the value's bucket was ever noted.
 #[derive(Debug, Clone)]
 pub struct ConfidenceBound {
-    max_conf: f64,
     sketch: [f64; SKETCH_BUCKETS],
 }
 
 impl Default for ConfidenceBound {
     fn default() -> ConfidenceBound {
         ConfidenceBound {
-            max_conf: 0.0,
             sketch: [0.0; SKETCH_BUCKETS],
         }
     }
@@ -56,7 +57,7 @@ impl ConfidenceBound {
         (value.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as usize % SKETCH_BUCKETS
     }
 
-    /// Raise the bounds for one `(value, confidence)` alternative.
+    /// Raise the bound for one `(value, confidence)` alternative.
     pub fn note(&mut self, value: u64, conf: f64) {
         // A stored confidence is quantized to-nearest and may round UP:
         // bound the quantized form too, or a stored row could beat the
@@ -64,29 +65,9 @@ impl ConfidenceBound {
         let conf = conf
             .max(dequantize_prob(quantize_prob(conf)))
             .max(f64::MIN_POSITIVE);
-        if conf > self.max_conf {
-            self.max_conf = conf;
-        }
         let b = Self::bucket(value);
         if conf > self.sketch[b] {
             self.sketch[b] = conf;
-        }
-    }
-
-    /// Raise the bounds for every alternative of `t`'s attribute `attr`.
-    /// Non-discrete or out-of-range attributes saturate every bound to
-    /// 1.0 — no pruning rather than unsound pruning.
-    pub fn note_tuple(&mut self, attr: usize, t: &Tuple) {
-        match t.fields.get(attr) {
-            Some(Field::Discrete(pmf)) => {
-                for &(v, p) in pmf.alternatives() {
-                    self.note(v, t.exist * p);
-                }
-            }
-            _ => {
-                self.max_conf = 1.0;
-                self.sketch = [1.0; SKETCH_BUCKETS];
-            }
         }
     }
 
@@ -94,11 +75,6 @@ impl ConfidenceBound {
     /// can reach.
     pub fn bound(&self, value: u64) -> f64 {
         self.sketch[Self::bucket(value)]
-    }
-
-    /// Upper bound on any confidence, regardless of value.
-    pub fn max_conf(&self) -> f64 {
-        self.max_conf
     }
 }
 
@@ -111,5 +87,24 @@ mod tests {
         let mut st = ConfidenceBound::new();
         st.note(3, 0.0);
         assert!(st.bound(3) > 0.0, "zero means no row was noted");
+    }
+
+    #[test]
+    fn bounds_cover_every_alternative_and_round_up_to_the_quantization_grid() {
+        let mut st = ConfidenceBound::new();
+        assert_eq!(st.bound(7), 0.0);
+        // One row with alternatives 7 at 0.9*0.61 and 107 at the rest.
+        st.note(7, 0.9 * 0.61);
+        st.note(107, 0.9 * (1.0 - 0.61) * 0.5);
+        assert!(st.bound(7) >= 0.9 * 0.61);
+        assert!(st.bound(107) >= 0.9 * (1.0 - 0.61) * 0.5);
+        // The bound also covers the quantized (stored) confidence, which
+        // rounds to nearest and may exceed the exact one.
+        let q = dequantize_prob(quantize_prob(0.9 * 0.61));
+        assert!(st.bound(7) >= q);
+        // Raise-only: noting a weaker row never lowers a bound.
+        let before = st.bound(7);
+        st.note(7, 0.1 * 0.2);
+        assert!(st.bound(7) >= before);
     }
 }

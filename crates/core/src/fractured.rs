@@ -653,6 +653,23 @@ impl<'a> Chain<'a> {
         self.fractured.is_some_and(|f| f.suppressed(tid, level))
     }
 
+    /// Upper bound on the confidence of any row for primary value `value`
+    /// the chain holds, read without a page: the highest component
+    /// [`ConfidenceBound`](crate::ConfidenceBound), and each buffered
+    /// insert's exact confidence (the buffer is in RAM, so a buffered
+    /// delete lowers this at once).
+    pub(crate) fn bound(self, value: u64) -> f64 {
+        let attr = self.main.attr();
+        let buffered = self
+            .fractured
+            .into_iter()
+            .flat_map(|f| f.buf_inserts.values());
+        self.components()
+            .map(|u| u.confidence_bound().bound(value))
+            .chain(buffered.map(|t| t.confidence_eq(attr, value)))
+            .fold(0.0, f64::max)
+    }
+
     /// The insert buffer's matches (none, for a plain UPI).
     fn buffered_matches(self, qt: f64, conf: impl Fn(&Tuple) -> f64) -> Vec<PtqResult> {
         self.fractured

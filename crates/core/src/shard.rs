@@ -5,9 +5,9 @@
 //! a full table over its **own** store — its own simulated disk, buffer
 //! pool, WAL, statistics and calibrated cost model. This module holds the
 //! piece of that design that is a pure function of the data: how tuple
-//! ids map to shards ([`ShardLayout`]). Each shard's max-confidence
-//! bounds, which a scatter prunes by, are a
-//! [`ConfidenceBound`](crate::ConfidenceBound). The split
+//! ids map to shards ([`ShardLayout`]). A scatter skips a shard by its
+//! table's own bound
+//! ([`UncertainTable::confidence_bound`](crate::UncertainTable::confidence_bound)). The split
 //! is by **tuple id**, never by attribute value: a tuple's alternatives
 //! must stay together (possible-world semantics are per tuple), and id
 //! routing keeps every layout — unclustered, UPI, fractured — valid per
@@ -51,20 +51,6 @@ impl ShardLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ConfidenceBound;
-    use upi_storage::codec::{dequantize_prob, quantize_prob};
-    use upi_uncertain::{Datum, DiscretePmf, Field, Tuple, TupleId};
-
-    fn row(inst: u64, p: f64, country: u64) -> Vec<Field> {
-        vec![
-            Field::Certain(Datum::Str("x".into())),
-            Field::Discrete(DiscretePmf::new(vec![
-                (inst, p),
-                (inst + 100, (1.0 - p) * 0.5),
-            ])),
-            Field::Discrete(DiscretePmf::new(vec![(country, 1.0)])),
-        ]
-    }
 
     #[test]
     fn routing_is_deterministic_total_and_balanced() {
@@ -97,30 +83,5 @@ mod tests {
         assert_eq!(l.route(19), 1);
         assert_eq!(l.route(20), 2);
         assert_eq!(l.route(u64::MAX), 2);
-    }
-
-    #[test]
-    fn shard_stats_bound_rows_and_round_up_to_the_quantization_grid() {
-        let mut st = ConfidenceBound::new();
-        assert_eq!(st.bound(7), 0.0);
-        let t = Tuple::new(TupleId(0), 0.9, row(7, 0.61, 1));
-        st.note_tuple(1, &t);
-        // Every alternative is bounded: 7 at 0.9*0.61, 107 at the rest.
-        assert!(st.bound(7) >= 0.9 * 0.61);
-        assert!(st.bound(107) >= 0.9 * (1.0 - 0.61) * 0.5);
-        assert!(st.max_conf() >= 0.9 * 0.61);
-        // The bound also covers the quantized (stored) confidence, which
-        // rounds to nearest and may exceed the exact one.
-        let q = dequantize_prob(quantize_prob(0.9 * 0.61));
-        assert!(st.bound(7) >= q);
-        // Raise-only: noting a weaker row never lowers a bound.
-        let before = st.bound(7);
-        st.note_tuple(1, &Tuple::new(TupleId(1), 0.1, row(7, 0.2, 1)));
-        assert!(st.bound(7) >= before);
-        // Non-discrete primary attribute: saturate, never prune.
-        let mut s2 = ConfidenceBound::new();
-        s2.note_tuple(0, &t);
-        assert_eq!(s2.bound(12345), 1.0);
-        assert_eq!(s2.max_conf(), 1.0);
     }
 }

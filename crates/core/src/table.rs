@@ -719,6 +719,22 @@ impl UncertainTable {
         }
     }
 
+    /// Upper bound on the confidence any live row with primary value
+    /// `value` can reach, computed without reading a page: on a clustered
+    /// layout the chain's (the highest component bound, and each buffered
+    /// insert's exact confidence), on the unclustered layout the primary
+    /// PII's. Sound, and raise-only between rebuilds: a delete of a stored
+    /// row leaves it raised until the row's component is rebuilt (a fold
+    /// or a recovery). A caller may skip the table for a query whose `qt`
+    /// is strictly above it.
+    pub fn confidence_bound(&self, value: u64) -> f64 {
+        match &self.inner {
+            Inner::Unclustered { primary, .. } => primary.confidence_bound().bound(value),
+            Inner::Upi(upi) => upi.chain().bound(value),
+            Inner::Fractured(f) => f.chain().bound(value),
+        }
+    }
+
     /// The planner-facing statistics (primary [`AttrStats`] plus each
     /// secondary's selectivity histogram and pointer-region histogram) as
     /// canonical bytes — main's only on a fractured UPI, empty on the

@@ -678,7 +678,7 @@ impl UncertainDb {
     }
 
     /// Record that a scatter-gather query skipped this shard outright:
-    /// its pruning statistics proved no row could qualify, so neither a
+    /// its table's confidence bound proved no row could qualify, so neither a
     /// plan nor a cursor was opened and no calibration sample exists.
     pub(crate) fn note_shard_skip(&self) {
         self.metrics.lock().record_shard_skip();

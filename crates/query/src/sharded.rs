@@ -35,15 +35,17 @@
 //! for one round with no floor: each shard executes the whole query, and
 //! the facade gathers (re-sorts, re-aggregates, truncates).
 //!
-//! **Pruning.** The facade maintains one [`upi::ConfidenceBound`] per shard —
-//! a raise-only max-confidence sketch per primary value — so an
+//! **Pruning.** The facade keeps no pruning state: a shard's bound for a
+//! primary value is its table's own
+//! ([`UncertainTable::confidence_bound`](upi::UncertainTable::confidence_bound)
+//! — the chain's component bounds and buffered inserts, or the
+//! unclustered layout's primary PII), read without a page. An
 //! `Eq`-on-primary scatter skips *opening* shards whose bound is
 //! strictly below `qt`: no plan, no descent, zero pages. From round 1
 //! on, a top-k shard whose bound is strictly below the published floor
 //! is retired before its next pull. Skips are counted on the facade
 //! ([`shards_skipped`](ShardedDb::shards_skipped)) and on each skipped
-//! shard's metrics registry; both rules can be disabled with
-//! [`set_pruning`](ShardedDb::set_pruning).
+//! shard's metrics registry.
 //!
 //! Observability keeps the partition identity: the whole scatter runs
 //! under **one** attribution id, pinned once on the caller's thread, and
@@ -58,12 +60,9 @@
 //! `device` for calibration.
 
 use std::fmt::Display;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use upi::{
-    ChainPointRun, ConfidenceBound, PtqResult, RecoveryInfo, ShardLayout, TableLayout,
-    TopKWatermark,
-};
+use upi::{ChainPointRun, PtqResult, RecoveryInfo, ShardLayout, TableLayout, TopKWatermark};
 use upi_storage::error::Result as StorageResult;
 use upi_storage::{BufferPool, IoStats, Lsn, PoolCounters, QueryId, Store};
 use upi_uncertain::{Field, Schema, Tuple, TupleId};
@@ -274,11 +273,6 @@ pub struct ShardedDb {
     shards: Vec<UncertainDb>,
     layout: ShardLayout,
     next_id: u64,
-    /// Per-shard pruning bounds, maintained by every DML entry point.
-    stats: Vec<ConfidenceBound>,
-    /// Pruning switch (on by default); tests and benches flip it to
-    /// compare skipped vs. exhaustive scatters.
-    prune: AtomicBool,
     /// Shard openings avoided by pruning, across all queries.
     skipped: AtomicU64,
 }
@@ -320,9 +314,9 @@ impl ShardedDb {
     /// have **heterogeneous physical layouts** (one clustered, one
     /// fractured, one unclustered …); the fast path falls back per shard
     /// where a layout cannot stream in confidence order. The id horizon
-    /// is re-seeded from the max over shard id horizons and the pruning
-    /// statistics are rebuilt from live tuples. Every other constructor
-    /// ends here.
+    /// is re-seeded from the max over shard id horizons; no page is
+    /// read, because each shard already carries its own bounds. Every
+    /// other constructor ends here.
     pub fn from_shards(shards: Vec<UncertainDb>, layout: ShardLayout) -> StorageResult<ShardedDb> {
         assert_eq!(
             shards.len(),
@@ -340,16 +334,12 @@ impl ShardedDb {
             .map(|s| s.table().next_id())
             .max()
             .unwrap_or(0);
-        let mut db = ShardedDb {
+        Ok(ShardedDb {
             shards,
             layout,
             next_id,
-            stats: Vec::new(),
-            prune: AtomicBool::new(true),
             skipped: AtomicU64::new(0),
-        };
-        db.rebuild_stats()?;
-        Ok(db)
+        })
     }
 
     /// The id-routing layout.
@@ -367,34 +357,9 @@ impl ShardedDb {
         &self.shards
     }
 
-    /// Per-shard pruning statistics, in shard order.
-    pub fn stats(&self) -> &[ConfidenceBound] {
-        &self.stats
-    }
-
-    /// Enable or disable statistics-based shard pruning (on by default).
-    pub fn set_pruning(&self, on: bool) {
-        self.prune.store(on, Ordering::Relaxed);
-    }
-
     /// Total shard openings avoided by pruning, across all queries.
     pub fn shards_skipped(&self) -> u64 {
         self.skipped.load(Ordering::Relaxed)
-    }
-
-    /// Rebuild every shard's pruning statistics from its live tuples —
-    /// the only *tightening* operation (DML maintenance is raise-only,
-    /// so deletes and down-updates accumulate slack until a rebuild).
-    pub fn rebuild_stats(&mut self) -> StorageResult<()> {
-        let attr = self.primary_attr();
-        let mut stats = vec![ConfidenceBound::new(); self.shards.len()];
-        for (st, s) in stats.iter_mut().zip(&self.shards) {
-            for t in s.table().live_tuples()? {
-                st.note_tuple(attr, &t);
-            }
-        }
-        self.stats = stats;
-        Ok(())
     }
 
     fn primary_attr(&self) -> usize {
@@ -415,11 +380,9 @@ impl ShardedDb {
 
     /// Bulk-load tuples, partitioned by the layout's id routing.
     pub fn load(&mut self, tuples: &[Tuple]) -> StorageResult<()> {
-        let attr = self.primary_attr();
         let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); self.shards.len()];
         for t in tuples {
             let shard = self.layout.route(t.id.0);
-            self.stats[shard].note_tuple(attr, t);
             parts[shard].push(t.clone());
             self.next_id = self.next_id.max(t.id.0 + 1);
         }
@@ -441,15 +404,12 @@ impl ShardedDb {
     /// Insert a fully-formed tuple (caller manages ids).
     pub fn insert_tuple(&mut self, t: &Tuple) -> StorageResult<()> {
         self.next_id = self.next_id.max(t.id.0 + 1);
-        let attr = self.primary_attr();
-        let shard = self.layout.route(t.id.0);
-        self.stats[shard].note_tuple(attr, t);
-        self.shards[shard].insert_tuple(t)
+        self.shards[self.layout.route(t.id.0)].insert_tuple(t)
     }
 
-    /// Delete a tuple from its shard. The shard's pruning bounds keep
-    /// the deleted row's confidence as slack (raise-only; see
-    /// [`rebuild_stats`](Self::rebuild_stats)).
+    /// Delete a tuple from its shard. A buffered row's bound drops at
+    /// once; a stored row's stays raised until its component is rebuilt
+    /// ([`merge`](Self::merge), a maintenance fold, recovery).
     pub fn delete(&mut self, t: &Tuple) -> StorageResult<()> {
         self.shards[self.layout.route(t.id.0)].delete(t)
     }
@@ -457,10 +417,7 @@ impl ShardedDb {
     /// Replace `old` with `new` (same tuple id, hence same shard).
     pub fn update(&mut self, old: &Tuple, new: &Tuple) -> StorageResult<()> {
         assert_eq!(old.id, new.id, "update must keep the tuple id");
-        let attr = self.primary_attr();
-        let shard = self.layout.route(old.id.0);
-        self.stats[shard].note_tuple(attr, new);
-        self.shards[shard].update(old, new)
+        self.shards[self.layout.route(old.id.0)].update(old, new)
     }
 
     /// Flush every shard's insert buffer (fractured layout only).
@@ -471,23 +428,22 @@ impl ShardedDb {
         Ok(())
     }
 
-    /// Merge every shard's fractures (fractured layout only), then
-    /// tighten the pruning statistics: the merge visits every live tuple
-    /// anyway, and a shard whose hot rows were deleted stays unprunable
-    /// until its raise-only sketch is rebuilt.
+    /// Merge every shard's fractures (fractured layout only). The merged
+    /// main is built from the live rows, so its bound — and with it the
+    /// shard's — drops the deleted rows' slack.
     pub fn merge(&mut self) -> StorageResult<()> {
         for s in &mut self.shards {
             s.merge()?;
         }
-        self.rebuild_stats()
+        Ok(())
     }
 
     /// One maintenance tick per shard. Each shard session decides
     /// independently on its **own** clock, metrics, and calibration —
     /// a hot shard compacts while a cold one declines — so the returned
     /// reports are per-shard (`None` where the shard's policy declined).
-    /// Compaction never changes the live tuple set, so the pruning
-    /// statistics stay exact.
+    /// A fold rebuilds its output component from the live rows, so the
+    /// shard's bound can only tighten.
     pub fn maintenance_tick(
         &mut self,
     ) -> StorageResult<Vec<Option<crate::session::MaintenanceReport>>> {
@@ -532,7 +488,7 @@ impl ShardedDb {
     /// tuple id: a recovered shard whose largest-id rows were deleted
     /// still reserves those ids, and on a hash layout a reused id would
     /// route back to the same shard and collide with its WAL history.
-    /// Pruning statistics are rebuilt from live tuples.
+    /// Each recovered table rebuilds its bounds with its structures.
     pub fn recover(
         stores: Vec<Store>,
         name: &str,
@@ -633,19 +589,21 @@ impl ShardedDb {
 
     // --- Scatter-gather execution -----------------------------------------
 
-    /// Per-shard pruning bounds for `q`: each shard's sketch bound for the
-    /// probed value, or `None` when pruning is off or `q` is not an `Eq`
-    /// on the primary attribute (the sketch bounds nothing else). Both
+    /// Per-shard pruning bounds for `q`: each shard table's
+    /// [`confidence_bound`](upi::UncertainTable::confidence_bound) for
+    /// the probed value, or `None` when `q` is not an `Eq` on the primary
+    /// attribute (the bound covers nothing else). Both
     /// query shapes skip by these against `qt` — qualifying means
     /// confidence >= qt, so only a *strictly* lower bound may skip — and
     /// the fast path retires by them against each round's floor.
     fn prune_bounds(&self, q: &PtqQuery) -> Option<Vec<f64>> {
         match &q.predicate {
-            Predicate::Eq { attr, value }
-                if *attr == self.primary_attr() && self.prune.load(Ordering::Relaxed) =>
-            {
-                Some(self.stats.iter().map(|st| st.bound(*value)).collect())
-            }
+            Predicate::Eq { attr, value } if *attr == self.primary_attr() => Some(
+                self.shards
+                    .iter()
+                    .map(|s| s.table().confidence_bound(*value))
+                    .collect(),
+            ),
             _ => None,
         }
     }
@@ -838,7 +796,7 @@ impl ShardedDb {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use upi::{FracturedConfig, UpiConfig};
+    use upi::{FracturedConfig, MaintenancePolicy, UpiConfig};
     use upi_storage::{DiskConfig, SimDisk};
     use upi_uncertain::{Datum, DiscretePmf, FieldKind};
 
@@ -1121,43 +1079,39 @@ mod tests {
     }
 
     /// Pruning skips shards whose bound cannot reach qt, opens zero
-    /// pages on them, and the answer stays identical to pruning off.
+    /// pages on them, and the answer stays identical to the unsharded
+    /// twin's.
     #[test]
     fn pruning_skips_cold_shards_and_preserves_the_answer() {
         let routing = ShardLayout::RangeTid(vec![100]);
-        let mut sharded = ShardedDb::create(
-            stores(2),
-            "pr",
-            schema(),
-            1,
-            TableLayout::Upi(UpiConfig::default()),
-            routing,
-        )
-        .unwrap();
+        let layout = TableLayout::Upi(UpiConfig::default());
+        let mut sharded =
+            ShardedDb::create(stores(2), "pr", schema(), 1, layout.clone(), routing).unwrap();
+        let mut single =
+            UncertainDb::create(stores(1).remove(0), "pr", schema(), 1, layout).unwrap();
         // Shard 0 (ids < 100): strong rows for value 3. Shard 1: only
         // sub-threshold rows for value 3 (conf ≈ 0.9*0.2), plus strong
         // rows for value 4 so the shard is not empty.
-        for i in 0..60u64 {
-            sharded
-                .insert_tuple(&Tuple::new(TupleId(i), 0.9, row(3, 0.8, i % 3)))
-                .unwrap();
-        }
-        for i in 100..160u64 {
+        let strong = (0..60u64).map(|i| Tuple::new(TupleId(i), 0.9, row(3, 0.8, i % 3)));
+        let mixed = (100..160u64).map(|i| {
             let v = if i % 2 == 0 { 4 } else { 3 };
             let p = if v == 3 { 0.2 } else { 0.8 };
-            sharded
-                .insert_tuple(&Tuple::new(TupleId(i), 0.9, row(v, p, i % 3)))
-                .unwrap();
+            Tuple::new(TupleId(i), 0.9, row(v, p, i % 3))
+        });
+        for t in strong.chain(mixed) {
+            sharded.insert_tuple(&t).unwrap();
+            single.insert_tuple(&t).unwrap();
         }
+        assert!(sharded.shards()[1].table().confidence_bound(3) < 0.5);
         let q = PtqQuery::eq(1, 3).with_qt(0.5).with_top_k(5);
 
-        sharded.set_pruning(false);
-        let unpruned = sharded.query(&q).unwrap();
-        sharded.set_pruning(true);
         let before_skips = sharded.shards_skipped();
         let reads_before = sharded.shards()[1].table().store().disk.stats();
         let pruned = sharded.query(&q).unwrap();
-        assert_eq!(fingerprint(&pruned.rows), fingerprint(&unpruned.rows));
+        assert_eq!(
+            fingerprint(&pruned.rows),
+            fingerprint(&single.query(&q).unwrap().rows)
+        );
         assert!(
             sharded.shards_skipped() > before_skips,
             "the cold shard must be skipped"
@@ -1178,15 +1132,18 @@ mod tests {
             trace.spans.iter().map(|s| &s.label).collect::<Vec<_>>()
         );
         // The whole-query scatter prunes the same way.
-        let whole = sharded.query(&PtqQuery::eq(1, 3).with_qt(0.5)).unwrap();
-        sharded.set_pruning(false);
-        let whole_off = sharded.query(&PtqQuery::eq(1, 3).with_qt(0.5)).unwrap();
-        assert_eq!(fingerprint(&whole.rows), fingerprint(&whole_off.rows));
+        let whole = PtqQuery::eq(1, 3).with_qt(0.5);
+        let before_skips = sharded.shards_skipped();
+        assert_eq!(
+            fingerprint(&sharded.query(&whole).unwrap().rows),
+            fingerprint(&single.query(&whole).unwrap().rows)
+        );
+        assert_eq!(sharded.shards_skipped(), before_skips + 1);
     }
 
-    /// DML keeps the pruning bounds sound by only raising them; `merge`
-    /// is where they tighten again (it rebuilds the sketch from the live
-    /// tuples it just visited).
+    /// A stored row's delete leaves its component's bound raised; `merge`
+    /// is where it tightens again (the merged main is built from the live
+    /// rows).
     #[test]
     fn merge_tightens_stats_so_a_cooled_shard_prunes_again() {
         let mut sharded = ShardedDb::create(
@@ -1207,26 +1164,214 @@ mod tests {
             .unwrap();
         let hot = Tuple::new(TupleId(200), 1.0, row(7, 0.95, 0));
         sharded.insert_tuple(&hot).unwrap();
-        assert!(sharded.stats()[1].bound(7) >= 0.95);
+        let bound = |sharded: &ShardedDb, i: usize| sharded.shards()[i].table().confidence_bound(7);
+        assert!(bound(&sharded, 1) >= 0.95);
 
+        // Flushed first: a buffered row's bound would drop at the delete.
+        sharded.flush().unwrap();
         sharded.delete(&hot).unwrap();
         assert!(
-            sharded.stats()[1].bound(7) >= 0.95,
-            "DML maintenance is raise-only"
+            bound(&sharded, 1) >= 0.95,
+            "a stored row's bound is raise-only"
         );
 
         sharded.merge().unwrap();
         assert!(
-            sharded.stats()[1].bound(7) < 0.5,
+            bound(&sharded, 1) < 0.5,
             "bound stayed {} after merge",
-            sharded.stats()[1].bound(7)
+            bound(&sharded, 1)
         );
         // The shard with a live row keeps its bound, and a scatter above
         // it now skips the cooled shard too.
-        assert!(sharded.stats()[0].bound(7) >= 0.2);
+        assert!(bound(&sharded, 0) >= 0.2);
         let before = sharded.shards_skipped();
         assert!(sharded.ptq(7, 0.5).unwrap().is_empty());
         assert_eq!(sharded.shards_skipped(), before + 2);
+    }
+
+    /// Two range-routed fractured shards with no auto-flush, loaded with
+    /// cold rows for value 7: one on shard 0 (ids < 100), `shard1_rows`
+    /// on shard 1, each in its shard's main component.
+    fn cold_fractured_pair(name: &str, shard1_rows: u64) -> ShardedDb {
+        let mut sharded = ShardedDb::create(
+            stores(2),
+            name,
+            schema(),
+            1,
+            TableLayout::FracturedUpi(FracturedConfig {
+                upi: UpiConfig::default(),
+                buffer_ops: 0,
+            }),
+            ShardLayout::RangeTid(vec![100]),
+        )
+        .unwrap();
+        let cold: Vec<Tuple> = std::iter::once(1)
+            .chain(100..100 + shard1_rows)
+            .map(|i| Tuple::new(TupleId(i), 1.0, row(7, 0.2, i % 3)))
+            .collect();
+        sharded.load(&cold).unwrap();
+        sharded
+    }
+
+    /// A buffered row is bounded by its exact confidence, held in RAM,
+    /// so deleting it before any flush cools the shard at once.
+    #[test]
+    fn a_buffered_delete_cools_a_shard() {
+        let mut sharded = cold_fractured_pair("bufdel", 0);
+        let hot = Tuple::new(TupleId(200), 1.0, row(7, 0.95, 0));
+        sharded.insert_tuple(&hot).unwrap();
+        let q = PtqQuery::eq(1, 7).with_qt(0.5);
+        let skipped = sharded.shards_skipped();
+        let out = sharded.query(&q).unwrap();
+        assert_eq!(fingerprint(&out.rows), vec![(200, 0.95f64.to_bits())]);
+        assert_eq!(
+            sharded.shards_skipped(),
+            skipped + 1,
+            "only the cold shard 0 is skipped while the hot row is buffered"
+        );
+
+        sharded.delete(&hot).unwrap();
+        let skipped = sharded.shards_skipped();
+        let reads = sharded.shards()[1].table().store().disk.stats();
+        let out = sharded.query(&q).unwrap();
+        assert!(out.rows.is_empty());
+        assert_eq!(sharded.shards_skipped(), skipped + 2, "shard 1 cooled");
+        assert!(shard_labels(&out)[1].starts_with("shard1: skipped"));
+        let delta = sharded.shards()[1]
+            .table()
+            .store()
+            .disk
+            .stats()
+            .since(&reads);
+        assert_eq!(delta.page_reads, 0, "a skipped shard opens zero pages");
+    }
+
+    /// A maintenance fold rebuilds the folded main from the live rows, so
+    /// a stored hot row's delete stops holding the shard open once
+    /// `maintain` folds it — no `merge()` needed.
+    #[test]
+    fn a_maintenance_fold_cools_a_shard_without_merge() {
+        // Shard 1: cold rows for value 7 in main, one hot row flushed
+        // into a fracture and then deleted.
+        let mut sharded = cold_fractured_pair("fold", 40);
+        let hot = Tuple::new(TupleId(200), 1.0, row(7, 0.95, 0));
+        sharded.insert_tuple(&hot).unwrap();
+        sharded.flush().unwrap();
+        sharded.delete(&hot).unwrap();
+
+        // Traffic that opens shard 1 (the stored hot row's bound holds it
+        // open), then a policy under which any fold pays for itself.
+        let q = PtqQuery::eq(1, 7).with_qt(0.5);
+        for s in sharded.shards() {
+            s.table().store().go_cold();
+        }
+        for _ in 0..20 {
+            let skipped = sharded.shards_skipped();
+            assert!(sharded.query(&q).unwrap().rows.is_empty());
+            assert_eq!(sharded.shards_skipped(), skipped + 1, "shard 1 is open");
+        }
+        assert!(sharded.shards()[1].metrics().queries > 0);
+        sharded.shards()[1].set_maintenance_policy(MaintenancePolicy {
+            horizon_ms: 1e9,
+            step_budget_ms: f64::INFINITY,
+            ..MaintenancePolicy::default()
+        });
+        let summaries = sharded.maintain().unwrap();
+        assert!(summaries[1].steps >= 1, "the fold must run");
+        assert_eq!(
+            sharded.shards()[1]
+                .table()
+                .as_fractured()
+                .unwrap()
+                .n_fractures(),
+            0
+        );
+
+        let skipped = sharded.shards_skipped();
+        let reads = sharded.shards()[1].table().store().disk.stats();
+        let out = sharded.query(&q).unwrap();
+        assert!(out.rows.is_empty());
+        assert_eq!(sharded.shards_skipped(), skipped + 2, "shard 1 cooled");
+        let delta = sharded.shards()[1]
+            .table()
+            .store()
+            .disk
+            .stats()
+            .since(&reads);
+        assert_eq!(delta.page_reads, 0);
+        // The cold rows are still there below qt.
+        assert_eq!(sharded.ptq(7, 0.1).unwrap().len(), 41);
+    }
+
+    /// The unclustered layout's bound is its primary PII's: behind a
+    /// heterogeneous facade, an unclustered shard holding only rows below
+    /// `qt` is skipped with zero page reads, and the answer is the
+    /// unsharded twin's.
+    #[test]
+    fn an_unclustered_shard_is_skipped_by_its_pii_bound() {
+        let layouts = [
+            TableLayout::Upi(UpiConfig::default()),
+            TableLayout::FracturedUpi(FracturedConfig {
+                upi: UpiConfig::default(),
+                buffer_ops: 40,
+            }),
+            TableLayout::Unclustered,
+        ];
+        let routing = ShardLayout::RangeTid(vec![100, 200]);
+        let mut shard_dbs: Vec<UncertainDb> = layouts
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                UncertainDb::create(
+                    stores(1).remove(0),
+                    &format!("p.s{i}"),
+                    schema(),
+                    1,
+                    l.clone(),
+                )
+                .unwrap()
+            })
+            .collect();
+        let mut single =
+            UncertainDb::create(stores(1).remove(0), "p", schema(), 1, layouts[0].clone()).unwrap();
+        for i in 0..300u64 {
+            // Shard 2 (the unclustered one, ids >= 200) stays below 0.5.
+            let p = if i >= 200 {
+                0.3
+            } else {
+                0.4 + (i % 5) as f64 * 0.1
+            };
+            let t = Tuple::new(TupleId(i), 1.0, row(i % 4, p, i % 3));
+            shard_dbs[routing.route(i)].insert_tuple(&t).unwrap();
+            single.insert_tuple(&t).unwrap();
+        }
+        for s in &mut shard_dbs {
+            s.flush().unwrap();
+        }
+        let sharded = ShardedDb::from_shards(shard_dbs, routing).unwrap();
+        assert!(sharded.shards()[2].table().confidence_bound(3) < 0.5);
+        for q in [
+            PtqQuery::eq(1, 3).with_qt(0.5).with_top_k(5),
+            PtqQuery::eq(1, 3).with_qt(0.5),
+        ] {
+            let skipped = sharded.shards_skipped();
+            let reads = sharded.shards()[2].table().store().disk.stats();
+            let out = sharded.query(&q).unwrap();
+            assert!(!out.rows.is_empty());
+            assert_eq!(
+                fingerprint(&out.rows),
+                fingerprint(&single.query(&q).unwrap().rows)
+            );
+            assert_eq!(sharded.shards_skipped(), skipped + 1);
+            assert!(shard_labels(&out)[2].starts_with("shard2: skipped"));
+            let delta = sharded.shards()[2]
+                .table()
+                .store()
+                .disk
+                .stats()
+                .since(&reads);
+            assert_eq!(delta.page_reads, 0, "a skipped shard opens zero pages");
+        }
     }
 
     /// A recovered facade must not hand out tuple ids it already used:

@@ -103,19 +103,6 @@ fn run_round(db: &UncertainDb) -> Vec<(PathKind, f64, Vec<u64>)> {
             plan.explain()
         );
         let est = plan.est_ms();
-        if std::env::var("DBG_CAL").is_ok() {
-            for c in &plan.candidates {
-                eprintln!(
-                    "{:?} {} fixed={:.1} dom={:.1} scale={:.2} est={:.1}",
-                    kind,
-                    c.path.label(),
-                    c.cost.fixed_ms,
-                    c.cost.dominant_ms,
-                    c.cost.scale,
-                    c.est_ms
-                );
-            }
-        }
         db.table().store().go_cold();
         // Observe plan + execute, the same window the session samples:
         // on a cold cache the plan phase pays some of the opens/descents
@@ -131,9 +118,6 @@ fn run_round(db: &UncertainDb) -> Vec<(PathKind, f64, Vec<u64>)> {
             .total_ms();
         assert!(obs > 0.0, "cold query must charge the device");
         assert!(out_q.observed_ms().is_some(), "session registers the pool");
-        if std::env::var("DBG_CAL").is_ok() {
-            eprintln!("{kind:?} est={est:.1} obs={obs:.1} io={:?}", out_q.io);
-        }
         // Two more identical cold executions so every round leaves each
         // kind with enough samples to clear MIN_REFIT_SAMPLES.
         for _ in 0..2 {
@@ -164,14 +148,6 @@ fn mispriced_model_converges_monotonically() {
     for _ in 0..4 {
         history.push(run_round(&db));
         let outcomes = db.recalibrate();
-        if std::env::var("DBG_CAL").is_ok() {
-            for o in &outcomes {
-                eprintln!(
-                    "refit {:?}: {:.3} -> {:.3} ({} samples)",
-                    o.kind, o.old_scale, o.new_scale, o.samples
-                );
-            }
-        }
         assert!(
             !outcomes.is_empty(),
             "every round feeds samples, so refits must happen"
