@@ -166,7 +166,10 @@ pub fn entries_per_leaf(upi: &DiscreteUpi) -> f64 {
 /// Estimated length, in heap leaf pages, of the clustered run a point PTQ
 /// `(value, qt)` scans — the §6.1 heap selectivity translated into pages
 /// so the buffer pool's hinted read-ahead can size its window from it.
-/// Always at least 1 (the run's first leaf is read regardless).
+/// Always at least 1 (the run's first leaf is read regardless). It does
+/// not count the leaf that holds the key ending the run, which the reader
+/// touches one leaf past the estimate: the pool reads that leaf as a plain
+/// demand read and prefetches nothing behind it.
 pub fn estimate_run_pages(upi: &DiscreteUpi, value: u64, qt: f64) -> usize {
     let matching = upi
         .attr_stats()

@@ -55,11 +55,17 @@ pub struct DiskConfig {
     /// *other* files (cutoff pointer chases, secondary-index descents)
     /// no longer forces a seek back to the run for every leaf hop.
     ///
-    /// `0` disables read-ahead. The default (8 pages, 64 KiB at the 8 KiB
-    /// experimental page size) mirrors a conservative OS readahead
-    /// window: large enough to cover a leaf-chain hop pattern, small
-    /// enough that an early-terminating top-k run over-reads at most 8
-    /// pages.
+    /// `0` disables read-ahead, run estimates included. The default (8
+    /// pages, 64 KiB at the 8 KiB experimental page size) mirrors a
+    /// conservative OS readahead window: large enough to cover a
+    /// leaf-chain hop pattern, small enough that a detected run that ends
+    /// right after arming over-reads at most 8 pages. A run opened with an
+    /// estimate ([`BufferPool::get_run`](crate::BufferPool::get_run)) never
+    /// gets this window for the leaf past its estimate: that read is the
+    /// detector's first miss, so a reader that stops on it (a top-k that
+    /// has its rows, a probe on the key that ends its run) over-reads
+    /// nothing, and a run that really continues arms the window on the
+    /// next adjacent miss.
     pub readahead_pages: usize,
     /// Cost of one `fsync`-equivalent durability barrier, ms. The WAL
     /// charges this once per group-commit flush (on top of the ordinary

@@ -131,7 +131,8 @@ impl std::fmt::Display for PoolCounters {
 ///   passes the estimated run length with the run's first read, so a
 ///   miss there arms read-ahead at once with a window sized from the
 ///   estimate. The estimate lives only for that one call; the pool keeps
-///   no hint state between calls.
+///   no hint state between calls. Past the estimate the run is the
+///   two-miss detector's again: its next read is a plain demand read.
 ///
 /// The pool must be configured *smaller* than the experimental tables to
 /// reproduce the paper's disk-bound regime; the benchmark harness does this
@@ -165,10 +166,12 @@ struct RunState {
     /// the next miss lands if the read pattern is a sequential run.
     next: u64,
     /// For runs opened with an estimate ([`BufferPool::get_run`]):
-    /// estimated pages still ahead of `next`. `Some` sizes each prefetch
-    /// batch from the remaining run length (capped at
-    /// [`HINTED_BATCH_PAGES`]); `None` (no estimate, or one that ran out)
-    /// uses the fixed `DiskConfig::readahead_pages` window.
+    /// estimated pages still ahead of `next`. `Some(r)` with `r > 0` sizes
+    /// the next miss's prefetch batch from it (capped at
+    /// [`HINTED_BATCH_PAGES`]); `Some(0)`, a spent estimate, prefetches
+    /// nothing and leaves `None`. `None` is the two-miss detector's state
+    /// (a first miss, or a detected run): the next adjacent miss
+    /// prefetches the fixed `DiskConfig::readahead_pages` window.
     hinted_remaining: Option<usize>,
 }
 
@@ -265,81 +268,71 @@ impl BufferPool {
     /// window, and counts in [`PoolCounters::hinted_runs`]. A hit arms
     /// nothing: the run's head is warm, and the ordinary detector covers
     /// any cold tail. An overestimate costs at most one over-sized (but
-    /// contiguous, hence cheap) prefetch batch; an underestimate degrades
-    /// into the two-miss detector. `None` is a plain [`get`](Self::get).
+    /// contiguous, hence cheap) prefetch batch. A read past the estimate
+    /// prefetches nothing: it is the two-miss detector's first miss, so a
+    /// run that really continues arms the fixed window on its next
+    /// adjacent miss, and a reader that stops one leaf past its estimate
+    /// (the leaf holding the run's terminating key) reads that leaf alone.
+    /// `None` is a plain [`get`](Self::get).
     pub fn get_run(&self, pid: PageId, est_run_pages: Option<usize>) -> Result<Bytes> {
         let mut g = self.inner.lock();
-        if g.frames.contains_key(&pid) {
-            g.counters.hits += 1;
-            let f = g.frames.get_mut(&pid).unwrap();
+        if let Some(f) = g.frames.get_mut(&pid) {
+            let data = f.data.clone();
             let was_prefetched = std::mem::take(&mut f.prefetched);
-            if was_prefetched {
-                g.counters.readahead_hits += 1;
-            }
+            g.counters.hits += 1;
+            g.counters.readahead_hits += u64::from(was_prefetched);
             g.touch(pid);
-            return Ok(g.frames[&pid].data.clone());
+            return Ok(data);
         }
         g.counters.misses += 1;
         // Run detection must happen before the read resets the head.
         let file = self.disk.page_file(pid)?;
         let offset = self.disk.page_offset(pid)?;
         let suppress = g.suppress_runs > 0;
+        // `Some(remaining)` when this miss continues a tracked run.
         let tracked = g
             .runs
             .iter()
             .find(|r| r.file == file && r.next == offset)
             .map(|r| r.hinted_remaining);
-        let sequential = tracked.is_some();
-        let hinted_start = est_run_pages.is_some();
-        let mut hinted_remaining = match est_run_pages {
-            Some(est) => {
-                g.counters.hinted_runs += 1;
-                Some(est.saturating_sub(1))
-            }
-            None => tracked.flatten(),
-        };
+        if est_run_pages.is_some() {
+            g.counters.hinted_runs += 1;
+        }
         drop(g);
         let data = self.disk.read_page(pid)?;
         let end = offset + data.len() as u64;
-        let depth = if self.disk.config().readahead_pages == 0 {
-            0 // read-ahead disabled outright, run estimates included
-        } else if hinted_start {
-            hinted_remaining.unwrap_or(0).min(HINTED_BATCH_PAGES)
-        } else if sequential {
-            match hinted_remaining {
-                Some(r) if r > 0 => r.min(HINTED_BATCH_PAGES),
-                _ => {
-                    // Hint exhausted but the run evidently continues:
-                    // fall back to the unhinted window.
-                    hinted_remaining = None;
-                    self.disk.config().readahead_pages
-                }
+        let (depth, hinted_remaining) = match (est_run_pages, tracked) {
+            (Some(est), _) => {
+                let r = est.saturating_sub(1);
+                (r.min(HINTED_BATCH_PAGES), Some(r))
             }
-        } else {
-            0
+            // A spent estimate (`r == 0`) prefetches nothing and leaves
+            // the detector's first-miss state.
+            (None, Some(Some(r))) => (r.min(HINTED_BATCH_PAGES), Some(r).filter(|&r| r > 0)),
+            (None, Some(None)) => (self.disk.config().readahead_pages, None),
+            (None, None) => (0, None),
         };
-        let prefetch = if depth > 0 {
+        let prefetch = if depth > 0 && self.disk.config().readahead_pages > 0 {
             self.read_ahead(pid, depth)
         } else {
-            Vec::new()
+            Vec::new() // `readahead_pages == 0` disables run estimates too
         };
         let mut g = self.inner.lock();
-        g.insert(pid, data.clone(), false);
+        g.insert(pid, data.clone(), false, false);
         let mut run_end = end;
         let mut prefetched = 0usize;
         for (ppid, pdata) in prefetch {
             run_end += pdata.len() as u64;
             if !g.frames.contains_key(&ppid) {
                 g.counters.readahead += 1;
-                g.insert(ppid, pdata, false);
-                g.frames.get_mut(&ppid).unwrap().prefetched = true;
+                g.insert(ppid, pdata, false, true);
                 prefetched += 1;
             }
         }
         // Under suppression a raw miss leaves no run state behind — only
-        // a run opened with an estimate and the continuation of an already-armed run keep
-        // tracking, so two adjacent scatter misses can never arm.
-        if !suppress || hinted_start || sequential {
+        // a run opened with an estimate and the continuation of a tracked
+        // run keep tracking, so two adjacent scatter misses can never arm.
+        if !suppress || est_run_pages.is_some() || tracked.is_some() {
             g.note_run(
                 file,
                 offset,
@@ -386,15 +379,14 @@ impl BufferPool {
     /// with backoff first ([`PoolCounters::flush_retries`]).
     pub fn put(&self, pid: PageId, data: Bytes) {
         let mut g = self.inner.lock();
-        g.insert(pid, data, true);
+        g.insert(pid, data, true, false);
         let _ = self.evict_overflow(&mut g); // failures counted inside
     }
 
     /// Drop a page from the cache without writing it (used when a page is
     /// freed by the tree layer).
     pub fn discard(&self, pid: PageId) {
-        let mut g = self.inner.lock();
-        g.remove(pid);
+        self.inner.lock().remove(pid);
     }
 
     /// Write all dirty frames to the device in physical-offset order and
@@ -436,13 +428,7 @@ impl BufferPool {
     /// conditions) and resets run tracking.
     pub fn drop_all(&self) {
         let mut g = self.inner.lock();
-        let wasted = g.frames.values().filter(|f| f.prefetched).count() as u64;
-        g.counters.readahead_wasted += wasted;
-        g.frames.clear();
-        g.bytes = 0;
-        g.head = None;
-        g.tail = None;
-        g.runs.clear();
+        g.reset();
         g.poisoned = None;
     }
 
@@ -469,14 +455,7 @@ impl BufferPool {
     /// provably dead once the cache resets.
     pub fn clear(&self) {
         self.flush_all();
-        let mut g = self.inner.lock();
-        let wasted = g.frames.values().filter(|f| f.prefetched).count() as u64;
-        g.counters.readahead_wasted += wasted;
-        g.frames.clear();
-        g.bytes = 0;
-        g.head = None;
-        g.tail = None;
-        g.runs.clear();
+        self.inner.lock().reset();
     }
 
     /// Cumulative counters since creation.
@@ -533,19 +512,12 @@ impl BufferPool {
 
     fn evict_overflow(&self, g: &mut PoolInner) -> Result<()> {
         while g.bytes > self.capacity {
-            let victim = match g.head {
-                Some(v) => v,
-                None => break,
-            };
-            let frame = g.frames.get(&victim).expect("lru head must exist");
-            let (dirty, data, prefetched) = (frame.dirty, frame.data.clone(), frame.prefetched);
-            g.remove(victim);
+            let Some(victim) = g.head else { break };
+            let Some(frame) = g.remove(victim) else { break };
             g.counters.evictions += 1;
-            if prefetched {
-                g.counters.readahead_wasted += 1;
-            }
-            if dirty {
-                self.write_back(g, victim, data)?;
+            g.counters.readahead_wasted += u64::from(frame.prefetched);
+            if frame.dirty {
+                self.write_back(g, victim, frame.data)?;
             }
         }
         Ok(())
@@ -627,79 +599,93 @@ impl Drop for AttributedGuard<'_> {
 }
 
 impl PoolInner {
-    /// Unlink `pid` from the LRU chain (must be present).
-    fn unlink(&mut self, pid: PageId) {
-        let (prev, next) = {
-            let f = &self.frames[&pid];
-            (f.prev, f.next)
-        };
+    /// The frame a chain link (a frame's `prev` / `next`, or `tail`)
+    /// names. Links only ever name cached frames: a frame is linked as it
+    /// enters `frames` (`insert`), spliced out as it leaves (`remove`), and
+    /// `reset` clears both together.
+    fn linked(&mut self, pid: PageId) -> &mut Frame {
+        self.frames
+            .get_mut(&pid)
+            .expect("a chain link names a cached frame")
+    }
+
+    /// Splice a frame whose chain neighbours are `prev` / `next` out of
+    /// the LRU chain (the frame's own links are left as they are).
+    fn unlink(&mut self, prev: Option<PageId>, next: Option<PageId>) {
         match prev {
-            Some(p) => self.frames.get_mut(&p).unwrap().next = next,
+            Some(p) => self.linked(p).next = next,
             None => self.head = next,
         }
         match next {
-            Some(n) => self.frames.get_mut(&n).unwrap().prev = prev,
+            Some(n) => self.linked(n).prev = prev,
             None => self.tail = prev,
         }
     }
 
-    /// Append `pid` at the hot end of the chain (must be present in frames).
-    fn push_hot(&mut self, pid: PageId) {
-        let old_tail = self.tail;
-        {
-            let f = self.frames.get_mut(&pid).unwrap();
-            f.prev = old_tail;
-            f.next = None;
+    /// Make `pid` the hot end of the chain and return the old tail, which
+    /// the caller stores as `pid`'s `prev` (its `next` is `None`).
+    fn link_hot(&mut self, pid: PageId) -> Option<PageId> {
+        let old_tail = self.tail.replace(pid);
+        match old_tail {
+            Some(t) => self.linked(t).next = Some(pid),
+            None => self.head = Some(pid),
         }
-        if let Some(t) = old_tail {
-            self.frames.get_mut(&t).unwrap().next = Some(pid);
-        }
-        self.tail = Some(pid);
-        if self.head.is_none() {
-            self.head = Some(pid);
-        }
+        old_tail
     }
 
+    /// Move a cached `pid` to the hot end of the chain (no-op otherwise).
     fn touch(&mut self, pid: PageId) {
         if self.tail == Some(pid) {
             return;
         }
-        self.unlink(pid);
-        self.push_hot(pid);
+        let tail = self.tail;
+        let Some(f) = self.frames.get_mut(&pid) else {
+            return;
+        };
+        let (prev, next) = (f.prev, f.next);
+        (f.prev, f.next) = (tail, None);
+        self.unlink(prev, next);
+        self.link_hot(pid);
     }
 
-    fn insert(&mut self, pid: PageId, data: Bytes, dirty: bool) {
-        if self.frames.contains_key(&pid) {
-            let old_len = self.frames[&pid].data.len();
-            let f = self.frames.get_mut(&pid).unwrap();
-            f.dirty = f.dirty || dirty;
-            f.prefetched = false;
+    fn insert(&mut self, pid: PageId, data: Bytes, dirty: bool, prefetched: bool) {
+        if let Some(f) = self.frames.get_mut(&pid) {
+            self.bytes = self.bytes - f.data.len() + data.len();
+            f.dirty |= dirty;
+            f.prefetched = prefetched;
             f.data = data;
-            let new_len = self.frames[&pid].data.len();
-            self.bytes = self.bytes - old_len + new_len;
             self.touch(pid);
         } else {
             self.bytes += data.len();
-            self.frames.insert(
-                pid,
-                Frame {
-                    data,
-                    dirty,
-                    prefetched: false,
-                    prev: None,
-                    next: None,
-                },
-            );
-            self.push_hot(pid);
+            let prev = self.link_hot(pid);
+            let frame = Frame {
+                data,
+                dirty,
+                prefetched,
+                prev,
+                next: None,
+            };
+            self.frames.insert(pid, frame);
         }
     }
 
-    fn remove(&mut self, pid: PageId) {
-        if self.frames.contains_key(&pid) {
-            self.unlink(pid);
-            let f = self.frames.remove(&pid).unwrap();
-            self.bytes -= f.data.len();
-        }
+    fn remove(&mut self, pid: PageId) -> Option<Frame> {
+        let f = self.frames.remove(&pid)?;
+        self.unlink(f.prev, f.next);
+        self.bytes -= f.data.len();
+        Some(f)
+    }
+
+    /// Drop every frame unwritten (cold cache) and forget tracked runs;
+    /// prefetched frames that never served a demand get count as wasted.
+    fn reset(&mut self) {
+        let wasted = self.frames.values().filter(|f| f.prefetched).count() as u64;
+        self.counters.readahead_wasted += wasted;
+        self.frames.clear();
+        self.bytes = 0;
+        self.head = None;
+        self.tail = None;
+        self.runs.clear();
     }
 }
 
@@ -873,11 +859,56 @@ mod tests {
             pool.get(p).unwrap();
         }
         assert_eq!(disk.stats().since(&before).page_reads, 0);
-        // Past the estimate the ordinary sequential detector takes over.
+        // Past the estimate the read is a plain demand read: the
+        // estimate is spent, and one read beyond it is no evidence of more.
         pool.get(pages[run_len]).unwrap();
         let c = pool.counters();
         assert_eq!(c.misses, 2);
-        assert!(c.readahead > (run_len - 1) as u64, "run continues: {c}");
+        assert_eq!(c.readahead, (run_len - 1) as u64, "{c}");
+        // The next adjacent miss is the detector's second: it arms the
+        // fixed window.
+        pool.get(pages[run_len + 1]).unwrap();
+        let c = pool.counters();
+        assert_eq!(c.misses, 3);
+        assert_eq!(
+            c.readahead,
+            (run_len - 1 + disk.config().readahead_pages) as u64,
+            "{c}"
+        );
+    }
+
+    #[test]
+    fn exhausted_estimate_is_the_detectors_first_miss() {
+        let (disk, pool) = setup(1 << 20);
+        let f = disk.create_file("t", 4096);
+        let pages: Vec<_> = (0..16).map(|_| disk.alloc_page(f).unwrap()).collect();
+        for &p in &pages {
+            disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
+        }
+        let window = disk.config().readahead_pages as u64;
+        pool.get_run(pages[0], Some(3)).unwrap();
+        pool.get(pages[1]).unwrap();
+        pool.get(pages[2]).unwrap();
+        let c = pool.counters();
+        assert_eq!((c.misses, c.readahead, c.readahead_hits), (1, 2, 2), "{c}");
+        // `p3` is the leaf past the estimate (where a run's terminating
+        // key sits): read on demand, alone.
+        pool.get(pages[3]).unwrap();
+        let c = pool.counters();
+        assert_eq!(
+            (c.misses, c.readahead),
+            (2, 2),
+            "p3 prefetches nothing: {c}"
+        );
+        // `p4` is the second adjacent miss: the fixed window arms.
+        pool.get(pages[4]).unwrap();
+        let c = pool.counters();
+        assert_eq!((c.misses, c.readahead), (3, 2 + window), "{c}");
+        let before = disk.stats();
+        for &p in &pages[5..5 + window as usize] {
+            pool.get(p).unwrap();
+        }
+        assert_eq!(disk.stats().since(&before).page_reads, 0);
     }
 
     #[test]

@@ -702,6 +702,12 @@ fn batch_queries_and_estimates_are_bit_identical() {
 /// descends and arms its own read-ahead hint at open): the low bits of
 /// most `total_ms` moved with the missing plan-time descents, one seek
 /// left the fractured range below `C`, and no other page count moved.
+///
+/// Re-recorded when a read past a run's estimate stopped prefetching a
+/// blind window (it is the run detector's first miss): the UPI range
+/// below `C`, the fractured range on both sides, the fractured top-k
+/// below `C` and the fractured point below `C` moved in pages, seeks or
+/// `total_ms`; no row hash moved.
 const EXEC_QUERIES: &[QueryPin] = &[
     QueryPin {
         name: "upi top-k qt>=C",
@@ -762,7 +768,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
     QueryPin {
         name: "upi range qt<C",
         page_reads: 257,
-        seeks: 15,
+        seeks: 14,
         total_ms_bits: 4643577017283725535,
         n_rows: 938,
         rows: 7173174628390586573,
@@ -799,9 +805,6 @@ const EXEC_QUERIES: &[QueryPin] = &[
         n_rows: 341,
         rows: 11646692244343983410,
     },
-    // Re-recorded when chain components began opening lazily: both
-    // fractures' bounds sit below main's tenth-best row, so neither is
-    // opened (9 pages, 437.96 ms before).
     QueryPin {
         name: "fractured top-k qt>=C",
         page_reads: 7,
@@ -812,9 +815,9 @@ const EXEC_QUERIES: &[QueryPin] = &[
     },
     QueryPin {
         name: "fractured range qt>=C",
-        page_reads: 81,
+        page_reads: 65,
         seeks: 19,
-        total_ms_bits: 4651035140252982051,
+        total_ms_bits: 4651013131918800272,
         n_rows: 416,
         rows: 2614472281079485913,
     },
@@ -844,17 +847,17 @@ const EXEC_QUERIES: &[QueryPin] = &[
     },
     QueryPin {
         name: "fractured top-k qt<C",
-        page_reads: 66,
+        page_reads: 58,
         seeks: 47,
-        total_ms_bits: 4651992942434170848,
+        total_ms_bits: 4651981905876353429,
         n_rows: 300,
         rows: 5779256493307558144,
     },
     QueryPin {
         name: "fractured range qt<C",
-        page_reads: 339,
-        seeks: 35,
-        total_ms_bits: 4651734249698156978,
+        page_reads: 340,
+        seeks: 37,
+        total_ms_bits: 4651851915152577942,
         n_rows: 1140,
         rows: 11378752514311389297,
     },
@@ -874,14 +877,11 @@ const EXEC_QUERIES: &[QueryPin] = &[
         n_rows: 1731,
         rows: 17826687679275568772,
     },
-    // Re-recorded when each component began running Algorithm 2 — heap
-    // run drained, then its cutoff pointers in heap order — instead of a
-    // confidence-ordered merge: 155 pages, 126 seeks, 1324.94 ms before.
     QueryPin {
         name: "fractured point qt<C",
-        page_reads: 235,
-        seeks: 65,
-        total_ms_bits: 4651750130686922042,
+        page_reads: 230,
+        seeks: 67,
+        total_ms_bits: 4651747353665600270,
         n_rows: 430,
         rows: 13701988654977328979,
     },

@@ -14,7 +14,10 @@
 //!   with its own (`PoolCounters::hinted_runs` equals the component
 //!   count), a failed open leaves nothing armed, and the hinted
 //!   execution takes measurably fewer demand misses than the same plan
-//!   with the hints stripped (same rows either way).
+//!   with the hints stripped (same rows either way);
+//! * past the estimate — a point probe and a top-k whose component runs
+//!   end one leaf past their estimates read that leaf on demand and
+//!   prefetch nothing they never read.
 
 use std::sync::Arc;
 
@@ -264,4 +267,49 @@ fn failed_open_clears_only_its_own_hints() {
         after.hinted_runs, 0,
         "a failed execution must leave nothing armed: {after}"
     );
+}
+
+#[test]
+fn runs_past_their_estimates_prefetch_nothing_unread() {
+    // Value 4 above 0.6: the component runs cross one leaf past their
+    // estimates, onto the leaf that holds the key ending the run, and the
+    // reader stops there. That leaf must be read on demand, alone: a
+    // blind 8-page window behind it left 12 pages unread for the probe
+    // and 8 for the top-k.
+    let db = build();
+    let st = db.table().store().clone();
+    let components = db.table().as_fractured().unwrap().n_fractures() + 1;
+    // Tuple `i` has value `i % 5` with confidence `0.55 + (i % 400) / 1000`
+    // (see `build`); rows come in descending confidence, then ascending id.
+    let mut expected: Vec<(u64, f64)> = (0..12_000u64)
+        .filter(|i| i % 5 == 4)
+        .map(|i| (i, 0.55 + (i % 400) as f64 / 1000.0))
+        .filter(|&(_, p)| p >= 0.6)
+        .collect();
+    expected.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    let point = PtqQuery::eq(ATTR, 4).with_qt(0.6);
+    let top_k = point.clone().with_top_k(10);
+    for (q, want) in [(point, &expected[..]), (top_k, &expected[..10])] {
+        let plan = db.plan(&q).unwrap();
+        assert_eq!(plan.candidates[0].hints.len(), components);
+        st.go_cold();
+        let before = st.pool.counters();
+        let out = plan.execute(&db.catalog()).unwrap();
+        st.go_cold();
+        let c = st.pool.counters().since(&before);
+        assert_eq!(c.hinted_runs, components as u64, "{c}");
+        assert_eq!(
+            c.readahead_wasted,
+            0,
+            "a read past an estimate must not prefetch: {c}\n{}",
+            plan.explain()
+        );
+        let got: Vec<u64> = out.rows.iter().map(|r| r.tuple.id.0).collect();
+        let ids: Vec<u64> = want.iter().map(|&(i, _)| i).collect();
+        assert_eq!(got, ids);
+        for (r, &(_, p)) in out.rows.iter().zip(want) {
+            // Stored probabilities are quantised: equal to 1e-9.
+            assert!((r.confidence - p).abs() < 1e-9, "{} vs {p}", r.confidence);
+        }
+    }
 }
