@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 use upi_btree::BTree;
 use upi_storage::error::Result;
 use upi_storage::Store;
-use upi_uncertain::{IdSet, Tuple, TupleId};
+use upi_uncertain::{IdMap, IdSet, Tuple, TupleId};
 
 use crate::cost::DeviceCoeffs;
 use crate::exec::{sort_results, CursorStats, PtqResult, Skip};
@@ -91,6 +91,12 @@ pub struct FracturedUpi {
     /// Ids stored in the main UPI.
     main_ids: IdSet<u64>,
     fractures: Vec<Fracture>,
+    /// Each id that a fracture stores or deletes, mapped to the newest
+    /// such level (`i + 1` for fracture `i`): what
+    /// [`suppressed`](Self::suppressed) asks of the fractures, in one
+    /// lookup. Derived from `fractures` and rebuilt whenever the chain
+    /// changes (flush, fold, compaction).
+    newest: IdMap<u64, usize>,
     buf_inserts: BTreeMap<u64, Tuple>,
     buf_deletes: IdSet<u64>,
 }
@@ -119,6 +125,7 @@ impl FracturedUpi {
             main,
             main_ids: IdSet::default(),
             fractures: Vec::new(),
+            newest: IdMap::default(),
             buf_inserts: BTreeMap::new(),
             buf_deletes: IdSet::default(),
         })
@@ -195,8 +202,20 @@ impl FracturedUpi {
             deleted: self.buf_deletes.drain().collect(),
             ids: self.buf_inserts.keys().copied().collect(),
         });
+        self.reindex_fractures();
         self.buf_inserts.clear();
         Ok(())
+    }
+
+    /// Rebuild [`newest`](Self::newest) from the fractures, oldest first,
+    /// so that a newer fracture overwrites an older one's level.
+    fn reindex_fractures(&mut self) {
+        self.newest.clear();
+        for (i, f) in self.fractures.iter().enumerate() {
+            for &id in f.ids.iter().chain(&f.deleted) {
+                self.newest.insert(id, i + 1);
+            }
+        }
     }
 
     /// The file-name stem of the next component: `{table}.{kind}{seq}`
@@ -245,13 +264,12 @@ impl FracturedUpi {
     /// component: either a newer delete set (the paper's rule) or a newer
     /// *version* of the same tuple (update = delete + insert, §3.1; a newer
     /// copy shadows older ones). Levels: 0 = main, `i+1` = fracture `i`.
+    /// One lookup for the fractures (the newest level holding `tid`),
+    /// two for the insert buffer.
     fn suppressed(&self, tid: u64, level: usize) -> bool {
-        for (i, f) in self.fractures.iter().enumerate() {
-            if i + 1 > level && (f.deleted.contains(&tid) || f.ids.contains(&tid)) {
-                return true;
-            }
-        }
-        self.buf_deletes.contains(&tid) || self.buf_inserts.contains_key(&tid)
+        self.newest.get(&tid).is_some_and(|&newest| newest > level)
+            || self.buf_deletes.contains(&tid)
+            || self.buf_inserts.contains_key(&tid)
     }
 
     /// Insert-buffer rows a query matches, in canonical result order —
@@ -452,7 +470,9 @@ impl FracturedUpi {
         self.main_ids = live.ids().collect();
         let old_main = std::mem::replace(&mut self.main, new_main);
         old_main.destroy()?;
-        for f in self.fractures.drain(..k) {
+        let folded: Vec<Fracture> = self.fractures.drain(..k).collect();
+        self.reindex_fractures();
+        for f in folded {
             let file = f.delete_tree.file();
             f.upi.destroy()?;
             self.store.free_file_pages(file)?;
@@ -493,6 +513,7 @@ impl FracturedUpi {
             .fractures
             .splice(first..=last, std::iter::once(merged))
             .collect();
+        self.reindex_fractures();
         for f in old {
             let file = f.delete_tree.file();
             f.upi.destroy()?;
@@ -1575,6 +1596,63 @@ mod tests {
         }
         f.delete(TupleId(150)).unwrap();
         f
+    }
+
+    /// The fracture walk `suppressed` answers in one lookup: a newer
+    /// fracture's delete set or ids, or the insert buffer.
+    fn suppressed_by_walk(f: &FracturedUpi, tid: u64, level: usize) -> bool {
+        // Fracture `i` is level `i + 1`: the newer ones are `i >= level`.
+        let mut newer = f.fractures.iter().skip(level);
+        newer.any(|fr| fr.deleted.contains(&tid) || fr.ids.contains(&tid))
+            || f.buf_deletes.contains(&tid)
+            || f.buf_inserts.contains_key(&tid)
+    }
+
+    #[test]
+    fn suppression_lookup_equals_the_fracture_walk_on_random_chains() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..6u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut f = fresh(0);
+            let ids = 160u64;
+            let initial: Vec<Tuple> = (0..ids / 2).map(|i| author(i, i % 8, 0.8)).collect();
+            f.load_initial(&initial).unwrap();
+            for _ in 0..24 {
+                for _ in 0..rng.gen_range(0..12) {
+                    let id = rng.gen_range(0..ids);
+                    if rng.gen_bool(0.6) {
+                        f.insert(author(id, id % 8, 0.85)).unwrap();
+                    } else {
+                        f.delete(TupleId(id)).unwrap();
+                    }
+                }
+                match rng.gen_range(0..6) {
+                    0 => {
+                        let n = f.n_fractures();
+                        f.apply_compaction(CompactionStep::FoldPrefix {
+                            fractures: rng.gen_range(0..=n),
+                        })
+                        .unwrap();
+                    }
+                    1 => {
+                        let first = rng.gen_range(0..=f.n_fractures());
+                        let last = first + rng.gen_range(1..4usize);
+                        f.apply_compaction(CompactionStep::CompactRun { first, last })
+                            .unwrap();
+                    }
+                    _ => f.flush().unwrap(),
+                }
+                for tid in 0..ids {
+                    for level in 0..=f.n_fractures() + 1 {
+                        assert_eq!(
+                            f.suppressed(tid, level),
+                            suppressed_by_walk(&f, tid, level),
+                            "seed {seed}, tuple {tid}, level {level}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn all_answers(f: &FracturedUpi) -> Vec<(u64, u64)> {

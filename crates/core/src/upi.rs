@@ -578,8 +578,12 @@ impl DiscreteUpi {
     /// Enumerate every distinct tuple by scanning the heap sequentially,
     /// keeping only each tuple's first-alternative copy (which Algorithm 1
     /// guarantees to be present), and copy the record of each one whose id
-    /// passes `keep` to `out`. This is the merge path's full read (§4.3).
+    /// passes `keep` to `out`. This is the merge path's full read (§4.3),
+    /// and a checkpoint's: it reads every leaf once, so it runs as the
+    /// pool's [`bulk_scan`](upi_storage::BufferPool::bulk_scan) and evicts
+    /// its own pages rather than the cached working set.
     pub(crate) fn scan_records(&self, out: &mut Records, keep: impl Fn(u64) -> bool) -> Result<()> {
+        let _bulk = self.store.pool.bulk_scan();
         let mut scan = self.distinct_scan(None)?;
         while let Some(done) = scan.next_with(|t| {
             if keep(t.id().0) {
@@ -653,16 +657,15 @@ impl DiscreteUpi {
     /// Free every page of every component file (used after a merge
     /// replaces this UPI). Metadata-only: dropping an index does not
     /// transfer data, but freeing keeps `total_live_bytes` — the "DB size"
-    /// column of Table 8 — honest.
+    /// column of Table 8 — honest. Only this UPI's own frames leave the
+    /// buffer pool ([`Store::free_file_pages`] discards them unwritten);
+    /// every other file's frames, dirty or clean, stay cached.
     pub fn destroy(self) -> Result<()> {
         let mut files = vec![self.heap.file(), self.cutoff.file()];
         files.extend(self.secondaries.iter().map(|s| s.file()));
         for f in files {
             self.store.free_file_pages(f)?;
         }
-        // Drop any cached frames of the freed pages; flush errors on freed
-        // pages are ignored by the pool.
-        self.store.pool.clear();
         Ok(())
     }
 }
@@ -996,14 +999,12 @@ impl PointRun<'_> {
         // index. (A head keyed exactly at the ceiling can tie a cutoff
         // entry, whose lower tid then goes first.)
         let ceiling = self.upi.cutoff_ceiling();
-        if let Some(head) = &self.run_head {
-            if head.confidence > ceiling {
-                if head.confidence < min_conf {
-                    return None; // run is descending: nothing can qualify
-                }
-                self.stats.rows += 1;
-                return Some(Ok(self.run_head.take().unwrap()));
+        if let Some(head) = self.run_head.as_ref().filter(|h| h.confidence > ceiling) {
+            if head.confidence < min_conf {
+                return None; // run is descending: nothing can qualify
             }
+            self.stats.rows += 1;
+            return self.run_head.take().map(Ok);
         }
         // The run head (if any) is now at most the ceiling: a floor above
         // it rules out the head and every cutoff entry, so the list need
@@ -1027,30 +1028,31 @@ impl PointRun<'_> {
             self.ptr_head = None;
             self.pointers = None;
         }
-        let take_ptr = match (&self.run_head, &self.ptr_head) {
-            (None, None) => return None,
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (Some(r), Some(p)) => (p.prob, std::cmp::Reverse(p.tid))
-                .partial_cmp(&(r.confidence, std::cmp::Reverse(r.tuple.id.0)))
-                .unwrap()
-                .is_gt(),
+        // The pointer wins on higher confidence, then on lower tid.
+        let beats = |p: &CutoffPointer, r: &PtqResult| {
+            (p.prob, std::cmp::Reverse(p.tid)) > (r.confidence, std::cmp::Reverse(r.tuple.id.0))
         };
-        if !take_ptr {
-            let r = self.run_head.take().unwrap();
-            if r.confidence < min_conf {
-                // The winner is already below the watermark (the cutoff
-                // head, if any, is bounded too): the merge is done.
-                self.run_head = Some(r);
-                return None;
+        match (self.run_head.take(), self.ptr_head.take()) {
+            // The stale-head check above guarantees the pointer is
+            // at/above `min_conf`.
+            (run, Some(cp)) if run.as_ref().is_none_or(|r| beats(&cp, r)) => {
+                self.run_head = run;
+                Some(self.fetch(cp))
             }
-            self.stats.rows += 1;
-            return Some(Ok(r));
+            (Some(r), ptr) => {
+                self.ptr_head = ptr;
+                if r.confidence < min_conf {
+                    // The winner is already below the watermark (the
+                    // cutoff head, if any, is bounded too): the merge is
+                    // done.
+                    self.run_head = Some(r);
+                    return None;
+                }
+                self.stats.rows += 1;
+                Some(Ok(r))
+            }
+            (None, _) => None,
         }
-        // The stale-head check above guarantees the pointer is at/above
-        // `min_conf`.
-        let cp = self.ptr_head.take().unwrap();
-        Some(self.fetch(cp))
     }
 
     /// Algorithm 2, one row per call: the heap run until it is drained,
@@ -1123,12 +1125,11 @@ impl RangeRun<'_> {
     /// tuple, keep qualifiers, order by heap key. When no cutoff-only
     /// tuple can reach `qt` ([`DiscreteUpi::range_cutoff_phase_runs`]),
     /// the list is empty and the cutoff index is never opened.
-    fn build_pending(&mut self) -> Result<()> {
+    fn build_pending(&mut self) -> Result<std::vec::IntoIter<(u64, CutoffPointer)>> {
         if !self.upi.range_cutoff_phase_runs(self.lo, self.hi, self.qt) {
             let bound = self.upi.range_cutoff_bound(self.lo, self.hi);
             self.skip = bound.map(|bound| Skip::CutoffPhase { bound, qt: self.qt });
-            self.pending = Some(Vec::new().into_iter());
-            return Ok(());
+            return Ok(Vec::new().into_iter());
         }
         let mut acc: IdMap<u64, (u64, CutoffPointer)> = IdMap::default();
         for r in self.upi.cutoff.scan_range_run(self.lo, self.hi)? {
@@ -1146,8 +1147,7 @@ impl RangeRun<'_> {
             .filter(|(_, cp)| cp.prob >= self.qt)
             .collect();
         pending.sort_unstable_by_key(|(_, cp)| heap_key(cp.first_value, cp.first_prob, cp.tid));
-        self.pending = Some(pending.into_iter());
-        Ok(())
+        Ok(pending.into_iter())
     }
 }
 
@@ -1184,12 +1184,14 @@ impl Iterator for RangeRun<'_> {
             }
         }
         // Phase 2: tuples visible only through the cutoff index.
-        if self.pending.is_none() {
-            if let Err(e) = self.build_pending() {
-                return Some(Err(e));
-            }
-        }
-        let (value, cp) = self.pending.as_mut().unwrap().next()?;
+        let pending = match self.pending.take() {
+            Some(pending) => pending,
+            None => match self.build_pending() {
+                Ok(pending) => pending,
+                Err(e) => return Some(Err(e)),
+            },
+        };
+        let (value, cp) = self.pending.insert(pending).next()?;
         self.stats.pointer_fetches += 1;
         let at = (cp.first_value, cp.first_prob);
         Some(self.upi.deref("cutoff", value, cp.tid, at).map(|tuple| {
@@ -1656,6 +1658,37 @@ mod tests {
             assert_eq!(a.tuple.id, b.tuple.id, "limit must keep the top entries");
             assert!((a.confidence - b.confidence).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn destroy_keeps_every_other_files_frames() {
+        let st = store();
+        let mut doomed =
+            DiscreteUpi::create(st.clone(), "doomed", 1, UpiConfig::default()).unwrap();
+        doomed.add_secondary(2).unwrap();
+        doomed.bulk_load(&synthetic(300, 1)).unwrap();
+        let mut kept = DiscreteUpi::create(st.clone(), "kept", 1, UpiConfig::default()).unwrap();
+        kept.add_secondary(2).unwrap();
+        kept.bulk_load(&synthetic(300, 2)).unwrap();
+        let kept_rows = kept.distinct_scan(None).unwrap().count();
+        let (io, pool) = (st.disk.stats(), st.pool.counters());
+        doomed.destroy().unwrap();
+        assert_eq!(st.disk.stats().since(&io).page_writes, 0, "nothing flushed");
+        assert_eq!(st.pool.counters().since(&pool).evictions, 0);
+        let before = st.pool.counters();
+        assert_eq!(kept.distinct_scan(None).unwrap().count(), kept_rows);
+        for value in [0, 300, 599] {
+            kept.ptq_secondary(0, value / 50, 0.0, true).unwrap();
+            kept.ptq(value, 0.0).unwrap();
+        }
+        let c = st.pool.counters().since(&before);
+        assert!(c.hits > 0);
+        assert_eq!(
+            c.pages_read(),
+            0,
+            "every frame of `kept` stayed cached: {c}"
+        );
+        assert_eq!(st.pool.counters().flush_errors, 0);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use fault::{FaultCounters, FaultPlan};
 pub use file::FileId;
 pub use obs::QueryId;
 pub use page::{PageId, INVALID_PAGE};
-pub use pool::{AttributedGuard, BufferPool, PoolCounters};
+pub use pool::{AttributedGuard, BufferPool, BulkScanGuard, PoolCounters};
 pub use stats::IoStats;
 pub use wal::{Lsn, Wal, WalCounters};
 

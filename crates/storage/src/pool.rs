@@ -133,6 +133,16 @@ impl std::fmt::Display for PoolCounters {
 ///   estimate. The estimate lives only for that one call; the pool keeps
 ///   no hint state between calls. Past the estimate the run is the
 ///   two-miss detector's again: its next read is a plain demand read.
+/// * A reader that streams a whole component once — a merge, a
+///   compaction, a checkpoint — opens a [`bulk_scan`](BufferPool::bulk_scan)
+///   window. While it lives, a page the reader misses on enters the
+///   **cold** end of the LRU chain, a prefetched page moves there as soon
+///   as the reader consumes it, and a frame someone else cached keeps its
+///   place when the reader hits it. A scan longer than the pool then
+///   evicts its own pages, not the working set: LRU's sequential-flooding
+///   failure, which 2Q (Johnson & Shasha, VLDB 1994) and PostgreSQL's
+///   bulk-read ring buffers exist to avoid. The scan's footprint is its
+///   unconsumed read-ahead batch.
 ///
 /// The pool must be configured *smaller* than the experimental tables to
 /// reproduce the paper's disk-bound regime; the benchmark harness does this
@@ -205,6 +215,10 @@ struct PoolInner {
     /// speculative read-ahead. Runs opened with an estimate — and
     /// continuations of already-armed runs — still stream.
     suppress_runs: u32,
+    /// While non-zero, gets are a bulk scan's (see
+    /// [`BufferPool::bulk_scan`]): misses and consumed prefetches go to
+    /// the cold end of the chain, other hits stay where they are.
+    bulk_scans: u32,
     /// Degraded read-only mode: `Some(reason)` after a write-back failed
     /// persistently (not transiently) or the durability layer could not
     /// advance the WAL. Reads keep working; the session layer rejects
@@ -276,12 +290,17 @@ impl BufferPool {
     /// `None` is a plain [`get`](Self::get).
     pub fn get_run(&self, pid: PageId, est_run_pages: Option<usize>) -> Result<Bytes> {
         let mut g = self.inner.lock();
+        let bulk = g.bulk_scans > 0;
         if let Some(f) = g.frames.get_mut(&pid) {
             let data = f.data.clone();
             let was_prefetched = std::mem::take(&mut f.prefetched);
             g.counters.hits += 1;
             g.counters.readahead_hits += u64::from(was_prefetched);
-            g.touch(pid);
+            match (bulk, was_prefetched) {
+                (false, _) => g.place(pid, End::Hot),
+                (true, true) => g.place(pid, End::Cold),
+                (true, false) => {} // someone else's frame keeps its place
+            }
             return Ok(data);
         }
         g.counters.misses += 1;
@@ -318,14 +337,17 @@ impl BufferPool {
             Vec::new() // `readahead_pages == 0` disables run estimates too
         };
         let mut g = self.inner.lock();
-        g.insert(pid, data.clone(), false, false);
+        let demand_end = if bulk { End::Cold } else { End::Hot };
+        g.insert(pid, data.clone(), false, false, demand_end);
         let mut run_end = end;
         let mut prefetched = 0usize;
         for (ppid, pdata) in prefetch {
             run_end += pdata.len() as u64;
             if !g.frames.contains_key(&ppid) {
                 g.counters.readahead += 1;
-                g.insert(ppid, pdata, false, true);
+                // Hot even in a bulk scan: the batch must outlive the
+                // evictions its own arrival causes until it is consumed.
+                g.insert(ppid, pdata, false, true, End::Hot);
                 prefetched += 1;
             }
         }
@@ -379,7 +401,7 @@ impl BufferPool {
     /// with backoff first ([`PoolCounters::flush_retries`]).
     pub fn put(&self, pid: PageId, data: Bytes) {
         let mut g = self.inner.lock();
-        g.insert(pid, data, true, false);
+        g.insert(pid, data, true, false, End::Hot);
         let _ = self.evict_overflow(&mut g); // failures counted inside
     }
 
@@ -495,6 +517,20 @@ impl BufferPool {
         }
     }
 
+    /// Open a bulk-scan window: until the returned guard drops, this
+    /// pool's gets are those of a reader that streams a whole component
+    /// once (see the type docs). A miss enters the cold end of the LRU
+    /// chain, a prefetched frame moves there on its first hit, and any
+    /// other hit leaves its frame where it is, so the scan evicts its own
+    /// pages before anything it found cached. Read-ahead is unchanged.
+    /// Windows nest; the mode is the pool's, like
+    /// [`AttributedGuard::suppress_run_detection`], so it covers every
+    /// get made while the guard lives.
+    pub fn bulk_scan(&self) -> BulkScanGuard<'_> {
+        self.inner.lock().bulk_scans += 1;
+        BulkScanGuard { pool: self }
+    }
+
     /// Snapshot of the I/O attributed to `qid` so far (non-consuming).
     pub fn attributed_stats(&self, qid: QueryId) -> IoStats {
         self.disk.attributed_stats(qid)
@@ -598,6 +634,26 @@ impl Drop for AttributedGuard<'_> {
     }
 }
 
+/// RAII bulk-scan window from [`BufferPool::bulk_scan`]; dropping it
+/// ends the window.
+pub struct BulkScanGuard<'a> {
+    pool: &'a BufferPool,
+}
+
+impl Drop for BulkScanGuard<'_> {
+    fn drop(&mut self) {
+        let mut g = self.pool.inner.lock();
+        g.bulk_scans = g.bulk_scans.saturating_sub(1);
+    }
+}
+
+/// An end of the LRU chain: `Hot` is evicted last, `Cold` first.
+#[derive(Clone, Copy)]
+enum End {
+    Hot,
+    Cold,
+}
+
 impl PoolInner {
     /// The frame a chain link (a frame's `prev` / `next`, or `tail`)
     /// names. Links only ever name cached frames: a frame is linked as it
@@ -622,48 +678,64 @@ impl PoolInner {
         }
     }
 
-    /// Make `pid` the hot end of the chain and return the old tail, which
-    /// the caller stores as `pid`'s `prev` (its `next` is `None`).
-    fn link_hot(&mut self, pid: PageId) -> Option<PageId> {
-        let old_tail = self.tail.replace(pid);
-        match old_tail {
-            Some(t) => self.linked(t).next = Some(pid),
+    /// Make `pid` the `end` of the chain: its neighbour-to-be (or `head`
+    /// and `tail`) now names it. Returns `pid`'s own `(prev, next)`
+    /// links, which the caller stores in its frame.
+    fn link(&mut self, pid: PageId, end: End) -> (Option<PageId>, Option<PageId>) {
+        let (prev, next) = match end {
+            End::Hot => (self.tail.replace(pid), None),
+            End::Cold => (None, self.head.replace(pid)),
+        };
+        match prev {
+            Some(p) => self.linked(p).next = Some(pid),
             None => self.head = Some(pid),
         }
-        old_tail
+        match next {
+            Some(n) => self.linked(n).prev = Some(pid),
+            None => self.tail = Some(pid),
+        }
+        (prev, next)
     }
 
-    /// Move a cached `pid` to the hot end of the chain (no-op otherwise).
-    fn touch(&mut self, pid: PageId) {
-        if self.tail == Some(pid) {
+    /// Move a cached `pid` to `end` of the chain (no-op otherwise).
+    fn place(&mut self, pid: PageId, end: End) {
+        let (head, tail) = (self.head, self.tail);
+        let at_end = match end {
+            End::Hot => tail,
+            End::Cold => head,
+        };
+        if at_end == Some(pid) {
             return;
         }
-        let tail = self.tail;
         let Some(f) = self.frames.get_mut(&pid) else {
             return;
         };
         let (prev, next) = (f.prev, f.next);
-        (f.prev, f.next) = (tail, None);
+        // `pid` is not at `end`, so unlinking it leaves that end as is.
+        (f.prev, f.next) = match end {
+            End::Hot => (tail, None),
+            End::Cold => (None, head),
+        };
         self.unlink(prev, next);
-        self.link_hot(pid);
+        self.link(pid, end);
     }
 
-    fn insert(&mut self, pid: PageId, data: Bytes, dirty: bool, prefetched: bool) {
+    fn insert(&mut self, pid: PageId, data: Bytes, dirty: bool, prefetched: bool, end: End) {
         if let Some(f) = self.frames.get_mut(&pid) {
             self.bytes = self.bytes - f.data.len() + data.len();
             f.dirty |= dirty;
             f.prefetched = prefetched;
             f.data = data;
-            self.touch(pid);
+            self.place(pid, end);
         } else {
             self.bytes += data.len();
-            let prev = self.link_hot(pid);
+            let (prev, next) = self.link(pid, end);
             let frame = Frame {
                 data,
                 dirty,
                 prefetched,
                 prev,
-                next: None,
+                next,
             };
             self.frames.insert(pid, frame);
         }
@@ -1217,6 +1289,96 @@ mod tests {
             before.readahead_hits,
             "every prefetched page is either a hit or wasted: {after}"
         );
+    }
+
+    /// `n` pages of a fresh file `name`, written straight to the disk.
+    fn written_pages(disk: &SimDisk, name: &str, n: usize) -> Vec<PageId> {
+        let f = disk.create_file(name, 4096);
+        let pages: Vec<_> = (0..n).map(|_| disk.alloc_page(f).unwrap()).collect();
+        for &p in &pages {
+            disk.write_page(p, Bytes::from(vec![1u8; 4096])).unwrap();
+        }
+        pages
+    }
+
+    /// Device pages read by `gets` of `pages`, in order.
+    fn reads_of(disk: &SimDisk, pool: &BufferPool, pages: &[PageId]) -> u64 {
+        let before = disk.stats();
+        for &p in pages {
+            pool.get(p).unwrap();
+        }
+        disk.stats().since(&before).page_reads
+    }
+
+    #[test]
+    fn bulk_scan_longer_than_the_pool_keeps_what_was_cached() {
+        let cap = 32;
+        let window = DiskConfig::default().readahead_pages;
+        let (disk, pool) = setup(4096 * cap);
+        // The working set leaves room for one read-ahead batch and one
+        // demand page: the scan's whole footprint.
+        let hot = written_pages(&disk, "hot", cap - window - 1);
+        let scan = written_pages(&disk, "scan", 2 * cap);
+        assert_eq!(reads_of(&disk, &pool, &hot), hot.len() as u64);
+        {
+            let _bulk = pool.bulk_scan();
+            assert!(reads_of(&disk, &pool, &scan) > 0);
+        }
+        let c = pool.counters();
+        assert!(
+            c.evictions >= cap as u64,
+            "the scan evicted its own pages: {c}"
+        );
+        assert_eq!(c.readahead_wasted, 0, "{c}");
+        assert_eq!(reads_of(&disk, &pool, &hot), 0, "working set survives: {c}");
+        // The same scan outside the window floods the pool.
+        pool.clear();
+        reads_of(&disk, &pool, &hot);
+        reads_of(&disk, &pool, &scan);
+        assert_eq!(reads_of(&disk, &pool, &hot), hot.len() as u64);
+    }
+
+    #[test]
+    fn bulk_scan_hit_on_a_warm_frame_keeps_its_place() {
+        let (disk, pool) = setup(4096 * 3);
+        // One file each: no two misses continue a run.
+        let [a, b, c, d] = ["a", "b", "c", "d"].map(|f| written_pages(&disk, f, 1)[0]);
+        reads_of(&disk, &pool, &[a, b, c]); // chain, coldest first: a b c
+        {
+            let _bulk = pool.bulk_scan();
+            assert_eq!(reads_of(&disk, &pool, &[b]), 0);
+        }
+        assert_eq!(pool.counters().readahead_hits, 0);
+        // `d` evicts `a`: `b` was not sent to the cold end ...
+        reads_of(&disk, &pool, &[d]);
+        assert_eq!(reads_of(&disk, &pool, &[a]), 1);
+        // ... and `a` evicts `b`, not `c`: `b` was not promoted either.
+        assert_eq!(reads_of(&disk, &pool, &[c]), 0);
+        assert_eq!(reads_of(&disk, &pool, &[b]), 1);
+    }
+
+    #[test]
+    fn bulk_scan_consumed_prefetch_is_evicted_before_the_working_set() {
+        let cap = 16;
+        let window = DiskConfig::default().readahead_pages;
+        let (disk, pool) = setup(4096 * cap);
+        let hot = written_pages(&disk, "hot", cap);
+        let scan = written_pages(&disk, "scan", 4 * cap);
+        reads_of(&disk, &pool, &hot); // the pool is full of the working set
+        {
+            let _bulk = pool.bulk_scan();
+            reads_of(&disk, &pool, &scan);
+        }
+        let c = pool.counters();
+        assert!(c.readahead >= (3 * cap) as u64, "{c}");
+        assert_eq!(
+            c.readahead_hits, c.readahead,
+            "every prefetch was consumed: {c}"
+        );
+        // Only the first batch's arrival found no scan page to evict:
+        // after it, each batch evicts the batch consumed before it.
+        assert_eq!(reads_of(&disk, &pool, &hot[window..]), 0, "{c}");
+        assert_eq!(reads_of(&disk, &pool, &hot[..window]), window as u64);
     }
 
     #[test]

@@ -126,52 +126,52 @@ const EXPECTED: &[Stage] = &[
     },
     Stage {
         name: "fold prefix",
-        page_reads: 4245,
+        page_reads: 4041,
         page_writes: 1400,
-        seeks: 272,
+        seeks: 267,
         bytes_written: 11468800,
-        total_ms_bits: 4661907239033098580,
-        pool_hits: 586,
-        pool_misses: 38,
+        total_ms_bits: 4661851533093951931,
+        pool_hits: 613,
+        pool_misses: 11,
         pages: 732167225077555946,
         stats: 8273583770114220106,
         checkpoint: 788975513935360079,
     },
     Stage {
         name: "merge",
-        page_reads: 5390,
+        page_reads: 4862,
         page_writes: 1844,
-        seeks: 298,
+        seeks: 287,
         bytes_written: 15106048,
-        total_ms_bits: 4662727632726476240,
-        pool_hits: 868,
-        pool_misses: 80,
+        total_ms_bits: 4662585210092143956,
+        pool_hits: 937,
+        pool_misses: 11,
         pages: 8664516532735524594,
         stats: 16175632021450270401,
         checkpoint: 788975513935360079,
     },
     Stage {
         name: "checkpoint",
-        page_reads: 6525,
+        page_reads: 5678,
         page_writes: 2039,
-        seeks: 311,
+        seeks: 296,
         bytes_written: 16703488,
-        total_ms_bits: 4663276359476762850,
-        pool_hits: 1148,
-        pool_misses: 119,
+        total_ms_bits: 4663061307266654385,
+        pool_hits: 1256,
+        pool_misses: 11,
         pages: 12458048465287224122,
         stats: 16175632021450270401,
         checkpoint: 14784063771396130127,
     },
     Stage {
         name: "recover",
-        page_reads: 7549,
+        page_reads: 6702,
         page_writes: 2806,
-        seeks: 366,
+        seeks: 351,
         bytes_written: 22986752,
-        total_ms_bits: 4665748044525284285,
-        pool_hits: 1838,
-        pool_misses: 119,
+        total_ms_bits: 4665551822884626249,
+        pool_hits: 1946,
+        pool_misses: 11,
         pages: 17784864993436509824,
         stats: 14797337497945041103,
         checkpoint: 132237768019790064,

@@ -186,3 +186,58 @@ fn per_fracture_tuning_parameters_coexist() {
         }
     }
 }
+
+/// A fold reads main sequentially, and main is larger than the pool. The
+/// fold before it wrote that main through the pool, so the pool still
+/// holds main's last-written pages. The second fold hits them: its scan
+/// evicts its own misses instead of that cached tail, and dropping the
+/// replaced components discards only their own frames.
+#[test]
+fn second_fold_reuses_the_cached_main() {
+    let mut rng = Lcg(0xF01D);
+    let page = UpiConfig::default().page_size as usize;
+    let st = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 64 * page);
+    let cfg = FracturedConfig {
+        upi: UpiConfig {
+            cutoff: 0.15,
+            ..UpiConfig::default()
+        },
+        buffer_ops: 0,
+    };
+    let mut f = FracturedUpi::create(st.clone(), "fold", 1, &[], cfg).unwrap();
+    let padded = |rng: &mut Lcg, id: u64| {
+        let mut t = make_tuple(rng, id);
+        t.fields[0] = Field::Certain(Datum::Str(format!("r{id}-{}", "p".repeat(200))));
+        t
+    };
+    let initial: Vec<Tuple> = (0..6000).map(|id| padded(&mut rng, id)).collect();
+    f.load_initial(&initial).unwrap();
+    st.go_cold();
+    let mut next_id = initial.len() as u64;
+    let mut fold = |f: &mut FracturedUpi| {
+        for _ in 0..20 {
+            f.insert(padded(&mut rng, next_id)).unwrap();
+            next_id += 1;
+        }
+        f.flush().unwrap();
+        let leaves = f.main().heap_stats().leaf_pages;
+        let before = st.pool.counters();
+        f.merge().unwrap();
+        (leaves, st.pool.counters().since(&before).pages_read())
+    };
+    let (leaves, read) = fold(&mut f);
+    assert!(
+        leaves > 3 * 64,
+        "main ({leaves} leaves) must outgrow the pool"
+    );
+    assert!(
+        read > leaves as u64,
+        "the first fold reads main cold: {read}"
+    );
+    let (leaves, read) = fold(&mut f);
+    assert!(
+        read < leaves as u64,
+        "the second fold read {read} pages for a main of {leaves} leaves"
+    );
+    assert_eq!(f.n_live_tuples(), next_id);
+}
