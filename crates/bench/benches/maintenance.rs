@@ -35,7 +35,7 @@
 //! counts, and the scheduled session's maintenance counters.
 
 use upi::{FracturedConfig, TableLayout, UpiConfig};
-use upi_bench::{banner, fresh_store, header, scale, summary};
+use upi_bench::{banner, committed_json_path, fresh_store, header, scale, summary};
 use upi_query::{PtqQuery, UncertainDb};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
 
@@ -236,11 +236,7 @@ fn series_json(s: &Series) -> String {
 }
 
 fn write_json(arms: &[Series], gate_enforced: bool) {
-    let json_path = std::env::var("UPI_BENCH_MAINTENANCE_JSON").unwrap_or_else(|_| {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_maintenance.json"))
-            .unwrap_or_else(|_| "BENCH_maintenance.json".to_string())
-    });
+    let json_path = committed_json_path("UPI_BENCH_MAINTENANCE_JSON", "BENCH_maintenance.json");
     let by = |n: &str| arms.iter().find(|s| s.name == n).unwrap();
     let (never, eager, sched) = (by("never"), by("eager"), by("scheduled"));
     let mut json = String::from("{\n  \"arms\": [\n");

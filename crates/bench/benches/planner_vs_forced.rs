@@ -36,7 +36,7 @@
 
 use upi::{FracturedConfig, FracturedUpi, UpiConfig};
 use upi_bench::setups::{author_setup, cartel_setup, publication_setup};
-use upi_bench::{banner, header, measure_cold, ms, scale, summary};
+use upi_bench::{banner, committed_json_path, header, measure_cold, ms, scale, summary};
 use upi_query::cost::N_PATH_KINDS;
 use upi_query::{
     AccessPath, CalibrationStore, Catalog, CostModel, MetricsRegistry, PathKind, PhysicalPlan,
@@ -401,11 +401,7 @@ fn write_json(
     frac: &HintRecord,
     wal: &WalCommitRecord,
 ) {
-    let json_path = std::env::var("UPI_BENCH_PLANNER_JSON").unwrap_or_else(|_| {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_planner.json"))
-            .unwrap_or_else(|_| "BENCH_planner.json".to_string())
-    });
+    let json_path = committed_json_path("UPI_BENCH_PLANNER_JSON", "BENCH_planner.json");
     assert_eq!(cold.len(), calibrated.len());
     let mut json = String::from("{\n  \"cases\": [\n");
     for (i, (raw, cal)) in cold.iter().zip(calibrated).enumerate() {
@@ -796,11 +792,7 @@ fn main() {
     // Session-metrics snapshot: per-kind query counts and device-ms
     // quantiles, pool ratios, refit count, misestimation quantiles.
     let snap = metrics.snapshot();
-    let metrics_path = std::env::var("UPI_BENCH_METRICS_JSON").unwrap_or_else(|_| {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_metrics.json"))
-            .unwrap_or_else(|_| "BENCH_metrics.json".to_string())
-    });
+    let metrics_path = committed_json_path("UPI_BENCH_METRICS_JSON", "BENCH_metrics.json");
     std::fs::write(&metrics_path, snap.to_json()).expect("write BENCH_metrics.json");
     eprintln!("[json] wrote {metrics_path}");
     summary("planner.metrics_queries", snap.queries);

@@ -45,7 +45,7 @@
 use std::sync::Arc;
 
 use upi::{FracturedConfig, ShardLayout, TableLayout, UpiConfig};
-use upi_bench::{banner, header, scale, summary, POOL_BYTES};
+use upi_bench::{banner, committed_json_path, header, scale, summary, POOL_BYTES};
 use upi_query::{PtqQuery, ShardedDb, UncertainDb};
 use upi_storage::{DiskConfig, IoStats, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
@@ -307,11 +307,7 @@ fn run_skew(n_rows: usize) -> Skew {
 }
 
 fn write_json(series: &[Series], skew: &Skew, gate_enforced: bool) {
-    let json_path = std::env::var("UPI_BENCH_SHARD_JSON").unwrap_or_else(|_| {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_shard.json"))
-            .unwrap_or_else(|_| "BENCH_shard.json".to_string())
-    });
+    let json_path = committed_json_path("UPI_BENCH_SHARD_JSON", "BENCH_shard.json");
     let one = series.iter().find(|s| s.shards == 1).unwrap();
     let four = series.iter().find(|s| s.shards == 4).unwrap();
     let mut json = String::from("{\n  \"series\": [\n");

@@ -25,7 +25,7 @@
 
 use upi::{PtqResult, TableLayout, UpiConfig};
 use upi_bench::setups::publication_setup;
-use upi_bench::{banner, fresh_store, header, ms, scale, summary};
+use upi_bench::{banner, committed_json_path, fresh_store, header, ms, scale, summary};
 use upi_query::{AccessPath, Catalog, PhysicalPlan, PtqQuery, UncertainDb};
 use upi_storage::{PoolCounters, Store};
 use upi_workloads::dblp::{publication_fields, DblpData};
@@ -353,11 +353,7 @@ fn main() {
 
     // Machine-readable trajectory record, at the workspace root by
     // default (cargo bench runs with the package dir as cwd).
-    let json_path = std::env::var("UPI_BENCH_JSON").unwrap_or_else(|_| {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| format!("{d}/../../BENCH_streaming.json"))
-            .unwrap_or_else(|_| "BENCH_streaming.json".to_string())
-    });
+    let json_path = committed_json_path("UPI_BENCH_JSON", "BENCH_streaming.json");
     // Overhead gate: the always-on trace/attribution instrumentation may
     // not cost I/O or simulated time — every streaming measurement must
     // stay within 5% of the committed baseline (one-sided: improvements,

@@ -117,6 +117,18 @@ pub fn summary(key: &str, value: impl std::fmt::Display) {
     println!("## {key}: {value}");
 }
 
+/// Where a bench writes its committed record `file` (e.g.
+/// `BENCH_shard.json`): the path in the environment variable `var` when
+/// set, else `file` at the workspace root (cargo runs a bench from its
+/// package directory).
+pub fn committed_json_path(var: &str, file: &str) -> String {
+    std::env::var(var).unwrap_or_else(|_| {
+        std::env::var("CARGO_MANIFEST_DIR")
+            .map(|d| format!("{d}/../../{file}"))
+            .unwrap_or_else(|_| file.to_string())
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -322,15 +322,23 @@ impl TableWal {
         if let Some(reason) = &self.read_only {
             return Err(StorageError::ReadOnly(reason.clone()));
         }
-        match self.wal.append(&rec.encode()) {
-            Ok(lsn) => Ok(lsn),
-            Err(e) => {
-                let reason = format!("WAL cannot advance: {e}");
-                store.pool.poison(&reason);
-                self.read_only = Some(reason.clone());
-                Err(StorageError::ReadOnly(reason))
-            }
-        }
+        let appended = self.wal.append(&rec.encode());
+        appended.map_err(|e| self.enter_read_only(store, format!("WAL cannot advance: {e}")))
+    }
+
+    /// Force the group-commit buffer to the device (one fsync barrier);
+    /// on failure the table enters read-only mode and the pool is
+    /// poisoned, as for [`log`](Self::log).
+    pub fn sync(&mut self, store: &Store) -> Result<Lsn> {
+        let synced = self.wal.sync();
+        synced.map_err(|e| self.enter_read_only(store, format!("WAL cannot sync: {e}")))
+    }
+
+    /// Poison the pool and reject all further DML with `reason`.
+    fn enter_read_only(&mut self, store: &Store, reason: String) -> StorageError {
+        store.pool.poison(&reason);
+        self.read_only = Some(reason.clone());
+        StorageError::ReadOnly(reason)
     }
 }
 

@@ -12,9 +12,9 @@
 //!   delete set; its indexes point only into its own heap, so queries per
 //!   fracture are independent (and the per-fracture cost is
 //!   `Cost_init + H·T_seek`, the §6.2 model).
-//! * Delete sets are persisted at flush (sequential write) and kept
-//!   resident in RAM — they are tiny and checked "at the end of a lookup"
-//!   for every query, as the paper prescribes.
+//! * Delete sets are persisted at flush (sequential write). RAM keeps one
+//!   map from each fractured id to its newest fracture, so the check made
+//!   "at the end of a lookup" for every query is one probe.
 //! * A delete set suppresses tuples in **older** components only; tuple ids
 //!   are never reused, so an id deleted and re-inserted later is revived by
 //!   the newer component.
@@ -25,6 +25,7 @@
 use std::collections::BTreeMap;
 
 use upi_btree::BTree;
+use upi_storage::codec::KeyReader;
 use upi_storage::error::Result;
 use upi_storage::Store;
 use upi_uncertain::{IdMap, IdSet, Tuple, TupleId};
@@ -60,22 +61,28 @@ struct Fracture {
     upi: DiscreteUpi,
     /// Persisted delete set (key = tid, no payload).
     delete_tree: BTree,
-    /// RAM-resident copy of the delete set.
-    deleted: IdSet<u64>,
-    /// Tuple ids stored in this fracture (for exact liveness accounting).
-    ids: IdSet<u64>,
 }
 
 impl Fracture {
-    /// Sequentially read the persisted delete set (the RAM copy already
-    /// holds its content): a merge pays for reading every file it folds.
-    fn read_delete_set(&self) -> Result<()> {
+    /// Sequentially read the persisted delete set's ids: a merge pays
+    /// for reading every file it folds.
+    fn read_delete_set(&self) -> Result<Vec<u64>> {
+        let mut ids = Vec::new();
         let mut cur = self.delete_tree.first()?;
         while cur.valid() {
+            ids.push(KeyReader::new(cur.key()).u64());
             cur.advance()?;
         }
-        Ok(())
+        Ok(ids)
     }
+}
+
+/// An id's newest fracture (level `i + 1` for fracture `i`), and whether
+/// that fracture stores a version of the id or deletes it.
+#[derive(Clone, Copy)]
+struct Newest {
+    level: u32,
+    stores: bool,
 }
 
 /// A UPI stored as a main index plus a chain of immutable fractures and an
@@ -92,11 +99,10 @@ pub struct FracturedUpi {
     main_ids: IdSet<u64>,
     fractures: Vec<Fracture>,
     /// Each id that a fracture stores or deletes, mapped to the newest
-    /// such level (`i + 1` for fracture `i`): what
-    /// [`suppressed`](Self::suppressed) asks of the fractures, in one
-    /// lookup. Derived from `fractures` and rebuilt whenever the chain
-    /// changes (flush, fold, compaction).
-    newest: IdMap<u64, usize>,
+    /// such fracture: the only in-memory record of the fractures, what
+    /// [`suppressed`](Self::suppressed) asks of them in one lookup. A
+    /// flush adds its ids; a fold and a compaction re-level the rest.
+    newest: IdMap<u64, Newest>,
     buf_inserts: BTreeMap<u64, Tuple>,
     buf_deletes: IdSet<u64>,
 }
@@ -158,11 +164,11 @@ impl FracturedUpi {
     /// Dropping a buffered insert is not sufficient on its own: the
     /// buffered version was itself shadowing any older on-disk version of
     /// the same id (update = delete + insert re-uses ids, §3.1), so the
-    /// delete must still leave a marker behind whenever an older component
-    /// holds the id — otherwise the old version resurrects.
+    /// delete must still leave a marker behind whenever the newest
+    /// component holding the id stores it — otherwise it resurrects.
     pub fn delete(&mut self, id: TupleId) -> Result<()> {
-        let on_disk =
-            self.main_ids.contains(&id.0) || self.fractures.iter().any(|f| f.ids.contains(&id.0));
+        let newest = self.newest.get(&id.0);
+        let on_disk = newest.map_or_else(|| self.main_ids.contains(&id.0), |n| n.stores);
         if self.buf_inserts.remove(&id.0).is_none() || on_disk {
             self.buf_deletes.insert(id.0);
         }
@@ -196,26 +202,14 @@ impl FracturedUpi {
         let mut deleted: Vec<u64> = self.buf_deletes.iter().copied().collect();
         deleted.sort_unstable();
         let delete_tree = self.build_delete_tree(&name, upi_cfg.page_size, &deleted)?;
-        self.fractures.push(Fracture {
-            upi,
-            delete_tree,
-            deleted: self.buf_deletes.drain().collect(),
-            ids: self.buf_inserts.keys().copied().collect(),
-        });
-        self.reindex_fractures();
-        self.buf_inserts.clear();
-        Ok(())
-    }
-
-    /// Rebuild [`newest`](Self::newest) from the fractures, oldest first,
-    /// so that a newer fracture overwrites an older one's level.
-    fn reindex_fractures(&mut self) {
-        self.newest.clear();
-        for (i, f) in self.fractures.iter().enumerate() {
-            for &id in f.ids.iter().chain(&f.deleted) {
-                self.newest.insert(id, i + 1);
-            }
+        self.fractures.push(Fracture { upi, delete_tree });
+        let level = self.fractures.len() as u32;
+        let deletes = self.buf_deletes.drain().map(|id| (id, false));
+        let inserts = std::mem::take(&mut self.buf_inserts).into_keys();
+        for (id, stores) in deletes.chain(inserts.map(|id| (id, true))) {
+            self.newest.insert(id, Newest { level, stores });
         }
+        Ok(())
     }
 
     /// The file-name stem of the next component: `{table}.{kind}{seq}`
@@ -267,7 +261,9 @@ impl FracturedUpi {
     /// One lookup for the fractures (the newest level holding `tid`),
     /// two for the insert buffer.
     fn suppressed(&self, tid: u64, level: usize) -> bool {
-        self.newest.get(&tid).is_some_and(|&newest| newest > level)
+        self.newest
+            .get(&tid)
+            .is_some_and(|n| n.level as usize > level)
             || self.buf_deletes.contains(&tid)
             || self.buf_inserts.contains_key(&tid)
     }
@@ -471,7 +467,9 @@ impl FracturedUpi {
         let old_main = std::mem::replace(&mut self.main, new_main);
         old_main.destroy()?;
         let folded: Vec<Fracture> = self.fractures.drain(..k).collect();
-        self.reindex_fractures();
+        let k = k as u32;
+        self.newest.retain(|_, n| n.level > k);
+        self.newest.values_mut().for_each(|n| n.level -= k);
         for f in folded {
             let file = f.delete_tree.file();
             f.upi.destroy()?;
@@ -488,32 +486,35 @@ impl FracturedUpi {
     /// run. Sound because a fracture's own delete set never suppresses
     /// its own ids (see [`suppressed`](Self::suppressed)'s strict
     /// level comparison).
+    /// In [`newest`](Self::newest) the run's levels collapse onto one
+    /// and an id keeps its `stores` flag — even a stored id the merge
+    /// drops because the insert buffer shadows it: the buffer masks it
+    /// until the next flush re-records it, and [`delete`](Self::delete)
+    /// of the buffered version leaves a marker.
     fn compact_run(&mut self, first: usize, last: usize) -> Result<()> {
         debug_assert!(first < last && last < self.fractures.len());
         let live = self.collect_live(first + 1..last + 2)?;
-        let mut deleted: IdSet<u64> = IdSet::default();
+        let mut deleted = Vec::new();
         for f in &self.fractures[first..=last] {
-            f.read_delete_set()?;
-            deleted.extend(f.deleted.iter().copied());
+            deleted.extend(f.read_delete_set()?);
         }
+        deleted.sort_unstable();
+        deleted.dedup();
 
         let name = self.next_name('f');
         let upi = self.build_upi(&name, self.cfg.upi, &live)?;
-        let mut sorted: Vec<u64> = deleted.iter().copied().collect();
-        sorted.sort_unstable();
-        let delete_tree = self.build_delete_tree(&name, self.cfg.upi.page_size, &sorted)?;
+        let delete_tree = self.build_delete_tree(&name, self.cfg.upi.page_size, &deleted)?;
 
-        let merged = Fracture {
-            upi,
-            delete_tree,
-            deleted,
-            ids: live.ids().collect(),
-        };
+        let merged = Fracture { upi, delete_tree };
         let old: Vec<Fracture> = self
             .fractures
             .splice(first..=last, std::iter::once(merged))
             .collect();
-        self.reindex_fractures();
+        // Levels first + 1 ..= last + 1 become first + 1; newer ones shift.
+        let (first, last) = (first as u32 + 1, last as u32 + 1);
+        for n in self.newest.values_mut() {
+            n.level -= n.level.clamp(first, last) - first;
+        }
         for f in old {
             let file = f.delete_tree.file();
             f.upi.destroy()?;
@@ -579,23 +580,14 @@ impl FracturedUpi {
                 .sum::<u64>()
     }
 
-    /// Exact count of tuples visible to queries: per component, ids not
-    /// suppressed by any newer delete set, plus the insert buffer.
+    /// Exact count of tuples visible to queries: the insert buffer's,
+    /// plus each on-disk id whose newest component stores it, unsuppressed.
     pub fn n_live_tuples(&self) -> u64 {
-        let mut n = self.buf_inserts.len() as u64;
-        n += self
-            .main_ids
-            .iter()
-            .filter(|&&id| !self.suppressed(id, 0))
-            .count() as u64;
-        for (i, f) in self.fractures.iter().enumerate() {
-            n += f
-                .ids
-                .iter()
-                .filter(|&&id| !self.suppressed(id, i + 1))
-                .count() as u64;
-        }
-        n
+        let main = self.main_ids.iter().filter(|&&id| !self.suppressed(id, 0));
+        let visible =
+            |(&id, n): (&u64, &Newest)| n.stores && !self.suppressed(id, n.level as usize);
+        let fractured = self.newest.iter().filter(|&e| visible(e));
+        (self.buf_inserts.len() + main.count() + fractured.count()) as u64
     }
 }
 
@@ -1598,14 +1590,53 @@ mod tests {
         f
     }
 
-    /// The fracture walk `suppressed` answers in one lookup: a newer
-    /// fracture's delete set or ids, or the insert buffer.
-    fn suppressed_by_walk(f: &FracturedUpi, tid: u64, level: usize) -> bool {
-        // Fracture `i` is level `i + 1`: the newer ones are `i >= level`.
-        let mut newer = f.fractures.iter().skip(level);
-        newer.any(|fr| fr.deleted.contains(&tid) || fr.ids.contains(&tid))
-            || f.buf_deletes.contains(&tid)
-            || f.buf_inserts.contains_key(&tid)
+    /// What the persisted chain says, read back from disk: per component
+    /// (0 = main, `i + 1` = fracture `i`) the ids its heap stores, and per
+    /// fracture the ids its delete tree holds.
+    struct Persisted {
+        stored: Vec<IdSet<u64>>,
+        deleted: Vec<IdSet<u64>>,
+    }
+
+    impl Persisted {
+        fn read(f: &FracturedUpi) -> Persisted {
+            let stored = f
+                .chain()
+                .components()
+                .map(|upi| {
+                    let mut records = Records::default();
+                    upi.scan_records(&mut records, |_| true).unwrap();
+                    records.ids().collect()
+                })
+                .collect();
+            let deleted = f
+                .fractures
+                .iter()
+                .map(|fr| fr.read_delete_set().unwrap().into_iter().collect())
+                .collect();
+            Persisted { stored, deleted }
+        }
+
+        /// The fracture walk `suppressed` answers in one lookup: a newer
+        /// fracture's heap or delete tree, or the insert buffer.
+        fn suppressed(&self, f: &FracturedUpi, tid: u64, level: usize) -> bool {
+            // Fracture `i` is level `i + 1`: the newer ones are `i >= level`.
+            let newer =
+                |i: usize| self.stored[i + 1].contains(&tid) || self.deleted[i].contains(&tid);
+            (level..self.deleted.len()).any(newer)
+                || f.buf_deletes.contains(&tid)
+                || f.buf_inserts.contains_key(&tid)
+        }
+
+        /// Rows visible to a query: each component's unsuppressed ids,
+        /// plus the insert buffer.
+        fn n_live(&self, f: &FracturedUpi) -> u64 {
+            let visible = self.stored.iter().enumerate().flat_map(|(level, ids)| {
+                ids.iter()
+                    .filter(move |&&tid| !self.suppressed(f, tid, level))
+            });
+            (visible.count() + f.buf_inserts.len()) as u64
+        }
     }
 
     #[test]
@@ -1642,16 +1673,47 @@ mod tests {
                     }
                     _ => f.flush().unwrap(),
                 }
+                let persisted = Persisted::read(&f);
                 for tid in 0..ids {
                     for level in 0..=f.n_fractures() + 1 {
                         assert_eq!(
                             f.suppressed(tid, level),
-                            suppressed_by_walk(&f, tid, level),
+                            persisted.suppressed(&f, tid, level),
                             "seed {seed}, tuple {tid}, level {level}"
                         );
                     }
                 }
+                assert_eq!(f.n_live_tuples(), persisted.n_live(&f), "seed {seed}");
             }
+        }
+    }
+
+    /// A delete leaves a marker iff an on-disk version is visible under
+    /// the buffered one: not for an id whose newest fracture deletes it,
+    /// though main still stores an older version.
+    #[test]
+    fn deleting_a_reinserted_id_leaves_a_marker_only_over_a_visible_version() {
+        let mut f = fresh(0);
+        f.load_initial(&[author(1, 3, 0.8), author(2, 3, 0.8)])
+            .unwrap();
+        f.delete(TupleId(1)).unwrap();
+        f.flush().unwrap(); // fracture 0 deletes id 1; main still stores it
+        f.insert(author(1, 4, 0.9)).unwrap();
+        f.delete(TupleId(1)).unwrap();
+        assert_eq!(f.buffered_ops(), 0, "no visible version: no marker");
+        // Id 2's main version is visible under its buffered update.
+        f.delete(TupleId(2)).unwrap();
+        f.insert(author(2, 4, 0.9)).unwrap();
+        f.delete(TupleId(2)).unwrap();
+        assert_eq!(f.buffered_ops(), 1, "a visible version keeps its marker");
+        for _ in 0..2 {
+            assert_eq!(f.n_live_tuples(), 0);
+            assert!(f.live_tuples().unwrap().is_empty());
+            assert!(
+                f.ptq(3, 0.0).unwrap().is_empty(),
+                "main version resurrected"
+            );
+            f.flush().unwrap();
         }
     }
 

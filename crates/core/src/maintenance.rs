@@ -189,11 +189,6 @@ pub struct MaintenancePolicy {
     /// Device budget of one incremental step, ms — bounds how long
     /// queries wait behind a step on a single-device store.
     pub step_budget_ms: f64,
-    /// Fraction of observed queries assumed to touch the fractured
-    /// structure (and therefore pay the per-component overheads). 1.0
-    /// when every query is a PTQ over the table, lower for mixed
-    /// sessions.
-    pub fractured_query_fraction: f64,
     /// Fraction of one component's bytes a typical fractured query
     /// streams through — ≈ 1 / (distinct clustered values), since a PTQ
     /// reads one value's clustered run per component. Sizes the seek
@@ -217,7 +212,6 @@ impl Default for MaintenancePolicy {
             // A step may cost up to two seconds of device time — a few
             // fractures' worth on the Table-6 device.
             step_budget_ms: 2_000.0,
-            fractured_query_fraction: 1.0,
             // A query reads ~a tenth of each component's clustered
             // bytes: right for tables with ~10 well-populated values,
             // conservative for more selective ones.
@@ -294,6 +288,10 @@ impl MaintenancePolicy {
     ///   model, not the raw device constants).
     /// * `observed_qps` — queries per second of *device time* from the
     ///   session metrics (queries / device-seconds spent on queries).
+    /// * `fractured_query_fraction` — the share of those queries that
+    ///   touch the fractured structure (and so pay the per-component
+    ///   overheads): 1.0 when every query is a PTQ over the table, lower
+    ///   for mixed sessions.
     ///
     /// Among the candidates that are affordable (`cost ≤ step budget`)
     /// and profitable (`savings_per_query × observed_qps × horizon >
@@ -314,13 +312,14 @@ impl MaintenancePolicy {
         coeffs: &DeviceCoeffs,
         descend_ms: f64,
         observed_qps: f64,
+        fractured_query_fraction: f64,
     ) -> Option<MaintenanceDecision> {
         let mut best: Option<MaintenanceDecision> = None;
         for_each_candidate(component_bytes, coeffs, |plan| {
             if plan.est_cost_ms > self.step_budget_ms {
                 return;
             }
-            let savings_per_query_ms = self.fractured_query_fraction
+            let savings_per_query_ms = fractured_query_fraction
                 * self.step_savings_ms(component_bytes, plan.step, coeffs, descend_ms);
             let horizon_savings_ms =
                 savings_per_query_ms * observed_qps * self.horizon_ms / 1_000.0;
@@ -422,15 +421,19 @@ mod tests {
             ..MaintenancePolicy::default()
         };
         // Idle: nothing ever pays.
-        assert!(pol.decide(&[64 * MIB, MIB], &c, DESCEND, 0.0).is_none());
+        assert!(pol
+            .decide(&[64 * MIB, MIB], &c, DESCEND, 0.0, 1.0)
+            .is_none());
         // One fresh fracture saves 28 ms/query; at 2 qps over 60 s that
         // is 3360 ms — less than the 4550 ms fold of main. Deferred.
-        assert!(pol.decide(&[64 * MIB, MIB], &c, DESCEND, 2.0).is_none());
+        assert!(pol
+            .decide(&[64 * MIB, MIB], &c, DESCEND, 2.0, 1.0)
+            .is_none());
         // A second fracture doubles the savings (6720 ms) past the
         // 4620 ms fold cost: the policy folds the whole prefix at once,
         // ranking it above the profitable-but-smaller run compaction.
         let d = pol
-            .decide(&[64 * MIB, MIB, MIB], &c, DESCEND, 2.0)
+            .decide(&[64 * MIB, MIB, MIB], &c, DESCEND, 2.0, 1.0)
             .expect("accumulated mass amortizes the fold");
         assert_eq!(d.plan.step, CompactionStep::FoldPrefix { fractures: 2 });
         assert!((d.savings_per_query_ms - 56.0).abs() < 1e-9);
@@ -448,7 +451,7 @@ mod tests {
         // windows cancelling).
         let sizes = [512 * MIB, MIB, MIB];
         let d = pol
-            .decide(&sizes, &c, DESCEND, 1.0)
+            .decide(&sizes, &c, DESCEND, 1.0, 1.0)
             .expect("small-run step is affordable and profitable");
         assert_eq!(
             d.plan.step,
@@ -456,7 +459,7 @@ mod tests {
         );
         assert!(d.plan.est_cost_ms <= pol.step_budget_ms);
         // Too little traffic to pay even for that (84 ms < 140 ms).
-        assert!(pol.decide(&sizes, &c, DESCEND, 0.05).is_none());
+        assert!(pol.decide(&sizes, &c, DESCEND, 0.05, 1.0).is_none());
     }
 
     #[test]
@@ -470,7 +473,7 @@ mod tests {
         // saves the most per query (28 + 28 + 48 ms: the 8 MiB fracture
         // streams two seek windows) and wins.
         let d = pol
-            .decide(&[64 * MIB, MIB, MIB, 8 * MIB], &c, DESCEND, 5.0)
+            .decide(&[64 * MIB, MIB, MIB, 8 * MIB], &c, DESCEND, 5.0, 1.0)
             .expect("heavy traffic");
         assert_eq!(d.plan.step, CompactionStep::FoldPrefix { fractures: 3 });
         assert!((d.savings_per_query_ms - 104.0).abs() < 1e-9);

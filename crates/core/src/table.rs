@@ -447,12 +447,7 @@ impl UncertainTable {
         )?;
         let tw = self.wal.as_mut().unwrap();
         let lsn = tw.log(&self.store, &WalRecord::Checkpoint { file: file.0 })?;
-        if let Err(e) = tw.wal.sync() {
-            let reason = format!("WAL cannot sync: {e}");
-            self.store.pool.poison(&reason);
-            tw.read_only = Some(reason.clone());
-            return Err(StorageError::ReadOnly(reason));
-        }
+        tw.sync(&self.store)?;
         let old = tw.ckpt_file.replace(file);
         if let Some(old) = old {
             self.store.free_file_pages(old)?;
@@ -470,12 +465,7 @@ impl UncertainTable {
         // Seal: the new generation must be self-sufficient before the
         // old one disappears.
         tw.log(&self.store, &WalRecord::Checkpoint { file: file.0 })?;
-        if let Err(e) = tw.wal.sync() {
-            let reason = format!("WAL cannot sync: {e}");
-            self.store.pool.poison(&reason);
-            tw.read_only = Some(reason.clone());
-            return Err(StorageError::ReadOnly(reason));
-        }
+        tw.sync(&self.store)?;
         // Retire: the old generation is fully covered by the sealed
         // checkpoint; its pages go back to the device.
         self.store.free_file_pages(retired)?;
@@ -491,15 +481,7 @@ impl UncertainTable {
         if let Some(reason) = &tw.read_only {
             return Err(StorageError::ReadOnly(reason.clone()));
         }
-        match tw.wal.sync() {
-            Ok(lsn) => Ok(lsn),
-            Err(e) => {
-                let reason = format!("WAL cannot sync: {e}");
-                self.store.pool.poison(&reason);
-                tw.read_only = Some(reason.clone());
-                Err(StorageError::ReadOnly(reason))
-            }
-        }
+        tw.sync(&self.store)
     }
 
     /// Rebuild a table after a crash: reboot the store (dropping every

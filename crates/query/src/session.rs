@@ -362,16 +362,19 @@ impl UncertainDb {
             } else {
                 0.0
             };
-            let mut policy = st.policy;
-            policy.fractured_query_fraction = if total_queries > 0 {
+            let fractured_fraction = if total_queries > 0 {
                 fractured_queries as f64 / total_queries as f64
             } else {
                 1.0
             };
-            (
+            let decision = st.policy.decide(
+                &component_bytes,
+                &coeffs,
+                descend_ms,
                 qps,
-                policy.decide(&component_bytes, &coeffs, descend_ms, qps),
-            )
+                fractured_fraction,
+            );
+            (qps, decision)
         };
         let Some(decision) = decision else {
             return Ok(None);

@@ -74,37 +74,6 @@ use crate::plan::{AccessPath, PhysicalPlan};
 use crate::query::{Predicate, PtqQuery};
 use crate::session::UncertainDb;
 
-/// Component-wise sum of two attributed device windows.
-fn add_stats(a: IoStats, b: &IoStats) -> IoStats {
-    IoStats {
-        page_reads: a.page_reads + b.page_reads,
-        page_writes: a.page_writes + b.page_writes,
-        seeks: a.seeks + b.seeks,
-        bytes_read: a.bytes_read + b.bytes_read,
-        bytes_written: a.bytes_written + b.bytes_written,
-        file_opens: a.file_opens + b.file_opens,
-        seek_ms: a.seek_ms + b.seek_ms,
-        read_ms: a.read_ms + b.read_ms,
-        write_ms: a.write_ms + b.write_ms,
-        init_ms: a.init_ms + b.init_ms,
-    }
-}
-
-/// Component-wise sum of two pool-counter deltas.
-fn add_counters(a: PoolCounters, b: &PoolCounters) -> PoolCounters {
-    PoolCounters {
-        hits: a.hits + b.hits,
-        misses: a.misses + b.misses,
-        evictions: a.evictions + b.evictions,
-        readahead: a.readahead + b.readahead,
-        readahead_hits: a.readahead_hits + b.readahead_hits,
-        hinted_runs: a.hinted_runs + b.hinted_runs,
-        flush_errors: a.flush_errors + b.flush_errors,
-        flush_retries: a.flush_retries + b.flush_retries,
-        readahead_wasted: a.readahead_wasted + b.readahead_wasted,
-    }
-}
-
 /// The gather merge's total, explicit order: confidence descending,
 /// then ascending tuple id, then ascending shard index. Tuple ids are
 /// globally unique (id routing), so the shard key never actually
@@ -732,14 +701,17 @@ impl ShardedDb {
         };
         let mut spans = vec![TraceSpan::label_only(root, 0)];
         for (i, (s, run)) in self.shards.iter().zip(&runs).enumerate() {
-            let attributed = pools[i].take_attributed(qid);
+            let mut attributed = pools[i].take_attributed(qid);
             let shard_io = pools[i].counters().since(&before[i]);
             let whole_device = run.whole.as_ref().and_then(|out| out.device.as_ref());
             let shard_device = match (whole_device, &run.plan) {
                 // A whole execution attributed itself to its own inner
                 // window; the outer slot holds nothing (planning reads
                 // no page).
-                (Some(d), _) => add_stats(attributed, d),
+                (Some(d), _) => {
+                    attributed += d;
+                    attributed
+                }
                 (None, Some(plan)) => {
                     s.note_external_execution(
                         &plan.candidates[0].cost,
@@ -763,9 +735,9 @@ impl ShardedDb {
             span.device_ms = Some(shard_device.total_ms());
             span.est_ms = run.plan.as_ref().map(|p| p.est_ms());
             spans.push(span);
-            io = add_counters(io, &shard_io);
+            io += &shard_io;
             latency_ms = latency_ms.max(shard_device.total_ms());
-            device = add_stats(device, &shard_device);
+            device += &shard_device;
             if degraded.is_none() {
                 degraded = pools[i].degraded();
             }

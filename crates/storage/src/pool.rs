@@ -90,6 +90,22 @@ impl PoolCounters {
     }
 }
 
+/// Component-wise sum (`self + other`), the inverse of
+/// [`PoolCounters::since`]: adds up counter deltas.
+impl std::ops::AddAssign<&PoolCounters> for PoolCounters {
+    fn add_assign(&mut self, other: &PoolCounters) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.readahead += other.readahead;
+        self.readahead_hits += other.readahead_hits;
+        self.hinted_runs += other.hinted_runs;
+        self.flush_errors += other.flush_errors;
+        self.flush_retries += other.flush_retries;
+        self.readahead_wasted += other.readahead_wasted;
+    }
+}
+
 impl std::fmt::Display for PoolCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(

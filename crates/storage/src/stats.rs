@@ -55,6 +55,23 @@ impl IoStats {
     }
 }
 
+/// Component-wise sum (`self + other`), the inverse of
+/// [`IoStats::since`]: adds up attributed windows.
+impl std::ops::AddAssign<&IoStats> for IoStats {
+    fn add_assign(&mut self, other: &IoStats) {
+        self.page_reads += other.page_reads;
+        self.page_writes += other.page_writes;
+        self.seeks += other.seeks;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.file_opens += other.file_opens;
+        self.seek_ms += other.seek_ms;
+        self.read_ms += other.read_ms;
+        self.write_ms += other.write_ms;
+        self.init_ms += other.init_ms;
+    }
+}
+
 impl std::fmt::Display for IoStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -95,6 +112,9 @@ mod tests {
         assert_eq!(d.page_reads, 6);
         assert_eq!(d.seeks, 2);
         assert!((d.read_ms - 3.0).abs() < 1e-12);
+        let mut sum = b;
+        sum += &d;
+        assert_eq!(sum, a, "a sum inverts `since`");
     }
 
     #[test]
