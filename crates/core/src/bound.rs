@@ -1,19 +1,18 @@
 //! Sound per-value confidence upper bounds.
 //!
 //! One [`ConfidenceBound`] sketch answers "can any row with primary value
-//! `v` here reach confidence `c`?" without reading a page. Two structures
-//! own one, noted as they store rows and rebuilt with themselves: every
-//! [`DiscreteUpi`](crate::DiscreteUpi) component (so a chain merge opens
-//! only the components, and a range only the cutoff phase, that a bound
-//! says can qualify) and the unclustered layout's primary
-//! [`Pii`](crate::Pii). A table's bound is read off those
+//! `v` here reach confidence `c`?" without reading a page. Every
+//! [`DiscreteUpi`](crate::DiscreteUpi) component owns one, noted as it
+//! stores rows and rebuilt with it, so a chain merge opens only the
+//! components, and a range only the cutoff phase, that a bound says can
+//! qualify. A table's bound is read off its chain
 //! ([`UncertainTable::confidence_bound`](crate::UncertainTable::confidence_bound)),
 //! and a shard of `upi_query::ShardedDb` skips by its table's bound.
 
 use upi_storage::codec::{dequantize_prob, quantize_prob};
 
 /// Buckets in the per-value max-confidence sketch: small enough to sit
-/// in RAM per component or index (2 KB), wide enough that a handful of
+/// in RAM per component (2 KB), wide enough that a handful of
 /// hot values rarely collide.
 pub(crate) const SKETCH_BUCKETS: usize = 256;
 

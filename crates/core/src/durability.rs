@@ -184,7 +184,6 @@ impl CheckpointImage {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = vec![CKPT_VERSION];
         match &self.layout {
-            TableLayout::Unclustered => out.push(0),
             TableLayout::Upi(cfg) => {
                 out.push(1);
                 push_upi_cfg(&mut out, cfg);
@@ -235,7 +234,6 @@ impl CheckpointImage {
             return Err(corrupt(format!("checkpoint version {version}")));
         }
         let layout = match cur.u8()? {
-            0 => TableLayout::Unclustered,
             1 => TableLayout::Upi(cur.upi_cfg()?),
             2 => TableLayout::FracturedUpi(FracturedConfig {
                 upi: cur.upi_cfg()?,
@@ -465,20 +463,28 @@ impl<'a> Cursor<'a> {
         Ok(self.bytes(1)?[0])
     }
 
+    /// The next `N` bytes as an array (what every fixed-width read
+    /// decodes from).
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.bytes(N)?);
+        Ok(out)
+    }
+
     fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
+        Ok(f64::from_le_bytes(self.array()?))
     }
 
     /// A length-prefixed tuple record, checked.
@@ -552,9 +558,8 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn checkpoint_image_round_trips() {
-        let img = CheckpointImage {
+    fn image() -> CheckpointImage {
+        CheckpointImage {
             schema: Schema::new(vec![
                 ("name", FieldKind::Str),
                 ("inst", FieldKind::Discrete),
@@ -572,8 +577,12 @@ mod tests {
             next_id: 42,
             records: Records::from_tuples(&(0..5).map(tuple).collect::<Vec<_>>()),
             extra: vec![9, 8, 7],
-        };
-        let decoded = CheckpointImage::decode(&img.encode()).unwrap();
+        }
+    }
+
+    #[test]
+    fn checkpoint_image_round_trips() {
+        let decoded = CheckpointImage::decode(&image().encode()).unwrap();
         assert_eq!(decoded.primary_attr, 1);
         assert_eq!(decoded.sec_attrs, vec![1]);
         assert_eq!(decoded.next_id, 42);
@@ -588,6 +597,19 @@ mod tests {
                 assert!((cfg.upi.cutoff - 0.25).abs() < 1e-12);
             }
             other => panic!("wrong layout: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_retired_unclustered_layout_tag_is_corrupted() {
+        // Byte 0 is the version, byte 1 the layout tag; tag 0 named the
+        // unclustered heap + PII layout, which a table no longer has.
+        let mut blob = image().encode();
+        assert_eq!(blob[1], 2, "a fractured image");
+        blob[1] = 0;
+        match CheckpointImage::decode(&blob) {
+            Err(StorageError::Corrupted(why)) => assert!(why.contains("layout tag 0"), "{why}"),
+            other => panic!("expected Corrupted, got {other:?}"),
         }
     }
 }

@@ -111,16 +111,6 @@ pub enum ExecError {
         /// Debug rendering of the offending field value.
         got: String,
     },
-    /// A plan named an access path the table's physical layout cannot
-    /// serve (a clustered path on an unclustered shard).
-    /// Recoverable: callers fall back to a layout-agnostic execution
-    /// instead of panicking.
-    LayoutMismatch {
-        /// Label of the access path the plan chose.
-        path: String,
-        /// The layout the table actually has.
-        layout: String,
-    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -137,9 +127,6 @@ impl std::fmt::Display for ExecError {
                     f,
                     "group_count expects a certain u64 field at index {field}, got {got}"
                 )
-            }
-            ExecError::LayoutMismatch { path, layout } => {
-                write!(f, "access path {path} cannot run on a {layout} table")
             }
         }
     }

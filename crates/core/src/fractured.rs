@@ -32,9 +32,10 @@ use upi_uncertain::{IdMap, IdSet, Tuple, TupleId};
 
 use crate::cost::DeviceCoeffs;
 use crate::exec::{sort_results, CursorStats, PtqResult, Skip};
+use crate::keys::stored_prob;
 use crate::maintenance::{select_compaction, CompactionPlan, CompactionStep};
 use crate::records::Records;
-use crate::upi::{DiscreteUpi, PointRun, RangeRun, SecondaryRun, UpiConfig};
+use crate::upi::{grid_confidence, DiscreteUpi, PointRun, RangeRun, SecondaryRun, UpiConfig};
 
 /// Configuration of a Fractured UPI.
 #[derive(Debug, Clone, Copy)]
@@ -319,7 +320,7 @@ impl FracturedUpi {
     /// cursor interleaves them: the figure benches measure this access
     /// pattern and the cursor tests use it as their reference.
     pub fn ptq(&self, value: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let conf = |t: &Tuple| t.confidence_eq(self.attr, value);
+        let conf = |t: &Tuple| buffered_confidence(t, self.attr, value, value);
         self.gather(qt, conf, |upi| upi.ptq(value, qt))
     }
 
@@ -327,7 +328,7 @@ impl FracturedUpi {
     /// in the component holding the tuple, so per-component confidences
     /// are complete and the union rule is the same as for point PTQs).
     pub fn ptq_range(&self, lo: u64, hi: u64, qt: f64) -> Result<Vec<PtqResult>> {
-        let conf = |t: &Tuple| range_confidence(t, self.attr, lo, hi);
+        let conf = |t: &Tuple| buffered_confidence(t, self.attr, lo, hi);
         self.gather(qt, conf, |upi| upi.ptq_range(lo, hi, qt))
     }
 
@@ -341,7 +342,7 @@ impl FracturedUpi {
         tailored: bool,
     ) -> Result<Vec<PtqResult>> {
         let sec_attr = self.sec_attrs[sec_idx];
-        let conf = |t: &Tuple| t.confidence_eq(sec_attr, value);
+        let conf = |t: &Tuple| buffered_confidence(t, sec_attr, value, value);
         self.gather(qt, conf, |upi| {
             upi.ptq_secondary(sec_idx, value, qt, tailored)
         })
@@ -591,14 +592,11 @@ impl FracturedUpi {
     }
 }
 
-/// Confidence of `t` for `attr BETWEEN lo AND hi` (alternatives sum).
-fn range_confidence(t: &Tuple, attr: usize, lo: u64, hi: u64) -> f64 {
-    t.discrete(attr)
-        .alternatives()
-        .iter()
-        .filter(|&&(v, _)| (lo..=hi).contains(&v))
-        .map(|&(_, p)| p * t.exist)
-        .sum()
+/// A buffered row's confidence for `attr BETWEEN lo AND hi`, on the grid
+/// its stored copy will score on once flushed (see [`grid_confidence`]).
+fn buffered_confidence(t: &Tuple, attr: usize, lo: u64, hi: u64) -> f64 {
+    let alts = t.discrete(attr).alternatives().iter().copied();
+    grid_confidence(t.exist, alts, lo, hi)
 }
 
 /// The read side of a clustered table (Figure 1): its on-disk components
@@ -669,8 +667,9 @@ impl<'a> Chain<'a> {
     /// Upper bound on the confidence of any row for primary value `value`
     /// the chain holds, read without a page: the highest component
     /// [`ConfidenceBound`](crate::ConfidenceBound), and each buffered
-    /// insert's exact confidence (the buffer is in RAM, so a buffered
-    /// delete lowers this at once).
+    /// insert's confidence raised to the grid as a component bound raises
+    /// it (the buffer is in RAM, so a buffered delete lowers this at
+    /// once).
     pub(crate) fn bound(self, value: u64) -> f64 {
         let attr = self.main.attr();
         let buffered = self
@@ -679,7 +678,10 @@ impl<'a> Chain<'a> {
             .flat_map(|f| f.buf_inserts.values());
         self.components()
             .map(|u| u.confidence_bound().bound(value))
-            .chain(buffered.map(|t| t.confidence_eq(attr, value)))
+            .chain(buffered.map(|t| {
+                let c = t.confidence_eq(attr, value);
+                c.max(stored_prob(c))
+            }))
             .fold(0.0, f64::max)
     }
 
@@ -748,7 +750,7 @@ impl<'a> Chain<'a> {
             .map(|u| u.confidence_bound().bound(value))
             .collect();
         let attr = self.main.attr();
-        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(attr, value));
+        let buffered = self.buffered_matches(qt, |t| buffered_confidence(t, attr, value, value));
         // A lone component with nothing buffered has nothing to merge: no
         // heads, and its first k rows are the answer without a watermark.
         let heads = if bounds.len() == 1 && buffered.is_empty() {
@@ -819,7 +821,7 @@ impl<'a> Chain<'a> {
             .map(|(level, u)| u.range_run(lo, hi, qt, run_pages.get(level).copied()))
             .collect::<Result<Vec<_>>>()?;
         let attr = self.main.attr();
-        let buffered = self.buffered_matches(qt, |t| range_confidence(t, attr, lo, hi));
+        let buffered = self.buffered_matches(qt, |t| buffered_confidence(t, attr, lo, hi));
         let suppressed = vec![0; streams.len()];
         let rr = RoundRobin::new(streams.len());
         Ok(ChainRangeRun {
@@ -856,7 +858,8 @@ impl<'a> Chain<'a> {
             streams.push(upi.secondary_run(sec_idx, value, qt, tailored, limit, &keep, pages)?);
         }
         let sec_attr = self.main.secondaries()[sec_idx].attr();
-        let buffered = self.buffered_matches(qt, |t| t.confidence_eq(sec_attr, value));
+        let buffered =
+            self.buffered_matches(qt, |t| buffered_confidence(t, sec_attr, value, value));
         let rr = RoundRobin::new(streams.len());
         Ok(ChainSecondaryRun {
             streams,

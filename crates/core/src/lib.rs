@@ -81,4 +81,7 @@ pub use secondary::{PointerHistogram, SecBuild, SecEntry, SecScanRun, SecondaryI
 pub use shard::ShardLayout;
 pub use table::{TableLayout, UncertainTable};
 pub use tuning::{CutoffChoice, TuningAdvisor, WorkloadProfile};
-pub use upi::{DiscreteUpi, DistinctScan, HeapRun, PointRun, RangeRun, SecondaryRun, UpiConfig};
+pub use upi::{
+    grid_confidence, DiscreteUpi, DistinctScan, HeapRun, PointRun, RangeRun, SecondaryRun,
+    UpiConfig,
+};

@@ -16,7 +16,6 @@ use upi_storage::error::Result;
 use upi_storage::Store;
 use upi_uncertain::{AttrStats, Tuple, TupleId};
 
-use crate::bound::ConfidenceBound;
 use crate::exec::{sort_results, PtqResult};
 use crate::heap::UnclusteredHeap;
 use crate::keys;
@@ -26,9 +25,6 @@ pub struct Pii {
     attr: usize,
     tree: BTree,
     stats: AttrStats,
-    /// Raise-only per-value confidence bound over every entry ever
-    /// indexed (see [`ConfidenceBound`]).
-    bound: ConfidenceBound,
 }
 
 impl Pii {
@@ -38,7 +34,6 @@ impl Pii {
             attr,
             tree: BTree::create(store, name, page_size)?,
             stats: AttrStats::new(),
-            bound: ConfidenceBound::new(),
         })
     }
 
@@ -66,7 +61,6 @@ impl Pii {
             for (i, (v, p)) in self.folded_alts(t).into_iter().enumerate() {
                 entries.push((keys::entry_key(v, p, t.id.0), Vec::new()));
                 self.stats.add(v, p, i == 0);
-                self.bound.note(v, p);
             }
         }
         entries.sort();
@@ -78,7 +72,6 @@ impl Pii {
         for (i, (v, p)) in self.folded_alts(t).into_iter().enumerate() {
             self.tree.insert(&keys::entry_key(v, p, t.id.0), &[])?;
             self.stats.add(v, p, i == 0);
-            self.bound.note(v, p);
         }
         Ok(())
     }
@@ -185,12 +178,6 @@ impl Pii {
     /// probabilities) — selectivity estimation for the planner.
     pub fn stats(&self) -> &AttrStats {
         &self.stats
-    }
-
-    /// The per-value confidence bound over every entry this index has
-    /// held: deletes leave it raised until a recovery rebuilds the index.
-    pub(crate) fn confidence_bound(&self) -> &ConfidenceBound {
-        &self.bound
     }
 }
 

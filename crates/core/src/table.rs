@@ -1,14 +1,15 @@
-//! A table facade unifying the paper's three physical layouts.
+//! A table facade over the paper's two clustered layouts.
 //!
-//! Downstream users pick a [`TableLayout`] — the unclustered-heap + PII
-//! baseline, a [`DiscreteUpi`], or a [`FracturedUpi`] — and get one API for
-//! loading and maintenance, making the paper's comparisons ("same data,
-//! different clustering") one-line configuration changes.
+//! Downstream users pick a [`TableLayout`] — a [`DiscreteUpi`] or a
+//! [`FracturedUpi`] — and get one API for loading, DML, maintenance and
+//! durability. The unclustered heap + PII of the paper's evaluation is a
+//! comparison baseline, not a table layout: benches build it from its
+//! parts ([`crate::heap`], [`crate::pii`]).
 //!
 //! **Queries do not run through this type.** `UncertainTable` owns the
 //! physical structures and exposes them read-only (see
-//! [`UncertainTable::as_upi`], [`UncertainTable::as_fractured`],
-//! [`UncertainTable::unclustered_parts`]); the query entry
+//! [`UncertainTable::chain`], [`UncertainTable::as_upi`],
+//! [`UncertainTable::as_fractured`]); the query entry
 //! points live on `upi_query::UncertainDb`, the session layer that
 //! registers those structures in a planner `Catalog` so every query is
 //! cost-planned across whatever access paths the layout offers. This
@@ -24,41 +25,25 @@ use crate::durability::{
     find_checkpoint, read_wal_generations, CheckpointImage, RecoveryInfo, TableWal, WalRecord,
 };
 use crate::fractured::{Chain, FracturedConfig, FracturedUpi};
-use crate::heap::UnclusteredHeap;
 use crate::maintenance::CompactionStep;
-use crate::pii::Pii;
 use crate::records::Records;
 use crate::upi::{DiscreteUpi, UpiConfig};
 
 /// Physical layout of an [`UncertainTable`].
 #[derive(Debug, Clone)]
 pub enum TableLayout {
-    /// Auto-increment-clustered heap with PII secondary indexes (the
-    /// baseline of the paper's evaluation).
-    Unclustered,
     /// A UPI clustered on the primary uncertain attribute (§§2–3).
     Upi(UpiConfig),
     /// An LSM-maintained UPI (§4).
     FracturedUpi(FracturedConfig),
 }
 
-// The unclustered variant now carries inline statistics, so variant sizes
-// differ; a table is a long-lived singleton, making the boxing churn of
-// equalizing them pointless.
-#[allow(clippy::large_enum_variant)]
 enum Inner {
-    Unclustered {
-        heap: UnclusteredHeap,
-        primary: Pii,
-        secondaries: Vec<Pii>,
-    },
-    // Boxed: the index structs are much larger than the Unclustered
-    // variant and a table is a long-lived singleton anyway.
     Upi(Box<DiscreteUpi>),
     Fractured(Box<FracturedUpi>),
 }
 
-/// A schema-checked uncertain table over one of the three layouts.
+/// A schema-checked uncertain table over one of the two layouts.
 ///
 /// ## Durability (opt-in)
 ///
@@ -111,19 +96,8 @@ impl UncertainTable {
         let page_size = match &layout {
             TableLayout::Upi(cfg) => cfg.page_size,
             TableLayout::FracturedUpi(cfg) => cfg.upi.page_size,
-            TableLayout::Unclustered => 8192,
         };
         let inner = match layout.clone() {
-            TableLayout::Unclustered => Inner::Unclustered {
-                heap: UnclusteredHeap::create(store.clone(), &format!("{name}.heap"), page_size)?,
-                primary: Pii::create(
-                    store.clone(),
-                    &format!("{name}.pii"),
-                    primary_attr,
-                    page_size,
-                )?,
-                secondaries: Vec::new(),
-            },
             TableLayout::Upi(cfg) => Inner::Upi(Box::new(DiscreteUpi::create(
                 store.clone(),
                 name,
@@ -155,12 +129,10 @@ impl UncertainTable {
     /// Attach a secondary index on a discrete column. Returns the index
     /// position (the `idx` of `upi_query::UncertainDb::ptq_secondary`).
     ///
-    /// Works on every layout at any point in the table's life: each
-    /// layout backfills the new index from its live heap(s) — the UPI
-    /// from its clustered heap, a fractured table across the main
-    /// component and every existing fracture (the old
-    /// must-declare-at-creation restriction is gone), and the
-    /// unclustered layout's PII from a sequential heap scan.
+    /// Works on both layouts at any point in the table's life: each
+    /// backfills the new index from its live heap(s) — the UPI from its
+    /// clustered heap, a fractured table across the main component and
+    /// every existing fracture.
     pub fn add_secondary(&mut self, attr: usize) -> Result<usize> {
         assert_eq!(
             self.schema.field(attr).1,
@@ -170,28 +142,9 @@ impl UncertainTable {
         self.log_dml(&WalRecord::AddSecondary(attr as u32))?;
         let pos = self.sec_attrs.len();
         match &mut self.inner {
-            Inner::Unclustered {
-                heap, secondaries, ..
-            } => {
-                let mut pii = Pii::create(
-                    self.store.clone(),
-                    &format!("{}.sec{}", self.name, pos),
-                    attr,
-                    self.page_size,
-                )?;
-                if !heap.is_empty() {
-                    let live: Vec<Tuple> = heap.scan_run(None)?.collect::<Result<_>>()?;
-                    pii.bulk_load(&live)?;
-                }
-                secondaries.push(pii);
-            }
-            Inner::Upi(upi) => {
-                upi.add_secondary(attr)?;
-            }
-            Inner::Fractured(f) => {
-                f.add_secondary(attr)?;
-            }
-        }
+            Inner::Upi(upi) => upi.add_secondary(attr)?,
+            Inner::Fractured(f) => f.add_secondary(attr)?,
+        };
         self.sec_attrs.push(attr);
         Ok(pos)
     }
@@ -242,17 +195,6 @@ impl UncertainTable {
             }
         }
         match &mut self.inner {
-            Inner::Unclustered {
-                heap,
-                primary,
-                secondaries,
-            } => {
-                heap.bulk_load(tuples)?;
-                primary.bulk_load(tuples)?;
-                for s in secondaries {
-                    s.bulk_load(tuples)?;
-                }
-            }
             Inner::Upi(upi) => upi.bulk_load(tuples)?,
             Inner::Fractured(f) => f.load_initial(tuples)?,
         }
@@ -277,17 +219,6 @@ impl UncertainTable {
     fn apply_insert(&mut self, t: &Tuple) -> Result<()> {
         self.next_id = self.next_id.max(t.id.0 + 1);
         match &mut self.inner {
-            Inner::Unclustered {
-                heap,
-                primary,
-                secondaries,
-            } => {
-                heap.insert(t)?;
-                primary.insert(t)?;
-                for s in secondaries {
-                    s.insert(t)?;
-                }
-            }
             Inner::Upi(upi) => upi.insert(t)?,
             Inner::Fractured(f) => f.insert(t.clone())?,
         }
@@ -302,17 +233,6 @@ impl UncertainTable {
 
     fn apply_delete(&mut self, t: &Tuple) -> Result<()> {
         match &mut self.inner {
-            Inner::Unclustered {
-                heap,
-                primary,
-                secondaries,
-            } => {
-                heap.delete(t.id)?;
-                primary.delete(t)?;
-                for s in secondaries {
-                    s.delete(t)?;
-                }
-            }
             Inner::Upi(upi) => upi.delete(t)?,
             Inner::Fractured(f) => f.delete(t.id)?,
         }
@@ -522,7 +442,6 @@ impl UncertainTable {
         match &mut t.inner {
             Inner::Upi(upi) => upi.load_records(&image.records)?,
             Inner::Fractured(f) => f.load_records(&image.records)?,
-            Inner::Unclustered { .. } => t.load(&image.records.to_tuples()?)?,
         }
         t.next_id = t.next_id.max(image.next_id);
 
@@ -587,18 +506,14 @@ impl UncertainTable {
     /// [`live_tuples`](Self::live_tuples) as records, in the order the
     /// checkpoint blob lists them.
     fn live_records(&self) -> Result<Records> {
-        let mut live = Records::default();
         match &self.inner {
-            Inner::Unclustered { heap, .. } if !heap.is_empty() => {
-                for t in heap.scan_run(None)? {
-                    live.push_tuple(&t?);
-                }
+            Inner::Upi(upi) => {
+                let mut live = Records::default();
+                upi.scan_records(&mut live, |_| true)?;
+                Ok(live)
             }
-            Inner::Unclustered { .. } => {}
-            Inner::Upi(upi) => upi.scan_records(&mut live, |_| true)?,
-            Inner::Fractured(f) => return f.live_records(),
+            Inner::Fractured(f) => f.live_records(),
         }
-        Ok(live)
     }
 
     /// Whether `enable_durability` has been called.
@@ -667,8 +582,8 @@ impl UncertainTable {
         self.next_id
     }
 
-    /// Direct access to the underlying UPI, when the layout has one
-    /// (for cost models and statistics).
+    /// Direct access to the underlying UPI (for cost models and
+    /// statistics). Always `Some`: both layouts have one.
     ///
     /// For fractured tables this returns the *main* component only —
     /// suitable for statistics, **not** for queries (fractures and the
@@ -679,7 +594,6 @@ impl UncertainTable {
         match &self.inner {
             Inner::Upi(upi) => Some(upi),
             Inner::Fractured(f) => Some(f.main()),
-            Inner::Unclustered { .. } => None,
         }
     }
 
@@ -692,57 +606,37 @@ impl UncertainTable {
     }
 
     /// The clustered read side — the whole chain for a fractured UPI, a
-    /// chain of one for a plain UPI — or `None` for the unclustered layout.
-    pub fn chain(&self) -> Option<Chain<'_>> {
+    /// chain of one for a plain UPI.
+    pub fn chain(&self) -> Chain<'_> {
         match &self.inner {
-            Inner::Upi(upi) => Some(upi.chain()),
-            Inner::Fractured(f) => Some(f.chain()),
-            Inner::Unclustered { .. } => None,
+            Inner::Upi(upi) => upi.chain(),
+            Inner::Fractured(f) => f.chain(),
         }
     }
 
     /// Upper bound on the confidence any live row with primary value
-    /// `value` can reach, computed without reading a page: on a clustered
-    /// layout the chain's (the highest component bound, and each buffered
-    /// insert's exact confidence), on the unclustered layout the primary
-    /// PII's. Sound, and raise-only between rebuilds: a delete of a stored
-    /// row leaves it raised until the row's component is rebuilt (a fold
-    /// or a recovery). A caller may skip the table for a query whose `qt`
-    /// is strictly above it.
+    /// `value` can reach, computed without reading a page: the chain's
+    /// (the highest component bound, and each buffered insert's
+    /// confidence). Sound, and raise-only between rebuilds: a delete of a
+    /// stored row leaves it raised until the row's component is rebuilt
+    /// (a fold or a recovery). A caller may skip the table for a query
+    /// whose `qt` is strictly above it.
     pub fn confidence_bound(&self, value: u64) -> f64 {
-        match &self.inner {
-            Inner::Unclustered { primary, .. } => primary.confidence_bound().bound(value),
-            Inner::Upi(upi) => upi.chain().bound(value),
-            Inner::Fractured(f) => f.chain().bound(value),
-        }
+        self.chain().bound(value)
     }
 
     /// The planner-facing statistics (primary [`AttrStats`] plus each
     /// secondary's selectivity histogram and pointer-region histogram) as
-    /// canonical bytes — main's only on a fractured UPI, empty on the
-    /// unclustered layout. Not persisted: the statistics are derived from
-    /// the records, so recovery rebuilds them, and tests compare a
-    /// rebuild with a table that never crashed through this dump.
+    /// canonical bytes — main's only on a fractured UPI. Not persisted:
+    /// the statistics are derived from the records, so recovery rebuilds
+    /// them, and tests compare a rebuild with a table that never crashed
+    /// through this dump.
     ///
     /// [`AttrStats`]: upi_uncertain::AttrStats
     pub fn stats_payload(&self) -> Vec<u8> {
         match &self.inner {
             Inner::Upi(upi) => upi.stats_payload(),
             Inner::Fractured(f) => f.stats_payload(),
-            Inner::Unclustered { .. } => Vec::new(),
-        }
-    }
-
-    /// The unclustered layout's parts — `(heap, primary PII, secondary
-    /// PIIs)` — when the layout is [`TableLayout::Unclustered`].
-    pub fn unclustered_parts(&self) -> Option<(&UnclusteredHeap, &Pii, &[Pii])> {
-        match &self.inner {
-            Inner::Unclustered {
-                heap,
-                primary,
-                secondaries,
-            } => Some((heap, primary, secondaries)),
-            _ => None,
         }
     }
 }
@@ -793,20 +687,12 @@ mod tests {
 
     #[test]
     fn layout_parts_are_exposed_for_catalog_registration() {
-        let unc = table(TableLayout::Unclustered);
-        let (heap, primary, secs) = unc.unclustered_parts().expect("unclustered parts");
-        assert_eq!(primary.attr(), 1);
-        assert_eq!(secs.len(), 1);
-        assert_eq!(secs[0].attr(), 2);
-        assert!(heap.is_empty());
-        assert!(unc.as_upi().is_none());
-        assert!(unc.as_fractured().is_none());
-        assert_eq!(unc.sec_attrs(), &[2]);
-
         let upi = table(TableLayout::Upi(UpiConfig::default()));
         assert!(upi.as_upi().is_some());
-        assert!(upi.unclustered_parts().is_none());
+        assert!(upi.as_fractured().is_none());
         assert_eq!(upi.as_upi().unwrap().secondaries().len(), 1);
+        assert_eq!(upi.sec_attrs(), &[2]);
+        assert_eq!(upi.chain().components().count(), 1, "a chain of one");
 
         let frac = table(TableLayout::FracturedUpi(FracturedConfig {
             upi: UpiConfig::default(),
@@ -831,7 +717,6 @@ mod tests {
     #[test]
     fn maintenance_flows_through_every_layout() {
         for layout in [
-            TableLayout::Unclustered,
             TableLayout::Upi(UpiConfig::default()),
             TableLayout::FracturedUpi(FracturedConfig {
                 upi: UpiConfig::default(),
@@ -857,7 +742,6 @@ mod tests {
     #[test]
     fn durable_tables_recover_after_reboot() {
         for layout in [
-            TableLayout::Unclustered,
             TableLayout::Upi(UpiConfig::default()),
             TableLayout::FracturedUpi(FracturedConfig {
                 upi: UpiConfig::default(),
@@ -901,8 +785,8 @@ mod tests {
         // the group flushes loses them, and recovery restores exactly a
         // durable prefix (here: the checkpoint plus any flushed groups).
         let st = store();
-        let mut t =
-            UncertainTable::create(st.clone(), "t", schema(), 1, TableLayout::Unclustered).unwrap();
+        let layout = TableLayout::Upi(UpiConfig::default());
+        let mut t = UncertainTable::create(st.clone(), "t", schema(), 1, layout).unwrap();
         t.enable_durability(&[]).unwrap();
         for i in 0..5u64 {
             t.insert(0.9, row(i, 0.7, 0)).unwrap();
@@ -925,7 +809,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn schema_violations_are_rejected() {
-        let mut t = table(TableLayout::Unclustered);
+        let mut t = table(TableLayout::Upi(UpiConfig::default()));
         t.insert(
             1.0,
             vec![
@@ -958,7 +842,6 @@ mod tests {
             (f64::INFINITY, row(1, 0.7, 0), "existence probability inf"),
         ];
         for layout in [
-            TableLayout::Unclustered,
             TableLayout::Upi(UpiConfig::default()),
             TableLayout::FracturedUpi(FracturedConfig {
                 upi: UpiConfig::default(),
@@ -1009,7 +892,7 @@ mod tests {
             "bad",
             schema(),
             0, // "name" is a string column
-            TableLayout::Unclustered,
+            TableLayout::Upi(UpiConfig::default()),
         );
     }
 }

@@ -682,13 +682,20 @@ fn entry_view<'c>(cur: &'c Cursor<'_>) -> Result<TupleView<'c>> {
     TupleView::parse(cur.value()).map_err(|why| corrupt_record("upi heap", cur.page(), why))
 }
 
-/// Quantized-grid possible-world confidence of `t` for `attr BETWEEN lo
-/// AND hi`, exactly as the index keys would sum it.
-fn range_confidence(t: &TupleView<'_>, attr: usize, lo: u64, hi: u64) -> f64 {
-    let quantized = |(_, p): (u64, f64)| dequantize_prob(quantize_prob(p * t.exist()));
-    let alts = t.alternatives(attr);
+/// Possible-world confidence, on the storage grid, of a tuple with
+/// existence `exist` for `attr BETWEEN lo AND hi`, where `alts` are the
+/// tuple's alternatives of `attr` (a point predicate is `lo == hi`): each
+/// in-range alternative's folded probability as its key stores it, summed
+/// in alternative order. A stored copy, a scanned row and a buffered row
+/// score alike, so a row's confidence does not move when it is flushed.
+pub fn grid_confidence(
+    exist: f64,
+    alts: impl Iterator<Item = (u64, f64)>,
+    lo: u64,
+    hi: u64,
+) -> f64 {
     alts.filter(|&(v, _)| (lo..=hi).contains(&v))
-        .map(quantized)
+        .map(|(_, p)| keys::stored_prob(p * exist))
         .sum()
 }
 
@@ -1170,7 +1177,7 @@ impl Iterator for RangeRun<'_> {
             }
             let row = self.seen.insert(tid).then(|| -> Result<Option<PtqResult>> {
                 let t = entry_view(cur)?;
-                let confidence = range_confidence(&t, attr, lo, hi);
+                let confidence = grid_confidence(t.exist(), t.alternatives(attr), lo, hi);
                 let tuple = (confidence >= qt).then(|| t.to_tuple());
                 Ok(tuple.map(|tuple| PtqResult { tuple, confidence }))
             });

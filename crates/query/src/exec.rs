@@ -20,13 +20,12 @@
 
 use upi::exec::group_count;
 use upi::{
-    Chain, ChainPointRun, ChainRangeRun, ChainSecondaryRun, CursorStats, DiscreteUpi, HeapScanRun,
-    Pii, PtqResult, UnclusteredHeap,
+    grid_confidence, Chain, ChainPointRun, ChainRangeRun, ChainSecondaryRun, CursorStats,
+    DiscreteUpi, HeapScanRun, Pii, PtqResult, UnclusteredHeap,
 };
-use upi_storage::codec::{dequantize_prob, quantize_prob};
 use upi_storage::error::Result as StorageResult;
-use upi_storage::{IoStats, PoolCounters, QueryId};
-use upi_uncertain::Tuple;
+use upi_storage::{IoStats, PoolCounters, QueryId, StorageError};
+use upi_uncertain::{Tuple, TupleId};
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
@@ -130,6 +129,7 @@ impl QueryOutput {
 /// from the unclustered heap in tid (bitmap) order, lazily.
 pub struct PiiProbe<'a> {
     heap: &'a UnclusteredHeap,
+    value: u64,
     pending: std::vec::IntoIter<(u64, f64)>,
     /// Inverted-list matches read at open (the list is compact and eager).
     list_rows: u64,
@@ -151,6 +151,7 @@ impl<'a> PiiProbe<'a> {
         matches.sort_unstable_by_key(|&(tid, _)| tid);
         Ok(PiiProbe {
             heap,
+            value,
             list_rows: matches.len() as u64,
             pending: matches.into_iter(),
             stats: CursorStats::default(),
@@ -161,40 +162,36 @@ impl<'a> PiiProbe<'a> {
 impl Iterator for PiiProbe<'_> {
     type Item = Result<PtqResult, QueryError>;
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            let (tid, confidence) = self.pending.next()?;
-            self.stats.pointer_fetches += 1;
-            match self.heap.get(upi_uncertain::TupleId(tid)) {
-                Ok(Some(tuple)) => {
-                    self.stats.rows += 1;
-                    return Some(Ok(PtqResult { tuple, confidence }));
-                }
-                Ok(None) => {
-                    // Tuple deleted under the index.
-                    self.stats.suppressed += 1;
-                    continue;
-                }
-                Err(e) => return Some(Err(e.into())),
-            }
-        }
+        let (tid, confidence) = self.pending.next()?;
+        self.stats.pointer_fetches += 1;
+        // Every entry names a live heap row: a missing one means the index
+        // and the heap disagree, as a clustered cursor's dangling pointer.
+        let row = self.heap.get(TupleId(tid)).and_then(|t| {
+            t.ok_or_else(|| {
+                let value = self.value;
+                StorageError::Corrupted(format!(
+                    "pii entry of value {value}, tuple {tid}: no heap row"
+                ))
+            })
+        });
+        self.stats.rows += row.is_ok() as u64;
+        Some(
+            row.map(|tuple| PtqResult { tuple, confidence })
+                .map_err(Into::into),
+        )
     }
 }
 
 /// Confidence of `tuple` for a discrete predicate, on the quantized grid
 /// the index keys use (so scans agree bit-for-bit with index paths).
 fn scan_confidence(tuple: &Tuple, pred: &Predicate) -> f64 {
-    let q = |p: f64| dequantize_prob(quantize_prob(p));
-    match *pred {
-        Predicate::Eq { attr, value } => q(tuple.confidence_eq(attr, value)),
-        Predicate::Range { attr, lo, hi } => tuple
-            .discrete(attr)
-            .alternatives()
-            .iter()
-            .filter(|&&(v, _)| (lo..=hi).contains(&v))
-            .map(|&(_, p)| q(p * tuple.exist))
-            .sum(),
-        Predicate::Circle { .. } => 0.0, // circle scans are not enumerated
-    }
+    let (attr, lo, hi) = match *pred {
+        Predicate::Eq { attr, value } => (attr, value, value),
+        Predicate::Range { attr, lo, hi } => (attr, lo, hi),
+        Predicate::Circle { .. } => return 0.0, // circle scans are not enumerated
+    };
+    let alts = tuple.discrete(attr).alternatives().iter().copied();
+    grid_confidence(tuple.exist, alts, lo, hi)
 }
 
 /// `HeapScan` — full sequential scan with a fused confidence `Filter`.
@@ -857,4 +854,43 @@ pub(crate) fn execute(
         trace: Some(trace),
         degraded: None,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use upi_storage::{DiskConfig, SimDisk, Store};
+    use upi_uncertain::{DiscretePmf, Field};
+
+    #[test]
+    fn a_pii_entry_without_its_heap_row_is_corruption() {
+        let store = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 4 << 20);
+        let rows: Vec<Tuple> = (0..4u64)
+            .map(|i| {
+                let pmf = DiscretePmf::new(vec![(7, 0.8)]);
+                Tuple::new(TupleId(i), 0.9, vec![Field::Discrete(pmf)])
+            })
+            .collect();
+        let mut heap = UnclusteredHeap::create(store.clone(), "heap", 8192).unwrap();
+        heap.bulk_load(&rows).unwrap();
+        let mut pii = Pii::create(store, "pii", 0, 8192).unwrap();
+        pii.bulk_load(&rows).unwrap();
+        // The heap row goes, its PII entry stays.
+        heap.delete(TupleId(2)).unwrap();
+
+        let got: Vec<_> = PiiProbe::open(&pii, &heap, 7, 0.5).unwrap().collect();
+        assert_eq!(got.len(), 4, "one item per PII entry");
+        for (tid, r) in got.iter().enumerate() {
+            match r {
+                Ok(row) => assert_eq!(row.tuple.id.0, tid as u64),
+                Err(QueryError::Storage(StorageError::Corrupted(what))) => {
+                    assert_eq!(tid, 2);
+                    assert!(what.contains("value 7, tuple 2"), "{what}");
+                }
+                Err(other) => panic!("expected Corrupted, got {other:?}"),
+            }
+        }
+        assert!(got[2].is_err());
+    }
 }

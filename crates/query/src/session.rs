@@ -501,20 +501,14 @@ impl UncertainDb {
     /// structures; the query methods below all go through it.
     pub fn catalog(&self) -> Catalog<'_> {
         let store = self.table.store();
-        let mut c = Catalog::new(store.disk.config())
+        let c = Catalog::new(store.disk.config())
             .with_cost_model(self.calibration.lock().model)
             .with_pool(store.pool.as_ref());
-        if let Some((heap, primary, secondaries)) = self.table.unclustered_parts() {
-            c = c.with_heap(heap).with_pii(primary);
-            for s in secondaries {
-                c = c.with_pii(s);
-            }
-        } else if let Some(f) = self.table.as_fractured() {
-            c = c.with_fractured(f);
-        } else if let Some(upi) = self.table.as_upi() {
-            c = c.with_upi(upi);
+        let chain = self.table.chain();
+        match chain.fractured() {
+            Some(f) => c.with_fractured(f),
+            None => c.with_upi(chain.main()),
         }
-        c
     }
 
     /// Plan a query against the table's structures without executing it
@@ -770,6 +764,8 @@ mod tests {
         ]
     }
 
+    /// A table over `layout` holding rows `0..120` (ids assigned in
+    /// insert order), with a secondary on `country` unless fractured.
     fn db(layout: TableLayout) -> UncertainDb {
         let mut db = UncertainDb::create(store(), "t", schema(), 1, layout).unwrap();
         if db.table().as_fractured().is_none() {
@@ -784,17 +780,11 @@ mod tests {
 
     #[test]
     fn catalog_registers_the_layouts_structures() {
-        let unc = db(TableLayout::Unclustered);
-        let c = unc.catalog();
-        assert!(c.heap.is_some());
-        assert_eq!(c.piis.len(), 2, "primary + one secondary PII");
-        assert!(c.upi.is_none() && c.fractured.is_none());
-        assert!(c.pool.is_some(), "session always registers the pool");
-
         let upi = db(TableLayout::Upi(UpiConfig::default()));
         let c = upi.catalog();
         assert!(c.upi.is_some());
-        assert!(c.heap.is_none() && c.fractured.is_none());
+        assert!(c.heap.is_none() && c.piis.is_empty() && c.fractured.is_none());
+        assert!(c.pool.is_some(), "session always registers the pool");
 
         let frac = db(TableLayout::FracturedUpi(FracturedConfig {
             upi: UpiConfig::default(),
@@ -843,29 +833,47 @@ mod tests {
     #[test]
     fn all_layouts_answer_identically_through_the_planner() {
         let layouts = [
-            db(TableLayout::Unclustered),
             db(TableLayout::Upi(UpiConfig::default())),
             db(TableLayout::FracturedUpi(FracturedConfig {
                 upi: UpiConfig::default(),
                 buffer_ops: 0,
             })),
         ];
-        let fingerprint = |rows: &[PtqResult]| {
-            let mut v: Vec<(u64, u64)> = rows
+        // The reference is the possible-worlds identity over the inserted
+        // rows: `confidence = exist × P(value)`, summed over the range.
+        let inserted: Vec<Tuple> = (0..120u64)
+            .map(|i| {
+                Tuple::new(
+                    TupleId(i),
+                    0.9,
+                    row(i % 5, 0.5 + (i % 4) as f64 * 0.1, i % 3),
+                )
+            })
+            .collect();
+        let reference = |conf: &dyn Fn(&Tuple) -> f64, qt: f64| {
+            let mut v: Vec<(u64, u64)> = inserted
                 .iter()
-                .map(|r| (r.tuple.id.0, (r.confidence * 1e9).round() as u64))
+                .filter(|t| conf(t) >= qt)
+                .map(|t| (t.id.0, (conf(t) * 1e6).round() as u64))
                 .collect();
             v.sort_unstable();
             v
         };
-        let reference = fingerprint(&layouts[0].ptq(3, 0.2).unwrap());
-        assert!(!reference.is_empty());
-        for d in &layouts[1..] {
-            assert_eq!(fingerprint(&d.ptq(3, 0.2).unwrap()), reference);
-        }
-        let range_ref = layouts[0].ptq_range(2, 4, 0.3).unwrap().len();
-        for d in &layouts[1..] {
-            assert_eq!(d.ptq_range(2, 4, 0.3).unwrap().len(), range_ref);
+        let fingerprint = |rows: Vec<PtqResult>| {
+            let mut v: Vec<(u64, u64)> = rows
+                .iter()
+                .map(|r| (r.tuple.id.0, (r.confidence * 1e6).round() as u64))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let point = reference(&|t| t.confidence_eq(1, 3), 0.2);
+        assert!(!point.is_empty());
+        let range = reference(&|t| (2..=4).map(|v| t.confidence_eq(1, v)).sum(), 0.3);
+        assert!(!range.is_empty());
+        for d in &layouts {
+            assert_eq!(fingerprint(d.ptq(3, 0.2).unwrap()), point);
+            assert_eq!(fingerprint(d.ptq_range(2, 4, 0.3).unwrap()), range);
         }
     }
 

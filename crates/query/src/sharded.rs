@@ -28,18 +28,16 @@
 //! the next round's floor. A shard finishes with k rows, when its cursor
 //! runs dry, or when no row at or above the floor remains on it — its
 //! source I/O stops there. Shards whose chosen plan is not
-//! confidence-ordered (or, behind a heterogeneous
-//! [`ShardedDb::from_shards`] facade, an unclustered shard handed a
-//! clustered path) execute the whole query in round 0 and join the merge
-//! as a pre-sorted batch. Every other query shape runs the same scatter
+//! confidence-ordered execute the whole query in round 0 and join the
+//! merge as a pre-sorted batch. Every other query shape runs the same scatter
 //! for one round with no floor: each shard executes the whole query, and
 //! the facade gathers (re-sorts, re-aggregates, truncates).
 //!
 //! **Pruning.** The facade keeps no pruning state: a shard's bound for a
 //! primary value is its table's own
 //! ([`UncertainTable::confidence_bound`](upi::UncertainTable::confidence_bound)
-//! — the chain's component bounds and buffered inserts, or the
-//! unclustered layout's primary PII), read without a page. An
+//! — the chain's component bounds and buffered inserts), read without a
+//! page. An
 //! `Eq`-on-primary scatter skips *opening* shards whose bound is
 //! strictly below `qt`: no plan, no descent, zero pages. From round 1
 //! on, a top-k shard whose bound is strictly below the published floor
@@ -86,45 +84,13 @@ fn merge_cmp(a: &(usize, PtqResult), b: &(usize, PtqResult)) -> std::cmp::Orderi
         .then_with(|| a.0.cmp(&b.0))
 }
 
-/// Open the confidence-ordered cursor the fast path needs for `path` on
-/// shard `s` — or a **typed** refusal.
-///
-/// `Ok(None)` means the chosen path is simply not confidence-ordered
-/// (secondary, scan, PII …): the caller executes the whole shard query
-/// instead. A clustered point probe opens the shard table's own chain,
-/// whatever its layout; `Err(LayoutMismatch)` means the plan named one
-/// but the shard is unclustered — possible once shards have
-/// heterogeneous layouts ([`ShardedDb::from_shards`]) or a plan was
-/// built against a foreign catalog — and the caller falls back the same
-/// way rather than panicking.
-fn open_fast_cursor<'a>(
-    s: &'a UncertainDb,
-    path: &AccessPath,
-    hints: &[usize],
-    value: u64,
-    qt: f64,
-    k: usize,
-) -> Result<Option<ChainPointRun<'a>>, QueryError> {
-    if !matches!(path, AccessPath::UpiHeap { .. }) {
-        return Ok(None);
-    }
-    let Some(chain) = s.table().chain() else {
-        return Err(QueryError::Exec(upi::ExecError::LayoutMismatch {
-            path: path.label(),
-            layout: "unclustered heap".to_string(),
-        }));
-    };
-    Ok(Some(chain.point_run(value, qt, Some(k), hints)?))
-}
-
 /// One shard's part in a scatter, from round 0 to the gather.
 #[derive(Default)]
 struct ShardRun<'a> {
     /// The fast path's plan; `None` for a skipped shard and for a whole
     /// scatter, where the shard session plans for itself.
     plan: Option<PhysicalPlan>,
-    /// Span label: the path label (with a fallback annotation where one
-    /// applies), then why the shard finished.
+    /// Span label: the path label, then why the shard finished.
     label: String,
     /// The confidence-ordered cursor, while the shard streams.
     cursor: Option<ChainPointRun<'a>>,
@@ -167,23 +133,21 @@ impl<'a> ShardRun<'a> {
             let plan = q.plan(&catalog)?;
             let chosen = &plan.candidates[0];
             self.label = chosen.path.label();
-            let opened = open_fast_cursor(s, &chosen.path, &chosen.hints, value, q.qt, k);
+            // A clustered point probe streams the shard table's own chain,
+            // whatever its layout. Any other path is not confidence-ordered
+            // (e.g. a full scan won on a tiny shard), so the whole shard
+            // query executes below.
+            let opened = match chosen.path {
+                AccessPath::UpiHeap { .. } => {
+                    let chain = s.table().chain();
+                    Some(chain.point_run(value, q.qt, Some(k), &chosen.hints)?)
+                }
+                _ => None,
+            };
             self.plan = Some(plan);
-            match opened {
-                Ok(Some(cursor)) => {
-                    self.cursor = Some(cursor);
-                    return Ok(());
-                }
-                // Not confidence-ordered (e.g. a full scan won on a tiny
-                // shard): execute the whole shard query below.
-                Ok(None) => {}
-                // A clustered path on an unclustered shard: typed and
-                // recoverable — run the whole shard query instead of
-                // panicking.
-                Err(QueryError::Exec(e @ upi::ExecError::LayoutMismatch { .. })) => {
-                    self.label = format!("{} [fallback: {e}]", self.label);
-                }
-                Err(e) => return Err(e),
+            if let Some(cursor) = opened {
+                self.cursor = Some(cursor);
+                return Ok(());
             }
         }
         // The shard session pushes its own inner attribution window and
@@ -280,9 +244,8 @@ impl ShardedDb {
     }
 
     /// Assemble a facade over existing shard sessions — the shards may
-    /// have **heterogeneous physical layouts** (one clustered, one
-    /// fractured, one unclustered …); the fast path falls back per shard
-    /// where a layout cannot stream in confidence order. The id horizon
+    /// have **heterogeneous physical layouts** (some UPIs, some
+    /// fractured UPIs); each streams its own chain. The id horizon
     /// is re-seeded from the max over shard id horizons; no page is
     /// read, because each shard already carries its own bounds. Every
     /// other constructor ends here.
@@ -769,6 +732,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use upi::{FracturedConfig, MaintenancePolicy, UpiConfig};
+    use upi_storage::codec::{dequantize_prob, quantize_prob};
     use upi_storage::{DiskConfig, SimDisk};
     use upi_uncertain::{Datum, DiscretePmf, FieldKind};
 
@@ -799,12 +763,10 @@ mod tests {
         ]
     }
 
-    /// Build the same logical table sharded and unsharded. Both are
-    /// flushed at the end: a row still in a fractured insert buffer
-    /// carries its *exact* confidence while flushed rows carry the
-    /// quantized one, and auto-flush boundaries legitimately differ
-    /// between one table and N shards — flushing puts every tuple in
-    /// the quantized state so answers compare byte-for-byte.
+    /// Build the same logical table sharded and unsharded. Nothing is
+    /// flushed at the end: auto-flush boundaries differ between one table
+    /// and N shards, and a buffered row scores on the grid its flushed
+    /// copy would, so answers still compare byte-for-byte.
     fn filled(n_shards: usize, table_layout: TableLayout, rows_n: u64) -> (ShardedDb, UncertainDb) {
         let mut sharded = ShardedDb::create(
             stores(n_shards),
@@ -826,8 +788,6 @@ mod tests {
             sharded.insert(0.9, f.clone()).unwrap();
             single.insert(0.9, f).unwrap();
         }
-        sharded.flush().unwrap();
-        single.flush().unwrap();
         (sharded, single)
     }
 
@@ -841,7 +801,6 @@ mod tests {
     fn all_query_shapes_match_the_unsharded_answer() {
         for layout in [
             TableLayout::Upi(UpiConfig::default()),
-            TableLayout::Unclustered,
             TableLayout::FracturedUpi(FracturedConfig {
                 upi: UpiConfig::default(),
                 buffer_ops: 40,
@@ -942,10 +901,9 @@ mod tests {
     }
 
     /// With heterogeneous shards (constructible via
-    /// [`ShardedDb::from_shards`]) the facade must stream where it can —
-    /// every clustered shard, plain or fractured, opens its chain's point
-    /// merge — fall back where it cannot, and stay byte-equal to the
-    /// unsharded answer, never panic.
+    /// [`ShardedDb::from_shards`]) every shard, plain or fractured, opens
+    /// its chain's point merge, and the answer stays byte-equal to the
+    /// unsharded one, never panics.
     #[test]
     fn mixed_layout_shards_answer_top_k_without_panicking() {
         let layouts = [
@@ -954,9 +912,8 @@ mod tests {
                 upi: UpiConfig::default(),
                 buffer_ops: 25,
             }),
-            TableLayout::Unclustered,
         ];
-        let routing = ShardLayout::HashTid(3);
+        let routing = ShardLayout::HashTid(2);
         let mut shard_dbs: Vec<UncertainDb> = layouts
             .iter()
             .enumerate()
@@ -974,7 +931,7 @@ mod tests {
         let mut single =
             UncertainDb::create(stores(1).remove(0), "m", schema(), 1, layouts[0].clone()).unwrap();
         // Enough padded rows that a clustered probe beats a full scan on
-        // every clustered shard.
+        // every shard.
         for i in 0..3000u64 {
             let mut fields = row(i % 7, 0.35 + (i % 6) as f64 * 0.1, i % 3);
             fields[0] = Field::Certain(Datum::Str("x".repeat(300)));
@@ -1000,13 +957,6 @@ mod tests {
             labels[1].starts_with("shard1: FracturedProbe"),
             "{labels:?}"
         );
-        // Only the unclustered shard executes its whole query: its PII or
-        // scan plan is not confidence-ordered.
-        assert!(!labels[2].contains("UpiHeap") && !labels[2].contains("Fractured"));
-        assert!(
-            labels.iter().all(|l| !l.contains("[fallback")),
-            "{labels:?}"
-        );
         for k in [1, 5, 40] {
             assert_eq!(
                 fingerprint(&sharded.top_k(3, k).unwrap()),
@@ -1019,34 +969,6 @@ mod tests {
                 fingerprint(&sharded.ptq(3, qt).unwrap()),
                 fingerprint(&single.ptq(3, qt).unwrap())
             );
-        }
-    }
-
-    /// Pin the one typed refusal left: a clustered point probe cannot
-    /// open a streaming cursor on an unclustered shard.
-    #[test]
-    fn fast_cursor_open_reports_layout_mismatch_as_typed_error() {
-        let unclustered = UncertainDb::create(
-            stores(1).remove(0),
-            "u",
-            schema(),
-            1,
-            TableLayout::Unclustered,
-        )
-        .unwrap();
-        let heap_path = AccessPath::UpiHeap {
-            use_cutoff: false,
-            fractured: false,
-        };
-        let err = open_fast_cursor(&unclustered, &heap_path, &[], 3, 0.0, 5)
-            .err()
-            .expect("UpiHeap on an unclustered shard must be rejected");
-        match err {
-            QueryError::Exec(upi::ExecError::LayoutMismatch { path, layout }) => {
-                assert!(path.starts_with("UpiHeap"), "{path}");
-                assert_eq!(layout, "unclustered heap");
-            }
-            other => panic!("expected LayoutMismatch, got {other:?}"),
         }
     }
 
@@ -1185,8 +1107,8 @@ mod tests {
         sharded
     }
 
-    /// A buffered row is bounded by its exact confidence, held in RAM,
-    /// so deleting it before any flush cools the shard at once.
+    /// A buffered row is bounded by its own confidence, held in RAM, so
+    /// deleting it before any flush cools the shard at once.
     #[test]
     fn a_buffered_delete_cools_a_shard() {
         let mut sharded = cold_fractured_pair("bufdel", 0);
@@ -1195,7 +1117,9 @@ mod tests {
         let q = PtqQuery::eq(1, 7).with_qt(0.5);
         let skipped = sharded.shards_skipped();
         let out = sharded.query(&q).unwrap();
-        assert_eq!(fingerprint(&out.rows), vec![(200, 0.95f64.to_bits())]);
+        // Buffered rows score on the storage grid, as flushed ones do.
+        let grid = dequantize_prob(quantize_prob(0.95));
+        assert_eq!(fingerprint(&out.rows), vec![(200, grid.to_bits())]);
         assert_eq!(
             sharded.shards_skipped(),
             skipped + 1,
@@ -1273,77 +1197,6 @@ mod tests {
         assert_eq!(delta.page_reads, 0);
         // The cold rows are still there below qt.
         assert_eq!(sharded.ptq(7, 0.1).unwrap().len(), 41);
-    }
-
-    /// The unclustered layout's bound is its primary PII's: behind a
-    /// heterogeneous facade, an unclustered shard holding only rows below
-    /// `qt` is skipped with zero page reads, and the answer is the
-    /// unsharded twin's.
-    #[test]
-    fn an_unclustered_shard_is_skipped_by_its_pii_bound() {
-        let layouts = [
-            TableLayout::Upi(UpiConfig::default()),
-            TableLayout::FracturedUpi(FracturedConfig {
-                upi: UpiConfig::default(),
-                buffer_ops: 40,
-            }),
-            TableLayout::Unclustered,
-        ];
-        let routing = ShardLayout::RangeTid(vec![100, 200]);
-        let mut shard_dbs: Vec<UncertainDb> = layouts
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                UncertainDb::create(
-                    stores(1).remove(0),
-                    &format!("p.s{i}"),
-                    schema(),
-                    1,
-                    l.clone(),
-                )
-                .unwrap()
-            })
-            .collect();
-        let mut single =
-            UncertainDb::create(stores(1).remove(0), "p", schema(), 1, layouts[0].clone()).unwrap();
-        for i in 0..300u64 {
-            // Shard 2 (the unclustered one, ids >= 200) stays below 0.5.
-            let p = if i >= 200 {
-                0.3
-            } else {
-                0.4 + (i % 5) as f64 * 0.1
-            };
-            let t = Tuple::new(TupleId(i), 1.0, row(i % 4, p, i % 3));
-            shard_dbs[routing.route(i)].insert_tuple(&t).unwrap();
-            single.insert_tuple(&t).unwrap();
-        }
-        for s in &mut shard_dbs {
-            s.flush().unwrap();
-        }
-        let sharded = ShardedDb::from_shards(shard_dbs, routing).unwrap();
-        assert!(sharded.shards()[2].table().confidence_bound(3) < 0.5);
-        for q in [
-            PtqQuery::eq(1, 3).with_qt(0.5).with_top_k(5),
-            PtqQuery::eq(1, 3).with_qt(0.5),
-        ] {
-            let skipped = sharded.shards_skipped();
-            let reads = sharded.shards()[2].table().store().disk.stats();
-            let out = sharded.query(&q).unwrap();
-            assert!(!out.rows.is_empty());
-            assert_eq!(
-                fingerprint(&out.rows),
-                fingerprint(&single.query(&q).unwrap().rows)
-            );
-            assert_eq!(sharded.shards_skipped(), skipped + 1);
-            assert!(shard_labels(&out)[2].starts_with("shard2: skipped"));
-            let delta = sharded.shards()[2]
-                .table()
-                .store()
-                .disk
-                .stats()
-                .since(&reads);
-            assert_eq!(delta.page_reads, 0, "a skipped shard opens zero pages");
-        }
     }
 
     /// A recovered facade must not hand out tuple ids it already used:

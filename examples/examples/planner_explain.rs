@@ -1,18 +1,19 @@
-//! Cost-based planner walkthrough through the planner-first facade:
-//! load the paper's DBLP publication table twice — once as an
-//! unclustered heap + PII baseline, once UPI-clustered with a country
-//! secondary — and let each `UncertainDb` session plan Queries 1 and 3.
-//! The same logical `PtqQuery` picks a different physical story per
-//! layout, and `explain_analyze` shows the chosen operator tree, the
-//! planner's prefetch hint, every priced candidate, the buffer-pool
-//! traffic the execution actually caused, and the executed span tree.
+//! Cost-based planner walkthrough: load the paper's DBLP publication
+//! table twice — once as the evaluation's unclustered heap + PII
+//! baseline, built from its parts and registered in a planner `Catalog`,
+//! once as a UPI-clustered `UncertainDb` session with a country
+//! secondary — and plan Queries 1 and 3 on each. The same logical
+//! `PtqQuery` picks a different physical story per layout, and the
+//! analyzed explain shows the chosen operator tree, the planner's
+//! prefetch hint, every priced candidate, the buffer-pool traffic the
+//! execution actually caused, and the executed span tree.
 //!
 //! Run: `cargo run -p upi-examples --example planner_explain`
 
 use std::sync::Arc;
 
-use upi::{TableLayout, UpiConfig};
-use upi_query::{PtqQuery, UncertainDb};
+use upi::{Pii, TableLayout, UnclusteredHeap, UpiConfig};
+use upi_query::{Catalog, PtqQuery, QueryOutput, UncertainDb};
 use upi_storage::{DiskConfig, SimDisk, Store};
 use upi_workloads::dblp::{self, publication_fields, DblpConfig, DblpData};
 
@@ -23,20 +24,28 @@ fn main() {
         ..DblpConfig::default()
     });
 
-    // Two sessions over the same rows: the evaluation's baseline layout
-    // and the UPI layout. Each session registers its own structures (and
-    // the shared buffer pool) in the planner catalog internally.
+    // The same rows twice. The evaluation's baseline is an unclustered
+    // heap with one PII per queried attribute, registered by hand (with
+    // the buffer pool) in a planner catalog; the UPI session registers
+    // its own structures internally.
     let baseline_store = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 8 << 20);
-    let mut baseline = UncertainDb::create(
-        baseline_store.clone(),
-        "pub_baseline",
-        DblpData::publication_schema(),
-        publication_fields::INSTITUTION,
-        TableLayout::Unclustered,
-    )
-    .unwrap();
-    baseline.add_secondary(publication_fields::COUNTRY).unwrap();
-    baseline.load(&data.publications).unwrap();
+    let mut heap = UnclusteredHeap::create(baseline_store.clone(), "pub.heap", 8192).unwrap();
+    heap.bulk_load(&data.publications).unwrap();
+    let mut piis = Vec::new();
+    for (name, attr) in [
+        ("pub.pii_inst", publication_fields::INSTITUTION),
+        ("pub.pii_country", publication_fields::COUNTRY),
+    ] {
+        let mut pii = Pii::create(baseline_store.clone(), name, attr, 8192).unwrap();
+        pii.bulk_load(&data.publications).unwrap();
+        piis.push(pii);
+    }
+    let baseline = piis.iter().fold(
+        Catalog::new(baseline_store.disk.config())
+            .with_pool(baseline_store.pool.as_ref())
+            .with_heap(&heap),
+        |c, pii| c.with_pii(pii),
+    );
 
     let upi_store = Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 8 << 20);
     let mut clustered = UncertainDb::create(
@@ -65,16 +74,16 @@ fn main() {
         .with_qt(0.3)
         .with_group_count(publication_fields::JOURNAL);
 
-    for (name, db, store) in [
-        ("unclustered + PII", &baseline, &baseline_store),
-        ("UPI-clustered", &clustered, &upi_store),
-    ] {
-        println!("=== layout: {name} ===\n");
-        for (label, q) in [("Query 1", &q1), ("Query 3", &q3)] {
-            store.go_cold();
-            let (out, text) = db.explain_analyze(q).unwrap();
-            println!("--- {label}\n{text}-> {} journal groups\n", out.len());
-        }
+    println!("=== layout: unclustered + PII ===\n");
+    for (label, q) in [("Query 1", &q1), ("Query 3", &q3)] {
+        baseline_store.go_cold();
+        let plan = q.plan(&baseline).unwrap();
+        print_analyzed(label, plan.execute_analyzed(&baseline).unwrap());
+    }
+    println!("=== layout: UPI-clustered ===\n");
+    for (label, q) in [("Query 1", &q1), ("Query 3", &q3)] {
+        upi_store.go_cold();
+        print_analyzed(label, clustered.explain_analyze(q).unwrap());
     }
 
     // Top-k through the same engine: the confidence-ordered merge lets
@@ -87,4 +96,10 @@ fn main() {
     for r in out.rows {
         println!("  tid {:>6}  confidence {:.3}", r.tuple.id.0, r.confidence);
     }
+}
+
+/// One analyzed execution of a grouped query: the explain text, then the
+/// group count.
+fn print_analyzed(label: &str, (out, text): (QueryOutput, String)) {
+    println!("--- {label}\n{text}-> {} journal groups\n", out.len());
 }

@@ -430,7 +430,7 @@ const QUERIES: &[QueryPin] = &[
         seeks: 9,
         total_ms_bits: 4646436128316738678,
         n_rows: 131,
-        rows: 15894560499263940204,
+        rows: 410267996182770345,
     },
     QueryPin {
         name: "fractured ptq qt<C",
@@ -438,7 +438,7 @@ const QUERIES: &[QueryPin] = &[
         seeks: 49,
         total_ms_bits: 4651500270941362682,
         n_rows: 430,
-        rows: 13701988654977328979,
+        rows: 9138644424688807781,
     },
     QueryPin {
         name: "fractured ptq_range",
@@ -446,7 +446,7 @@ const QUERIES: &[QueryPin] = &[
         seeks: 39,
         total_ms_bits: 4651383236716107107,
         n_rows: 765,
-        rows: 629409799898654559,
+        rows: 5121999384703252624,
     },
     QueryPin {
         name: "fractured ptq_secondary tailored",
@@ -454,7 +454,7 @@ const QUERIES: &[QueryPin] = &[
         seeks: 24,
         total_ms_bits: 4651409362745185786,
         n_rows: 1568,
-        rows: 3030339916633810010,
+        rows: 2602228157473923652,
     },
     QueryPin {
         name: "fractured ptq_secondary plain",
@@ -462,7 +462,7 @@ const QUERIES: &[QueryPin] = &[
         seeks: 23,
         total_ms_bits: 4651405222960378208,
         n_rows: 1568,
-        rows: 3030339916633810010,
+        rows: 2602228157473923652,
     },
     QueryPin {
         name: "pii ptq",
@@ -811,7 +811,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 7,
         total_ms_bits: 4644504555181986892,
         n_rows: 10,
-        rows: 16948694209799168570,
+        rows: 15953111270598581852,
     },
     QueryPin {
         name: "fractured range qt>=C",
@@ -819,7 +819,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 19,
         total_ms_bits: 4651013131918800272,
         n_rows: 416,
-        rows: 2614472281079485913,
+        rows: 3969378627951404314,
     },
     QueryPin {
         name: "fractured secondary tailored qt>=C",
@@ -827,7 +827,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 45,
         total_ms_bits: 4651672979635350388,
         n_rows: 775,
-        rows: 18148512475988205299,
+        rows: 14469640755665520232,
     },
     QueryPin {
         name: "fractured secondary plain qt>=C",
@@ -835,7 +835,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 51,
         total_ms_bits: 4651799774484122984,
         n_rows: 775,
-        rows: 18148512475988205299,
+        rows: 14469640755665520232,
     },
     QueryPin {
         name: "fractured point qt>=C",
@@ -843,7 +843,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 9,
         total_ms_bits: 4646425991742084484,
         n_rows: 131,
-        rows: 15894560499263940204,
+        rows: 410267996182770345,
     },
     QueryPin {
         name: "fractured top-k qt<C",
@@ -851,7 +851,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 47,
         total_ms_bits: 4651981905876353429,
         n_rows: 300,
-        rows: 5779256493307558144,
+        rows: 911785315898612442,
     },
     QueryPin {
         name: "fractured range qt<C",
@@ -859,7 +859,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 37,
         total_ms_bits: 4651851915152577942,
         n_rows: 1140,
-        rows: 11378752514311389297,
+        rows: 15751196225153224318,
     },
     QueryPin {
         name: "fractured secondary tailored qt<C",
@@ -867,7 +867,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 32,
         total_ms_bits: 4651817855926169738,
         n_rows: 1731,
-        rows: 17826687679275568772,
+        rows: 7635455577600699474,
     },
     QueryPin {
         name: "fractured secondary plain qt<C",
@@ -875,7 +875,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 33,
         total_ms_bits: 4651824672008752480,
         n_rows: 1731,
-        rows: 17826687679275568772,
+        rows: 7635455577600699474,
     },
     QueryPin {
         name: "fractured point qt<C",
@@ -883,7 +883,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 67,
         total_ms_bits: 4651747353665600270,
         n_rows: 430,
-        rows: 13701988654977328979,
+        rows: 9138644424688807781,
     },
 ];
 

@@ -109,19 +109,22 @@ fn fingerprint(out: &QueryOutput) -> Vec<(u64, u64)> {
     }
 }
 
+/// A plain or a fractured UPI, picked by a bit of the seed that neither
+/// fault arm reads (torn writes arm on `seed % 3`, transients on
+/// `seed % 2`), so each layout meets every combination of faults.
 fn layout_for(seed: u64, rng: &mut StdRng) -> TableLayout {
     let cutoff = rng.gen_range(0.0f64..0.6);
     let cfg = UpiConfig {
         cutoff,
         ..UpiConfig::default()
     };
-    match seed % 3 {
-        0 => TableLayout::Unclustered,
-        1 => TableLayout::Upi(cfg),
-        _ => TableLayout::FracturedUpi(FracturedConfig {
+    if (seed / 6).is_multiple_of(2) {
+        TableLayout::Upi(cfg)
+    } else {
+        TableLayout::FracturedUpi(FracturedConfig {
             upi: cfg,
             buffer_ops: rng.gen_range(0..6),
-        }),
+        })
     }
 }
 

@@ -3,7 +3,8 @@
 //! `UncertainTable`. These are the cross-layout guarantees the old
 //! facade's unit tests made for the direct-index entry points, now made
 //! for the planned ones — same query, different clustering, identical
-//! answers — plus proof that each entry point really went through a
+//! answers, each checked against the possible-worlds identity over the
+//! inserted rows (`confidence = exist × P(value)`) — plus proof that each entry point really went through a
 //! `PhysicalPlan` (the chosen path differs per layout, and forcing every
 //! losing candidate reproduces the same answer).
 
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use upi::{FracturedConfig, PtqResult, TableLayout, UpiConfig};
 use upi_query::{PhysicalPlan, PtqQuery, UncertainDb};
 use upi_storage::{DiskConfig, SimDisk, Store};
-use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema};
+use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
 
 fn store() -> Store {
     Store::new(Arc::new(SimDisk::new(DiskConfig::default())), 8 << 20)
@@ -47,7 +48,6 @@ fn db(layout: TableLayout) -> UncertainDb {
 
 fn layouts() -> Vec<UncertainDb> {
     vec![
-        db(TableLayout::Unclustered),
         db(TableLayout::Upi(UpiConfig::default())),
         db(TableLayout::FracturedUpi(FracturedConfig {
             upi: UpiConfig::default(),
@@ -62,23 +62,40 @@ fn ids(rows: &[PtqResult]) -> Vec<u64> {
     v
 }
 
+/// The rows `fields(0..n)` as inserted into an empty table (auto ids).
+fn inserted(n: u64, fields: impl Fn(u64) -> Vec<Field>) -> Vec<Tuple> {
+    (0..n)
+        .map(|i| Tuple::new(TupleId(i), 0.9, fields(i)))
+        .collect()
+}
+
+/// Ids of the rows whose possible-worlds confidence `conf` reaches `qt`
+/// — the reference answer of a PTQ, ascending.
+fn expected(rows: &[Tuple], conf: impl Fn(&Tuple) -> f64, qt: f64) -> Vec<u64> {
+    rows.iter()
+        .filter(|t| conf(t) >= qt)
+        .map(|t| t.id.0)
+        .collect()
+}
+
 #[test]
 fn all_layouts_answer_identically() {
+    let rows = inserted(200, |i| row(i % 7, 0.6, i % 3));
     let mut dbs = layouts();
     for d in &mut dbs {
-        for i in 0..200u64 {
-            d.insert(0.9, row(i % 7, 0.6, i % 3)).unwrap();
+        for t in &rows {
+            d.insert(t.exist, t.fields.clone()).unwrap();
         }
     }
-    let reference = ids(&dbs[0].ptq(3, 0.2).unwrap());
-    assert!(!reference.is_empty());
-    for d in &dbs[1..] {
-        assert_eq!(ids(&d.ptq(3, 0.2).unwrap()), reference);
-    }
-    // Range queries agree too.
-    let range_ref = dbs[0].ptq_range(2, 5, 0.3).unwrap().len();
-    for d in &dbs[1..] {
-        assert_eq!(d.ptq_range(2, 5, 0.3).unwrap().len(), range_ref);
+    let point = expected(&rows, |t| t.confidence_eq(1, 3), 0.2);
+    assert!(!point.is_empty());
+    // Range confidences sum the in-range alternatives.
+    let in_range = |t: &Tuple| (2..=5).map(|v| t.confidence_eq(1, v)).sum::<f64>();
+    let range = expected(&rows, in_range, 0.3);
+    assert!(!range.is_empty());
+    for d in &dbs {
+        assert_eq!(ids(&d.ptq(3, 0.2).unwrap()), point);
+        assert_eq!(ids(&d.ptq_range(2, 5, 0.3).unwrap()), range);
     }
     // And each layout's planner picked a physical story from its own
     // structures — the point of planning over the facade. (On a table
@@ -90,29 +107,22 @@ fn all_layouts_answer_identically() {
         .map(|d| d.plan(&q).unwrap().path().label())
         .collect();
     assert!(
-        chosen[0].starts_with("PiiProbe") || chosen[0] == "HeapScan",
-        "unclustered: {chosen:?}"
-    );
-    assert!(
-        chosen[1].starts_with("UpiHeap") || chosen[1] == "UpiFullScan",
+        chosen[0].starts_with("UpiHeap") || chosen[0] == "UpiFullScan",
         "upi: {chosen:?}"
     );
-    assert!(chosen[2].starts_with("Fractured"), "fractured: {chosen:?}");
+    assert!(chosen[1].starts_with("Fractured"), "fractured: {chosen:?}");
 }
 
 #[test]
 fn secondary_and_topk_paths() {
-    let mut unc = db(TableLayout::Unclustered);
+    let rows = inserted(150, |i| row(i % 5, 0.5 + (i % 4) as f64 * 0.1, i % 3));
     let mut upi = db(TableLayout::Upi(UpiConfig::default()));
-    for i in 0..150u64 {
-        let r = row(i % 5, 0.5 + (i % 4) as f64 * 0.1, i % 3);
-        unc.insert(0.9, r.clone()).unwrap();
-        upi.insert(0.9, r).unwrap();
+    for t in &rows {
+        upi.insert(t.exist, t.fields.clone()).unwrap();
     }
-    assert_eq!(
-        ids(&unc.ptq_secondary(0, 1, 0.3).unwrap()),
-        ids(&upi.ptq_secondary(0, 1, 0.3).unwrap())
-    );
+    let country = expected(&rows, |t| t.confidence_eq(2, 1), 0.3);
+    assert!(!country.is_empty());
+    assert_eq!(ids(&upi.ptq_secondary(0, 1, 0.3).unwrap()), country);
 
     let top = upi.top_k(2, 3).unwrap();
     assert_eq!(top.len(), 3);
@@ -221,12 +231,11 @@ fn fractured_secondary_added_after_fractures_is_planned_through() {
 
 #[test]
 fn secondary_added_after_load_matches_declared_up_front_on_every_layout() {
-    // Each layout must backfill a late secondary from its live rows:
-    // the unclustered PII from a heap scan, the UPI from its clustered
-    // heap, the fractured table across components. Reference: the same
-    // rows with the secondary declared before any data.
+    // Each layout must backfill a late secondary from its live rows: the
+    // UPI from its clustered heap, the fractured table across components.
+    // Reference: the same rows with the secondary declared before any
+    // data.
     for layout in [
-        TableLayout::Unclustered,
         TableLayout::Upi(UpiConfig::default()),
         TableLayout::FracturedUpi(FracturedConfig {
             upi: UpiConfig::default(),

@@ -240,7 +240,7 @@ fn failed_open_clears_only_its_own_hints() {
     }
     // Main opens first; from cold its seek reads `height - 1` internal
     // pages, then the leaf it reads with its run estimate.
-    let height = db.table().chain().unwrap().main().heap_stats().height;
+    let height = db.table().chain().main().heap_stats().height;
     assert!(height > 1, "the seek must descend before its leaf read");
     st.go_cold();
 

@@ -2,8 +2,9 @@
 //!
 //! The planner prices every candidate from in-memory statistics; the
 //! opens that execute the chosen one resolve where each run starts. On
-//! every layout — UPI, fractured UPI, unclustered heap + PIIs, continuous
-//! UPI with its secondaries — and for every query shape — point, top-k,
+//! every layout — UPI, fractured UPI, the evaluation's unclustered heap +
+//! PIIs built from parts, continuous UPI with its secondaries — and for
+//! every query shape — point, top-k,
 //! range, secondary, circle — planning on a cold store leaves the
 //! device's `IoStats` and the buffer pool's `PoolCounters` untouched.
 
@@ -12,7 +13,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use upi::{
-    ContinuousConfig, ContinuousSecondary, ContinuousUpi, FracturedConfig, SecondaryUTree,
+    ContinuousConfig, ContinuousSecondary, ContinuousUpi, FracturedConfig, Pii, SecondaryUTree,
     TableLayout, UnclusteredHeap, UpiConfig,
 };
 use upi_query::{Catalog, PtqQuery, UncertainDb};
@@ -97,7 +98,6 @@ fn planning_reads_no_page_on_discrete_layouts() {
     for (label, layout) in [
         ("upi", TableLayout::Upi(UpiConfig::default())),
         ("fractured", fractured),
-        ("unclustered", TableLayout::Unclustered),
     ] {
         let mut db = session(layout);
         db.load(&rows(3000, 1)).unwrap();
@@ -112,6 +112,27 @@ fn planning_reads_no_page_on_discrete_layouts() {
         let st = db.table().store().clone();
         assert_plans_read_nothing(label, &st, &db.catalog(), &discrete_queries());
     }
+
+    // The unclustered baseline, from its parts: a heap and one PII per
+    // queried column, so `PiiProbe` and `HeapScan` are both priced.
+    let st = store();
+    let data = rows(3000, 1);
+    let mut heap = UnclusteredHeap::create(st.clone(), "heap", 8192).unwrap();
+    heap.bulk_load(&data).unwrap();
+    let piis: Vec<Pii> = [1, 2]
+        .into_iter()
+        .map(|attr| {
+            let mut pii = Pii::create(st.clone(), &format!("pii{attr}"), attr, 8192).unwrap();
+            pii.bulk_load(&data).unwrap();
+            pii
+        })
+        .collect();
+    let catalog = Catalog::new(st.disk.config())
+        .with_heap(&heap)
+        .with_pii(&piis[0])
+        .with_pii(&piis[1])
+        .with_pool(st.pool.as_ref());
+    assert_plans_read_nothing("unclustered", &st, &catalog, &discrete_queries());
 }
 
 #[test]

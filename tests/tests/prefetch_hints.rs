@@ -196,7 +196,7 @@ fn failed_execution_clears_its_armed_hint() {
         query: q.clone(),
         candidates: vec![scan],
     };
-    let height = db.table().chain().unwrap().main().heap_stats().height;
+    let height = db.table().chain().main().heap_stats().height;
     assert!(height > 1, "the seek must descend before its leaf read");
 
     // From cold, the seek reads `height - 1` internal pages and then the
