@@ -16,16 +16,20 @@
 //!   every batch; queries always see one component, maintenance
 //!   rewrites the whole table every time.
 //! * **scheduled** — [`maintenance_tick`](upi_query::UncertainDb::maintenance_tick)
-//!   after every batch: bounded incremental steps the cost model
-//!   prices against observed traffic.
+//!   after every batch: bounded incremental steps, each bought once the
+//!   rent the query passes paid for its fractures covers its price.
 //!
-//! Acceptance gates (enforced at `UPI_BENCH_SCALE` ≥ 0.5):
+//! An arm's **total** is its device time for everything: every query
+//! pass plus every maintenance step. Acceptance gates (enforced at
+//! `UPI_BENCH_SCALE` ≥ 0.5):
 //!
-//! 1. scheduled steady-state query device-ms ≤ 1.15× the freshly-merged
-//!    (eager) steady state — incremental maintenance keeps queries near
-//!    the fully-merged floor;
+//! 1. scheduled total ≤ 2× the better of never-merge's and eager's —
+//!    the rent-or-buy guarantee: rent is paid up to a step's price
+//!    before the step is bought, so neither extreme can be beaten by
+//!    more than a factor of two (eager, rewriting the table every
+//!    batch, fails this bound against never-merge);
 //! 2. scheduled total maintenance device-ms strictly below eager's —
-//!    it gets there without paying full-merge rewrites;
+//!    it never pays full-merge rewrites it was not paid for;
 //! 3. never-merge's steady-state query pass is strictly worse than
 //!    both maintained arms.
 //!
@@ -111,10 +115,9 @@ fn run_arm(arm: Arm, n_rows: usize) -> Series {
         // size — and a chain that can never fold never returns to the
         // sequential floor. An operator running ticks from a dedicated
         // maintenance slot sizes the budget to that slot instead; the
-        // *economics* (profitability over the horizon), not the budget,
-        // are what defer the fold until fracture mass amortizes it.
+        // rent the queries paid, not the budget, is what defers the fold
+        // until it is paid for.
         policy.step_budget_ms = 50_000.0;
-        policy.mean_run_fraction = 1.0 / VALUES as f64;
         db.set_maintenance_policy(policy);
     }
 
@@ -153,10 +156,9 @@ fn run_arm(arm: Arm, n_rows: usize) -> Series {
         }
         db.flush().unwrap();
 
-        // Maintenance, per arm. The scheduled policy prices its steps
-        // against the traffic observed over the previous passes (the
-        // batch-0 tick sees no history yet and declines — realistic for
-        // a freshly opened session).
+        // Maintenance, per arm. The scheduled policy buys steps with the
+        // rent the previous passes paid (the batch-0 tick has none yet
+        // and declines — realistic for a freshly opened session).
         let before = store.disk.stats();
         match arm {
             Arm::Never => {}
@@ -173,7 +175,7 @@ fn run_arm(arm: Arm, n_rows: usize) -> Series {
 
         // The cold query pass: every value once, against whatever
         // structure this arm's maintenance left behind. This is also
-        // the traffic the scheduled arm's policy observes.
+        // the traffic whose rent buys the scheduled arm's steps.
         store.go_cold();
         let before = store.disk.stats();
         for v in 0..VALUES {
@@ -212,6 +214,11 @@ fn total_maint(s: &Series) -> f64 {
     s.maint_ms.iter().sum()
 }
 
+/// Device time for everything the arm did: query passes plus maintenance.
+fn total(s: &Series) -> f64 {
+    s.query_ms.iter().sum::<f64>() + total_maint(s)
+}
+
 fn series_json(s: &Series) -> String {
     let fmt = |v: &[f64]| {
         v.iter()
@@ -222,17 +229,23 @@ fn series_json(s: &Series) -> String {
     format!(
         "    {{\"arm\": \"{}\", \"query_ms\": [{}], \"maintenance_ms\": [{}], \
          \"steady_query_ms\": {:.1}, \"total_maintenance_ms\": {:.1}, \
-         \"final_components\": {}, \"merge_steps\": {}, \
+         \"total_ms\": {:.1}, \"final_components\": {}, \"merge_steps\": {}, \
          \"components_compacted\": {}}}",
         s.name,
         fmt(&s.query_ms),
         fmt(&s.maint_ms),
         steady(s),
         total_maint(s),
+        total(s),
         s.components,
         s.merge_steps,
         s.components_compacted,
     )
+}
+
+/// The better extreme's total: never merging, or merging every batch.
+fn best_extreme(never: &Series, eager: &Series) -> f64 {
+    total(never).min(total(eager))
 }
 
 fn write_json(arms: &[Series], gate_enforced: bool) {
@@ -248,12 +261,14 @@ fn write_json(arms: &[Series], gate_enforced: bool) {
     json.push_str(&format!(
         "  \"summary\": {{\"scale\": {}, \"gate_enforced\": {}, \
          \"scheduled_vs_merged_steady\": {:.4}, \
+         \"scheduled_total_vs_best_extreme\": {:.4}, \
          \"scheduled_vs_eager_maintenance\": {:.4}, \
          \"never_vs_scheduled_steady\": {:.4}, \
          \"never_vs_eager_steady\": {:.4}}}\n",
         scale(),
         gate_enforced,
         steady(sched) / steady(eager).max(1e-9),
+        total(sched) / best_extreme(never, eager).max(1e-9),
         total_maint(sched) / total_maint(eager).max(1e-9),
         steady(never) / steady(sched).max(1e-9),
         steady(never) / steady(eager).max(1e-9),
@@ -267,7 +282,7 @@ fn main() {
     banner(
         "maintenance",
         "never vs eager-full-merge vs scheduled-incremental maintenance",
-        "scheduled stays near the merged floor at a fraction of eager's device time",
+        "scheduled pays at most 2x the better extreme in total device time",
     );
     let s = scale();
     let n_rows = ((250_000.0 * s) as usize).max(2_000);
@@ -296,11 +311,18 @@ fn main() {
     summary("never_steady_query_ms", format!("{:.1}", steady(never)));
     summary("eager_steady_query_ms", format!("{:.1}", steady(eager)));
     summary("scheduled_steady_query_ms", format!("{:.1}", steady(sched)));
+    summary(
+        "scheduled_vs_merged_steady",
+        format!("{:.2}", steady(sched) / steady(eager)),
+    );
     summary("eager_maintenance_ms", format!("{:.1}", total_maint(eager)));
     summary(
         "scheduled_maintenance_ms",
         format!("{:.1}", total_maint(sched)),
     );
+    summary("never_total_ms", format!("{:.1}", total(never)));
+    summary("eager_total_ms", format!("{:.1}", total(eager)));
+    summary("scheduled_total_ms", format!("{:.1}", total(sched)));
     summary("scheduled_merge_steps", sched.merge_steps);
     summary("never_final_components", never.components);
     summary("scheduled_final_components", sched.components);
@@ -312,11 +334,13 @@ fn main() {
             "the scheduled arm must actually run incremental steps"
         );
         assert!(
-            steady(sched) <= 1.15 * steady(eager),
-            "acceptance gate: scheduled steady-state query pass ({:.1} ms) \
-             must stay within 1.15x the freshly-merged one ({:.1} ms)",
-            steady(sched),
-            steady(eager)
+            total(sched) <= 2.0 * best_extreme(never, eager),
+            "acceptance gate: scheduled total device time ({:.1} ms) must \
+             stay within 2x the better of never-merge ({:.1} ms) and eager \
+             ({:.1} ms)",
+            total(sched),
+            total(never),
+            total(eager)
         );
         assert!(
             total_maint(sched) < total_maint(eager),
@@ -335,7 +359,7 @@ fn main() {
         );
         summary(
             "gate",
-            "PASS (scheduled ≤ 1.15x merged floor, cheaper than eager, never-merge worst)",
+            "PASS (scheduled total ≤ 2x the better extreme, cheaper maintenance than eager, never-merge worst)",
         );
     } else {
         summary("gate", format!("gates skipped at scale {s} (< 0.5)"));

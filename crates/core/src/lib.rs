@@ -74,7 +74,8 @@ pub use fractured::{
 };
 pub use heap::{HeapScanRun, UnclusteredHeap};
 pub use maintenance::{
-    select_compaction, CompactionPlan, CompactionStep, MaintenanceDecision, MaintenancePolicy,
+    select_compaction, step_rent_ms, CompactionPlan, CompactionStep, MaintenancePolicy,
+    RentAccounts,
 };
 pub use pii::{Pii, PiiRun};
 pub use secondary::{PointerHistogram, SecBuild, SecEntry, SecScanRun, SecondaryIndex};

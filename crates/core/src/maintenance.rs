@@ -14,20 +14,17 @@
 //!   tiered LSM-style: smallest components first (ties fall to the
 //!   cheapest candidate, and small adjacent fractures are exactly the
 //!   cheap ones).
-//! * [`MaintenancePolicy`] decides *whether* a step pays for itself and
-//!   *which* candidate to run: each candidate is valued by the
-//!   per-query overhead it permanently removes (tree descents plus the
-//!   head thrash of interleaving the eliminated components' clustered
-//!   runs into the k-way merge), and a step is profitable when
-//!   `savings_per_query × observed_qps × horizon > step_cost_ms`, every
-//!   term taken from the calibrated cost model and the session's
-//!   observed traffic — never from wall-clock heuristics. Because the
-//!   seek term grows with a fracture's *size* while a fold's cost is
-//!   dominated by rewriting main, the policy naturally defers folds
-//!   until enough fracture mass has accumulated to amortize the
-//!   rewrite, then folds the whole prefix at once — the tiered-LSM
-//!   cadence, derived from device economics instead of a shape
-//!   parameter.
+//! * [`MaintenancePolicy`] decides *whether* a step runs, by the
+//!   rent-or-buy rule of online algorithms: a fracture costs every query
+//!   that runs on the chain a rent — the priced descent `H·T_descend`
+//!   plus its share of the `Cost_init` the query actually paid — and
+//!   [`RentAccounts`] credits each fracture with what queries paid it. A
+//!   step is bought once the rent paid for the fractures it merges
+//!   covers its priced cost (and the cost fits the per-step budget).
+//!   Maintenance therefore never spends more than queries already paid
+//!   for the fractures it removes, and a table nobody queries never
+//!   rewrites anything. Every term is a device price, never a forecast
+//!   of future traffic.
 //!
 //! The *execution* of a step lives on
 //! [`FracturedUpi::merge_step`](crate::fractured::FracturedUpi::merge_step);
@@ -35,6 +32,8 @@
 //! planned step and the executed step can never disagree.
 //!
 //! [`merge`]: crate::fractured::FracturedUpi::merge
+
+use upi_storage::FileId;
 
 use crate::cost::DeviceCoeffs;
 
@@ -178,171 +177,95 @@ fn best_candidate(
     best
 }
 
-/// When maintenance work pays for itself, from calibrated device
-/// coefficients and observed traffic.
+/// Rent-or-buy (§4.3's merge as an online purchase): a step is bought
+/// once the rent queries already paid for its fractures covers its
+/// price, and never above the per-step device budget.
 #[derive(Debug, Clone, Copy)]
 pub struct MaintenancePolicy {
-    /// Traffic horizon the step's cost is amortized over, ms of device
-    /// time. A step is worth running when the queries expected inside
-    /// this window save more than the step costs.
-    pub horizon_ms: f64,
     /// Device budget of one incremental step, ms — bounds how long
     /// queries wait behind a step on a single-device store.
     pub step_budget_ms: f64,
-    /// Fraction of one component's bytes a typical fractured query
-    /// streams through — ≈ 1 / (distinct clustered values), since a PTQ
-    /// reads one value's clustered run per component. Sizes the seek
-    /// term of [`component_overhead_ms`](Self::component_overhead_ms).
-    pub mean_run_fraction: f64,
-    /// Prefetch batch the buffer pool issues for a hinted run, bytes.
-    /// Every batch boundary of a secondary component's stream is a
-    /// discontiguous head move during the k-way merge, which is what
-    /// makes a *large* fracture cost queries real device time even
-    /// though its bytes would be read either way.
-    pub interleave_window_bytes: f64,
 }
 
 impl Default for MaintenancePolicy {
     fn default() -> MaintenancePolicy {
         MaintenancePolicy {
-            // One sustained device-minute of traffic: long enough that
-            // steady query streams trigger maintenance, short enough
-            // that a burst of flushes on an idle table stays cheap.
-            horizon_ms: 60_000.0,
             // A step may cost up to two seconds of device time — a few
             // fractures' worth on the Table-6 device.
             step_budget_ms: 2_000.0,
-            // A query reads ~a tenth of each component's clustered
-            // bytes: right for tables with ~10 well-populated values,
-            // conservative for more selective ones.
-            mean_run_fraction: 0.1,
-            // 64 pages × 8 KiB: the pool's hinted-run prefetch batch.
-            interleave_window_bytes: (64 * 8192) as f64,
         }
     }
-}
-
-/// A policy decision: the step worth running, with the profitability
-/// terms that justified it (for traces and tests).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MaintenanceDecision {
-    /// The selected step and its priced cost.
-    pub plan: CompactionPlan,
-    /// Estimated per-query savings once the step commits, ms.
-    pub savings_per_query_ms: f64,
-    /// Savings over the policy horizon at the observed rate, ms.
-    pub horizon_savings_ms: f64,
 }
 
 impl MaintenancePolicy {
-    /// Recurring per-query overhead of one *extra* component of `bytes`
-    /// in the chain (beyond the main UPI, whose stream is the
-    /// baseline): the tree descent, plus two discontiguous head moves —
-    /// away from the other streams and back — per prefetch batch of the
-    /// run this component contributes to the k-way merge.
-    ///
-    /// `Cost_init` is deliberately absent: across the sustained query
-    /// stream the horizon multiplies this by, the pool keeps component
-    /// files open and the open cost amortizes to noise. The planner's
-    /// `Cost_init + H·T_descend` is the right price for one cold query,
-    /// but a maintenance policy that values eliminations at the cold
-    /// price over-buys small compactions (opens look expensive) and
-    /// under-buys folds (a large fracture's seek tax looks free).
-    pub fn component_overhead_ms(&self, coeffs: &DeviceCoeffs, descend_ms: f64, bytes: u64) -> f64 {
-        let windows = (bytes as f64 * self.mean_run_fraction / self.interleave_window_bytes).ceil();
-        descend_ms + 2.0 * coeffs.t_seek_ms * windows
-    }
-
-    /// Per-fractured-query savings of executing `step`: the overhead of
-    /// every component the step removes from the chain. A prefix fold
-    /// erases its fractures outright (their bytes join main's baseline
-    /// stream); a run compaction trades its members' overheads for the
-    /// merged survivor's — mostly the descents, since the merged run's
-    /// seek windows nearly sum.
-    pub fn step_savings_ms(
+    /// The step to buy now, if any: among the candidates of
+    /// [`select_compaction`] that fit the step budget and whose
+    /// fractures' accrued rent ([`step_rent_ms`]) covers their priced
+    /// cost, the one eliminating the most components, ties broken by
+    /// cheapest cost. `fracture_rent_ms[i]` is fracture `i`'s account
+    /// (see [`RentAccounts`]). `None` means no query has yet paid for
+    /// any affordable step — an idle table never buys one.
+    pub fn buy(
         &self,
         component_bytes: &[u64],
-        step: CompactionStep,
+        fracture_rent_ms: &[f64],
         coeffs: &DeviceCoeffs,
-        descend_ms: f64,
-    ) -> f64 {
-        let overhead = |bytes: u64| self.component_overhead_ms(coeffs, descend_ms, bytes);
-        match step {
-            CompactionStep::FoldPrefix { fractures } => component_bytes[1..=fractures]
-                .iter()
-                .map(|&b| overhead(b))
-                .sum(),
-            CompactionStep::CompactRun { first, last } => {
-                let run = &component_bytes[first + 1..=last + 1];
-                run.iter().map(|&b| overhead(b)).sum::<f64>() - overhead(run.iter().sum::<u64>())
-            }
-        }
+    ) -> Option<CompactionPlan> {
+        best_candidate(component_bytes, coeffs, |p| {
+            p.est_cost_ms <= self.step_budget_ms
+                && step_rent_ms(p.step, fracture_rent_ms) >= p.est_cost_ms
+        })
     }
+}
 
-    /// Decide whether one maintenance step should run now.
-    ///
-    /// * `component_bytes` — per-component sizes (main first), as for
-    ///   [`select_compaction`].
-    /// * `descend_ms` — the calibrated per-component recurring descent
-    ///   cost `H·T_descend` (take it from the session's scaled cost
-    ///   model, not the raw device constants).
-    /// * `observed_qps` — queries per second of *device time* from the
-    ///   session metrics (queries / device-seconds spent on queries).
-    /// * `fractured_query_fraction` — the share of those queries that
-    ///   touch the fractured structure (and so pay the per-component
-    ///   overheads): 1.0 when every query is a PTQ over the table, lower
-    ///   for mixed sessions.
-    ///
-    /// Among the candidates that are affordable (`cost ≤ step budget`)
-    /// and profitable (`savings_per_query × observed_qps × horizon >
-    /// cost`, savings from [`step_savings_ms`](Self::step_savings_ms)),
-    /// returns the one saving queries the most, ties broken by cheapest
-    /// cost. Profitability is judged *per candidate*, so light traffic
-    /// that cannot pay for a full fold can still pay for compacting two
-    /// small fractures — and because a fold's savings grow with the
-    /// folded fractures' mass while its cost is dominated by main's
-    /// rewrite, steady traffic makes the fold profitable only once
-    /// enough fractures have accumulated, yielding the periodic
-    /// amortized fold cadence. `None` means: not worth it yet (too few
-    /// components, no traffic, or every affordable step costs more than
-    /// its horizon savings).
-    pub fn decide(
-        &self,
-        component_bytes: &[u64],
-        coeffs: &DeviceCoeffs,
-        descend_ms: f64,
-        observed_qps: f64,
-        fractured_query_fraction: f64,
-    ) -> Option<MaintenanceDecision> {
-        let mut best: Option<MaintenanceDecision> = None;
-        for_each_candidate(component_bytes, coeffs, |plan| {
-            if plan.est_cost_ms > self.step_budget_ms {
-                return;
-            }
-            let savings_per_query_ms = fractured_query_fraction
-                * self.step_savings_ms(component_bytes, plan.step, coeffs, descend_ms);
-            let horizon_savings_ms =
-                savings_per_query_ms * observed_qps * self.horizon_ms / 1_000.0;
-            if horizon_savings_ms <= plan.est_cost_ms {
-                return;
-            }
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    savings_per_query_ms > b.savings_per_query_ms
-                        || (savings_per_query_ms == b.savings_per_query_ms
-                            && plan.est_cost_ms < b.plan.est_cost_ms)
+/// The rent paid for the fractures `step` merges: the sum of their
+/// accounts (main has none — queries pay for main either way).
+pub fn step_rent_ms(step: CompactionStep, fracture_rent_ms: &[f64]) -> f64 {
+    let paid = match step {
+        CompactionStep::FoldPrefix { fractures } => &fracture_rent_ms[..fractures],
+        CompactionStep::CompactRun { first, last } => &fracture_rent_ms[first..=last],
+    };
+    paid.iter().sum()
+}
+
+/// Per-fracture rent accounts, keyed by each fracture's heap file id.
+///
+/// Every query on a fractured chain pays each fracture the same rent,
+/// so one running total (the rent paid per fracture since the session
+/// opened) is all the query path keeps; a fracture's account is that
+/// total minus its value when the fracture's account opened. Accounts
+/// are derived state: a recovered session starts them all at zero.
+#[derive(Debug, Clone, Default)]
+pub struct RentAccounts {
+    /// `(heap file, running total when its account opened)`, in chain
+    /// order (oldest fracture first).
+    opened: Vec<(FileId, f64)>,
+}
+
+impl RentAccounts {
+    /// Match the accounts to the live chain's fractures (heap file ids,
+    /// oldest first) at running total `paid_ms`: a fracture seen for the
+    /// first time — a flush, or a run compaction's survivor — opens at
+    /// zero, and the accounts of fractures that left the chain are
+    /// dropped. Steps keep the surviving fractures' order, so this is
+    /// one pass and allocates only when a fracture is new.
+    pub fn sync(&mut self, fractures: impl IntoIterator<Item = FileId>, paid_ms: f64) {
+        let mut i = 0;
+        for file in fractures {
+            match self.opened[i..].iter().position(|&(f, _)| f == file) {
+                Some(stale) => {
+                    self.opened.drain(i..i + stale);
                 }
-            };
-            if better {
-                best = Some(MaintenanceDecision {
-                    plan,
-                    savings_per_query_ms,
-                    horizon_savings_ms,
-                });
+                None => self.opened.insert(i, (file, paid_ms)),
             }
-        });
-        best
+            i += 1;
+        }
+        self.opened.truncate(i);
+    }
+
+    /// Each account's balance at running total `paid_ms`, in chain order.
+    pub fn balances(&self, paid_ms: f64) -> Vec<f64> {
+        self.opened.iter().map(|&(_, at)| paid_ms - at).collect()
     }
 }
 
@@ -407,75 +330,96 @@ mod tests {
         assert_eq!(plan.step, CompactionStep::CompactRun { first: 0, last: 2 });
     }
 
-    /// Per-component overhead with [`coeffs`], `descend_ms = 8`, and the
-    /// default policy shape: a 1 MiB fracture streams one prefetch
-    /// window per query (8 + 2·10·1 = 28 ms), an 8 MiB fracture two
-    /// (8 + 2·10·2 = 48 ms).
-    const DESCEND: f64 = 8.0;
-
     #[test]
-    fn folds_wait_for_fracture_mass_then_fold_the_whole_prefix() {
+    fn a_fold_is_bought_on_the_first_tick_its_rent_covers() {
         let c = coeffs();
         let pol = MaintenancePolicy {
             step_budget_ms: 10_000.0,
-            ..MaintenancePolicy::default()
         };
-        // Idle: nothing ever pays.
-        assert!(pol
-            .decide(&[64 * MIB, MIB], &c, DESCEND, 0.0, 1.0)
-            .is_none());
-        // One fresh fracture saves 28 ms/query; at 2 qps over 60 s that
-        // is 3360 ms — less than the 4550 ms fold of main. Deferred.
-        assert!(pol
-            .decide(&[64 * MIB, MIB], &c, DESCEND, 2.0, 1.0)
-            .is_none());
-        // A second fracture doubles the savings (6720 ms) past the
-        // 4620 ms fold cost: the policy folds the whole prefix at once,
-        // ranking it above the profitable-but-smaller run compaction.
-        let d = pol
-            .decide(&[64 * MIB, MIB, MIB], &c, DESCEND, 2.0, 1.0)
-            .expect("accumulated mass amortizes the fold");
-        assert_eq!(d.plan.step, CompactionStep::FoldPrefix { fractures: 2 });
-        assert!((d.savings_per_query_ms - 56.0).abs() < 1e-9);
-        assert!(d.horizon_savings_ms > d.plan.est_cost_ms);
+        let sizes = [64 * MIB, MIB];
+        // 65 MiB read and rewritten: 4550 ms, exactly 50 ticks of 91 ms.
+        let price = merge_slice_cost_ms(&c, 65 * MIB);
+        assert_eq!(price, 4550.0);
+        let mut accounts = RentAccounts::default();
+        accounts.sync([FileId(7)], 0.0);
+        let mut paid = 0.0;
+        for tick in 1..=50 {
+            paid += 91.0;
+            let bought = pol.buy(&sizes, &accounts.balances(paid), &c);
+            if tick < 50 {
+                assert!(bought.is_none(), "tick {tick}: rent {paid} < {price}");
+            } else {
+                let plan = bought.expect("the 50th tick's rent covers the fold");
+                assert_eq!(plan.step, CompactionStep::FoldPrefix { fractures: 1 });
+                assert_eq!(plan.est_cost_ms, price);
+            }
+        }
     }
 
     #[test]
-    fn budget_starved_chains_still_compact_runs() {
+    fn no_rent_buys_nothing() {
+        let c = coeffs();
+        let pol = MaintenancePolicy {
+            step_budget_ms: f64::INFINITY,
+        };
+        assert!(pol.buy(&[MIB, MIB, MIB], &[0.0, 0.0], &c).is_none());
+        // A step's rent is its fractures' sum: just short of the run's
+        // price buys nothing, the full price buys the run.
+        let run = merge_slice_cost_ms(&c, 2 * MIB);
+        assert!(pol
+            .buy(&[64 * MIB, MIB, MIB], &[0.0, 0.99 * run], &c)
+            .is_none());
+        assert_eq!(
+            pol.buy(&[64 * MIB, MIB, MIB], &[run / 2.0, run / 2.0], &c)
+                .map(|p| p.step),
+            Some(CompactionStep::CompactRun { first: 0, last: 1 })
+        );
+    }
+
+    #[test]
+    fn a_step_over_the_budget_is_never_bought() {
         let c = coeffs();
         let pol = MaintenancePolicy::default();
-        // Folding the 512 MiB main is far over the default 2 s budget;
-        // the two small fractures still compact under steady traffic —
-        // their merged run costs queries the same seek windows, so the
-        // savings are just the eliminated descent (28 ms with the 1 MiB
-        // windows cancelling).
+        let rich = [1e12, 1e12];
+        // Folding the 512 MiB main is far over the 2 s budget however
+        // much rent was paid; compacting the two small fractures is not.
         let sizes = [512 * MIB, MIB, MIB];
-        let d = pol
-            .decide(&sizes, &c, DESCEND, 1.0, 1.0)
-            .expect("small-run step is affordable and profitable");
-        assert_eq!(
-            d.plan.step,
-            CompactionStep::CompactRun { first: 0, last: 1 }
-        );
-        assert!(d.plan.est_cost_ms <= pol.step_budget_ms);
-        // Too little traffic to pay even for that (84 ms < 140 ms).
-        assert!(pol.decide(&sizes, &c, DESCEND, 0.05, 1.0).is_none());
+        let plan = pol.buy(&sizes, &rich, &c).expect("the run fits");
+        assert_eq!(plan.step, CompactionStep::CompactRun { first: 0, last: 1 });
+        assert!(plan.est_cost_ms <= pol.step_budget_ms);
+        let tight = MaintenancePolicy {
+            step_budget_ms: 100.0,
+        };
+        assert!(tight.buy(&sizes, &rich, &c).is_none());
     }
 
     #[test]
-    fn deeper_folds_rank_above_shallow_ones() {
-        let c = coeffs();
-        let pol = MaintenancePolicy {
-            step_budget_ms: 10_000.0,
-            ..MaintenancePolicy::default()
-        };
-        // At heavy traffic every candidate is profitable; the full fold
-        // saves the most per query (28 + 28 + 48 ms: the 8 MiB fracture
-        // streams two seek windows) and wins.
-        let d = pol
-            .decide(&[64 * MIB, MIB, MIB, 8 * MIB], &c, DESCEND, 5.0, 1.0)
-            .expect("heavy traffic");
-        assert_eq!(d.plan.step, CompactionStep::FoldPrefix { fractures: 3 });
-        assert!((d.savings_per_query_ms - 104.0).abs() < 1e-9);
+    fn a_run_compactions_survivor_opens_at_zero() {
+        let mut accounts = RentAccounts::default();
+        accounts.sync([FileId(10), FileId(11), FileId(12)], 0.0);
+        assert_eq!(accounts.balances(500.0), [500.0, 500.0, 500.0]);
+        let step = CompactionStep::CompactRun { first: 0, last: 1 };
+        assert_eq!(step_rent_ms(step, &accounts.balances(500.0)), 1000.0);
+        // The run 10..=11 became file 13; a flush then appended 14.
+        accounts.sync([FileId(13), FileId(12), FileId(14)], 500.0);
+        assert_eq!(accounts.balances(600.0), [100.0, 600.0, 100.0]);
+        // A fold of the two oldest drops both their accounts.
+        accounts.sync([FileId(14)], 600.0);
+        assert_eq!(accounts.balances(650.0), [150.0]);
+        accounts.sync([], 650.0);
+        assert!(accounts.balances(700.0).is_empty());
+    }
+
+    #[test]
+    fn step_rent_sums_the_merged_fractures_only() {
+        let rent = [1.0, 2.0, 4.0, 8.0];
+        assert_eq!(
+            step_rent_ms(CompactionStep::FoldPrefix { fractures: 2 }, &rent),
+            3.0
+        );
+        assert_eq!(
+            step_rent_ms(CompactionStep::CompactRun { first: 1, last: 3 }, &rent),
+            14.0
+        );
     }
 }

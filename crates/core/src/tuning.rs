@@ -10,12 +10,12 @@
 //!
 //! [`WorkloadProfile`] records observed query thresholds;
 //! [`TuningAdvisor`] turns a profile plus the live index statistics into a
-//! cutoff recommendation and a merge decision.
+//! cutoff recommendation. When to merge fractures is
+//! [`crate::maintenance`]'s decision.
 
 use upi_storage::DiskConfig;
 
 use crate::cost::{pointer_fetch_ms, DeviceCoeffs};
-use crate::fractured::FracturedUpi;
 use crate::upi::DiscreteUpi;
 
 /// A recency-free histogram of observed query thresholds (`QT`s).
@@ -174,25 +174,6 @@ impl TuningAdvisor {
                     .unwrap()
             });
         (out, pick)
-    }
-
-    /// Merge decision for a fractured UPI: merge when the §6.2 estimate for
-    /// the hot query exceeds `slo_ms`. Returns the estimate and the
-    /// predicted merge cost so the caller can schedule it.
-    pub fn should_merge(
-        &self,
-        disk: &DiskConfig,
-        fractured: &FracturedUpi,
-        hot_key: u64,
-        qt: f64,
-        slo_ms: f64,
-    ) -> (bool, f64, f64) {
-        let est = crate::cost::estimate_query_fractured_ms(disk, fractured, hot_key, qt);
-        let merge_cost = crate::maintenance::merge_slice_cost_ms(
-            &DeviceCoeffs::from_disk(disk),
-            fractured.total_bytes(),
-        );
-        (est > slo_ms, est, merge_cost)
     }
 }
 

@@ -6,9 +6,9 @@ use std::collections::HashSet;
 use upi_btree::{BTree, Cursor, TreeStats};
 use upi_storage::codec::{dequantize_prob, quantize_prob};
 use upi_storage::error::{Result, StorageError};
-use upi_storage::Store;
+use upi_storage::{FileId, Store};
 use upi_uncertain::tuple::encode_tuple;
-use upi_uncertain::{AttrStats, IdMap, IdSet, Tuple, TupleView};
+use upi_uncertain::{AttrStats, IdSet, Tuple, TupleView};
 
 use crate::bound::{ConfidenceBound, SKETCH_BUCKETS};
 use crate::cutoff::{CutoffIndex, CutoffPointer};
@@ -600,6 +600,12 @@ impl DiscreteUpi {
         self.n_tuples
     }
 
+    /// The storage file of the clustered heap: a component's identity,
+    /// stable while other components of its chain are rebuilt.
+    pub fn heap_file(&self) -> FileId {
+        self.heap.file()
+    }
+
     /// Heap tree statistics (feeds the cost models' `H`, `N_leaf`,
     /// `S_table`).
     pub fn heap_stats(&self) -> TreeStats {
@@ -1138,21 +1144,29 @@ impl RangeRun<'_> {
             self.skip = bound.map(|bound| Skip::CutoffPhase { bound, qt: self.qt });
             return Ok(Vec::new().into_iter());
         }
-        let mut acc: IdMap<u64, (u64, CutoffPointer)> = IdMap::default();
+        let mut hits = Vec::new();
         for r in self.upi.cutoff.scan_range_run(self.lo, self.hi)? {
             let (v, cp) = r?;
-            if self.seen.contains(&cp.tid) {
-                continue; // full PMF mass already counted in phase 1
+            if !self.seen.contains(&cp.tid) {
+                hits.push((v, cp)); // else: full PMF mass counted in phase 1
             }
-            let e = acc
-                .entry(cp.tid)
-                .or_insert((v, CutoffPointer { prob: 0.0, ..cp }));
-            e.1.prob += cp.prob;
         }
-        let mut pending: Vec<(u64, CutoffPointer)> = acc
-            .into_values()
-            .filter(|(_, cp)| cp.prob >= self.qt)
-            .collect();
+        // Sum each tuple's terms in its alternatives' order, descending
+        // probability, as `grid_confidence` does on every other path: the
+        // scan yields them by value, and float addition does not
+        // re-associate. Equal terms commute, so ties need no order.
+        hits.sort_unstable_by(|(_, a), (_, b)| a.tid.cmp(&b.tid).then(b.prob.total_cmp(&a.prob)));
+        let mut pending: Vec<(u64, CutoffPointer)> = Vec::new();
+        for (v, cp) in hits {
+            match pending.last_mut() {
+                Some((first, acc)) if acc.tid == cp.tid => {
+                    *first = (*first).min(v);
+                    acc.prob += cp.prob;
+                }
+                _ => pending.push((v, cp)),
+            }
+        }
+        pending.retain(|(_, cp)| cp.prob >= self.qt);
         pending.sort_unstable_by_key(|(_, cp)| heap_key(cp.first_value, cp.first_prob, cp.tid));
         Ok(pending.into_iter())
     }
@@ -1620,6 +1634,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A tuple seen only through the cutoff index scores the bits
+    /// `grid_confidence` gives it, whatever order the index holds its
+    /// in-range alternatives in.
+    #[test]
+    fn a_cutoff_only_range_row_scores_like_every_other_path() {
+        let mut u = DiscreteUpi::create(
+            store(),
+            "six",
+            1,
+            UpiConfig {
+                cutoff: 0.5,
+                ..UpiConfig::default()
+            },
+        )
+        .unwrap();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let tuples: Vec<Tuple> = (0..2000u64)
+            .map(|id| {
+                // Six distinct values of 0..10, each below C: weights in
+                // 30..100 of a 0.97 mass keep every share under 0.4.
+                let mut values: Vec<u64> = (0..10).collect();
+                for i in (1..values.len()).rev() {
+                    values.swap(i, next(i as u64 + 1) as usize);
+                }
+                let weights: Vec<f64> = (0..6).map(|_| 30.0 + next(71) as f64).collect();
+                let total: f64 = weights.iter().sum();
+                let alts = values
+                    .iter()
+                    .zip(&weights)
+                    .map(|(&v, w)| (v, 0.97 * w / total));
+                let exist = 0.5 + next(50) as f64 / 100.0;
+                Tuple::new(
+                    TupleId(id),
+                    exist,
+                    vec![
+                        Field::Certain(Datum::Str(format!("t{id}"))),
+                        Field::Discrete(DiscretePmf::new(alts.collect())),
+                    ],
+                )
+            })
+            .collect();
+        u.bulk_load(&tuples).unwrap();
+        let rows = u.ptq_range(0, 5, 0.0).unwrap();
+        assert_eq!(rows.len(), 2000, "every tuple has an alternative in 0..=5");
+        let mut differ = 0;
+        for r in &rows {
+            let Field::Discrete(pmf) = &tuples[r.tuple.id.0 as usize].fields[1] else {
+                unreachable!()
+            };
+            let want = grid_confidence(r.tuple.exist, pmf.alternatives().iter().copied(), 0, 5);
+            differ += (r.confidence.to_bits() != want.to_bits()) as usize;
+        }
+        assert_eq!(differ, 0, "rows scored off grid_confidence's bits");
     }
 
     #[test]

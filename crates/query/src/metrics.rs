@@ -132,6 +132,11 @@ pub struct MetricsRegistry {
     /// Attributed device ms spent executing queries (the denominator the
     /// maintenance budget is weighed against).
     query_device_ms: f64,
+    /// Rent paid per fracture since the session opened: every query on a
+    /// fractured chain adds what it paid each fracture. Maintenance
+    /// accounts are differences of this total; it is not part of the
+    /// snapshot.
+    fracture_rent_ms: f64,
 }
 
 impl MetricsRegistry {
@@ -166,6 +171,17 @@ impl MetricsRegistry {
                 self.flush_error_queries += 1;
             }
         }
+    }
+
+    /// Credit the rent one query paid each fracture of its chain.
+    pub(crate) fn credit_fracture_rent(&mut self, ms: f64) {
+        self.fracture_rent_ms += ms;
+    }
+
+    /// Rent paid per fracture since the session opened (see
+    /// [`upi::RentAccounts`]).
+    pub(crate) fn fracture_rent_ms(&self) -> f64 {
+        self.fracture_rent_ms
     }
 
     /// Record that a scatter-gather query pruned this shard: its
@@ -203,16 +219,6 @@ impl MetricsRegistry {
         self.merge_steps += 1;
         self.components_compacted += components;
         self.maintenance_device_ms += device_ms.max(0.0);
-    }
-
-    /// Total queries recorded so far (all path kinds).
-    pub fn total_queries(&self) -> u64 {
-        self.kinds.iter().map(|k| k.queries).sum()
-    }
-
-    /// Queries recorded for one path kind.
-    pub fn kind_queries(&self, kind: PathKind) -> u64 {
-        self.kinds[kind.index()].queries
     }
 
     /// Freeze the registry into a serializable snapshot.

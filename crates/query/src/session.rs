@@ -20,9 +20,12 @@
 
 use parking_lot::Mutex;
 use upi::cost::DeviceCoeffs;
-use upi::{MaintenancePolicy, PtqResult, RecoveryInfo, TableLayout, UncertainTable};
+use upi::{
+    step_rent_ms, CompactionStep, MaintenancePolicy, PtqResult, RecoveryInfo, RentAccounts,
+    TableLayout, UncertainTable,
+};
 use upi_storage::error::Result as StorageResult;
-use upi_storage::{Lsn, Store};
+use upi_storage::{IoStats, Lsn, Store};
 use upi_uncertain::{Field, Schema, Tuple, TupleId};
 
 use crate::catalog::Catalog;
@@ -97,9 +100,9 @@ pub struct UncertainDb {
     /// histograms, pool traffic totals, calibration gauges. Snapshot via
     /// [`metrics`](Self::metrics).
     metrics: Mutex<MetricsRegistry>,
-    /// Background-maintenance scheduler state: the policy plus the
-    /// observation window [`maintenance_tick`](Self::maintenance_tick)
-    /// derives the query rate from.
+    /// Background-maintenance scheduler state: the policy plus the rent
+    /// accounts [`maintenance_tick`](Self::maintenance_tick) buys steps
+    /// with.
     maintenance: Mutex<MaintenanceState>,
 }
 
@@ -110,15 +113,14 @@ struct CalibrationState {
 
 struct MaintenanceState {
     policy: MaintenancePolicy,
-    /// Simulated clock at the last rate observation.
-    last_clock_ms: f64,
-    /// Total session queries at the last rate observation.
-    last_queries: u64,
+    /// What queries paid each live fracture, kept against the metrics
+    /// registry's running rent total. Derived state: never checkpointed.
+    accounts: RentAccounts,
 }
 
 /// What one committed [`maintenance_tick`](UncertainDb::maintenance_tick)
-/// did: the step's size, its attributed device time, the traffic rate
-/// that justified it, and a renderable trace.
+/// did: the step's size, its attributed device time, the rent that
+/// bought it, and a renderable trace.
 #[derive(Debug, Clone)]
 pub struct MaintenanceReport {
     /// Components (main and/or fractures) the step merged into one.
@@ -127,10 +129,9 @@ pub struct MaintenanceReport {
     pub eliminated: u64,
     /// Device ms attributed to the step (plan + execute).
     pub device_ms: f64,
-    /// Queries/second the profitability test used.
-    pub observed_qps: f64,
-    /// Estimated per-query savings the policy credited the step with.
-    pub savings_per_query_ms: f64,
+    /// The rent queries had paid for the merged fractures, ms — at least
+    /// the step's priced cost.
+    pub rent_ms: f64,
     /// The tick's span tree (path `"Maintenance"`), renderable like any
     /// query trace.
     pub trace: QueryTrace,
@@ -180,21 +181,27 @@ fn restore_calibration(state: &mut CalibrationState, data: &[u8]) -> bool {
     if data.len() < header || !matches!(data[0], 1 | 2) {
         return false;
     }
+    // Fixed-width little-endian field at `off`; `None` past the end.
+    fn array<const N: usize>(data: &[u8], off: usize) -> Option<[u8; N]> {
+        data.get(off..off + N)?.try_into().ok()
+    }
     let mut scales = [(1.0f64, 0usize); N_PATH_KINDS];
     for (i, sc) in scales.iter_mut().enumerate() {
         let off = 1 + i * 16;
-        sc.0 = f64::from_le_bytes(data[off..off + 8].try_into().unwrap());
-        sc.1 = u64::from_le_bytes(data[off + 8..off + 16].try_into().unwrap()) as usize;
+        let (Some(scale), Some(samples)) = (array(data, off), array(data, off + 8)) else {
+            return false;
+        };
+        sc.0 = f64::from_le_bytes(scale);
+        sc.1 = u64::from_le_bytes(samples) as usize;
     }
     let store_bytes = if data[0] == 1 {
         &data[header..]
     } else {
-        let rest = &data[header..];
-        if rest.len() < 4 {
+        let Some(len) = array(data, header) else {
             return false;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        match rest[4..].get(..len) {
+        };
+        let len = u32::from_le_bytes(len) as usize;
+        match data[header + 4..].get(..len) {
             Some(store) => store,
             None => return false,
         }
@@ -229,8 +236,7 @@ impl UncertainDb {
     /// Adopt an existing table into a session.
     pub fn from_table(table: UncertainTable) -> UncertainDb {
         let model = CostModel::from_disk(table.store().disk.config());
-        let clock = table.store().disk.clock_ms();
-        UncertainDb {
+        let mut db = UncertainDb {
             table,
             calibration: Mutex::new(CalibrationState {
                 model,
@@ -239,10 +245,11 @@ impl UncertainDb {
             metrics: Mutex::new(MetricsRegistry::new()),
             maintenance: Mutex::new(MaintenanceState {
                 policy: MaintenancePolicy::default(),
-                last_clock_ms: clock,
-                last_queries: 0,
+                accounts: RentAccounts::default(),
             }),
-        }
+        };
+        db.sync_rent_accounts();
+        db
     }
 
     /// The owned table (schema, statistics, structure accessors).
@@ -260,37 +267,82 @@ impl UncertainDb {
 
     /// Bulk-load tuples into the empty table.
     pub fn load(&mut self, tuples: &[Tuple]) -> StorageResult<()> {
-        self.table.load(tuples)
+        self.write(|t| t.load(tuples))
     }
 
     /// Insert a row, assigning the next tuple id.
     pub fn insert(&mut self, exist: f64, fields: Vec<Field>) -> StorageResult<TupleId> {
-        self.table.insert(exist, fields)
+        self.write(|t| t.insert(exist, fields))
     }
 
     /// Insert a fully-formed tuple (caller manages ids).
     pub fn insert_tuple(&mut self, t: &Tuple) -> StorageResult<()> {
-        self.table.insert_tuple(t)
+        self.write(|table| table.insert_tuple(t))
     }
 
     /// Delete a tuple.
     pub fn delete(&mut self, t: &Tuple) -> StorageResult<()> {
-        self.table.delete(t)
+        self.write(|table| table.delete(t))
     }
 
     /// Flush buffered changes (fractured layout only; no-op otherwise).
     pub fn flush(&mut self) -> StorageResult<()> {
-        self.table.flush()
+        self.write(|t| t.flush())
     }
 
     /// Merge fractures (fractured layout only; no-op otherwise).
     pub fn merge(&mut self) -> StorageResult<()> {
-        self.table.merge()
+        self.write(|t| t.merge())
+    }
+
+    /// Execute one compaction step now, whatever the rent paid for it
+    /// (see [`UncertainTable::apply_merge_step`]); returns the number of
+    /// components eliminated.
+    pub fn apply_merge_step(&mut self, step: CompactionStep) -> StorageResult<usize> {
+        self.write(|t| t.apply_merge_step(step))
     }
 
     /// Replace `old` with `new` as one logical (singly-logged) operation.
     pub fn update(&mut self, old: &Tuple, new: &Tuple) -> StorageResult<()> {
-        self.table.update(old, new)
+        self.write(|table| table.update(old, new))
+    }
+
+    /// Run one write on the table, then match the rent accounts to the
+    /// chain it left: a fracture it flushed starts earning rent at once,
+    /// and one it merged away stops.
+    fn write<T>(
+        &mut self,
+        op: impl FnOnce(&mut UncertainTable) -> StorageResult<T>,
+    ) -> StorageResult<T> {
+        let out = op(&mut self.table);
+        self.sync_rent_accounts();
+        out
+    }
+
+    /// Match the rent accounts to the live chain's fractures (see
+    /// [`RentAccounts::sync`]).
+    fn sync_rent_accounts(&mut self) {
+        if let Some(f) = self.table.as_fractured() {
+            let paid = self.metrics.get_mut().fracture_rent_ms();
+            let files = f.chain().components().skip(1).map(|c| c.heap_file());
+            self.maintenance.get_mut().accounts.sync(files, paid);
+        }
+    }
+
+    /// The rent one query paid each fracture of the chain it ran on: the
+    /// priced descent `H·T_descend` (the planner's own fixed term,
+    /// unscaled) plus an even share of the `Cost_init` the query actually
+    /// paid, so a warm query pays only the descent. Zero without
+    /// fractures.
+    fn fracture_rent_ms(&self, paid: &IoStats) -> f64 {
+        let chain = self.table.chain();
+        let components = chain.n_components();
+        if components == 1 {
+            return 0.0;
+        }
+        let coeffs = DeviceCoeffs::from_disk(self.table.store().disk.config());
+        chain.main().heap_stats().height as f64 * coeffs.t_descend_ms
+            + paid.init_ms / components as f64
     }
 
     // --- Background maintenance -------------------------------------------
@@ -301,89 +353,43 @@ impl UncertainDb {
         self.maintenance.lock().policy
     }
 
-    /// Replace the maintenance policy (horizon, per-step budget).
+    /// Replace the maintenance policy (the per-step budget).
     pub fn set_maintenance_policy(&self, policy: MaintenancePolicy) {
         self.maintenance.lock().policy = policy;
     }
 
-    /// One cost-driven maintenance tick: observe the session's query
-    /// rate, ask the [`MaintenancePolicy`] whether an incremental
-    /// compaction step pays for itself within the horizon, and commit at
-    /// most one [`UncertainTable::apply_merge_step`]. Returns `None` when the
-    /// layout is not fractured or no step is profitable right now.
+    /// One maintenance tick: buy at most one incremental compaction step
+    /// whose fractures' accrued rent covers its priced cost (see
+    /// [`MaintenancePolicy::buy`]), and commit it through
+    /// [`UncertainTable::apply_merge_step`]. Returns `None` when the
+    /// layout is not fractured or no affordable step is paid for yet.
     ///
-    /// Every policy input comes from session state: component sizes from
-    /// the live fracture chain, the per-component descend price through
-    /// the **calibrated** `FracturedMerge` scale, the query rate from the
-    /// metrics registry over the simulated clock, and the fractured-query
-    /// fraction from the per-kind counters. The step's device time is
-    /// attributed like a query's and recorded under the maintenance
-    /// counters, with a renderable `"Maintenance"` trace.
+    /// The accounts are first matched to the live chain, so a chain
+    /// changed outside the tick (a [`merge`](Self::merge), a replayed
+    /// step, recovery) cannot misattribute rent; a compaction's survivor
+    /// then starts at zero. The step's device time is attributed like a
+    /// query's and recorded under the maintenance counters, with a
+    /// renderable `"Maintenance"` trace.
     pub fn maintenance_tick(&mut self) -> StorageResult<Option<MaintenanceReport>> {
+        self.sync_rent_accounts();
         let Some(f) = self.table.as_fractured() else {
             return Ok(None);
         };
         let component_bytes = f.component_bytes();
-        let height = f.main().heap_stats().height;
         let store = self.table.store().clone();
         let coeffs = DeviceCoeffs::from_disk(store.disk.config());
-        let clock = store.disk.clock_ms();
-        let (total_queries, fractured_queries) = {
-            let m = self.metrics.lock();
-            (m.total_queries(), m.kind_queries(PathKind::FracturedMerge))
-        };
-        // Calibrated recurring per-component descent price (`H·T_descend`
-        // through the session's FracturedMerge scale). The policy values
-        // an eliminated component at this plus its interleave-seek tax —
-        // not the full `Cost_init + H·T_descend` cold price, which
-        // amortizes away across the sustained stream the horizon
-        // multiplies (see `MaintenancePolicy::component_overhead_ms`).
-        let model = self.cost_model();
-        let descend_ms = model
-            .price(
-                PathKind::FracturedMerge,
-                0.0,
-                model.open_descend(height) - model.open_descend(0),
-            )
-            .est_ms();
-        let (qps, decision) = {
-            let mut st = self.maintenance.lock();
-            let dq = total_queries.saturating_sub(st.last_queries);
-            let dt = clock - st.last_clock_ms;
-            // Windowed rate when the window saw traffic; lifetime average
-            // otherwise (so a drain loop after a query burst keeps the
-            // rate that justified it instead of reading an empty window).
-            let qps = if dq > 0 && dt > 0.0 {
-                st.last_queries = total_queries;
-                st.last_clock_ms = clock;
-                dq as f64 * 1_000.0 / dt
-            } else if clock > 0.0 {
-                total_queries as f64 * 1_000.0 / clock
-            } else {
-                0.0
-            };
-            let fractured_fraction = if total_queries > 0 {
-                fractured_queries as f64 / total_queries as f64
-            } else {
-                1.0
-            };
-            let decision = st.policy.decide(
-                &component_bytes,
-                &coeffs,
-                descend_ms,
-                qps,
-                fractured_fraction,
-            );
-            (qps, decision)
-        };
-        let Some(decision) = decision else {
+        let paid = self.metrics.get_mut().fracture_rent_ms();
+        let st = self.maintenance.get_mut();
+        let rent = st.accounts.balances(paid);
+        let Some(plan) = st.policy.buy(&component_bytes, &rent, &coeffs) else {
             return Ok(None);
         };
-        // Commit exactly the candidate the policy priced and approved.
+        let rent_ms = step_rent_ms(plan.step, &rent);
+        // Commit exactly the candidate the policy priced and bought.
         let qid = QueryId::next();
         let eliminated = {
             let _guard = store.pool.attributed(qid);
-            self.table.apply_merge_step(decision.plan.step)?
+            self.write(|t| t.apply_merge_step(plan.step))?
         };
         let attributed = store.pool.take_attributed(qid);
         if eliminated == 0 {
@@ -400,7 +406,7 @@ impl UncertainDb {
             spans: vec![
                 TraceSpan::label_only(
                     format!(
-                        "MaintenanceTick qps={qps:.2} components={}",
+                        "MaintenanceTick rent={rent_ms:.1}ms components={}",
                         component_bytes.len()
                     ),
                     0,
@@ -409,7 +415,7 @@ impl UncertainDb {
                     label: format!("MergeStep(components={components})"),
                     depth: 1,
                     device_ms: Some(device_ms),
-                    est_ms: Some(decision.plan.est_cost_ms),
+                    est_ms: Some(plan.est_cost_ms),
                     start_ms: 0.0,
                     end_ms: device_ms,
                     ..TraceSpan::default()
@@ -420,20 +426,19 @@ impl UncertainDb {
             components,
             eliminated: eliminated as u64,
             device_ms,
-            observed_qps: qps,
-            savings_per_query_ms: decision.savings_per_query_ms,
+            rent_ms,
             trace,
         }))
     }
 
-    /// Drain profitable maintenance: run
+    /// Drain paid-for maintenance: run
     /// [`maintenance_tick`](Self::maintenance_tick) until the policy declines, then seal the
     /// work with a checkpoint when the table is durable (which also
     /// rotates the WAL to a fresh generation and retires the old one).
     pub fn maintain(&mut self) -> StorageResult<MaintenanceSummary> {
         let mut summary = MaintenanceSummary::default();
         // The chain can only shrink, so this terminates; the cap is a
-        // backstop against a pathological policy.
+        // backstop.
         while summary.steps < 64 {
             let Some(report) = self.maintenance_tick()? else {
                 break;
@@ -557,13 +562,17 @@ impl UncertainDb {
             .lock()
             .store
             .record(cost.kind, cost.fixed_ms, cost.dominant_ms, observed);
-        self.metrics.lock().record_query(
+        let rent = self.fracture_rent_ms(&attributed);
+        let mut metrics = self.metrics.lock();
+        metrics.record_query(
             cost.kind,
             plan.est_ms(),
             observed,
             out.len() as u64,
             out.io.as_ref(),
         );
+        metrics.credit_fracture_rent(rent);
+        drop(metrics);
         Ok((out, plan))
     }
 
@@ -654,24 +663,26 @@ impl UncertainDb {
     /// facade drives shard cursors itself (so [`run_query`](Self::query)
     /// never runs on the shard session), but each shard's plan was priced
     /// by *this* session's model — its observation belongs here, exactly
-    /// as [`query`](Self::query) would have recorded it.
+    /// as [`query`](Self::query) would have recorded it, rent included.
     pub(crate) fn note_external_execution(
         &self,
         cost: &crate::cost::PathCost,
         est_ms: f64,
-        observed_ms: f64,
+        observed: &IoStats,
         rows: u64,
         io: Option<&upi_storage::PoolCounters>,
     ) {
+        let observed_ms = observed.total_ms();
         self.calibration.lock().store.record(
             cost.kind,
             cost.fixed_ms,
             cost.dominant_ms,
             observed_ms,
         );
-        self.metrics
-            .lock()
-            .record_query(cost.kind, est_ms, observed_ms, rows, io);
+        let rent = self.fracture_rent_ms(observed);
+        let mut metrics = self.metrics.lock();
+        metrics.record_query(cost.kind, est_ms, observed_ms, rows, io);
+        metrics.credit_fracture_rent(rent);
     }
 
     /// Record that a scatter-gather query skipped this shard outright:
@@ -884,8 +895,8 @@ mod tests {
         let _ = d.ptq_secondary(5, 1, 0.3);
     }
 
-    #[test]
-    fn maintenance_tick_compacts_under_traffic_and_declines_idle() {
+    /// A fractured `db` with three flushed fractures of 25 rows each.
+    fn fractured_with_three_fractures() -> UncertainDb {
         let mut d = db(TableLayout::FracturedUpi(FracturedConfig {
             upi: UpiConfig::default(),
             buffer_ops: 0,
@@ -897,14 +908,16 @@ mod tests {
             }
             d.flush().unwrap();
         }
+        d
+    }
+
+    #[test]
+    fn maintenance_tick_compacts_under_traffic_and_declines_idle() {
+        let mut d = fractured_with_three_fractures();
         let fractures = d.table().as_fractured().unwrap().n_fractures();
         assert!(fractures >= 3);
 
-        // Zero horizon: no step can ever pay for itself.
-        d.set_maintenance_policy(MaintenancePolicy {
-            horizon_ms: 0.0,
-            ..MaintenancePolicy::default()
-        });
+        // No traffic, no rent, no step.
         assert!(d.maintenance_tick().unwrap().is_none());
         assert_eq!(
             d.table().as_fractured().unwrap().n_fractures(),
@@ -912,21 +925,19 @@ mod tests {
             "a declined tick must not touch the chain"
         );
 
-        // Sustained queries + a generous horizon: the drain converges the
-        // chain and the metrics registry records the attributed work.
+        // Cold queries pay the fractures' opens and descents: their rent
+        // buys a step, and the drain converges the chain.
         d.table().store().go_cold();
         for _ in 0..20 {
             d.ptq(3, 0.2).unwrap();
         }
         d.set_maintenance_policy(MaintenancePolicy {
-            horizon_ms: 1e9,
             step_budget_ms: f64::INFINITY,
-            ..MaintenancePolicy::default()
         });
-        let report = d.maintenance_tick().unwrap().expect("profitable step");
+        let report = d.maintenance_tick().unwrap().expect("a paid-for step");
         assert!(report.components >= 2);
         assert!(report.device_ms > 0.0);
-        assert!(report.observed_qps > 0.0);
+        assert!(report.rent_ms > 0.0);
         assert!(report.trace.render().contains("MergeStep"));
 
         let summary = d.maintain().unwrap();
@@ -942,6 +953,112 @@ mod tests {
         assert!(m.maintenance_device_ms > 0.0);
         assert!(m.query_device_ms > 0.0);
         assert!(m.to_json().contains("\"merge_steps\""));
+    }
+
+    #[test]
+    fn fractures_no_query_runs_on_are_never_folded() {
+        let mut d = fractured_with_three_fractures();
+        d.set_maintenance_policy(MaintenancePolicy {
+            step_budget_ms: f64::INFINITY,
+        });
+        let fractures = d.table().as_fractured().unwrap().n_fractures();
+        for _ in 0..1000 {
+            assert!(d.maintenance_tick().unwrap().is_none());
+        }
+        assert_eq!(d.maintain().unwrap().steps, 0);
+        assert_eq!(d.table().as_fractured().unwrap().n_fractures(), fractures);
+    }
+
+    /// Each fracture's balance, oldest first.
+    fn balances(d: &UncertainDb) -> Vec<f64> {
+        let paid = d.metrics.lock().fracture_rent_ms();
+        d.maintenance.lock().accounts.balances(paid)
+    }
+
+    #[test]
+    fn rent_accounts_follow_the_chain_across_merge_and_recovery() {
+        let mut d = fractured_with_three_fractures();
+        // Warm queries pay each fracture exactly the priced descent.
+        d.ptq(3, 0.2).unwrap();
+        let f = d.table().as_fractured().unwrap();
+        let coeffs = DeviceCoeffs::from_disk(d.table().store().disk.config());
+        let descend = f.main().heap_stats().height as f64 * coeffs.t_descend_ms;
+        let before = balances(&d);
+        d.ptq(3, 0.2).unwrap();
+        let after = balances(&d);
+        for (a, b) in after.iter().zip(&before) {
+            assert!(
+                (a - b - descend).abs() < 1e-9,
+                "a warm query pays the descent only"
+            );
+        }
+        assert_eq!(after.len(), 3);
+
+        // A fracture flushed now opens at zero; the older ones keep theirs.
+        d.insert(0.9, row(3, 0.7, 0)).unwrap();
+        d.flush().unwrap();
+        let grown = balances(&d);
+        assert_eq!(grown[..3], after[..]);
+        assert_eq!(grown[3], 0.0);
+
+        // merge() folds every fracture: their accounts go with them, and
+        // the next fracture starts from zero, not from a folded one's rent.
+        d.merge().unwrap();
+        assert!(balances(&d).is_empty());
+        d.insert(0.9, row(3, 0.7, 0)).unwrap();
+        d.flush().unwrap();
+        assert_eq!(balances(&d), [0.0]);
+
+        // A recovered session starts every account at zero.
+        let store = store();
+        let mut durable = UncertainDb::create(
+            store.clone(),
+            "r",
+            schema(),
+            1,
+            TableLayout::FracturedUpi(FracturedConfig {
+                upi: UpiConfig::default(),
+                buffer_ops: 0,
+            }),
+        )
+        .unwrap();
+        durable.enable_durability().unwrap();
+        for i in 0..30u64 {
+            durable.insert(0.9, row(i % 5, 0.7, i % 3)).unwrap();
+        }
+        durable.flush().unwrap();
+        durable.checkpoint().unwrap();
+        for _ in 0..5 {
+            durable.ptq(3, 0.2).unwrap();
+        }
+        assert!(balances(&durable)[0] > 0.0);
+        drop(durable);
+        store.reboot();
+        let (recovered, _) = UncertainDb::recover(store, "r").unwrap();
+        let fractures = recovered.table().as_fractured().unwrap().n_fractures();
+        assert_eq!(balances(&recovered), vec![0.0; fractures]);
+    }
+
+    #[test]
+    fn a_truncated_calibration_payload_is_refused_and_leaves_the_state() {
+        let d = db(TableLayout::Upi(UpiConfig::default()));
+        let payload = calibration_payload(&d.calibration.lock());
+        let mut state = CalibrationState {
+            model: CostModel::from_disk(&DiskConfig::default()),
+            store: CalibrationStore::new(),
+        };
+        assert!(restore_calibration(&mut state, &payload));
+        for len in [0, 1, 9, 1 + N_PATH_KINDS * 16, payload.len() - 1] {
+            assert!(
+                !restore_calibration(&mut state, &payload[..len]),
+                "a {len}-byte prefix must be refused"
+            );
+        }
+        // A length prefix past the end of the payload is refused too.
+        let mut long = payload.clone();
+        let at = 1 + N_PATH_KINDS * 16;
+        long[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(!restore_calibration(&mut state, &long));
     }
 
     #[test]

@@ -371,8 +371,9 @@ impl ShardedDb {
     }
 
     /// One maintenance tick per shard. Each shard session decides
-    /// independently on its **own** clock, metrics, and calibration —
-    /// a hot shard compacts while a cold one declines — so the returned
+    /// independently with its **own** rent accounts — the queries that
+    /// opened a hot shard pay for its compaction while a cold one
+    /// declines — so the returned
     /// reports are per-shard (`None` where the shard's policy declined).
     /// A fold rebuilds its output component from the live rows, so the
     /// shard's bound can only tighten.
@@ -385,7 +386,7 @@ impl ShardedDb {
             .collect()
     }
 
-    /// Drain profitable maintenance on every shard (see
+    /// Drain paid-for maintenance on every shard (see
     /// [`UncertainDb::maintain`]); returns one summary per shard.
     pub fn maintain(&mut self) -> StorageResult<Vec<crate::session::MaintenanceSummary>> {
         self.shards.iter_mut().map(|s| s.maintain()).collect()
@@ -679,7 +680,7 @@ impl ShardedDb {
                     s.note_external_execution(
                         &plan.candidates[0].cost,
                         plan.est_ms(),
-                        attributed.total_ms(),
+                        &attributed,
                         emitted[i],
                         Some(&shard_io),
                     );
@@ -1156,7 +1157,7 @@ mod tests {
         sharded.delete(&hot).unwrap();
 
         // Traffic that opens shard 1 (the stored hot row's bound holds it
-        // open), then a policy under which any fold pays for itself.
+        // open): its rent buys the fold, under a budget any fold fits.
         let q = PtqQuery::eq(1, 7).with_qt(0.5);
         for s in sharded.shards() {
             s.table().store().go_cold();
@@ -1168,9 +1169,7 @@ mod tests {
         }
         assert!(sharded.shards()[1].metrics().queries > 0);
         sharded.shards()[1].set_maintenance_policy(MaintenancePolicy {
-            horizon_ms: 1e9,
             step_budget_ms: f64::INFINITY,
-            ..MaintenancePolicy::default()
         });
         let summaries = sharded.maintain().unwrap();
         assert!(summaries[1].steps >= 1, "the fold must run");

@@ -4,11 +4,11 @@
 //! query pays a k-way merge across the whole chain. Instead of the
 //! paper's stop-the-world §4.3 merge, [`UncertainDb::maintenance_tick`]
 //! prices bounded incremental compaction steps (fold the oldest
-//! components into main, or compact a run of small fractures) against
-//! the traffic the session actually observed, and commits a step only
-//! when its per-query savings pay for its device cost within the
-//! policy horizon. An idle table never pays for maintenance; a busy
-//! one converges back to the merged floor in bounded steps.
+//! components into main, or compact a run of small fractures) and buys
+//! one only once the rent queries already paid for its fractures — their
+//! descents and the opens they paid — covers its device cost. An idle
+//! table never pays for maintenance; a busy one converges back towards
+//! the merged floor in bounded steps.
 //!
 //! Run with: `cargo run --release -p upi-examples --example maintenance`
 
@@ -62,14 +62,14 @@ fn main() {
         db.maintenance_policy()
     );
 
-    // A tick on a freshly opened session declines: no traffic has been
-    // observed yet, so no step can pay for itself.
+    // A tick on a freshly opened session declines: no query has paid
+    // rent yet, so there is nothing to buy a step with.
     assert!(db.maintenance_tick().unwrap().is_none());
-    println!("tick before any traffic -> deferred (observed qps is 0)\n");
+    println!("tick before any traffic -> deferred (no rent paid)\n");
 
     // Deterioration workload: each batch inserts 5% of the table,
     // flushes one fracture, then serves a cold query pass — the traffic
-    // the policy prices steps against.
+    // whose rent buys the steps.
     let mut next_id = n_rows;
     for batch in 1..=6 {
         for _ in 0..n_rows / 20 {
@@ -87,17 +87,14 @@ fn main() {
         match db.maintenance_tick().unwrap() {
             Some(report) => println!(
                 "batch {batch}: chain {chain} -> step merged {} components \
-                 ({:.0} ms device, {:.1} qps observed, saves {:.1} ms/query)",
-                report.components,
-                report.device_ms,
-                report.observed_qps,
-                report.savings_per_query_ms
+                 ({:.0} ms device, bought with {:.0} ms of rent)",
+                report.components, report.device_ms, report.rent_ms
             ),
-            None => println!("batch {batch}: chain {chain} -> deferred (no step profitable yet)"),
+            None => println!("batch {batch}: chain {chain} -> deferred (rent below every price)"),
         }
     }
 
-    // One more deterioration round, then drain whatever is profitable
+    // One more deterioration round, then drain whatever is paid for
     // and seal it: on a durable table, `maintain` checkpoints after the
     // last step, which also rotates the WAL onto a fresh generation and
     // retires the old one.

@@ -26,6 +26,7 @@ use upi::cost::{
     cutoff_query_cost_parts, estimate_query_cutoff_ms, estimate_query_fractured_ms,
     fractured_cost_parts, pointer_fetch_ms,
 };
+use upi::maintenance::merge_slice_cost_ms;
 use upi::{
     CompactionStep, DeviceCoeffs, DiscreteUpi, FracturedConfig, FracturedUpi, Pii, PtqResult,
     TableLayout, TuningAdvisor, UncertainTable, UnclusteredHeap, UpiConfig, WorkloadProfile,
@@ -407,6 +408,9 @@ struct QueryPin {
     rows: u64,
 }
 
+/// The `rows` hash of `fractured ptq_range` was re-recorded when a
+/// cutoff-only range row began summing its terms in descending
+/// probability, as every other path does; its ledger did not move.
 const QUERIES: &[QueryPin] = &[
     QueryPin {
         name: "upi ptq qt>=C",
@@ -446,7 +450,7 @@ const QUERIES: &[QueryPin] = &[
         seeks: 39,
         total_ms_bits: 4651383236716107107,
         n_rows: 765,
-        rows: 5121999384703252624,
+        rows: 2265263367869267531,
     },
     QueryPin {
         name: "fractured ptq_secondary tailored",
@@ -489,7 +493,7 @@ const PRICING: &[(&str, u64)] = &[
     ("fractured_cost_parts", 3438059829387801794),
     ("estimate_query_fractured_ms", 2143662956826246794),
     ("evaluate_cutoffs est_query_ms", 12326835356052059105),
-    ("should_merge", 13999406128983612220),
+    ("merge_slice_cost_ms", 10606131069540348199),
     ("pointer_fetch_ms", 13537034267140423896),
 ];
 
@@ -662,7 +666,7 @@ fn batch_queries_and_estimates_are_bit_identical() {
         &[0.0, 0.05, 0.1, 0.3, 0.6],
     );
     let tuning: Vec<f64> = choices.iter().map(|c| c.est_query_ms).collect();
-    let (_, merge_est, merge_cost) = TuningAdvisor.should_merge(disk, &fr, hot, 0.3, 0.0);
+    let merge_cost = merge_slice_cost_ms(&coeffs, fr.total_bytes());
     let heap = upi.heap_stats();
     let n_leaf = heap.leaf_pages as f64;
     let sigmoid: Vec<f64> = [0.0, 1.0, 0.05 * n_leaf, 10.0 * n_leaf]
@@ -675,7 +679,7 @@ fn batch_queries_and_estimates_are_bit_identical() {
         price_pin("fractured_cost_parts", &fractured_parts),
         price_pin("estimate_query_fractured_ms", &fractured_est),
         price_pin("evaluate_cutoffs est_query_ms", &tuning),
-        price_pin("should_merge", &[merge_est, merge_cost]),
+        price_pin("merge_slice_cost_ms", &[merge_cost]),
         price_pin("pointer_fetch_ms", &sigmoid),
     ];
 
@@ -708,6 +712,10 @@ fn batch_queries_and_estimates_are_bit_identical() {
 /// below `C`, the fractured range on both sides, the fractured top-k
 /// below `C` and the fractured point below `C` moved in pages, seeks or
 /// `total_ms`; no row hash moved.
+///
+/// Re-recorded when a cutoff-only range row began summing its terms in
+/// descending probability: only the `rows` hash of the fractured range
+/// below `C` moved.
 const EXEC_QUERIES: &[QueryPin] = &[
     QueryPin {
         name: "upi top-k qt>=C",
@@ -859,7 +867,7 @@ const EXEC_QUERIES: &[QueryPin] = &[
         seeks: 37,
         total_ms_bits: 4651851915152577942,
         n_rows: 1140,
-        rows: 15751196225153224318,
+        rows: 16844294204917992177,
     },
     QueryPin {
         name: "fractured secondary tailored qt<C",

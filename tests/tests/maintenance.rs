@@ -10,7 +10,10 @@
 //!    calls on one session while an identically-mutated twin never
 //!    maintains, and require every query shape (point / secondary /
 //!    range / top-k / group) to fingerprint-match the twin after every
-//!    tick. Compaction reorganizes the physical chain only; the
+//!    step. A tick the rent accounts decline drives the best step
+//!    through [`apply_merge_step`](upi_query::UncertainDb::apply_merge_step)
+//!    instead, so every tick with two components compacts something.
+//!    Compaction reorganizes the physical chain only; the
 //!    possible-worlds answers may never move.
 //! 2. **Kill-during-merge-step** — arm a kill-at-op fault plan, drive
 //!    ticks until the device dies mid-step, recover, and require the
@@ -23,7 +26,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use upi::{FracturedConfig, MaintenancePolicy, TableLayout, UpiConfig};
+use upi::{DeviceCoeffs, FracturedConfig, TableLayout, UpiConfig};
 use upi_query::{PtqQuery, QueryOutput, UncertainDb};
 use upi_storage::{DiskConfig, FaultPlan, SimDisk, Store};
 use upi_uncertain::{Datum, DiscretePmf, Field, FieldKind, Schema, Tuple, TupleId};
@@ -103,15 +106,24 @@ fn query_shapes(rng: &mut StdRng) -> Vec<PtqQuery> {
     ]
 }
 
-/// A policy that fires on any fracture chain the moment there is any
-/// traffic at all: the oracle wants steps to happen, the profitability
-/// gate is exercised by the unit tests.
-fn eager_policy() -> MaintenancePolicy {
-    MaintenancePolicy {
-        horizon_ms: 1e12,
-        step_budget_ms: f64::INFINITY,
-        ..MaintenancePolicy::default()
+/// One maintenance step: the tick's, when the rent accounts buy one,
+/// else the best step of any price driven through the step API (the
+/// oracle wants steps to happen; the rent rule has its own tests).
+/// Returns `(bought, driven)`: at most one of them is set.
+fn step(db: &mut UncertainDb) -> (bool, bool) {
+    if let Some(report) = db.maintenance_tick().unwrap() {
+        assert!(report.components >= 2, "vacuous step");
+        assert!(report.eliminated >= 1);
+        assert!(report.rent_ms > 0.0, "a step nobody paid for");
+        return (true, false);
     }
+    let coeffs = DeviceCoeffs::from_disk(db.table().store().disk.config());
+    let plan = db
+        .table()
+        .as_fractured()
+        .and_then(|f| f.plan_compaction(&coeffs, f64::INFINITY));
+    let driven = plan.is_some_and(|p| db.apply_merge_step(p.step).unwrap() > 0);
+    (false, driven)
 }
 
 fn fractured_layout(rng: &mut StdRng) -> TableLayout {
@@ -142,7 +154,8 @@ fn assert_twins_agree(
     }
 }
 
-fn run_twin_seed(seed: u64) -> u64 {
+/// Steps one seed committed: `(bought by the accounts, driven)`.
+fn run_twin_seed(seed: u64) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_ACED);
     let layout = fractured_layout(&mut rng);
     let mut m = UncertainDb::create(store(), "m", schema(), 1, layout.clone()).unwrap();
@@ -155,13 +168,12 @@ fn run_twin_seed(seed: u64) -> u64 {
         // `MergeStep` records through the WAL.
         m.enable_durability().unwrap();
     }
-    m.set_maintenance_policy(eager_policy());
 
     let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
     let mut next_id = 0u64;
-    let mut ticks = 0u64;
+    let (mut bought, mut driven) = (0u64, 0u64);
     let total_ops = rng.gen_range(50..90);
-    for step in 0..total_ops {
+    for i in 0..total_ops {
         let roll = rng.gen_range(0u32..100);
         if roll < 40 || live.is_empty() {
             let t = gen_tuple(&mut rng, next_id);
@@ -191,27 +203,34 @@ fn run_twin_seed(seed: u64) -> u64 {
             // Traffic so the tick sees a nonzero rate.
             let _ = m.ptq(rng.gen_range(0..8), rng.gen_range(0.0f64..0.8));
         } else {
-            if let Some(report) = m.maintenance_tick().unwrap() {
-                assert!(report.components >= 2, "seed {seed}: vacuous step");
-                assert!(report.eliminated >= 1);
-                ticks += 1;
-                assert_twins_agree(seed, step, &m, &twin, &mut rng);
+            let (b, d) = step(&mut m);
+            if b || d {
+                bought += b as u64;
+                driven += d as u64;
+                assert_twins_agree(seed, i, &m, &twin, &mut rng);
             }
         }
     }
     // Drain whatever is left, then the final full-shape comparison.
-    while let Some(_report) = m.maintenance_tick().unwrap() {
-        ticks += 1;
-        if ticks > 200 {
+    loop {
+        let (b, d) = step(&mut m);
+        if !(b || d) {
+            break;
+        }
+        bought += b as u64;
+        driven += d as u64;
+        if bought + driven > 200 {
             panic!("seed {seed}: maintenance never converges");
         }
     }
+    assert_eq!(m.table().as_fractured().unwrap().n_fractures(), 0);
     assert_twins_agree(seed, total_ops, &m, &twin, &mut rng);
-    if ticks > 0 {
-        let metrics = m.metrics();
-        assert!(metrics.merge_steps >= ticks, "seed {seed}: steps uncounted");
-    }
-    ticks
+    assert_eq!(
+        m.metrics().merge_steps,
+        bought,
+        "seed {seed}: steps uncounted"
+    );
+    (bought, driven)
 }
 
 fn run_kill_seed(seed: u64) -> bool {
@@ -227,7 +246,6 @@ fn run_kill_seed(seed: u64) -> bool {
     let mut db = UncertainDb::create(st.clone(), "t", schema(), 1, layout).unwrap();
     db.add_secondary(2).unwrap();
     db.enable_durability().unwrap();
-    db.set_maintenance_policy(eager_policy());
 
     let mut live: BTreeMap<u64, Tuple> = BTreeMap::new();
     let mut next_id = 0u64;
@@ -248,7 +266,7 @@ fn run_kill_seed(seed: u64) -> bool {
         }
     }
     db.sync_wal().unwrap();
-    // Traffic before the fault is armed, so the tick has a rate to price.
+    // Traffic before the fault is armed: its rent pays for the steps.
     for _ in 0..4 {
         let _ = db.ptq(rng.gen_range(0..8), 0.1);
     }
@@ -302,16 +320,20 @@ fn seeds() -> Vec<u64> {
 
 #[test]
 fn maintenance_under_dml_matches_the_unmaintained_twin() {
-    let mut total_ticks = 0u64;
+    let mut total_bought = 0u64;
     for seed in seeds() {
-        eprintln!("maintenance twin oracle: seed {seed}");
-        total_ticks += run_twin_seed(seed);
+        let (bought, driven) = run_twin_seed(seed);
+        eprintln!(
+            "maintenance twin oracle: seed {seed}: {} steps ({bought} bought, {driven} driven)",
+            bought + driven
+        );
+        total_bought += bought;
     }
-    // Single-seed reruns may legitimately not tick; the sweep must.
+    // Single-seed reruns may legitimately buy nothing; the sweep must.
     if seeds().len() > 1 {
         assert!(
-            total_ticks > 0,
-            "the sweep never performed a merge step — the oracle is vacuous"
+            total_bought > 0,
+            "the accounts never bought a step — the oracle is vacuous"
         );
     }
 }
@@ -346,7 +368,6 @@ fn damaged_heap_leaf_fails_the_step_and_the_checkpoint_with_a_typed_error() {
     let base: Vec<Tuple> = (0..300).map(|id| gen_tuple(&mut rng, id)).collect();
     db.load(&base).unwrap();
     db.enable_durability().unwrap();
-    db.set_maintenance_policy(eager_policy());
     for id in 300..340 {
         db.insert_tuple(&gen_tuple(&mut rng, id)).unwrap();
     }
